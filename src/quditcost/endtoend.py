@@ -23,12 +23,13 @@ from .lcu import (
     qubit_normalization,
     qudit_hybrid_call_cost,
 )
-from .pauli import beta_closed_form
+from .pauli import clock_one_norm
 
 
 class CostChain(NamedTuple):
-    """One encoding's chain: queries, per-call budget, per-call cost, total."""
+    """One encoding's chain: normalization, queries, per-call budget, per-call cost, total."""
 
+    alpha: float
     queries: float
     eps_be: float
     per_call: float
@@ -53,15 +54,16 @@ def query_count(alpha: float, t: float, eps_sim: float, *, ceil: bool = False) -
 
 def qudit_normalization(grid: FieldGrid) -> float:
     """Coefficient one-norm of the d-level route (identity term excluded)."""
-    return beta_closed_form(grid).lambda_norm
+    return clock_one_norm(grid.phi_max, grid.d)
 
 
 def total_cost_qubit(grid: FieldGrid, t: float, eps_sim: float) -> CostChain:
     """Qubit baseline chain: normalization -> queries -> budget -> per call -> total."""
-    q = query_count(qubit_normalization(grid), t, eps_sim)
+    alpha = qubit_normalization(grid)
+    q = query_count(alpha, t, eps_sim)
     eps_be = eps_sim / q
     per_call = float(qubit_blockencoding_cost(grid, eps_be).t_count_per_call)
-    return CostChain(q, eps_be, per_call, q * per_call)
+    return CostChain(alpha, q, eps_be, per_call, q * per_call)
 
 
 def total_cost_qudit_hybrid(
@@ -72,12 +74,13 @@ def total_cost_qudit_hybrid(
     Per call: L * (synthesis cost at eps_be / L) + 4 n_b direct T gates,
     with L = 2 (2^n_b - 1) + n_b synthesized rotations.
     """
-    q = query_count(qudit_normalization(grid), t, eps_sim)
+    alpha = qudit_normalization(grid)
+    q = query_count(alpha, t, eps_sim)
     eps_be = eps_sim / q
     hybrid = qudit_hybrid_call_cost(grid.d)
     rotations = hybrid.rz_rotations_per_call
     per_call = rotations * rz_cost(eps_be / rotations, model) + hybrid.t_gates
-    return CostChain(q, eps_be, per_call, q * per_call)
+    return CostChain(alpha, q, eps_be, per_call, q * per_call)
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,8 @@ def ratio_and_budget(
         t=t,
         eps_sim=eps_sim,
         k=k,
-        alpha_qb=qubit_normalization(grid),
-        alpha_qd=qudit_normalization(grid),
+        alpha_qb=qb.alpha,
+        alpha_qd=qd.alpha,
         q_qb=qb.queries,
         q_qd=qd.queries,
         eps_be_qb=qb.eps_be,

@@ -4,12 +4,17 @@ The on-site field operator is diagonal on a grid of d = 2M + 1 equally
 spaced eigenvalues spanning [-phi_max, +phi_max].  Every other module
 consumes this grid, so construction validates the structural invariants
 up front: odd local dimension, positive amplitude bound, and the exact
-spacing relation delta_phi = 2 * phi_max / (d - 1).
+spacing relation delta_phi = 2 * phi_max / (d - 1).  The levels are built
+with numpy, by the same IEEE operations as the scalar expression
+-phi_max + n * delta_phi, so they equal it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -37,21 +42,22 @@ def make_grid(phi_max: float, d: int) -> FieldGrid:
     """Build and validate the symmetric field-amplitude grid.
 
     Args:
-        phi_max: amplitude bound, must be positive.
+        phi_max: amplitude bound, must be positive and finite.
         d: local dimension, must be odd and at least 3.
 
     Raises:
-        ValueError: for even d, d < 3, or non-positive phi_max.
+        ValueError: for even d, d < 3, or a phi_max that is not positive
+            and finite.
     """
-    if phi_max <= 0:
-        raise ValueError(f"phi_max must be positive, got {phi_max}")
+    if not (math.isfinite(phi_max) and phi_max > 0):
+        raise ValueError(f"phi_max must be positive and finite, got {phi_max}")
     if d < 3:
         raise ValueError(f"local dimension must be at least 3, got {d}")
     if d % 2 == 0:
         raise ValueError(f"symmetric truncation requires odd d, got {d}")
     half_width = (d - 1) // 2
     delta_phi = 2.0 * phi_max / (d - 1)
-    lambdas = tuple(-phi_max + n * delta_phi for n in range(d))
+    lambdas = tuple((-phi_max + np.arange(d) * delta_phi).tolist())
     # exact ceil(log2 d); odd d is never a power of two
     n_b = (d - 1).bit_length()
     return FieldGrid(

@@ -9,11 +9,15 @@ field on the symmetric grid the coefficients have the closed form
 
 for r = 1 .. d-1.  Each nonzero-r coefficient factors as c_r * e^(i pi r/d)
 with real c_r, positive for r below the midpoint (d + 1) / 2 and negative
-from the midpoint upward, antisymmetric under r -> d - r.  The module also
-provides an independent discrete-Fourier-transform oracle, computed by
-direct O(d^2) summation over the eigenvalues, used to cross-check the
-closed form, plus the selection-oracle phase list assembled from the
-coefficient signs.
+from the midpoint upward, antisymmetric under r -> d - r.  The one-norm
+needs no coefficient list: with x_r = pi r/d,
+
+    sum_{r>=1} |beta_r| = phi_max^2 * 2 / (d - 1)^2 * sum_{r=1}^{d-1} |cos x_r| / sin^2 x_r.
+
+The module also provides an independent discrete-Fourier-transform oracle,
+computed by direct O(d^2) summation over the eigenvalues, used to
+cross-check the closed form, plus the selection-oracle phase list
+assembled from the coefficient signs.
 """
 
 from __future__ import annotations
@@ -58,7 +62,20 @@ class PauliExpansion:
     sign_threshold: int
 
 
-def _expansion_from_betas(d: int, phi_max: float, betas: list[complex]) -> PauliExpansion:
+def clock_one_norm(phi_max: float, d: int) -> float:
+    """One-norm sum_{r>=1} |beta_r| of the closed-form coefficients, O(d) numpy work.
+
+    The weights are symmetric under r -> d - r, so the sum runs over the
+    half x_r <= pi/2 and is doubled.  Above pi/2 the rounding of x_r near
+    pi would cost sin x_r up to d * 1e-16 of relative accuracy.
+    """
+    x = np.pi * np.arange(1, (d + 1) // 2) / d
+    return float(phi_max**2 * 4.0 / (d - 1) ** 2 * (np.cos(x) / np.sin(x) ** 2).sum())
+
+
+def _expansion_from_betas(
+    d: int, phi_max: float, betas: list[complex], lambda_norm: float
+) -> PauliExpansion:
     """Derive the real-amplitude / phase view from a coefficient list."""
     two_pi = 2.0 * math.pi
     c_amps = []
@@ -73,7 +90,7 @@ def _expansion_from_betas(d: int, phi_max: float, betas: list[complex]) -> Pauli
         betas=tuple(betas),
         c_amps=tuple(c_amps),
         phases=tuple(phases),
-        lambda_norm=sum(abs(b) for b in betas[1:]),
+        lambda_norm=lambda_norm,
         sign_threshold=(d + 1) // 2,
     )
 
@@ -88,22 +105,23 @@ def beta_closed_form(grid: FieldGrid) -> PauliExpansion:
         x = math.pi * r / d
         c = scale * math.cos(x) / math.sin(x) ** 2
         betas.append(c * cmath.exp(1j * x))
-    return _expansion_from_betas(d, grid.phi_max, betas)
+    return _expansion_from_betas(d, grid.phi_max, betas, clock_one_norm(grid.phi_max, d))
 
 
 def beta_dft_oracle(grid: FieldGrid) -> PauliExpansion:
     """Expansion coefficients by direct Fourier summation over the eigenvalues.
 
     Computes beta_r = (1/d) * sum_n lambda_n^2 * omega^(-r n) as an explicit
-    O(d^2) matrix-vector sum.  Verification oracle only: it shares no code
-    path with the closed form.
+    O(d^2) matrix-vector sum, and its one-norm as the sum of the moduli of
+    those coefficients.  Verification oracle only: it shares no code path
+    with the closed form.
     """
     d = grid.d
     lam_sq = np.asarray(grid.lambdas, dtype=float) ** 2
     indices = np.arange(d)
     kernel = np.exp(-2j * np.pi * np.outer(indices, indices) / d)
-    betas = kernel @ lam_sq / d
-    return _expansion_from_betas(d, grid.phi_max, [complex(b) for b in betas])
+    betas = [complex(b) for b in kernel @ lam_sq / d]
+    return _expansion_from_betas(d, grid.phi_max, betas, sum(abs(b) for b in betas[1:]))
 
 
 def select_diag_phases(expansion: PauliExpansion) -> list[float]:

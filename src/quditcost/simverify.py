@@ -53,6 +53,9 @@ def apply_rotation_to_state(
     The Y block sends |b> to cos(angle/2) |b> + sin(angle/2) |c>; the Z
     block is the phase pair (e^(-i angle/2), e^(+i angle/2)); X is
     supported for completeness.
+
+    Raises:
+        ValueError: for a bad level pair or axis, or a norm drift (NaN angle).
     """
     b, c = levels
     if not 0 <= b < c < state.dim:
@@ -75,9 +78,9 @@ def apply_rotation_to_state(
         )
     else:
         raise ValueError(f"unknown rotation axis {axis!r}")
-    assert abs(np.linalg.norm(amps) - np.linalg.norm(state.amplitudes)) < 1e-12, (
-        "rotation application drifted the state norm"
-    )
+    # written so that a NaN drift fails the check as well
+    if not abs(np.linalg.norm(amps) - np.linalg.norm(state.amplitudes)) < 1e-12:
+        raise ValueError(f"rotation by angle {angle} drifted the state norm")
     return DenseState(state.dim, amps)
 
 

@@ -131,6 +131,15 @@ def test_verify_detects_injected_angle_error(capsys):
     assert any("select-schedule" in ln and "FAIL" in ln for ln in out.splitlines())
 
 
+@pytest.mark.parametrize("bad_phi", ["nan", "inf"])
+def test_scan_ratio_nonfinite_phi_max_is_config_error(capsys, bad_phi):
+    code, out, err = run_cli(capsys, "scan-ratio", "--phi-max", bad_phi)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "phi_max" in err
+
+
 def test_verify_rejects_oversized_dense_cap(capsys):
     code, _, err = run_cli(capsys, "verify", "--d-max", "100")
     assert code == 2

@@ -37,6 +37,20 @@ def test_nonpositive_phi_max_rejected(bad_phi):
         make_grid(bad_phi, 5)
 
 
+@pytest.mark.parametrize("bad_phi", [math.nan, math.inf, -math.inf])
+def test_nonfinite_phi_max_rejected(bad_phi):
+    with pytest.raises(ValueError, match="phi_max"):
+        make_grid(bad_phi, 5)
+
+
+@pytest.mark.parametrize("phi_max", [1.0, 2.5, 0.3, 7.123])
+def test_levels_bit_identical_to_scalar_expression(phi_max):
+    for d in range(3, 514, 2):
+        g = make_grid(phi_max, d)
+        assert g.lambdas == tuple(-phi_max + n * g.delta_phi for n in range(d)), d
+        assert all(type(lam) is float for lam in g.lambdas)
+
+
 def test_spacing_relation():
     for d in (3, 7, 33, 101):
         g = make_grid(2.0, d)

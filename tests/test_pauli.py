@@ -1,11 +1,37 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from quditcost.grid import FieldGrid, make_grid
-from quditcost.pauli import beta_closed_form, beta_dft_oracle, select_diag_phases
+from quditcost.pauli import (
+    beta_closed_form,
+    beta_dft_oracle,
+    clock_one_norm,
+    select_diag_phases,
+)
+
+
+def loop_one_norm(phi_max, d):
+    """Reference one-norm: build each beta_r = c_r e^(i x_r) and sum the moduli."""
+    scale = 2.0 * phi_max**2 / (d - 1) ** 2
+    total = 0.0
+    for r in range(1, d):
+        x = math.pi * r / d
+        total += abs(scale * math.cos(x) / math.sin(x) ** 2 * cmath.exp(1j * x))
+    return total
+
+
+def mp_one_norm(phi_max, d):
+    """The one-norm at 40 significant digits."""
+    with mpmath.workdps(40):
+        weights = mpmath.fsum(
+            abs(mpmath.cos(x)) / mpmath.sin(x) ** 2
+            for x in (mpmath.pi * r / d for r in range(1, d))
+        )
+        return float(mpmath.mpf(phi_max) ** 2 * 2 / (d - 1) ** 2 * weights)
 
 
 def test_closed_form_d3():
@@ -72,6 +98,30 @@ def test_lambda_norm_closed_vs_oracle():
         closed = beta_closed_form(g).lambda_norm
         oracle = beta_dft_oracle(g).lambda_norm
         assert math.isclose(closed, oracle, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("phi_max", [1.0, 2.5])
+def test_one_norm_matches_coefficient_loop(phi_max):
+    # The loop's own error grows with d: for r > d/2 the rounding of
+    # x_r = pi r/d (about 2.6e-16 * pi) is large against sin x_r ~ pi (d - r)/d,
+    # and weighting by 1/sin^2 x_r sums to about 1.9e-16 * d relative.
+    # The high-precision test below holds the one-norm itself to 1e-13.
+    for d in range(3, 4002, 2):
+        expected = loop_one_norm(phi_max, d)
+        tol = 1e-13 + 2e-16 * d
+        assert math.isclose(clock_one_norm(phi_max, d), expected, rel_tol=tol), d
+
+
+@pytest.mark.parametrize("d", [3, 5, 1155, 4001])
+@pytest.mark.parametrize("phi_max", [1.0, 2.5])
+def test_one_norm_matches_high_precision(phi_max, d):
+    assert math.isclose(clock_one_norm(phi_max, d), mp_one_norm(phi_max, d), rel_tol=1e-13)
+
+
+def test_closed_form_expansion_carries_the_shared_one_norm():
+    for d in (3, 9, 101):
+        g = make_grid(2.5, d)
+        assert beta_closed_form(g).lambda_norm == clock_one_norm(2.5, d)
 
 
 def test_phase_field_matches_unit_coefficient():

@@ -54,6 +54,12 @@ def test_rotation_validation():
         apply_rotation_to_state(basis_state(3), "W", (0, 1), 1.0)
 
 
+@pytest.mark.parametrize("axis", ["X", "Y", "Z"])
+def test_nan_angle_raises(axis):
+    with pytest.raises(ValueError, match="norm"):
+        apply_rotation_to_state(basis_state(3), axis, (0, 1), math.nan)
+
+
 def test_norm_preserved_under_random_rotations():
     rng = random.Random(7)
     state = basis_state(8)
