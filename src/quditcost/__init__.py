@@ -3,99 +3,21 @@ implementations of the on-site diagonal evolution exp(-i t phi^2)."""
 
 __version__ = "0.1.0"
 
-from .costmodel import DEFAULT_MODEL, SynthesisModel, pf_thresholds, rz_cost
-from .endtoend import (
-    CostChain,
-    ResourceReport,
-    lcu_fixed_encoding_thresholds,
-    query_count,
-    ratio_and_budget,
-    scan_reports,
-    total_cost_qubit,
-    total_cost_qudit_hybrid,
-)
-from .grid import FieldGrid, make_grid, squared_mean
-from .lcu import (
-    DsignSpec,
-    QubitLcuCost,
-    QuditHybridCost,
-    SignedBinaryRegister,
-    dclock_angles,
-    dsign_spec,
-    fixed_encoding_call_rotations,
-    fixed_encoding_select_schedule,
-    prep_ry_schedule,
-    qubit_blockencoding_cost,
-    qubit_projector_diag_oracle,
-    qudit_hybrid_call_cost,
-    select_nontrivial_count,
-)
-from .pauli import PauliExpansion, beta_closed_form, beta_dft_oracle, select_diag_phases
-from .simverify import (
-    DenseState,
-    DiagPhases,
-    apply_rotation_to_state,
-    apply_schedule_to_state,
-    apply_z_schedule,
-    basis_state,
-    equal_up_to_global_phase,
-)
-from .trotter import (
-    QubitTrotterExpansion,
-    Rotation,
-    RotationSchedule,
-    centered_partial_sum,
-    qubit_trotter_terms,
-    qudit_trotter_angles,
-    rz_rotation_count,
-)
+from .costmodel import SynthesisModel, pf_thresholds
+from .endtoend import ResourceReport, lcu_fixed_encoding_thresholds, scan_reports
+from .grid import FieldGrid, make_grid, register_width
+from .simverify import SuiteResult, run_suites
 
 __all__ = [
     "__version__",
     "FieldGrid",
     "make_grid",
-    "squared_mean",
-    "PauliExpansion",
-    "beta_closed_form",
-    "beta_dft_oracle",
-    "select_diag_phases",
-    "Rotation",
-    "RotationSchedule",
-    "QubitTrotterExpansion",
-    "qubit_trotter_terms",
-    "qudit_trotter_angles",
-    "centered_partial_sum",
-    "rz_rotation_count",
-    "SignedBinaryRegister",
-    "QubitLcuCost",
-    "QuditHybridCost",
-    "DsignSpec",
-    "qubit_projector_diag_oracle",
-    "qubit_blockencoding_cost",
-    "qudit_hybrid_call_cost",
-    "dclock_angles",
-    "dsign_spec",
-    "fixed_encoding_select_schedule",
-    "fixed_encoding_call_rotations",
-    "select_nontrivial_count",
-    "prep_ry_schedule",
+    "register_width",
     "SynthesisModel",
-    "DEFAULT_MODEL",
-    "rz_cost",
     "pf_thresholds",
-    "CostChain",
     "ResourceReport",
-    "query_count",
-    "total_cost_qubit",
-    "total_cost_qudit_hybrid",
-    "ratio_and_budget",
-    "lcu_fixed_encoding_thresholds",
     "scan_reports",
-    "DenseState",
-    "DiagPhases",
-    "basis_state",
-    "apply_rotation_to_state",
-    "apply_schedule_to_state",
-    "apply_z_schedule",
-    "equal_up_to_global_phase",
+    "lcu_fixed_encoding_thresholds",
+    "SuiteResult",
+    "run_suites",
 ]

@@ -1,45 +1,25 @@
-"""Command-line front end: threshold tables, cost-ratio scans, verification suites."""
+"""Command-line front end: threshold tables, cost-ratio scans, the verify report."""
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .costmodel import SynthesisModel, pf_thresholds
-from .endtoend import lcu_fixed_encoding_thresholds, ratio_and_budget
-from .grid import make_grid
-from .lcu import (
-    SignedBinaryRegister,
-    fixed_encoding_select_schedule,
-    prep_ry_schedule,
-    qubit_projector_diag_oracle,
-    select_nontrivial_count,
-    select_vartheta_closed_form,
-)
-from .pauli import beta_closed_form, beta_dft_oracle, select_diag_phases
-from .simverify import (
-    DiagPhases,
-    apply_schedule_to_state,
-    apply_z_schedule,
-    basis_state,
-    equal_up_to_global_phase,
-)
-from .trotter import Rotation, RotationSchedule, qudit_trotter_angles
+from .endtoend import lcu_fixed_encoding_thresholds, scan_reports
+from .grid import check_phi_max, make_grid
+from .simverify import CENSUS_CAP, DIM_CAP, run_suites
 
 CONFIG_ENV_VAR = "QUDITCOST_CONFIG"
+MODEL_KEYS = tuple(field.name for field in dataclasses.fields(SynthesisModel))
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG_ERROR = 2
-
-DENSE_CAP = 64
-CENSUS_CAP = 513
 
 
 class ConfigError(Exception):
@@ -62,8 +42,9 @@ def is_prime(n: int) -> bool:
 def _load_model() -> SynthesisModel:
     """Synthesis model defaults, optionally overridden by a JSON config file.
 
-    The only environment hook is CONFIG_ENV_VAR naming the config path;
-    recognized keys are rz_slope, rz_intercept, and qudit_prefactor.
+    The only environment hook is CONFIG_ENV_VAR naming the config path.
+    The file must hold a JSON object whose keys are among MODEL_KEYS and
+    whose values are numbers that SynthesisModel accepts.
     """
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
@@ -73,21 +54,19 @@ def _load_model() -> SynthesisModel:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    fields = {
-        key: float(raw[key])
-        for key in ("rz_slope", "rz_intercept", "qudit_prefactor")
-        if key in raw
-    }
-    return SynthesisModel(**fields)
-
-
-def _accuracy(args: argparse.Namespace) -> float:
-    eps = args.eps if args.eps is not None else args.eps_sim
-    if eps is None:
-        eps = 1e-6
-    if not 0.0 < eps < 1.0:
-        raise ConfigError(f"accuracy must lie in (0, 1), got {eps}")
-    return eps
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    for key, value in raw.items():
+        if key not in MODEL_KEYS:
+            raise ConfigError(
+                f"config file {path}: unknown key {key!r} (known: {', '.join(MODEL_KEYS)})"
+            )
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"config file {path}: {key} must be a number, got {json.dumps(value)}")
+    try:
+        return SynthesisModel(**{key: float(value) for key, value in raw.items()})
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
 
 
 def _prime_only(args: argparse.Namespace, default: bool) -> bool:
@@ -98,13 +77,11 @@ def _prime_only(args: argparse.Namespace, default: bool) -> bool:
     return default
 
 
-def _d_values(args: argparse.Namespace, d_max_default: int, prime_default: bool) -> list[int]:
-    lo = args.d_min
-    hi = args.d_max if args.d_max is not None else d_max_default
-    lo = max(lo, 3)
+def _d_values(args: argparse.Namespace, prime_default: bool) -> list[int]:
+    lo = max(args.d_min, 3)
     if lo % 2 == 0:
         lo += 1
-    values = list(range(lo, hi + 1, 2))
+    values = list(range(lo, args.d_max + 1, 2))
     if _prime_only(args, prime_default):
         values = [d for d in values if is_prime(d)]
     if not values:
@@ -139,15 +116,16 @@ def _emit(args: argparse.Namespace, columns: list[str], rows: list[dict], meta: 
 
 
 def cmd_pf_thresholds(args: argparse.Namespace, model: SynthesisModel) -> int:
-    eps = _accuracy(args)
+    # the thresholds do not depend on phi_max, but the header prints it
+    check_phi_max(args.phi_max)
     rows = []
-    for d in _d_values(args, d_max_default=19, prime_default=True):
-        a_max, a_rz = pf_thresholds(d, eps, model)
+    for d in _d_values(args, prime_default=True):
+        a_max, a_rz = pf_thresholds(d, args.eps, model)
         rows.append({"d": d, "a_max_pf": a_max, "a_rz_pf": a_rz, "favorable": a_max > a_rz})
     meta = {
         "command": "pf-thresholds",
         "phi_max": args.phi_max,
-        "eps": eps,
+        "eps": args.eps,
         "prime_only": _prime_only(args, True),
     }
     _emit(args, ["d", "a_max_pf", "a_rz_pf", "favorable"], rows, meta)
@@ -155,16 +133,15 @@ def cmd_pf_thresholds(args: argparse.Namespace, model: SynthesisModel) -> int:
 
 
 def cmd_lcu_table(args: argparse.Namespace, model: SynthesisModel) -> int:
-    eps_sim = _accuracy(args)
     rows = []
-    for d in _d_values(args, d_max_default=19, prime_default=True):
+    for d in _d_values(args, prime_default=True):
         grid = make_grid(args.phi_max, d)
-        a_max, a_rz = lcu_fixed_encoding_thresholds(grid, args.t, eps_sim, model)
+        a_max, a_rz = lcu_fixed_encoding_thresholds(grid, args.t, args.eps, model)
         rows.append({"d": d, "a_max_lcu": a_max, "a_rz_lcu": a_rz})
     meta = {
         "command": "lcu-table",
         "phi_max": args.phi_max,
-        "eps_sim": eps_sim,
+        "eps_sim": args.eps,
         "t": args.t,
         "prime_only": _prime_only(args, True),
     }
@@ -190,17 +167,13 @@ SCAN_COLUMNS = [
 
 
 def cmd_scan_ratio(args: argparse.Namespace, model: SynthesisModel) -> int:
-    eps_sim = _accuracy(args)
-    if args.k < 1:
-        raise ConfigError(f"switch count must be at least 1, got {args.k}")
-    rows = []
-    for d in _d_values(args, d_max_default=19, prime_default=False):
-        report = ratio_and_budget(make_grid(args.phi_max, d), args.t, eps_sim, args.k, model)
-        rows.append({c: getattr(report, c) for c in SCAN_COLUMNS})
+    d_values = _d_values(args, prime_default=False)
+    reports = scan_reports(args.phi_max, args.t, args.eps, d_values, args.k, model)
+    rows = [{c: getattr(report, c) for c in SCAN_COLUMNS} for report in reports]
     meta = {
         "command": "scan-ratio",
         "phi_max": args.phi_max,
-        "eps_sim": eps_sim,
+        "eps_sim": args.eps,
         "t": args.t,
         "k": args.k,
         "prime_only": _prime_only(args, False),
@@ -209,162 +182,35 @@ def cmd_scan_ratio(args: argparse.Namespace, model: SynthesisModel) -> int:
     return EXIT_OK
 
 
-def _odd_dimensions(cap: int) -> range:
-    return range(3, cap + 1, 2)
-
-
-def _suite_trotter(phi_max: float, dense_cap: int) -> tuple[bool, float, str]:
-    worst = 0.0
-    for d in _odd_dimensions(dense_cap):
-        grid = make_grid(phi_max, d)
-        for t in (0.1, 1.0, 3.7):
-            realized = apply_z_schedule(qudit_trotter_angles(grid, t))
-            target = DiagPhases(d, tuple(-t * lam**2 for lam in grid.lambdas))
-            _, err = equal_up_to_global_phase(realized, target)
-            worst = max(worst, err)
-    return worst <= 1e-10, worst, ""
-
-
-def _suite_select(phi_max: float, dense_cap: int, inject: float) -> tuple[bool, float, str]:
-    worst = 0.0
-    for d in _odd_dimensions(dense_cap):
-        expansion = beta_closed_form(make_grid(phi_max, d))
-        schedule = fixed_encoding_select_schedule(expansion)
-        if inject:
-            bent = list(schedule.rotations)
-            bent[0] = Rotation(bent[0].axis, bent[0].levels, bent[0].angle + inject)
-            schedule = RotationSchedule(
-                dim=schedule.dim, rotations=tuple(bent), global_phase=schedule.global_phase
-            )
-        realized = apply_z_schedule(schedule)
-        target = DiagPhases(d, tuple(select_diag_phases(expansion)))
-        _, err = equal_up_to_global_phase(realized, target)
-        worst = max(worst, err)
-    return worst <= 1e-10, worst, ""
-
-
-def _suite_prep(phi_max: float, dense_cap: int) -> tuple[bool, float, str]:
-    worst = 0.0
-    for d in _odd_dimensions(dense_cap):
-        expansion = beta_closed_form(make_grid(phi_max, d))
-        state = apply_schedule_to_state(basis_state(d), prep_ry_schedule(expansion))
-        target = np.zeros(d)
-        target[1:] = [
-            math.sqrt(abs(b) / expansion.lambda_norm) for b in expansion.betas[1:]
-        ]
-        worst = max(worst, float(np.linalg.norm(state.amplitudes - target)))
-    return worst <= 1e-10, worst, ""
-
-
-def _suite_projector(phi_max: float) -> tuple[bool, float, str]:
-    worst = 0.0
-    for n_b in range(2, 9):
-        # both extreme odd dimensions sharing this register width
-        for d in (2 ** (n_b - 1) + 1, 2**n_b - 1):
-            grid = make_grid(phi_max, d)
-            register = SignedBinaryRegister(grid.n_b)
-            oracle = qubit_projector_diag_oracle(grid)
-            scale = grid.delta_phi**2
-            for v in range(register.size):
-                worst = max(worst, abs(oracle[v] - scale * register.label(v) ** 2))
-    return worst == 0.0, worst, ""
-
-
-def _suite_dft(phi_max: float, census_cap: int) -> tuple[bool, float, str]:
-    worst_beta = 0.0
-    worst_herm = 0.0
-    worst_lambda = 0.0
-    signs_ok = True
-    for d in _odd_dimensions(census_cap):
-        grid = make_grid(phi_max, d)
-        closed = beta_closed_form(grid)
-        oracle = beta_dft_oracle(grid)
-        worst_beta = max(
-            worst_beta, max(abs(a - b) for a, b in zip(closed.betas, oracle.betas))
-        )
-        worst_herm = max(
-            worst_herm,
-            max(
-                abs(closed.betas[d - r] - closed.betas[r].conjugate())
-                for r in range(1, d)
-            ),
-        )
-        worst_lambda = max(
-            worst_lambda,
-            abs(closed.lambda_norm - oracle.lambda_norm) / oracle.lambda_norm,
-        )
-        threshold = (d + 1) // 2
-        for r in range(1, d):
-            if (closed.c_amps[r - 1] < 0) != (r >= threshold):
-                signs_ok = False
-    ok = signs_ok and worst_beta <= 1e-10 and worst_herm <= 1e-12 and worst_lambda <= 1e-10
-    detail = "" if signs_ok else "sign-threshold equivalence violated"
-    return ok, max(worst_beta, worst_herm, worst_lambda), detail
-
-
-def _suite_census(phi_max: float, census_cap: int) -> tuple[bool, float, str]:
-    worst = 0.0
-    offsets = set()
-    ok = True
-    for d in _odd_dimensions(census_cap):
-        count = select_nontrivial_count(d)
-        offsets.add(d - 1 - count)
-        if d - 1 - count not in (0, 1, 3):
-            ok = False
-        schedule = fixed_encoding_select_schedule(beta_closed_form(make_grid(phi_max, d)))
-        if schedule.nontrivial_count != count:
-            ok = False
-        for k, rot in enumerate(schedule.rotations):
-            gap = math.remainder(
-                rot.angle - select_vartheta_closed_form(d, k), 4.0 * math.pi
-            )
-            worst = max(worst, abs(gap))
-    detail = "offsets d-1-s(d): {" + ", ".join(str(o) for o in sorted(offsets)) + "}"
-    return ok and worst <= 1e-9, worst, detail
-
-
 def cmd_verify(args: argparse.Namespace, model: SynthesisModel) -> int:
-    dense_cap = args.d_max if args.d_max is not None else DENSE_CAP
-    if dense_cap > DENSE_CAP:
-        raise ConfigError(f"dense verification cap exceeds {DENSE_CAP}")
-    if dense_cap < 3:
-        raise ConfigError("empty scan range")
-    census_cap = args.census_max
-    if census_cap < 3:
-        raise ConfigError("empty scan range")
-    suites = [
-        ("trotter-schedule", lambda: _suite_trotter(args.phi_max, dense_cap)),
-        ("select-schedule", lambda: _suite_select(args.phi_max, dense_cap, args.inject_angle_error)),
-        ("prep-schedule", lambda: _suite_prep(args.phi_max, dense_cap)),
-        ("projector-diag", lambda: _suite_projector(args.phi_max)),
-        ("dft-oracle", lambda: _suite_dft(args.phi_max, census_cap)),
-        ("select-census", lambda: _suite_census(args.phi_max, census_cap)),
-    ]
     all_ok = True
-    for name, run in suites:
-        ok, err, detail = run()
-        all_ok = all_ok and ok
-        line = f"{name:<17} {'pass' if ok else 'FAIL'}  max_error={err:.3e}"
-        if detail:
-            line += f"  {detail}"
+    for result in run_suites(args.phi_max, args.d_max, args.census_max, args.inject_angle_error):
+        all_ok = all_ok and result.ok
+        line = f"{result.name:<17} {'pass' if result.ok else 'FAIL'}  max_error={result.worst:.3e}"
+        if result.detail:
+            line += f"  {result.detail}"
         print(line)
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_report_flags(parser: argparse.ArgumentParser, *, t: bool, k: bool) -> None:
+    """Flags of the report commands; --t and --k only where the command reads them."""
     parser.add_argument("--phi-max", type=float, default=1.0, help="field amplitude bound")
-    parser.add_argument("--eps", type=float, default=None, help="target accuracy")
-    parser.add_argument(
-        "--eps-sim", type=float, default=None, dest="eps_sim",
+    accuracy = parser.add_mutually_exclusive_group()
+    accuracy.add_argument("--eps", type=float, default=1e-6, help="target accuracy")
+    accuracy.add_argument(
+        "--eps-sim", type=float, default=1e-6, dest="eps",
         help="simulation accuracy (synonym of --eps)",
     )
-    parser.add_argument("--t", type=float, default=0.1, help="evolution time")
+    if t:
+        parser.add_argument("--t", type=float, default=0.1, help="evolution time")
     parser.add_argument("--d-min", type=int, default=3, help="smallest local dimension")
-    parser.add_argument("--d-max", type=int, default=None, help="largest local dimension")
+    parser.add_argument("--d-max", type=int, default=19, help="largest local dimension")
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--all-odd", action="store_true", help="scan every odd dimension")
     group.add_argument("--primes", action="store_true", help="restrict scan to primes")
-    parser.add_argument("--k", type=int, default=2, help="directional switches per query")
+    if k:
+        parser.add_argument("--k", type=int, default=2, help="directional switches per query")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -380,19 +226,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pf-thresholds", help="product-formula break-even prefactors (primes by default)")
-    _add_common(p)
+    _add_report_flags(p, t=False, k=False)
     p.set_defaults(func=cmd_pf_thresholds)
 
     p = sub.add_parser("lcu-table", help="fixed-encoding block-encoding thresholds (primes by default)")
-    _add_common(p)
+    _add_report_flags(p, t=True, k=False)
     p.set_defaults(func=cmd_lcu_table)
 
     p = sub.add_parser("scan-ratio", help="end-to-end totals, ratio, and switch budget (all odd d by default)")
-    _add_common(p)
+    _add_report_flags(p, t=True, k=True)
     p.set_defaults(func=cmd_scan_ratio)
 
     p = sub.add_parser("verify", help="run the decomposition and coefficient oracle suites")
-    _add_common(p)
+    p.add_argument("--phi-max", type=float, default=1.0, help="field amplitude bound")
+    p.add_argument(
+        "--d-max", type=int, default=DIM_CAP,
+        help=f"largest dimension for the dense schedule suites (at most {DIM_CAP})",
+    )
     p.add_argument(
         "--census-max", type=int, default=CENSUS_CAP,
         help="largest dimension for the coefficient and census suites",
@@ -410,10 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         model = _load_model()
         return args.func(args, model)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except OSError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

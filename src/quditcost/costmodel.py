@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .grid import register_width
+
 
 @dataclass(frozen=True)
 class SynthesisModel:
@@ -13,7 +15,9 @@ class SynthesisModel:
     A qubit Z rotation synthesized to accuracy delta costs
     rz_slope * log2(1/delta) + rz_intercept non-Clifford gates; an embedded
     two-level rotation on a d-level system is modeled as
-    qudit_prefactor * log2(1/delta).
+    qudit_prefactor * log2(1/delta).  All three must be finite; the qubit
+    parameters nonnegative and not both zero, so that every rotation costs
+    more than nothing; the qudit prefactor positive.
     """
 
     rz_slope: float = 0.57
@@ -21,10 +25,16 @@ class SynthesisModel:
     qudit_prefactor: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("rz_slope", "rz_intercept"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.rz_slope == 0 and self.rz_intercept == 0:
+            raise ValueError("rz_slope and rz_intercept are both zero: rotations would cost nothing")
         if self.qudit_prefactor <= 0:
-            raise ValueError(
-                f"qudit synthesis prefactor must be positive, got {self.qudit_prefactor}"
-            )
+            raise ValueError(f"qudit_prefactor must be positive, got {self.qudit_prefactor}")
 
 
 DEFAULT_MODEL = SynthesisModel()
@@ -35,18 +45,6 @@ def rz_cost(delta: float, model: SynthesisModel = DEFAULT_MODEL) -> float:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"synthesis accuracy must lie in (0, 1), got {delta}")
     return model.rz_slope * math.log2(1.0 / delta) + model.rz_intercept
-
-
-def rotation_count_ratio(d: int) -> float:
-    """Rotation-count ratio of the two step constructions, L_qb / L_qd.
-
-    Diagnostic for the asymptotic comparison: with L_qb = n_b (n_b + 1) / 2
-    and L_qd = d - 1 the ratio falls off like (log d)^2 / d.
-    """
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"local dimension must be odd and at least 3, got {d}")
-    n_b = (d - 1).bit_length()
-    return (n_b * (n_b + 1) / 2) / (d - 1)
 
 
 def pf_thresholds(
@@ -61,11 +59,9 @@ def pf_thresholds(
     precision.  a_max > a_rz means the native route tolerates synthesis no
     better than the qubit baseline.
     """
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"local dimension must be odd and at least 3, got {d}")
+    n_b = register_width(d)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"target accuracy must lie in (0, 1), got {eps}")
-    n_b = (d - 1).bit_length()
     l_qb = n_b * (n_b + 1) // 2
     l_qd = d - 1
     log_qd = math.log2(l_qd / eps)

@@ -36,20 +36,25 @@ class CostChain(NamedTuple):
     total: float
 
 
-def query_count(alpha: float, t: float, eps_sim: float, *, ceil: bool = False) -> float:
+def query_count(alpha: float, t: float, eps_sim: float) -> float:
     """Block-encoding queries needed: alpha * t + log2(1 / eps_sim).
 
-    Deliberately a real number; pass ceil=True for an integer query count
-    (not used by any of the reported comparisons).
+    Deliberately a real number.  Q must exceed eps_sim, so that the
+    per-call budget eps_sim / Q of both cost chains lies below 1.
     """
     if alpha < 0:
         raise ValueError(f"normalization must be nonnegative, got {alpha}")
-    if t < 0:
-        raise ValueError(f"evolution time must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"evolution time t must be finite and nonnegative, got {t}")
     if not 0.0 < eps_sim < 1.0:
-        raise ValueError(f"simulation accuracy must lie in (0, 1), got {eps_sim}")
+        raise ValueError(f"simulation accuracy eps_sim must lie in (0, 1), got {eps_sim}")
     q = alpha * t + math.log2(1.0 / eps_sim)
-    return float(math.ceil(q)) if ceil else q
+    if q <= eps_sim:
+        raise ValueError(
+            f"eps_sim={eps_sim} is too large: the per-call budget eps_sim/Q "
+            f"with Q={q:.6g} queries is not below 1"
+        )
+    return q
 
 
 def qudit_normalization(grid: FieldGrid) -> float:

@@ -38,6 +38,26 @@ class FieldGrid:
     n_b: int
 
 
+def register_width(d: int) -> int:
+    """Qubit register width n_b = ceil(log2 d) covering d levels.
+
+    The one check of the local dimension that every module relies on.
+
+    Raises:
+        ValueError: unless d is odd and at least 3.
+    """
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"symmetric truncation requires odd d >= 3, got {d}")
+    # exact ceil(log2 d); odd d is never a power of two
+    return (d - 1).bit_length()
+
+
+def check_phi_max(phi_max: float) -> None:
+    """Raise ValueError unless the amplitude bound is positive and finite."""
+    if not (math.isfinite(phi_max) and phi_max > 0):
+        raise ValueError(f"phi_max must be positive and finite, got {phi_max}")
+
+
 def make_grid(phi_max: float, d: int) -> FieldGrid:
     """Build and validate the symmetric field-amplitude grid.
 
@@ -49,17 +69,11 @@ def make_grid(phi_max: float, d: int) -> FieldGrid:
         ValueError: for even d, d < 3, or a phi_max that is not positive
             and finite.
     """
-    if not (math.isfinite(phi_max) and phi_max > 0):
-        raise ValueError(f"phi_max must be positive and finite, got {phi_max}")
-    if d < 3:
-        raise ValueError(f"local dimension must be at least 3, got {d}")
-    if d % 2 == 0:
-        raise ValueError(f"symmetric truncation requires odd d, got {d}")
+    check_phi_max(phi_max)
+    n_b = register_width(d)
     half_width = (d - 1) // 2
     delta_phi = 2.0 * phi_max / (d - 1)
     lambdas = tuple((-phi_max + np.arange(d) * delta_phi).tolist())
-    # exact ceil(log2 d); odd d is never a power of two
-    n_b = (d - 1).bit_length()
     return FieldGrid(
         phi_max=float(phi_max),
         d=d,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grid import FieldGrid
+from .grid import FieldGrid, register_width
 from .pauli import IRREDUCIBILITY_FLOOR, PauliExpansion, select_diag_phases
 from .trotter import Rotation, RotationSchedule, reduce_angle
 
@@ -28,12 +28,6 @@ TOFFOLI_T_COST = 4
 
 # Largest register accepted by the dense projector-diagonal enumeration.
 MAX_ORACLE_WIDTH = 20
-
-
-def _register_width(d: int) -> int:
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"local dimension must be odd and at least 3, got {d}")
-    return (d - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -114,7 +108,6 @@ class QubitLcuCost:
     b_r: int
     n_b: int
     prep_toffoli: int
-    prep_dagger_toffoli: int
     select_toffoli: int
     select_direct_t: int
     t_count_per_call: int
@@ -123,9 +116,10 @@ class QubitLcuCost:
 def qubit_blockencoding_cost(grid: FieldGrid, eps: float) -> QubitLcuCost:
     """T count of one qubit block-encoding call at per-call accuracy eps.
 
-    Breakdown: each preparation direction costs 4 b_r + 2 n_b - 16
-    Toffolis, the selector 2 (n_b - 1) Toffolis plus 20 direct T gates;
-    at 4 T per Toffoli the total is 32 b_r + 24 n_b - 116.
+    Breakdown: each preparation direction (prep_toffoli, paid twice)
+    costs 4 b_r + 2 n_b - 16 Toffolis, the selector 2 (n_b - 1) Toffolis
+    plus 20 direct T gates; at 4 T per Toffoli the total is
+    32 b_r + 24 n_b - 116.
     """
     b_r = precision_parameter(eps)
     n_b = grid.n_b
@@ -138,7 +132,6 @@ def qubit_blockencoding_cost(grid: FieldGrid, eps: float) -> QubitLcuCost:
         b_r=b_r,
         n_b=n_b,
         prep_toffoli=prep,
-        prep_dagger_toffoli=prep,
         select_toffoli=select_toffoli,
         select_direct_t=select_direct_t,
         t_count_per_call=total,
@@ -153,7 +146,6 @@ class QuditHybridCost:
     n_b: int
     t_gates: int
     rz_rotations_per_call: int
-    ancillas: int
 
 
 def qudit_hybrid_call_cost(d: int) -> QuditHybridCost:
@@ -162,13 +154,12 @@ def qudit_hybrid_call_cost(d: int) -> QuditHybridCost:
     The rotation count covers both preparation directions (2^n_b - 1 each)
     plus the n_b clock-ladder rotations inside the selection diagonal.
     """
-    n_b = _register_width(d)
+    n_b = register_width(d)
     return QuditHybridCost(
         d=d,
         n_b=n_b,
         t_gates=4 * n_b,
         rz_rotations_per_call=2 * (2**n_b - 1) + n_b,
-        ancillas=n_b + 1,
     )
 
 
@@ -178,21 +169,8 @@ def dclock_angles(d: int) -> list[tuple[int, float]]:
     Each pair (m, a_m) encodes the factor exp(i * a_m * Z_m) on index qubit
     m, with a_m = -pi * 2^m / (2 d).
     """
-    n_b = _register_width(d)
+    n_b = register_width(d)
     return [(m, -math.pi * 2**m / (2.0 * d)) for m in range(n_b)]
-
-
-def dclock_realized_phases(d: int) -> list[float]:
-    """Phase exponent accumulated by the clock ladder on each index state.
-
-    Relative to index 0 the exponent on |r> is pi * r / d for every
-    r in [0, 2^n_b); the common offset is the discarded global phase.
-    """
-    angles = dclock_angles(d)
-    out = []
-    for r in range(2 ** len(angles)):
-        out.append(sum(a * (1 - 2 * ((r >> m) & 1)) for m, a in angles))
-    return out
 
 
 @dataclass(frozen=True)
@@ -200,16 +178,13 @@ class DsignSpec:
     """Comparator model of the sign-flip diagonal.
 
     The flag function marks indices at or above threshold (d + 1) / 2; the
-    phase-kickback comparator costs 4 * n_b T gates with n_b scratch
-    ancillas and one flag ancilla.
+    phase-kickback comparator costs 4 * n_b T gates.
     """
 
     d: int
     n_b: int
     threshold: int
     t_count: int
-    scratch_ancillas: int
-    flag_ancillas: int
 
     def flag(self, r: int) -> int:
         return 1 if r >= self.threshold else 0
@@ -223,14 +198,12 @@ def dsign_spec(expansion: PauliExpansion) -> DsignSpec:
             anywhere, which would indicate a coefficient computation bug.
     """
     d = expansion.d
-    n_b = _register_width(d)
+    n_b = register_width(d)
     model = DsignSpec(
         d=d,
         n_b=n_b,
         threshold=(d + 1) // 2,
         t_count=4 * n_b,
-        scratch_ancillas=n_b,
-        flag_ancillas=1,
     )
     for r in range(1, d):
         negative = 1 if expansion.c_amps[r - 1] < 0 else 0
@@ -268,7 +241,7 @@ def select_vartheta_closed_form(d: int, k: int) -> float:
     With m = (d - 1) / 2: (pi/d) * (k+1) * (4m - k), minus 2*pi * (k - m)
     once k exceeds m.
     """
-    _register_width(d)
+    register_width(d)
     if not 0 <= k <= d - 2:
         raise ValueError(f"rotation index k={k} outside [0, {d - 2}]")
     m = (d - 1) // 2
@@ -286,7 +259,7 @@ def select_nontrivial_count(d: int) -> int:
     exact integer arithmetic; dense states are never needed here, which
     keeps census scans over large d cheap.
     """
-    _register_width(d)
+    register_width(d)
     m = (d - 1) // 2
     count = 0
     for k in range(d - 1):
@@ -303,8 +276,7 @@ def fixed_encoding_call_rotations(d: int) -> int:
     threshold formulas use this uniform bound even when the realized
     selection count select_nontrivial_count(d) is smaller.
     """
-    if d < 3:
-        raise ValueError(f"local dimension must be at least 3, got {d}")
+    register_width(d)
     return 3 * d - 3
 
 

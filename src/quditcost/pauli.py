@@ -46,7 +46,6 @@ class PauliExpansion:
         betas: all d complex coefficients, index r = 0 .. d-1.
         c_amps: real amplitudes c_r with betas[r] = c_r * e^(i pi r/d),
             stored for r = 1 .. d-1 (c_amps[r - 1]).
-        phases: coefficient phases arg(beta_r) in [0, 2*pi), r = 1 .. d-1.
         lambda_norm: one-norm of the nonidentity coefficients,
             sum_{r>=1} |beta_r|; the identity term is excluded because it
             only shifts the evolution by a global phase.
@@ -57,7 +56,6 @@ class PauliExpansion:
     phi_max: float
     betas: tuple[complex, ...]
     c_amps: tuple[float, ...]
-    phases: tuple[float, ...]
     lambda_norm: float
     sign_threshold: int
 
@@ -76,20 +74,13 @@ def clock_one_norm(phi_max: float, d: int) -> float:
 def _expansion_from_betas(
     d: int, phi_max: float, betas: list[complex], lambda_norm: float
 ) -> PauliExpansion:
-    """Derive the real-amplitude / phase view from a coefficient list."""
-    two_pi = 2.0 * math.pi
-    c_amps = []
-    phases = []
-    for r in range(1, d):
-        b = betas[r]
-        c_amps.append((b * cmath.exp(-1j * math.pi * r / d)).real)
-        phases.append(cmath.phase(b) % two_pi)
+    """Derive the real-amplitude view from a coefficient list."""
+    c_amps = [(betas[r] * cmath.exp(-1j * math.pi * r / d)).real for r in range(1, d)]
     return PauliExpansion(
         d=d,
         phi_max=phi_max,
         betas=tuple(betas),
         c_amps=tuple(c_amps),
-        phases=tuple(phases),
         lambda_norm=lambda_norm,
         sign_threshold=(d + 1) // 2,
     )

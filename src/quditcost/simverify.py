@@ -1,4 +1,4 @@
-"""Dense verification oracle for rotation schedules on small dimensions.
+"""Dense verification oracle for rotation schedules, and the verify suites.
 
 States are flat complex vectors of dimension at most DIM_CAP.  Diagonal
 unitaries are represented by their per-level phase exponents: DiagPhases
@@ -11,19 +11,37 @@ uniformly.
 All targets here are diagonal unitaries or single state preparations, so
 an O(dim) per-rotation state update suffices and no dim x dim matrices
 are ever formed.
+
+The six suites that `quditcost verify` runs check every schedule and
+coefficient construction against this oracle, the DFT oracle or exact
+integer arithmetic, for all odd d up to a cap, and return a SuiteResult.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .trotter import RotationSchedule
+from .grid import make_grid
+from .lcu import (
+    SignedBinaryRegister,
+    fixed_encoding_select_schedule,
+    prep_ry_schedule,
+    qubit_projector_diag_oracle,
+    select_nontrivial_count,
+    select_vartheta_closed_form,
+)
+from .pauli import beta_closed_form, beta_dft_oracle, select_diag_phases
+from .trotter import RotationSchedule, qudit_trotter_angles
 
+# largest dimension of the dense suites, and the default cap of the others
 DIM_CAP = 64
+CENSUS_CAP = 513
 
 
 @dataclass(frozen=True)
@@ -113,13 +131,6 @@ class DiagPhases:
             )
 
 
-def combine(a: DiagPhases, b: DiagPhases) -> DiagPhases:
-    """Compose two diagonal unitaries; exponents add."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return DiagPhases(a.dim, tuple(pa + pb for pa, pb in zip(a.phases, b.phases)))
-
-
 def apply_z_schedule(schedule: RotationSchedule) -> DiagPhases:
     """Accumulate the diagonal realized by an all-Z schedule.
 
@@ -154,3 +165,181 @@ def equal_up_to_global_phase(
     for pa, pb in zip(a.phases, b.phases):
         worst = max(worst, abs(cmath.exp(1j * (pa - pb - anchor)) - 1.0))
     return worst <= tol, worst
+
+
+class SuiteResult(NamedTuple):
+    """Verdict of one verify suite: pass or fail, the worst error, a note."""
+
+    name: str
+    ok: bool
+    worst: float
+    detail: str = ""
+
+
+def _odd_dimensions(cap: int) -> range:
+    return range(3, cap + 1, 2)
+
+
+def suite_trotter(phi_max: float, dense_cap: int) -> SuiteResult:
+    """Native step schedules realize diag(e^(-i t lambda_n^2)) at three times."""
+    worst = 0.0
+    for d in _odd_dimensions(dense_cap):
+        grid = make_grid(phi_max, d)
+        for t in (0.1, 1.0, 3.7):
+            realized = apply_z_schedule(qudit_trotter_angles(grid, t))
+            target = DiagPhases(d, tuple(-t * lam**2 for lam in grid.lambdas))
+            _, err = equal_up_to_global_phase(realized, target)
+            worst = max(worst, err)
+    return SuiteResult("trotter-schedule", worst <= 1e-10, worst)
+
+
+def suite_select(phi_max: float, dense_cap: int, inject: float = 0.0) -> SuiteResult:
+    """Selection schedules realize the selection phases; inject bends one angle."""
+    worst = 0.0
+    for d in _odd_dimensions(dense_cap):
+        expansion = beta_closed_form(make_grid(phi_max, d))
+        schedule = fixed_encoding_select_schedule(expansion)
+        if inject:
+            first, *rest = schedule.rotations
+            bent = replace(first, angle=first.angle + inject)
+            schedule = replace(schedule, rotations=(bent, *rest))
+        realized = apply_z_schedule(schedule)
+        target = DiagPhases(d, tuple(select_diag_phases(expansion)))
+        _, err = equal_up_to_global_phase(realized, target)
+        worst = max(worst, err)
+    return SuiteResult("select-schedule", worst <= 1e-10, worst)
+
+
+def suite_prep(phi_max: float, dense_cap: int) -> SuiteResult:
+    """Preparation schedules load the amplitudes sqrt(|beta_r| / Lambda) from |0>."""
+    worst = 0.0
+    for d in _odd_dimensions(dense_cap):
+        expansion = beta_closed_form(make_grid(phi_max, d))
+        state = apply_schedule_to_state(basis_state(d), prep_ry_schedule(expansion))
+        target = np.zeros(d)
+        target[1:] = [
+            math.sqrt(abs(b) / expansion.lambda_norm) for b in expansion.betas[1:]
+        ]
+        worst = max(worst, float(np.linalg.norm(state.amplitudes - target)))
+    return SuiteResult("prep-schedule", worst <= 1e-10, worst)
+
+
+def suite_projector(phi_max: float) -> SuiteResult:
+    """The bit-pair projector diagonal equals delta_phi^2 * label^2 exactly, n_b <= 8."""
+    worst = 0.0
+    for n_b in range(2, 9):
+        # both extreme odd dimensions sharing this register width
+        for d in (2 ** (n_b - 1) + 1, 2**n_b - 1):
+            grid = make_grid(phi_max, d)
+            register = SignedBinaryRegister(grid.n_b)
+            oracle = qubit_projector_diag_oracle(grid)
+            scale = grid.delta_phi**2
+            for v in range(register.size):
+                worst = max(worst, abs(oracle[v] - scale * register.label(v) ** 2))
+    return SuiteResult("projector-diag", worst == 0.0, worst)
+
+
+def suite_dft(phi_max: float, census_cap: int) -> SuiteResult:
+    """Closed-form coefficients against the DFT oracle: values, Hermiticity, one-norm, signs."""
+    worst_beta = 0.0
+    worst_herm = 0.0
+    worst_lambda = 0.0
+    signs_ok = True
+    for d in _odd_dimensions(census_cap):
+        grid = make_grid(phi_max, d)
+        closed = beta_closed_form(grid)
+        oracle = beta_dft_oracle(grid)
+        worst_beta = max(
+            worst_beta, max(abs(a - b) for a, b in zip(closed.betas, oracle.betas))
+        )
+        worst_herm = max(
+            worst_herm,
+            max(
+                abs(closed.betas[d - r] - closed.betas[r].conjugate())
+                for r in range(1, d)
+            ),
+        )
+        worst_lambda = max(
+            worst_lambda,
+            abs(closed.lambda_norm - oracle.lambda_norm) / oracle.lambda_norm,
+        )
+        threshold = (d + 1) // 2
+        for r in range(1, d):
+            if (closed.c_amps[r - 1] < 0) != (r >= threshold):
+                signs_ok = False
+    ok = signs_ok and worst_beta <= 1e-10 and worst_herm <= 1e-12 and worst_lambda <= 1e-10
+    detail = "" if signs_ok else "sign-threshold equivalence violated"
+    return SuiteResult("dft-oracle", ok, max(worst_beta, worst_herm, worst_lambda), detail)
+
+
+def _distinct_prime_count(n: int) -> int:
+    """omega(n), the number of distinct primes dividing the odd number n."""
+    count, p = 0, 3
+    while p * p <= n:
+        if n % p == 0:
+            count += 1
+            while n % p == 0:
+                n //= p
+        p += 2
+    return count + (n > 1)
+
+
+def suite_census(phi_max: float, census_cap: int) -> SuiteResult:
+    """Trivial selection rotations: exact count, float schedule and closed form agree.
+
+    With m = (d - 1) / 2 and j = k + 1, the angle on pair k is (pi/d) N_j,
+    N_j = 2dj - j(j+1) - 2d e_j with e_j = max(0, j - 1 - m), and the
+    rotation is trivial when 4d divides N_j.  That needs d | j(j+1).  As
+    j and j + 1 are coprime, each prime power of d divides one of them,
+    so by the Chinese remainder theorem j(j+1) = 0 mod d has 2^omega(d)
+    roots mod d.  In 1 <= j <= d - 1 that leaves j = d - 1 and
+    2^(omega(d)-1) - 1 pairs {j, d - 1 - j}.  Writing j(j+1) = dq (q is
+    even, d odd), the rotation is trivial iff j - e_j - q/2 is even.  At
+    j = d - 1 this is 1, so that rotation is nontrivial; within a pair
+    the two values sum to an odd number (j = m is never a root, as
+    4m(m+1) = d^2 - 1), so exactly one member is trivial.
+    Hence d - 1 - s(d) = 2^(omega(d)-1) - 1, checked for every odd d up
+    to the cap.  The detail lists the offsets that occurred.
+    """
+    worst = 0.0
+    offsets = set()
+    ok = True
+    for d in _odd_dimensions(census_cap):
+        count = select_nontrivial_count(d)
+        offsets.add(d - 1 - count)
+        if d - 1 - count != 2 ** (_distinct_prime_count(d) - 1) - 1:
+            ok = False
+        schedule = fixed_encoding_select_schedule(beta_closed_form(make_grid(phi_max, d)))
+        if schedule.nontrivial_count != count:
+            ok = False
+        for k, rot in enumerate(schedule.rotations):
+            gap = math.remainder(
+                rot.angle - select_vartheta_closed_form(d, k), 4.0 * math.pi
+            )
+            worst = max(worst, abs(gap))
+    detail = "offsets d-1-s(d): {" + ", ".join(str(o) for o in sorted(offsets)) + "}"
+    return SuiteResult("select-census", ok and worst <= 1e-9, worst, detail)
+
+
+def run_suites(
+    phi_max: float,
+    dense_cap: int = DIM_CAP,
+    census_cap: int = CENSUS_CAP,
+    inject: float = 0.0,
+) -> Iterator[SuiteResult]:
+    """Run the six suites in order, yielding each result as it completes.
+
+    dense_cap bounds the trotter, select and prep suites (at most DIM_CAP),
+    census_cap the dft and census suites; inject perturbs one selection
+    angle to show that the select suite detects it.
+    """
+    if dense_cap > DIM_CAP:
+        raise ValueError(f"dense verification cap exceeds {DIM_CAP}")
+    if dense_cap < 3 or census_cap < 3:
+        raise ValueError("empty scan range")
+    yield suite_trotter(phi_max, dense_cap)
+    yield suite_select(phi_max, dense_cap, inject)
+    yield suite_prep(phi_max, dense_cap)
+    yield suite_projector(phi_max)
+    yield suite_dft(phi_max, census_cap)
+    yield suite_census(phi_max, census_cap)

@@ -109,13 +109,6 @@ class QubitTrotterExpansion:
     def rz_count(self) -> int:
         return len(self.linear_terms) + len(self.quad_terms)
 
-    def phi_eigenvalue(self, index: int) -> float:
-        """Field value reconstructed from the bit expansion on basis state |index>."""
-        acc = 0.0
-        for m in range(self.n_b):
-            acc += 2**m * (1 - 2 * ((index >> m) & 1))
-        return self.p_shift + self.q_scale * acc
-
     def diagonal_phase(self, index: int) -> float:
         """Phase exponent of the step on |index>; the eigenvalue is exp(i * phase)."""
         z = [1 - 2 * ((index >> m) & 1) for m in range(self.n_b)]

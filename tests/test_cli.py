@@ -167,3 +167,68 @@ def test_config_file_missing_is_config_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "pf-thresholds")
     assert code == 2
     assert "config" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--format", "json"],
+        ["verify", "--out", "x"],
+        ["pf-thresholds", "--t", "1"],
+        ["lcu-table", "--k", "3"],
+        ["scan-ratio", "--eps", "1e-4", "--eps-sim", "1e-4"],
+        ["pf-thresholds", "--eps-sim", "1e-4", "--eps", "1e-5"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "content,named",
+    [
+        ("[1, 2]", None),
+        ('{"rz_slop": 0.5}', "rz_slop"),
+        ('{"rz_slope": null}', "rz_slope"),
+        ('{"rz_slope": "nan"}', "rz_slope"),
+        ('{"rz_intercept": NaN}', "rz_intercept"),
+        ('{"rz_intercept": -50}', "rz_intercept"),
+        ('{"rz_slope": 0, "rz_intercept": 0}', "rz_intercept"),
+        ('{"qudit_prefactor": 0}', "qudit_prefactor"),
+    ],
+)
+def test_bad_config_is_config_error(tmp_path, capsys, monkeypatch, content, named):
+    config = tmp_path / "model.json"
+    config.write_text(content)
+    monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
+    code, out, err = run_cli(capsys, "scan-ratio", "--d-max", "5")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert str(config) in err
+    if named:
+        assert named in err
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["scan-ratio", "--t", "nan"], "evolution time t"),
+        (["scan-ratio", "--t", "inf"], "evolution time t"),
+        (["lcu-table", "--t", "-1"], "evolution time t"),
+        (["scan-ratio", "--eps", "0.9"], "eps_sim=0.9"),
+        (["pf-thresholds", "--phi-max", "nan"], "phi_max"),
+        (["pf-thresholds", "--eps", "2"], "target accuracy"),
+        (["lcu-table", "--eps-sim", "0"], "eps_sim"),
+    ],
+)
+def test_bad_value_is_named_at_the_boundary(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert named in err
+    assert "per-call accuracy" not in err

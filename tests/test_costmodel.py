@@ -1,10 +1,11 @@
+import math
+
 import pytest
 
 from quditcost.costmodel import (
     DEFAULT_MODEL,
     SynthesisModel,
     pf_thresholds,
-    rotation_count_ratio,
     rz_cost,
 )
 
@@ -32,6 +33,22 @@ def test_model_defaults_and_validation():
     assert DEFAULT_MODEL.rz_intercept == 8.83
     with pytest.raises(ValueError):
         SynthesisModel(qudit_prefactor=0.0)
+
+
+@pytest.mark.parametrize(
+    "fields,named",
+    [
+        ({"rz_slope": math.nan}, "rz_slope"),
+        ({"rz_intercept": math.inf}, "rz_intercept"),
+        ({"qudit_prefactor": math.nan}, "qudit_prefactor"),
+        ({"rz_slope": -0.1}, "rz_slope"),
+        ({"rz_intercept": -50.0}, "rz_intercept"),
+        ({"rz_slope": 0.0, "rz_intercept": 0.0}, "both zero"),
+    ],
+)
+def test_model_rejects_nonfinite_or_nonpositive_cost(fields, named):
+    with pytest.raises(ValueError, match=named):
+        SynthesisModel(**fields)
 
 
 def test_model_override_changes_cost():
@@ -78,7 +95,3 @@ def test_pf_domain_checks():
     with pytest.raises(ValueError):
         pf_thresholds(5, 0.0)
 
-
-def test_rotation_count_ratio():
-    assert rotation_count_ratio(3) == pytest.approx(1.5)
-    assert rotation_count_ratio(1021) < 0.06

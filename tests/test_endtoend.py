@@ -26,10 +26,6 @@ def test_query_count_d3_cases():
     assert query_count(2.0 / 3.0, 0.1, 1e-6) == pytest.approx(19.9982, abs=1e-4)
 
 
-def test_query_count_ceiling_mode():
-    assert query_count(1.0, 0.1, 1e-6, ceil=True) == 21.0
-
-
 def test_query_count_domain():
     with pytest.raises(ValueError):
         query_count(-1.0, 1.0, 1e-6)
@@ -37,6 +33,18 @@ def test_query_count_domain():
         query_count(1.0, -1.0, 1e-6)
     with pytest.raises(ValueError):
         query_count(1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("bad_t", [math.nan, math.inf])
+def test_query_count_rejects_nonfinite_time(bad_t):
+    with pytest.raises(ValueError, match="evolution time t"):
+        query_count(1.0, bad_t, 1e-6)
+
+
+def test_query_count_rejects_budget_at_or_above_one():
+    # Q = 0.1 + log2(1 / 0.9) = 0.252 < eps_sim, so eps_sim / Q > 1
+    with pytest.raises(ValueError, match="eps_sim=0.9"):
+        query_count(1.0, 0.1, 0.9)
 
 
 def test_normalizations_d3():

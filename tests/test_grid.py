@@ -2,7 +2,13 @@ import math
 
 import pytest
 
-from quditcost.grid import FieldGrid, make_grid, squared_mean
+from quditcost.costmodel import pf_thresholds
+from quditcost.grid import FieldGrid, make_grid, register_width, squared_mean
+from quditcost.lcu import (
+    fixed_encoding_call_rotations,
+    qudit_hybrid_call_cost,
+    select_nontrivial_count,
+)
 
 
 def test_make_grid_d3():
@@ -75,6 +81,35 @@ def test_register_width_covers_dimension():
     for d in (3, 5, 9, 15, 17, 255, 257, 511, 513):
         g = make_grid(1.0, d)
         assert 2 ** (g.n_b - 1) < d <= 2**g.n_b
+
+
+def test_register_width_values():
+    assert [register_width(d) for d in (3, 5, 7, 9, 513, 515)] == [2, 3, 3, 4, 10, 10]
+
+
+@pytest.mark.parametrize(
+    "use_d",
+    [
+        register_width,
+        lambda d: make_grid(1.0, d),
+        lambda d: pf_thresholds(d, 1e-6),
+        qudit_hybrid_call_cost,
+        select_nontrivial_count,
+        fixed_encoding_call_rotations,
+    ],
+    ids=[
+        "register_width",
+        "make_grid",
+        "pf_thresholds",
+        "qudit_hybrid_call_cost",
+        "select_nontrivial_count",
+        "fixed_encoding_call_rotations",
+    ],
+)
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_one_dimension_rule(use_d, d):
+    with pytest.raises(ValueError, match="requires odd d"):
+        use_d(d)
 
 
 def test_squared_mean_small_cases():

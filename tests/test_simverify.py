@@ -10,10 +10,17 @@ from quditcost.simverify import (
     apply_schedule_to_state,
     apply_z_schedule,
     basis_state,
-    combine,
     equal_up_to_global_phase,
+    run_suites,
+    suite_census,
 )
 from quditcost.trotter import Rotation, RotationSchedule
+
+
+def combine(a, b):
+    """Compose two diagonal unitaries; exponents add."""
+    assert a.dim == b.dim
+    return DiagPhases(a.dim, tuple(pa + pb for pa, pb in zip(a.phases, b.phases)))
 
 
 def test_basis_state():
@@ -118,11 +125,6 @@ def test_schedule_composition_is_additive():
     )
 
 
-def test_combine_dim_mismatch():
-    with pytest.raises(ValueError):
-        combine(DiagPhases(2, (0.0, 0.0)), DiagPhases(3, (0.0, 0.0, 0.0)))
-
-
 def test_diag_phases_length_check():
     with pytest.raises(ValueError):
         DiagPhases(3, (0.0, 0.0))
@@ -164,3 +166,29 @@ def test_apply_schedule_to_state_dim_mismatch():
     sched = RotationSchedule(dim=3, rotations=())
     with pytest.raises(ValueError):
         apply_schedule_to_state(basis_state(4), sched)
+
+
+def test_census_suite_passes_above_1155():
+    # 1155 = 3 5 7 11 is the first odd d with four distinct primes, offset 7
+    result = suite_census(1.0, 1155)
+    assert result.ok
+    assert result.detail == "offsets d-1-s(d): {0, 1, 3, 7}"
+
+
+def test_run_suites_yields_six_named_results():
+    results = list(run_suites(1.0, 9, 15))
+    assert [r.name for r in results] == [
+        "trotter-schedule",
+        "select-schedule",
+        "prep-schedule",
+        "projector-diag",
+        "dft-oracle",
+        "select-census",
+    ]
+    assert all(r.ok for r in results)
+
+
+@pytest.mark.parametrize("dense_cap,census_cap", [(65, 15), (2, 15), (9, 1)])
+def test_run_suites_rejects_caps(dense_cap, census_cap):
+    with pytest.raises(ValueError):
+        next(run_suites(1.0, dense_cap, census_cap))

@@ -16,6 +16,14 @@ from quditcost.trotter import (
 )
 
 
+def phi_eigenvalue(exp, index):
+    """Field value reconstructed from the bit expansion on basis state |index>."""
+    acc = 0.0
+    for m in range(exp.n_b):
+        acc += 2**m * (1 - 2 * ((index >> m) & 1))
+    return exp.p_shift + exp.q_scale * acc
+
+
 def test_rz_rotation_count_formula():
     assert rz_rotation_count(1) == 1
     assert rz_rotation_count(2) == 3
@@ -88,7 +96,7 @@ def test_qubit_field_reconstruction():
         g = make_grid(1.0, d)
         exp = qubit_trotter_terms(g, 0.31)
         for n in range(2**g.n_b):
-            assert exp.phi_eigenvalue(n) == pytest.approx(
+            assert phi_eigenvalue(exp, n) == pytest.approx(
                 -g.phi_max + n * g.delta_phi, abs=1e-12
             )
 
