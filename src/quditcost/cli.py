@@ -10,7 +10,7 @@ import sys
 
 from . import __version__
 from .costmodel import SynthesisModel, pf_thresholds
-from .endtoend import lcu_fixed_encoding_thresholds, scan_reports
+from .endtoend import ResourceReport, lcu_fixed_encoding_thresholds, scan_reports
 from .grid import check_phi_max, make_grid
 from .simverify import CENSUS_CAP, DIM_CAP, run_suites
 
@@ -69,20 +69,12 @@ def _load_model() -> SynthesisModel:
         raise ConfigError(f"config file {path}: {exc}") from exc
 
 
-def _prime_only(args: argparse.Namespace, default: bool) -> bool:
-    if args.all_odd:
-        return False
-    if args.primes:
-        return True
-    return default
-
-
-def _d_values(args: argparse.Namespace, prime_default: bool) -> list[int]:
+def _d_values(args: argparse.Namespace) -> list[int]:
     lo = max(args.d_min, 3)
     if lo % 2 == 0:
         lo += 1
     values = list(range(lo, args.d_max + 1, 2))
-    if _prime_only(args, prime_default):
+    if args.prime_only:
         values = [d for d in values if is_prime(d)]
     if not values:
         raise ConfigError("empty scan range")
@@ -115,26 +107,28 @@ def _emit(args: argparse.Namespace, columns: list[str], rows: list[dict], meta: 
         sys.stdout.write(text)
 
 
-def cmd_pf_thresholds(args: argparse.Namespace, model: SynthesisModel) -> int:
+def cmd_pf_thresholds(args: argparse.Namespace) -> int:
+    model = _load_model()
     # the thresholds do not depend on phi_max, but the header prints it
     check_phi_max(args.phi_max)
     rows = []
-    for d in _d_values(args, prime_default=True):
+    for d in _d_values(args):
         a_max, a_rz = pf_thresholds(d, args.eps, model)
         rows.append({"d": d, "a_max_pf": a_max, "a_rz_pf": a_rz, "favorable": a_max > a_rz})
     meta = {
         "command": "pf-thresholds",
         "phi_max": args.phi_max,
         "eps": args.eps,
-        "prime_only": _prime_only(args, True),
+        "prime_only": args.prime_only,
     }
     _emit(args, ["d", "a_max_pf", "a_rz_pf", "favorable"], rows, meta)
     return EXIT_OK
 
 
-def cmd_lcu_table(args: argparse.Namespace, model: SynthesisModel) -> int:
+def cmd_lcu_table(args: argparse.Namespace) -> int:
+    model = _load_model()
     rows = []
-    for d in _d_values(args, prime_default=True):
+    for d in _d_values(args):
         grid = make_grid(args.phi_max, d)
         a_max, a_rz = lcu_fixed_encoding_thresholds(grid, args.t, args.eps, model)
         rows.append({"d": d, "a_max_lcu": a_max, "a_rz_lcu": a_rz})
@@ -143,32 +137,20 @@ def cmd_lcu_table(args: argparse.Namespace, model: SynthesisModel) -> int:
         "phi_max": args.phi_max,
         "eps_sim": args.eps,
         "t": args.t,
-        "prime_only": _prime_only(args, True),
+        "prime_only": args.prime_only,
     }
     _emit(args, ["d", "a_max_lcu", "a_rz_lcu"], rows, meta)
     return EXIT_OK
 
 
-SCAN_COLUMNS = [
-    "d",
-    "n_b",
-    "alpha_qb",
-    "alpha_qd",
-    "q_qb",
-    "q_qd",
-    "per_call_qb",
-    "per_call_qd",
-    "t_tot_qb",
-    "t_tot_qd",
-    "ratio",
-    "delta_tot",
-    "budget_per_switch",
-]
+SCAN_COLUMNS = [field.name for field in dataclasses.fields(ResourceReport)]
 
 
-def cmd_scan_ratio(args: argparse.Namespace, model: SynthesisModel) -> int:
-    d_values = _d_values(args, prime_default=False)
+def cmd_scan_ratio(args: argparse.Namespace) -> int:
+    model = _load_model()
+    d_values = _d_values(args)
     reports = scan_reports(args.phi_max, args.t, args.eps, d_values, args.k, model)
+    # getattr, not dataclasses.asdict, which deep-copies every value
     rows = [{c: getattr(report, c) for c in SCAN_COLUMNS} for report in reports]
     meta = {
         "command": "scan-ratio",
@@ -176,13 +158,13 @@ def cmd_scan_ratio(args: argparse.Namespace, model: SynthesisModel) -> int:
         "eps_sim": args.eps,
         "t": args.t,
         "k": args.k,
-        "prime_only": _prime_only(args, False),
+        "prime_only": args.prime_only,
     }
     _emit(args, SCAN_COLUMNS, rows, meta)
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, model: SynthesisModel) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     all_ok = True
     for result in run_suites(args.phi_max, args.d_max, args.census_max, args.inject_angle_error):
         all_ok = all_ok and result.ok
@@ -193,8 +175,13 @@ def cmd_verify(args: argparse.Namespace, model: SynthesisModel) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def _add_report_flags(parser: argparse.ArgumentParser, *, t: bool, k: bool) -> None:
-    """Flags of the report commands; --t and --k only where the command reads them."""
+def _add_report_flags(
+    parser: argparse.ArgumentParser, *, t: bool, k: bool, prime_only: bool
+) -> None:
+    """Flags of the report commands; --t and --k only where the command reads them.
+
+    prime_only is the command's default for scanning prime dimensions only.
+    """
     parser.add_argument("--phi-max", type=float, default=1.0, help="field amplitude bound")
     accuracy = parser.add_mutually_exclusive_group()
     accuracy.add_argument("--eps", type=float, default=1e-6, help="target accuracy")
@@ -207,8 +194,13 @@ def _add_report_flags(parser: argparse.ArgumentParser, *, t: bool, k: bool) -> N
     parser.add_argument("--d-min", type=int, default=3, help="smallest local dimension")
     parser.add_argument("--d-max", type=int, default=19, help="largest local dimension")
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--all-odd", action="store_true", help="scan every odd dimension")
-    group.add_argument("--primes", action="store_true", help="restrict scan to primes")
+    group.add_argument(
+        "--all-odd", action="store_false", dest="prime_only", help="scan every odd dimension"
+    )
+    group.add_argument(
+        "--primes", action="store_true", dest="prime_only", help="restrict scan to primes"
+    )
+    parser.set_defaults(prime_only=prime_only)
     if k:
         parser.add_argument("--k", type=int, default=2, help="directional switches per query")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -226,15 +218,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pf-thresholds", help="product-formula break-even prefactors (primes by default)")
-    _add_report_flags(p, t=False, k=False)
+    _add_report_flags(p, t=False, k=False, prime_only=True)
     p.set_defaults(func=cmd_pf_thresholds)
 
     p = sub.add_parser("lcu-table", help="fixed-encoding block-encoding thresholds (primes by default)")
-    _add_report_flags(p, t=True, k=False)
+    _add_report_flags(p, t=True, k=False, prime_only=True)
     p.set_defaults(func=cmd_lcu_table)
 
     p = sub.add_parser("scan-ratio", help="end-to-end totals, ratio, and switch budget (all odd d by default)")
-    _add_report_flags(p, t=True, k=True)
+    _add_report_flags(p, t=True, k=True, prime_only=False)
     p.set_defaults(func=cmd_scan_ratio)
 
     p = sub.add_parser("verify", help="run the decomposition and coefficient oracle suites")
@@ -258,8 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        model = _load_model()
-        return args.func(args, model)
+        return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -25,6 +25,12 @@ from .lcu import (
 )
 from .pauli import clock_one_norm
 
+# Smallest per-call budget eps_sim / Q.  The per-call costs take log2 of
+# reciprocal budgets, 9 pi^2 / (2 eps_be) for the qubit preparation and
+# L / eps_be for L synthesized rotations; above this floor both stay
+# finite for every L below 1e8.
+MIN_CALL_BUDGET = 1e-300
+
 
 class CostChain(NamedTuple):
     """One encoding's chain: normalization, queries, per-call budget, per-call cost, total."""
@@ -40,7 +46,8 @@ def query_count(alpha: float, t: float, eps_sim: float) -> float:
     """Block-encoding queries needed: alpha * t + log2(1 / eps_sim).
 
     Deliberately a real number.  Q must exceed eps_sim, so that the
-    per-call budget eps_sim / Q of both cost chains lies below 1.
+    per-call budget eps_sim / Q of both cost chains lies below 1, and the
+    budget must not fall below MIN_CALL_BUDGET.
     """
     if alpha < 0:
         raise ValueError(f"normalization must be nonnegative, got {alpha}")
@@ -54,12 +61,12 @@ def query_count(alpha: float, t: float, eps_sim: float) -> float:
             f"eps_sim={eps_sim} is too large: the per-call budget eps_sim/Q "
             f"with Q={q:.6g} queries is not below 1"
         )
+    if eps_sim / q < MIN_CALL_BUDGET:
+        raise ValueError(
+            f"per-call budget eps_sim/Q below {MIN_CALL_BUDGET:g}: evolution time "
+            f"t={t} and eps_sim={eps_sim} give Q={q:.6g} queries"
+        )
     return q
-
-
-def qudit_normalization(grid: FieldGrid) -> float:
-    """Coefficient one-norm of the d-level route (identity term excluded)."""
-    return clock_one_norm(grid.phi_max, grid.d)
 
 
 def total_cost_qubit(grid: FieldGrid, t: float, eps_sim: float) -> CostChain:
@@ -79,7 +86,7 @@ def total_cost_qudit_hybrid(
     Per call: L * (synthesis cost at eps_be / L) + 4 n_b direct T gates,
     with L = 2 (2^n_b - 1) + n_b synthesized rotations.
     """
-    alpha = qudit_normalization(grid)
+    alpha = clock_one_norm(grid.phi_max, grid.d)
     q = query_count(alpha, t, eps_sim)
     eps_be = eps_sim / q
     hybrid = qudit_hybrid_call_cost(grid.d)
@@ -90,19 +97,14 @@ def total_cost_qudit_hybrid(
 
 @dataclass(frozen=True)
 class ResourceReport:
-    """Full side-by-side cost report for one local dimension."""
+    """Side-by-side cost report for one local dimension: the scan-ratio columns, in order."""
 
     d: int
     n_b: int
-    t: float
-    eps_sim: float
-    k: int
     alpha_qb: float
     alpha_qd: float
     q_qb: float
     q_qd: float
-    eps_be_qb: float
-    eps_be_qd: float
     per_call_qb: float
     per_call_qd: float
     t_tot_qb: float
@@ -133,15 +135,10 @@ def ratio_and_budget(
     return ResourceReport(
         d=grid.d,
         n_b=grid.n_b,
-        t=t,
-        eps_sim=eps_sim,
-        k=k,
         alpha_qb=qb.alpha,
         alpha_qd=qd.alpha,
         q_qb=qb.queries,
         q_qd=qd.queries,
-        eps_be_qb=qb.eps_be,
-        eps_be_qd=qd.eps_be,
         per_call_qb=qb.per_call,
         per_call_qd=qd.per_call,
         t_tot_qb=qb.total,

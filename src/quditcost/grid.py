@@ -24,7 +24,6 @@ class FieldGrid:
     Attributes:
         phi_max: largest field amplitude on the grid (grid endpoint).
         d: local dimension, i.e. number of grid points (odd).
-        half_width: M = (d - 1) / 2, points on either side of zero.
         delta_phi: grid spacing, 2 * phi_max / (d - 1).
         lambdas: the d field eigenvalues, -phi_max + n * delta_phi.
         n_b: qubit register width covering d levels, ceil(log2(d)).
@@ -32,7 +31,6 @@ class FieldGrid:
 
     phi_max: float
     d: int
-    half_width: int
     delta_phi: float
     lambdas: tuple[float, ...]
     n_b: int
@@ -71,13 +69,11 @@ def make_grid(phi_max: float, d: int) -> FieldGrid:
     """
     check_phi_max(phi_max)
     n_b = register_width(d)
-    half_width = (d - 1) // 2
     delta_phi = 2.0 * phi_max / (d - 1)
     lambdas = tuple((-phi_max + np.arange(d) * delta_phi).tolist())
     return FieldGrid(
         phi_max=float(phi_max),
         d=d,
-        half_width=half_width,
         delta_phi=delta_phi,
         lambdas=lambdas,
         n_b=n_b,

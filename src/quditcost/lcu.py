@@ -12,6 +12,8 @@ sign flip (4 * n_b T gates); the preparation oracle loads the coefficient
 amplitudes with d - 1 embedded two-level Y rotations.  The hybrid per-call
 model combines binary-register preparation with the d-level selection, for
 2 * (2^n_b - 1) + n_b synthesized rotations plus 4 * n_b direct T gates.
+The tests build the clock ladder (tests/oracles.py); the sign flip marks
+r >= (d + 1) / 2, the coefficient sign rule the dft-oracle suite checks.
 """
 
 from __future__ import annotations
@@ -58,9 +60,6 @@ class SignedBinaryRegister:
         mag = self.magnitude(string)
         return -mag if (string >> (self.n_b - 1)) & 1 else mag
 
-    def labels(self) -> list[int]:
-        return [self.label(v) for v in range(self.size)]
-
 
 def qubit_projector_diag_oracle(grid: FieldGrid) -> list[float]:
     """Diagonal of the bit-pair projector sum on every register string.
@@ -104,9 +103,7 @@ def precision_parameter(eps: float) -> int:
 class QubitLcuCost:
     """Per-call cost breakdown of the qubit block encoding."""
 
-    alpha_qb: float
     b_r: int
-    n_b: int
     prep_toffoli: int
     select_toffoli: int
     select_direct_t: int
@@ -128,9 +125,7 @@ def qubit_blockencoding_cost(grid: FieldGrid, eps: float) -> QubitLcuCost:
     select_direct_t = 20
     total = TOFFOLI_T_COST * (2 * prep + select_toffoli) + select_direct_t
     return QubitLcuCost(
-        alpha_qb=qubit_normalization(grid),
         b_r=b_r,
-        n_b=n_b,
         prep_toffoli=prep,
         select_toffoli=select_toffoli,
         select_direct_t=select_direct_t,
@@ -142,8 +137,6 @@ def qubit_blockencoding_cost(grid: FieldGrid, eps: float) -> QubitLcuCost:
 class QuditHybridCost:
     """Per-call cost of the hybrid d-level block encoding."""
 
-    d: int
-    n_b: int
     t_gates: int
     rz_rotations_per_call: int
 
@@ -156,63 +149,9 @@ def qudit_hybrid_call_cost(d: int) -> QuditHybridCost:
     """
     n_b = register_width(d)
     return QuditHybridCost(
-        d=d,
-        n_b=n_b,
         t_gates=4 * n_b,
         rz_rotations_per_call=2 * (2**n_b - 1) + n_b,
     )
-
-
-def dclock_angles(d: int) -> list[tuple[int, float]]:
-    """Single-qubit phase coefficients realizing diag(e^(i pi r / d)) up to global phase.
-
-    Each pair (m, a_m) encodes the factor exp(i * a_m * Z_m) on index qubit
-    m, with a_m = -pi * 2^m / (2 d).
-    """
-    n_b = register_width(d)
-    return [(m, -math.pi * 2**m / (2.0 * d)) for m in range(n_b)]
-
-
-@dataclass(frozen=True)
-class DsignSpec:
-    """Comparator model of the sign-flip diagonal.
-
-    The flag function marks indices at or above threshold (d + 1) / 2; the
-    phase-kickback comparator costs 4 * n_b T gates.
-    """
-
-    d: int
-    n_b: int
-    threshold: int
-    t_count: int
-
-    def flag(self, r: int) -> int:
-        return 1 if r >= self.threshold else 0
-
-
-def dsign_spec(expansion: PauliExpansion) -> DsignSpec:
-    """Build the comparator model and certify it against the coefficient signs.
-
-    Raises:
-        ValueError: if the single-threshold flag disagrees with sgn(c_r)
-            anywhere, which would indicate a coefficient computation bug.
-    """
-    d = expansion.d
-    n_b = register_width(d)
-    model = DsignSpec(
-        d=d,
-        n_b=n_b,
-        threshold=(d + 1) // 2,
-        t_count=4 * n_b,
-    )
-    for r in range(1, d):
-        negative = 1 if expansion.c_amps[r - 1] < 0 else 0
-        if model.flag(r) != negative:
-            raise ValueError(
-                f"sign pattern mismatch at r={r}: comparator flag {model.flag(r)} "
-                f"vs coefficient sign {negative}"
-            )
-    return model
 
 
 def fixed_encoding_select_schedule(expansion: PauliExpansion) -> RotationSchedule:

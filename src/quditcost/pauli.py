@@ -49,7 +49,6 @@ class PauliExpansion:
         lambda_norm: one-norm of the nonidentity coefficients,
             sum_{r>=1} |beta_r|; the identity term is excluded because it
             only shifts the evolution by a global phase.
-        sign_threshold: first index with negative c_r, equal to (d + 1) / 2.
     """
 
     d: int
@@ -57,7 +56,6 @@ class PauliExpansion:
     betas: tuple[complex, ...]
     c_amps: tuple[float, ...]
     lambda_norm: float
-    sign_threshold: int
 
 
 def clock_one_norm(phi_max: float, d: int) -> float:
@@ -82,7 +80,6 @@ def _expansion_from_betas(
         betas=tuple(betas),
         c_amps=tuple(c_amps),
         lambda_norm=lambda_norm,
-        sign_threshold=(d + 1) // 2,
     )
 
 

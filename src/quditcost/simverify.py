@@ -1,12 +1,12 @@
 """Dense verification oracle for rotation schedules, and the verify suites.
 
-States are flat complex vectors of dimension at most DIM_CAP.  Diagonal
-unitaries are represented by their per-level phase exponents: DiagPhases
-with entries p_n stands for diag(e^(i p_n)), so composition is additive
-and equality up to a global phase reduces to comparing phase differences
-anchored at level 0.  A Z rotation on the pair (b, c) therefore shifts
-p_b by -angle/2 and p_c by +angle/2; a schedule's global phase is added
-uniformly.
+States are flat complex numpy vectors of dimension at most DIM_CAP.
+Diagonal unitaries are represented by their per-level phase exponents: a
+sequence of phases p_n stands for diag(e^(i p_n)), so composition is
+additive and equality up to a global phase reduces to comparing phase
+differences anchored at level 0.  In both, the dimension is the length.
+A Z rotation on the pair (b, c) therefore shifts p_b by -angle/2 and p_c
+by +angle/2; a schedule's global phase is added uniformly.
 
 All targets here are diagonal unitaries or single state preparations, so
 an O(dim) per-rotation state update suffices and no dim x dim matrices
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from collections.abc import Iterator, Sequence
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -44,15 +44,7 @@ DIM_CAP = 64
 CENSUS_CAP = 513
 
 
-@dataclass(frozen=True)
-class DenseState:
-    """Normalized state vector; treat the amplitude array as read-only."""
-
-    dim: int
-    amplitudes: np.ndarray
-
-
-def basis_state(dim: int, level: int = 0, cap: int = DIM_CAP) -> DenseState:
+def basis_state(dim: int, level: int = 0, cap: int = DIM_CAP) -> np.ndarray:
     """Computational basis state |level> of the given dimension."""
     if dim > cap:
         raise ValueError(f"dimension {dim} exceeds dense verification cap {cap}")
@@ -60,78 +52,57 @@ def basis_state(dim: int, level: int = 0, cap: int = DIM_CAP) -> DenseState:
         raise ValueError(f"level {level} outside dimension {dim}")
     amps = np.zeros(dim, dtype=complex)
     amps[level] = 1.0
-    return DenseState(dim, amps)
+    return amps
 
 
 def apply_rotation_to_state(
-    state: DenseState, axis: str, levels: tuple[int, int], angle: float
-) -> DenseState:
-    """Apply one embedded two-level rotation; all other components are untouched.
+    state: np.ndarray, axis: str, levels: tuple[int, int], angle: float
+) -> np.ndarray:
+    """Apply one embedded two-level rotation to a copy of the state.
 
     The Y block sends |b> to cos(angle/2) |b> + sin(angle/2) |c>; the Z
-    block is the phase pair (e^(-i angle/2), e^(+i angle/2)); X is
-    supported for completeness.
+    block is the phase pair (e^(-i angle/2), e^(+i angle/2)); all other
+    components are untouched.
 
     Raises:
         ValueError: for a bad level pair or axis, or a norm drift (NaN angle).
     """
     b, c = levels
-    if not 0 <= b < c < state.dim:
-        raise ValueError(f"level pair {levels} out of range for dimension {state.dim}")
-    amps = state.amplitudes.copy()
-    half_cos = math.cos(angle / 2.0)
-    half_sin = math.sin(angle / 2.0)
+    if not 0 <= b < c < len(state):
+        raise ValueError(f"level pair {levels} out of range for dimension {len(state)}")
+    amps = state.copy()
     if axis == "Z":
         amps[b] *= cmath.exp(-0.5j * angle)
         amps[c] *= cmath.exp(+0.5j * angle)
     elif axis == "Y":
+        half_cos = math.cos(angle / 2.0)
+        half_sin = math.sin(angle / 2.0)
         amps[b], amps[c] = (
             half_cos * amps[b] - half_sin * amps[c],
             half_sin * amps[b] + half_cos * amps[c],
         )
-    elif axis == "X":
-        amps[b], amps[c] = (
-            half_cos * amps[b] - 1j * half_sin * amps[c],
-            -1j * half_sin * amps[b] + half_cos * amps[c],
-        )
     else:
         raise ValueError(f"unknown rotation axis {axis!r}")
     # written so that a NaN drift fails the check as well
-    if not abs(np.linalg.norm(amps) - np.linalg.norm(state.amplitudes)) < 1e-12:
+    if not abs(np.linalg.norm(amps) - np.linalg.norm(state)) < 1e-12:
         raise ValueError(f"rotation by angle {angle} drifted the state norm")
-    return DenseState(state.dim, amps)
+    return amps
 
 
-def apply_schedule_to_state(state: DenseState, schedule: RotationSchedule) -> DenseState:
+def apply_schedule_to_state(state: np.ndarray, schedule: RotationSchedule) -> np.ndarray:
     """Apply a whole schedule in sequence order, including its global phase."""
-    if schedule.dim != state.dim:
+    if schedule.dim != len(state):
         raise ValueError(
-            f"schedule dimension {schedule.dim} does not match state dimension {state.dim}"
+            f"schedule dimension {schedule.dim} does not match state dimension {len(state)}"
         )
     for rot in schedule.rotations:
         state = apply_rotation_to_state(state, rot.axis, rot.levels, rot.angle)
     if schedule.global_phase != 0.0:
-        state = DenseState(
-            state.dim, state.amplitudes * cmath.exp(1j * schedule.global_phase)
-        )
+        state = state * cmath.exp(1j * schedule.global_phase)
     return state
 
 
-@dataclass(frozen=True)
-class DiagPhases:
-    """Diagonal unitary diag(e^(i phases[n])), stored as the exponents."""
-
-    dim: int
-    phases: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.phases) != self.dim:
-            raise ValueError(
-                f"expected {self.dim} phases, got {len(self.phases)}"
-            )
-
-
-def apply_z_schedule(schedule: RotationSchedule) -> DiagPhases:
+def apply_z_schedule(schedule: RotationSchedule) -> tuple[float, ...]:
     """Accumulate the diagonal realized by an all-Z schedule.
 
     Raises:
@@ -147,22 +118,22 @@ def apply_z_schedule(schedule: RotationSchedule) -> DiagPhases:
         phases[b] -= 0.5 * rot.angle
         phases[c] += 0.5 * rot.angle
     g = schedule.global_phase
-    return DiagPhases(schedule.dim, tuple(p + g for p in phases))
+    return tuple(p + g for p in phases)
 
 
 def equal_up_to_global_phase(
-    a: DiagPhases, b: DiagPhases, tol: float = 1e-10
+    a: Sequence[float], b: Sequence[float], tol: float = 1e-10
 ) -> tuple[bool, float]:
     """Compare two diagonals modulo one overall phase.
 
     Aligns by the phase difference at level 0 and returns (verdict, worst),
     where worst is the largest modulus of e^(i residual) - 1 over levels.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    anchor = a.phases[0] - b.phases[0]
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    anchor = a[0] - b[0]
     worst = 0.0
-    for pa, pb in zip(a.phases, b.phases):
+    for pa, pb in zip(a, b):
         worst = max(worst, abs(cmath.exp(1j * (pa - pb - anchor)) - 1.0))
     return worst <= tol, worst
 
@@ -187,7 +158,7 @@ def suite_trotter(phi_max: float, dense_cap: int) -> SuiteResult:
         grid = make_grid(phi_max, d)
         for t in (0.1, 1.0, 3.7):
             realized = apply_z_schedule(qudit_trotter_angles(grid, t))
-            target = DiagPhases(d, tuple(-t * lam**2 for lam in grid.lambdas))
+            target = [-t * lam**2 for lam in grid.lambdas]
             _, err = equal_up_to_global_phase(realized, target)
             worst = max(worst, err)
     return SuiteResult("trotter-schedule", worst <= 1e-10, worst)
@@ -204,7 +175,7 @@ def suite_select(phi_max: float, dense_cap: int, inject: float = 0.0) -> SuiteRe
             bent = replace(first, angle=first.angle + inject)
             schedule = replace(schedule, rotations=(bent, *rest))
         realized = apply_z_schedule(schedule)
-        target = DiagPhases(d, tuple(select_diag_phases(expansion)))
+        target = select_diag_phases(expansion)
         _, err = equal_up_to_global_phase(realized, target)
         worst = max(worst, err)
     return SuiteResult("select-schedule", worst <= 1e-10, worst)
@@ -220,7 +191,7 @@ def suite_prep(phi_max: float, dense_cap: int) -> SuiteResult:
         target[1:] = [
             math.sqrt(abs(b) / expansion.lambda_norm) for b in expansion.betas[1:]
         ]
-        worst = max(worst, float(np.linalg.norm(state.amplitudes - target)))
+        worst = max(worst, float(np.linalg.norm(state - target)))
     return SuiteResult("prep-schedule", worst <= 1e-10, worst)
 
 

@@ -178,6 +178,8 @@ def test_config_file_missing_is_config_error(capsys, monkeypatch):
         ["lcu-table", "--k", "3"],
         ["scan-ratio", "--eps", "1e-4", "--eps-sim", "1e-4"],
         ["pf-thresholds", "--eps-sim", "1e-4", "--eps", "1e-5"],
+        ["pf-thresholds", "--primes", "--all-odd"],
+        ["scan-ratio", "--all-odd", "--primes"],
     ],
 )
 def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
@@ -223,6 +225,8 @@ def test_bad_config_is_config_error(tmp_path, capsys, monkeypatch, content, name
         (["pf-thresholds", "--phi-max", "nan"], "phi_max"),
         (["pf-thresholds", "--eps", "2"], "target accuracy"),
         (["lcu-table", "--eps-sim", "0"], "eps_sim"),
+        (["scan-ratio", "--t", "1e305", "--d-max", "5"], "t=1e+305"),
+        (["lcu-table", "--t", "1e305", "--d-max", "5"], "t=1e+305"),
     ],
 )
 def test_bad_value_is_named_at_the_boundary(capsys, argv, named):
@@ -232,3 +236,34 @@ def test_bad_value_is_named_at_the_boundary(capsys, argv, named):
     assert len(err.splitlines()) == 1
     assert named in err
     assert "per-call accuracy" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,prime_only",
+    [
+        (["pf-thresholds"], "true"),
+        (["pf-thresholds", "--all-odd"], "false"),
+        (["lcu-table"], "true"),
+        (["lcu-table", "--all-odd"], "false"),
+        (["scan-ratio"], "false"),
+        (["scan-ratio", "--primes"], "true"),
+    ],
+)
+def test_prime_only_default_per_command(capsys, argv, prime_only):
+    code, out, _ = run_cli(capsys, *argv, "--d-max", "9")
+    assert code == 0
+    assert f"# prime_only={prime_only}" in out.splitlines()
+    ds = [int(r["d"]) for r in parse_csv(out)]
+    assert ds == ([3, 5, 7] if prime_only == "true" else [3, 5, 7, 9])
+
+
+def test_verify_ignores_the_synthesis_model_config(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "model.json"
+    config.write_text("[1, 2]")
+    monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
+    code, out, err = run_cli(capsys, "verify", "--d-max", "5", "--census-max", "5")
+    assert code == 0 and err == ""
+    assert out.count("pass") == 6
+    code, _, err = run_cli(capsys, "scan-ratio", "--d-max", "5")
+    assert code == 2
+    assert str(config) in err

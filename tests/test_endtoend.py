@@ -3,8 +3,8 @@ import math
 import pytest
 
 from quditcost.endtoend import (
+    MIN_CALL_BUDGET,
     lcu_fixed_encoding_thresholds,
-    qudit_normalization,
     query_count,
     ratio_and_budget,
     scan_reports,
@@ -13,6 +13,7 @@ from quditcost.endtoend import (
 )
 from quditcost.grid import make_grid
 from quditcost.lcu import qubit_normalization
+from quditcost.pauli import clock_one_norm
 
 PRIMES_TO_19 = [3, 5, 7, 11, 13, 17, 19]
 
@@ -47,10 +48,19 @@ def test_query_count_rejects_budget_at_or_above_one():
         query_count(1.0, 0.1, 0.9)
 
 
+def test_query_count_rejects_budget_below_floor():
+    # at Q = 1e305 the budget eps_sim / Q = 1e-311 is subnormal, and the
+    # qubit precision parameter 9 pi^2 / (2 eps_be) would overflow
+    with pytest.raises(ValueError, match="evolution time t=1e"):
+        query_count(1.0, 1e305, 1e-6)
+    q = query_count(1.0, 1e293, 1e-6)
+    assert 1e-6 / q >= MIN_CALL_BUDGET
+
+
 def test_normalizations_d3():
     g = make_grid(1.0, 3)
     assert qubit_normalization(g) == 1.0
-    assert qudit_normalization(g) == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert total_cost_qudit_hybrid(g, 0.1, 1e-6).alpha == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def test_qubit_chain_d3_precision_regime():
@@ -91,21 +101,21 @@ def test_qudit_chain_t_zero():
 
 
 def test_report_internal_consistency():
-    report = ratio_and_budget(make_grid(1.0, 9), 7.7, 1e-5, k=3)
-    assert report.q_qb == pytest.approx(
-        report.alpha_qb * report.t + math.log2(1 / report.eps_sim)
+    t, eps_sim, k = 7.7, 1e-5, 3
+    grid = make_grid(1.0, 9)
+    report = ratio_and_budget(grid, t, eps_sim, k=k)
+    assert report.q_qb == pytest.approx(report.alpha_qb * t + math.log2(1 / eps_sim))
+    assert report.q_qd == pytest.approx(report.alpha_qd * t + math.log2(1 / eps_sim))
+    assert total_cost_qubit(grid, t, eps_sim).eps_be == pytest.approx(eps_sim / report.q_qb)
+    assert total_cost_qudit_hybrid(grid, t, eps_sim).eps_be == pytest.approx(
+        eps_sim / report.q_qd
     )
-    assert report.q_qd == pytest.approx(
-        report.alpha_qd * report.t + math.log2(1 / report.eps_sim)
-    )
-    assert report.eps_be_qb == pytest.approx(report.eps_sim / report.q_qb)
-    assert report.eps_be_qd == pytest.approx(report.eps_sim / report.q_qd)
     assert report.t_tot_qb == pytest.approx(report.q_qb * report.per_call_qb)
     assert report.t_tot_qd == pytest.approx(report.q_qd * report.per_call_qd)
     assert report.ratio == pytest.approx(report.t_tot_qb / report.t_tot_qd)
     assert report.delta_tot == pytest.approx(report.t_tot_qb - report.t_tot_qd)
     assert report.budget_per_switch == pytest.approx(
-        report.delta_tot / (report.q_qd * report.k)
+        report.delta_tot / (report.q_qd * k)
     )
 
 
@@ -124,7 +134,7 @@ def test_budget_sign_law():
 def test_precision_domination_bounds():
     # at t = 0.1 both query counts stay precision dominated over the scan
     qb = max(qubit_normalization(make_grid(1.0, d)) * 0.1 for d in range(3, 1001, 2))
-    qd = max(qudit_normalization(make_grid(1.0, d)) * 0.1 for d in range(3, 1001, 2))
+    qd = max(clock_one_norm(1.0, d) * 0.1 for d in range(3, 1001, 2))
     assert qb == pytest.approx(0.40, abs=0.005)
     assert qd == pytest.approx(0.07, abs=0.005)
 

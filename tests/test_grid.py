@@ -16,7 +16,6 @@ def test_make_grid_d3():
     assert g.lambdas == (-1.0, 0.0, 1.0)
     assert g.delta_phi == 1.0
     assert g.n_b == 2
-    assert g.half_width == 1
 
 
 def test_make_grid_d5():
@@ -61,7 +60,7 @@ def test_spacing_relation():
     for d in (3, 7, 33, 101):
         g = make_grid(2.0, d)
         assert g.delta_phi == pytest.approx(2 * g.phi_max / (d - 1), rel=1e-15)
-        assert g.delta_phi == pytest.approx(g.phi_max / g.half_width, rel=1e-15)
+        assert g.delta_phi == pytest.approx(g.phi_max / ((d - 1) // 2), rel=1e-15)
 
 
 def test_eigenvalues_increasing_and_symmetric():
@@ -70,7 +69,7 @@ def test_eigenvalues_increasing_and_symmetric():
         assert all(a < b for a, b in zip(g.lambdas, g.lambdas[1:]))
         assert g.lambdas[0] == -g.phi_max
         assert g.lambdas[-1] == pytest.approx(g.phi_max, abs=1e-14)
-        assert g.lambdas[g.half_width] == pytest.approx(0.0, abs=1e-14)
+        assert g.lambdas[(d - 1) // 2] == pytest.approx(0.0, abs=1e-14)
         for n in range(d):
             assert g.lambdas[n] ** 2 == pytest.approx(
                 g.lambdas[d - 1 - n] ** 2, abs=1e-13
@@ -120,8 +119,7 @@ def test_squared_mean_small_cases():
 def test_squared_mean_zero_field():
     # degenerate zero-field value, constructed directly since make_grid
     # rejects phi_max = 0 by contract
-    g = FieldGrid(phi_max=0.0, d=5, half_width=2, delta_phi=0.0,
-                  lambdas=(0.0,) * 5, n_b=3)
+    g = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, lambdas=(0.0,) * 5, n_b=3)
     assert squared_mean(g) == 0.0
 
 

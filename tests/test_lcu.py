@@ -4,12 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from oracles import dclock_angles, dclock_realized_phases
 
 from quditcost.grid import FieldGrid, make_grid
 from quditcost.lcu import (
     SignedBinaryRegister,
-    dclock_angles,
-    dsign_spec,
     fixed_encoding_call_rotations,
     fixed_encoding_select_schedule,
     precision_parameter,
@@ -23,7 +22,6 @@ from quditcost.lcu import (
 )
 from quditcost.pauli import beta_closed_form, select_diag_phases
 from quditcost.simverify import (
-    DiagPhases,
     apply_schedule_to_state,
     apply_z_schedule,
     basis_state,
@@ -31,31 +29,18 @@ from quditcost.simverify import (
 )
 
 
-def dclock_realized_phases(d):
-    """Phase exponent accumulated by the clock ladder on each index state.
-
-    Relative to index 0 the exponent on |r> is pi * r / d for every
-    r in [0, 2^n_b); the common offset is the discarded global phase.
-    """
-    angles = dclock_angles(d)
-    out = []
-    for r in range(2 ** len(angles)):
-        out.append(sum(a * (1 - 2 * ((r >> m) & 1)) for m, a in angles))
-    return out
-
-
 # ---------------------------------------------------------------- register
 
 
 def test_signed_register_labels_two_qubits():
     reg = SignedBinaryRegister(2)
-    assert reg.labels() == [0, 1, 0, -1]
+    assert [reg.label(v) for v in range(reg.size)] == [0, 1, 0, -1]
 
 
 def test_signed_register_range_and_zero_redundancy():
     for n_b in (2, 3, 4, 6):
         reg = SignedBinaryRegister(n_b)
-        labels = reg.labels()
+        labels = [reg.label(v) for v in range(reg.size)]
         top = 2 ** (n_b - 1) - 1
         assert min(labels) == -top and max(labels) == top
         assert labels.count(0) == 2
@@ -97,8 +82,7 @@ def test_projector_diag_equals_squared_label(d):
 
 
 def test_projector_diag_rejects_huge_register():
-    fake = FieldGrid(phi_max=1.0, d=3, half_width=1, delta_phi=1.0,
-                     lambdas=(-1.0, 0.0, 1.0), n_b=21)
+    fake = FieldGrid(phi_max=1.0, d=3, delta_phi=1.0, lambdas=(-1.0, 0.0, 1.0), n_b=21)
     with pytest.raises(ValueError, match="too large"):
         qubit_projector_diag_oracle(fake)
 
@@ -183,24 +167,20 @@ def test_dclock_realizes_clock_phases(d):
 # -------------------------------------------------------------- sign flip
 
 
+def negative_flags(d):
+    """1 where the coefficient c_r is negative, for r = 1 .. d - 1."""
+    return [int(c < 0) for c in beta_closed_form(make_grid(1.0, d)).c_amps]
+
+
 def test_dsign_spec_d5():
-    model = dsign_spec(beta_closed_form(make_grid(1.0, 5)))
-    assert model.threshold == 3
-    assert [model.flag(r) for r in range(1, 5)] == [0, 0, 1, 1]
-    assert model.t_count == 12
+    # the sign flip marks r >= (d + 1) / 2 = 3; its comparator is in the
+    # hybrid call's 4 n_b direct T gates
+    assert negative_flags(5) == [0, 0, 1, 1]
+    assert qudit_hybrid_call_cost(5).t_gates == 12
 
 
 def test_dsign_spec_d3():
-    model = dsign_spec(beta_closed_form(make_grid(1.0, 3)))
-    assert model.threshold == 2
-    assert model.flag(1) == 0 and model.flag(2) == 1
-
-
-def test_dsign_spec_detects_broken_signs():
-    e = beta_closed_form(make_grid(1.0, 5))
-    flipped = dataclasses.replace(e, c_amps=tuple(-c for c in e.c_amps))
-    with pytest.raises(ValueError, match="sign pattern mismatch"):
-        dsign_spec(flipped)
+    assert negative_flags(3) == [0, 1]
 
 
 def test_phase_assembly_matches_sign_times_clock():
@@ -265,7 +245,7 @@ def test_select_schedule_census_agreement():
 def test_select_schedule_reproduces_diagonal(d):
     e = beta_closed_form(make_grid(1.0, d))
     realized = apply_z_schedule(fixed_encoding_select_schedule(e))
-    target = DiagPhases(d, tuple(select_diag_phases(e)))
+    target = select_diag_phases(e)
     ok, err = equal_up_to_global_phase(realized, target, tol=1e-10)
     assert ok, (d, err)
 
@@ -291,7 +271,7 @@ def test_prep_prepares_amplitudes_d5():
     e = beta_closed_form(make_grid(1.0, 5))
     state = apply_schedule_to_state(basis_state(5), prep_ry_schedule(e))
     target = [0.0] + [math.sqrt(abs(b) / e.lambda_norm) for b in e.betas[1:]]
-    assert np.allclose(state.amplitudes, target, atol=1e-12)
+    assert np.allclose(state, target, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", list(range(3, 65, 2)))
@@ -300,7 +280,7 @@ def test_prep_l2_error(d):
     state = apply_schedule_to_state(basis_state(d), prep_ry_schedule(e))
     target = np.zeros(d)
     target[1:] = [math.sqrt(abs(b) / e.lambda_norm) for b in e.betas[1:]]
-    assert np.linalg.norm(state.amplitudes - target) < 1e-10
+    assert np.linalg.norm(state - target) < 1e-10
 
 
 def test_prep_residual_vanishes_everywhere():
@@ -329,7 +309,6 @@ def test_prep_rejects_broken_normalization():
 
 
 def test_prep_rejects_vanishing_amplitude():
-    g = FieldGrid(phi_max=0.0, d=5, half_width=2, delta_phi=0.0,
-                  lambdas=(0.0,) * 5, n_b=3)
+    g = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, lambdas=(0.0,) * 5, n_b=3)
     with pytest.raises(ValueError, match="vanishes"):
         prep_ry_schedule(beta_closed_form(g))

@@ -40,7 +40,7 @@ def test_closed_form_d3():
     assert e.betas[1] == pytest.approx((1.0 / 3.0) * cmath.exp(1j * math.pi / 3), abs=1e-15)
     assert e.betas[2] == pytest.approx((1.0 / 3.0) * cmath.exp(-1j * math.pi / 3), abs=1e-15)
     assert e.lambda_norm == pytest.approx(2.0 / 3.0, rel=1e-13)
-    assert e.sign_threshold == 2
+    assert [c < 0 for c in e.c_amps] == [False, True]  # negative from (d + 1) / 2 = 2
 
 
 def test_closed_form_d5_moduli():
@@ -51,8 +51,7 @@ def test_closed_form_d5_moduli():
 
 
 def test_zero_field_coefficients_vanish():
-    g = FieldGrid(phi_max=0.0, d=7, half_width=3, delta_phi=0.0,
-                  lambdas=(0.0,) * 7, n_b=3)
+    g = FieldGrid(phi_max=0.0, d=7, delta_phi=0.0, lambdas=(0.0,) * 7, n_b=3)
     e = beta_closed_form(g)
     assert all(abs(b) == 0.0 for b in e.betas)
 
@@ -159,8 +158,7 @@ def test_sign_threshold_equivalence_full_range():
 
 
 def test_irreducibility_guard():
-    g = FieldGrid(phi_max=0.0, d=5, half_width=2, delta_phi=0.0,
-                  lambdas=(0.0,) * 5, n_b=3)
+    g = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, lambdas=(0.0,) * 5, n_b=3)
     with pytest.raises(ValueError, match="not irreducible"):
         select_diag_phases(beta_closed_form(g))
 

@@ -1,18 +1,17 @@
 import math
 
 import pytest
+from oracles import centered_partial_sum, qubit_trotter_terms
 
+from quditcost.costmodel import SynthesisModel, pf_thresholds
 from quditcost.grid import make_grid, squared_mean
-from quditcost.simverify import DiagPhases, apply_z_schedule, equal_up_to_global_phase
+from quditcost.simverify import apply_z_schedule, equal_up_to_global_phase
 from quditcost.trotter import (
     Rotation,
     RotationSchedule,
-    centered_partial_sum,
     is_trivial_angle,
-    qubit_trotter_terms,
     qudit_trotter_angles,
     reduce_angle,
-    rz_rotation_count,
 )
 
 
@@ -25,11 +24,13 @@ def phi_eigenvalue(exp, index):
 
 
 def test_rz_rotation_count_formula():
-    assert rz_rotation_count(1) == 1
-    assert rz_rotation_count(2) == 3
-    assert rz_rotation_count(5) == 15
-    with pytest.raises(ValueError):
-        rz_rotation_count(0)
+    # pf_thresholds prices the binary-register step at the oracle's term
+    # count: under a flat unit-cost model a_max = L_qb / (L_qd log2(L_qd / eps))
+    flat = SynthesisModel(rz_slope=0.0, rz_intercept=1.0)
+    for d, count in ((3, 3), (5, 6), (9, 10), (17, 15), (31, 15), (513, 55)):
+        assert qubit_trotter_terms(make_grid(1.0, d), 1.0).rz_count == count
+        a_max, _ = pf_thresholds(d, 1e-6, flat)
+        assert a_max * (d - 1) * math.log2((d - 1) / 1e-6) == pytest.approx(count, rel=1e-12)
 
 
 def test_angle_helpers():
@@ -76,7 +77,7 @@ def test_qubit_terms_d3():
 @pytest.mark.parametrize("d", [3, 5, 9, 17, 33])
 def test_qubit_term_count_formula(d):
     exp = qubit_trotter_terms(make_grid(1.0, d), 1.0)
-    assert exp.rz_count == rz_rotation_count(exp.n_b)
+    assert exp.rz_count == exp.n_b * (exp.n_b + 1) // 2
 
 
 def test_qubit_affine_coefficients():
@@ -145,7 +146,7 @@ def test_qudit_schedule_matches_target_diagonal(t):
     for d in range(3, 65, 2):
         g = make_grid(1.0, d)
         realized = apply_z_schedule(qudit_trotter_angles(g, t))
-        target = DiagPhases(d, tuple(-t * lam**2 for lam in g.lambdas))
+        target = tuple(-t * lam**2 for lam in g.lambdas)
         ok, err = equal_up_to_global_phase(realized, target, tol=1e-10)
         assert ok, (d, t, err)
 
@@ -156,7 +157,7 @@ def test_angle_uniqueness_mod_4pi():
     g = make_grid(1.0, 11)
     sched = qudit_trotter_angles(g, 0.37)
     bare = RotationSchedule(dim=g.d, rotations=sched.rotations)  # drop global phase
-    realized = apply_z_schedule(bare).phases
+    realized = apply_z_schedule(bare)
     acc = 0.0
     for k, rot in enumerate(sched.rotations):
         acc += realized[k]
