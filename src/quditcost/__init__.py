@@ -4,7 +4,7 @@ implementations of the on-site diagonal evolution exp(-i t phi^2)."""
 __version__ = "0.1.0"
 
 from .costmodel import SynthesisModel, pf_thresholds
-from .endtoend import ResourceReport, lcu_fixed_encoding_thresholds, scan_reports
+from .endtoend import ResourceReport, lcu_fixed_encoding_thresholds, ratio_and_budget
 from .grid import FieldGrid, make_grid, register_width
 from .simverify import SuiteResult, run_suites
 
@@ -16,7 +16,7 @@ __all__ = [
     "SynthesisModel",
     "pf_thresholds",
     "ResourceReport",
-    "scan_reports",
+    "ratio_and_budget",
     "lcu_fixed_encoding_thresholds",
     "SuiteResult",
     "run_suites",

@@ -10,8 +10,8 @@ import sys
 
 from . import __version__
 from .costmodel import SynthesisModel, pf_thresholds
-from .endtoend import ResourceReport, lcu_fixed_encoding_thresholds, scan_reports
-from .grid import check_phi_max, make_grid
+from .endtoend import lcu_fixed_encoding_thresholds, ratio_and_budget
+from .grid import check_phi_max
 from .simverify import CENSUS_CAP, DIM_CAP, run_suites
 
 CONFIG_ENV_VAR = "QUDITCOST_CONFIG"
@@ -20,6 +20,9 @@ MODEL_KEYS = tuple(field.name for field in dataclasses.fields(SynthesisModel))
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG_ERROR = 2
+
+# Options a report header prints, in order, where the command defines them.
+META_KEYS = ("phi_max", "eps", "eps_sim", "t", "k", "prime_only")
 
 
 class ConfigError(Exception):
@@ -89,16 +92,19 @@ def _fmt(value) -> str:
     return format(value, ".9g")
 
 
-def _emit(args: argparse.Namespace, columns: list[str], rows: list[dict], meta: dict) -> None:
-    meta = {"tool": "quditcost", "version": __version__, **meta}
+def _emit(args: argparse.Namespace, rows: list[tuple]) -> None:
+    """Print report rows, NamedTuples whose fields are the columns, under a meta header."""
+    options = vars(args)
+    meta = {"tool": "quditcost", "version": __version__, "command": args.command}
+    meta.update((key, options[key]) for key in META_KEYS if key in options)
     if args.format == "json":
-        payload = {"meta": meta, "rows": [{c: row[c] for c in columns} for row in rows]}
+        payload = {"meta": meta, "rows": [row._asdict() for row in rows]}
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [f"# {key}={_fmt(val) if not isinstance(val, str) else val}" for key, val in meta.items()]
-        lines.append(",".join(columns))
+        lines.append(",".join(type(rows[0])._fields))
         for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
+            lines.append(",".join(_fmt(value) for value in row))
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -107,60 +113,11 @@ def _emit(args: argparse.Namespace, columns: list[str], rows: list[dict], meta: 
         sys.stdout.write(text)
 
 
-def cmd_pf_thresholds(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     model = _load_model()
-    # the thresholds do not depend on phi_max, but the header prints it
+    # pf-thresholds rows do not depend on phi_max, but its header prints it
     check_phi_max(args.phi_max)
-    rows = []
-    for d in _d_values(args):
-        a_max, a_rz = pf_thresholds(d, args.eps, model)
-        rows.append({"d": d, "a_max_pf": a_max, "a_rz_pf": a_rz, "favorable": a_max > a_rz})
-    meta = {
-        "command": "pf-thresholds",
-        "phi_max": args.phi_max,
-        "eps": args.eps,
-        "prime_only": args.prime_only,
-    }
-    _emit(args, ["d", "a_max_pf", "a_rz_pf", "favorable"], rows, meta)
-    return EXIT_OK
-
-
-def cmd_lcu_table(args: argparse.Namespace) -> int:
-    model = _load_model()
-    rows = []
-    for d in _d_values(args):
-        grid = make_grid(args.phi_max, d)
-        a_max, a_rz = lcu_fixed_encoding_thresholds(grid, args.t, args.eps, model)
-        rows.append({"d": d, "a_max_lcu": a_max, "a_rz_lcu": a_rz})
-    meta = {
-        "command": "lcu-table",
-        "phi_max": args.phi_max,
-        "eps_sim": args.eps,
-        "t": args.t,
-        "prime_only": args.prime_only,
-    }
-    _emit(args, ["d", "a_max_lcu", "a_rz_lcu"], rows, meta)
-    return EXIT_OK
-
-
-SCAN_COLUMNS = [field.name for field in dataclasses.fields(ResourceReport)]
-
-
-def cmd_scan_ratio(args: argparse.Namespace) -> int:
-    model = _load_model()
-    d_values = _d_values(args)
-    reports = scan_reports(args.phi_max, args.t, args.eps, d_values, args.k, model)
-    # getattr, not dataclasses.asdict, which deep-copies every value
-    rows = [{c: getattr(report, c) for c in SCAN_COLUMNS} for report in reports]
-    meta = {
-        "command": "scan-ratio",
-        "phi_max": args.phi_max,
-        "eps_sim": args.eps,
-        "t": args.t,
-        "k": args.k,
-        "prime_only": args.prime_only,
-    }
-    _emit(args, SCAN_COLUMNS, rows, meta)
+    _emit(args, [args.row(args, d, model) for d in _d_values(args)])
     return EXIT_OK
 
 
@@ -183,10 +140,12 @@ def _add_report_flags(
     prime_only is the command's default for scanning prime dimensions only.
     """
     parser.add_argument("--phi-max", type=float, default=1.0, help="field amplitude bound")
+    # the accuracy of a time evolution (commands with --t) is eps_sim
+    dest = "eps_sim" if t else "eps"
     accuracy = parser.add_mutually_exclusive_group()
-    accuracy.add_argument("--eps", type=float, default=1e-6, help="target accuracy")
+    accuracy.add_argument("--eps", type=float, default=1e-6, dest=dest, help="target accuracy")
     accuracy.add_argument(
-        "--eps-sim", type=float, default=1e-6, dest="eps",
+        "--eps-sim", type=float, default=1e-6, dest=dest,
         help="simulation accuracy (synonym of --eps)",
     )
     if t:
@@ -219,15 +178,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pf-thresholds", help="product-formula break-even prefactors (primes by default)")
     _add_report_flags(p, t=False, k=False, prime_only=True)
-    p.set_defaults(func=cmd_pf_thresholds)
+    p.set_defaults(func=cmd_report, row=lambda a, d, model: pf_thresholds(d, a.eps, model))
 
     p = sub.add_parser("lcu-table", help="fixed-encoding block-encoding thresholds (primes by default)")
     _add_report_flags(p, t=True, k=False, prime_only=True)
-    p.set_defaults(func=cmd_lcu_table)
+    p.set_defaults(
+        func=cmd_report,
+        row=lambda a, d, model: lcu_fixed_encoding_thresholds(a.phi_max, d, a.t, a.eps_sim, model),
+    )
 
     p = sub.add_parser("scan-ratio", help="end-to-end totals, ratio, and switch budget (all odd d by default)")
     _add_report_flags(p, t=True, k=True, prime_only=False)
-    p.set_defaults(func=cmd_scan_ratio)
+    p.set_defaults(
+        func=cmd_report,
+        row=lambda a, d, model: ratio_and_budget(a.phi_max, d, a.t, a.eps_sim, a.k, model),
+    )
 
     p = sub.add_parser("verify", help="run the decomposition and coefficient oracle suites")
     p.add_argument("--phi-max", type=float, default=1.0, help="field amplitude bound")

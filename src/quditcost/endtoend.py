@@ -12,10 +12,9 @@ affordable per-switch conversion overhead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .costmodel import DEFAULT_MODEL, SynthesisModel, rz_cost
+from .costmodel import DEFAULT_MODEL, MIN_CALL_BUDGET, SynthesisModel, break_even, rz_cost
 from .grid import FieldGrid, make_grid
 from .lcu import (
     fixed_encoding_call_rotations,
@@ -24,13 +23,6 @@ from .lcu import (
     qudit_hybrid_call_cost,
 )
 from .pauli import clock_one_norm
-
-# Smallest per-call budget eps_sim / Q.  The per-call costs take log2 of
-# reciprocal budgets, 9 pi^2 / (2 eps_be) for the qubit preparation and
-# L / eps_be for L synthesized rotations; above this floor both stay
-# finite for every L below 1e8.
-MIN_CALL_BUDGET = 1e-300
-
 
 class CostChain(NamedTuple):
     """One encoding's chain: normalization, queries, per-call budget, per-call cost, total."""
@@ -95,9 +87,8 @@ def total_cost_qudit_hybrid(
     return CostChain(alpha, q, eps_be, per_call, q * per_call)
 
 
-@dataclass(frozen=True)
-class ResourceReport:
-    """Side-by-side cost report for one local dimension: the scan-ratio columns, in order."""
+class ResourceReport(NamedTuple):
+    """One scan-ratio row: side-by-side costs for one local dimension."""
 
     d: int
     n_b: int
@@ -115,7 +106,8 @@ class ResourceReport:
 
 
 def ratio_and_budget(
-    grid: FieldGrid,
+    phi_max: float,
+    d: int,
     t: float,
     eps_sim: float,
     k: int = 2,
@@ -129,11 +121,12 @@ def ratio_and_budget(
     """
     if k < 1:
         raise ValueError(f"switch count must be at least 1, got {k}")
+    grid = make_grid(phi_max, d)
     qb = total_cost_qubit(grid, t, eps_sim)
     qd = total_cost_qudit_hybrid(grid, t, eps_sim, model)
     delta = qb.total - qd.total
     return ResourceReport(
-        d=grid.d,
+        d=d,
         n_b=grid.n_b,
         alpha_qb=qb.alpha,
         alpha_qd=qd.alpha,
@@ -149,37 +142,28 @@ def ratio_and_budget(
     )
 
 
+class LcuRow(NamedTuple):
+    """One lcu-table row: break-even prefactors of the fixed encoding."""
+
+    d: int
+    a_max_lcu: float
+    a_rz_lcu: float
+
+
 def lcu_fixed_encoding_thresholds(
-    grid: FieldGrid,
+    phi_max: float,
+    d: int,
     t: float,
     eps_sim: float,
     model: SynthesisModel = DEFAULT_MODEL,
-) -> tuple[float, float]:
-    """Fixed-encoding break-even prefactors (a_max, a_rz) for the block-encoding route.
+) -> LcuRow:
+    """Fixed-encoding break-even prefactors for the block-encoding route.
 
-    a_max = qubit total / (qudit queries * L * log2(L / eps_be_qd)) with the
-    uniform rotation bound L = 3d - 3; a_rz is the effective prefactor of
-    qubit Z-rotation synthesis at the same primitive precision eps_be_qd / L.
+    The qubit total against the qudit queries, each with the uniform
+    rotation bound L = 3d - 3 at the qudit per-call budget eps_be_qd.
     """
+    grid = make_grid(phi_max, d)
     qb = total_cost_qubit(grid, t, eps_sim)
     qd = total_cost_qudit_hybrid(grid, t, eps_sim, model)
-    rotations = fixed_encoding_call_rotations(grid.d)
-    log_term = math.log2(rotations / qd.eps_be)
-    a_max = qb.total / (qd.queries * rotations * log_term)
-    a_rz = rz_cost(qd.eps_be / rotations, model) / log_term
-    return a_max, a_rz
-
-
-def scan_reports(
-    phi_max: float,
-    t: float,
-    eps_sim: float,
-    d_values: list[int],
-    k: int = 2,
-    model: SynthesisModel = DEFAULT_MODEL,
-) -> list[ResourceReport]:
-    """Reports for a sequence of local dimensions, in the order given."""
-    return [
-        ratio_and_budget(make_grid(phi_max, d), t, eps_sim, k, model)
-        for d in d_values
-    ]
+    rotations = fixed_encoding_call_rotations(d)
+    return LcuRow(d, *break_even(qb.total, qd.queries, rotations, qd.eps_be, model))

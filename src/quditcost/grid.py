@@ -51,21 +51,28 @@ def register_width(d: int) -> int:
 
 
 def check_phi_max(phi_max: float) -> None:
-    """Raise ValueError unless the amplitude bound is positive and finite."""
+    """Raise ValueError unless the amplitude bound is positive, finite and not too large.
+
+    Both block-encoding normalizations, and every intermediate of their
+    evaluation, lie at or below 4 phi_max^2, so that bound must be finite.  It
+    is formed by products, which overflow to inf rather than raise.
+    """
     if not (math.isfinite(phi_max) and phi_max > 0):
         raise ValueError(f"phi_max must be positive and finite, got {phi_max}")
+    if not math.isfinite(4.0 * phi_max * phi_max):
+        raise ValueError(f"phi_max={phi_max} is too large: the normalization bound 4 phi_max^2 overflows")
 
 
 def make_grid(phi_max: float, d: int) -> FieldGrid:
     """Build and validate the symmetric field-amplitude grid.
 
     Args:
-        phi_max: amplitude bound, must be positive and finite.
+        phi_max: amplitude bound, as check_phi_max accepts.
         d: local dimension, must be odd and at least 3.
 
     Raises:
-        ValueError: for even d, d < 3, or a phi_max that is not positive
-            and finite.
+        ValueError: for even d, d < 3, or a phi_max that check_phi_max
+            rejects.
     """
     check_phi_max(phi_max)
     n_b = register_width(d)

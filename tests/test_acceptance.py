@@ -10,11 +10,7 @@ import numpy as np
 from oracles import centered_partial_sum
 
 from quditcost.costmodel import pf_thresholds
-from quditcost.endtoend import (
-    lcu_fixed_encoding_thresholds,
-    ratio_and_budget,
-    scan_reports,
-)
+from quditcost.endtoend import lcu_fixed_encoding_thresholds, ratio_and_budget
 from quditcost.grid import make_grid, squared_mean
 from quditcost.lcu import (
     SignedBinaryRegister,
@@ -45,9 +41,10 @@ def report(number: int, description: str, ok: bool) -> None:
 def test_criterion_1_pf_thresholds():
     targets = {3: 1.51, 5: 1.48, 7: 0.96}
     ok = all(
-        abs(pf_thresholds(d, 1e-6)[0] - val) <= 0.01 for d, val in targets.items()
+        abs(pf_thresholds(d, 1e-6).a_max_pf - val) <= 0.01 for d, val in targets.items()
     )
-    favorable = [d for d in PRIMES_TO_19 if (lambda p: p[0] > p[1])(pf_thresholds(d, 1e-6))]
+    rows = [pf_thresholds(d, 1e-6) for d in PRIMES_TO_19]
+    favorable = [row.d for row in rows if row.a_max_pf > row.a_rz_pf]
     ok = ok and favorable == [3, 5]
     report(1, "product-formula break-even prefactors and favorable set", ok)
 
@@ -65,7 +62,7 @@ def test_criterion_3_fixed_encoding_table():
     targets = dict(zip(PRIMES_TO_19, [2.56, 1.32, 0.85, 0.53, 0.44, 0.34, 0.30]))
     ok = True
     for d, val in targets.items():
-        a_max, _ = lcu_fixed_encoding_thresholds(make_grid(1.0, d), 0.1, 1e-6)
+        _, a_max, _ = lcu_fixed_encoding_thresholds(1.0, d, 0.1, 1e-6)
         ok = ok and abs(a_max - val) <= 0.01
     report(3, "fixed-encoding break-even table at t=0.1", ok)
 
@@ -74,9 +71,9 @@ def test_criterion_4_ratio_golden_values_t01():
     targets = {3: 2.033787, 5: 1.006205, 7: 0.999963}
     ok = True
     for d, val in targets.items():
-        r = ratio_and_budget(make_grid(1.0, d), 0.1, 1e-6)
+        r = ratio_and_budget(1.0, d, 0.1, 1e-6)
         ok = ok and math.isclose(r.ratio, val, rel_tol=1e-3)
-    delta3 = ratio_and_budget(make_grid(1.0, 3), 0.1, 1e-6).delta_tot
+    delta3 = ratio_and_budget(1.0, 3, 0.1, 1e-6).delta_tot
     ok = ok and math.isclose(delta3, 4.20e3, rel_tol=0.02)
     report(4, "total-cost ratios and absolute saving at t=0.1", ok)
 
@@ -85,21 +82,20 @@ def test_criterion_5_ratio_golden_values_t3000():
     targets = {5: 3.959978, 21: 1.062653, 23: 0.835319}
     ok = True
     for d, val in targets.items():
-        r = ratio_and_budget(make_grid(1.0, d), 3000.0, 1e-6)
+        r = ratio_and_budget(1.0, d, 3000.0, 1e-6)
         ok = ok and math.isclose(r.ratio, val, rel_tol=1e-3)
     favorable = [
-        r.d for r in scan_reports(1.0, 3000.0, 1e-6, list(range(3, 1002, 2)))
-        if r.ratio > 1
+        d for d in range(3, 1002, 2) if ratio_and_budget(1.0, d, 3000.0, 1e-6).ratio > 1
     ]
     ok = ok and favorable == [3, 5, 7, 9, 11, 13, 17, 19, 21]
-    delta9 = ratio_and_budget(make_grid(1.0, 9), 3000.0, 1e-6).delta_tot
+    delta9 = ratio_and_budget(1.0, 9, 3000.0, 1e-6).delta_tot
     ok = ok and math.isclose(delta9, 3.65e6, rel_tol=0.02)
     report(5, "total-cost ratios, favorable set, and saving at t=3000", ok)
 
 
 def test_criterion_6_code_switch_budgets():
     def budget(d, t):
-        return ratio_and_budget(make_grid(1.0, d), t, 1e-6, k=2).budget_per_switch
+        return ratio_and_budget(1.0, d, t, 1e-6, k=2).budget_per_switch
 
     ok = math.isclose(budget(3, 0.1), 1.05e2, rel_tol=0.02)
     ok = ok and math.isclose(budget(5, 0.1), 1.35, rel_tol=0.02)
@@ -111,17 +107,17 @@ def test_criterion_6_code_switch_budgets():
 
 
 def test_criterion_7_fixed_encoding_t3000():
-    a5 = lcu_fixed_encoding_thresholds(make_grid(1.0, 5), 3000.0, 1e-6)
-    a19 = lcu_fixed_encoding_thresholds(make_grid(1.0, 19), 3000.0, 1e-6)
-    ok = math.isclose(a5[0], 4.794611, rel_tol=1e-3)
-    ok = ok and math.isclose(a5[1], 0.825901, rel_tol=1e-3)
-    ok = ok and math.isclose(a19[0], 1.339724, rel_tol=1e-3)
-    ok = ok and math.isclose(a19[1], 0.810783, rel_tol=1e-3)
+    a5 = lcu_fixed_encoding_thresholds(1.0, 5, 3000.0, 1e-6)
+    a19 = lcu_fixed_encoding_thresholds(1.0, 19, 3000.0, 1e-6)
+    ok = math.isclose(a5.a_max_lcu, 4.794611, rel_tol=1e-3)
+    ok = ok and math.isclose(a5.a_rz_lcu, 0.825901, rel_tol=1e-3)
+    ok = ok and math.isclose(a19.a_max_lcu, 1.339724, rel_tol=1e-3)
+    ok = ok and math.isclose(a19.a_rz_lcu, 0.810783, rel_tol=1e-3)
     for d in PRIMES_TO_19:
-        a_max, a_rz = lcu_fixed_encoding_thresholds(make_grid(1.0, d), 3000.0, 1e-6)
+        _, a_max, a_rz = lcu_fixed_encoding_thresholds(1.0, d, 3000.0, 1e-6)
         ok = ok and a_max > a_rz
-    a23 = lcu_fixed_encoding_thresholds(make_grid(1.0, 23), 3000.0, 1e-6)
-    ok = ok and a23[0] < a23[1]
+    a23 = lcu_fixed_encoding_thresholds(1.0, 23, 3000.0, 1e-6)
+    ok = ok and a23.a_max_lcu < a23.a_rz_lcu
     report(7, "fixed-encoding thresholds and favorability at t=3000", ok)
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from quditcost.cli import CONFIG_ENV_VAR, is_prime, main
 from quditcost.endtoend import ratio_and_budget
-from quditcost.grid import make_grid
 
 
 def run_cli(capsys, *argv):
@@ -77,9 +76,17 @@ def test_scan_ratio_csv_schema(capsys):
 def test_scan_ratio_rows_reproducible_from_library(capsys):
     _, out, _ = run_cli(capsys, "scan-ratio", "--t", "3000", "--d-min", "3", "--d-max", "11")
     for row in parse_csv(out):
-        report = ratio_and_budget(make_grid(1.0, int(row["d"])), 3000.0, 1e-6, k=2)
+        report = ratio_and_budget(1.0, int(row["d"]), 3000.0, 1e-6, k=2)
         for column in ("ratio", "t_tot_qb", "t_tot_qd", "budget_per_switch"):
             assert float(row[column]) == pytest.approx(getattr(report, column), rel=1e-8)
+
+
+def test_scan_ratio_rows_keyed_by_dimension(capsys):
+    _, out, _ = run_cli(capsys, "scan-ratio", "--d-min", "4", "--d-max", "11", "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert [row["d"] for row in rows] == [5, 7, 9, 11]
+    for row in rows:
+        assert row == ratio_and_budget(1.0, row["d"], 0.1, 1e-6)._asdict()
 
 
 def test_output_determinism(tmp_path, capsys):
@@ -227,6 +234,9 @@ def test_bad_config_is_config_error(tmp_path, capsys, monkeypatch, content, name
         (["lcu-table", "--eps-sim", "0"], "eps_sim"),
         (["scan-ratio", "--t", "1e305", "--d-max", "5"], "t=1e+305"),
         (["lcu-table", "--t", "1e305", "--d-max", "5"], "t=1e+305"),
+        (["scan-ratio", "--phi-max", "1e200", "--d-max", "5"], "phi_max=1e+200"),
+        (["lcu-table", "--phi-max", "1e160", "--d-max", "5"], "phi_max=1e+160"),
+        (["pf-thresholds", "--eps", "1e-320", "--d-max", "5"], "eps=1e-320"),
     ],
 )
 def test_bad_value_is_named_at_the_boundary(capsys, argv, named):

@@ -4,6 +4,7 @@ import pytest
 
 from quditcost.costmodel import (
     DEFAULT_MODEL,
+    MIN_CALL_BUDGET,
     SynthesisModel,
     pf_thresholds,
     rz_cost,
@@ -57,34 +58,35 @@ def test_model_override_changes_cost():
 
 
 def test_pf_threshold_reference_values():
-    a3, _ = pf_thresholds(3, 1e-6)
-    a5, _ = pf_thresholds(5, 1e-6)
-    a7, _ = pf_thresholds(7, 1e-6)
+    _, a3, _, _ = pf_thresholds(3, 1e-6)
+    _, a5, _, _ = pf_thresholds(5, 1e-6)
+    _, a7, _, _ = pf_thresholds(7, 1e-6)
     assert a3 == pytest.approx(1.51, abs=0.01)
     assert a5 == pytest.approx(1.48, abs=0.01)
     assert a7 == pytest.approx(0.96, abs=0.01)
 
 
 def test_pf_favorable_only_for_3_and_5():
-    favorable = [d for d in PRIMES_TO_19 if (lambda r: r[0] > r[1])(pf_thresholds(d, 1e-6))]
+    rows = [pf_thresholds(d, 1e-6) for d in PRIMES_TO_19]
+    favorable = [row.d for row in rows if row.a_max_pf > row.a_rz_pf]
     assert favorable == [3, 5]
 
 
 def test_pf_equal_counts_give_equal_thresholds():
     # whenever d - 1 equals n_b (n_b + 1) / 2 the two prefactors coincide
     for d in (7, 11):
-        a_max, a_rz = pf_thresholds(d, 1e-6)
+        _, a_max, a_rz, _ = pf_thresholds(d, 1e-6)
         assert a_max == pytest.approx(a_rz, rel=1e-14)
 
 
 def test_pf_threshold_vanishes_at_large_d():
-    a_big, _ = pf_thresholds(1021, 1e-6)
-    a_small, _ = pf_thresholds(3, 1e-6)
+    a_big = pf_thresholds(1021, 1e-6).a_max_pf
+    a_small = pf_thresholds(3, 1e-6).a_max_pf
     assert a_big < a_small / 10
 
 
 def test_pf_reference_prefactor_decreases_toward_slope():
-    values = [pf_thresholds(d, 1e-6)[1] for d in (3, 11, 101, 1001)]
+    values = [pf_thresholds(d, 1e-6).a_rz_pf for d in (3, 11, 101, 1001)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(v > DEFAULT_MODEL.rz_slope for v in values)
 
@@ -94,4 +96,12 @@ def test_pf_domain_checks():
         pf_thresholds(4, 1e-6)
     with pytest.raises(ValueError):
         pf_thresholds(5, 0.0)
+
+
+def test_pf_rejects_eps_below_floor():
+    # at eps = 1e-320 the reciprocals of rz_cost overflow and both prefactors were nan
+    with pytest.raises(ValueError, match="eps=1e-320"):
+        pf_thresholds(5, 1e-320)
+    row = pf_thresholds(5, MIN_CALL_BUDGET)
+    assert math.isfinite(row.a_max_pf) and math.isfinite(row.a_rz_pf)
 

@@ -2,12 +2,11 @@ import math
 
 import pytest
 
+from quditcost.costmodel import MIN_CALL_BUDGET
 from quditcost.endtoend import (
-    MIN_CALL_BUDGET,
     lcu_fixed_encoding_thresholds,
     query_count,
     ratio_and_budget,
-    scan_reports,
     total_cost_qubit,
     total_cost_qudit_hybrid,
 )
@@ -103,7 +102,7 @@ def test_qudit_chain_t_zero():
 def test_report_internal_consistency():
     t, eps_sim, k = 7.7, 1e-5, 3
     grid = make_grid(1.0, 9)
-    report = ratio_and_budget(grid, t, eps_sim, k=k)
+    report = ratio_and_budget(1.0, 9, t, eps_sim, k=k)
     assert report.q_qb == pytest.approx(report.alpha_qb * t + math.log2(1 / eps_sim))
     assert report.q_qd == pytest.approx(report.alpha_qd * t + math.log2(1 / eps_sim))
     assert total_cost_qubit(grid, t, eps_sim).eps_be == pytest.approx(eps_sim / report.q_qb)
@@ -121,12 +120,12 @@ def test_report_internal_consistency():
 
 def test_report_k_validation():
     with pytest.raises(ValueError):
-        ratio_and_budget(make_grid(1.0, 3), 1.0, 1e-6, k=0)
+        ratio_and_budget(1.0, 3, 1.0, 1e-6, k=0)
 
 
 def test_budget_sign_law():
     for t in (0.1, 3000.0):
-        for report in scan_reports(1.0, t, 1e-6, list(range(3, 102, 2))):
+        for report in (ratio_and_budget(1.0, d, t, 1e-6) for d in range(3, 102, 2)):
             assert (report.budget_per_switch > 0) == (report.ratio > 1)
             assert (report.delta_tot > 0) == (report.ratio > 1)
 
@@ -140,14 +139,14 @@ def test_precision_domination_bounds():
 
 
 def test_fixed_encoding_threshold_table_entry():
-    a_max, _ = lcu_fixed_encoding_thresholds(make_grid(1.0, 3), 0.1, 1e-6)
+    _, a_max, _ = lcu_fixed_encoding_thresholds(1.0, 3, 0.1, 1e-6)
     assert a_max == pytest.approx(2.56, abs=0.01)
 
 
 def test_fixed_encoding_threshold_ordering_t01():
     favorable = []
     for d in PRIMES_TO_19:
-        a_max, a_rz = lcu_fixed_encoding_thresholds(make_grid(1.0, d), 0.1, 1e-6)
+        _, a_max, a_rz = lcu_fixed_encoding_thresholds(1.0, d, 0.1, 1e-6)
         if a_max > a_rz:
             favorable.append(d)
     assert favorable == [3, 5]
@@ -155,12 +154,7 @@ def test_fixed_encoding_threshold_ordering_t01():
 
 def test_fixed_encoding_threshold_ordering_t3000():
     for d in PRIMES_TO_19:
-        a_max, a_rz = lcu_fixed_encoding_thresholds(make_grid(1.0, d), 3000.0, 1e-6)
+        _, a_max, a_rz = lcu_fixed_encoding_thresholds(1.0, d, 3000.0, 1e-6)
         assert a_max > a_rz, d
-    a_max, a_rz = lcu_fixed_encoding_thresholds(make_grid(1.0, 23), 3000.0, 1e-6)
+    _, a_max, a_rz = lcu_fixed_encoding_thresholds(1.0, 23, 3000.0, 1e-6)
     assert a_max < a_rz
-
-
-def test_scan_reports_keyed_by_dimension():
-    reports = scan_reports(1.0, 0.1, 1e-6, [3, 7, 5])
-    assert [r.d for r in reports] == [3, 7, 5]

@@ -6,9 +6,14 @@ from quditcost.costmodel import pf_thresholds
 from quditcost.grid import FieldGrid, make_grid, register_width, squared_mean
 from quditcost.lcu import (
     fixed_encoding_call_rotations,
+    qubit_normalization,
     qudit_hybrid_call_cost,
     select_nontrivial_count,
 )
+from quditcost.pauli import clock_one_norm
+
+# the largest phi_max whose bound 4 phi_max^2 on the normalizations is finite
+PHI_MAX_LIMIT = 6.703903964971298e153
 
 
 def test_make_grid_d3():
@@ -46,6 +51,16 @@ def test_nonpositive_phi_max_rejected(bad_phi):
 def test_nonfinite_phi_max_rejected(bad_phi):
     with pytest.raises(ValueError, match="phi_max"):
         make_grid(bad_phi, 5)
+
+
+# d = 2^m + 1 brings the qubit normalization closest to its bound
+@pytest.mark.parametrize("d", [3, 5, 513, 4097])
+def test_largest_phi_max_has_finite_normalizations(d):
+    grid = make_grid(PHI_MAX_LIMIT, d)
+    assert math.isfinite(qubit_normalization(grid))
+    assert math.isfinite(clock_one_norm(PHI_MAX_LIMIT, d))
+    with pytest.raises(ValueError, match="phi_max=.* is too large"):
+        make_grid(math.nextafter(PHI_MAX_LIMIT, math.inf), d)
 
 
 @pytest.mark.parametrize("phi_max", [1.0, 2.5, 0.3, 7.123])
