@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -10,10 +11,15 @@ from .grid import register_width
 
 # Smallest accuracy budget a cost takes log2 of: the step accuracy eps of
 # a product formula or the per-call budget eps_sim / Q of a block
-# encoding.  Above it the reciprocals 9 pi^2 / (2 eps) of the qubit
-# preparation and L / eps of L synthesized rotations stay finite for
-# every L below 1e8.
+# encoding.  Above it the reciprocal 9 pi^2 / (2 eps) of the qubit
+# preparation stays finite.
 MIN_CALL_BUDGET = 1e-300
+
+# Smallest share of a budget split uniformly over L synthesized rotations:
+# the smallest normal float.  At or above it the share keeps full
+# precision, and the reciprocals 1 / delta and L / budget that rz_cost and
+# break_even take log2 of stay finite, for every L.
+MIN_ROTATION_BUDGET = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -50,9 +56,30 @@ DEFAULT_MODEL = SynthesisModel()
 
 def rz_cost(delta: float, model: SynthesisModel = DEFAULT_MODEL) -> float:
     """Synthesis cost of one qubit Z rotation to accuracy delta."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"synthesis accuracy must lie in (0, 1), got {delta}")
+    if not MIN_ROTATION_BUDGET <= delta < 1.0:
+        raise ValueError(
+            f"synthesis accuracy must lie in [{MIN_ROTATION_BUDGET:.3g}, 1), got {delta}"
+        )
     return model.rz_slope * math.log2(1.0 / delta) + model.rz_intercept
+
+
+def rotation_budget(budget: float, rotations: int, d: int) -> float:
+    """Share budget / rotations of each of the rotations that split a budget uniformly.
+
+    d is the local dimension the rotation count belongs to; the error
+    names it.
+
+    Raises:
+        ValueError: if the share is below MIN_ROTATION_BUDGET.
+    """
+    delta = budget / rotations
+    if delta < MIN_ROTATION_BUDGET:
+        raise ValueError(
+            f"d={d} is too large for the accuracy budget {budget:.6g}: split over "
+            f"{rotations} rotations it leaves {delta!r} per rotation, below the "
+            f"smallest normal float {MIN_ROTATION_BUDGET!r}"
+        )
+    return delta
 
 
 def break_even(
@@ -60,6 +87,7 @@ def break_even(
     queries: float,
     rotations: int,
     budget: float,
+    d: int,
     model: SynthesisModel = DEFAULT_MODEL,
 ) -> tuple[float, float]:
     """Break-even synthesis prefactors (a_max, a_rz) of the d-level route.
@@ -71,10 +99,12 @@ def break_even(
     a_rz is the effective prefactor of qubit Z-rotation synthesis at the
     same primitive precision budget / rotations.  a_max > a_rz means the
     d-level route tolerates synthesis no better than the qubit baseline.
+    The rotations belong to dimension d.
     """
+    delta = rotation_budget(budget, rotations, d)
     log_term = math.log2(rotations / budget)
     a_max = qubit_cost / (queries * rotations * log_term)
-    a_rz = rz_cost(budget / rotations, model) / log_term
+    a_rz = rz_cost(delta, model) / log_term
     return a_max, a_rz
 
 
@@ -101,5 +131,6 @@ def pf_thresholds(d: int, eps: float, model: SynthesisModel = DEFAULT_MODEL) -> 
     if eps < MIN_CALL_BUDGET:
         raise ValueError(f"target accuracy eps={eps} is below {MIN_CALL_BUDGET:g}")
     l_qb = n_b * (n_b + 1) // 2
-    a_max, a_rz = break_even(l_qb * rz_cost(eps / l_qb, model), 1, d - 1, eps, model)
+    qubit_cost = l_qb * rz_cost(rotation_budget(eps, l_qb, d), model)
+    a_max, a_rz = break_even(qubit_cost, 1, d - 1, eps, d, model)
     return PfRow(d, a_max, a_rz, a_max > a_rz)

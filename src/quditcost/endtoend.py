@@ -14,7 +14,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .costmodel import DEFAULT_MODEL, MIN_CALL_BUDGET, SynthesisModel, break_even, rz_cost
+from .costmodel import (
+    DEFAULT_MODEL,
+    MIN_CALL_BUDGET,
+    SynthesisModel,
+    break_even,
+    rotation_budget,
+    rz_cost,
+)
 from .grid import FieldGrid, make_grid
 from .lcu import (
     fixed_encoding_call_rotations,
@@ -83,7 +90,7 @@ def total_cost_qudit_hybrid(
     eps_be = eps_sim / q
     hybrid = qudit_hybrid_call_cost(grid.d)
     rotations = hybrid.rz_rotations_per_call
-    per_call = rotations * rz_cost(eps_be / rotations, model) + hybrid.t_gates
+    per_call = rotations * rz_cost(rotation_budget(eps_be, rotations, grid.d), model) + hybrid.t_gates
     return CostChain(alpha, q, eps_be, per_call, q * per_call)
 
 
@@ -166,4 +173,4 @@ def lcu_fixed_encoding_thresholds(
     qb = total_cost_qubit(grid, t, eps_sim)
     qd = total_cost_qudit_hybrid(grid, t, eps_sim, model)
     rotations = fixed_encoding_call_rotations(d)
-    return LcuRow(d, *break_even(qb.total, qd.queries, rotations, qd.eps_be, model))
+    return LcuRow(d, *break_even(qb.total, qd.queries, rotations, qd.eps_be, d, model))

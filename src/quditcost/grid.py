@@ -4,17 +4,24 @@ The on-site field operator is diagonal on a grid of d = 2M + 1 equally
 spaced eigenvalues spanning [-phi_max, +phi_max].  Every other module
 consumes this grid, so construction validates the structural invariants
 up front: odd local dimension, positive amplitude bound, and the exact
-spacing relation delta_phi = 2 * phi_max / (d - 1).  The levels are built
-with numpy, by the same IEEE operations as the scalar expression
+spacing relation delta_phi = 2 * phi_max / (d - 1).  A grid is O(1) in d:
+the report commands need only phi_max, delta_phi and n_b.  The d levels
+themselves are built on demand by `levels`, for the verify suites, with
+numpy and by the same IEEE operations as the scalar expression
 -phi_max + n * delta_phi, so they equal it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+# Largest local dimension: the coefficient scale 2 phi_max^2 / (d - 1)^2
+# needs (d - 1)^2 as a finite float.  It is about 1.3e154.
+MAX_D = math.isqrt(int(sys.float_info.max)) + 1
 
 
 @dataclass(frozen=True)
@@ -25,14 +32,12 @@ class FieldGrid:
         phi_max: largest field amplitude on the grid (grid endpoint).
         d: local dimension, i.e. number of grid points (odd).
         delta_phi: grid spacing, 2 * phi_max / (d - 1).
-        lambdas: the d field eigenvalues, -phi_max + n * delta_phi.
         n_b: qubit register width covering d levels, ceil(log2(d)).
     """
 
     phi_max: float
     d: int
     delta_phi: float
-    lambdas: tuple[float, ...]
     n_b: int
 
 
@@ -42,10 +47,12 @@ def register_width(d: int) -> int:
     The one check of the local dimension that every module relies on.
 
     Raises:
-        ValueError: unless d is odd and at least 3.
+        ValueError: unless d is odd, at least 3 and at most MAX_D.
     """
     if d < 3 or d % 2 == 0:
         raise ValueError(f"symmetric truncation requires odd d >= 3, got {d}")
+    if d > MAX_D:
+        raise ValueError(f"d={d} is too large: (d - 1)^2 overflows a float above d = {MAX_D:.3g}")
     # exact ceil(log2 d); odd d is never a power of two
     return (d - 1).bit_length()
 
@@ -76,15 +83,17 @@ def make_grid(phi_max: float, d: int) -> FieldGrid:
     """
     check_phi_max(phi_max)
     n_b = register_width(d)
-    delta_phi = 2.0 * phi_max / (d - 1)
-    lambdas = tuple((-phi_max + np.arange(d) * delta_phi).tolist())
     return FieldGrid(
         phi_max=float(phi_max),
         d=d,
-        delta_phi=delta_phi,
-        lambdas=lambdas,
+        delta_phi=2.0 * phi_max / (d - 1),
         n_b=n_b,
     )
+
+
+def levels(grid: FieldGrid) -> tuple[float, ...]:
+    """The d field eigenvalues -phi_max + n * delta_phi, n = 0 .. d-1."""
+    return tuple((-grid.phi_max + np.arange(grid.d) * grid.delta_phi).tolist())
 
 
 def squared_mean(grid: FieldGrid) -> float:
@@ -93,4 +102,4 @@ def squared_mean(grid: FieldGrid) -> float:
     Computed by direct summation; for the symmetric grid this equals
     phi_max^2 * (d + 1) / (3 * (d - 1)), which the tests cross-check.
     """
-    return sum(lam * lam for lam in grid.lambdas) / grid.d
+    return sum(lam * lam for lam in levels(grid)) / grid.d

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .grid import FieldGrid, register_width
-from .pauli import IRREDUCIBILITY_FLOOR, PauliExpansion, select_diag_phases
+from .pauli import PauliExpansion, irreducibility_floor, select_diag_phases
 from .trotter import Rotation, RotationSchedule, reduce_angle
 
 # Fault-tolerant conversion convention: one Toffoli costs four T gates.
@@ -234,7 +234,7 @@ def prep_ry_schedule(expansion: PauliExpansion) -> RotationSchedule:
             1 + 1e-9 (either signals broken normalization upstream).
     """
     d = expansion.d
-    floor = IRREDUCIBILITY_FLOOR * expansion.phi_max**2
+    floor = irreducibility_floor(expansion)
     amps = []
     for r in range(1, d):
         b = abs(expansion.betas[r])

@@ -12,7 +12,10 @@ with real c_r, positive for r below the midpoint (d + 1) / 2 and negative
 from the midpoint upward, antisymmetric under r -> d - r.  The one-norm
 needs no coefficient list: with x_r = pi r/d,
 
-    sum_{r>=1} |beta_r| = phi_max^2 * 2 / (d - 1)^2 * sum_{r=1}^{d-1} |cos x_r| / sin^2 x_r.
+    sum_{r>=1} |beta_r| = phi_max^2 * 2 / (d - 1)^2 * sum_{r=1}^{d-1} |cos x_r| / sin^2 x_r,
+
+and from d = ONE_NORM_CLOSED_FORM_D on that sum has an O(1) closed form
+(see clock_one_norm), so a report row costs the same at every d.
 
 The module also provides an independent discrete-Fourier-transform oracle,
 computed by direct O(d^2) summation over the eigenvalues, used to
@@ -28,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldGrid
+from .grid import FieldGrid, levels
 
-# Relative floor (times phi_max^2) below which a coefficient amplitude is
-# treated as vanishing; absolute rather than exact-zero so that floating
-# point evaluation of cos/sin near pi/2 cannot trip the guard.
-IRREDUCIBILITY_FLOOR = 1e-12
+# Smallest d at which clock_one_norm takes its closed form.  Below it the
+# truncated trigamma series and Euler-Maclaurin tail lose digits (2.6e-14
+# relative at d = 41), and the direct sum is cheap anyway.
+ONE_NORM_CLOSED_FORM_D = 101
 
 
 @dataclass(frozen=True)
@@ -59,14 +62,46 @@ class PauliExpansion:
 
 
 def clock_one_norm(phi_max: float, d: int) -> float:
-    """One-norm sum_{r>=1} |beta_r| of the closed-form coefficients, O(d) numpy work.
+    """One-norm sum_{r>=1} |beta_r| of the closed-form coefficients, O(1) in d.
 
     The weights are symmetric under r -> d - r, so the sum runs over the
-    half x_r <= pi/2 and is doubled.  Above pi/2 the rounding of x_r near
-    pi would cost sin x_r up to d * 1e-16 of relative accuracy.
+    half x_r <= pi/2 and is doubled; above pi/2 the rounding of x_r near pi
+    would cost sin x_r up to d * 1e-16 of relative accuracy.  Below
+    ONE_NORM_CLOSED_FORM_D the half sum is one numpy reduction.  From there
+    on, with h = pi/d, X = (d - 1) h / 2, s = sin X and c = cos X, the
+    weight cos x / sin^2 x splits into 1/x^2 and an even smooth part f:
+
+    * sum_{r<=(d-1)/2} 1/x_r^2 = (d/pi)^2 (pi^2/6 - psi'((d + 1)/2)), with
+      the trigamma psi' from its asymptotic series (z >= 51);
+    * f sums by Euler-Maclaurin to (1/X - 1/s)/h + (f(X) + 1/6)/2
+      + (h/12) f1 - (h^3/720) f3 + (h^5/30240) f5, where fk is the k-th
+      derivative of f at X; the odd derivatives vanish at 0, and
+      f(0) = -1/6.
+
+    Both forms lie within 5e-16 of a 40-digit sum.
     """
-    x = np.pi * np.arange(1, (d + 1) // 2) / d
-    return float(phi_max**2 * 4.0 / (d - 1) ** 2 * (np.cos(x) / np.sin(x) ** 2).sum())
+    if d < ONE_NORM_CLOSED_FORM_D:
+        x = np.pi * np.arange(1, (d + 1) // 2) / d
+        weights = float((np.cos(x) / np.sin(x) ** 2).sum())
+    else:
+        z = (d + 1) / 2
+        w = 1.0 / (z * z)
+        trigamma = 1 / z + w / 2 + w / z * (1 / 6 + w * (-1 / 30 + w * (1 / 42 - w / 30)))
+        h = math.pi / d
+        X = (d - 1) * h / 2
+        s, c = math.sin(X), math.cos(X)
+        f = c / s**2 - 1 / X**2
+        f1 = 1 / s - 2 / s**3 + 2 / X**3
+        f3 = -1 / s + 20 / s**3 - 24 / s**5 + 24 / X**5
+        f5 = -719 / s + 1978 / s**3 - 1320 / s**5 - 720 * c**6 / s**7 + 720 / X**7
+        weights = (d / math.pi) ** 2 * (math.pi**2 / 6 - trigamma) + (
+            (1 / X - 1 / s) / h
+            + (f + 1 / 6) / 2
+            + h / 12 * f1
+            - h**3 / 720 * f3
+            + h**5 / 30240 * f5
+        )
+    return phi_max**2 * 4.0 / (d - 1) ** 2 * weights
 
 
 def _expansion_from_betas(
@@ -105,11 +140,25 @@ def beta_dft_oracle(grid: FieldGrid) -> PauliExpansion:
     with the closed form.
     """
     d = grid.d
-    lam_sq = np.asarray(grid.lambdas, dtype=float) ** 2
+    lam_sq = np.asarray(levels(grid), dtype=float) ** 2
     indices = np.arange(d)
     kernel = np.exp(-2j * np.pi * np.outer(indices, indices) / d)
     betas = [complex(b) for b in kernel @ lam_sq / d]
     return _expansion_from_betas(d, grid.phi_max, betas, sum(abs(b) for b in betas[1:]))
+
+
+def irreducibility_floor(expansion: PauliExpansion) -> float:
+    """Amplitude at or below which a coefficient counts as vanishing.
+
+    Half the smallest exact |c_r|, which sits at r = (d - 1) / 2:
+    2 phi_max^2 / (d - 1)^2 * sin(y) / cos^2(y) with y = pi / (2d), about
+    pi phi_max^2 / d^3.  The computed c_r near that r carry a relative
+    rounding error of order d * 1e-16, far below one half, so correct
+    coefficients pass at every d, while a zero field (floor 0) fails.
+    """
+    d = expansion.d
+    y = math.pi / (2 * d)
+    return expansion.phi_max**2 / (d - 1) ** 2 * math.sin(y) / math.cos(y) ** 2
 
 
 def select_diag_phases(expansion: PauliExpansion) -> list[float]:
@@ -120,10 +169,10 @@ def select_diag_phases(expansion: PauliExpansion) -> list[float]:
     beta_r / |beta_r|.  All values lie in [0, 2*pi).
 
     Raises:
-        ValueError: if any c_r sits below the irreducibility floor.
+        ValueError: if any c_r sits at or below the irreducibility floor.
     """
     d = expansion.d
-    floor = IRREDUCIBILITY_FLOOR * expansion.phi_max**2
+    floor = irreducibility_floor(expansion)
     out = [0.0]
     for r in range(1, d):
         c = expansion.c_amps[r - 1]

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import make_grid
+from .grid import levels, make_grid
 from .lcu import (
     SignedBinaryRegister,
     fixed_encoding_select_schedule,
@@ -156,9 +156,10 @@ def suite_trotter(phi_max: float, dense_cap: int) -> SuiteResult:
     worst = 0.0
     for d in _odd_dimensions(dense_cap):
         grid = make_grid(phi_max, d)
+        lambdas = levels(grid)
         for t in (0.1, 1.0, 3.7):
             realized = apply_z_schedule(qudit_trotter_angles(grid, t))
-            target = [-t * lam**2 for lam in grid.lambdas]
+            target = [-t * lam**2 for lam in lambdas]
             _, err = equal_up_to_global_phase(realized, target)
             worst = max(worst, err)
     return SuiteResult("trotter-schedule", worst <= 1e-10, worst)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .grid import FieldGrid, squared_mean
+from .grid import FieldGrid, levels, squared_mean
 
 AXES = ("Y", "Z")
 
@@ -88,10 +88,11 @@ def qudit_trotter_angles(grid: FieldGrid, t: float) -> RotationSchedule:
     diag(e^(-i t lambda_n^2)) exactly.
     """
     mu = squared_mean(grid)
+    lambdas = levels(grid)
     rotations = []
     acc = 0.0
     for k in range(grid.d - 1):
-        acc += t * grid.lambdas[k] ** 2 - t * mu
+        acc += t * lambdas[k] ** 2 - t * mu
         rotations.append(Rotation("Z", (k, k + 1), reduce_angle(2.0 * acc)))
     return RotationSchedule(
         dim=grid.d, rotations=tuple(rotations), global_phase=-t * mu

@@ -11,7 +11,7 @@ from oracles import centered_partial_sum
 
 from quditcost.costmodel import pf_thresholds
 from quditcost.endtoend import lcu_fixed_encoding_thresholds, ratio_and_budget
-from quditcost.grid import make_grid, squared_mean
+from quditcost.grid import levels, make_grid, squared_mean
 from quditcost.lcu import (
     SignedBinaryRegister,
     fixed_encoding_select_schedule,
@@ -131,7 +131,7 @@ def test_criterion_8_decomposition_oracles():
         # (a) native step schedule reproduces diag(e^(-i t (lambda^2 - mu)))
         for t in (0.1, 1.0, 3.7):
             realized = apply_z_schedule(qudit_trotter_angles(grid, t))
-            target = tuple(-t * lam**2 for lam in grid.lambdas)
+            target = tuple(-t * lam**2 for lam in levels(grid))
             good, err = equal_up_to_global_phase(realized, target, tol=1e-10)
             ok, worst = ok and good, max(worst, err)
 
@@ -193,7 +193,7 @@ def test_criterion_10_centered_partial_sums():
         mu = squared_mean(grid)
         running = 0.0
         for k in range(d - 1):
-            running += grid.lambdas[k] ** 2 - mu
+            running += levels(grid)[k] ** 2 - mu
             closed = centered_partial_sum(grid, k)
             ok = ok and math.isclose(closed, running, rel_tol=1e-10, abs_tol=1e-12)
             ok = ok and closed != 0.0

@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
 from quditcost.cli import CONFIG_ENV_VAR, is_prime, main
 from quditcost.endtoend import ratio_and_budget
+from quditcost.grid import MAX_D
 
 
 def run_cli(capsys, *argv):
@@ -237,6 +239,11 @@ def test_bad_config_is_config_error(tmp_path, capsys, monkeypatch, content, name
         (["scan-ratio", "--phi-max", "1e200", "--d-max", "5"], "phi_max=1e+200"),
         (["lcu-table", "--phi-max", "1e160", "--d-max", "5"], "phi_max=1e+160"),
         (["pf-thresholds", "--eps", "1e-320", "--d-max", "5"], "eps=1e-320"),
+        # eps / (d - 1) = 1e-309 is subnormal; this row used to print 0,nan
+        (
+            ["pf-thresholds", "--all-odd", "--eps", "1e-300", "--d-min", "999999999", "--d-max", "999999999"],
+            "d=999999999 ",
+        ),
     ],
 )
 def test_bad_value_is_named_at_the_boundary(capsys, argv, named):
@@ -246,6 +253,19 @@ def test_bad_value_is_named_at_the_boundary(capsys, argv, named):
     assert len(err.splitlines()) == 1
     assert named in err
     assert "per-call accuracy" not in err
+
+
+@pytest.mark.parametrize("command", ["pf-thresholds", "lcu-table", "scan-ratio"])
+def test_every_dimension_prints_finite_rows_or_is_named(capsys, command):
+    # the largest accepted d is odd, one below MAX_D; rows cost O(1) in d
+    code, out, err = run_cli(capsys, command, "--all-odd", "--d-min", str(MAX_D - 1), "--d-max", str(MAX_D))
+    assert code == 0 and err == ""
+    (row,) = parse_csv(out)
+    assert row["d"] == str(MAX_D - 1)
+    assert all(value in ("true", "false") or math.isfinite(float(value)) for value in row.values())
+    code, out, err = run_cli(capsys, command, "--all-odd", "--d-min", str(MAX_D + 1), "--d-max", str(MAX_D + 1))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and f"d={MAX_D + 1} " in err
 
 
 @pytest.mark.parametrize(

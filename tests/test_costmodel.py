@@ -5,6 +5,7 @@ import pytest
 from quditcost.costmodel import (
     DEFAULT_MODEL,
     MIN_CALL_BUDGET,
+    MIN_ROTATION_BUDGET,
     SynthesisModel,
     pf_thresholds,
     rz_cost,
@@ -27,6 +28,10 @@ def test_rz_cost_domain():
         rz_cost(0.0)
     with pytest.raises(ValueError):
         rz_cost(1.0)
+    # subnormal accuracies lose precision and their reciprocals can overflow
+    with pytest.raises(ValueError):
+        rz_cost(MIN_ROTATION_BUDGET / 2)
+    assert math.isfinite(rz_cost(MIN_ROTATION_BUDGET))
 
 
 def test_model_defaults_and_validation():
@@ -104,4 +109,5 @@ def test_pf_rejects_eps_below_floor():
         pf_thresholds(5, 1e-320)
     row = pf_thresholds(5, MIN_CALL_BUDGET)
     assert math.isfinite(row.a_max_pf) and math.isfinite(row.a_rz_pf)
+
 

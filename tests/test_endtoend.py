@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -116,6 +117,28 @@ def test_report_internal_consistency():
     assert report.budget_per_switch == pytest.approx(
         report.delta_tot / (report.q_qd * k)
     )
+
+
+def test_report_row_is_constant_size_in_d():
+    # a d-sized float array alone would be 8 GB at this d
+    tracemalloc.start()
+    try:
+        report = ratio_and_budget(1.0, 999999999, 3000.0, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(math.isfinite(value) for value in report)
+    assert peak < 100_000
+
+
+def test_per_rotation_budget_floor_names_d():
+    # eps_be is about 1e-300; at this d each chain splits it over more than
+    # 6e7 rotations, which leaves less than the smallest normal float each
+    lcu_fixed_encoding_thresholds(1.0, 99, 0.01, 1e-297)
+    with pytest.raises(ValueError, match="d=20000001 "):
+        lcu_fixed_encoding_thresholds(1.0, 20000001, 0.01, 1e-297)
+    with pytest.raises(ValueError, match="d=20000001 "):
+        ratio_and_budget(1.0, 20000001, 0.01, 1e-297)
 
 
 def test_report_k_validation():

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from quditcost.costmodel import pf_thresholds
-from quditcost.grid import FieldGrid, make_grid, register_width, squared_mean
+from quditcost.grid import FieldGrid, levels, make_grid, register_width, squared_mean
 from quditcost.lcu import (
     fixed_encoding_call_rotations,
     qubit_normalization,
@@ -18,14 +18,14 @@ PHI_MAX_LIMIT = 6.703903964971298e153
 
 def test_make_grid_d3():
     g = make_grid(1.0, 3)
-    assert g.lambdas == (-1.0, 0.0, 1.0)
+    assert levels(g) == (-1.0, 0.0, 1.0)
     assert g.delta_phi == 1.0
     assert g.n_b == 2
 
 
 def test_make_grid_d5():
     g = make_grid(1.0, 5)
-    assert g.lambdas == (-1.0, -0.5, 0.0, 0.5, 1.0)
+    assert levels(g) == (-1.0, -0.5, 0.0, 0.5, 1.0)
     assert g.delta_phi == 0.5
     assert g.n_b == 3
 
@@ -67,8 +67,8 @@ def test_largest_phi_max_has_finite_normalizations(d):
 def test_levels_bit_identical_to_scalar_expression(phi_max):
     for d in range(3, 514, 2):
         g = make_grid(phi_max, d)
-        assert g.lambdas == tuple(-phi_max + n * g.delta_phi for n in range(d)), d
-        assert all(type(lam) is float for lam in g.lambdas)
+        assert levels(g) == tuple(-phi_max + n * g.delta_phi for n in range(d)), d
+        assert all(type(lam) is float for lam in levels(g))
 
 
 def test_spacing_relation():
@@ -81,13 +81,13 @@ def test_spacing_relation():
 def test_eigenvalues_increasing_and_symmetric():
     for d in (3, 9, 51, 513):
         g = make_grid(1.5, d)
-        assert all(a < b for a, b in zip(g.lambdas, g.lambdas[1:]))
-        assert g.lambdas[0] == -g.phi_max
-        assert g.lambdas[-1] == pytest.approx(g.phi_max, abs=1e-14)
-        assert g.lambdas[(d - 1) // 2] == pytest.approx(0.0, abs=1e-14)
+        assert all(a < b for a, b in zip(levels(g), levels(g)[1:]))
+        assert levels(g)[0] == -g.phi_max
+        assert levels(g)[-1] == pytest.approx(g.phi_max, abs=1e-14)
+        assert levels(g)[(d - 1) // 2] == pytest.approx(0.0, abs=1e-14)
         for n in range(d):
-            assert g.lambdas[n] ** 2 == pytest.approx(
-                g.lambdas[d - 1 - n] ** 2, abs=1e-13
+            assert levels(g)[n] ** 2 == pytest.approx(
+                levels(g)[d - 1 - n] ** 2, abs=1e-13
             )
 
 
@@ -134,7 +134,7 @@ def test_squared_mean_small_cases():
 def test_squared_mean_zero_field():
     # degenerate zero-field value, constructed directly since make_grid
     # rejects phi_max = 0 by contract
-    g = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, lambdas=(0.0,) * 5, n_b=3)
+    g = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, n_b=3)
     assert squared_mean(g) == 0.0
 
 

@@ -82,7 +82,7 @@ def test_projector_diag_equals_squared_label(d):
 
 
 def test_projector_diag_rejects_huge_register():
-    fake = FieldGrid(phi_max=1.0, d=3, delta_phi=1.0, lambdas=(-1.0, 0.0, 1.0), n_b=21)
+    fake = FieldGrid(phi_max=1.0, d=3, delta_phi=1.0, n_b=21)
     with pytest.raises(ValueError, match="too large"):
         qubit_projector_diag_oracle(fake)
 
@@ -309,6 +309,6 @@ def test_prep_rejects_broken_normalization():
 
 
 def test_prep_rejects_vanishing_amplitude():
-    g = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, lambdas=(0.0,) * 5, n_b=3)
+    g = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, n_b=3)
     with pytest.raises(ValueError, match="vanishes"):
         prep_ry_schedule(beta_closed_form(g))

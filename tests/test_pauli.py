@@ -5,8 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from quditcost.grid import FieldGrid, make_grid
+from quditcost.grid import FieldGrid, levels, make_grid
+from quditcost.lcu import prep_ry_schedule
 from quditcost.pauli import (
+    ONE_NORM_CLOSED_FORM_D,
     beta_closed_form,
     beta_dft_oracle,
     clock_one_norm,
@@ -51,7 +53,7 @@ def test_closed_form_d5_moduli():
 
 
 def test_zero_field_coefficients_vanish():
-    g = FieldGrid(phi_max=0.0, d=7, delta_phi=0.0, lambdas=(0.0,) * 7, n_b=3)
+    g = FieldGrid(phi_max=0.0, d=7, delta_phi=0.0, n_b=3)
     e = beta_closed_form(g)
     assert all(abs(b) == 0.0 for b in e.betas)
 
@@ -71,7 +73,7 @@ def test_dft_inversion_identity_d7():
     omega = cmath.exp(2j * math.pi / 7)
     for n in range(7):
         recon = sum(e.betas[r] * omega ** (r * n) for r in range(7))
-        assert recon == pytest.approx(g.lambdas[n] ** 2, abs=1e-12)
+        assert recon == pytest.approx(levels(g)[n] ** 2, abs=1e-12)
 
 
 def test_hermiticity():
@@ -117,6 +119,23 @@ def test_one_norm_matches_high_precision(phi_max, d):
     assert math.isclose(clock_one_norm(phi_max, d), mp_one_norm(phi_max, d), rel_tol=1e-13)
 
 
+def mp_half_sum_one_norm(phi_max, d):
+    """The one-norm at 40 significant digits, from the doubled half-range sum."""
+    with mpmath.workdps(40):
+        weights = mpmath.fsum(
+            mpmath.cos(x) / mpmath.sin(x) ** 2
+            for x in (mpmath.pi * r / d for r in range(1, (d + 1) // 2))
+        )
+        return float(mpmath.mpf(phi_max) ** 2 * 4 / (d - 1) ** 2 * weights)
+
+
+def test_one_norm_across_the_closed_form_switch_matches_high_precision():
+    d0 = ONE_NORM_CLOSED_FORM_D
+    for d in [*range(d0 - 20, d0 + 201, 2), 1025, 4097, 14647, 20001]:
+        expected = mp_half_sum_one_norm(1.0, d)
+        assert math.isclose(clock_one_norm(1.0, d), expected, rel_tol=1e-15), d
+
+
 def test_closed_form_expansion_carries_the_shared_one_norm():
     for d in (3, 9, 101):
         g = make_grid(2.5, d)
@@ -158,9 +177,19 @@ def test_sign_threshold_equivalence_full_range():
 
 
 def test_irreducibility_guard():
-    g = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, lambdas=(0.0,) * 5, n_b=3)
+    g = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, n_b=3)
     with pytest.raises(ValueError, match="not irreducible"):
         select_diag_phases(beta_closed_form(g))
+
+
+@pytest.mark.parametrize("d", [14647, 20001])
+def test_smallest_coefficients_pass_the_irreducibility_guard(d):
+    # the smallest |c_r|, about pi phi_max^2 / d^3 at r = (d - 1) / 2, lies
+    # below 1e-12 phi_max^2 here; the guard scales with it
+    e = beta_closed_form(make_grid(1.0, d))
+    assert min(abs(c) for c in e.c_amps) < 1e-12
+    assert len(select_diag_phases(e)) == d
+    assert len(prep_ry_schedule(e).rotations) == d - 1
 
 
 def test_oracle_uses_direct_summation_not_closed_form():
@@ -169,7 +198,7 @@ def test_oracle_uses_direct_summation_not_closed_form():
     d = 9
     g = make_grid(2.0, d)
     e = beta_dft_oracle(g)
-    lam_sq = np.array([lam**2 for lam in g.lambdas])
+    lam_sq = np.array([lam**2 for lam in levels(g)])
     manual = [
         sum(lam_sq[n] * cmath.exp(-2j * math.pi * r * n / d) for n in range(d)) / d
         for r in range(d)

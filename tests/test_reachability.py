@@ -21,6 +21,8 @@ COMMANDS = [
     ["pf-thresholds", "--d-max", "7"],
     ["lcu-table", "--d-max", "7", "--format", "json"],
     ["scan-ratio", "--d-max", "7"],
+    # crosses pauli.ONE_NORM_CLOSED_FORM_D, where the one-norm switches to its closed form
+    ["scan-ratio", "--d-min", "99", "--d-max", "103"],
     ["verify", "--d-max", "5", "--census-max", "5"],
 ]
 
@@ -65,7 +67,7 @@ def called_code_objects():
             codes = [main(argv) for argv in COMMANDS]
     finally:
         sys.setprofile(previous)
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0] * len(COMMANDS)
     return seen
 
 

@@ -4,7 +4,7 @@ import pytest
 from oracles import centered_partial_sum, qubit_trotter_terms
 
 from quditcost.costmodel import SynthesisModel, pf_thresholds
-from quditcost.grid import make_grid, squared_mean
+from quditcost.grid import levels, make_grid, squared_mean
 from quditcost.simverify import apply_z_schedule, equal_up_to_global_phase
 from quditcost.trotter import (
     Rotation,
@@ -146,7 +146,7 @@ def test_qudit_schedule_matches_target_diagonal(t):
     for d in range(3, 65, 2):
         g = make_grid(1.0, d)
         realized = apply_z_schedule(qudit_trotter_angles(g, t))
-        target = tuple(-t * lam**2 for lam in g.lambdas)
+        target = tuple(-t * lam**2 for lam in levels(g))
         ok, err = equal_up_to_global_phase(realized, target, tol=1e-10)
         assert ok, (d, t, err)
 
@@ -184,7 +184,7 @@ def test_centered_partial_sum_against_direct_summation():
         mu = squared_mean(g)
         running = 0.0
         for k in range(d - 1):
-            running += g.lambdas[k] ** 2 - mu
+            running += levels(g)[k] ** 2 - mu
             closed = centered_partial_sum(g, k)
             assert math.isclose(closed, running, rel_tol=1e-11, abs_tol=1e-13)
             assert closed != 0.0
