@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -122,10 +123,15 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.inject_angle_error):
+        raise ConfigError(f"--inject-angle-error must be finite, got {args.inject_angle_error}")
     all_ok = True
     for result in run_suites(args.phi_max, args.d_max, args.census_max, args.inject_angle_error):
         all_ok = all_ok and result.ok
-        line = f"{result.name:<17} {'pass' if result.ok else 'FAIL'}  max_error={result.worst:.3e}"
+        line = (
+            f"{result.name:<17} {'pass' if result.ok else 'FAIL'}  max_error={result.worst:.3e}"
+            f"  cases={result.cases} worst_d={result.worst_d}"
+        )
         if result.detail:
             line += f"  {result.detail}"
         print(line)

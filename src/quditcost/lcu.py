@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grid import FieldGrid, register_width
 from .pauli import PauliExpansion, irreducibility_floor, select_diag_phases
 from .trotter import Rotation, RotationSchedule, reduce_angle
@@ -165,29 +167,27 @@ def fixed_encoding_select_schedule(expansion: PauliExpansion) -> RotationSchedul
     """
     d = expansion.d
     thetas = select_diag_phases(expansion)
-    gamma = sum(thetas) / d
-    rotations = []
-    acc = 0.0
-    for k in range(d - 1):
-        acc += thetas[k] - gamma
-        rotations.append(Rotation("Z", (k, k + 1), reduce_angle(-2.0 * acc)))
-    return RotationSchedule(dim=d, rotations=tuple(rotations), global_phase=gamma)
+    gamma = thetas.mean()
+    partial = np.cumsum(thetas[:-1] - gamma).tolist()
+    rotations = tuple(
+        Rotation("Z", (k, k + 1), reduce_angle(-2.0 * acc)) for k, acc in enumerate(partial)
+    )
+    return RotationSchedule(dim=d, rotations=rotations, global_phase=gamma)
 
 
-def select_vartheta_closed_form(d: int, k: int) -> float:
+def select_vartheta_closed_form(d: int, k: int | np.ndarray) -> float | np.ndarray:
     """Closed form of the selection-schedule angle on pair (k, k+1), unreduced.
 
     With m = (d - 1) / 2: (pi/d) * (k+1) * (4m - k), minus 2*pi * (k - m)
-    once k exceeds m.
+    once k exceeds m.  k may be an integer array, giving the angles of
+    those pairs at once.
     """
     register_width(d)
-    if not 0 <= k <= d - 2:
-        raise ValueError(f"rotation index k={k} outside [0, {d - 2}]")
+    k = np.asarray(k)
+    if k.min() < 0 or k.max() > d - 2:
+        raise ValueError(f"rotation index k outside [0, {d - 2}]")
     m = (d - 1) // 2
-    v = (math.pi / d) * (k + 1) * (4 * m - k)
-    if k > m:
-        v -= 2.0 * math.pi * (k - m)
-    return v
+    return (np.pi / d) * (k + 1) * (4 * m - k) - 2.0 * np.pi * np.maximum(k - m, 0)
 
 
 def select_nontrivial_count(d: int) -> int:
@@ -195,17 +195,15 @@ def select_nontrivial_count(d: int) -> int:
 
     The closed-form angle is pi/d times an integer, so triviality
     (angle = 0 mod 4*pi) reduces to divisibility by 4d and is evaluated in
-    exact integer arithmetic; dense states are never needed here, which
-    keeps census scans over large d cheap.
+    exact integer arithmetic over all pairs at once; dense states are never
+    needed here, which keeps census scans over large d cheap.  The
+    numerators stay below 4 d^2, exact in int64 up to d = 1.5e9.
     """
     register_width(d)
     m = (d - 1) // 2
-    count = 0
-    for k in range(d - 1):
-        numerator = (k + 1) * (4 * m - k) - 2 * d * max(0, k - m)
-        if numerator % (4 * d) != 0:
-            count += 1
-    return count
+    k = np.arange(d - 1, dtype=np.int64)
+    numerator = (k + 1) * (4 * m - k) - 2 * d * np.maximum(k - m, 0)
+    return int(np.count_nonzero(numerator % (4 * d)))
 
 
 def fixed_encoding_call_rotations(d: int) -> int:

@@ -13,8 +13,11 @@ an O(dim) per-rotation state update suffices and no dim x dim matrices
 are ever formed.
 
 The six suites that `quditcost verify` runs check every schedule and
-coefficient construction against this oracle, the DFT oracle or exact
-integer arithmetic, for all odd d up to a cap, and return a SuiteResult.
+coefficient construction against this oracle, the FFT coefficient oracle
+or exact integer arithmetic, for all odd d up to a cap, and return a
+SuiteResult.  The coefficient and census suites compare whole numpy arrays
+per d, O(d log d) and O(d) work, so their caps can reach the thousands.
+A NaN error anywhere is the worst error of its suite and fails it.
 """
 
 from __future__ import annotations
@@ -127,23 +130,28 @@ def equal_up_to_global_phase(
     """Compare two diagonals modulo one overall phase.
 
     Aligns by the phase difference at level 0 and returns (verdict, worst),
-    where worst is the largest modulus of e^(i residual) - 1 over levels.
+    where worst is the largest modulus of e^(i residual) - 1 over levels,
+    NaN if any residual is NaN.
     """
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    anchor = a[0] - b[0]
-    worst = 0.0
-    for pa, pb in zip(a, b):
-        worst = max(worst, abs(cmath.exp(1j * (pa - pb - anchor)) - 1.0))
+    diff = np.subtract(a, b)
+    worst = float(np.max(np.abs(np.exp(1j * (diff - diff[0])) - 1.0)))
     return worst <= tol, worst
 
 
 class SuiteResult(NamedTuple):
-    """Verdict of one verify suite: pass or fail, the worst error, a note."""
+    """Verdict of one verify suite.
+
+    worst is the largest error over the cases (the dimensions checked) and
+    worst_d the dimension where it sits; detail is a note.
+    """
 
     name: str
     ok: bool
     worst: float
+    cases: int
+    worst_d: int
     detail: str = ""
 
 
@@ -151,24 +159,41 @@ def _odd_dimensions(cap: int) -> range:
     return range(3, cap + 1, 2)
 
 
+def _result(
+    name: str, dims: Sequence[int], errors: Sequence[float], bound: float,
+    ok: bool = True, detail: str = "",
+) -> SuiteResult:
+    """Verdict from the worst error at each dimension, which must not exceed bound.
+
+    errors[i] belongs to dims[i].  np.argmax picks the first NaN when there
+    is one, and a NaN worst fails.
+    """
+    i = int(np.argmax(errors))
+    worst = float(errors[i])
+    return SuiteResult(name, ok and worst <= bound, worst, len(dims), dims[i], detail)
+
+
 def suite_trotter(phi_max: float, dense_cap: int) -> SuiteResult:
     """Native step schedules realize diag(e^(-i t lambda_n^2)) at three times."""
-    worst = 0.0
-    for d in _odd_dimensions(dense_cap):
+    dims = _odd_dimensions(dense_cap)
+    errors = []
+    for d in dims:
         grid = make_grid(phi_max, d)
-        lambdas = levels(grid)
-        for t in (0.1, 1.0, 3.7):
-            realized = apply_z_schedule(qudit_trotter_angles(grid, t))
-            target = [-t * lam**2 for lam in lambdas]
-            _, err = equal_up_to_global_phase(realized, target)
-            worst = max(worst, err)
-    return SuiteResult("trotter-schedule", worst <= 1e-10, worst)
+        lam_sq = np.asarray(levels(grid)) ** 2
+        errors.append(np.max([
+            equal_up_to_global_phase(
+                apply_z_schedule(qudit_trotter_angles(grid, t)), -t * lam_sq
+            )[1]
+            for t in (0.1, 1.0, 3.7)
+        ]))
+    return _result("trotter-schedule", dims, errors, 1e-10)
 
 
 def suite_select(phi_max: float, dense_cap: int, inject: float = 0.0) -> SuiteResult:
     """Selection schedules realize the selection phases; inject bends one angle."""
-    worst = 0.0
-    for d in _odd_dimensions(dense_cap):
+    dims = _odd_dimensions(dense_cap)
+    errors = []
+    for d in dims:
         expansion = beta_closed_form(make_grid(phi_max, d))
         schedule = fixed_encoding_select_schedule(expansion)
         if inject:
@@ -176,72 +201,61 @@ def suite_select(phi_max: float, dense_cap: int, inject: float = 0.0) -> SuiteRe
             bent = replace(first, angle=first.angle + inject)
             schedule = replace(schedule, rotations=(bent, *rest))
         realized = apply_z_schedule(schedule)
-        target = select_diag_phases(expansion)
-        _, err = equal_up_to_global_phase(realized, target)
-        worst = max(worst, err)
-    return SuiteResult("select-schedule", worst <= 1e-10, worst)
+        errors.append(equal_up_to_global_phase(realized, select_diag_phases(expansion))[1])
+    return _result("select-schedule", dims, errors, 1e-10)
 
 
 def suite_prep(phi_max: float, dense_cap: int) -> SuiteResult:
     """Preparation schedules load the amplitudes sqrt(|beta_r| / Lambda) from |0>."""
-    worst = 0.0
-    for d in _odd_dimensions(dense_cap):
+    dims = _odd_dimensions(dense_cap)
+    errors = []
+    for d in dims:
         expansion = beta_closed_form(make_grid(phi_max, d))
         state = apply_schedule_to_state(basis_state(d), prep_ry_schedule(expansion))
         target = np.zeros(d)
-        target[1:] = [
-            math.sqrt(abs(b) / expansion.lambda_norm) for b in expansion.betas[1:]
-        ]
-        worst = max(worst, float(np.linalg.norm(state - target)))
-    return SuiteResult("prep-schedule", worst <= 1e-10, worst)
+        target[1:] = np.sqrt(np.abs(expansion.betas[1:]) / expansion.lambda_norm)
+        errors.append(float(np.linalg.norm(state - target)))
+    return _result("prep-schedule", dims, errors, 1e-10)
 
 
 def suite_projector(phi_max: float) -> SuiteResult:
     """The bit-pair projector diagonal equals delta_phi^2 * label^2 exactly, n_b <= 8."""
-    worst = 0.0
-    for n_b in range(2, 9):
-        # both extreme odd dimensions sharing this register width
-        for d in (2 ** (n_b - 1) + 1, 2**n_b - 1):
-            grid = make_grid(phi_max, d)
-            register = SignedBinaryRegister(grid.n_b)
-            oracle = qubit_projector_diag_oracle(grid)
-            scale = grid.delta_phi**2
-            for v in range(register.size):
-                worst = max(worst, abs(oracle[v] - scale * register.label(v) ** 2))
-    return SuiteResult("projector-diag", worst == 0.0, worst)
+    # both extreme odd dimensions sharing each register width
+    dims = [d for n_b in range(2, 9) for d in (2 ** (n_b - 1) + 1, 2**n_b - 1)]
+    errors = []
+    for d in dims:
+        grid = make_grid(phi_max, d)
+        register = SignedBinaryRegister(grid.n_b)
+        labels = np.array([register.label(v) for v in range(register.size)])
+        oracle = np.array(qubit_projector_diag_oracle(grid))
+        errors.append(np.max(np.abs(oracle - grid.delta_phi**2 * labels**2)))
+    return _result("projector-diag", dims, errors, 0.0)
 
 
 def suite_dft(phi_max: float, census_cap: int) -> SuiteResult:
-    """Closed-form coefficients against the DFT oracle: values, Hermiticity, one-norm, signs."""
-    worst_beta = 0.0
-    worst_herm = 0.0
-    worst_lambda = 0.0
+    """Closed-form coefficients against the FFT oracle: values, Hermiticity, one-norm, signs.
+
+    Per d, as arrays: max |closed - oracle| (bound 1e-10), max
+    |beta_(d-r) - conj beta_r| of the closed form (1e-12), the relative
+    one-norm error (1e-10), and c_r < 0 exactly for r >= (d + 1) / 2.
+    """
+    dims = _odd_dimensions(census_cap)
+    errors = np.empty((len(dims), 3))
     signs_ok = True
-    for d in _odd_dimensions(census_cap):
+    for i, d in enumerate(dims):
         grid = make_grid(phi_max, d)
         closed = beta_closed_form(grid)
         oracle = beta_dft_oracle(grid)
-        worst_beta = max(
-            worst_beta, max(abs(a - b) for a, b in zip(closed.betas, oracle.betas))
-        )
-        worst_herm = max(
-            worst_herm,
-            max(
-                abs(closed.betas[d - r] - closed.betas[r].conjugate())
-                for r in range(1, d)
-            ),
-        )
-        worst_lambda = max(
-            worst_lambda,
+        r = np.arange(1, d)
+        errors[i] = (
+            np.max(np.abs(closed.betas - oracle.betas)),
+            np.max(np.abs(closed.betas[d - r] - closed.betas[r].conj())),
             abs(closed.lambda_norm - oracle.lambda_norm) / oracle.lambda_norm,
         )
-        threshold = (d + 1) // 2
-        for r in range(1, d):
-            if (closed.c_amps[r - 1] < 0) != (r >= threshold):
-                signs_ok = False
-    ok = signs_ok and worst_beta <= 1e-10 and worst_herm <= 1e-12 and worst_lambda <= 1e-10
+        signs_ok = signs_ok and np.array_equal(closed.c_amps < 0, r >= (d + 1) // 2)
+    bounds_ok = bool(np.all(errors.max(axis=0) <= (1e-10, 1e-12, 1e-10)))
     detail = "" if signs_ok else "sign-threshold equivalence violated"
-    return SuiteResult("dft-oracle", ok, max(worst_beta, worst_herm, worst_lambda), detail)
+    return _result("dft-oracle", dims, errors.max(axis=1), 1e-10, signs_ok and bounds_ok, detail)
 
 
 def _distinct_prime_count(n: int) -> int:
@@ -271,12 +285,16 @@ def suite_census(phi_max: float, census_cap: int) -> SuiteResult:
     the two values sum to an odd number (j = m is never a root, as
     4m(m+1) = d^2 - 1), so exactly one member is trivial.
     Hence d - 1 - s(d) = 2^(omega(d)-1) - 1, checked for every odd d up
-    to the cap.  The detail lists the offsets that occurred.
+    to the cap.  The error is the schedule's angle gap to the closed form
+    mod 4*pi: fmod is exact, and so is folding |gap| past 2*pi to
+    4*pi - |gap|, so it equals |math.remainder(gap, 4*pi)|.  The detail
+    lists the offsets that occurred.
     """
-    worst = 0.0
+    dims = _odd_dimensions(census_cap)
+    errors = []
     offsets = set()
     ok = True
-    for d in _odd_dimensions(census_cap):
+    for d in dims:
         count = select_nontrivial_count(d)
         offsets.add(d - 1 - count)
         if d - 1 - count != 2 ** (_distinct_prime_count(d) - 1) - 1:
@@ -284,13 +302,12 @@ def suite_census(phi_max: float, census_cap: int) -> SuiteResult:
         schedule = fixed_encoding_select_schedule(beta_closed_form(make_grid(phi_max, d)))
         if schedule.nontrivial_count != count:
             ok = False
-        for k, rot in enumerate(schedule.rotations):
-            gap = math.remainder(
-                rot.angle - select_vartheta_closed_form(d, k), 4.0 * math.pi
-            )
-            worst = max(worst, abs(gap))
+        angles = np.array([rot.angle for rot in schedule.rotations])
+        closed = select_vartheta_closed_form(d, np.arange(d - 1))
+        gap = np.abs(np.fmod(angles - closed, 4.0 * np.pi))
+        errors.append(np.max(np.minimum(gap, 4.0 * np.pi - gap)))
     detail = "offsets d-1-s(d): {" + ", ".join(str(o) for o in sorted(offsets)) + "}"
-    return SuiteResult("select-census", ok and worst <= 1e-9, worst, detail)
+    return _result("select-census", dims, errors, 1e-9, ok, detail)
 
 
 def run_suites(

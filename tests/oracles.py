@@ -9,7 +9,9 @@ that the library uses as closed forms:
 * the centered partial sums behind the native step angles, nonzero for
   every admissible k;
 * the clock-phase ladder of the d-level selection oracle, the n_b
-  rotations inside the hybrid per-call count.
+  rotations inside the hybrid per-call count;
+* the direct O(d^2) Fourier sum of the squared grid levels, which
+  certifies the FFT coefficient oracle `pauli.beta_dft_oracle`.
 
 Angle convention as in `quditcost.trotter`: R_z(theta) = exp(-i theta Z / 2).
 """
@@ -19,7 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from quditcost.grid import FieldGrid, register_width
+import numpy as np
+
+from quditcost.grid import FieldGrid, levels, register_width
 
 
 @dataclass(frozen=True)
@@ -123,3 +127,15 @@ def dclock_realized_phases(d: int) -> list[float]:
     for r in range(2 ** len(angles)):
         out.append(sum(a * (1 - 2 * ((r >> m) & 1)) for m, a in angles))
     return out
+
+
+def direct_dft_coefficients(grid: FieldGrid) -> np.ndarray:
+    """beta_r = (1/d) * sum_n lambda_n^2 * omega^(-r n) as an explicit matrix-vector sum.
+
+    O(d^2) time and memory.  The exponent r n is reduced mod d in integers
+    first, so every kernel entry is e^(-2 pi i j/d) with 0 <= j < d.
+    """
+    d = grid.d
+    indices = np.arange(d)
+    kernel = np.exp(-2j * np.pi * (np.outer(indices, indices) % d) / d)
+    return kernel @ (np.asarray(levels(grid)) ** 2) / d

@@ -140,6 +140,47 @@ def test_verify_detects_injected_angle_error(capsys):
     assert any("select-schedule" in ln and "FAIL" in ln for ln in out.splitlines())
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_verify_rejects_a_nonfinite_injected_error(capsys, bad):
+    code, out, err = run_cli(
+        capsys, "verify", "--d-max", "5", "--census-max", "5", "--inject-angle-error", bad
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "--inject-angle-error" in err
+
+
+def test_verify_lines_say_how_many_cases_and_where_the_worst_error_sits(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--d-max", "5", "--census-max", "5")
+    assert code == 0
+    lines = [line.split() for line in out.splitlines()]
+    # the name, the verdict and max_error keep their columns
+    assert [fields[:2] for fields in lines] == [
+        ["trotter-schedule", "pass"],
+        ["select-schedule", "pass"],
+        ["prep-schedule", "pass"],
+        ["projector-diag", "pass"],
+        ["dft-oracle", "pass"],
+        ["select-census", "pass"],
+    ]
+    assert all(fields[2].startswith("max_error=") for fields in lines)
+    # the projector checks both extreme odd d of each width n_b = 2 .. 8,
+    # all exactly, so its worst (zero) error is first seen at d = 3
+    assert [fields[3] for fields in lines] == ["cases=2"] * 3 + ["cases=14"] + ["cases=2"] * 2
+    assert lines[3][4] == "worst_d=3"
+    for fields in lines[:3] + lines[4:]:
+        assert fields[4] in ("worst_d=3", "worst_d=5")
+
+
+def test_verify_passes_at_census_cap_2049(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--census-max", "2049")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 6
+    assert all(line.split()[1] == "pass" for line in lines)
+
+
 @pytest.mark.parametrize("bad_phi", ["nan", "inf"])
 def test_scan_ratio_nonfinite_phi_max_is_config_error(capsys, bad_phi):
     code, out, err = run_cli(capsys, "scan-ratio", "--phi-max", bad_phi)

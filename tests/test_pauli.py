@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from oracles import direct_dft_coefficients
 
 from quditcost.grid import FieldGrid, levels, make_grid
 from quditcost.lcu import prep_ry_schedule
@@ -65,6 +66,18 @@ def test_dft_oracle_agrees_small():
         worst = max(abs(a - b) for a, b in zip(closed.betas, oracle.betas))
         tol = 1e-12 if d <= 7 else 1e-10
         assert worst < tol, (d, worst)
+
+
+@pytest.mark.parametrize("phi_max", [1.0, 2.5])
+def test_fft_oracle_matches_direct_sum(phi_max):
+    # the direct sum certifies the FFT, within tolerances tighter than the
+    # dft-oracle suite's bounds (1e-10 on coefficients and on the one-norm)
+    for d in [*range(3, 258, 2), 513]:
+        grid = make_grid(phi_max, d)
+        fft = beta_dft_oracle(grid)
+        direct = direct_dft_coefficients(grid)
+        assert np.max(np.abs(fft.betas - direct)) <= 1e-12 * phi_max**2, d
+        assert math.isclose(fft.lambda_norm, np.abs(direct[1:]).sum(), rel_tol=1e-11), d
 
 
 def test_dft_inversion_identity_d7():
@@ -192,7 +205,7 @@ def test_smallest_coefficients_pass_the_irreducibility_guard(d):
     assert len(prep_ry_schedule(e).rotations) == d - 1
 
 
-def test_oracle_uses_direct_summation_not_closed_form():
+def test_oracle_matches_direct_summation_not_closed_form():
     # sanity: the oracle reproduces an arbitrary diagonal's transform, so it
     # cannot secretly depend on the squared-field closed form
     d = 9

@@ -1,9 +1,11 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from quditcost import simverify
 from quditcost.simverify import (
     apply_rotation_to_state,
     apply_schedule_to_state,
@@ -12,6 +14,7 @@ from quditcost.simverify import (
     equal_up_to_global_phase,
     run_suites,
     suite_census,
+    suite_dft,
 )
 from quditcost.trotter import Rotation, RotationSchedule
 
@@ -150,6 +153,12 @@ def test_equal_up_to_global_phase_single_level_offset():
     assert err == pytest.approx(abs(np.exp(0.7j) - 1.0))
 
 
+def test_equal_up_to_global_phase_propagates_nan():
+    ok, err = equal_up_to_global_phase((0.1, math.nan, 2.0), (0.1, -0.4, 2.0))
+    assert not ok
+    assert math.isnan(err)
+
+
 def test_equal_up_to_global_phase_dim_mismatch():
     with pytest.raises(ValueError):
         equal_up_to_global_phase((0.0, 0.0), (0.0,) * 3)
@@ -191,3 +200,73 @@ def test_run_suites_yields_six_named_results():
 def test_run_suites_rejects_caps(dense_cap, census_cap):
     with pytest.raises(ValueError):
         next(run_suites(1.0, dense_cap, census_cap))
+
+
+def closed_form_with(monkeypatch, change):
+    """Make the suites see the closed-form expansion as change(grid, expansion) returns it."""
+    closed = simverify.beta_closed_form
+    monkeypatch.setattr(
+        simverify, "beta_closed_form", lambda grid: change(grid, closed(grid))
+    )
+
+
+def with_beta(r, value, only_d=None):
+    """A change that moves beta_r by value (at every d, or only at only_d)."""
+
+    def change(grid, expansion):
+        if only_d not in (None, grid.d):
+            return expansion
+        betas = expansion.betas.copy()
+        betas[r] += value
+        return replace(expansion, betas=betas)
+
+    return change
+
+
+def test_dft_suite_fails_on_a_perturbed_coefficient(monkeypatch):
+    phi_max = 2.5
+    closed_form_with(monkeypatch, with_beta(1, 1e-9 * phi_max**2))
+    result = suite_dft(phi_max, 15)
+    assert not result.ok
+    assert result.worst >= 1e-9 * phi_max**2
+
+
+def test_dft_suite_names_the_dimension_of_its_worst_error(monkeypatch):
+    closed_form_with(monkeypatch, with_beta(2, 1e-9, only_d=7))
+    result = suite_dft(1.0, 15)
+    assert not result.ok
+    assert (result.cases, result.worst_d) == (7, 7)
+
+
+def test_dft_suite_fails_on_a_nan_coefficient(monkeypatch):
+    closed_form_with(monkeypatch, with_beta(1, math.nan))
+    result = suite_dft(1.0, 15)
+    assert not result.ok
+    assert math.isnan(result.worst)
+    assert result.worst_d == 3
+
+
+def test_dft_suite_detects_a_flipped_sign(monkeypatch):
+    def flip(grid, expansion):
+        c_amps = expansion.c_amps.copy()
+        c_amps[0] = -c_amps[0]
+        return replace(expansion, c_amps=c_amps)
+
+    closed_form_with(monkeypatch, flip)
+    result = suite_dft(1.0, 15)
+    assert not result.ok
+    assert result.detail == "sign-threshold equivalence violated"
+    # the coefficients themselves still agree with the oracle
+    assert result.worst <= 1e-10
+
+
+def test_census_suite_fails_on_an_off_by_one_count(monkeypatch):
+    count = simverify.select_nontrivial_count
+    monkeypatch.setattr(simverify, "select_nontrivial_count", lambda d: count(d) + 1)
+    assert not suite_census(1.0, 15).ok
+
+
+def test_select_suite_fails_on_a_nan_angle():
+    select = next(r for r in run_suites(1.0, 9, 15, math.nan) if r.name == "select-schedule")
+    assert not select.ok
+    assert math.isnan(select.worst)
