@@ -14,6 +14,8 @@ model combines binary-register preparation with the d-level selection, for
 2 * (2^n_b - 1) + n_b synthesized rotations plus 4 * n_b direct T gates.
 The tests build the clock ladder (tests/oracles.py); the sign flip marks
 r >= (d + 1) / 2, the coefficient sign rule the dft-oracle suite checks.
+Both schedules are angle arrays: the selection is a trotter.ZLadder, the
+preparation the d - 1 Y angles on the pairs (0, r).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .grid import FieldGrid, register_width
 from .pauli import PauliExpansion, irreducibility_floor, select_diag_phases
-from .trotter import Rotation, RotationSchedule, reduce_angle
+from .trotter import ZLadder, reduce_angles
 
 # Fault-tolerant conversion convention: one Toffoli costs four T gates.
 TOFFOLI_T_COST = 4
@@ -156,23 +158,18 @@ def qudit_hybrid_call_cost(d: int) -> QuditHybridCost:
     )
 
 
-def fixed_encoding_select_schedule(expansion: PauliExpansion) -> RotationSchedule:
-    """Adjacent-pair Z schedule implementing the selection diagonal natively.
+def fixed_encoding_select_schedule(expansion: PauliExpansion) -> ZLadder:
+    """Adjacent-pair Z ladder implementing the selection diagonal natively.
 
     Built by the direct prefix-sum construction: with theta_n the per-level
     phases and gamma their mean, the angle on pair (k, k+1) is
     -2 * sum_{n<=k} (theta_n - gamma), reduced to (-2*pi, 2*pi]; the
-    recorded global phase is gamma.  The closed form in
+    global phase is gamma.  The closed form in
     select_vartheta_closed_form must agree mod 4*pi.
     """
-    d = expansion.d
     thetas = select_diag_phases(expansion)
     gamma = thetas.mean()
-    partial = np.cumsum(thetas[:-1] - gamma).tolist()
-    rotations = tuple(
-        Rotation("Z", (k, k + 1), reduce_angle(-2.0 * acc)) for k, acc in enumerate(partial)
-    )
-    return RotationSchedule(dim=d, rotations=rotations, global_phase=gamma)
+    return ZLadder(reduce_angles(-2.0 * np.cumsum(thetas[:-1] - gamma)), gamma)
 
 
 def select_vartheta_closed_form(d: int, k: int | np.ndarray) -> float | np.ndarray:
@@ -217,45 +214,39 @@ def fixed_encoding_call_rotations(d: int) -> int:
     return 3 * d - 3
 
 
-def prep_ry_schedule(expansion: PauliExpansion) -> RotationSchedule:
-    """Two-level Y schedule preparing amplitudes sqrt(|beta_r| / Lambda) from |0>.
+def prep_ry_schedule(expansion: PauliExpansion) -> np.ndarray:
+    """Two-level Y angles preparing amplitudes sqrt(|beta_r| / Lambda) from |0>.
 
-    Rotation r acts on levels (0, r) and satisfies
-    sin(theta_r / 2) = a_r / prod_{k<r} cos(theta_k / 2).  The running
-    cosine product equals the square root of the remaining tail mass, so
-    each angle is assembled from its sine and cosine legs via atan2 on the
-    exact tail sums; this keeps the final rotation an exact half-turn and
-    the leftover amplitude on level 0 at roundoff level.
+    The d - 1 angles are applied in order, rotation r on levels (0, r),
+    and satisfy sin(theta_r / 2) = a_r / prod_{k<r} cos(theta_k / 2).  The
+    running cosine product equals the square root of the remaining tail
+    mass, so each angle is assembled from its sine and cosine legs via
+    atan2 on the exact tail sums; this keeps the final rotation an exact
+    half-turn and the leftover amplitude on level 0 at roundoff level.
 
     Raises:
         ValueError: on a vanishing amplitude or a recursion ratio exceeding
             1 + 1e-9 (either signals broken normalization upstream).
     """
-    d = expansion.d
-    floor = irreducibility_floor(expansion)
-    amps = []
-    for r in range(1, d):
-        b = abs(expansion.betas[r])
-        if b <= floor:
-            raise ValueError(f"coefficient beta_{r} vanishes; nothing to prepare on |{r}>")
-        amps.append(math.sqrt(b / expansion.lambda_norm))
+    b = np.abs(expansion.betas[1:])
+    vanishing = np.flatnonzero(b <= irreducibility_floor(expansion))
+    if vanishing.size:
+        r = vanishing[0] + 1
+        raise ValueError(f"coefficient beta_{r} vanishes; nothing to prepare on |{r}>")
+    amps = np.sqrt(b / expansion.lambda_norm)
 
     # tail[i] = sum of squared amplitudes from position i on; the final
     # entry is the exact empty sum, so the last angle is an exact half-turn.
-    tail = [0.0] * (len(amps) + 1)
-    for i in range(len(amps) - 1, -1, -1):
-        tail[i] = tail[i + 1] + amps[i] ** 2
+    tail = np.append(np.cumsum(np.square(amps[::-1]))[::-1], 0.0)
+    angles = 2.0 * np.arctan2(amps, np.sqrt(tail[1:]))
 
-    rotations = []
-    cos_product = 1.0  # literal recursion denominator, prod_{k<r} cos(theta_k / 2)
-    for i, a in enumerate(amps):
-        ratio = a / cos_product if cos_product > 0.0 else math.inf
-        if ratio > 1.0 + 1e-9:
-            raise ValueError(
-                f"preparation ratio {ratio} exceeds 1 at level {i + 1}; "
-                "amplitude normalization is inconsistent"
-            )
-        angle = 2.0 * math.atan2(a, math.sqrt(tail[i + 1]))
-        rotations.append(Rotation("Y", (0, i + 1), angle))
-        cos_product *= math.cos(angle / 2.0)
-    return RotationSchedule(dim=d, rotations=tuple(rotations), global_phase=0.0)
+    # a_r over the literal recursion denominator prod_{k<r} cos(theta_k / 2)
+    ratios = amps / np.cumprod(np.append(1.0, np.cos(angles[:-1] / 2.0)))
+    broken = np.flatnonzero(ratios > 1.0 + 1e-9)
+    if broken.size:
+        i = broken[0]
+        raise ValueError(
+            f"preparation ratio {ratios[i]} exceeds 1 at level {i + 1}; "
+            "amplitude normalization is inconsistent"
+        )
+    return angles

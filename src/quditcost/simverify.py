@@ -1,16 +1,14 @@
-"""Dense verification oracle for rotation schedules, and the verify suites.
+"""Simulation oracles for the angle schedules, and the verify suites.
 
-States are flat complex numpy vectors of dimension at most DIM_CAP.
 Diagonal unitaries are represented by their per-level phase exponents: a
 sequence of phases p_n stands for diag(e^(i p_n)), so composition is
 additive and equality up to a global phase reduces to comparing phase
 differences anchored at level 0.  In both, the dimension is the length.
-A Z rotation on the pair (b, c) therefore shifts p_b by -angle/2 and p_c
-by +angle/2; a schedule's global phase is added uniformly.
-
-All targets here are diagonal unitaries or single state preparations, so
-an O(dim) per-rotation state update suffices and no dim x dim matrices
-are ever formed.
+A Z ladder's angle on the pair (k, k+1) shifts p_k by -angle/2 and
+p_(k+1) by +angle/2, and its global phase is added uniformly
+(ladder_diagonal).  A preparation is applied to |0> one 2x2 Y block at a
+time (fan_state).  Both are O(dim) per schedule; no dim x dim matrices are
+formed.
 
 The six suites that `quditcost verify` runs check every schedule and
 coefficient construction against this oracle, the FFT coefficient oracle
@@ -22,10 +20,8 @@ A NaN error anywhere is the worst error of its suite and fails it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -40,88 +36,47 @@ from .lcu import (
     select_vartheta_closed_form,
 )
 from .pauli import beta_closed_form, beta_dft_oracle, select_diag_phases
-from .trotter import RotationSchedule, qudit_trotter_angles
+from .trotter import ZLadder, qudit_trotter_angles, reduce_angles
 
 # largest dimension of the dense suites, and the default cap of the others
 DIM_CAP = 64
 CENSUS_CAP = 513
 
+# A rotation is the identity when its angle lies in 4*pi*Z within this tolerance.
+TRIVIAL_ANGLE_TOL = 1e-10
 
-def basis_state(dim: int, level: int = 0, cap: int = DIM_CAP) -> np.ndarray:
-    """Computational basis state |level> of the given dimension."""
-    if dim > cap:
-        raise ValueError(f"dimension {dim} exceeds dense verification cap {cap}")
-    if not 0 <= level < dim:
-        raise ValueError(f"level {level} outside dimension {dim}")
-    amps = np.zeros(dim, dtype=complex)
-    amps[level] = 1.0
+
+def ladder_diagonal(ladder: ZLadder) -> np.ndarray:
+    """Per-level phases of the diagonal a Z ladder realizes.
+
+    angles[k] shifts level k by -angles[k]/2 and level k + 1 by
+    +angles[k]/2; the global phase is added to every level.
+    """
+    half = 0.5 * ladder.angles
+    phases = np.zeros(len(half) + 1)
+    phases[:-1] -= half
+    phases[1:] += half
+    return phases + ladder.global_phase
+
+
+def fan_state(angles: Sequence[float]) -> np.ndarray:
+    """State reached from |0> by the Y rotations angles[r - 1] on levels (0, r), in order.
+
+    Each rotation is its 2x2 block on the amplitudes of |0> and |r>,
+    sending |0> to cos(angle/2) |0> + sin(angle/2) |r>; no other
+    component moves.
+    """
+    amps = np.zeros(len(angles) + 1)
+    amps[0] = 1.0
+    for r, angle in enumerate(angles, 1):
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        amps[0], amps[r] = c * amps[0] - s * amps[r], s * amps[0] + c * amps[r]
     return amps
 
 
-def apply_rotation_to_state(
-    state: np.ndarray, axis: str, levels: tuple[int, int], angle: float
-) -> np.ndarray:
-    """Apply one embedded two-level rotation to a copy of the state.
-
-    The Y block sends |b> to cos(angle/2) |b> + sin(angle/2) |c>; the Z
-    block is the phase pair (e^(-i angle/2), e^(+i angle/2)); all other
-    components are untouched.
-
-    Raises:
-        ValueError: for a bad level pair or axis, or a norm drift (NaN angle).
-    """
-    b, c = levels
-    if not 0 <= b < c < len(state):
-        raise ValueError(f"level pair {levels} out of range for dimension {len(state)}")
-    amps = state.copy()
-    if axis == "Z":
-        amps[b] *= cmath.exp(-0.5j * angle)
-        amps[c] *= cmath.exp(+0.5j * angle)
-    elif axis == "Y":
-        half_cos = math.cos(angle / 2.0)
-        half_sin = math.sin(angle / 2.0)
-        amps[b], amps[c] = (
-            half_cos * amps[b] - half_sin * amps[c],
-            half_sin * amps[b] + half_cos * amps[c],
-        )
-    else:
-        raise ValueError(f"unknown rotation axis {axis!r}")
-    # written so that a NaN drift fails the check as well
-    if not abs(np.linalg.norm(amps) - np.linalg.norm(state)) < 1e-12:
-        raise ValueError(f"rotation by angle {angle} drifted the state norm")
-    return amps
-
-
-def apply_schedule_to_state(state: np.ndarray, schedule: RotationSchedule) -> np.ndarray:
-    """Apply a whole schedule in sequence order, including its global phase."""
-    if schedule.dim != len(state):
-        raise ValueError(
-            f"schedule dimension {schedule.dim} does not match state dimension {len(state)}"
-        )
-    for rot in schedule.rotations:
-        state = apply_rotation_to_state(state, rot.axis, rot.levels, rot.angle)
-    if schedule.global_phase != 0.0:
-        state = state * cmath.exp(1j * schedule.global_phase)
-    return state
-
-
-def apply_z_schedule(schedule: RotationSchedule) -> tuple[float, ...]:
-    """Accumulate the diagonal realized by an all-Z schedule.
-
-    Raises:
-        ValueError: if the schedule contains a non-Z rotation.
-    """
-    phases = [0.0] * schedule.dim
-    for rot in schedule.rotations:
-        if rot.axis != "Z":
-            raise ValueError(
-                f"schedule contains a non-Z rotation ({rot.axis} on {rot.levels})"
-            )
-        b, c = rot.levels
-        phases[b] -= 0.5 * rot.angle
-        phases[c] += 0.5 * rot.angle
-    g = schedule.global_phase
-    return tuple(p + g for p in phases)
+def nontrivial_count(angles: np.ndarray) -> int:
+    """Number of rotations whose angle is off 4*pi*Z by more than TRIVIAL_ANGLE_TOL."""
+    return len(angles) - int(np.count_nonzero(np.abs(reduce_angles(angles)) <= TRIVIAL_ANGLE_TOL))
 
 
 def equal_up_to_global_phase(
@@ -182,7 +137,7 @@ def suite_trotter(phi_max: float, dense_cap: int) -> SuiteResult:
         lam_sq = np.asarray(levels(grid)) ** 2
         errors.append(np.max([
             equal_up_to_global_phase(
-                apply_z_schedule(qudit_trotter_angles(grid, t)), -t * lam_sq
+                ladder_diagonal(qudit_trotter_angles(grid, t)), -t * lam_sq
             )[1]
             for t in (0.1, 1.0, 3.7)
         ]))
@@ -195,12 +150,9 @@ def suite_select(phi_max: float, dense_cap: int, inject: float = 0.0) -> SuiteRe
     errors = []
     for d in dims:
         expansion = beta_closed_form(make_grid(phi_max, d))
-        schedule = fixed_encoding_select_schedule(expansion)
-        if inject:
-            first, *rest = schedule.rotations
-            bent = replace(first, angle=first.angle + inject)
-            schedule = replace(schedule, rotations=(bent, *rest))
-        realized = apply_z_schedule(schedule)
+        ladder = fixed_encoding_select_schedule(expansion)
+        ladder.angles[0] += inject
+        realized = ladder_diagonal(ladder)
         errors.append(equal_up_to_global_phase(realized, select_diag_phases(expansion))[1])
     return _result("select-schedule", dims, errors, 1e-10)
 
@@ -211,7 +163,7 @@ def suite_prep(phi_max: float, dense_cap: int) -> SuiteResult:
     errors = []
     for d in dims:
         expansion = beta_closed_form(make_grid(phi_max, d))
-        state = apply_schedule_to_state(basis_state(d), prep_ry_schedule(expansion))
+        state = fan_state(prep_ry_schedule(expansion))
         target = np.zeros(d)
         target[1:] = np.sqrt(np.abs(expansion.betas[1:]) / expansion.lambda_norm)
         errors.append(float(np.linalg.norm(state - target)))
@@ -236,11 +188,13 @@ def suite_dft(phi_max: float, census_cap: int) -> SuiteResult:
     """Closed-form coefficients against the FFT oracle: values, Hermiticity, one-norm, signs.
 
     Per d, as arrays: max |closed - oracle| (bound 1e-10), max
-    |beta_(d-r) - conj beta_r| of the closed form (1e-12), the relative
-    one-norm error (1e-10), and c_r < 0 exactly for r >= (d + 1) / 2.
+    |beta_(d-r) - conj beta_r| of the closed form (1e-12), both relative
+    to phi_max^2, the scale of every coefficient; the relative one-norm
+    error (1e-10); and c_r < 0 exactly for r >= (d + 1) / 2.
     """
     dims = _odd_dimensions(census_cap)
     errors = np.empty((len(dims), 3))
+    scale = phi_max * phi_max
     signs_ok = True
     for i, d in enumerate(dims):
         grid = make_grid(phi_max, d)
@@ -248,8 +202,8 @@ def suite_dft(phi_max: float, census_cap: int) -> SuiteResult:
         oracle = beta_dft_oracle(grid)
         r = np.arange(1, d)
         errors[i] = (
-            np.max(np.abs(closed.betas - oracle.betas)),
-            np.max(np.abs(closed.betas[d - r] - closed.betas[r].conj())),
+            np.max(np.abs(closed.betas - oracle.betas)) / scale,
+            np.max(np.abs(closed.betas[d - r] - closed.betas[r].conj())) / scale,
             abs(closed.lambda_norm - oracle.lambda_norm) / oracle.lambda_norm,
         )
         signs_ok = signs_ok and np.array_equal(closed.c_amps < 0, r >= (d + 1) // 2)
@@ -285,28 +239,32 @@ def suite_census(phi_max: float, census_cap: int) -> SuiteResult:
     the two values sum to an odd number (j = m is never a root, as
     4m(m+1) = d^2 - 1), so exactly one member is trivial.
     Hence d - 1 - s(d) = 2^(omega(d)-1) - 1, checked for every odd d up
-    to the cap.  The error is the schedule's angle gap to the closed form
-    mod 4*pi: fmod is exact, and so is folding |gap| past 2*pi to
-    4*pi - |gap|, so it equals |math.remainder(gap, 4*pi)|.  The detail
-    lists the offsets that occurred.
+    to the cap.  The float schedule must count the same nontrivial
+    rotations (|angle| mod 4*pi above TRIVIAL_ANGLE_TOL).  The error is
+    the schedule's angle gap to the closed form mod 4*pi: fmod is exact,
+    and so is folding |gap| past 2*pi to 4*pi - |gap|, so it equals
+    |math.remainder(gap, 4*pi)|.  The detail names the first d where the
+    float and exact counts differ, and lists the offsets that occurred.
     """
     dims = _odd_dimensions(census_cap)
     errors = []
     offsets = set()
     ok = True
+    mismatch = ""
     for d in dims:
         count = select_nontrivial_count(d)
         offsets.add(d - 1 - count)
         if d - 1 - count != 2 ** (_distinct_prime_count(d) - 1) - 1:
             ok = False
-        schedule = fixed_encoding_select_schedule(beta_closed_form(make_grid(phi_max, d)))
-        if schedule.nontrivial_count != count:
+        angles = fixed_encoding_select_schedule(beta_closed_form(make_grid(phi_max, d))).angles
+        floats = nontrivial_count(angles)
+        if floats != count:
             ok = False
-        angles = np.array([rot.angle for rot in schedule.rotations])
+            mismatch = mismatch or f"count mismatch at d={d} (float {floats}, exact {count})  "
         closed = select_vartheta_closed_form(d, np.arange(d - 1))
         gap = np.abs(np.fmod(angles - closed, 4.0 * np.pi))
         errors.append(np.max(np.minimum(gap, 4.0 * np.pi - gap)))
-    detail = "offsets d-1-s(d): {" + ", ".join(str(o) for o in sorted(offsets)) + "}"
+    detail = mismatch + "offsets d-1-s(d): {" + ", ".join(str(o) for o in sorted(offsets)) + "}"
     return _result("select-census", dims, errors, 1e-9, ok, detail)
 
 

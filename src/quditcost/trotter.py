@@ -1,4 +1,4 @@
-"""Rotation schedules, and the single native step of exp(-i t phi^2).
+"""Angle conventions, and the single native step of exp(-i t phi^2).
 
 On a d-level system the step's diagonal factors into d - 1 rotations on
 adjacent level pairs, with angles given by twice the centered partial
@@ -7,94 +7,68 @@ with needs n_b * (n_b + 1) / 2 synthesized Z / ZZ rotations; the tests
 build that circuit (tests/oracles.py) to certify the count.
 
 Rotation angle conventions are fixed here once (R_z(theta) = exp(-i theta Z / 2),
-so theta = 2 * coefficient * t) and validated against the dense simulation
-oracle rather than by convention agreement.  Schedules hold Y rotations
-(state preparation) and Z rotations (diagonals) only.
+so theta = 2 * coefficient * t) and validated against the simulation
+oracle in simverify rather than by convention agreement.  A schedule is
+an array of angles whose level pairs its builder fixes: a ZLadder holds
+Z rotations on the adjacent pairs (k, k+1), and the preparation in lcu
+holds Y rotations on the pairs (0, r).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from .grid import FieldGrid, levels, squared_mean
 
-AXES = ("Y", "Z")
-
-# Two-level rotations are 4*pi periodic; triviality is membership of the
-# angle in 4*pi*Z within this tolerance.
-ANGLE_PERIOD = 4.0 * math.pi
-TRIVIAL_ANGLE_TOL = 1e-10
+# Two-level rotations are 4*pi periodic.
+ANGLE_PERIOD = 4.0 * np.pi
 
 
-def is_trivial_angle(angle: float, tol: float = TRIVIAL_ANGLE_TOL) -> bool:
-    """True when the rotation is the identity, i.e. angle = 0 mod 4*pi."""
-    return abs(math.remainder(angle, ANGLE_PERIOD)) <= tol
+class ZLadder(NamedTuple):
+    """Z rotations on the adjacent pairs, angles[k] on (k, k+1), plus a global phase.
+
+    The represented unitary is e^(i * global_phase) times the product of
+    the rotations exp(-i * angles[k] / 2 * Z_(k, k+1)).
+    """
+
+    angles: np.ndarray
+    global_phase: float
 
 
-def reduce_angle(angle: float) -> float:
-    """Canonical mod-4*pi representative in (-2*pi, 2*pi]."""
-    r = math.remainder(angle, ANGLE_PERIOD)
-    if r <= -2.0 * math.pi:
-        r += ANGLE_PERIOD
+def reduce_angles(angles: np.ndarray) -> np.ndarray:
+    """Canonical mod-4*pi representatives in (-2*pi, 2*pi].
+
+    fmod is exact, and so is each shift by 4*pi past +-2*pi (Sterbenz), so
+    every value equals math.remainder(angle, 4*pi) with -2*pi moved to
+    2*pi, bit for bit.
+    """
+    r = np.fmod(angles, ANGLE_PERIOD)
+    r[r > 0.5 * ANGLE_PERIOD] -= ANGLE_PERIOD
+    r[r <= -0.5 * ANGLE_PERIOD] += ANGLE_PERIOD
     return r
 
 
-@dataclass(frozen=True)
-class Rotation:
-    """One embedded two-level rotation: exp(-i * angle / 2 * G) on levels (b, c)."""
-
-    axis: str
-    levels: tuple[int, int]
-    angle: float
-
-
-@dataclass(frozen=True)
-class RotationSchedule:
-    """Ordered list of embedded two-level rotations plus a global phase.
-
-    The represented unitary is e^(i * global_phase) times the product of
-    the rotations, applied to states in sequence order (rotations[0] first).
-    """
-
-    dim: int
-    rotations: tuple[Rotation, ...]
-    global_phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        for rot in self.rotations:
-            if rot.axis not in AXES:
-                raise ValueError(f"unknown rotation axis {rot.axis!r}")
-            b, c = rot.levels
-            if not 0 <= b < c < self.dim:
-                raise ValueError(
-                    f"level pair {rot.levels} invalid for dimension {self.dim}"
-                )
-
-    @cached_property
-    def nontrivial_count(self) -> int:
-        """Number of rotations whose angle is not 0 mod 4*pi."""
-        return sum(1 for rot in self.rotations if not is_trivial_angle(rot.angle))
-
-
-def qudit_trotter_angles(grid: FieldGrid, t: float) -> RotationSchedule:
-    """Adjacent-pair Z rotation schedule for one native d-level step.
+def qudit_trotter_angles(grid: FieldGrid, t: float) -> ZLadder:
+    """Adjacent-pair Z ladder for one native d-level step.
 
     Angles are twice the running centered partial sums
     theta_k = 2 * sum_{n<=k} (t * lambda_n^2 - t * mu), reduced to
-    (-2*pi, 2*pi]; the recorded global phase is -t * mu, so that
-    e^(i * global_phase) times the rotation product equals
+    (-2*pi, 2*pi]; the global phase is -t * mu, so that the ladder equals
     diag(e^(-i t lambda_n^2)) exactly.
+
+    Raises:
+        ValueError: if an unreduced angle is not finite, which names
+            phi_max and t.
     """
     mu = squared_mean(grid)
-    lambdas = levels(grid)
-    rotations = []
-    acc = 0.0
-    for k in range(grid.d - 1):
-        acc += t * lambdas[k] ** 2 - t * mu
-        rotations.append(Rotation("Z", (k, k + 1), reduce_angle(2.0 * acc)))
-    return RotationSchedule(
-        dim=grid.d, rotations=tuple(rotations), global_phase=-t * mu
-    )
-
+    lam_sq = np.square(levels(grid)[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = 2.0 * np.cumsum(t * lam_sq - t * mu)
+    if not np.isfinite(angles).all():
+        raise ValueError(
+            f"phi_max={grid.phi_max} with t={t} is too large: "
+            "the step angles 2 t sum(lambda^2 - mu) overflow"
+        )
+    return ZLadder(reduce_angles(angles), -t * mu)

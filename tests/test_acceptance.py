@@ -22,12 +22,7 @@ from quditcost.lcu import (
     select_nontrivial_count,
 )
 from quditcost.pauli import beta_closed_form, beta_dft_oracle, select_diag_phases
-from quditcost.simverify import (
-    apply_schedule_to_state,
-    apply_z_schedule,
-    basis_state,
-    equal_up_to_global_phase,
-)
+from quditcost.simverify import equal_up_to_global_phase, fan_state, ladder_diagonal
 from quditcost.trotter import qudit_trotter_angles
 
 PRIMES_TO_19 = [3, 5, 7, 11, 13, 17, 19]
@@ -130,19 +125,19 @@ def test_criterion_8_decomposition_oracles():
 
         # (a) native step schedule reproduces diag(e^(-i t (lambda^2 - mu)))
         for t in (0.1, 1.0, 3.7):
-            realized = apply_z_schedule(qudit_trotter_angles(grid, t))
+            realized = ladder_diagonal(qudit_trotter_angles(grid, t))
             target = tuple(-t * lam**2 for lam in levels(grid))
             good, err = equal_up_to_global_phase(realized, target, tol=1e-10)
             ok, worst = ok and good, max(worst, err)
 
         # (b) selection schedule reproduces the phase diagonal
-        realized = apply_z_schedule(fixed_encoding_select_schedule(expansion))
+        realized = ladder_diagonal(fixed_encoding_select_schedule(expansion))
         target = select_diag_phases(expansion)
         good, err = equal_up_to_global_phase(realized, target, tol=1e-10)
         ok, worst = ok and good, max(worst, err)
 
         # (c) preparation schedule loads the coefficient amplitudes
-        state = apply_schedule_to_state(basis_state(d), prep_ry_schedule(expansion))
+        state = fan_state(prep_ry_schedule(expansion))
         amps = np.zeros(d)
         amps[1:] = [
             math.sqrt(abs(b) / expansion.lambda_norm) for b in expansion.betas[1:]

@@ -181,6 +181,26 @@ def test_verify_passes_at_census_cap_2049(capsys):
     assert all(line.split()[1] == "pass" for line in lines)
 
 
+def test_verify_passes_at_phi_max_10(capsys):
+    # the coefficient bounds are relative to phi_max^2, so a correct closed
+    # form passes at any amplitude scale
+    code, out, _ = run_cli(capsys, "verify", "--phi-max", "10")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 6
+    assert all(line.split()[1] == "pass" for line in lines)
+
+
+def test_verify_rejects_an_overflowing_step_phase(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--phi-max", "6e153", "--d-max", "9", "--census-max", "9"
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "phi_max" in err
+
+
 @pytest.mark.parametrize("bad_phi", ["nan", "inf"])
 def test_scan_ratio_nonfinite_phi_max_is_config_error(capsys, bad_phi):
     code, out, err = run_cli(capsys, "scan-ratio", "--phi-max", bad_phi)

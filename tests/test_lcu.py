@@ -22,10 +22,10 @@ from quditcost.lcu import (
 )
 from quditcost.pauli import beta_closed_form, select_diag_phases
 from quditcost.simverify import (
-    apply_schedule_to_state,
-    apply_z_schedule,
-    basis_state,
     equal_up_to_global_phase,
+    fan_state,
+    ladder_diagonal,
+    nontrivial_count,
 )
 
 
@@ -228,9 +228,9 @@ def test_select_census_membership_and_bound():
 def test_select_schedule_closed_form_agreement():
     for d in range(3, 514, 2):
         sched = fixed_encoding_select_schedule(beta_closed_form(make_grid(1.0, d)))
-        for k, rot in enumerate(sched.rotations):
+        for k, angle in enumerate(sched.angles):
             gap = math.remainder(
-                rot.angle - select_vartheta_closed_form(d, k), 4 * math.pi
+                angle - select_vartheta_closed_form(d, k), 4 * math.pi
             )
             assert abs(gap) < 1e-9, (d, k)
 
@@ -238,13 +238,13 @@ def test_select_schedule_closed_form_agreement():
 def test_select_schedule_census_agreement():
     for d in range(3, 130, 2):
         sched = fixed_encoding_select_schedule(beta_closed_form(make_grid(1.0, d)))
-        assert sched.nontrivial_count == select_nontrivial_count(d)
+        assert nontrivial_count(sched.angles) == select_nontrivial_count(d)
 
 
 @pytest.mark.parametrize("d", list(range(3, 65, 2)))
 def test_select_schedule_reproduces_diagonal(d):
     e = beta_closed_form(make_grid(1.0, d))
-    realized = apply_z_schedule(fixed_encoding_select_schedule(e))
+    realized = ladder_diagonal(fixed_encoding_select_schedule(e))
     target = select_diag_phases(e)
     ok, err = equal_up_to_global_phase(realized, target, tol=1e-10)
     assert ok, (d, err)
@@ -261,15 +261,15 @@ def test_fixed_encoding_call_rotations():
 
 
 def test_prep_angles_d3():
-    sched = prep_ry_schedule(beta_closed_form(make_grid(1.0, 3)))
-    assert [rot.angle for rot in sched.rotations] == pytest.approx([math.pi / 2, math.pi])
-    assert [rot.levels for rot in sched.rotations] == [(0, 1), (0, 2)]
-    assert all(rot.axis == "Y" for rot in sched.rotations)
+    angles = prep_ry_schedule(beta_closed_form(make_grid(1.0, 3)))
+    assert angles == pytest.approx([math.pi / 2, math.pi])
+    # the final rotation is an exact half-turn
+    assert angles[-1] == math.pi
 
 
 def test_prep_prepares_amplitudes_d5():
     e = beta_closed_form(make_grid(1.0, 5))
-    state = apply_schedule_to_state(basis_state(5), prep_ry_schedule(e))
+    state = fan_state(prep_ry_schedule(e))
     target = [0.0] + [math.sqrt(abs(b) / e.lambda_norm) for b in e.betas[1:]]
     assert np.allclose(state, target, atol=1e-12)
 
@@ -277,7 +277,7 @@ def test_prep_prepares_amplitudes_d5():
 @pytest.mark.parametrize("d", list(range(3, 65, 2)))
 def test_prep_l2_error(d):
     e = beta_closed_form(make_grid(1.0, d))
-    state = apply_schedule_to_state(basis_state(d), prep_ry_schedule(e))
+    state = fan_state(prep_ry_schedule(e))
     target = np.zeros(d)
     target[1:] = [math.sqrt(abs(b) / e.lambda_norm) for b in e.betas[1:]]
     assert np.linalg.norm(state - target) < 1e-10
@@ -287,18 +287,18 @@ def test_prep_residual_vanishes_everywhere():
     # completeness forces the leftover amplitude on level 0 to zero; the
     # cosine product over the schedule angles tracks it without dense states
     for d in range(3, 514, 2):
-        sched = prep_ry_schedule(beta_closed_form(make_grid(1.0, d)))
+        angles = prep_ry_schedule(beta_closed_form(make_grid(1.0, d)))
         residual = 1.0
-        for rot in sched.rotations:
-            residual *= math.cos(rot.angle / 2.0)
+        for angle in angles:
+            residual *= math.cos(angle / 2.0)
         assert abs(residual) < 1e-10, d
 
 
 def test_prep_uses_exactly_d_minus_1_rotations():
     for d in (3, 7, 21):
-        sched = prep_ry_schedule(beta_closed_form(make_grid(1.0, d)))
-        assert len(sched.rotations) == d - 1
-        assert sched.nontrivial_count == d - 1
+        angles = prep_ry_schedule(beta_closed_form(make_grid(1.0, d)))
+        assert len(angles) == d - 1
+        assert nontrivial_count(angles) == d - 1
 
 
 def test_prep_rejects_broken_normalization():

@@ -202,7 +202,7 @@ def test_smallest_coefficients_pass_the_irreducibility_guard(d):
     e = beta_closed_form(make_grid(1.0, d))
     assert min(abs(c) for c in e.c_amps) < 1e-12
     assert len(select_diag_phases(e)) == d
-    assert len(prep_ry_schedule(e).rotations) == d - 1
+    assert len(prep_ry_schedule(e)) == d - 1
 
 
 def test_oracle_matches_direct_summation_not_closed_form():

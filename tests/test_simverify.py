@@ -1,5 +1,4 @@
 import math
-import random
 from dataclasses import replace
 
 import numpy as np
@@ -7,16 +6,14 @@ import pytest
 
 from quditcost import simverify
 from quditcost.simverify import (
-    apply_rotation_to_state,
-    apply_schedule_to_state,
-    apply_z_schedule,
-    basis_state,
     equal_up_to_global_phase,
+    fan_state,
+    ladder_diagonal,
     run_suites,
     suite_census,
     suite_dft,
 )
-from quditcost.trotter import Rotation, RotationSchedule
+from quditcost.trotter import ZLadder
 
 
 def combine(a, b):
@@ -26,110 +23,82 @@ def combine(a, b):
 
 
 def test_basis_state():
-    s = basis_state(5, 2)
-    assert s[2] == 1.0
-    assert np.linalg.norm(s) == 1.0
-    with pytest.raises(ValueError, match="cap"):
-        basis_state(65)
-    with pytest.raises(ValueError):
-        basis_state(3, 5)
+    # a fan of zero angles leaves the start state |0>
+    s = fan_state(np.zeros(4))
+    assert s.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_y_half_turn():
-    s = apply_rotation_to_state(basis_state(2), "Y", (0, 1), math.pi)
+    s = fan_state([math.pi])
     assert np.allclose(s, [0.0, 1.0], atol=1e-15)
 
 
 def test_y_equal_split_on_nonadjacent_pair():
-    s = apply_rotation_to_state(basis_state(3), "Y", (0, 2), math.pi / 2)
+    s = fan_state([0.0, math.pi / 2])
     inv_sqrt2 = 1 / math.sqrt(2)
     assert np.allclose(s, [inv_sqrt2, 0.0, inv_sqrt2], atol=1e-15)
 
 
 def test_z_phases_on_state():
-    s = apply_rotation_to_state(basis_state(3, 1), "Z", (1, 2), 0.8)
-    assert s[1] == pytest.approx(np.exp(-0.4j))
-
-
-def test_rotation_leaves_input_state_untouched():
-    s = basis_state(3)
-    apply_rotation_to_state(s, "Y", (0, 1), 1.0)
-    apply_rotation_to_state(s, "Z", (0, 1), 1.0)
-    assert s.tolist() == [1.0, 0.0, 0.0]
-
-
-def test_rotation_validation():
-    with pytest.raises(ValueError, match="level pair"):
-        apply_rotation_to_state(basis_state(3), "Y", (2, 1), 1.0)
-    with pytest.raises(ValueError, match="axis"):
-        apply_rotation_to_state(basis_state(3), "W", (0, 1), 1.0)
-    # no schedule builds an X rotation, so the oracle has none
-    with pytest.raises(ValueError, match="axis"):
-        apply_rotation_to_state(basis_state(3), "X", (0, 1), 1.0)
-
-
-@pytest.mark.parametrize("axis", ["Y", "Z"])
-def test_nan_angle_raises(axis):
-    with pytest.raises(ValueError, match="norm"):
-        apply_rotation_to_state(basis_state(3), axis, (0, 1), math.nan)
+    # the Z rotation on the pair (1, 2) by 0.8, applied to |1>
+    state = np.exp(1j * ladder_diagonal(ZLadder(np.array([0.0, 0.8]), 0.0))) * [0, 1, 0]
+    assert state[1] == pytest.approx(np.exp(-0.4j))
 
 
 def test_norm_preserved_under_random_rotations():
-    rng = random.Random(7)
-    state = basis_state(8)
+    rng = np.random.default_rng(7)
     for _ in range(200):
-        axis = rng.choice(["Y", "Z"])
-        b = rng.randrange(0, 7)
-        c = rng.randrange(b + 1, 8)
-        state = apply_rotation_to_state(state, axis, (b, c), rng.uniform(-7, 7))
+        state = fan_state(rng.uniform(-7, 7, size=7))
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
-def test_apply_z_schedule_empty():
-    sched = RotationSchedule(dim=4, rotations=())
-    assert apply_z_schedule(sched) == (0.0,) * 4
+def test_ladder_diagonal_empty():
+    assert ladder_diagonal(ZLadder(np.zeros(0), 0.0)).tolist() == [0.0]
+    assert ladder_diagonal(ZLadder(np.zeros(3), 0.0)).tolist() == [0.0] * 4
 
 
-def test_apply_z_schedule_single_rotation():
-    sched = RotationSchedule(dim=3, rotations=(Rotation("Z", (0, 1), math.pi),))
-    assert apply_z_schedule(sched) == pytest.approx([-math.pi / 2, math.pi / 2, 0.0])
-
-
-def test_apply_z_schedule_rejects_other_axes():
-    sched = RotationSchedule(dim=3, rotations=(Rotation("Y", (0, 1), 1.0),))
-    with pytest.raises(ValueError, match="non-Z"):
-        apply_z_schedule(sched)
-
-
-def test_z_schedule_order_independent():
-    rotations = [
-        Rotation("Z", (0, 1), 0.3),
-        Rotation("Z", (1, 2), -1.7),
-        Rotation("Z", (0, 3), 2.2),
-        Rotation("Z", (2, 3), 0.9),
-    ]
-    forward = apply_z_schedule(RotationSchedule(dim=4, rotations=tuple(rotations)))
-    shuffled = apply_z_schedule(
-        RotationSchedule(dim=4, rotations=tuple(reversed(rotations)))
-    )
-    assert forward == pytest.approx(shuffled, abs=1e-12)
+def test_ladder_diagonal_single_rotation():
+    diagonal = ladder_diagonal(ZLadder(np.array([math.pi, 0.0]), 0.0))
+    assert diagonal == pytest.approx([-math.pi / 2, math.pi / 2, 0.0])
 
 
 def test_schedule_composition_is_additive():
-    first = RotationSchedule(
-        dim=3, rotations=(Rotation("Z", (0, 1), 0.4),), global_phase=0.2
+    first = ZLadder(np.array([0.4, 0.0]), 0.2)
+    second = ZLadder(np.array([0.0, -0.9]), -0.5)
+    merged = ZLadder(first.angles + second.angles, first.global_phase + second.global_phase)
+    assert ladder_diagonal(merged) == pytest.approx(
+        combine(ladder_diagonal(first), ladder_diagonal(second))
     )
-    second = RotationSchedule(
-        dim=3, rotations=(Rotation("Z", (1, 2), -0.9),), global_phase=-0.5
-    )
-    merged = RotationSchedule(
-        dim=3,
-        rotations=first.rotations + second.rotations,
-        global_phase=first.global_phase + second.global_phase,
-    )
-    assert apply_z_schedule(merged) == pytest.approx(
-        combine(apply_z_schedule(first), apply_z_schedule(second))
-    )
+
+
+def test_ladder_diagonal_includes_global_phase():
+    assert ladder_diagonal(ZLadder(np.zeros(1), 0.7)).tolist() == [0.7, 0.7]
+
+
+def embedded(dim, pair, block):
+    """The dim x dim identity with a 2x2 block on the level pair."""
+    matrix = np.eye(dim, dtype=complex)
+    matrix[np.ix_(pair, pair)] = block
+    return matrix
+
+
+def test_fan_state_matches_the_dense_rotation_product():
+    angles = np.random.default_rng(11).uniform(-7, 7, size=6)
+    state = np.eye(7)[0]
+    for r, angle in enumerate(angles, 1):
+        c, s = math.cos(angle / 2), math.sin(angle / 2)
+        state = embedded(7, [0, r], [[c, -s], [s, c]]) @ state
+    assert np.allclose(fan_state(angles), state, rtol=0, atol=1e-14)
+
+
+def test_ladder_diagonal_matches_the_dense_rotation_product():
+    ladder = ZLadder(np.random.default_rng(12).uniform(-7, 7, size=6), 0.3)
+    unitary = np.exp(0.3j) * np.eye(7)
+    for k, angle in enumerate(ladder.angles):
+        phases = np.diag(np.exp([-0.5j * angle, 0.5j * angle]))
+        unitary = embedded(7, [k, k + 1], phases) @ unitary
+    expected = np.diag(np.exp(1j * ladder_diagonal(ladder)))
+    assert np.allclose(unitary, expected, rtol=0, atol=1e-14)
 
 
 def test_equal_up_to_global_phase_reflexive():
@@ -162,18 +131,6 @@ def test_equal_up_to_global_phase_propagates_nan():
 def test_equal_up_to_global_phase_dim_mismatch():
     with pytest.raises(ValueError):
         equal_up_to_global_phase((0.0, 0.0), (0.0,) * 3)
-
-
-def test_apply_schedule_to_state_includes_global_phase():
-    sched = RotationSchedule(dim=2, rotations=(), global_phase=0.7)
-    s = apply_schedule_to_state(basis_state(2), sched)
-    assert s[0] == pytest.approx(np.exp(0.7j))
-
-
-def test_apply_schedule_to_state_dim_mismatch():
-    sched = RotationSchedule(dim=3, rotations=())
-    with pytest.raises(ValueError):
-        apply_schedule_to_state(basis_state(4), sched)
 
 
 def test_census_suite_passes_above_1155():
@@ -228,7 +185,16 @@ def test_dft_suite_fails_on_a_perturbed_coefficient(monkeypatch):
     closed_form_with(monkeypatch, with_beta(1, 1e-9 * phi_max**2))
     result = suite_dft(phi_max, 15)
     assert not result.ok
-    assert result.worst >= 1e-9 * phi_max**2
+    # the coefficient errors are relative to phi_max^2
+    assert result.worst >= 1e-9
+
+
+@pytest.mark.parametrize("phi_max", [0.1, 1e4])
+def test_dft_suite_errors_are_relative_to_phi_max_squared(phi_max):
+    # at phi_max = 1 the worst error up to d = 65 is about 3e-15
+    result = suite_dft(phi_max, 65)
+    assert result.ok
+    assert result.worst < 1e-13
 
 
 def test_dft_suite_names_the_dimension_of_its_worst_error(monkeypatch):
@@ -263,10 +229,36 @@ def test_dft_suite_detects_a_flipped_sign(monkeypatch):
 def test_census_suite_fails_on_an_off_by_one_count(monkeypatch):
     count = simverify.select_nontrivial_count
     monkeypatch.setattr(simverify, "select_nontrivial_count", lambda d: count(d) + 1)
-    assert not suite_census(1.0, 15).ok
+    result = suite_census(1.0, 15)
+    assert not result.ok
+    # the first d where the float schedule and the exact count disagree
+    assert result.detail.startswith("count mismatch at d=3 (float 2, exact 3)")
+
+
+def test_census_suite_passes_up_to_5733():
+    # the float count first departs from the exact one at d = 5735, where an
+    # exactly trivial angle lands 1.06e-10 from 0 mod 4 pi, past the 1e-10
+    # triviality tolerance
+    result = suite_census(1.0, 5733)
+    assert result.ok, result
+    assert result.worst <= 1e-9
 
 
 def test_select_suite_fails_on_a_nan_angle():
     select = next(r for r in run_suites(1.0, 9, 15, math.nan) if r.name == "select-schedule")
     assert not select.ok
     assert math.isnan(select.worst)
+
+
+def test_prep_suite_fails_on_a_nan_angle(monkeypatch):
+    prep = simverify.prep_ry_schedule
+
+    def bent(expansion):
+        angles = prep(expansion)
+        angles[0] = math.nan
+        return angles
+
+    monkeypatch.setattr(simverify, "prep_ry_schedule", bent)
+    result = simverify.suite_prep(1.0, 9)
+    assert not result.ok
+    assert math.isnan(result.worst)

@@ -1,18 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from oracles import centered_partial_sum, qubit_trotter_terms
 
 from quditcost.costmodel import SynthesisModel, pf_thresholds
 from quditcost.grid import levels, make_grid, squared_mean
-from quditcost.simverify import apply_z_schedule, equal_up_to_global_phase
-from quditcost.trotter import (
-    Rotation,
-    RotationSchedule,
-    is_trivial_angle,
-    qudit_trotter_angles,
-    reduce_angle,
-)
+from quditcost.simverify import equal_up_to_global_phase, ladder_diagonal, nontrivial_count
+from quditcost.trotter import ZLadder, qudit_trotter_angles, reduce_angles
 
 
 def phi_eigenvalue(exp, index):
@@ -34,36 +29,35 @@ def test_rz_rotation_count_formula():
 
 
 def test_angle_helpers():
-    assert reduce_angle(5 * math.pi) == pytest.approx(math.pi)
-    assert reduce_angle(-2 * math.pi) == pytest.approx(2 * math.pi)
-    assert -2 * math.pi < reduce_angle(123.456) <= 2 * math.pi
-    assert is_trivial_angle(0.0)
-    assert is_trivial_angle(4 * math.pi)
-    assert is_trivial_angle(-8 * math.pi + 1e-12)
-    assert not is_trivial_angle(2 * math.pi)  # a half-turn pair is not the identity
-    assert not is_trivial_angle(1e-6)
+    assert reduce_angles(np.array([5 * math.pi])) == pytest.approx([math.pi])
+    assert reduce_angles(np.array([-2 * math.pi])) == pytest.approx([2 * math.pi])
+    assert -2 * math.pi < reduce_angles(np.array([123.456]))[0] <= 2 * math.pi
+    assert nontrivial_count(np.array([0.0])) == 0
+    assert nontrivial_count(np.array([4 * math.pi])) == 0
+    assert nontrivial_count(np.array([-8 * math.pi + 1e-12])) == 0
+    assert nontrivial_count(np.array([2 * math.pi])) == 1  # a half-turn pair is not the identity
+    assert nontrivial_count(np.array([1e-6])) == 1
 
 
-def test_schedule_validation():
-    with pytest.raises(ValueError, match="axis"):
-        RotationSchedule(dim=3, rotations=(Rotation("Q", (0, 1), 1.0),))
-    with pytest.raises(ValueError, match="level pair"):
-        RotationSchedule(dim=3, rotations=(Rotation("Z", (1, 1), 1.0),))
-    with pytest.raises(ValueError, match="level pair"):
-        RotationSchedule(dim=3, rotations=(Rotation("Z", (0, 3), 1.0),))
+def remainder_fold(angle):
+    """The scalar canonical representative: math.remainder, with -2*pi moved to 2*pi."""
+    r = math.remainder(angle, 4 * math.pi)
+    return r + 4 * math.pi if r <= -2 * math.pi else r
+
+
+def test_reduce_angles_equals_the_remainder_fold_bit_for_bit():
+    two_pi, four_pi = 2 * math.pi, 4 * math.pi
+    special = [two_pi, -two_pi, 0.0, -0.0]
+    special += [k * two_pi for k in range(-40, 41)] + [k * four_pi for k in range(-40, 41)]
+    rng = np.random.default_rng(2026)
+    angles = np.concatenate([special, rng.uniform(-1e6, 1e6, 10**5)])
+    expected = np.array([remainder_fold(a) for a in angles.tolist()])
+    assert reduce_angles(angles).tobytes() == expected.tobytes()
 
 
 def test_nontrivial_count():
-    sched = RotationSchedule(
-        dim=4,
-        rotations=(
-            Rotation("Z", (0, 1), 0.0),
-            Rotation("Z", (1, 2), 4 * math.pi),
-            Rotation("Z", (2, 3), 2 * math.pi),
-            Rotation("Z", (0, 2), 0.3),
-        ),
-    )
-    assert sched.nontrivial_count == 2
+    angles = np.array([0.0, 4 * math.pi, 2 * math.pi, 0.3])
+    assert nontrivial_count(angles) == 2
 
 
 def test_qubit_terms_d3():
@@ -124,28 +118,33 @@ def test_qubit_t_zero_is_identity():
 
 def test_qudit_angles_d3():
     sched = qudit_trotter_angles(make_grid(1.0, 3), 1.0)
-    assert [rot.angle for rot in sched.rotations] == pytest.approx([2 / 3, -2 / 3])
+    assert sched.angles == pytest.approx([2 / 3, -2 / 3])
     assert sched.global_phase == pytest.approx(-2 / 3)
-    assert [rot.levels for rot in sched.rotations] == [(0, 1), (1, 2)]
 
 
 def test_qudit_angles_t_zero():
     sched = qudit_trotter_angles(make_grid(1.0, 9), 0.0)
-    assert sched.nontrivial_count == 0
+    assert nontrivial_count(sched.angles) == 0
 
 
 def test_qudit_schedule_adjacent_and_generically_nontrivial():
+    # one angle per adjacent pair (k, k+1), none of them the identity
     for d in (3, 7, 33):
         sched = qudit_trotter_angles(make_grid(1.0, d), 0.37)
-        assert all(rot.levels == (k, k + 1) for k, rot in enumerate(sched.rotations))
-        assert sched.nontrivial_count == d - 1
+        assert len(sched.angles) == d - 1
+        assert nontrivial_count(sched.angles) == d - 1
+
+
+def test_qudit_angles_reject_an_overflowing_phase():
+    with pytest.raises(ValueError, match="phi_max=6e\\+153 with t=3.7"):
+        qudit_trotter_angles(make_grid(6e153, 9), 3.7)
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 3.7])
 def test_qudit_schedule_matches_target_diagonal(t):
     for d in range(3, 65, 2):
         g = make_grid(1.0, d)
-        realized = apply_z_schedule(qudit_trotter_angles(g, t))
+        realized = ladder_diagonal(qudit_trotter_angles(g, t))
         target = tuple(-t * lam**2 for lam in levels(g))
         ok, err = equal_up_to_global_phase(realized, target, tol=1e-10)
         assert ok, (d, t, err)
@@ -156,13 +155,12 @@ def test_angle_uniqueness_mod_4pi():
     # the schedule up to multiples of 4*pi
     g = make_grid(1.0, 11)
     sched = qudit_trotter_angles(g, 0.37)
-    bare = RotationSchedule(dim=g.d, rotations=sched.rotations)  # drop global phase
-    realized = apply_z_schedule(bare)
+    realized = ladder_diagonal(ZLadder(sched.angles, 0.0))  # drop global phase
     acc = 0.0
-    for k, rot in enumerate(sched.rotations):
+    for k, angle in enumerate(sched.angles):
         acc += realized[k]
         resolved = -2.0 * acc
-        assert abs(math.remainder(resolved - rot.angle, 4 * math.pi)) < 1e-10
+        assert abs(math.remainder(resolved - angle, 4 * math.pi)) < 1e-10
 
 
 def test_centered_partial_sum_examples():
