@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -30,16 +31,34 @@ class ConfigError(Exception):
     """Invalid command-line or config-file input."""
 
 
+# The first 13 primes.  Trial division by them settles every n < 43**2; as
+# Miller-Rabin bases they decide every n below PRIME_TEST_BOUND, the
+# smallest strong pseudoprime to all of them.
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Exact for every n < PRIME_TEST_BOUND: trial division, then deterministic Miller-Rabin."""
+    for p in SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return n > 1
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for base in SMALL_PRIMES:
+        x = pow(base, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -77,6 +96,11 @@ def _d_values(args: argparse.Namespace) -> list[int]:
     lo = max(args.d_min, 3)
     if lo % 2 == 0:
         lo += 1
+    if args.prime_only and args.d_max >= PRIME_TEST_BOUND:
+        raise ConfigError(
+            f"--d-max={args.d_max} is too large for --primes: the prime test is exact "
+            f"only below {PRIME_TEST_BOUND}"
+        )
     values = list(range(lo, args.d_max + 1, 2))
     if args.prime_only:
         values = [d for d in values if is_prime(d)]
@@ -99,8 +123,13 @@ def _emit(args: argparse.Namespace, rows: list[tuple]) -> None:
     meta = {"tool": "quditcost", "version": __version__, "command": args.command}
     meta.update((key, options[key]) for key in META_KEYS if key in options)
     if args.format == "json":
-        payload = {"meta": meta, "rows": [row._asdict() for row in rows]}
-        text = json.dumps(payload, indent=2) + "\n"
+        # The bytes of json.dumps({"meta": meta, "rows": dicts}, indent=2), but the
+        # rows go through the C encoder, which json uses only without indent.
+        # Row values are numbers and bools, so the framing of the rows is fixed text.
+        head = json.dumps({"meta": meta}, indent=2)[:-2]
+        body = json.dumps([row._asdict() for row in rows], separators=(",\n      ", ": "))
+        body = body[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+        text = f'{head},\n  "rows": [\n    {{\n      {body}\n    }}\n  ]\n}}\n'
     else:
         lines = [f"# {key}={_fmt(val) if not isinstance(val, str) else val}" for key, val in meta.items()]
         lines.append(",".join(type(rows[0])._fields))
@@ -172,7 +201,9 @@ def _add_report_flags(
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="quditcost",
         description=(

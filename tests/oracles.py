@@ -11,7 +11,9 @@ that the library uses as closed forms:
 * the clock-phase ladder of the d-level selection oracle, the n_b
   rotations inside the hybrid per-call count;
 * the direct O(d^2) Fourier sum of the squared grid levels, which
-  certifies the FFT coefficient oracle `pauli.beta_dft_oracle`.
+  certifies the FFT coefficient oracle `pauli.beta_dft_oracle`;
+* trial division, which certifies the Miller-Rabin test `cli.is_prime`
+  that `--primes` scans use.
 
 Angle convention as in `quditcost.trotter`: R_z(theta) = exp(-i theta Z / 2).
 """
@@ -139,3 +141,17 @@ def direct_dft_coefficients(grid: FieldGrid) -> np.ndarray:
     indices = np.arange(d)
     kernel = np.exp(-2j * np.pi * (np.outer(indices, indices) % d) / d)
     return kernel @ (np.asarray(levels(grid)) ** 2) / d
+
+
+def is_prime_trial_division(n: int) -> bool:
+    """Primality by trial division with every odd factor up to sqrt(n); O(sqrt(n))."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True

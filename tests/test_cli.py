@@ -2,8 +2,9 @@ import json
 import math
 
 import pytest
+from oracles import is_prime_trial_division
 
-from quditcost.cli import CONFIG_ENV_VAR, is_prime, main
+from quditcost.cli import CONFIG_ENV_VAR, PRIME_TEST_BOUND, is_prime, main
 from quditcost.endtoend import ratio_and_budget
 from quditcost.grid import MAX_D
 
@@ -25,6 +26,52 @@ def parse_csv(text):
 
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_equals_trial_division_below_1e5():
+    assert [n for n in range(-3, 10**5) if is_prime(n) != is_prime_trial_division(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n,factors",
+    [
+        # strong pseudoprimes to the bases 2..7 and 2..23, with no factor below 43
+        (3215031751, (151, 751, 28351)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+        ((2**31 - 1) ** 2, (2**31 - 1, 2**31 - 1)),
+        ((2**61 - 1) * (2**19 - 1), (2**61 - 1, 2**19 - 1)),
+    ],
+)
+def test_is_prime_rejects_composites_without_small_factors(n, factors):
+    assert math.prod(factors) == n
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [2**31 - 1, 100000000000031, 2**61 - 1])
+def test_is_prime_accepts_large_primes(n):
+    assert is_prime(n)
+
+
+def test_prime_test_bound_is_sharp():
+    # the bound is the smallest strong pseudoprime to all 13 bases: the test calls it prime
+    assert 1287836182261 * 2575672364521 == PRIME_TEST_BOUND
+    assert is_prime(PRIME_TEST_BOUND)
+
+
+def test_prime_scan_at_the_prime_test_bound_is_config_error(capsys):
+    bound = str(PRIME_TEST_BOUND)
+    code, out, err = run_cli(capsys, "scan-ratio", "--primes", "--d-min", bound, "--d-max", bound)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and f"--d-max={bound} " in err
+    code, out, _ = run_cli(capsys, "scan-ratio", "--d-min", bound, "--d-max", bound)
+    assert code == 0 and parse_csv(out)[0]["d"] == bound
+
+
+def test_lcu_table_row_at_a_14_digit_prime(capsys):
+    d = "100000000000031"
+    code, out, _ = run_cli(capsys, "lcu-table", "--t", "3000", "--d-min", d, "--d-max", d)
+    assert code == 0
+    assert out.splitlines()[-1] == "100000000000031,2.0174617e-13,0.681767037"
 
 
 def test_pf_thresholds_default_rows(capsys):

@@ -7,6 +7,7 @@ every supported Python (co_qualname needs 3.11).
 """
 
 import contextlib
+import functools
 import io
 import pkgutil
 import sys
@@ -14,6 +15,7 @@ import types
 from importlib import import_module
 
 import quditcost
+from quditcost import cli
 from quditcost.cli import main
 
 COMMANDS = [
@@ -33,6 +35,8 @@ def _functions(namespace, module):
             value = value.__func__
         elif isinstance(value, property):
             value = value.fget
+        elif isinstance(value, functools._lru_cache_wrapper):
+            value = value.__wrapped__
         if isinstance(value, types.FunctionType):
             if value.__code__.co_filename == module.__file__:
                 yield value
@@ -51,6 +55,8 @@ def library_functions():
 
 
 def called_code_objects():
+    # main reuses a parser that an earlier test may have built: build it again here
+    cli._build_parser.cache_clear()
     seen = set()
 
     def hook(frame, event, arg):
@@ -69,10 +75,11 @@ def called_code_objects():
 
 
 def test_library_functions_are_found():
-    # one of each kind: module function, method, property
+    # one of each kind: module function, cached function, method, property
     names = set(library_functions().values())
     assert {
         "cli.main",
+        "cli._build_parser",
         "costmodel.SynthesisModel.__post_init__",
         "lcu.SignedBinaryRegister.size",
     } <= names
