@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -201,9 +200,7 @@ def _add_report_flags(
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="quditcost",
         description=(
@@ -249,8 +246,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call and reused by every later one
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

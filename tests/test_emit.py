@@ -100,12 +100,20 @@ def fresh_process_stdout(*argv):
     return proc.stdout
 
 
-def test_main_builds_one_parser_per_process(capsys):
-    cli._build_parser.cache_clear()
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+    build = cli._build_parser
+
+    def counted_build():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", counted_build)
     assert cli.main(["pf-thresholds", "--d-max", "7"]) == 0
     assert cli.main(["scan-ratio", "--d-max", "7"]) == 0
     capsys.readouterr()
-    assert cli._build_parser.cache_info().misses == 1
+    assert len(built) == 1 and cli._PARSER is built[0]
 
 
 def test_reused_parser_carries_no_state_between_calls(capsys, tmp_path):
