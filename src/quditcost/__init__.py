@@ -3,8 +3,7 @@ implementations of the on-site diagonal evolution exp(-i t phi^2)."""
 
 __version__ = "0.1.0"
 
-from .costmodel import SynthesisModel, pf_thresholds
-from .endtoend import ResourceReport, lcu_fixed_encoding_thresholds, ratio_and_budget
+from .costmodel import ResourceReport, SynthesisModel, lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
 from .grid import FieldGrid, make_grid, register_width
 from .simverify import SuiteResult, run_suites
 

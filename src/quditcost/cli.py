@@ -10,8 +10,7 @@ import os
 import sys
 
 from . import __version__
-from .costmodel import SynthesisModel, pf_thresholds
-from .endtoend import lcu_fixed_encoding_thresholds, ratio_and_budget
+from .costmodel import SynthesisModel, lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
 from .grid import check_phi_max
 from .simverify import CENSUS_CAP, DIM_CAP, run_suites
 
@@ -232,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-max", type=float, default=1.0, help="field amplitude bound")
     p.add_argument(
         "--d-max", type=int, default=DIM_CAP,
-        help=f"largest dimension for the dense schedule suites (at most {DIM_CAP})",
+        help="largest dimension for the dense schedule suites",
     )
     p.add_argument(
         "--census-max", type=int, default=CENSUS_CAP,

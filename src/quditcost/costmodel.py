@@ -1,4 +1,14 @@
-"""Logarithmic synthesis cost models and product-formula break-even thresholds."""
+"""Every cost the report commands print, from the synthesis model to the rows.
+
+Cost chain, identical for both block encodings: the coefficient one-norm
+alpha fixes the query count Q = alpha * t + log2(1 / eps_sim); the per-call
+accuracy budget is eps_be = eps_sim / Q; the per-call non-Clifford count
+evaluated at that budget, times Q, gives the total.  The ratio of the two
+totals exceeds one exactly when the d-level route is cheaper, and the
+saving divided by (qudit queries * switches per query) bounds the
+affordable per-switch conversion overhead.  Each row checks d once, through
+make_grid or pf_thresholds, and evaluates each formula it prints once.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +17,8 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .grid import register_width
+from .grid import FieldGrid, make_grid, register_width
+from .pauli import clock_one_norm
 
 # Smallest accuracy budget a cost takes log2 of: the step accuracy eps of
 # a product formula or the per-call budget eps_sim / Q of a block
@@ -20,6 +31,9 @@ MIN_CALL_BUDGET = 1e-300
 # precision, and the reciprocals 1 / delta and L / budget that rz_cost and
 # break_even take log2 of stay finite, for every L.
 MIN_ROTATION_BUDGET = sys.float_info.min
+
+# Fault-tolerant conversion convention: one Toffoli costs four T gates.
+TOFFOLI_T_COST = 4
 
 
 @dataclass(frozen=True)
@@ -82,12 +96,25 @@ def rotation_budget(budget: float, rotations: int, d: int) -> float:
     return delta
 
 
+def check_finite(d: int, t: float | None, eps: float, *values: float) -> None:
+    """Raise ValueError naming d, t and the accuracy eps unless every value is finite.
+
+    Cost totals and break-even terms are float products, which overflow to
+    inf rather than raise.  t is None for a product-formula step.
+    """
+    if not all(map(math.isfinite, values)):
+        inputs = f"d={d} and eps={eps}" if t is None else f"d={d}, t={t} and eps_sim={eps}"
+        raise ValueError(f"the cost at {inputs} overflows a float")
+
+
 def break_even(
     qubit_cost: float,
     queries: float,
     rotations: int,
     budget: float,
     d: int,
+    t: float | None,
+    eps: float,
     model: SynthesisModel = DEFAULT_MODEL,
 ) -> tuple[float, float]:
     """Break-even synthesis prefactors (a_max, a_rz) of the d-level route.
@@ -99,13 +126,15 @@ def break_even(
     a_rz is the effective prefactor of qubit Z-rotation synthesis at the
     same primitive precision budget / rotations.  a_max > a_rz means the
     d-level route tolerates synthesis no better than the qubit baseline.
-    The rotations belong to dimension d.
+    The rotations belong to dimension d; t and eps are the row's evolution
+    time and accuracy, which an overflow error names with d.
     """
     delta = rotation_budget(budget, rotations, d)
     log_term = math.log2(rotations / budget)
-    a_max = qubit_cost / (queries * rotations * log_term)
-    a_rz = rz_cost(delta, model) / log_term
-    return a_max, a_rz
+    denominator = queries * rotations * log_term
+    rz = rz_cost(delta, model)
+    check_finite(d, t, eps, qubit_cost, denominator, rz)
+    return qubit_cost / denominator, rz / log_term
 
 
 class PfRow(NamedTuple):
@@ -132,5 +161,203 @@ def pf_thresholds(d: int, eps: float, model: SynthesisModel = DEFAULT_MODEL) -> 
         raise ValueError(f"target accuracy eps={eps} is below {MIN_CALL_BUDGET:g}")
     l_qb = n_b * (n_b + 1) // 2
     qubit_cost = l_qb * rz_cost(rotation_budget(eps, l_qb, d), model)
-    a_max, a_rz = break_even(qubit_cost, 1, d - 1, eps, d, model)
+    a_max, a_rz = break_even(qubit_cost, 1, d - 1, eps, d, None, eps, model)
     return PfRow(d, a_max, a_rz, a_max > a_rz)
+
+
+def query_count(alpha: float, t: float, eps_sim: float) -> float:
+    """Block-encoding queries needed: alpha * t + log2(1 / eps_sim).
+
+    Deliberately a real number.  Q must exceed eps_sim, so that the
+    per-call budget eps_sim / Q of both cost chains lies below 1, and the
+    budget must not fall below MIN_CALL_BUDGET.
+    """
+    if alpha < 0:
+        raise ValueError(f"normalization must be nonnegative, got {alpha}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"evolution time t must be finite and nonnegative, got {t}")
+    if not 0.0 < eps_sim < 1.0:
+        raise ValueError(f"simulation accuracy eps_sim must lie in (0, 1), got {eps_sim}")
+    q = alpha * t + math.log2(1.0 / eps_sim)
+    if q <= eps_sim:
+        raise ValueError(
+            f"eps_sim={eps_sim} is too large: the per-call budget eps_sim/Q "
+            f"with Q={q:.6g} queries is not below 1"
+        )
+    if eps_sim / q < MIN_CALL_BUDGET:
+        raise ValueError(
+            f"per-call budget eps_sim/Q below {MIN_CALL_BUDGET:g}: evolution time "
+            f"t={t} and eps_sim={eps_sim} give Q={q:.6g} queries"
+        )
+    return q
+
+
+def qubit_normalization(grid: FieldGrid) -> float:
+    """Block-encoding normalization of the qubit route, delta_phi^2 * (2^(n_b-1) - 1)^2."""
+    return grid.delta_phi**2 * (2 ** (grid.n_b - 1) - 1) ** 2
+
+
+def precision_parameter(eps: float) -> int:
+    """Amplitude-rotation precision b_r = ceil(0.5 * log2(9 pi^2 / (2 eps)))."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"per-call accuracy must lie in (0, 1), got {eps}")
+    return math.ceil(0.5 * math.log2(9.0 * math.pi**2 / (2.0 * eps)))
+
+
+@dataclass(frozen=True)
+class QubitLcuCost:
+    """Per-call cost breakdown of the qubit block encoding."""
+
+    b_r: int
+    prep_toffoli: int
+    select_toffoli: int
+    select_direct_t: int
+    t_count_per_call: int
+
+
+def qubit_blockencoding_cost(grid: FieldGrid, eps: float) -> QubitLcuCost:
+    """T count of one qubit block-encoding call at per-call accuracy eps.
+
+    Breakdown: each preparation direction (prep_toffoli, paid twice)
+    costs 4 b_r + 2 n_b - 16 Toffolis, the selector 2 (n_b - 1) Toffolis
+    plus 20 direct T gates; at 4 T per Toffoli the total is
+    32 b_r + 24 n_b - 116.
+    """
+    b_r = precision_parameter(eps)
+    n_b = grid.n_b
+    prep = 4 * b_r + 2 * n_b - 16
+    select_toffoli = 2 * (n_b - 1)
+    select_direct_t = 20
+    total = TOFFOLI_T_COST * (2 * prep + select_toffoli) + select_direct_t
+    return QubitLcuCost(
+        b_r=b_r,
+        prep_toffoli=prep,
+        select_toffoli=select_toffoli,
+        select_direct_t=select_direct_t,
+        t_count_per_call=total,
+    )
+
+
+class CostChain(NamedTuple):
+    """One encoding's chain: normalization, queries, per-call budget, per-call cost, total."""
+
+    alpha: float
+    queries: float
+    eps_be: float
+    per_call: float
+    total: float
+
+
+def total_cost_qubit(grid: FieldGrid, t: float, eps_sim: float) -> CostChain:
+    """Qubit baseline chain: normalization -> queries -> budget -> per call -> total."""
+    alpha = qubit_normalization(grid)
+    q = query_count(alpha, t, eps_sim)
+    eps_be = eps_sim / q
+    per_call = float(qubit_blockencoding_cost(grid, eps_be).t_count_per_call)
+    return CostChain(alpha, q, eps_be, per_call, q * per_call)
+
+
+def total_cost_qudit_hybrid(
+    grid: FieldGrid, t: float, eps_sim: float, model: SynthesisModel = DEFAULT_MODEL
+) -> CostChain:
+    """Hybrid d-level chain with the per-call rotation budget split uniformly.
+
+    The hybrid call pairs binary-register preparation with the d-level
+    selection.  Per call: L * (synthesis cost at eps_be / L) + 4 n_b direct
+    T gates (the comparator of the selection's sign flip), with
+    L = 2 (2^n_b - 1) + n_b synthesized rotations: both preparation
+    directions (2^n_b - 1 each) plus the n_b rotations of the selection's
+    clock-phase ladder.
+    """
+    alpha = clock_one_norm(grid.phi_max, grid.d)
+    q = query_count(alpha, t, eps_sim)
+    eps_be = eps_sim / q
+    n_b = grid.n_b
+    rotations = 2 * (2**n_b - 1) + n_b
+    per_call = rotations * rz_cost(rotation_budget(eps_be, rotations, grid.d), model) + 4 * n_b
+    return CostChain(alpha, q, eps_be, per_call, q * per_call)
+
+
+class ResourceReport(NamedTuple):
+    """One scan-ratio row: side-by-side costs for one local dimension."""
+
+    d: int
+    n_b: int
+    alpha_qb: float
+    alpha_qd: float
+    q_qb: float
+    q_qd: float
+    per_call_qb: float
+    per_call_qd: float
+    t_tot_qb: float
+    t_tot_qd: float
+    ratio: float
+    delta_tot: float
+    budget_per_switch: float
+
+
+def ratio_and_budget(
+    phi_max: float,
+    d: int,
+    t: float,
+    eps_sim: float,
+    k: int = 2,
+    model: SynthesisModel = DEFAULT_MODEL,
+) -> ResourceReport:
+    """Build the full report: totals, ratio, absolute saving, per-switch budget.
+
+    k is the number of directional encoding switches per query (two for the
+    hybrid round trip).  ratio > 1, delta_tot > 0, and a positive budget
+    are all equivalent statements that the d-level route is cheaper.
+    """
+    if k < 1:
+        raise ValueError(f"switch count must be at least 1, got {k}")
+    grid = make_grid(phi_max, d)
+    qb = total_cost_qubit(grid, t, eps_sim)
+    qd = total_cost_qudit_hybrid(grid, t, eps_sim, model)
+    check_finite(d, t, eps_sim, qb.total, qd.total)
+    delta = qb.total - qd.total
+    return ResourceReport(
+        d=d,
+        n_b=grid.n_b,
+        alpha_qb=qb.alpha,
+        alpha_qd=qd.alpha,
+        q_qb=qb.queries,
+        q_qd=qd.queries,
+        per_call_qb=qb.per_call,
+        per_call_qd=qd.per_call,
+        t_tot_qb=qb.total,
+        t_tot_qd=qd.total,
+        ratio=qb.total / qd.total,
+        delta_tot=delta,
+        budget_per_switch=delta / (qd.queries * k),
+    )
+
+
+class LcuRow(NamedTuple):
+    """One lcu-table row: break-even prefactors of the fixed encoding."""
+
+    d: int
+    a_max_lcu: float
+    a_rz_lcu: float
+
+
+def lcu_fixed_encoding_thresholds(
+    phi_max: float,
+    d: int,
+    t: float,
+    eps_sim: float,
+    model: SynthesisModel = DEFAULT_MODEL,
+) -> LcuRow:
+    """Fixed-encoding break-even prefactors for the block-encoding route.
+
+    The qubit total against Q_qd queries of the fixed encoding, which
+    splits the per-call budget eps_sim / Q_qd uniformly over 3d - 3
+    rotations: one selection bound of d - 1 plus two preparations of
+    d - 1 each.  The bound holds even where the realized selection count,
+    lcu.select_nontrivial_count(d), is smaller.  No hybrid call is priced.
+    """
+    grid = make_grid(phi_max, d)
+    qb = total_cost_qubit(grid, t, eps_sim)
+    q_qd = query_count(clock_one_norm(grid.phi_max, d), t, eps_sim)
+    return LcuRow(d, *break_even(qb.total, q_qd, 3 * d - 3, eps_sim / q_qd, d, t, eps_sim, model))

@@ -1,26 +1,20 @@
-"""Block-encoding constructions and their per-call non-Clifford costs.
+"""Block-encoding constructions that the verify suites check; their costs are in costmodel.
 
 Qubit route: on a sign-magnitude register the squared operator is a
-weighted sum of bit-pair projectors, and one block-encoding call costs
-32 * b_r + 24 * n_b - 116 T gates (b_r is the amplitude-preparation
-precision parameter, Toffolis counted at 4 T each).
+weighted sum of bit-pair projectors (qubit_projector_diag_oracle).
 
 Native d-level route: the entangling part of the selection oracle is free,
 leaving a diagonal phase operator that splits into a clock-phase ladder on
-the index register (n_b synthesized rotations) and a comparator-driven
-sign flip (4 * n_b T gates); the preparation oracle loads the coefficient
-amplitudes with d - 1 embedded two-level Y rotations.  The hybrid per-call
-model combines binary-register preparation with the d-level selection, for
-2 * (2^n_b - 1) + n_b synthesized rotations plus 4 * n_b direct T gates.
-The tests build the clock ladder (tests/oracles.py); the sign flip marks
-r >= (d + 1) / 2, the coefficient sign rule the dft-oracle suite checks.
-Both schedules are angle arrays: the selection is a trotter.ZLadder, the
-preparation the d - 1 Y angles on the pairs (0, r).
+the index register and a comparator-driven sign flip; the preparation
+oracle loads the coefficient amplitudes with d - 1 embedded two-level Y
+rotations.  The tests build the clock ladder (tests/oracles.py); the sign
+flip marks r >= (d + 1) / 2, the coefficient sign rule the dft-oracle
+suite checks.  Both schedules are angle arrays: the selection is a
+trotter.ZLadder, the preparation the d - 1 Y angles on the pairs (0, r).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +22,6 @@ import numpy as np
 from .grid import FieldGrid, register_width
 from .pauli import PauliExpansion, irreducibility_floor, select_diag_phases
 from .trotter import ZLadder, reduce_angles
-
-# Fault-tolerant conversion convention: one Toffoli costs four T gates.
-TOFFOLI_T_COST = 4
 
 # Largest register accepted by the dense projector-diagonal enumeration.
 MAX_ORACLE_WIDTH = 20
@@ -91,73 +82,6 @@ def qubit_projector_diag_oracle(grid: FieldGrid) -> list[float]:
     return values
 
 
-def qubit_normalization(grid: FieldGrid) -> float:
-    """Block-encoding normalization of the qubit route, delta_phi^2 * (2^(n_b-1) - 1)^2."""
-    return grid.delta_phi**2 * (2 ** (grid.n_b - 1) - 1) ** 2
-
-
-def precision_parameter(eps: float) -> int:
-    """Amplitude-rotation precision b_r = ceil(0.5 * log2(9 pi^2 / (2 eps)))."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"per-call accuracy must lie in (0, 1), got {eps}")
-    return math.ceil(0.5 * math.log2(9.0 * math.pi**2 / (2.0 * eps)))
-
-
-@dataclass(frozen=True)
-class QubitLcuCost:
-    """Per-call cost breakdown of the qubit block encoding."""
-
-    b_r: int
-    prep_toffoli: int
-    select_toffoli: int
-    select_direct_t: int
-    t_count_per_call: int
-
-
-def qubit_blockencoding_cost(grid: FieldGrid, eps: float) -> QubitLcuCost:
-    """T count of one qubit block-encoding call at per-call accuracy eps.
-
-    Breakdown: each preparation direction (prep_toffoli, paid twice)
-    costs 4 b_r + 2 n_b - 16 Toffolis, the selector 2 (n_b - 1) Toffolis
-    plus 20 direct T gates; at 4 T per Toffoli the total is
-    32 b_r + 24 n_b - 116.
-    """
-    b_r = precision_parameter(eps)
-    n_b = grid.n_b
-    prep = 4 * b_r + 2 * n_b - 16
-    select_toffoli = 2 * (n_b - 1)
-    select_direct_t = 20
-    total = TOFFOLI_T_COST * (2 * prep + select_toffoli) + select_direct_t
-    return QubitLcuCost(
-        b_r=b_r,
-        prep_toffoli=prep,
-        select_toffoli=select_toffoli,
-        select_direct_t=select_direct_t,
-        t_count_per_call=total,
-    )
-
-
-@dataclass(frozen=True)
-class QuditHybridCost:
-    """Per-call cost of the hybrid d-level block encoding."""
-
-    t_gates: int
-    rz_rotations_per_call: int
-
-
-def qudit_hybrid_call_cost(d: int) -> QuditHybridCost:
-    """Hybrid per-call cost: 4 n_b direct T gates and 2 (2^n_b - 1) + n_b rotations.
-
-    The rotation count covers both preparation directions (2^n_b - 1 each)
-    plus the n_b clock-ladder rotations inside the selection diagonal.
-    """
-    n_b = register_width(d)
-    return QuditHybridCost(
-        t_gates=4 * n_b,
-        rz_rotations_per_call=2 * (2**n_b - 1) + n_b,
-    )
-
-
 def fixed_encoding_select_schedule(expansion: PauliExpansion) -> ZLadder:
     """Adjacent-pair Z ladder implementing the selection diagonal natively.
 
@@ -201,17 +125,6 @@ def select_nontrivial_count(d: int) -> int:
     k = np.arange(d - 1, dtype=np.int64)
     numerator = (k + 1) * (4 * m - k) - 2 * d * np.maximum(k - m, 0)
     return int(np.count_nonzero(numerator % (4 * d)))
-
-
-def fixed_encoding_call_rotations(d: int) -> int:
-    """Uniform per-call rotation bound of the fixed-encoding route, 3d - 3.
-
-    One selection bound of d - 1 plus two preparations of d - 1 each; the
-    threshold formulas use this uniform bound even when the realized
-    selection count select_nontrivial_count(d) is smaller.
-    """
-    register_width(d)
-    return 3 * d - 3
 
 
 def prep_ry_schedule(expansion: PauliExpansion) -> np.ndarray:

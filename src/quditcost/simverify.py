@@ -38,7 +38,7 @@ from .lcu import (
 from .pauli import beta_closed_form, beta_dft_oracle, select_diag_phases
 from .trotter import ZLadder, qudit_trotter_angles, reduce_angles
 
-# largest dimension of the dense suites, and the default cap of the others
+# default caps of the dense schedule suites and of the coefficient and census suites
 DIM_CAP = 64
 CENSUS_CAP = 513
 
@@ -276,12 +276,10 @@ def run_suites(
 ) -> Iterator[SuiteResult]:
     """Run the six suites in order, yielding each result as it completes.
 
-    dense_cap bounds the trotter, select and prep suites (at most DIM_CAP),
-    census_cap the dft and census suites; inject perturbs one selection
-    angle to show that the select suite detects it.
+    dense_cap bounds the trotter, select and prep suites, census_cap the
+    dft and census suites; inject perturbs one selection angle to show
+    that the select suite detects it.
     """
-    if dense_cap > DIM_CAP:
-        raise ValueError(f"dense verification cap exceeds {DIM_CAP}")
     if dense_cap < 3 or census_cap < 3:
         raise ValueError("empty scan range")
     yield suite_trotter(phi_max, dense_cap)

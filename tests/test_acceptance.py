@@ -9,15 +9,18 @@ import math
 import numpy as np
 from oracles import centered_partial_sum
 
-from quditcost.costmodel import pf_thresholds
-from quditcost.endtoend import lcu_fixed_encoding_thresholds, ratio_and_budget
+from quditcost.costmodel import (
+    lcu_fixed_encoding_thresholds,
+    pf_thresholds,
+    precision_parameter,
+    qubit_blockencoding_cost,
+    ratio_and_budget,
+)
 from quditcost.grid import levels, make_grid, squared_mean
 from quditcost.lcu import (
     SignedBinaryRegister,
     fixed_encoding_select_schedule,
-    precision_parameter,
     prep_ry_schedule,
-    qubit_blockencoding_cost,
     qubit_projector_diag_oracle,
     select_nontrivial_count,
 )

@@ -5,7 +5,7 @@ import pytest
 from oracles import is_prime_trial_division
 
 from quditcost.cli import CONFIG_ENV_VAR, PRIME_TEST_BOUND, is_prime, main
-from quditcost.endtoend import ratio_and_budget
+from quditcost.costmodel import ratio_and_budget
 from quditcost.grid import MAX_D
 
 
@@ -257,10 +257,13 @@ def test_scan_ratio_nonfinite_phi_max_is_config_error(capsys, bad_phi):
     assert "phi_max" in err
 
 
-def test_verify_rejects_oversized_dense_cap(capsys):
-    code, _, err = run_cli(capsys, "verify", "--d-max", "100")
-    assert code == 2
-    assert "cap" in err
+def test_verify_passes_with_dense_cap_above_64(capsys):
+    # the dense suites are O(d) per schedule and have no ceiling
+    code, out, _ = run_cli(capsys, "verify", "--d-max", "129", "--census-max", "129")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines] == ["pass"] * 6
+    assert [line.split()[3] for line in lines[:3]] == ["cases=64"] * 3
 
 
 def test_eps_flag_synonyms(capsys):
@@ -332,6 +335,10 @@ def test_bad_config_is_config_error(tmp_path, capsys, monkeypatch, content, name
         assert named in err
 
 
+OVERFLOWING_ROW = ["--t", "1.2e299", "--eps", "0.5", "--d-min", "8388609", "--d-max", "8388609", "--all-odd"]
+OVERFLOW_NAMED = "d=8388609, t=1.2e+299 and eps_sim=0.5 "
+
+
 @pytest.mark.parametrize(
     "argv,named",
     [
@@ -352,6 +359,12 @@ def test_bad_config_is_config_error(tmp_path, capsys, monkeypatch, content, name
             ["pf-thresholds", "--all-odd", "--eps", "1e-300", "--d-min", "999999999", "--d-max", "999999999"],
             "d=999999999 ",
         ),
+        # the qudit total overflows: this row printed t_tot_qd=inf, ratio=0,
+        # budget_per_switch=-inf, and JSON Infinity, which is not JSON
+        (["scan-ratio", *OVERFLOWING_ROW], OVERFLOW_NAMED),
+        (["scan-ratio", *OVERFLOWING_ROW, "--format", "json"], OVERFLOW_NAMED),
+        # the break-even denominator Q L log2(L / eps_be) overflows: a_max_lcu=0
+        (["lcu-table", *OVERFLOWING_ROW], OVERFLOW_NAMED),
     ],
 )
 def test_bad_value_is_named_at_the_boundary(capsys, argv, named):
@@ -361,6 +374,37 @@ def test_bad_value_is_named_at_the_boundary(capsys, argv, named):
     assert len(err.splitlines()) == 1
     assert named in err
     assert "per-call accuracy" not in err
+
+
+def test_lcu_table_splits_its_budget_over_the_fixed_encoding_rotations_only(capsys):
+    # 3d - 3 = 50331648 rotations leave 2.6e-308 each, above the floor; the
+    # hybrid call's 2 (2^25 - 1) + 25 = 67108887 would not, and scan-ratio,
+    # which prints that call, exits 2 naming d
+    argv = ["--t", "0", "--eps", "1.3e-297", "--d-min", "16777217", "--d-max", "16777217", "--all-odd"]
+    code, out, err = run_cli(capsys, "lcu-table", *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "16777217,3.21153568e-07,0.57864191"
+    code, out, err = run_cli(capsys, "scan-ratio", *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "d=16777217 " in err
+
+
+@pytest.mark.parametrize(
+    "command,named",
+    [
+        ("pf-thresholds", "d=3 and eps=1e-06 "),
+        ("lcu-table", "d=3, t=0.1 and eps_sim=1e-06 "),
+        ("scan-ratio", "d=3, t=0.1 and eps_sim=1e-06 "),
+    ],
+)
+def test_an_overflowing_synthesis_cost_is_named(tmp_path, capsys, monkeypatch, command, named):
+    # each rotation costs about 1e308 * log2(1 / delta): inf
+    config = tmp_path / "model.json"
+    config.write_text('{"rz_slope": 1e308}')
+    monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
+    code, out, err = run_cli(capsys, command, "--d-max", "5")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and named in err
 
 
 @pytest.mark.parametrize("command", ["pf-thresholds", "lcu-table", "scan-ratio"])

@@ -17,8 +17,7 @@ import pytest
 
 import quditcost
 from quditcost import __version__, cli
-from quditcost.costmodel import PfRow
-from quditcost.endtoend import LcuRow, ResourceReport
+from quditcost.costmodel import LcuRow, PfRow, ResourceReport
 
 
 def indent_2_dump(args, rows):

@@ -3,16 +3,16 @@ import tracemalloc
 
 import pytest
 
-from quditcost.costmodel import MIN_CALL_BUDGET
-from quditcost.endtoend import (
+from quditcost.costmodel import (
+    MIN_CALL_BUDGET,
     lcu_fixed_encoding_thresholds,
+    qubit_normalization,
     query_count,
     ratio_and_budget,
     total_cost_qubit,
     total_cost_qudit_hybrid,
 )
 from quditcost.grid import make_grid
-from quditcost.lcu import qubit_normalization
 from quditcost.pauli import clock_one_norm
 
 PRIMES_TO_19 = [3, 5, 7, 11, 13, 17, 19]
@@ -132,7 +132,7 @@ def test_report_row_is_constant_size_in_d():
 
 
 def test_per_rotation_budget_floor_names_d():
-    # eps_be is about 1e-300; at this d each chain splits it over more than
+    # eps_be is about 1e-300; at this d each row splits it over at least
     # 6e7 rotations, which leaves less than the smallest normal float each
     lcu_fixed_encoding_thresholds(1.0, 99, 0.01, 1e-297)
     with pytest.raises(ValueError, match="d=20000001 "):

@@ -2,14 +2,14 @@ import math
 
 import pytest
 
-from quditcost.costmodel import pf_thresholds
-from quditcost.grid import FieldGrid, levels, make_grid, register_width, squared_mean
-from quditcost.lcu import (
-    fixed_encoding_call_rotations,
+from quditcost.costmodel import (
+    lcu_fixed_encoding_thresholds,
+    pf_thresholds,
     qubit_normalization,
-    qudit_hybrid_call_cost,
-    select_nontrivial_count,
+    ratio_and_budget,
 )
+from quditcost.grid import FieldGrid, levels, make_grid, register_width, squared_mean
+from quditcost.lcu import select_nontrivial_count
 from quditcost.pauli import clock_one_norm
 
 # the largest phi_max whose bound 4 phi_max^2 on the normalizations is finite
@@ -107,10 +107,12 @@ def test_register_width_values():
         register_width,
         lambda d: make_grid(1.0, d),
         lambda d: pf_thresholds(d, 1e-6),
-        qudit_hybrid_call_cost,
+        lambda d: ratio_and_budget(1.0, d, 0.1, 1e-6),
         select_nontrivial_count,
-        fixed_encoding_call_rotations,
+        lambda d: lcu_fixed_encoding_thresholds(1.0, d, 0.1, 1e-6),
     ],
+    # the hybrid call cost and the fixed-encoding rotation bound are checked
+    # through the rows that price them
     ids=[
         "register_width",
         "make_grid",

@@ -6,21 +6,27 @@ import numpy as np
 import pytest
 from oracles import dclock_angles, dclock_realized_phases
 
+from quditcost.costmodel import (
+    SynthesisModel,
+    lcu_fixed_encoding_thresholds,
+    precision_parameter,
+    qubit_blockencoding_cost,
+    qubit_normalization,
+    query_count,
+    ratio_and_budget,
+    total_cost_qubit,
+    total_cost_qudit_hybrid,
+)
 from quditcost.grid import FieldGrid, make_grid
 from quditcost.lcu import (
     SignedBinaryRegister,
-    fixed_encoding_call_rotations,
     fixed_encoding_select_schedule,
-    precision_parameter,
     prep_ry_schedule,
-    qubit_blockencoding_cost,
-    qubit_normalization,
     qubit_projector_diag_oracle,
-    qudit_hybrid_call_cost,
     select_nontrivial_count,
     select_vartheta_closed_form,
 )
-from quditcost.pauli import beta_closed_form, select_diag_phases
+from quditcost.pauli import beta_closed_form, clock_one_norm, select_diag_phases
 from quditcost.simverify import (
     equal_up_to_global_phase,
     fan_state,
@@ -126,21 +132,34 @@ def test_qubit_cost_breakdown_consistent():
 # ------------------------------------------------------ hybrid call costs
 
 
+def hybrid_call_counts(d):
+    """(synthesized rotations, direct T gates) of one hybrid call, read off its chain.
+
+    Under a flat synthesis cost c per rotation the per-call cost is
+    rotations * c + T gates; c = 1 and c = 2 separate the two counts exactly.
+    """
+    grid = make_grid(1.0, d)
+    one, two = (
+        total_cost_qudit_hybrid(grid, 0.1, 1e-6, SynthesisModel(rz_slope=0.0, rz_intercept=c)).per_call
+        for c in (1.0, 2.0)
+    )
+    return two - one, 2 * one - two
+
+
 @pytest.mark.parametrize(
     "d,t_gates,rz",
     [(3, 8, 8), (5, 12, 17), (9, 16, 34)],
 )
 def test_qudit_hybrid_call_cost(d, t_gates, rz):
-    cost = qudit_hybrid_call_cost(d)
-    assert cost.t_gates == t_gates
-    assert cost.rz_rotations_per_call == rz
+    assert hybrid_call_counts(d) == (rz, t_gates)
 
 
 def test_qudit_hybrid_call_cost_invalid_d():
+    # the scan-ratio row prices the hybrid call and checks d through make_grid
     with pytest.raises(ValueError):
-        qudit_hybrid_call_cost(4)
+        ratio_and_budget(1.0, 4, 0.1, 1e-6)
     with pytest.raises(ValueError):
-        qudit_hybrid_call_cost(1)
+        ratio_and_budget(1.0, 1, 0.1, 1e-6)
 
 
 # ------------------------------------------------------------ clock ladder
@@ -176,7 +195,7 @@ def test_dsign_spec_d5():
     # the sign flip marks r >= (d + 1) / 2 = 3; its comparator is in the
     # hybrid call's 4 n_b direct T gates
     assert negative_flags(5) == [0, 0, 1, 1]
-    assert qudit_hybrid_call_cost(5).t_gates == 12
+    assert hybrid_call_counts(5)[1] == 12
 
 
 def test_dsign_spec_d3():
@@ -251,10 +270,16 @@ def test_select_schedule_reproduces_diagonal(d):
 
 
 def test_fixed_encoding_call_rotations():
-    assert fixed_encoding_call_rotations(3) == 6
-    assert fixed_encoding_call_rotations(19) == 54
+    # the lcu-table row prices 3d - 3 rotations per call: under a flat
+    # synthesis cost of 1, a_max / a_rz = qubit total / (queries * rotations)
+    flat = SynthesisModel(rz_slope=0.0, rz_intercept=1.0)
+    for d, rotations in ((3, 6), (19, 54)):
+        row = lcu_fixed_encoding_thresholds(1.0, d, 0.1, 1e-6, flat)
+        total = total_cost_qubit(make_grid(1.0, d), 0.1, 1e-6).total
+        queries = query_count(clock_one_norm(1.0, d), 0.1, 1e-6)
+        assert total * row.a_rz_lcu / (queries * row.a_max_lcu) == pytest.approx(rotations, rel=1e-12)
     with pytest.raises(ValueError):
-        fixed_encoding_call_rotations(2)
+        lcu_fixed_encoding_thresholds(1.0, 2, 0.1, 1e-6)
 
 
 # ------------------------------------------------------------ preparation

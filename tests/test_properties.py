@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditcost.cli import main
-from quditcost.costmodel import MIN_CALL_BUDGET, pf_thresholds
-from quditcost.endtoend import ratio_and_budget
+from quditcost.costmodel import MIN_CALL_BUDGET, pf_thresholds, ratio_and_budget
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 

@@ -153,7 +153,7 @@ def test_run_suites_yields_six_named_results():
     assert all(r.ok for r in results)
 
 
-@pytest.mark.parametrize("dense_cap,census_cap", [(65, 15), (2, 15), (9, 1)])
+@pytest.mark.parametrize("dense_cap,census_cap", [(2, 15), (9, 1)])
 def test_run_suites_rejects_caps(dense_cap, census_cap):
     with pytest.raises(ValueError):
         next(run_suites(1.0, dense_cap, census_cap))
