@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .costmodel import ResourceReport, SynthesisModel, lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
 from .grid import FieldGrid, make_grid, register_width
-from .simverify import SuiteResult, run_suites
 
 __all__ = [
     "__version__",
@@ -20,3 +19,16 @@ __all__ = [
     "SuiteResult",
     "run_suites",
 ]
+
+
+def __getattr__(name: str):
+    """SuiteResult and run_suites, from simverify and numpy, loaded on first use.
+
+    The report commands import only the stdlib; the verify side loads when
+    it is used.
+    """
+    if name in ("SuiteResult", "run_suites"):
+        from . import simverify
+
+        return getattr(simverify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

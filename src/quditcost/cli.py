@@ -11,8 +11,7 @@ import sys
 
 from . import __version__
 from .costmodel import SynthesisModel, lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
-from .grid import check_phi_max
-from .simverify import CENSUS_CAP, DIM_CAP, run_suites
+from .grid import CENSUS_CAP, DIM_CAP, check_phi_max
 
 CONFIG_ENV_VAR = "QUDITCOST_CONFIG"
 MODEL_KEYS = tuple(field.name for field in dataclasses.fields(SynthesisModel))
@@ -107,6 +106,17 @@ def _d_values(args: argparse.Namespace) -> list[int]:
     return values
 
 
+def _switch_count(text: str) -> int:
+    """Type of --k: an integer that converts to a finite float, as the switch budget divides by it."""
+    try:
+        k = int(text)
+        float(k)
+    except (ValueError, OverflowError):
+        shown = text if len(text) <= 24 else f"{text[:12]}...({len(text)} characters)"
+        raise argparse.ArgumentTypeError(f"{shown} is not an integer with a finite float value") from None
+    return k
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -152,6 +162,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if not math.isfinite(args.inject_angle_error):
         raise ConfigError(f"--inject-angle-error must be finite, got {args.inject_angle_error}")
+    # the verify side needs numpy; the report commands never load it
+    from .simverify import run_suites
+
     all_ok = True
     for result in run_suites(args.phi_max, args.d_max, args.census_max, args.inject_angle_error):
         all_ok = all_ok and result.ok
@@ -194,7 +207,7 @@ def _add_report_flags(
     )
     parser.set_defaults(prime_only=prime_only)
     if k:
-        parser.add_argument("--k", type=int, default=2, help="directional switches per query")
+        parser.add_argument("--k", type=_switch_count, default=2, help="directional switches per query")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 

@@ -8,6 +8,8 @@ totals exceeds one exactly when the d-level route is cheaper, and the
 saving divided by (qudit queries * switches per query) bounds the
 affordable per-switch conversion overhead.  Each row checks d once, through
 make_grid or pf_thresholds, and evaluates each formula it prints once.
+The qudit alpha is the clock-power one-norm (clock_one_norm), O(1) in d.
+Like everything the report commands import, the module is stdlib only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .grid import FieldGrid, make_grid, register_width
-from .pauli import clock_one_norm
 
 # Smallest accuracy budget a cost takes log2 of: the step accuracy eps of
 # a product formula or the per-call budget eps_sim / Q of a block
@@ -32,6 +33,11 @@ MIN_CALL_BUDGET = 1e-300
 # break_even take log2 of stay finite, for every L.
 MIN_ROTATION_BUDGET = sys.float_info.min
 
+# Smallest d at which clock_one_norm takes its closed form.  Below it the
+# truncated trigamma series and Euler-Maclaurin tail lose digits (2.6e-14
+# relative at d = 41), and the direct sum is cheap anyway.
+ONE_NORM_CLOSED_FORM_D = 101
+
 # Fault-tolerant conversion convention: one Toffoli costs four T gates.
 TOFFOLI_T_COST = 4
 
@@ -41,16 +47,14 @@ class SynthesisModel:
     """Per-rotation non-Clifford synthesis cost parameters.
 
     A qubit Z rotation synthesized to accuracy delta costs
-    rz_slope * log2(1/delta) + rz_intercept non-Clifford gates; an embedded
-    two-level rotation on a d-level system is modeled as
-    qudit_prefactor * log2(1/delta).  All three must be finite; the qubit
-    parameters nonnegative and not both zero, so that every rotation costs
-    more than nothing; the qudit prefactor positive.
+    rz_slope * log2(1/delta) + rz_intercept non-Clifford gates.  Both must
+    be finite, nonnegative and not both zero, so that every rotation costs
+    more than nothing.  The d-level routes are priced by their break-even
+    prefactors instead, which need no model parameter.
     """
 
     rz_slope: float = 0.57
     rz_intercept: float = 8.83
-    qudit_prefactor: float = 1.0
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
@@ -61,8 +65,6 @@ class SynthesisModel:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.rz_slope == 0 and self.rz_intercept == 0:
             raise ValueError("rz_slope and rz_intercept are both zero: rotations would cost nothing")
-        if self.qudit_prefactor <= 0:
-            raise ValueError(f"qudit_prefactor must be positive, got {self.qudit_prefactor}")
 
 
 DEFAULT_MODEL = SynthesisModel()
@@ -192,6 +194,78 @@ def query_count(alpha: float, t: float, eps_sim: float) -> float:
     return q
 
 
+def _half_weight_sum(d: int) -> float:
+    """sum_{r=1}^{(d-1)/2} cos x_r / sin^2 x_r with x_r = pi r/d, added in numpy's order.
+
+    That order, for fewer than numpy's block of 128 terms: 8 running
+    partials (term i to partial i mod 8), combined pairwise, then the tail
+    of fewer than 8 terms in turn.  So the float equals the numpy sum that
+    the outputs were first computed with; math.fsum would round otherwise.
+    """
+    n = (d - 1) // 2
+    weights = []
+    for r in range(1, n + 1):
+        x = math.pi * r / d
+        s = math.sin(x)
+        weights.append(math.cos(x) / (s * s))
+    total = 0.0
+    if n >= 8:
+        blocked = n - n % 8
+        p = weights[:8]
+        for i in range(8, blocked):
+            p[i % 8] += weights[i]
+        total = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+        weights = weights[blocked:]
+    for w in weights:
+        total += w
+    return total
+
+
+def clock_one_norm(phi_max: float, d: int) -> float:
+    """One-norm sum_{r>=1} |beta_r| of the clock-power coefficients, O(1) in d.
+
+    The nonzero-r coefficients (pauli.beta_closed_form) have moduli
+    2 phi_max^2 / (d - 1)^2 |cos x_r| / sin^2 x_r with x_r = pi r/d.  These
+    weights are symmetric under r -> d - r, so the sum runs over the half
+    x_r <= pi/2 and is doubled; above pi/2 the rounding of x_r near pi
+    would cost sin x_r up to d * 1e-16 of relative accuracy.  Below
+    ONE_NORM_CLOSED_FORM_D the half sum is at most 49 terms
+    (_half_weight_sum).  From there on, with h = pi/d, X = (d - 1) h / 2,
+    s = sin X and c = cos X, the weight cos x / sin^2 x splits into 1/x^2
+    and an even smooth part f:
+
+    * sum_{r<=(d-1)/2} 1/x_r^2 = (d/pi)^2 (pi^2/6 - psi'((d + 1)/2)), with
+      the trigamma psi' from its asymptotic series (z >= 51);
+    * f sums by Euler-Maclaurin to (1/X - 1/s)/h + (f(X) + 1/6)/2
+      + (h/12) f1 - (h^3/720) f3 + (h^5/30240) f5, where fk is the k-th
+      derivative of f at X; the odd derivatives vanish at 0, and
+      f(0) = -1/6.
+
+    Both forms lie within 5e-16 of a 40-digit sum.
+    """
+    if d < ONE_NORM_CLOSED_FORM_D:
+        weights = _half_weight_sum(d)
+    else:
+        z = (d + 1) / 2
+        w = 1.0 / (z * z)
+        trigamma = 1 / z + w / 2 + w / z * (1 / 6 + w * (-1 / 30 + w * (1 / 42 - w / 30)))
+        h = math.pi / d
+        X = (d - 1) * h / 2
+        s, c = math.sin(X), math.cos(X)
+        f = c / s**2 - 1 / X**2
+        f1 = 1 / s - 2 / s**3 + 2 / X**3
+        f3 = -1 / s + 20 / s**3 - 24 / s**5 + 24 / X**5
+        f5 = -719 / s + 1978 / s**3 - 1320 / s**5 - 720 * c**6 / s**7 + 720 / X**7
+        weights = (d / math.pi) ** 2 * (math.pi**2 / 6 - trigamma) + (
+            (1 / X - 1 / s) / h
+            + (f + 1 / 6) / 2
+            + h / 12 * f1
+            - h**3 / 720 * f3
+            + h**5 / 30240 * f5
+        )
+    return phi_max**2 * 4.0 / (d - 1) ** 2 * weights
+
+
 def qubit_normalization(grid: FieldGrid) -> float:
     """Block-encoding normalization of the qubit route, delta_phi^2 * (2^(n_b-1) - 1)^2."""
     return grid.delta_phi**2 * (2 ** (grid.n_b - 1) - 1) ** 2
@@ -307,16 +381,22 @@ def ratio_and_budget(
     """Build the full report: totals, ratio, absolute saving, per-switch budget.
 
     k is the number of directional encoding switches per query (two for the
-    hybrid round trip).  ratio > 1, delta_tot > 0, and a positive budget
-    are all equivalent statements that the d-level route is cheaper.
+    hybrid round trip).  The switch count Q_qd * k must be a finite float,
+    or the budget would read 0; the budget, like the totals, must be
+    finite.  ratio > 1, delta_tot > 0, and a positive budget are all
+    equivalent statements that the d-level route is cheaper.
     """
     if k < 1:
         raise ValueError(f"switch count must be at least 1, got {k}")
     grid = make_grid(phi_max, d)
     qb = total_cost_qubit(grid, t, eps_sim)
     qd = total_cost_qudit_hybrid(grid, t, eps_sim, model)
-    check_finite(d, t, eps_sim, qb.total, qd.total)
     delta = qb.total - qd.total
+    switches = qd.queries * k
+    if not math.isfinite(switches):
+        raise ValueError(f"k={k:.6g} is too large: the {qd.queries:.6g} queries at d={d} make {switches} switches")
+    budget = delta / switches
+    check_finite(d, t, eps_sim, qb.total, qd.total, budget)
     return ResourceReport(
         d=d,
         n_b=grid.n_b,
@@ -330,7 +410,7 @@ def ratio_and_budget(
         t_tot_qd=qd.total,
         ratio=qb.total / qd.total,
         delta_tot=delta,
-        budget_per_switch=delta / (qd.queries * k),
+        budget_per_switch=budget,
     )
 
 

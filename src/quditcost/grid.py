@@ -5,10 +5,9 @@ spaced eigenvalues spanning [-phi_max, +phi_max].  Every other module
 consumes this grid, so construction validates the structural invariants
 up front: odd local dimension, positive amplitude bound, and the exact
 spacing relation delta_phi = 2 * phi_max / (d - 1).  A grid is O(1) in d:
-the report commands need only phi_max, delta_phi and n_b.  The d levels
-themselves are built on demand by `levels`, for the verify suites, with
-numpy and by the same IEEE operations as the scalar expression
--phi_max + n * delta_phi, so they equal it bit for bit.
+the report commands need only phi_max, delta_phi and n_b.  The module is
+stdlib only, as is everything the report commands import; the d levels
+themselves are built by pauli.level_array, on the verify side, with numpy.
 """
 
 from __future__ import annotations
@@ -17,11 +16,14 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 # Largest local dimension: the coefficient scale 2 phi_max^2 / (d - 1)^2
 # needs (d - 1)^2 as a finite float.  It is about 1.3e154.
 MAX_D = math.isqrt(int(sys.float_info.max)) + 1
+
+# Default caps of `verify`: the largest d of the dense schedule suites, and
+# of the coefficient and census suites.
+DIM_CAP = 64
+CENSUS_CAP = 513
 
 
 @dataclass(frozen=True)
@@ -89,17 +91,3 @@ def make_grid(phi_max: float, d: int) -> FieldGrid:
         delta_phi=2.0 * phi_max / (d - 1),
         n_b=n_b,
     )
-
-
-def levels(grid: FieldGrid) -> tuple[float, ...]:
-    """The d field eigenvalues -phi_max + n * delta_phi, n = 0 .. d-1."""
-    return tuple((-grid.phi_max + np.arange(grid.d) * grid.delta_phi).tolist())
-
-
-def squared_mean(grid: FieldGrid) -> float:
-    """Mean of the squared eigenvalues, (1/d) * sum_n lambda_n^2.
-
-    Computed by direct summation; for the symmetric grid this equals
-    phi_max^2 * (d + 1) / (3 * (d - 1)), which the tests cross-check.
-    """
-    return sum(lam * lam for lam in levels(grid)) / grid.d

@@ -60,26 +60,20 @@ def qubit_projector_diag_oracle(grid: FieldGrid) -> list[float]:
     """Diagonal of the bit-pair projector sum on every register string.
 
     Returns delta_phi^2 * sum_{r,s} 2^(r+s) * l_r * l_s per computational
-    string, enumerated literally over the (r, s) projector pairs; agreement
-    with delta_phi^2 * label^2 (including both zero strings) is what the
-    tests certify.
+    string, the sum over the (r, s) projector pairs taken as one integer
+    quadratic form of the magnitude bits; agreement with
+    delta_phi^2 * label^2 (including both zero strings) is what the tests
+    certify.  The form is below 4^(n_b - 1), exact in int64 and as a float.
     """
     n_b = grid.n_b
     if n_b > MAX_ORACLE_WIDTH:
         raise ValueError(
             f"register of {n_b} qubits too large for dense enumeration"
         )
-    reg = SignedBinaryRegister(n_b)
-    dphi2 = grid.delta_phi**2
-    values = []
-    for v in range(reg.size):
-        bits = [(v >> r) & 1 for r in range(n_b - 1)]
-        acc = 0
-        for r in range(n_b - 1):
-            for s in range(n_b - 1):
-                acc += (1 << (r + s)) * bits[r] * bits[s]
-        values.append(dphi2 * acc)
-    return values
+    r = np.arange(n_b - 1)
+    bits = (np.arange(SignedBinaryRegister(n_b).size)[:, None] >> r) & 1
+    pairs = np.int64(1) << (r[:, None] + r)
+    return (grid.delta_phi**2 * ((bits @ pairs) * bits).sum(axis=1)).tolist()
 
 
 def fixed_encoding_select_schedule(expansion: PauliExpansion) -> ZLadder:

@@ -14,13 +14,13 @@ needs no coefficient list: with x_r = pi r/d,
 
     sum_{r>=1} |beta_r| = phi_max^2 * 2 / (d - 1)^2 * sum_{r=1}^{d-1} |cos x_r| / sin^2 x_r,
 
-and from d = ONE_NORM_CLOSED_FORM_D on that sum has an O(1) closed form
-(see clock_one_norm), so a report row costs the same at every d.
-
-The module also provides an independent discrete-Fourier-transform oracle,
-a numpy FFT of the squared grid levels in O(d log d), used to cross-check
-the closed form (the tests certify the FFT against the direct O(d^2) sum),
-plus the selection-oracle phase list assembled from the coefficient signs.
+which costmodel.clock_one_norm evaluates in O(1) without numpy, for the
+report commands.  This module is the verify side: it builds the d grid
+levels (level_array) and the coefficient arrays with numpy, the closed form
+and an independent discrete-Fourier-transform oracle, a numpy FFT of the
+squared levels in O(d log d) (the tests certify the FFT against the
+direct O(d^2) sum), plus the selection-oracle phase list assembled from
+the coefficient signs.
 """
 
 from __future__ import annotations
@@ -30,12 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldGrid, levels
-
-# Smallest d at which clock_one_norm takes its closed form.  Below it the
-# truncated trigamma series and Euler-Maclaurin tail lose digits (2.6e-14
-# relative at d = 41), and the direct sum is cheap anyway.
-ONE_NORM_CLOSED_FORM_D = 101
+from .costmodel import clock_one_norm
+from .grid import FieldGrid
 
 
 @dataclass(frozen=True)
@@ -62,47 +58,18 @@ class PauliExpansion:
     lambda_norm: float
 
 
-def clock_one_norm(phi_max: float, d: int) -> float:
-    """One-norm sum_{r>=1} |beta_r| of the closed-form coefficients, O(1) in d.
+def level_array(grid: FieldGrid) -> np.ndarray:
+    """The d field eigenvalues -phi_max + n * delta_phi, n = 0 .. d-1.
 
-    The weights are symmetric under r -> d - r, so the sum runs over the
-    half x_r <= pi/2 and is doubled; above pi/2 the rounding of x_r near pi
-    would cost sin x_r up to d * 1e-16 of relative accuracy.  Below
-    ONE_NORM_CLOSED_FORM_D the half sum is one numpy reduction.  From there
-    on, with h = pi/d, X = (d - 1) h / 2, s = sin X and c = cos X, the
-    weight cos x / sin^2 x splits into 1/x^2 and an even smooth part f:
-
-    * sum_{r<=(d-1)/2} 1/x_r^2 = (d/pi)^2 (pi^2/6 - psi'((d + 1)/2)), with
-      the trigamma psi' from its asymptotic series (z >= 51);
-    * f sums by Euler-Maclaurin to (1/X - 1/s)/h + (f(X) + 1/6)/2
-      + (h/12) f1 - (h^3/720) f3 + (h^5/30240) f5, where fk is the k-th
-      derivative of f at X; the odd derivatives vanish at 0, and
-      f(0) = -1/6.
-
-    Both forms lie within 5e-16 of a 40-digit sum.
+    numpy forms each by the same IEEE operations as that scalar expression,
+    so they equal it bit for bit.
     """
-    if d < ONE_NORM_CLOSED_FORM_D:
-        x = np.pi * np.arange(1, (d + 1) // 2) / d
-        weights = float((np.cos(x) / np.sin(x) ** 2).sum())
-    else:
-        z = (d + 1) / 2
-        w = 1.0 / (z * z)
-        trigamma = 1 / z + w / 2 + w / z * (1 / 6 + w * (-1 / 30 + w * (1 / 42 - w / 30)))
-        h = math.pi / d
-        X = (d - 1) * h / 2
-        s, c = math.sin(X), math.cos(X)
-        f = c / s**2 - 1 / X**2
-        f1 = 1 / s - 2 / s**3 + 2 / X**3
-        f3 = -1 / s + 20 / s**3 - 24 / s**5 + 24 / X**5
-        f5 = -719 / s + 1978 / s**3 - 1320 / s**5 - 720 * c**6 / s**7 + 720 / X**7
-        weights = (d / math.pi) ** 2 * (math.pi**2 / 6 - trigamma) + (
-            (1 / X - 1 / s) / h
-            + (f + 1 / 6) / 2
-            + h / 12 * f1
-            - h**3 / 720 * f3
-            + h**5 / 30240 * f5
-        )
-    return phi_max**2 * 4.0 / (d - 1) ** 2 * weights
+    return -grid.phi_max + np.arange(grid.d) * grid.delta_phi
+
+
+def levels(grid: FieldGrid) -> tuple[float, ...]:
+    """The d field eigenvalues of level_array, as Python floats."""
+    return tuple(level_array(grid).tolist())
 
 
 def _expansion_from_betas(
@@ -136,7 +103,7 @@ def beta_dft_oracle(grid: FieldGrid) -> PauliExpansion:
     because numpy loads it lazily and the report commands never need it.
     """
     d = grid.d
-    betas = np.fft.fft(np.asarray(levels(grid)) ** 2) / d
+    betas = np.fft.fft(level_array(grid) ** 2) / d
     return _expansion_from_betas(d, grid.phi_max, betas, float(np.abs(betas[1:]).sum()))
 
 

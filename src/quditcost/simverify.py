@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import levels, make_grid
+from .grid import CENSUS_CAP, DIM_CAP, make_grid
 from .lcu import (
     SignedBinaryRegister,
     fixed_encoding_select_schedule,
@@ -35,12 +35,8 @@ from .lcu import (
     select_nontrivial_count,
     select_vartheta_closed_form,
 )
-from .pauli import beta_closed_form, beta_dft_oracle, select_diag_phases
+from .pauli import beta_closed_form, beta_dft_oracle, level_array, select_diag_phases
 from .trotter import ZLadder, qudit_trotter_angles, reduce_angles
-
-# default caps of the dense schedule suites and of the coefficient and census suites
-DIM_CAP = 64
-CENSUS_CAP = 513
 
 # A rotation is the identity when its angle lies in 4*pi*Z within this tolerance.
 TRIVIAL_ANGLE_TOL = 1e-10
@@ -134,7 +130,7 @@ def suite_trotter(phi_max: float, dense_cap: int) -> SuiteResult:
     errors = []
     for d in dims:
         grid = make_grid(phi_max, d)
-        lam_sq = np.asarray(levels(grid)) ** 2
+        lam_sq = level_array(grid) ** 2
         errors.append(np.max([
             equal_up_to_global_phase(
                 ladder_diagonal(qudit_trotter_angles(grid, t)), -t * lam_sq

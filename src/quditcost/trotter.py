@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import FieldGrid, levels, squared_mean
+from .grid import FieldGrid
+from .pauli import level_array, levels
 
 # Two-level rotations are 4*pi periodic.
 ANGLE_PERIOD = 4.0 * np.pi
@@ -50,6 +51,15 @@ def reduce_angles(angles: np.ndarray) -> np.ndarray:
     return r
 
 
+def squared_mean(grid: FieldGrid) -> float:
+    """Mean of the squared eigenvalues, (1/d) * sum_n lambda_n^2.
+
+    Computed by direct summation; for the symmetric grid this equals
+    phi_max^2 * (d + 1) / (3 * (d - 1)), which the tests cross-check.
+    """
+    return sum(lam * lam for lam in levels(grid)) / grid.d
+
+
 def qudit_trotter_angles(grid: FieldGrid, t: float) -> ZLadder:
     """Adjacent-pair Z ladder for one native d-level step.
 
@@ -63,7 +73,7 @@ def qudit_trotter_angles(grid: FieldGrid, t: float) -> ZLadder:
             phi_max and t.
     """
     mu = squared_mean(grid)
-    lam_sq = np.square(levels(grid)[:-1])
+    lam_sq = np.square(level_array(grid)[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
         angles = 2.0 * np.cumsum(t * lam_sq - t * mu)
     if not np.isfinite(angles).all():

@@ -13,7 +13,10 @@ that the library uses as closed forms:
 * the direct O(d^2) Fourier sum of the squared grid levels, which
   certifies the FFT coefficient oracle `pauli.beta_dft_oracle`;
 * trial division, which certifies the Miller-Rabin test `cli.is_prime`
-  that `--primes` scans use.
+  that `--primes` scans use;
+* the bit-pair projector sum over every (r, s) pair, one register string
+  at a time, which certifies the quadratic form of
+  `lcu.qubit_projector_diag_oracle`.
 
 Angle convention as in `quditcost.trotter`: R_z(theta) = exp(-i theta Z / 2).
 """
@@ -25,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quditcost.grid import FieldGrid, levels, register_width
+from quditcost.grid import FieldGrid, register_width
+from quditcost.lcu import SignedBinaryRegister
+from quditcost.pauli import level_array
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ def direct_dft_coefficients(grid: FieldGrid) -> np.ndarray:
     d = grid.d
     indices = np.arange(d)
     kernel = np.exp(-2j * np.pi * (np.outer(indices, indices) % d) / d)
-    return kernel @ (np.asarray(levels(grid)) ** 2) / d
+    return kernel @ (level_array(grid) ** 2) / d
 
 
 def is_prime_trial_division(n: int) -> bool:
@@ -155,3 +160,18 @@ def is_prime_trial_division(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def projector_pair_sum(grid: FieldGrid) -> list[float]:
+    """delta_phi^2 * sum_{r,s} 2^(r+s) * l_r * l_s per register string, pair by pair."""
+    n_b = grid.n_b
+    dphi2 = grid.delta_phi**2
+    values = []
+    for v in range(SignedBinaryRegister(n_b).size):
+        bits = [(v >> r) & 1 for r in range(n_b - 1)]
+        acc = 0
+        for r in range(n_b - 1):
+            for s in range(n_b - 1):
+                acc += (1 << (r + s)) * bits[r] * bits[s]
+        values.append(dphi2 * acc)
+    return values

@@ -16,7 +16,7 @@ from quditcost.costmodel import (
     qubit_blockencoding_cost,
     ratio_and_budget,
 )
-from quditcost.grid import levels, make_grid, squared_mean
+from quditcost.grid import make_grid
 from quditcost.lcu import (
     SignedBinaryRegister,
     fixed_encoding_select_schedule,
@@ -24,9 +24,9 @@ from quditcost.lcu import (
     qubit_projector_diag_oracle,
     select_nontrivial_count,
 )
-from quditcost.pauli import beta_closed_form, beta_dft_oracle, select_diag_phases
+from quditcost.pauli import beta_closed_form, beta_dft_oracle, levels, select_diag_phases
 from quditcost.simverify import equal_up_to_global_phase, fan_state, ladder_diagonal
-from quditcost.trotter import qudit_trotter_angles
+from quditcost.trotter import qudit_trotter_angles, squared_mean
 
 PRIMES_TO_19 = [3, 5, 7, 11, 13, 17, 19]
 

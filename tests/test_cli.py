@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from oracles import is_prime_trial_division
 
+import quditcost
 from quditcost.cli import CONFIG_ENV_VAR, PRIME_TEST_BOUND, is_prime, main
 from quditcost.costmodel import ratio_and_budget
 from quditcost.grid import MAX_D
@@ -320,6 +325,8 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
         ('{"rz_intercept": -50}', "rz_intercept"),
         ('{"rz_slope": 0, "rz_intercept": 0}', "rz_intercept"),
         ('{"qudit_prefactor": 0}', "qudit_prefactor"),
+        # not a model field: any value is an unknown key
+        ('{"qudit_prefactor": 1000}', "unknown key 'qudit_prefactor'"),
     ],
 )
 def test_bad_config_is_config_error(tmp_path, capsys, monkeypatch, content, named):
@@ -365,6 +372,8 @@ OVERFLOW_NAMED = "d=8388609, t=1.2e+299 and eps_sim=0.5 "
         (["scan-ratio", *OVERFLOWING_ROW, "--format", "json"], OVERFLOW_NAMED),
         # the break-even denominator Q L log2(L / eps_be) overflows: a_max_lcu=0
         (["lcu-table", *OVERFLOWING_ROW], OVERFLOW_NAMED),
+        # Q_qd * k overflows, which would make budget_per_switch 0
+        (["scan-ratio", "--d-max", "3", "--k", str(10**308)], "k=1e+308 "),
     ],
 )
 def test_bad_value_is_named_at_the_boundary(capsys, argv, named):
@@ -449,3 +458,45 @@ def test_verify_ignores_the_synthesis_model_config(tmp_path, capsys, monkeypatch
     code, _, err = run_cli(capsys, "scan-ratio", "--d-max", "5")
     assert code == 2
     assert str(config) in err
+
+
+def test_k_without_a_finite_float_value_is_rejected(capsys):
+    # without a float value of k, no switch count Q_qd * k can be formed
+    with pytest.raises(SystemExit) as exc:
+        main(["scan-ratio", "--d-max", "3", "--k", str(10**309)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --k: " in captured.err and "finite float" in captured.err
+
+
+# The report commands import the stdlib only; numpy and the verify suites
+# load when `verify` runs.
+REPORTS_IN_A_FRESH_PROCESS = """
+import json, sys
+from quditcost.cli import main
+for command in ("scan-ratio", "lcu-table", "pf-thresholds"):
+    out = f"{sys.argv[1]}/{command}.json"
+    assert main([command, "--format", "json", "--primes", "--d-max", "103", "--out", out]) == 0
+    with open(out) as fh:
+        assert json.load(fh)["rows"][-1]["d"] == 103
+print(sorted(name for name in ("numpy", "quditcost.simverify") if name in sys.modules))
+"""
+
+
+def test_report_commands_load_neither_numpy_nor_the_verify_suites(tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != CONFIG_ENV_VAR}
+    env["PYTHONPATH"] = str(Path(quditcost.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", REPORTS_IN_A_FRESH_PROCESS, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_every_exported_name_resolves():
+    assert len(quditcost.__all__) == 11
+    for name in quditcost.__all__:
+        assert getattr(quditcost, name) is not None, name
+    assert quditcost.run_suites.__module__ == "quditcost.simverify"
+    with pytest.raises(AttributeError, match="no attribute 'levels'"):
+        quditcost.levels

@@ -37,8 +37,9 @@ def test_rz_cost_domain():
 def test_model_defaults_and_validation():
     assert DEFAULT_MODEL.rz_slope == 0.57
     assert DEFAULT_MODEL.rz_intercept == 8.83
-    with pytest.raises(ValueError):
-        SynthesisModel(qudit_prefactor=0.0)
+    # the d-level routes are priced by break-even prefactors, not by a model field
+    with pytest.raises(TypeError):
+        SynthesisModel(qudit_prefactor=1.0)
 
 
 @pytest.mark.parametrize(
@@ -46,7 +47,7 @@ def test_model_defaults_and_validation():
     [
         ({"rz_slope": math.nan}, "rz_slope"),
         ({"rz_intercept": math.inf}, "rz_intercept"),
-        ({"qudit_prefactor": math.nan}, "qudit_prefactor"),
+        ({"rz_slope": -math.inf}, "rz_slope"),
         ({"rz_slope": -0.1}, "rz_slope"),
         ({"rz_intercept": -50.0}, "rz_intercept"),
         ({"rz_slope": 0.0, "rz_intercept": 0.0}, "both zero"),

@@ -1,3 +1,6 @@
+"""The report rows of costmodel: query counts, the qubit and hybrid cost chains,
+ratio_and_budget and the fixed-encoding thresholds."""
+
 import math
 import tracemalloc
 
@@ -5,6 +8,7 @@ import pytest
 
 from quditcost.costmodel import (
     MIN_CALL_BUDGET,
+    clock_one_norm,
     lcu_fixed_encoding_thresholds,
     qubit_normalization,
     query_count,
@@ -13,7 +17,6 @@ from quditcost.costmodel import (
     total_cost_qudit_hybrid,
 )
 from quditcost.grid import make_grid
-from quditcost.pauli import clock_one_norm
 
 PRIMES_TO_19 = [3, 5, 7, 11, 13, 17, 19]
 

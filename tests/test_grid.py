@@ -3,14 +3,16 @@ import math
 import pytest
 
 from quditcost.costmodel import (
+    clock_one_norm,
     lcu_fixed_encoding_thresholds,
     pf_thresholds,
     qubit_normalization,
     ratio_and_budget,
 )
-from quditcost.grid import FieldGrid, levels, make_grid, register_width, squared_mean
+from quditcost.grid import FieldGrid, make_grid, register_width
 from quditcost.lcu import select_nontrivial_count
-from quditcost.pauli import clock_one_norm
+from quditcost.pauli import levels
+from quditcost.trotter import squared_mean
 
 # the largest phi_max whose bound 4 phi_max^2 on the normalizations is finite
 PHI_MAX_LIMIT = 6.703903964971298e153

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import dclock_angles, dclock_realized_phases
+from oracles import dclock_angles, dclock_realized_phases, projector_pair_sum
 
 from quditcost.costmodel import (
     SynthesisModel,
+    clock_one_norm,
     lcu_fixed_encoding_thresholds,
     precision_parameter,
     qubit_blockencoding_cost,
@@ -26,7 +27,7 @@ from quditcost.lcu import (
     select_nontrivial_count,
     select_vartheta_closed_form,
 )
-from quditcost.pauli import beta_closed_form, clock_one_norm, select_diag_phases
+from quditcost.pauli import beta_closed_form, select_diag_phases
 from quditcost.simverify import (
     equal_up_to_global_phase,
     fan_state,
@@ -85,6 +86,17 @@ def test_projector_diag_equals_squared_label(d):
     scale = g.delta_phi**2
     for v in range(reg.size):
         assert values[v] == scale * reg.label(v) ** 2
+
+
+@pytest.mark.parametrize("phi_max", [1.0, 0.3, 7.77])
+def test_projector_diag_equals_the_pair_by_pair_sum(phi_max):
+    # every dimension of the projector-diag verify suite, and a 13-qubit register
+    dims = [d for n_b in range(2, 9) for d in (2 ** (n_b - 1) + 1, 2**n_b - 1)]
+    for d in (*dims, 4097):
+        g = make_grid(phi_max, d)
+        values = qubit_projector_diag_oracle(g)
+        assert values == projector_pair_sum(g), d
+        assert all(type(value) is float for value in values)
 
 
 def test_projector_diag_rejects_huge_register():

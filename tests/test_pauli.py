@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from oracles import direct_dft_coefficients
 
-from quditcost.grid import FieldGrid, levels, make_grid
+from quditcost.costmodel import ONE_NORM_CLOSED_FORM_D, clock_one_norm
+from quditcost.grid import FieldGrid, make_grid
 from quditcost.lcu import prep_ry_schedule
 from quditcost.pauli import (
-    ONE_NORM_CLOSED_FORM_D,
     beta_closed_form,
     beta_dft_oracle,
-    clock_one_norm,
+    levels,
     select_diag_phases,
 )
 
@@ -147,6 +147,20 @@ def test_one_norm_across_the_closed_form_switch_matches_high_precision():
     for d in [*range(d0 - 20, d0 + 201, 2), 1025, 4097, 14647, 20001]:
         expected = mp_half_sum_one_norm(1.0, d)
         assert math.isclose(clock_one_norm(1.0, d), expected, rel_tol=1e-15), d
+
+
+def test_one_norm_half_sum_equals_the_numpy_expression():
+    """Below ONE_NORM_CLOSED_FORM_D the stdlib half sum gives the float of the numpy sum.
+
+    The one-norm was first the numpy expression below; the report outputs
+    keep its value bit for bit.  Equality depends on the machine: numpy's
+    SIMD sin and cos may round differently from the C library's elsewhere,
+    and then this test fails while both one-norms stay within 5e-16.
+    """
+    for d in range(3, ONE_NORM_CLOSED_FORM_D, 2):
+        x = np.pi * np.arange(1, (d + 1) // 2) / d
+        weights = float((np.cos(x) / np.sin(x) ** 2).sum())
+        assert clock_one_norm(1.7, d) == 1.7**2 * 4.0 / (d - 1) ** 2 * weights, d
 
 
 def test_closed_form_expansion_carries_the_shared_one_norm():

@@ -20,8 +20,8 @@ from quditcost.cli import main
 COMMANDS = [
     ["pf-thresholds", "--d-max", "7"],
     ["lcu-table", "--d-max", "7", "--format", "json"],
-    ["scan-ratio", "--d-max", "7"],
-    # crosses pauli.ONE_NORM_CLOSED_FORM_D, where the one-norm switches to its closed form
+    ["scan-ratio", "--d-max", "7", "--k", "3"],
+    # crosses costmodel.ONE_NORM_CLOSED_FORM_D, where the one-norm switches to its closed form
     ["scan-ratio", "--d-min", "99", "--d-max", "103"],
     ["verify", "--d-max", "5", "--census-max", "5"],
 ]

@@ -12,11 +12,11 @@ import sys
 
 import pytest
 
-from quditcost import cli, costmodel, grid, pauli
+from quditcost import cli, costmodel, grid
 
 COUNTED = {
     "register_width": grid.register_width,
-    "clock_one_norm": pauli.clock_one_norm,
+    "clock_one_norm": costmodel.clock_one_norm,
     "rz_cost": costmodel.rz_cost,
 }
 

@@ -5,9 +5,10 @@ import pytest
 from oracles import centered_partial_sum, qubit_trotter_terms
 
 from quditcost.costmodel import SynthesisModel, pf_thresholds
-from quditcost.grid import levels, make_grid, squared_mean
+from quditcost.grid import make_grid
+from quditcost.pauli import levels
 from quditcost.simverify import equal_up_to_global_phase, ladder_diagonal, nontrivial_count
-from quditcost.trotter import ZLadder, qudit_trotter_angles, reduce_angles
+from quditcost.trotter import ZLadder, qudit_trotter_angles, reduce_angles, squared_mean
 
 
 def phi_eigenvalue(exp, index):
