@@ -278,38 +278,16 @@ def precision_parameter(eps: float) -> int:
     return math.ceil(0.5 * math.log2(9.0 * math.pi**2 / (2.0 * eps)))
 
 
-@dataclass(frozen=True)
-class QubitLcuCost:
-    """Per-call cost breakdown of the qubit block encoding."""
-
-    b_r: int
-    prep_toffoli: int
-    select_toffoli: int
-    select_direct_t: int
-    t_count_per_call: int
-
-
-def qubit_blockencoding_cost(grid: FieldGrid, eps: float) -> QubitLcuCost:
+def qubit_blockencoding_cost(grid: FieldGrid, eps: float) -> int:
     """T count of one qubit block-encoding call at per-call accuracy eps.
 
-    Breakdown: each preparation direction (prep_toffoli, paid twice)
-    costs 4 b_r + 2 n_b - 16 Toffolis, the selector 2 (n_b - 1) Toffolis
-    plus 20 direct T gates; at 4 T per Toffoli the total is
-    32 b_r + 24 n_b - 116.
+    Each preparation direction (paid twice) costs 4 b_r + 2 n_b - 16
+    Toffolis, the selector 2 (n_b - 1) Toffolis plus 20 direct T gates; at
+    4 T per Toffoli the total is 32 b_r + 24 n_b - 116.
     """
-    b_r = precision_parameter(eps)
     n_b = grid.n_b
-    prep = 4 * b_r + 2 * n_b - 16
-    select_toffoli = 2 * (n_b - 1)
-    select_direct_t = 20
-    total = TOFFOLI_T_COST * (2 * prep + select_toffoli) + select_direct_t
-    return QubitLcuCost(
-        b_r=b_r,
-        prep_toffoli=prep,
-        select_toffoli=select_toffoli,
-        select_direct_t=select_direct_t,
-        t_count_per_call=total,
-    )
+    prep_toffoli = 4 * precision_parameter(eps) + 2 * n_b - 16
+    return TOFFOLI_T_COST * (2 * prep_toffoli + 2 * (n_b - 1)) + 20
 
 
 class CostChain(NamedTuple):
@@ -327,7 +305,7 @@ def total_cost_qubit(grid: FieldGrid, t: float, eps_sim: float) -> CostChain:
     alpha = qubit_normalization(grid)
     q = query_count(alpha, t, eps_sim)
     eps_be = eps_sim / q
-    per_call = float(qubit_blockencoding_cost(grid, eps_be).t_count_per_call)
+    per_call = float(qubit_blockencoding_cost(grid, eps_be))
     return CostChain(alpha, q, eps_be, per_call, q * per_call)
 
 

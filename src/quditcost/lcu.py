@@ -90,34 +90,38 @@ def fixed_encoding_select_schedule(expansion: PauliExpansion) -> ZLadder:
     return ZLadder(reduce_angles(-2.0 * np.cumsum(thetas[:-1] - gamma)), gamma)
 
 
-def select_vartheta_closed_form(d: int, k: int | np.ndarray) -> float | np.ndarray:
-    """Closed form of the selection-schedule angle on pair (k, k+1), unreduced.
+def _select_numerator(d: int, k: int | np.ndarray) -> np.ndarray:
+    """Integer N_k of the selection-schedule angle (pi/d) * N_k on pair (k, k+1).
 
-    With m = (d - 1) / 2: (pi/d) * (k+1) * (4m - k), minus 2*pi * (k - m)
-    once k exceeds m.  k may be an integer array, giving the angles of
-    those pairs at once.
+    With m = (d - 1) / 2: N_k = (k+1)(4m - k), minus 2d (k - m) once k
+    exceeds m.  The values stay below 4 d^2, exact in int64 up to
+    d = 1.5e9.
     """
     register_width(d)
-    k = np.asarray(k)
+    k = np.asarray(k, dtype=np.int64)
     if k.min() < 0 or k.max() > d - 2:
         raise ValueError(f"rotation index k outside [0, {d - 2}]")
     m = (d - 1) // 2
-    return (np.pi / d) * (k + 1) * (4 * m - k) - 2.0 * np.pi * np.maximum(k - m, 0)
+    return (k + 1) * (4 * m - k) - 2 * d * np.maximum(k - m, 0)
+
+
+def select_vartheta_closed_form(d: int, k: int | np.ndarray) -> float | np.ndarray:
+    """Closed form (pi/d) * N_k of the selection-schedule angle on pair (k, k+1), unreduced.
+
+    k may be an integer array, giving the angles of those pairs at once.
+    """
+    return (np.pi / d) * _select_numerator(d, k)
 
 
 def select_nontrivial_count(d: int) -> int:
     """Number of nontrivial rotations in the selection schedule for dimension d.
 
-    The closed-form angle is pi/d times an integer, so triviality
-    (angle = 0 mod 4*pi) reduces to divisibility by 4d and is evaluated in
+    The closed-form angle is pi/d times the integer N_k, so triviality
+    (angle = 0 mod 4*pi) reduces to 4d dividing N_k and is evaluated in
     exact integer arithmetic over all pairs at once; dense states are never
-    needed here, which keeps census scans over large d cheap.  The
-    numerators stay below 4 d^2, exact in int64 up to d = 1.5e9.
+    needed here, which keeps census scans over large d cheap.
     """
-    register_width(d)
-    m = (d - 1) // 2
-    k = np.arange(d - 1, dtype=np.int64)
-    numerator = (k + 1) * (4 * m - k) - 2 * d * np.maximum(k - m, 0)
+    numerator = _select_numerator(d, np.arange(d - 1))
     return int(np.count_nonzero(numerator % (4 * d)))
 
 

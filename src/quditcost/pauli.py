@@ -16,11 +16,12 @@ needs no coefficient list: with x_r = pi r/d,
 
 which costmodel.clock_one_norm evaluates in O(1) without numpy, for the
 report commands.  This module is the verify side: it builds the d grid
-levels (level_array) and the coefficient arrays with numpy, the closed form
-and an independent discrete-Fourier-transform oracle, a numpy FFT of the
-squared levels in O(d log d) (the tests certify the FFT against the
-direct O(d^2) sum), plus the selection-oracle phase list assembled from
-the coefficient signs.
+levels as one array (level_array; the tests keep a tuple-of-floats
+reference in tests/oracles.py) and the coefficient arrays with numpy, the
+closed form and an independent discrete-Fourier-transform oracle, a numpy
+FFT of the squared levels in O(d log d) (the tests certify the FFT against
+the direct O(d^2) sum), plus the selection-oracle phase list assembled
+from the coefficient signs.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ def level_array(grid: FieldGrid) -> np.ndarray:
     so they equal it bit for bit.
     """
     return -grid.phi_max + np.arange(grid.d) * grid.delta_phi
-
-
-def levels(grid: FieldGrid) -> tuple[float, ...]:
-    """The d field eigenvalues of level_array, as Python floats."""
-    return tuple(level_array(grid).tolist())
 
 
 def _expansion_from_betas(

@@ -6,6 +6,10 @@ that the library uses as closed forms:
 
 * the binary-register product-formula step, whose Z / ZZ term count is
   the n_b (n_b + 1) / 2 of `pf_thresholds`;
+* the grid levels as a tuple of Python floats (`levels`), and their mean
+  square by direct summation (`squared_mean`), the references for
+  `pauli.level_array` and for the integer closed form of
+  `trotter.qudit_trotter_angles`;
 * the centered partial sums behind the native step angles, nonzero for
   every admissible k;
 * the clock-phase ladder of the d-level selection oracle, the n_b
@@ -31,6 +35,19 @@ import numpy as np
 from quditcost.grid import FieldGrid, register_width
 from quditcost.lcu import SignedBinaryRegister
 from quditcost.pauli import level_array
+
+
+def levels(grid: FieldGrid) -> tuple[float, ...]:
+    """The d field eigenvalues of pauli.level_array, as Python floats."""
+    return tuple(level_array(grid).tolist())
+
+
+def squared_mean(grid: FieldGrid) -> float:
+    """Mean of the squared eigenvalues, (1/d) * sum_n lambda_n^2, by direct summation.
+
+    For the symmetric grid this equals phi_max^2 * (d + 1) / (3 * (d - 1)).
+    """
+    return sum(lam * lam for lam in levels(grid)) / grid.d
 
 
 @dataclass(frozen=True)

@@ -243,6 +243,14 @@ def test_verify_passes_at_phi_max_10(capsys):
     assert all(line.split()[1] == "pass" for line in lines)
 
 
+def test_verify_passes_at_phi_max_100(capsys):
+    # the step angles come from an exact integer cubic, so their roundoff
+    # stays a few ulp of t phi_max^2 d at the default dense cap
+    code, out, _ = run_cli(capsys, "verify", "--phi-max", "100")
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()] == ["pass"] * 6
+
+
 def test_verify_rejects_an_overflowing_step_phase(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--phi-max", "6e153", "--d-max", "9", "--census-max", "9"

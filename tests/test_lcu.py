@@ -117,9 +117,8 @@ def test_precision_parameter():
 
 
 def test_qubit_blockencoding_cost_d5():
-    cost = qubit_blockencoding_cost(make_grid(1.0, 5), 1e-6)
-    assert cost.b_r == 13
-    assert cost.t_count_per_call == 372  # 32*13 + 24*3 - 116
+    assert precision_parameter(1e-6) == 13
+    assert qubit_blockencoding_cost(make_grid(1.0, 5), 1e-6) == 372  # 32*13 + 24*3 - 116
 
 
 def test_qubit_normalization_d3():
@@ -130,15 +129,13 @@ def test_qubit_cost_breakdown_consistent():
     for d in (3, 5, 9, 17, 33, 65, 129, 257, 513):
         g = make_grid(1.0, d)
         for eps in (1e-4, 1e-6, 1e-9):
+            b_r, n_b = precision_parameter(eps), g.n_b
+            # two preparation directions, the selector's Toffolis, 20 direct T
+            prep_toffoli = 4 * b_r + 2 * n_b - 16
+            recombined = 4 * (2 * prep_toffoli + 2 * (n_b - 1)) + 20
             cost = qubit_blockencoding_cost(g, eps)
-            recombined = (
-                4 * (2 * cost.prep_toffoli + cost.select_toffoli)
-                + cost.select_direct_t
-            )
-            assert recombined == cost.t_count_per_call
-            assert cost.t_count_per_call == 32 * cost.b_r + 24 * g.n_b - 116
-            assert cost.prep_toffoli == 4 * cost.b_r + 2 * g.n_b - 16
-            assert cost.select_toffoli == 2 * (g.n_b - 1)
+            assert type(cost) is int
+            assert cost == recombined == 32 * b_r + 24 * n_b - 116
 
 
 # ------------------------------------------------------ hybrid call costs

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from oracles import direct_dft_coefficients
+from oracles import direct_dft_coefficients, levels
 
 from quditcost.costmodel import ONE_NORM_CLOSED_FORM_D, clock_one_norm
 from quditcost.grid import FieldGrid, make_grid
@@ -12,7 +12,6 @@ from quditcost.lcu import prep_ry_schedule
 from quditcost.pauli import (
     beta_closed_form,
     beta_dft_oracle,
-    levels,
     select_diag_phases,
 )
 

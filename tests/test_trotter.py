@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import centered_partial_sum, qubit_trotter_terms
+from oracles import centered_partial_sum, levels, qubit_trotter_terms, squared_mean
 
 from quditcost.costmodel import SynthesisModel, pf_thresholds
-from quditcost.grid import make_grid
-from quditcost.pauli import levels
+from quditcost.grid import FieldGrid, make_grid
 from quditcost.simverify import equal_up_to_global_phase, ladder_diagonal, nontrivial_count
-from quditcost.trotter import ZLadder, qudit_trotter_angles, reduce_angles, squared_mean
+from quditcost.trotter import ZLadder, qudit_trotter_angles, reduce_angles
 
 
 def phi_eigenvalue(exp, index):
@@ -143,12 +142,35 @@ def test_qudit_angles_reject_an_overflowing_phase():
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 3.7])
 def test_qudit_schedule_matches_target_diagonal(t):
-    for d in range(3, 65, 2):
+    # 6145 and 16385 failed while the angles were a running float sum
+    for d in [*range(3, 65, 2), 6145, 16385]:
         g = make_grid(1.0, d)
         realized = ladder_diagonal(qudit_trotter_angles(g, t))
         target = tuple(-t * lam**2 for lam in levels(g))
         ok, err = equal_up_to_global_phase(realized, target, tol=1e-10)
         assert ok, (d, t, err)
+
+
+def test_ladder_global_phase_is_minus_t_times_the_direct_mean():
+    # the closed form -t (delta_phi^2 / 3) m (m + 1) against the direct sum
+    assert qudit_trotter_angles(make_grid(1.0, 3), 1.0).global_phase == pytest.approx(
+        -2.0 / 3.0, rel=1e-15
+    )
+    assert qudit_trotter_angles(make_grid(1.0, 5), 1.0).global_phase == pytest.approx(
+        -0.5, rel=1e-15
+    )
+    for phi_max in (0.5, 1.0, 2.0):
+        for d in range(3, 1002, 2):
+            g = make_grid(phi_max, d)
+            mu = squared_mean(g)
+            assert math.isclose(mu, phi_max**2 * (d + 1) / (3 * (d - 1)), rel_tol=1e-12)
+            for t in (0.1, 3.7):
+                phase = qudit_trotter_angles(g, t).global_phase
+                assert math.isclose(phase, -t * mu, rel_tol=1e-12), (phi_max, d, t)
+    # degenerate zero field, built directly since make_grid rejects phi_max = 0
+    zero = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, n_b=3)
+    assert squared_mean(zero) == 0.0
+    assert qudit_trotter_angles(zero, 1.0).global_phase == 0.0
 
 
 def test_angle_uniqueness_mod_4pi():
