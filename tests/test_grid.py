@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from oracles import levels
+from oracles import levels, squared_mean
 
 from quditcost.costmodel import (
     clock_one_norm,
@@ -10,7 +10,7 @@ from quditcost.costmodel import (
     qubit_normalization,
     ratio_and_budget,
 )
-from quditcost.grid import make_grid, register_width
+from quditcost.grid import FieldGrid, make_grid, register_width
 from quditcost.lcu import select_nontrivial_count
 
 # the largest phi_max whose bound 4 phi_max^2 on the normalizations is finite
@@ -129,3 +129,21 @@ def test_one_dimension_rule(use_d, d):
         use_d(d)
 
 
+def test_squared_mean_small_cases():
+    assert squared_mean(make_grid(1.0, 3)) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert squared_mean(make_grid(1.0, 5)) == pytest.approx(0.5, rel=1e-15)
+
+
+def test_squared_mean_zero_field():
+    # degenerate zero-field value, constructed directly since make_grid
+    # rejects phi_max = 0 by contract
+    g = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, n_b=3)
+    assert squared_mean(g) == 0.0
+
+
+def test_squared_mean_matches_closed_form():
+    for phi_max in (0.5, 1.0, 2.0):
+        for d in range(3, 1002, 2):
+            g = make_grid(phi_max, d)
+            closed = phi_max**2 * (d + 1) / (3 * (d - 1))
+            assert math.isclose(squared_mean(g), closed, rel_tol=1e-12)
