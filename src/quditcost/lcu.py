@@ -1,7 +1,8 @@
 """Block-encoding constructions that the verify suites check; their costs are in costmodel.
 
-Qubit route: on a sign-magnitude register the squared operator is a
-weighted sum of bit-pair projectors (qubit_projector_diag_oracle).
+Qubit route: on a sign-magnitude register (signed_labels, one array of
+the 2^n_b labels) the squared operator is a weighted sum of bit-pair
+projectors (qubit_projector_diag_oracle).
 
 Native d-level route: the entangling part of the selection oracle is free,
 leaving a diagonal phase operator that splits into a clock-phase ladder on
@@ -15,8 +16,6 @@ trotter.ZLadder, the preparation the d - 1 Y angles on the pairs (0, r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import FieldGrid, register_width
@@ -27,33 +26,15 @@ from .trotter import ZLadder, reduce_angles
 MAX_ORACLE_WIDTH = 20
 
 
-@dataclass(frozen=True)
-class SignedBinaryRegister:
-    """Sign-magnitude labelling of an n_b-qubit register.
+def signed_labels(n_b: int) -> np.ndarray:
+    """Sign-magnitude label of every string of an n_b-qubit register, in string order.
 
     The top bit is the sign; the remaining n_b - 1 bits are the magnitude.
     Labels cover {-(2^(n_b-1) - 1), ..., 2^(n_b-1) - 1}, with zero realized
     by two strings (both sign values on zero magnitude).
     """
-
-    n_b: int
-
-    def __post_init__(self) -> None:
-        if self.n_b < 2:
-            raise ValueError(f"signed register needs at least 2 qubits, got {self.n_b}")
-
-    @property
-    def size(self) -> int:
-        return 2**self.n_b
-
-    def magnitude(self, string: int) -> int:
-        return string & ((1 << (self.n_b - 1)) - 1)
-
-    def label(self, string: int) -> int:
-        if not 0 <= string < self.size:
-            raise ValueError(f"string {string} outside register of size {self.size}")
-        mag = self.magnitude(string)
-        return -mag if (string >> (self.n_b - 1)) & 1 else mag
+    magnitude = np.arange(2 ** (n_b - 1))
+    return np.concatenate([magnitude, -magnitude])
 
 
 def qubit_projector_diag_oracle(grid: FieldGrid) -> list[float]:
@@ -71,7 +52,7 @@ def qubit_projector_diag_oracle(grid: FieldGrid) -> list[float]:
             f"register of {n_b} qubits too large for dense enumeration"
         )
     r = np.arange(n_b - 1)
-    bits = (np.arange(SignedBinaryRegister(n_b).size)[:, None] >> r) & 1
+    bits = (np.arange(2**n_b)[:, None] >> r) & 1
     pairs = np.int64(1) << (r[:, None] + r)
     return (grid.delta_phi**2 * ((bits @ pairs) * bits).sum(axis=1)).tolist()
 
@@ -140,7 +121,7 @@ def prep_ry_schedule(expansion: PauliExpansion) -> np.ndarray:
             1 + 1e-9 (either signals broken normalization upstream).
     """
     b = np.abs(expansion.betas[1:])
-    vanishing = np.flatnonzero(b <= irreducibility_floor(expansion))
+    vanishing = np.flatnonzero(b <= irreducibility_floor(expansion.phi_max, expansion.d))
     if vanishing.size:
         r = vanishing[0] + 1
         raise ValueError(f"coefficient beta_{r} vanishes; nothing to prepare on |{r}>")

@@ -17,11 +17,13 @@ needs no coefficient list: with x_r = pi r/d,
 which costmodel.clock_one_norm evaluates in O(1) without numpy, for the
 report commands.  This module is the verify side: it builds the d grid
 levels as one array (level_array; the tests keep a tuple-of-floats
-reference in tests/oracles.py) and the coefficient arrays with numpy, the
-closed form and an independent discrete-Fourier-transform oracle, a numpy
-FFT of the squared levels in O(d log d) (the tests certify the FFT against
-the direct O(d^2) sum), plus the selection-oracle phase list assembled
-from the coefficient signs.
+reference in tests/oracles.py) and the coefficient arrays with numpy: the
+closed form, which forms the real c_r first and beta_r from them, and an
+independent discrete-Fourier-transform oracle, a numpy FFT of the squared
+levels in O(d log d) that recovers c_r by taking the phase off (the tests
+certify the FFT against the direct O(d^2) sum).  It also assembles the
+selection-oracle phase list from the coefficient signs, and holds the
+irreducibility floor, half the smallest exact |c_r|.
 """
 
 from __future__ import annotations
@@ -68,42 +70,39 @@ def level_array(grid: FieldGrid) -> np.ndarray:
     return -grid.phi_max + np.arange(grid.d) * grid.delta_phi
 
 
-def _expansion_from_betas(
-    d: int, phi_max: float, betas: np.ndarray, lambda_norm: float
-) -> PauliExpansion:
-    """Derive the real-amplitude view from the coefficient array."""
-    c_amps = (betas[1:] * np.exp(-1j * np.pi * np.arange(1, d) / d)).real
-    return PauliExpansion(
-        d=d, phi_max=phi_max, betas=betas, c_amps=c_amps, lambda_norm=lambda_norm
-    )
-
-
 def beta_closed_form(grid: FieldGrid) -> PauliExpansion:
-    """Expansion coefficients from the closed-form trigonometric expressions."""
+    """Expansion coefficients from the closed-form trigonometric expressions.
+
+    The real amplitudes c_r come first and beta_r = c_r * e^(i pi r/d)
+    from them, so c_amps needs no round trip through the complex phase.
+    """
     d = grid.d
     p2 = grid.phi_max**2
     x = np.pi * np.arange(1, d) / d
+    c_amps = 2.0 * p2 / (d - 1) ** 2 * np.cos(x) / np.sin(x) ** 2
     betas = np.empty(d, dtype=complex)
     betas[0] = p2 * (d + 1) / (3.0 * (d - 1))
-    betas[1:] = 2.0 * p2 / (d - 1) ** 2 * np.cos(x) / np.sin(x) ** 2 * np.exp(1j * x)
-    return _expansion_from_betas(d, grid.phi_max, betas, clock_one_norm(grid.phi_max, d))
+    betas[1:] = c_amps * np.exp(1j * x)
+    return PauliExpansion(d, grid.phi_max, betas, c_amps, clock_one_norm(grid.phi_max, d))
 
 
 def beta_dft_oracle(grid: FieldGrid) -> PauliExpansion:
     """Expansion coefficients by a numerical Fourier transform of the eigenvalues.
 
     Computes beta_r = (1/d) * sum_n lambda_n^2 * omega^(-r n) as the FFT of
-    the squared grid levels, O(d log d), and its one-norm as the sum of the
-    moduli of those coefficients.  Verification oracle only: it shares no
-    formula with the closed form.  np.fft is reached here, at call time,
+    the squared grid levels, O(d log d), its one-norm as the sum of the
+    moduli of those coefficients, and the real amplitudes c_r by taking the
+    phase e^(i pi r/d) off each beta_r.  Verification oracle only: it shares
+    no formula with the closed form.  np.fft is reached here, at call time,
     because numpy loads it lazily and the report commands never need it.
     """
     d = grid.d
     betas = np.fft.fft(level_array(grid) ** 2) / d
-    return _expansion_from_betas(d, grid.phi_max, betas, float(np.abs(betas[1:]).sum()))
+    c_amps = (betas[1:] * np.exp(-1j * np.pi * np.arange(1, d) / d)).real
+    return PauliExpansion(d, grid.phi_max, betas, c_amps, float(np.abs(betas[1:]).sum()))
 
 
-def irreducibility_floor(expansion: PauliExpansion) -> float:
+def irreducibility_floor(phi_max: float, d: int) -> float:
     """Amplitude at or below which a coefficient counts as vanishing.
 
     Half the smallest exact |c_r|, which sits at r = (d - 1) / 2:
@@ -112,9 +111,8 @@ def irreducibility_floor(expansion: PauliExpansion) -> float:
     rounding error of order d * 1e-16, far below one half, so correct
     coefficients pass at every d, while a zero field (floor 0) fails.
     """
-    d = expansion.d
     y = math.pi / (2 * d)
-    return expansion.phi_max**2 / (d - 1) ** 2 * math.sin(y) / math.cos(y) ** 2
+    return phi_max**2 / (d - 1) ** 2 * math.sin(y) / math.cos(y) ** 2
 
 
 def select_diag_phases(expansion: PauliExpansion) -> np.ndarray:
@@ -129,7 +127,7 @@ def select_diag_phases(expansion: PauliExpansion) -> np.ndarray:
     """
     d = expansion.d
     c = expansion.c_amps
-    vanishing = np.flatnonzero(np.abs(c) <= irreducibility_floor(expansion))
+    vanishing = np.flatnonzero(np.abs(c) <= irreducibility_floor(expansion.phi_max, d))
     if vanishing.size:
         raise ValueError(
             f"coefficient c_{vanishing[0] + 1} vanishes; the expansion is not irreducible"

@@ -13,29 +13,40 @@ no Python loop runs per level.
 
 The six suites that `quditcost verify` runs check every schedule and
 coefficient construction against this oracle, the FFT coefficient oracle
-or exact integer arithmetic, for all odd d up to a cap, and return a
-SuiteResult.  The coefficient and census suites compare whole numpy arrays
-per d, O(d log d) and O(d) work, so their caps can reach the thousands.
-A NaN error anywhere is the worst error of its suite and fails it.
+or exact integer arithmetic, for all odd d up to a cap, and each returns
+its own SuiteResult.  They run in one pass per cap: the dense pass builds
+each grid and closed-form expansion once per d and checks the three
+schedules, the census pass builds each closed form and FFT oracle once
+per d and checks the coefficients and the census; the projector suite
+runs between them.  The census pass compares whole numpy arrays per d,
+O(d log d) and O(d) work, so its cap can reach the thousands.  A NaN
+error anywhere is the worst error of its suite and fails it.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import CENSUS_CAP, DIM_CAP, make_grid
+from .grid import CENSUS_CAP, DIM_CAP, check_phi_max, make_grid, register_width
 from .lcu import (
-    SignedBinaryRegister,
     fixed_encoding_select_schedule,
     prep_ry_schedule,
     qubit_projector_diag_oracle,
     select_nontrivial_count,
     select_vartheta_closed_form,
+    signed_labels,
 )
-from .pauli import beta_closed_form, beta_dft_oracle, level_array, select_diag_phases
+from .pauli import (
+    beta_closed_form,
+    beta_dft_oracle,
+    irreducibility_floor,
+    level_array,
+    select_diag_phases,
+)
 from .trotter import ZLadder, qudit_trotter_angles, reduce_angles
 
 # A rotation is the identity when its angle lies in 4*pi*Z within this tolerance.
@@ -123,46 +134,37 @@ def _result(
     return SuiteResult(name, ok and worst <= bound, worst, len(dims), dims[i], detail)
 
 
-def suite_trotter(phi_max: float, dense_cap: int) -> SuiteResult:
-    """Native step schedules realize diag(e^(-i t lambda_n^2)) at three times."""
+def dense_pass(phi_max: float, dense_cap: int, inject: float = 0.0) -> Iterator[SuiteResult]:
+    """The trotter, select and prep suites, from one grid and closed form per d.
+
+    trotter-schedule: native step schedules realize diag(e^(-i t lambda_n^2))
+    at three times.  select-schedule: selection schedules realize the
+    selection phases; inject bends one angle.  prep-schedule: preparation
+    schedules load the amplitudes sqrt(|beta_r| / Lambda) from |0>.
+    """
     dims = _odd_dimensions(dense_cap)
-    errors = []
-    for d in dims:
+    errors = np.empty((len(dims), 3))
+    for i, d in enumerate(dims):
         grid = make_grid(phi_max, d)
         lam_sq = level_array(grid) ** 2
-        errors.append(np.max([
-            equal_up_to_global_phase(
-                ladder_diagonal(qudit_trotter_angles(grid, t)), -t * lam_sq
-            )[1]
-            for t in (0.1, 1.0, 3.7)
-        ]))
-    return _result("trotter-schedule", dims, errors, 1e-10)
-
-
-def suite_select(phi_max: float, dense_cap: int, inject: float = 0.0) -> SuiteResult:
-    """Selection schedules realize the selection phases; inject bends one angle."""
-    dims = _odd_dimensions(dense_cap)
-    errors = []
-    for d in dims:
-        expansion = beta_closed_form(make_grid(phi_max, d))
+        expansion = beta_closed_form(grid)
         ladder = fixed_encoding_select_schedule(expansion)
         ladder.angles[0] += inject
-        realized = ladder_diagonal(ladder)
-        errors.append(equal_up_to_global_phase(realized, select_diag_phases(expansion))[1])
-    return _result("select-schedule", dims, errors, 1e-10)
-
-
-def suite_prep(phi_max: float, dense_cap: int) -> SuiteResult:
-    """Preparation schedules load the amplitudes sqrt(|beta_r| / Lambda) from |0>."""
-    dims = _odd_dimensions(dense_cap)
-    errors = []
-    for d in dims:
-        expansion = beta_closed_form(make_grid(phi_max, d))
-        state = fan_state(prep_ry_schedule(expansion))
         target = np.zeros(d)
         target[1:] = np.sqrt(np.abs(expansion.betas[1:]) / expansion.lambda_norm)
-        errors.append(float(np.linalg.norm(state - target)))
-    return _result("prep-schedule", dims, errors, 1e-10)
+        errors[i] = (
+            np.max([
+                equal_up_to_global_phase(
+                    ladder_diagonal(qudit_trotter_angles(grid, t)), -t * lam_sq
+                )[1]
+                for t in (0.1, 1.0, 3.7)
+            ]),
+            equal_up_to_global_phase(ladder_diagonal(ladder), select_diag_phases(expansion))[1],
+            np.linalg.norm(fan_state(prep_ry_schedule(expansion)) - target),
+        )
+    yield _result("trotter-schedule", dims, errors[:, 0], 1e-10)
+    yield _result("select-schedule", dims, errors[:, 1], 1e-10)
+    yield _result("prep-schedule", dims, errors[:, 2], 1e-10)
 
 
 def suite_projector(phi_max: float) -> SuiteResult:
@@ -172,39 +174,9 @@ def suite_projector(phi_max: float) -> SuiteResult:
     errors = []
     for d in dims:
         grid = make_grid(phi_max, d)
-        register = SignedBinaryRegister(grid.n_b)
-        labels = np.array([register.label(v) for v in range(register.size)])
         oracle = np.array(qubit_projector_diag_oracle(grid))
-        errors.append(np.max(np.abs(oracle - grid.delta_phi**2 * labels**2)))
+        errors.append(np.max(np.abs(oracle - grid.delta_phi**2 * signed_labels(grid.n_b) ** 2)))
     return _result("projector-diag", dims, errors, 0.0)
-
-
-def suite_dft(phi_max: float, census_cap: int) -> SuiteResult:
-    """Closed-form coefficients against the FFT oracle: values, Hermiticity, one-norm, signs.
-
-    Per d, as arrays: max |closed - oracle| (bound 1e-10), max
-    |beta_(d-r) - conj beta_r| of the closed form (1e-12), both relative
-    to phi_max^2, the scale of every coefficient; the relative one-norm
-    error (1e-10); and c_r < 0 exactly for r >= (d + 1) / 2.
-    """
-    dims = _odd_dimensions(census_cap)
-    errors = np.empty((len(dims), 3))
-    scale = phi_max * phi_max
-    signs_ok = True
-    for i, d in enumerate(dims):
-        grid = make_grid(phi_max, d)
-        closed = beta_closed_form(grid)
-        oracle = beta_dft_oracle(grid)
-        r = np.arange(1, d)
-        errors[i] = (
-            np.max(np.abs(closed.betas - oracle.betas)) / scale,
-            np.max(np.abs(closed.betas[d - r] - closed.betas[r].conj())) / scale,
-            abs(closed.lambda_norm - oracle.lambda_norm) / oracle.lambda_norm,
-        )
-        signs_ok = signs_ok and np.array_equal(closed.c_amps < 0, r >= (d + 1) // 2)
-    bounds_ok = bool(np.all(errors.max(axis=0) <= (1e-10, 1e-12, 1e-10)))
-    detail = "" if signs_ok else "sign-threshold equivalence violated"
-    return _result("dft-oracle", dims, errors.max(axis=1), 1e-10, signs_ok and bounds_ok, detail)
 
 
 def _distinct_prime_count(n: int) -> int:
@@ -219,13 +191,22 @@ def _distinct_prime_count(n: int) -> int:
     return count + (n > 1)
 
 
-def suite_census(phi_max: float, census_cap: int) -> SuiteResult:
-    """Trivial selection rotations: exact count, float schedule and closed form agree.
+def census_pass(phi_max: float, census_cap: int) -> Iterator[SuiteResult]:
+    """The dft-oracle and select-census suites, from one closed form and FFT oracle per d.
 
-    With m = (d - 1) / 2 and j = k + 1, the angle on pair k is (pi/d) N_j,
-    N_j = 2dj - j(j+1) - 2d e_j with e_j = max(0, j - 1 - m), and the
-    rotation is trivial when 4d divides N_j.  That needs d | j(j+1).  As
-    j and j + 1 are coprime, each prime power of d divides one of them,
+    dft-oracle compares the closed-form coefficients with the FFT oracle:
+    values, Hermiticity, one-norm and signs.  Per d, as arrays: max
+    |closed - oracle| (bound 1e-10), max |beta_(d-r) - conj beta_r| of the
+    closed form (1e-12), both relative to phi_max^2, the scale of every
+    coefficient; the relative one-norm error (1e-10); and c_r < 0 exactly
+    for r >= (d + 1) / 2.
+
+    select-census counts the trivial selection rotations: the exact count,
+    the float schedule built from the same closed form, and the closed-form
+    angles agree.  With m = (d - 1) / 2 and j = k + 1, the angle on pair k
+    is (pi/d) N_j, N_j = 2dj - j(j+1) - 2d e_j with e_j = max(0, j - 1 - m),
+    and the rotation is trivial when 4d divides N_j.  That needs d | j(j+1).
+    As j and j + 1 are coprime, each prime power of d divides one of them,
     so by the Chinese remainder theorem j(j+1) = 0 mod d has 2^omega(d)
     roots mod d.  In 1 <= j <= d - 1 that leaves j = d - 1 and
     2^(omega(d)-1) - 1 pairs {j, d - 1 - j}.  Writing j(j+1) = dq (q is
@@ -242,24 +223,43 @@ def suite_census(phi_max: float, census_cap: int) -> SuiteResult:
     and lists the offsets that occurred.
     """
     dims = _odd_dimensions(census_cap)
-    errors = []
+    dft_errors = np.empty((len(dims), 3))
+    census_errors = np.empty(len(dims))
+    scale = phi_max * phi_max
+    signs_ok = census_ok = True
     offsets = set()
-    ok = True
     mismatch = ""
-    for d in dims:
+    for i, d in enumerate(dims):
+        grid = make_grid(phi_max, d)
+        closed = beta_closed_form(grid)
+        oracle = beta_dft_oracle(grid)
+        r = np.arange(1, d)
+        dft_errors[i] = (
+            np.max(np.abs(closed.betas - oracle.betas)) / scale,
+            np.max(np.abs(closed.betas[d - r] - closed.betas[r].conj())) / scale,
+            abs(closed.lambda_norm - oracle.lambda_norm) / oracle.lambda_norm,
+        )
+        signs_ok = signs_ok and np.array_equal(closed.c_amps < 0, r >= (d + 1) // 2)
+
         count = select_nontrivial_count(d)
         offsets.add(d - 1 - count)
         if d - 1 - count != 2 ** (_distinct_prime_count(d) - 1) - 1:
-            ok = False
-        angles = fixed_encoding_select_schedule(beta_closed_form(make_grid(phi_max, d))).angles
+            census_ok = False
+        angles = fixed_encoding_select_schedule(closed).angles
         floats = nontrivial_count(angles)
         if floats != count:
-            ok = False
+            census_ok = False
             mismatch = mismatch or f"count mismatch at d={d} (float {floats}, exact {count})  "
-        closed = select_vartheta_closed_form(d, np.arange(d - 1))
-        errors.append(np.max(np.abs(reduce_angles(angles - closed))))
+        closed_angles = select_vartheta_closed_form(d, np.arange(d - 1))
+        census_errors[i] = np.max(np.abs(reduce_angles(angles - closed_angles)))
+
+    bounds_ok = bool(np.all(dft_errors.max(axis=0) <= (1e-10, 1e-12, 1e-10)))
+    detail = "" if signs_ok else "sign-threshold equivalence violated"
+    yield _result(
+        "dft-oracle", dims, dft_errors.max(axis=1), 1e-10, signs_ok and bounds_ok, detail
+    )
     detail = mismatch + "offsets d-1-s(d): {" + ", ".join(str(o) for o in sorted(offsets)) + "}"
-    return _result("select-census", dims, errors, 1e-9, ok, detail)
+    yield _result("select-census", dims, census_errors, 1e-9, census_ok, detail)
 
 
 def run_suites(
@@ -270,15 +270,27 @@ def run_suites(
 ) -> Iterator[SuiteResult]:
     """Run the six suites in order, yielding each result as it completes.
 
-    dense_cap bounds the trotter, select and prep suites, census_cap the
-    dft and census suites; inject perturbs one selection angle to show
-    that the select suite detects it.
+    dense_cap bounds the dense pass (trotter, select and prep suites),
+    census_cap the census pass (dft and census suites); inject perturbs one
+    selection angle to show that the select suite detects it.
+
+    Raises:
+        ValueError: for a cap below 3, or a phi_max whose smallest exact
+            coefficient at the largest d checked, twice the irreducibility
+            floor, is below the smallest normal float: there the
+            coefficients lose precision and no verdict would hold.
     """
     if dense_cap < 3 or census_cap < 3:
         raise ValueError("empty scan range")
-    yield suite_trotter(phi_max, dense_cap)
-    yield suite_select(phi_max, dense_cap, inject)
-    yield suite_prep(phi_max, dense_cap)
+    check_phi_max(phi_max)
+    cap = max(dense_cap, census_cap)
+    d = cap - 1 + cap % 2
+    register_width(d)
+    if 2.0 * irreducibility_floor(phi_max, d) < sys.float_info.min:
+        raise ValueError(
+            f"phi_max={phi_max} is too small for the cap {cap}: the smallest coefficient "
+            f"at d={d} is below the smallest normal float {sys.float_info.min:.3g}"
+        )
+    yield from dense_pass(phi_max, dense_cap, inject)
     yield suite_projector(phi_max)
-    yield suite_dft(phi_max, census_cap)
-    yield suite_census(phi_max, census_cap)
+    yield from census_pass(phi_max, census_cap)

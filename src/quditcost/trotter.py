@@ -47,12 +47,11 @@ def reduce_angles(angles: np.ndarray) -> np.ndarray:
 
     fmod is exact, and so is each shift by 4*pi past +-2*pi (Sterbenz), so
     every value equals math.remainder(angle, 4*pi) with -2*pi moved to
-    2*pi, bit for bit.
+    2*pi, bit for bit.  One np.where picks the shifted or unshifted value.
     """
     r = np.fmod(angles, ANGLE_PERIOD)
-    r[r > 0.5 * ANGLE_PERIOD] -= ANGLE_PERIOD
-    r[r <= -0.5 * ANGLE_PERIOD] += ANGLE_PERIOD
-    return r
+    half = 0.5 * ANGLE_PERIOD
+    return np.where(r > half, r - ANGLE_PERIOD, np.where(r <= -half, r + ANGLE_PERIOD, r))
 
 
 def qudit_trotter_angles(grid: FieldGrid, t: float) -> ZLadder:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from quditcost.grid import FieldGrid, register_width
-from quditcost.lcu import SignedBinaryRegister
 from quditcost.pauli import level_array
 
 
@@ -184,7 +183,7 @@ def projector_pair_sum(grid: FieldGrid) -> list[float]:
     n_b = grid.n_b
     dphi2 = grid.delta_phi**2
     values = []
-    for v in range(SignedBinaryRegister(n_b).size):
+    for v in range(2**n_b):
         bits = [(v >> r) & 1 for r in range(n_b - 1)]
         acc = 0
         for r in range(n_b - 1):

@@ -18,11 +18,11 @@ from quditcost.costmodel import (
 )
 from quditcost.grid import make_grid
 from quditcost.lcu import (
-    SignedBinaryRegister,
     fixed_encoding_select_schedule,
     prep_ry_schedule,
     qubit_projector_diag_oracle,
     select_nontrivial_count,
+    signed_labels,
 )
 from quditcost.pauli import beta_closed_form, beta_dft_oracle, select_diag_phases
 from quditcost.simverify import equal_up_to_global_phase, fan_state, ladder_diagonal
@@ -152,13 +152,11 @@ def test_criterion_8_decomposition_oracles():
     for n_b in range(2, 9):
         for d in (2 ** (n_b - 1) + 1, 2**n_b - 1):
             grid = make_grid(1.0, d)
-            register = SignedBinaryRegister(grid.n_b)
+            labels = signed_labels(grid.n_b)
             oracle = qubit_projector_diag_oracle(grid)
             scale = grid.delta_phi**2
-            ok = ok and all(
-                oracle[v] == scale * register.label(v) ** 2
-                for v in range(register.size)
-            )
+            ok = ok and len(oracle) == len(labels) == 2**n_b
+            ok = ok and all(value == scale * label**2 for value, label in zip(oracle, labels))
     report(8, f"decomposition oracle suite (worst dense error {worst:.2e})", ok)
 
 

@@ -261,6 +261,23 @@ def test_verify_rejects_an_overflowing_step_phase(capsys):
     assert "phi_max" in err
 
 
+@pytest.mark.parametrize("tiny_phi", ["1e-155", "1e-200"])
+def test_verify_rejects_a_phi_max_with_subnormal_coefficients(capsys, tiny_phi):
+    # phi_max^2 would make the smallest coefficient at d = 513 subnormal
+    code, out, err = run_cli(capsys, "verify", "--phi-max", tiny_phi)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert f"phi_max={float(tiny_phi)}" in err and "513" in err
+
+
+def test_verify_passes_at_phi_max_1e_150(capsys):
+    # just above the subnormal threshold, about 9.8e-151 at the default caps
+    code, out, _ = run_cli(capsys, "verify", "--phi-max", "1e-150")
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()] == ["pass"] * 6
+
+
 @pytest.mark.parametrize("bad_phi", ["nan", "inf"])
 def test_scan_ratio_nonfinite_phi_max_is_config_error(capsys, bad_phi):
     code, out, err = run_cli(capsys, "scan-ratio", "--phi-max", bad_phi)

@@ -20,12 +20,12 @@ from quditcost.costmodel import (
 )
 from quditcost.grid import FieldGrid, make_grid
 from quditcost.lcu import (
-    SignedBinaryRegister,
     fixed_encoding_select_schedule,
     prep_ry_schedule,
     qubit_projector_diag_oracle,
     select_nontrivial_count,
     select_vartheta_closed_form,
+    signed_labels,
 )
 from quditcost.pauli import beta_closed_form, select_diag_phases
 from quditcost.simverify import (
@@ -40,25 +40,25 @@ from quditcost.simverify import (
 
 
 def test_signed_register_labels_two_qubits():
-    reg = SignedBinaryRegister(2)
-    assert [reg.label(v) for v in range(reg.size)] == [0, 1, 0, -1]
+    assert signed_labels(2).tolist() == [0, 1, 0, -1]
 
 
 def test_signed_register_range_and_zero_redundancy():
     for n_b in (2, 3, 4, 6):
-        reg = SignedBinaryRegister(n_b)
-        labels = [reg.label(v) for v in range(reg.size)]
+        labels = signed_labels(n_b).tolist()
+        assert len(labels) == 2**n_b
         top = 2 ** (n_b - 1) - 1
         assert min(labels) == -top and max(labels) == top
         assert labels.count(0) == 2
         assert set(labels) == set(range(-top, top + 1))
 
 
-def test_signed_register_validation():
-    with pytest.raises(ValueError):
-        SignedBinaryRegister(1)
-    with pytest.raises(ValueError):
-        SignedBinaryRegister(3).label(8)
+def test_signed_register_sign_is_the_top_bit():
+    for n_b in (2, 3, 5):
+        labels = signed_labels(n_b)
+        for v, label in enumerate(labels.tolist()):
+            magnitude = v & ((1 << (n_b - 1)) - 1)
+            assert label == (-magnitude if v >> (n_b - 1) else magnitude)
 
 
 # ----------------------------------------------------- projector diagonal
@@ -81,11 +81,12 @@ def test_projector_diag_negative_zero_invariance():
 @pytest.mark.parametrize("d", [3, 5, 9, 17, 33, 63])
 def test_projector_diag_equals_squared_label(d):
     g = make_grid(1.0, d)
-    reg = SignedBinaryRegister(g.n_b)
+    labels = signed_labels(g.n_b)
     values = qubit_projector_diag_oracle(g)
+    assert len(values) == len(labels)
     scale = g.delta_phi**2
-    for v in range(reg.size):
-        assert values[v] == scale * reg.label(v) ** 2
+    for value, label in zip(values, labels.tolist()):
+        assert value == scale * label**2
 
 
 @pytest.mark.parametrize("phi_max", [1.0, 0.3, 7.77])

@@ -3,7 +3,8 @@
 Runs each report command in-process over the odd d <= 41 under a profiler
 hook, as tests/test_reachability.py does, and counts per printed row the
 calls of the one dimension check, the qudit one-norm and the synthesis
-cost of a rotation.
+cost of a rotation.  `verify` builds each closed-form expansion once per
+dimension in each of its two passes.
 """
 
 import contextlib
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from quditcost import cli, costmodel, grid
+from quditcost import cli, costmodel, grid, pauli
 
 COUNTED = {
     "register_width": grid.register_width,
@@ -56,3 +57,24 @@ def calls_per_row(argv):
 )
 def test_each_row_checks_d_once_and_prices_each_formula_once(command, expected):
     assert calls_per_row([command, "--all-odd", "--d-max", "41"]) == expected
+
+
+def test_verify_builds_each_closed_form_once_per_dimension_per_pass():
+    code = pauli.beta_closed_form.__code__
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            exit_code = cli.main(["verify", "--d-max", "9", "--census-max", "15"])
+    finally:
+        sys.setprofile(previous)
+    assert exit_code == 0
+    # the dense pass over d = 3 .. 9, the census pass over d = 3 .. 15
+    assert calls == 4 + 7

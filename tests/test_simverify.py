@@ -6,14 +6,19 @@ import pytest
 
 from quditcost import simverify
 from quditcost.simverify import (
+    census_pass,
+    dense_pass,
     equal_up_to_global_phase,
     fan_state,
     ladder_diagonal,
     run_suites,
-    suite_census,
-    suite_dft,
 )
 from quditcost.trotter import ZLadder
+
+
+def named(name, results):
+    """The result of the suite called name among a pass's results."""
+    return {result.name: result for result in results}[name]
 
 
 def combine(a, b):
@@ -135,7 +140,7 @@ def test_equal_up_to_global_phase_dim_mismatch():
 
 def test_census_suite_passes_above_1155():
     # 1155 = 3 5 7 11 is the first odd d with four distinct primes, offset 7
-    result = suite_census(1.0, 1155)
+    result = named("select-census", census_pass(1.0, 1155))
     assert result.ok
     assert result.detail == "offsets d-1-s(d): {0, 1, 3, 7}"
 
@@ -151,6 +156,24 @@ def test_run_suites_yields_six_named_results():
         "select-census",
     ]
     assert all(r.ok for r in results)
+
+
+@pytest.mark.parametrize(
+    "phi_max,dense_cap,census_cap,cap",
+    [
+        # the smallest coefficient at d = 513 is subnormal below phi_max = 9.8e-151
+        (1e-155, 64, 513, "513"),
+        (1e-200, 64, 513, "513"),
+        # the largest d of either pass sets the threshold
+        (5e-150, 2001, 513, "2001"),
+        (5e-150, 9, 2001, "2001"),
+    ],
+)
+def test_run_suites_rejects_a_phi_max_with_subnormal_coefficients(
+    phi_max, dense_cap, census_cap, cap
+):
+    with pytest.raises(ValueError, match=rf"phi_max={phi_max} .* cap {cap}"):
+        next(run_suites(phi_max, dense_cap, census_cap))
 
 
 @pytest.mark.parametrize("dense_cap,census_cap", [(2, 15), (9, 1)])
@@ -183,7 +206,7 @@ def with_beta(r, value, only_d=None):
 def test_dft_suite_fails_on_a_perturbed_coefficient(monkeypatch):
     phi_max = 2.5
     closed_form_with(monkeypatch, with_beta(1, 1e-9 * phi_max**2))
-    result = suite_dft(phi_max, 15)
+    result = named("dft-oracle", census_pass(phi_max, 15))
     assert not result.ok
     # the coefficient errors are relative to phi_max^2
     assert result.worst >= 1e-9
@@ -192,21 +215,21 @@ def test_dft_suite_fails_on_a_perturbed_coefficient(monkeypatch):
 @pytest.mark.parametrize("phi_max", [0.1, 1e4])
 def test_dft_suite_errors_are_relative_to_phi_max_squared(phi_max):
     # at phi_max = 1 the worst error up to d = 65 is about 3e-15
-    result = suite_dft(phi_max, 65)
+    result = named("dft-oracle", census_pass(phi_max, 65))
     assert result.ok
     assert result.worst < 1e-13
 
 
 def test_dft_suite_names_the_dimension_of_its_worst_error(monkeypatch):
     closed_form_with(monkeypatch, with_beta(2, 1e-9, only_d=7))
-    result = suite_dft(1.0, 15)
+    result = named("dft-oracle", census_pass(1.0, 15))
     assert not result.ok
     assert (result.cases, result.worst_d) == (7, 7)
 
 
 def test_dft_suite_fails_on_a_nan_coefficient(monkeypatch):
     closed_form_with(monkeypatch, with_beta(1, math.nan))
-    result = suite_dft(1.0, 15)
+    result = named("dft-oracle", census_pass(1.0, 15))
     assert not result.ok
     assert math.isnan(result.worst)
     assert result.worst_d == 3
@@ -219,17 +242,33 @@ def test_dft_suite_detects_a_flipped_sign(monkeypatch):
         return replace(expansion, c_amps=c_amps)
 
     closed_form_with(monkeypatch, flip)
-    result = suite_dft(1.0, 15)
+    result = named("dft-oracle", census_pass(1.0, 15))
     assert not result.ok
     assert result.detail == "sign-threshold equivalence violated"
     # the coefficients themselves still agree with the oracle
     assert result.worst <= 1e-10
 
 
+def test_census_reads_the_closed_form_that_the_dft_check_reads(monkeypatch):
+    def flip_at_7(grid, expansion):
+        if grid.d != 7:
+            return expansion
+        c_amps = expansion.c_amps.copy()
+        c_amps[0] = -c_amps[0]
+        return replace(expansion, c_amps=c_amps)
+
+    closed_form_with(monkeypatch, flip_at_7)
+    dft, census = census_pass(1.0, 15)
+    assert not dft.ok and dft.detail == "sign-threshold equivalence violated"
+    # the flipped sign bends the float selection ladder at d = 7 only
+    assert not census.ok
+    assert census.worst_d == 7
+
+
 def test_census_suite_fails_on_an_off_by_one_count(monkeypatch):
     count = simverify.select_nontrivial_count
     monkeypatch.setattr(simverify, "select_nontrivial_count", lambda d: count(d) + 1)
-    result = suite_census(1.0, 15)
+    result = named("select-census", census_pass(1.0, 15))
     assert not result.ok
     # the first d where the float schedule and the exact count disagree
     assert result.detail.startswith("count mismatch at d=3 (float 2, exact 3)")
@@ -239,7 +278,7 @@ def test_census_suite_passes_up_to_5733():
     # the float count first departs from the exact one at d = 5735, where an
     # exactly trivial angle lands 1.06e-10 from 0 mod 4 pi, past the 1e-10
     # triviality tolerance
-    result = suite_census(1.0, 5733)
+    result = named("select-census", census_pass(1.0, 5733))
     assert result.ok, result
     assert result.worst <= 1e-9
 
@@ -259,6 +298,6 @@ def test_prep_suite_fails_on_a_nan_angle(monkeypatch):
         return angles
 
     monkeypatch.setattr(simverify, "prep_ry_schedule", bent)
-    result = simverify.suite_prep(1.0, 9)
+    result = named("prep-schedule", dense_pass(1.0, 9))
     assert not result.ok
     assert math.isnan(result.worst)
