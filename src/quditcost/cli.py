@@ -3,18 +3,18 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
+import typing
 
 from . import __version__
 from .costmodel import SynthesisModel, lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
 from .grid import CENSUS_CAP, DIM_CAP, check_phi_max
 
 CONFIG_ENV_VAR = "QUDITCOST_CONFIG"
-MODEL_KEYS = tuple(field.name for field in dataclasses.fields(SynthesisModel))
+MODEL_KEYS = SynthesisModel._fields
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -102,7 +102,10 @@ def _d_values(args: argparse.Namespace) -> list[int]:
     if args.prime_only:
         values = [d for d in values if is_prime(d)]
     if not values:
-        raise ConfigError("empty scan range")
+        kind = "odd prime" if args.prime_only else "odd"
+        raise ConfigError(
+            f"empty scan range: --d-min={args.d_min} and --d-max={args.d_max} hold no {kind} d >= 3"
+        )
     return values
 
 
@@ -125,6 +128,34 @@ def _fmt(value) -> str:
     return format(value, ".9g")
 
 
+# str.format spec of the number columns of a CSV row
+_CSV_SPECS = {int: "d", float: ".9g"}
+
+
+def _csv_templates(row_type: type) -> tuple[int | None, tuple[str, str]]:
+    """The position of the bool column of a report row type, and its CSV row templates.
+
+    Built from the declared column types: {i:d} for an int column, {i:.9g}
+    for a float column (the bytes of _fmt for a float; {:d} raises on a
+    float, where %d would truncate it).  A bool column prints true or false,
+    so it is literal text, false in the first template and true in the
+    second; a row type has at most one.  Without one the position is None
+    and the two templates are equal.
+    """
+    kinds = list(typing.get_type_hints(row_type).values())
+    templates = tuple(
+        ",".join(
+            text if kind is bool else f"{{{i}:{_CSV_SPECS[kind]}}}" for i, kind in enumerate(kinds)
+        )
+        for text in ("false", "true")
+    )
+    return (kinds.index(bool) if bool in kinds else None), templates
+
+
+# _csv_templates of each row type, built on its first CSV report in a process
+_CSV_TEMPLATES: dict[type, tuple[int | None, tuple[str, str]]] = {}
+
+
 def _emit(args: argparse.Namespace, rows: list[tuple]) -> None:
     """Print report rows, NamedTuples whose fields are the columns, under a meta header."""
     options = vars(args)
@@ -139,10 +170,17 @@ def _emit(args: argparse.Namespace, rows: list[tuple]) -> None:
         body = body[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
         text = f'{head},\n  "rows": [\n    {{\n      {body}\n    }}\n  ]\n}}\n'
     else:
+        row_type = type(rows[0])
         lines = [f"# {key}={_fmt(val) if not isinstance(val, str) else val}" for key, val in meta.items()]
-        lines.append(",".join(type(rows[0])._fields))
-        for row in rows:
-            lines.append(",".join(_fmt(value) for value in row))
+        lines.append(",".join(row_type._fields))
+        if row_type not in _CSV_TEMPLATES:
+            _CSV_TEMPLATES[row_type] = _csv_templates(row_type)
+        flag, templates = _CSV_TEMPLATES[row_type]
+        if flag is None:
+            template = templates[0]
+            lines += [template.format(*row) for row in rows]
+        else:
+            lines += [templates[row[flag]].format(*row) for row in rows]
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

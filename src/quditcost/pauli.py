@@ -29,7 +29,7 @@ irreducibility floor, half the smallest exact |c_r|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from .costmodel import clock_one_norm
 from .grid import FieldGrid
 
 
-@dataclass(frozen=True)
-class PauliExpansion:
+class PauliExpansion(NamedTuple):
     """Clock-power expansion data for the squared field on d levels.
 
     The coefficients are held as numpy arrays.

@@ -280,8 +280,9 @@ def run_suites(
             floor, is below the smallest normal float: there the
             coefficients lose precision and no verdict would hold.
     """
-    if dense_cap < 3 or census_cap < 3:
-        raise ValueError("empty scan range")
+    for flag, value in (("--d-max", dense_cap), ("--census-max", census_cap)):
+        if value < 3:
+            raise ValueError(f"empty scan range: {flag}={value} is below the smallest odd d, 3")
     check_phi_max(phi_max)
     cap = max(dense_cap, census_cap)
     d = cap - 1 + cap % 2

@@ -102,6 +102,21 @@ def test_empty_scan_range_is_config_error(capsys):
     assert "empty scan range" in err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["scan-ratio", "--d-min", "10", "--d-max", "9"], "--d-min=10 and --d-max=9 hold no odd d"),
+        (["lcu-table", "--d-min", "24", "--d-max", "28"], "--d-min=24 and --d-max=28 hold no odd prime d"),
+        (["verify", "--d-max", "2"], "--d-max=2 "),
+        (["verify", "--census-max", "1"], "--census-max=1 "),
+    ],
+)
+def test_empty_scan_range_names_the_input_at_fault(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: empty scan range: {named}" in err
+
+
 def test_scan_ratio_golden_row(capsys):
     code, out, _ = run_cli(capsys, "scan-ratio", "--t", "0.1", "--d-min", "3", "--d-max", "7")
     assert code == 0
@@ -496,7 +511,9 @@ def test_k_without_a_finite_float_value_is_rejected(capsys):
 
 
 # The report commands import the stdlib only; numpy and the verify suites
-# load when `verify` runs.
+# load when `verify` runs.  Nor do they load dataclasses, or the inspect,
+# ast and dis chain behind it, beyond what a bare interpreter loads.
+LOADED = 'print(sorted(name for name in ("dataclasses", "inspect") if name in sys.modules))'
 REPORTS_IN_A_FRESH_PROCESS = """
 import json, sys
 from quditcost.cli import main
@@ -505,17 +522,26 @@ for command in ("scan-ratio", "lcu-table", "pf-thresholds"):
     assert main([command, "--format", "json", "--primes", "--d-max", "103", "--out", out]) == 0
     with open(out) as fh:
         assert json.load(fh)["rows"][-1]["d"] == 103
+    out = f"{sys.argv[1]}/{command}.csv"
+    assert main([command, "--primes", "--d-max", "103", "--out", out]) == 0
+    with open(out) as fh:
+        assert fh.read().splitlines()[-1].startswith("103,")
 print(sorted(name for name in ("numpy", "quditcost.simverify") if name in sys.modules))
-"""
+""" + LOADED
+
+
+def fresh_process_stdout(script, *args):
+    env = {key: value for key, value in os.environ.items() if key != CONFIG_ENV_VAR}
+    env["PYTHONPATH"] = str(Path(quditcost.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_report_commands_load_neither_numpy_nor_the_verify_suites(tmp_path):
-    env = {key: value for key, value in os.environ.items() if key != CONFIG_ENV_VAR}
-    env["PYTHONPATH"] = str(Path(quditcost.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", REPORTS_IN_A_FRESH_PROCESS, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    bare = fresh_process_stdout("import sys; " + LOADED)
+    assert fresh_process_stdout(REPORTS_IN_A_FRESH_PROCESS, str(tmp_path)) == "[]\n" + bare
 
 
 def test_every_exported_name_resolves():

@@ -1,13 +1,16 @@
-"""JSON bytes of the report commands, and one parser reused across calls.
+"""Report bytes of the report commands, and one parser reused across calls.
 
-`cli._emit` splices the row framing around one C-encoded dump; its oracle
-is the plain `json.dumps(payload, indent=2)` that it replaces.  `main`
-builds its parser once per process, so a call must leave nothing behind
-that the next one reads.
+`cli._emit` splices the JSON row framing around one C-encoded dump; its
+oracle is the plain `json.dumps(payload, indent=2)` that it replaces.  It
+formats each CSV row with one str.format template per row type; its
+oracle joins the rows value by value through `cli._fmt`, as it once did.
+`main` builds its parser once per process, so a call must leave nothing
+behind that the next one reads.
 """
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,11 +23,22 @@ from quditcost import __version__, cli
 from quditcost.costmodel import LcuRow, PfRow, ResourceReport
 
 
-def indent_2_dump(args, rows):
+def header(args):
     options = vars(args)
     meta = {"tool": "quditcost", "version": __version__, "command": args.command}
     meta.update((key, options[key]) for key in cli.META_KEYS if key in options)
-    return json.dumps({"meta": meta, "rows": [row._asdict() for row in rows]}, indent=2) + "\n"
+    return meta
+
+
+def indent_2_dump(args, rows):
+    return json.dumps({"meta": header(args), "rows": [row._asdict() for row in rows]}, indent=2) + "\n"
+
+
+def fmt_joined_csv(args, rows):
+    lines = [f"# {key}={val if isinstance(val, str) else cli._fmt(val)}" for key, val in header(args).items()]
+    lines.append(",".join(type(rows[0])._fields))
+    lines += [",".join(cli._fmt(value) for value in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def lines(text):
@@ -44,7 +58,7 @@ def emitted(args, rows, capsys, tmp_path):
     return out
 
 
-@pytest.mark.parametrize(
+REPORTS = pytest.mark.parametrize(
     "argv",
     [
         ["scan-ratio", "--d-min", "5", "--d-max", "5"],
@@ -54,39 +68,74 @@ def emitted(args, rows, capsys, tmp_path):
     ],
     ids=["one-row-scan", "4000-row-scan", "lcu-table", "pf-thresholds"],
 )
-def test_json_equals_the_indent_2_dump(capsys, tmp_path, argv):
-    args = cli._build_parser().parse_args([*argv, "--format", "json"])
+
+
+def emitted_and_printed(capsys, tmp_path, argv):
+    """The rows of `argv`, and its report as _emit writes it and as main prints it; both must agree."""
+    args = cli._build_parser().parse_args(argv)
     model = cli._load_model()
     rows = [args.row(args, d, model) for d in cli._d_values(args)]
-    expected = lines(indent_2_dump(args, rows))
-    assert lines(emitted(args, rows, capsys, tmp_path)) == expected
-    assert cli.main([*argv, "--format", "json"]) == 0
-    assert lines(capsys.readouterr().out) == expected
+    out = emitted(args, rows, capsys, tmp_path)
+    assert cli.main(argv) == 0
+    assert lines(capsys.readouterr().out) == lines(out)
     if argv[0] == "pf-thresholds":
         assert {row.favorable for row in rows} == {True, False}
+    return args, rows, out
+
+
+@REPORTS
+def test_json_equals_the_indent_2_dump(capsys, tmp_path, argv):
+    args, rows, out = emitted_and_printed(capsys, tmp_path, [*argv, "--format", "json"])
+    assert lines(out) == lines(indent_2_dump(args, rows))
+
+
+@REPORTS
+def test_csv_equals_the_fmt_joined_rows(capsys, tmp_path, argv):
+    args, rows, out = emitted_and_printed(capsys, tmp_path, argv)
+    assert lines(out) == lines(fmt_joined_csv(args, rows))
+
+
+def extreme_reports(fmt):
+    """(args, rows) of each report type, with extreme floats and ints in float columns."""
+    scan = argparse.Namespace(
+        command="scan-ratio", format=fmt, phi_max=1e300, eps_sim=1e-300, t=0.0, k=2,
+        prime_only=False,
+    )
+    lcu = argparse.Namespace(
+        command="lcu-table", format=fmt, phi_max=1.0, eps_sim=1e-6, t=0.1, prime_only=True,
+    )
+    pf = argparse.Namespace(
+        command="pf-thresholds", format=fmt, phi_max=1.0, eps=1e-300, prime_only=False,
+    )
+    return [
+        (scan, [
+            ResourceReport(3, 2, 1e-300, 1e300, 5e-324, 1.7976931348623157e308, 108, 116.5,
+                           1e300, 1e-300, 0.1, -2.5e-300, -1e300),
+            ResourceReport(5, 3, 0.0, -0.0, 1.0, 2.0, 3, 4.0, 5.0, 6.0, 7.0, -0.0, -123.456),
+            ResourceReport(7, 3, math.inf, -math.inf, math.nan, 1e-310, 2.5e-8, 123456789.5,
+                           0.30000000000000004, 1e16, 9.99999999e-5, 1234567890.0, 5e-324),
+        ]),
+        (lcu, [LcuRow(3, 1e-300, 1e300), LcuRow(100000000000031, 2.0174617e-13, 0.681767037)]),
+        (pf, [PfRow(3, 1e300, 1e-300, True), PfRow(7, 0.841840228, 0.841840228, False)]),
+    ]
 
 
 def test_json_of_extreme_values_equals_the_indent_2_dump(capsys, tmp_path):
-    scan = argparse.Namespace(
-        command="scan-ratio", format="json", phi_max=1e300, eps_sim=1e-300, t=0.0, k=2,
-        prime_only=False,
+    for args, rows in extreme_reports("json"):
+        assert emitted(args, rows, capsys, tmp_path) == indent_2_dump(args, rows)
+
+
+def test_csv_of_extreme_values_equals_the_fmt_joined_rows(capsys, tmp_path):
+    for args, rows in extreme_reports("csv"):
+        assert emitted(args, rows, capsys, tmp_path) == fmt_joined_csv(args, rows)
+
+
+def test_csv_rejects_a_float_in_an_int_column():
+    args = argparse.Namespace(
+        command="lcu-table", format="csv", phi_max=1.0, eps_sim=1e-6, t=0.1, prime_only=True, out=None,
     )
-    rows = [
-        ResourceReport(3, 2, 1e-300, 1e300, 5e-324, 1.7976931348623157e308, 108, 116.5,
-                       1e300, 1e-300, 0.1, -2.5e-300, -1e300),
-        ResourceReport(5, 3, 0.0, -0.0, 1.0, 2.0, 3, 4.0, 5.0, 6.0, 7.0, -0.0, -123.456),
-    ]
-    assert emitted(scan, rows, capsys, tmp_path) == indent_2_dump(scan, rows)
-    lcu = argparse.Namespace(
-        command="lcu-table", format="json", phi_max=1.0, eps_sim=1e-6, t=0.1, prime_only=True,
-    )
-    rows = [LcuRow(3, 1e-300, 1e300), LcuRow(100000000000031, 2.0174617e-13, 0.681767037)]
-    assert emitted(lcu, rows, capsys, tmp_path) == indent_2_dump(lcu, rows)
-    pf = argparse.Namespace(
-        command="pf-thresholds", format="json", phi_max=1.0, eps=1e-300, prime_only=False,
-    )
-    rows = [PfRow(3, 1e300, 1e-300, True), PfRow(7, 0.841840228, 0.841840228, False)]
-    assert emitted(pf, rows, capsys, tmp_path) == indent_2_dump(pf, rows)
+    with pytest.raises(ValueError, match="format code 'd'"):
+        cli._emit(args, [LcuRow(3.0, 1.0, 2.0)])
 
 
 def fresh_process_stdout(*argv):

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -338,7 +337,7 @@ def test_prep_uses_exactly_d_minus_1_rotations():
 
 def test_prep_rejects_broken_normalization():
     e = beta_closed_form(make_grid(1.0, 5))
-    broken = dataclasses.replace(e, lambda_norm=e.lambda_norm / 2.0)
+    broken = e._replace(lambda_norm=e.lambda_norm / 2.0)
     with pytest.raises(ValueError, match="ratio"):
         prep_ry_schedule(broken)
 

@@ -4,7 +4,8 @@ Runs each report command in-process over the odd d <= 41 under a profiler
 hook, as tests/test_reachability.py does, and counts per printed row the
 calls of the one dimension check, the qudit one-norm and the synthesis
 cost of a rotation.  `verify` builds each closed-form expansion once per
-dimension in each of its two passes.
+dimension in each of its two passes, and a process sums the one-norm
+weights of each small d once.
 """
 
 import contextlib
@@ -59,8 +60,8 @@ def test_each_row_checks_d_once_and_prices_each_formula_once(command, expected):
     assert calls_per_row([command, "--all-odd", "--d-max", "41"]) == expected
 
 
-def test_verify_builds_each_closed_form_once_per_dimension_per_pass():
-    code = pauli.beta_closed_form.__code__
+def calls_of(code, argv):
+    """How often `main(argv)` enters the function whose code object is `code`."""
     calls = 0
 
     def hook(frame, event, arg):
@@ -72,9 +73,24 @@ def test_verify_builds_each_closed_form_once_per_dimension_per_pass():
     sys.setprofile(hook)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            exit_code = cli.main(["verify", "--d-max", "9", "--census-max", "15"])
+            exit_code = cli.main(argv)
     finally:
         sys.setprofile(previous)
     assert exit_code == 0
+    return calls
+
+
+def test_verify_builds_each_closed_form_once_per_dimension_per_pass():
+    calls = calls_of(pauli.beta_closed_form.__code__, ["verify", "--d-max", "9", "--census-max", "15"])
     # the dense pass over d = 3 .. 9, the census pass over d = 3 .. 15
     assert calls == 4 + 7
+
+
+def test_a_process_sums_the_one_norm_weights_once_per_dimension(monkeypatch):
+    monkeypatch.setattr(costmodel, "_HALF_WEIGHT_SUMS", {})
+    argv = ["scan-ratio", "--d-max", "41"]
+    # d = 3, 5, ..., 41, then none again
+    assert [calls_of(costmodel._half_weight_sum.__code__, argv) for _ in range(2)] == [20, 0]
+    for d in range(3, costmodel.ONE_NORM_CLOSED_FORM_D, 2):
+        weights = costmodel._half_weight_sum(d)
+        assert costmodel.clock_one_norm(1.7, d) == 1.7**2 * 4.0 / (d - 1) ** 2 * weights, d

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,7 +197,7 @@ def with_beta(r, value, only_d=None):
             return expansion
         betas = expansion.betas.copy()
         betas[r] += value
-        return replace(expansion, betas=betas)
+        return expansion._replace(betas=betas)
 
     return change
 
@@ -239,7 +238,7 @@ def test_dft_suite_detects_a_flipped_sign(monkeypatch):
     def flip(grid, expansion):
         c_amps = expansion.c_amps.copy()
         c_amps[0] = -c_amps[0]
-        return replace(expansion, c_amps=c_amps)
+        return expansion._replace(c_amps=c_amps)
 
     closed_form_with(monkeypatch, flip)
     result = named("dft-oracle", census_pass(1.0, 15))
@@ -255,7 +254,7 @@ def test_census_reads_the_closed_form_that_the_dft_check_reads(monkeypatch):
             return expansion
         c_amps = expansion.c_amps.copy()
         c_amps[0] = -c_amps[0]
-        return replace(expansion, c_amps=c_amps)
+        return expansion._replace(c_amps=c_amps)
 
     closed_form_with(monkeypatch, flip_at_7)
     dft, census = census_pass(1.0, 15)
