@@ -10,7 +10,15 @@ import sys
 import typing
 
 from . import __version__
-from .costmodel import SynthesisModel, lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
+from .costmodel import (
+    LcuRow,
+    PfRow,
+    ResourceReport,
+    SynthesisModel,
+    lcu_fixed_encoding_thresholds,
+    pf_thresholds,
+    ratio_and_budget,
+)
 from .grid import CENSUS_CAP, DIM_CAP, check_phi_max
 
 CONFIG_ENV_VAR = "QUDITCOST_CONFIG"
@@ -89,7 +97,7 @@ def _load_model() -> SynthesisModel:
         raise ConfigError(f"config file {path}: {exc}") from exc
 
 
-def _d_values(args: argparse.Namespace) -> list[int]:
+def _d_values(args: argparse.Namespace) -> typing.Sequence[int]:
     lo = max(args.d_min, 3)
     if lo % 2 == 0:
         lo += 1
@@ -98,7 +106,7 @@ def _d_values(args: argparse.Namespace) -> list[int]:
             f"--d-max={args.d_max} is too large for --primes: the prime test is exact "
             f"only below {PRIME_TEST_BOUND}"
         )
-    values = list(range(lo, args.d_max + 1, 2))
+    values = range(lo, args.d_max + 1, 2)
     if args.prime_only:
         values = [d for d in values if is_prime(d)]
     if not values:
@@ -128,73 +136,85 @@ def _fmt(value) -> str:
     return format(value, ".9g")
 
 
-# str.format spec of the number columns of a CSV row
-_CSV_SPECS = {int: "d", float: ".9g"}
+# str.format conversion and spec of an int and of a float column, per output
+# format: the bytes of _fmt in CSV ({:d} raises on a float, where %d would
+# truncate it), and of json in JSON, whose float is float.__repr__
+_FIELD_SPECS = {"csv": {int: ":d", float: ":.9g"}, "json": {int: "", float: "!r"}}
 
 
-def _csv_templates(row_type: type) -> tuple[int | None, tuple[str, str]]:
-    """The position of the bool column of a report row type, and its CSV row templates.
+def _row_templates(row_type: type, fmt: str) -> tuple[int | None, tuple[str, str]]:
+    """The position of the bool column of a report row type, and its row templates in fmt.
 
-    Built from the declared column types: {i:d} for an int column, {i:.9g}
-    for a float column (the bytes of _fmt for a float; {:d} raises on a
-    float, where %d would truncate it).  A bool column prints true or false,
-    so it is literal text, false in the first template and true in the
-    second; a row type has at most one.  Without one the position is None
-    and the two templates are equal.
+    Built from the declared column types.  A CSV row is its fields joined
+    by commas; a JSON row is an object of indent 2 inside the rows list,
+    and a comma.  Each ends in a newline.  A bool column prints true or
+    false, so it is literal text, false in the first template and true in
+    the second; a row type has at most one.  Without one the position is
+    None and the two templates are equal.
     """
-    kinds = list(typing.get_type_hints(row_type).values())
-    templates = tuple(
-        ",".join(
-            text if kind is bool else f"{{{i}:{_CSV_SPECS[kind]}}}" for i, kind in enumerate(kinds)
-        )
-        for text in ("false", "true")
-    )
-    return (kinds.index(bool) if bool in kinds else None), templates
+    hints = typing.get_type_hints(row_type)
+    kinds = list(hints.values())
+    templates = []
+    for text in ("false", "true"):
+        fields = [text if kind is bool else f"{{{i}{_FIELD_SPECS[fmt][kind]}}}" for i, kind in enumerate(kinds)]
+        if fmt == "csv":
+            templates.append(",".join(fields) + "\n")
+        else:
+            pairs = ",\n      ".join(f'"{name}": {field}' for name, field in zip(hints, fields))
+            templates.append(f"    {{{{\n      {pairs}\n    }}}},\n")
+    return (kinds.index(bool) if bool in kinds else None), tuple(templates)
 
 
-# _csv_templates of each row type, built on its first CSV report in a process
-_CSV_TEMPLATES: dict[type, tuple[int | None, tuple[str, str]]] = {}
+# _row_templates of each row type and format, built on first use in a process
+_TEMPLATES: dict[tuple[type, str], tuple[int | None, tuple[str, str]]] = {}
 
 
-def _emit(args: argparse.Namespace, rows: list[tuple]) -> None:
-    """Print report rows, NamedTuples whose fields are the columns, under a meta header."""
+def _row_format(row_type: type, fmt: str) -> typing.Callable[..., str]:
+    """The text of one report row in fmt ("csv" or "json") from its columns."""
+    if (row_type, fmt) not in _TEMPLATES:
+        _TEMPLATES[row_type, fmt] = _row_templates(row_type, fmt)
+    flag, (false, true) = _TEMPLATES[row_type, fmt]
+    if flag is None:
+        return false.format
+    return lambda *columns: (true if columns[flag] else false).format(*columns)
+
+
+def _emit(args: argparse.Namespace, rows: list[str]) -> None:
+    """Print report rows, formatted by _row_format for args.row_type, under a meta header."""
     options = vars(args)
     meta = {"tool": "quditcost", "version": __version__, "command": args.command}
     meta.update((key, options[key]) for key in META_KEYS if key in options)
     if args.format == "json":
-        # The bytes of json.dumps({"meta": meta, "rows": dicts}, indent=2), but the
-        # rows go through the C encoder, which json uses only without indent.
-        # Row values are numbers and bools, so the framing of the rows is fixed text.
-        head = json.dumps({"meta": meta}, indent=2)[:-2]
-        body = json.dumps([row._asdict() for row in rows], separators=(",\n      ", ": "))
-        body = body[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-        text = f'{head},\n  "rows": [\n    {{\n      {body}\n    }}\n  ]\n}}\n'
+        # the bytes of json.dumps({"meta": meta, "rows": dicts}, indent=2)
+        if any("inf" in row or "nan" in row for row in rows):
+            # json prints a non-finite float as Infinity or NaN; no column name holds either text
+            rows = [row.replace("inf", "Infinity").replace("nan", "NaN") for row in rows]
+        head = json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "rows": [\n'
+        # each row ends in ",\n", but the last one takes no comma
+        lines = [head, *rows[:-1], rows[-1][:-2] + "\n  ]\n}\n"]
     else:
-        row_type = type(rows[0])
-        lines = [f"# {key}={_fmt(val) if not isinstance(val, str) else val}" for key, val in meta.items()]
-        lines.append(",".join(row_type._fields))
-        if row_type not in _CSV_TEMPLATES:
-            _CSV_TEMPLATES[row_type] = _csv_templates(row_type)
-        flag, templates = _CSV_TEMPLATES[row_type]
-        if flag is None:
-            template = templates[0]
-            lines += [template.format(*row) for row in rows]
-        else:
-            lines += [templates[row[flag]].format(*row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        lines = [f"# {key}={_fmt(val) if not isinstance(val, str) else val}\n" for key, val in meta.items()]
+        lines.append(",".join(args.row_type._fields) + "\n")
+        lines += rows
+    # line by line, so that the text of the rows is not held a second time, joined
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     model = _load_model()
+    rows = args.report(args, _d_values(args), model, _row_format(args.row_type, args.format))
+    _emit(args, rows)
+    return EXIT_OK
+
+
+def _pf_report(args: argparse.Namespace, ds: typing.Sequence[int], model: SynthesisModel, row) -> list:
     # pf-thresholds rows do not depend on phi_max, but its header prints it
     check_phi_max(args.phi_max)
-    _emit(args, [args.row(args, d, model) for d in _d_values(args)])
-    return EXIT_OK
+    return pf_thresholds(ds, args.eps, model, row)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -262,20 +282,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pf-thresholds", help="product-formula break-even prefactors (primes by default)")
     _add_report_flags(p, t=False, k=False, prime_only=True)
-    p.set_defaults(func=cmd_report, row=lambda a, d, model: pf_thresholds(d, a.eps, model))
+    p.set_defaults(func=cmd_report, row_type=PfRow, report=_pf_report)
 
     p = sub.add_parser("lcu-table", help="fixed-encoding block-encoding thresholds (primes by default)")
     _add_report_flags(p, t=True, k=False, prime_only=True)
     p.set_defaults(
         func=cmd_report,
-        row=lambda a, d, model: lcu_fixed_encoding_thresholds(a.phi_max, d, a.t, a.eps_sim, model),
+        row_type=LcuRow,
+        report=lambda a, ds, model, row: lcu_fixed_encoding_thresholds(a.phi_max, ds, a.t, a.eps_sim, model, row),
     )
 
     p = sub.add_parser("scan-ratio", help="end-to-end totals, ratio, and switch budget (all odd d by default)")
     _add_report_flags(p, t=True, k=True, prime_only=False)
     p.set_defaults(
         func=cmd_report,
-        row=lambda a, d, model: ratio_and_budget(a.phi_max, d, a.t, a.eps_sim, a.k, model),
+        row_type=ResourceReport,
+        report=lambda a, ds, model, row: ratio_and_budget(a.phi_max, ds, a.t, a.eps_sim, a.k, model, row),
     )
 
     p = sub.add_parser("verify", help="run the decomposition and coefficient oracle suites")

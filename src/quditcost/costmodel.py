@@ -6,9 +6,10 @@ accuracy budget is eps_be = eps_sim / Q; the per-call non-Clifford count
 evaluated at that budget, times Q, gives the total.  The ratio of the two
 totals exceeds one exactly when the d-level route is cheaper, and the
 saving divided by (qudit queries * switches per query) bounds the
-affordable per-switch conversion overhead.  Each row checks d once, through
-make_grid or pf_thresholds, and evaluates each formula it prints once.
-The qudit alpha is the clock-power one-norm (clock_one_norm), O(1) in d.
+affordable per-switch conversion overhead.  A report is one pass over its
+dimensions: it checks its scalar inputs once, then each row checks d once,
+through register_width, and evaluates each formula it prints once.  The
+qudit alpha is the clock-power one-norm (clock_one_norm), O(1) in d.
 Like everything the report commands import, the module is stdlib only.
 """
 
@@ -16,9 +17,9 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from .grid import FieldGrid, make_grid, register_width
+from .grid import check_phi_max, register_width
 
 # Smallest accuracy budget a cost takes log2 of: the step accuracy eps of
 # a product formula or the per-call budget eps_sim / Q of a block
@@ -37,8 +38,11 @@ MIN_ROTATION_BUDGET = sys.float_info.min
 # relative at d = 41), and the direct sum is cheap anyway.
 ONE_NORM_CLOSED_FORM_D = 101
 
-# Fault-tolerant conversion convention: one Toffoli costs four T gates.
-TOFFOLI_T_COST = 4
+# 9 pi^2 / 2, over the per-call budget, in the qubit precision parameter b_r
+NINE_PI_SQUARED = 9.0 * math.pi**2
+
+# zeta(2), in the trigamma form of clock_one_norm
+PI_SQUARED_OVER_6 = math.pi**2 / 6
 
 
 class _SynthesisFields(NamedTuple):
@@ -52,23 +56,27 @@ class SynthesisModel(_SynthesisFields):
     A qubit Z rotation synthesized to accuracy delta costs
     rz_slope * log2(1/delta) + rz_intercept non-Clifford gates.  Both must
     be finite, nonnegative and not both zero, so that every rotation costs
-    more than nothing; construction checks this.  The d-level routes are
-    priced by their break-even prefactors instead, which need no model
-    parameter.
+    more than nothing; _make checks this, and __new__ and _replace build
+    through it.  The d-level routes are priced by their break-even
+    prefactors instead, which need no model parameter.
     """
 
     __slots__ = ()
 
     # a NamedTuple class may not define __new__, so the fields sit on a base
     def __new__(cls, rz_slope: float = 0.57, rz_intercept: float = 8.83) -> SynthesisModel:
-        self = super().__new__(cls, rz_slope, rz_intercept)
+        return cls._make((rz_slope, rz_intercept))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> SynthesisModel:
+        self = super()._make(iterable)
         for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         for name, value in zip(self._fields, self):
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
-        if rz_slope == 0 and rz_intercept == 0:
+        if self.rz_slope == 0 and self.rz_intercept == 0:
             raise ValueError("rz_slope and rz_intercept are both zero: rotations would cost nothing")
         return self
 
@@ -154,50 +162,28 @@ class PfRow(NamedTuple):
     favorable: bool
 
 
-def pf_thresholds(d: int, eps: float, model: SynthesisModel = DEFAULT_MODEL) -> PfRow:
-    """Product-formula break-even prefactors at step accuracy eps.
+def pf_thresholds(
+    ds: Iterable[int], eps: float, model: SynthesisModel = DEFAULT_MODEL, row: Callable = PfRow
+) -> list:
+    """Product-formula break-even prefactors at step accuracy eps, one row per d in ds.
 
     One step of each route is one query: the d - 1 rotation native step
     against the n_b (n_b + 1) / 2 rotation binary-register step, both
     under uniform per-rotation error allocation.  favorable is
-    a_max_pf > a_rz_pf.
+    a_max_pf > a_rz_pf.  Each row is row(d, a_max_pf, a_rz_pf, favorable).
     """
-    n_b = register_width(d)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"target accuracy must lie in (0, 1), got {eps}")
     if eps < MIN_CALL_BUDGET:
         raise ValueError(f"target accuracy eps={eps} is below {MIN_CALL_BUDGET:g}")
-    l_qb = n_b * (n_b + 1) // 2
-    qubit_cost = l_qb * rz_cost(rotation_budget(eps, l_qb, d), model)
-    a_max, a_rz = break_even(qubit_cost, 1, d - 1, eps, d, None, eps, model)
-    return PfRow(d, a_max, a_rz, a_max > a_rz)
-
-
-def query_count(alpha: float, t: float, eps_sim: float) -> float:
-    """Block-encoding queries needed: alpha * t + log2(1 / eps_sim).
-
-    Deliberately a real number.  Q must exceed eps_sim, so that the
-    per-call budget eps_sim / Q of both cost chains lies below 1, and the
-    budget must not fall below MIN_CALL_BUDGET.
-    """
-    if alpha < 0:
-        raise ValueError(f"normalization must be nonnegative, got {alpha}")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"evolution time t must be finite and nonnegative, got {t}")
-    if not 0.0 < eps_sim < 1.0:
-        raise ValueError(f"simulation accuracy eps_sim must lie in (0, 1), got {eps_sim}")
-    q = alpha * t + math.log2(1.0 / eps_sim)
-    if q <= eps_sim:
-        raise ValueError(
-            f"eps_sim={eps_sim} is too large: the per-call budget eps_sim/Q "
-            f"with Q={q:.6g} queries is not below 1"
-        )
-    if eps_sim / q < MIN_CALL_BUDGET:
-        raise ValueError(
-            f"per-call budget eps_sim/Q below {MIN_CALL_BUDGET:g}: evolution time "
-            f"t={t} and eps_sim={eps_sim} give Q={q:.6g} queries"
-        )
-    return q
+    rows = []
+    for d in ds:
+        n_b = register_width(d)
+        l_qb = n_b * (n_b + 1) // 2
+        qubit_cost = l_qb * rz_cost(rotation_budget(eps, l_qb, d), model)
+        a_max, a_rz = break_even(qubit_cost, 1, d - 1, eps, d, None, eps, model)
+        rows.append(row(d, a_max, a_rz, a_max > a_rz))
+    return rows
 
 
 # _half_weight_sum of each d, computed once per process.  Only the odd
@@ -266,12 +252,14 @@ def clock_one_norm(phi_max: float, d: int) -> float:
         h = math.pi / d
         X = (d - 1) * h / 2
         s, c = math.sin(X), math.cos(X)
+        # each power and reciprocal once; -1 / s is exactly -(1 / s)
+        inv_s, s3, s5 = 1 / s, s**3, s**5
         f = c / s**2 - 1 / X**2
-        f1 = 1 / s - 2 / s**3 + 2 / X**3
-        f3 = -1 / s + 20 / s**3 - 24 / s**5 + 24 / X**5
-        f5 = -719 / s + 1978 / s**3 - 1320 / s**5 - 720 * c**6 / s**7 + 720 / X**7
-        weights = (d / math.pi) ** 2 * (math.pi**2 / 6 - trigamma) + (
-            (1 / X - 1 / s) / h
+        f1 = inv_s - 2 / s3 + 2 / X**3
+        f3 = -inv_s + 20 / s3 - 24 / s5 + 24 / X**5
+        f5 = -719 / s + 1978 / s3 - 1320 / s5 - 720 * c**6 / s**7 + 720 / X**7
+        weights = (d / math.pi) ** 2 * (PI_SQUARED_OVER_6 - trigamma) + (
+            (1 / X - inv_s) / h
             + (f + 1 / 6) / 2
             + h / 12 * f1
             - h**3 / 720 * f3
@@ -280,68 +268,48 @@ def clock_one_norm(phi_max: float, d: int) -> float:
     return phi_max**2 * 4.0 / (d - 1) ** 2 * weights
 
 
-def qubit_normalization(grid: FieldGrid) -> float:
-    """Block-encoding normalization of the qubit route, delta_phi^2 * (2^(n_b-1) - 1)^2."""
-    return grid.delta_phi**2 * (2 ** (grid.n_b - 1) - 1) ** 2
+def _log_term(phi_max: float, t: float, eps_sim: float) -> float:
+    """log2(1 / eps_sim), once the inputs that every block-encoding row shares are checked."""
+    check_phi_max(phi_max)
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"evolution time t must be finite and nonnegative, got {t}")
+    if not 0.0 < eps_sim < 1.0:
+        raise ValueError(f"simulation accuracy eps_sim must lie in (0, 1), got {eps_sim}")
+    return math.log2(1.0 / eps_sim)
 
 
-def precision_parameter(eps: float) -> int:
-    """Amplitude-rotation precision b_r = ceil(0.5 * log2(9 pi^2 / (2 eps)))."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"per-call accuracy must lie in (0, 1), got {eps}")
-    return math.ceil(0.5 * math.log2(9.0 * math.pi**2 / (2.0 * eps)))
+def _query_counts(phi_max: float, d: int, t: float, eps_sim: float, log_term: float) -> tuple:
+    """Both block-encoding chains at d up to their query counts, after _log_term.
 
-
-def qubit_blockencoding_cost(grid: FieldGrid, eps: float) -> int:
-    """T count of one qubit block-encoding call at per-call accuracy eps.
-
-    Each preparation direction (paid twice) costs 4 b_r + 2 n_b - 16
-    Toffolis, the selector 2 (n_b - 1) Toffolis plus 20 direct T gates; at
-    4 T per Toffoli the total is 32 b_r + 24 n_b - 116.
+    Returns (n_b, alpha_qb, q_qb, per_call_qb, t_tot_qb, alpha_qd, q_qd).
+    The normalizations are delta_phi^2 (2^(n_b-1) - 1)^2 for the qubit
+    route and clock_one_norm for the qudit route, with
+    delta_phi = 2 phi_max / (d - 1).  Q = alpha t + log2(1 / eps_sim) is a
+    real number, and it must leave a per-call budget eps_sim / Q below 1
+    and not below MIN_CALL_BUDGET.  One qubit call costs 32 b_r + 24 n_b
+    - 116 T gates at b_r = ceil(0.5 log2(9 pi^2 / (2 eps_sim / Q))): each
+    preparation direction (paid twice) 4 b_r + 2 n_b - 16 Toffolis, the
+    selector 2 (n_b - 1) Toffolis, 4 T per Toffoli, plus 20 direct T gates.
     """
-    n_b = grid.n_b
-    prep_toffoli = 4 * precision_parameter(eps) + 2 * n_b - 16
-    return TOFFOLI_T_COST * (2 * prep_toffoli + 2 * (n_b - 1)) + 20
-
-
-class CostChain(NamedTuple):
-    """One encoding's chain: normalization, queries, per-call budget, per-call cost, total."""
-
-    alpha: float
-    queries: float
-    eps_be: float
-    per_call: float
-    total: float
-
-
-def total_cost_qubit(grid: FieldGrid, t: float, eps_sim: float) -> CostChain:
-    """Qubit baseline chain: normalization -> queries -> budget -> per call -> total."""
-    alpha = qubit_normalization(grid)
-    q = query_count(alpha, t, eps_sim)
-    eps_be = eps_sim / q
-    per_call = float(qubit_blockencoding_cost(grid, eps_be))
-    return CostChain(alpha, q, eps_be, per_call, q * per_call)
-
-
-def total_cost_qudit_hybrid(
-    grid: FieldGrid, t: float, eps_sim: float, model: SynthesisModel = DEFAULT_MODEL
-) -> CostChain:
-    """Hybrid d-level chain with the per-call rotation budget split uniformly.
-
-    The hybrid call pairs binary-register preparation with the d-level
-    selection.  Per call: L * (synthesis cost at eps_be / L) + 4 n_b direct
-    T gates (the comparator of the selection's sign flip), with
-    L = 2 (2^n_b - 1) + n_b synthesized rotations: both preparation
-    directions (2^n_b - 1 each) plus the n_b rotations of the selection's
-    clock-phase ladder.
-    """
-    alpha = clock_one_norm(grid.phi_max, grid.d)
-    q = query_count(alpha, t, eps_sim)
-    eps_be = eps_sim / q
-    n_b = grid.n_b
-    rotations = 2 * (2**n_b - 1) + n_b
-    per_call = rotations * rz_cost(rotation_budget(eps_be, rotations, grid.d), model) + 4 * n_b
-    return CostChain(alpha, q, eps_be, per_call, q * per_call)
+    n_b = register_width(d)
+    alpha_qb = (2.0 * phi_max / (d - 1)) ** 2 * (2 ** (n_b - 1) - 1) ** 2
+    alpha_qd = clock_one_norm(phi_max, d)
+    q_qb = alpha_qb * t + log_term
+    q_qd = alpha_qd * t + log_term
+    for q in (q_qb, q_qd):
+        if q <= eps_sim:
+            raise ValueError(
+                f"eps_sim={eps_sim} is too large: the per-call budget eps_sim/Q "
+                f"with Q={q:.6g} queries is not below 1"
+            )
+        if eps_sim / q < MIN_CALL_BUDGET:
+            raise ValueError(
+                f"per-call budget eps_sim/Q below {MIN_CALL_BUDGET:g}: evolution time "
+                f"t={t} and eps_sim={eps_sim} give Q={q:.6g} queries"
+            )
+    b_r = math.ceil(0.5 * math.log2(NINE_PI_SQUARED / (2.0 * (eps_sim / q_qb))))
+    per_call_qb = float(32 * b_r + 24 * n_b - 116)
+    return n_b, alpha_qb, q_qb, per_call_qb, q_qb * per_call_qb, alpha_qd, q_qd
 
 
 class ResourceReport(NamedTuple):
@@ -364,46 +332,48 @@ class ResourceReport(NamedTuple):
 
 def ratio_and_budget(
     phi_max: float,
-    d: int,
+    ds: Iterable[int],
     t: float,
     eps_sim: float,
     k: int = 2,
     model: SynthesisModel = DEFAULT_MODEL,
-) -> ResourceReport:
-    """Build the full report: totals, ratio, absolute saving, per-switch budget.
+    row: Callable = ResourceReport,
+) -> list:
+    """Totals, ratio, absolute saving and per-switch budget, one row per d in ds.
 
-    k is the number of directional encoding switches per query (two for the
-    hybrid round trip).  The switch count Q_qd * k must be a finite float,
-    or the budget would read 0; the budget, like the totals, must be
-    finite.  ratio > 1, delta_tot > 0, and a positive budget are all
-    equivalent statements that the d-level route is cheaper.
+    The hybrid d-level call pairs binary-register preparation with the
+    d-level selection.  Per call: L * (synthesis cost at eps_sim / (Q L))
+    + 4 n_b direct T gates (the comparator of the selection's sign flip),
+    with L = 2 (2^n_b - 1) + n_b synthesized rotations: both preparation
+    directions (2^n_b - 1 each) plus the n_b rotations of the selection's
+    clock-phase ladder.  k is the number of directional encoding switches
+    per query (two for the hybrid round trip).  The switch count Q_qd * k
+    must be a finite float, or the budget would read 0; the budget, like
+    the totals, must be finite.  ratio > 1, delta_tot > 0, and a positive
+    budget are all equivalent statements that the d-level route is
+    cheaper.  Each row is row(*columns), in the order of ResourceReport.
     """
     if k < 1:
         raise ValueError(f"switch count must be at least 1, got {k}")
-    grid = make_grid(phi_max, d)
-    qb = total_cost_qubit(grid, t, eps_sim)
-    qd = total_cost_qudit_hybrid(grid, t, eps_sim, model)
-    delta = qb.total - qd.total
-    switches = qd.queries * k
-    if not math.isfinite(switches):
-        raise ValueError(f"k={k:.6g} is too large: the {qd.queries:.6g} queries at d={d} make {switches} switches")
-    budget = delta / switches
-    check_finite(d, t, eps_sim, qb.total, qd.total, budget)
-    return ResourceReport(
-        d=d,
-        n_b=grid.n_b,
-        alpha_qb=qb.alpha,
-        alpha_qd=qd.alpha,
-        q_qb=qb.queries,
-        q_qd=qd.queries,
-        per_call_qb=qb.per_call,
-        per_call_qd=qd.per_call,
-        t_tot_qb=qb.total,
-        t_tot_qd=qd.total,
-        ratio=qb.total / qd.total,
-        delta_tot=delta,
-        budget_per_switch=budget,
-    )
+    log_term = _log_term(phi_max, t, eps_sim)
+    rows = []
+    for d in ds:
+        n_b, alpha_qb, q_qb, per_call_qb, total_qb, alpha_qd, q_qd = _query_counts(phi_max, d, t, eps_sim, log_term)
+        rotations = 2 * (2**n_b - 1) + n_b
+        per_call_qd = rotations * rz_cost(rotation_budget(eps_sim / q_qd, rotations, d), model) + 4 * n_b
+        total_qd = q_qd * per_call_qd
+        delta = total_qb - total_qd
+        switches = q_qd * k
+        if not math.isfinite(switches):
+            raise ValueError(f"k={k:.6g} is too large: the {q_qd:.6g} queries at d={d} make {switches} switches")
+        budget = delta / switches
+        # finite only if both totals are: an infinite total makes delta infinite or nan
+        check_finite(d, t, eps_sim, budget)
+        rows.append(row(
+            d, n_b, alpha_qb, alpha_qd, q_qb, q_qd, per_call_qb, per_call_qd,
+            total_qb, total_qd, total_qb / total_qd, delta, budget,
+        ))
+    return rows
 
 
 class LcuRow(NamedTuple):
@@ -416,20 +386,24 @@ class LcuRow(NamedTuple):
 
 def lcu_fixed_encoding_thresholds(
     phi_max: float,
-    d: int,
+    ds: Iterable[int],
     t: float,
     eps_sim: float,
     model: SynthesisModel = DEFAULT_MODEL,
-) -> LcuRow:
-    """Fixed-encoding break-even prefactors for the block-encoding route.
+    row: Callable = LcuRow,
+) -> list:
+    """Fixed-encoding break-even prefactors for the block-encoding route, one row per d in ds.
 
     The qubit total against Q_qd queries of the fixed encoding, which
     splits the per-call budget eps_sim / Q_qd uniformly over 3d - 3
     rotations: one selection bound of d - 1 plus two preparations of
     d - 1 each.  The bound holds even where the realized selection count,
     lcu.select_nontrivial_count(d), is smaller.  No hybrid call is priced.
+    Each row is row(d, a_max_lcu, a_rz_lcu).
     """
-    grid = make_grid(phi_max, d)
-    qb = total_cost_qubit(grid, t, eps_sim)
-    q_qd = query_count(clock_one_norm(grid.phi_max, d), t, eps_sim)
-    return LcuRow(d, *break_even(qb.total, q_qd, 3 * d - 3, eps_sim / q_qd, d, t, eps_sim, model))
+    log_term = _log_term(phi_max, t, eps_sim)
+    rows = []
+    for d in ds:
+        _, _, _, _, total_qb, _, q_qd = _query_counts(phi_max, d, t, eps_sim, log_term)
+        rows.append(row(d, *break_even(total_qb, q_qd, 3 * d - 3, eps_sim / q_qd, d, t, eps_sim, model)))
+    return rows

@@ -4,10 +4,11 @@ The on-site field operator is diagonal on a grid of d = 2M + 1 equally
 spaced eigenvalues spanning [-phi_max, +phi_max].  Every other module
 consumes this grid, so construction validates the structural invariants
 up front: odd local dimension, positive amplitude bound, and the exact
-spacing relation delta_phi = 2 * phi_max / (d - 1).  A grid is O(1) in d:
-the report commands need only phi_max, delta_phi and n_b.  The module is
-stdlib only, as is everything the report commands import; the d levels
-themselves are built by pauli.level_array, on the verify side, with numpy.
+spacing relation delta_phi = 2 * phi_max / (d - 1).  A grid is O(1) in d.
+The report commands build none: they check phi_max and d with the same two
+functions, once per report and once per row.  The module is stdlib only,
+as is everything the report commands import; the d levels themselves are
+built by pauli.level_array, on the verify side, with numpy.
 """
 
 from __future__ import annotations

@@ -20,7 +20,12 @@ that the library uses as closed forms:
   that `--primes` scans use;
 * the bit-pair projector sum over every (r, s) pair, one register string
   at a time, which certifies the quadratic form of
-  `lcu.qubit_projector_diag_oracle`.
+  `lcu.qubit_projector_diag_oracle`;
+* the per-d cost chain that the report passes of `costmodel` replaced,
+  kept as it was: a grid, the query count, the qubit precision parameter
+  and T count by their Toffoli breakdown, the qubit and hybrid chains, and
+  one row function per report (`pf_row`, `scan_row`, `lcu_row`).  The
+  passes print the same rows bit for bit and raise the same errors.
 
 Angle convention as in `quditcost.trotter`: R_z(theta) = exp(-i theta Z / 2).
 """
@@ -29,10 +34,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from quditcost.grid import FieldGrid, register_width
+from quditcost.costmodel import (
+    DEFAULT_MODEL,
+    MIN_CALL_BUDGET,
+    LcuRow,
+    PfRow,
+    ResourceReport,
+    SynthesisModel,
+    break_even,
+    check_finite,
+    clock_one_norm,
+    rotation_budget,
+    rz_cost,
+)
+from quditcost.grid import FieldGrid, make_grid, register_width
 from quditcost.pauli import level_array
 
 
@@ -191,3 +210,184 @@ def projector_pair_sum(grid: FieldGrid) -> list[float]:
                 acc += (1 << (r + s)) * bits[r] * bits[s]
         values.append(dphi2 * acc)
     return values
+
+
+# ------------------------------------------------- the per-d cost chain
+
+# Fault-tolerant conversion convention: one Toffoli costs four T gates.
+TOFFOLI_T_COST = 4
+
+
+def pf_row(d: int, eps: float, model: SynthesisModel = DEFAULT_MODEL) -> PfRow:
+    """Product-formula break-even prefactors at step accuracy eps.
+
+    One step of each route is one query: the d - 1 rotation native step
+    against the n_b (n_b + 1) / 2 rotation binary-register step, both
+    under uniform per-rotation error allocation.  favorable is
+    a_max_pf > a_rz_pf.
+    """
+    n_b = register_width(d)
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"target accuracy must lie in (0, 1), got {eps}")
+    if eps < MIN_CALL_BUDGET:
+        raise ValueError(f"target accuracy eps={eps} is below {MIN_CALL_BUDGET:g}")
+    l_qb = n_b * (n_b + 1) // 2
+    qubit_cost = l_qb * rz_cost(rotation_budget(eps, l_qb, d), model)
+    a_max, a_rz = break_even(qubit_cost, 1, d - 1, eps, d, None, eps, model)
+    return PfRow(d, a_max, a_rz, a_max > a_rz)
+
+
+def query_count(alpha: float, t: float, eps_sim: float) -> float:
+    """Block-encoding queries needed: alpha * t + log2(1 / eps_sim).
+
+    Deliberately a real number.  Q must exceed eps_sim, so that the
+    per-call budget eps_sim / Q of both cost chains lies below 1, and the
+    budget must not fall below MIN_CALL_BUDGET.
+    """
+    if alpha < 0:
+        raise ValueError(f"normalization must be nonnegative, got {alpha}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"evolution time t must be finite and nonnegative, got {t}")
+    if not 0.0 < eps_sim < 1.0:
+        raise ValueError(f"simulation accuracy eps_sim must lie in (0, 1), got {eps_sim}")
+    q = alpha * t + math.log2(1.0 / eps_sim)
+    if q <= eps_sim:
+        raise ValueError(
+            f"eps_sim={eps_sim} is too large: the per-call budget eps_sim/Q "
+            f"with Q={q:.6g} queries is not below 1"
+        )
+    if eps_sim / q < MIN_CALL_BUDGET:
+        raise ValueError(
+            f"per-call budget eps_sim/Q below {MIN_CALL_BUDGET:g}: evolution time "
+            f"t={t} and eps_sim={eps_sim} give Q={q:.6g} queries"
+        )
+    return q
+
+
+def qubit_normalization(grid: FieldGrid) -> float:
+    """Block-encoding normalization of the qubit route, delta_phi^2 * (2^(n_b-1) - 1)^2."""
+    return grid.delta_phi**2 * (2 ** (grid.n_b - 1) - 1) ** 2
+
+
+def precision_parameter(eps: float) -> int:
+    """Amplitude-rotation precision b_r = ceil(0.5 * log2(9 pi^2 / (2 eps)))."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"per-call accuracy must lie in (0, 1), got {eps}")
+    return math.ceil(0.5 * math.log2(9.0 * math.pi**2 / (2.0 * eps)))
+
+
+def qubit_blockencoding_cost(grid: FieldGrid, eps: float) -> int:
+    """T count of one qubit block-encoding call at per-call accuracy eps.
+
+    Each preparation direction (paid twice) costs 4 b_r + 2 n_b - 16
+    Toffolis, the selector 2 (n_b - 1) Toffolis plus 20 direct T gates; at
+    4 T per Toffoli the total is 32 b_r + 24 n_b - 116.
+    """
+    n_b = grid.n_b
+    prep_toffoli = 4 * precision_parameter(eps) + 2 * n_b - 16
+    return TOFFOLI_T_COST * (2 * prep_toffoli + 2 * (n_b - 1)) + 20
+
+
+class CostChain(NamedTuple):
+    """One encoding's chain: normalization, queries, per-call budget, per-call cost, total."""
+
+    alpha: float
+    queries: float
+    eps_be: float
+    per_call: float
+    total: float
+
+
+def total_cost_qubit(grid: FieldGrid, t: float, eps_sim: float) -> CostChain:
+    """Qubit baseline chain: normalization -> queries -> budget -> per call -> total."""
+    alpha = qubit_normalization(grid)
+    q = query_count(alpha, t, eps_sim)
+    eps_be = eps_sim / q
+    per_call = float(qubit_blockencoding_cost(grid, eps_be))
+    return CostChain(alpha, q, eps_be, per_call, q * per_call)
+
+
+def total_cost_qudit_hybrid(
+    grid: FieldGrid, t: float, eps_sim: float, model: SynthesisModel = DEFAULT_MODEL
+) -> CostChain:
+    """Hybrid d-level chain with the per-call rotation budget split uniformly.
+
+    The hybrid call pairs binary-register preparation with the d-level
+    selection.  Per call: L * (synthesis cost at eps_be / L) + 4 n_b direct
+    T gates (the comparator of the selection's sign flip), with
+    L = 2 (2^n_b - 1) + n_b synthesized rotations: both preparation
+    directions (2^n_b - 1 each) plus the n_b rotations of the selection's
+    clock-phase ladder.
+    """
+    alpha = clock_one_norm(grid.phi_max, grid.d)
+    q = query_count(alpha, t, eps_sim)
+    eps_be = eps_sim / q
+    n_b = grid.n_b
+    rotations = 2 * (2**n_b - 1) + n_b
+    per_call = rotations * rz_cost(rotation_budget(eps_be, rotations, grid.d), model) + 4 * n_b
+    return CostChain(alpha, q, eps_be, per_call, q * per_call)
+
+
+def scan_row(
+    phi_max: float,
+    d: int,
+    t: float,
+    eps_sim: float,
+    k: int = 2,
+    model: SynthesisModel = DEFAULT_MODEL,
+) -> ResourceReport:
+    """Build the full report: totals, ratio, absolute saving, per-switch budget.
+
+    k is the number of directional encoding switches per query (two for the
+    hybrid round trip).  The switch count Q_qd * k must be a finite float,
+    or the budget would read 0; the budget, like the totals, must be
+    finite.  ratio > 1, delta_tot > 0, and a positive budget are all
+    equivalent statements that the d-level route is cheaper.
+    """
+    if k < 1:
+        raise ValueError(f"switch count must be at least 1, got {k}")
+    grid = make_grid(phi_max, d)
+    qb = total_cost_qubit(grid, t, eps_sim)
+    qd = total_cost_qudit_hybrid(grid, t, eps_sim, model)
+    delta = qb.total - qd.total
+    switches = qd.queries * k
+    if not math.isfinite(switches):
+        raise ValueError(f"k={k:.6g} is too large: the {qd.queries:.6g} queries at d={d} make {switches} switches")
+    budget = delta / switches
+    check_finite(d, t, eps_sim, qb.total, qd.total, budget)
+    return ResourceReport(
+        d=d,
+        n_b=grid.n_b,
+        alpha_qb=qb.alpha,
+        alpha_qd=qd.alpha,
+        q_qb=qb.queries,
+        q_qd=qd.queries,
+        per_call_qb=qb.per_call,
+        per_call_qd=qd.per_call,
+        t_tot_qb=qb.total,
+        t_tot_qd=qd.total,
+        ratio=qb.total / qd.total,
+        delta_tot=delta,
+        budget_per_switch=budget,
+    )
+
+
+def lcu_row(
+    phi_max: float,
+    d: int,
+    t: float,
+    eps_sim: float,
+    model: SynthesisModel = DEFAULT_MODEL,
+) -> LcuRow:
+    """Fixed-encoding break-even prefactors for the block-encoding route.
+
+    The qubit total against Q_qd queries of the fixed encoding, which
+    splits the per-call budget eps_sim / Q_qd uniformly over 3d - 3
+    rotations: one selection bound of d - 1 plus two preparations of
+    d - 1 each.  The bound holds even where the realized selection count,
+    lcu.select_nontrivial_count(d), is smaller.  No hybrid call is priced.
+    """
+    grid = make_grid(phi_max, d)
+    qb = total_cost_qubit(grid, t, eps_sim)
+    q_qd = query_count(clock_one_norm(grid.phi_max, d), t, eps_sim)
+    return LcuRow(d, *break_even(qb.total, q_qd, 3 * d - 3, eps_sim / q_qd, d, t, eps_sim, model))

@@ -7,15 +7,9 @@ pass/fail lines.
 import math
 
 import numpy as np
-from oracles import centered_partial_sum, levels, squared_mean
+from oracles import centered_partial_sum, levels, precision_parameter, qubit_blockencoding_cost, squared_mean
 
-from quditcost.costmodel import (
-    lcu_fixed_encoding_thresholds,
-    pf_thresholds,
-    precision_parameter,
-    qubit_blockencoding_cost,
-    ratio_and_budget,
-)
+from quditcost.costmodel import lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
 from quditcost.grid import make_grid
 from quditcost.lcu import (
     fixed_encoding_select_schedule,
@@ -39,9 +33,9 @@ def report(number: int, description: str, ok: bool) -> None:
 def test_criterion_1_pf_thresholds():
     targets = {3: 1.51, 5: 1.48, 7: 0.96}
     ok = all(
-        abs(pf_thresholds(d, 1e-6).a_max_pf - val) <= 0.01 for d, val in targets.items()
+        abs(row.a_max_pf - val) <= 0.01 for row, val in zip(pf_thresholds(targets, 1e-6), targets.values())
     )
-    rows = [pf_thresholds(d, 1e-6) for d in PRIMES_TO_19]
+    rows = pf_thresholds(PRIMES_TO_19, 1e-6)
     favorable = [row.d for row in rows if row.a_max_pf > row.a_rz_pf]
     ok = ok and favorable == [3, 5]
     report(1, "product-formula break-even prefactors and favorable set", ok)
@@ -53,14 +47,17 @@ def test_criterion_2_qubit_lcu_cost_formula():
         grid = make_grid(1.0, d)
         cost = qubit_blockencoding_cost(grid, 1e-6)
         ok = ok and cost == 32 * precision_parameter(1e-6) + 24 * grid.n_b - 116
+        # the printed per-call count is the Toffoli breakdown at the row's budget
+        for t in (0.1, 3000.0):
+            (row,) = ratio_and_budget(1.0, [d], t, 1e-6)
+            ok = ok and row.per_call_qb == qubit_blockencoding_cost(grid, 1e-6 / row.q_qb)
     report(2, "qubit block-encoding T-count formula, exact for n_b in 2..10", ok)
 
 
 def test_criterion_3_fixed_encoding_table():
     targets = dict(zip(PRIMES_TO_19, [2.56, 1.32, 0.85, 0.53, 0.44, 0.34, 0.30]))
     ok = True
-    for d, val in targets.items():
-        _, a_max, _ = lcu_fixed_encoding_thresholds(1.0, d, 0.1, 1e-6)
+    for (_, a_max, _), val in zip(lcu_fixed_encoding_thresholds(1.0, targets, 0.1, 1e-6), targets.values()):
         ok = ok and abs(a_max - val) <= 0.01
     report(3, "fixed-encoding break-even table at t=0.1", ok)
 
@@ -68,10 +65,9 @@ def test_criterion_3_fixed_encoding_table():
 def test_criterion_4_ratio_golden_values_t01():
     targets = {3: 2.033787, 5: 1.006205, 7: 0.999963}
     ok = True
-    for d, val in targets.items():
-        r = ratio_and_budget(1.0, d, 0.1, 1e-6)
+    for r, val in zip(ratio_and_budget(1.0, targets, 0.1, 1e-6), targets.values()):
         ok = ok and math.isclose(r.ratio, val, rel_tol=1e-3)
-    delta3 = ratio_and_budget(1.0, 3, 0.1, 1e-6).delta_tot
+    delta3 = ratio_and_budget(1.0, [3], 0.1, 1e-6)[0].delta_tot
     ok = ok and math.isclose(delta3, 4.20e3, rel_tol=0.02)
     report(4, "total-cost ratios and absolute saving at t=0.1", ok)
 
@@ -79,21 +75,18 @@ def test_criterion_4_ratio_golden_values_t01():
 def test_criterion_5_ratio_golden_values_t3000():
     targets = {5: 3.959978, 21: 1.062653, 23: 0.835319}
     ok = True
-    for d, val in targets.items():
-        r = ratio_and_budget(1.0, d, 3000.0, 1e-6)
+    for r, val in zip(ratio_and_budget(1.0, targets, 3000.0, 1e-6), targets.values()):
         ok = ok and math.isclose(r.ratio, val, rel_tol=1e-3)
-    favorable = [
-        d for d in range(3, 1002, 2) if ratio_and_budget(1.0, d, 3000.0, 1e-6).ratio > 1
-    ]
+    favorable = [r.d for r in ratio_and_budget(1.0, range(3, 1002, 2), 3000.0, 1e-6) if r.ratio > 1]
     ok = ok and favorable == [3, 5, 7, 9, 11, 13, 17, 19, 21]
-    delta9 = ratio_and_budget(1.0, 9, 3000.0, 1e-6).delta_tot
+    delta9 = ratio_and_budget(1.0, [9], 3000.0, 1e-6)[0].delta_tot
     ok = ok and math.isclose(delta9, 3.65e6, rel_tol=0.02)
     report(5, "total-cost ratios, favorable set, and saving at t=3000", ok)
 
 
 def test_criterion_6_code_switch_budgets():
     def budget(d, t):
-        return ratio_and_budget(1.0, d, t, 1e-6, k=2).budget_per_switch
+        return ratio_and_budget(1.0, [d], t, 1e-6, k=2)[0].budget_per_switch
 
     ok = math.isclose(budget(3, 0.1), 1.05e2, rel_tol=0.02)
     ok = ok and math.isclose(budget(5, 0.1), 1.35, rel_tol=0.02)
@@ -105,16 +98,14 @@ def test_criterion_6_code_switch_budgets():
 
 
 def test_criterion_7_fixed_encoding_t3000():
-    a5 = lcu_fixed_encoding_thresholds(1.0, 5, 3000.0, 1e-6)
-    a19 = lcu_fixed_encoding_thresholds(1.0, 19, 3000.0, 1e-6)
+    a5, a19 = lcu_fixed_encoding_thresholds(1.0, [5, 19], 3000.0, 1e-6)
     ok = math.isclose(a5.a_max_lcu, 4.794611, rel_tol=1e-3)
     ok = ok and math.isclose(a5.a_rz_lcu, 0.825901, rel_tol=1e-3)
     ok = ok and math.isclose(a19.a_max_lcu, 1.339724, rel_tol=1e-3)
     ok = ok and math.isclose(a19.a_rz_lcu, 0.810783, rel_tol=1e-3)
-    for d in PRIMES_TO_19:
-        _, a_max, a_rz = lcu_fixed_encoding_thresholds(1.0, d, 3000.0, 1e-6)
+    for _, a_max, a_rz in lcu_fixed_encoding_thresholds(1.0, PRIMES_TO_19, 3000.0, 1e-6):
         ok = ok and a_max > a_rz
-    a23 = lcu_fixed_encoding_thresholds(1.0, 23, 3000.0, 1e-6)
+    (a23,) = lcu_fixed_encoding_thresholds(1.0, [23], 3000.0, 1e-6)
     ok = ok and a23.a_max_lcu < a23.a_rz_lcu
     report(7, "fixed-encoding thresholds and favorability at t=3000", ok)
 

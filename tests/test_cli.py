@@ -145,7 +145,7 @@ def test_scan_ratio_csv_schema(capsys):
 def test_scan_ratio_rows_reproducible_from_library(capsys):
     _, out, _ = run_cli(capsys, "scan-ratio", "--t", "3000", "--d-min", "3", "--d-max", "11")
     for row in parse_csv(out):
-        report = ratio_and_budget(1.0, int(row["d"]), 3000.0, 1e-6, k=2)
+        (report,) = ratio_and_budget(1.0, [int(row["d"])], 3000.0, 1e-6, k=2)
         for column in ("ratio", "t_tot_qb", "t_tot_qd", "budget_per_switch"):
             assert float(row[column]) == pytest.approx(getattr(report, column), rel=1e-8)
 
@@ -154,8 +154,8 @@ def test_scan_ratio_rows_keyed_by_dimension(capsys):
     _, out, _ = run_cli(capsys, "scan-ratio", "--d-min", "4", "--d-max", "11", "--format", "json")
     rows = json.loads(out)["rows"]
     assert [row["d"] for row in rows] == [5, 7, 9, 11]
-    for row in rows:
-        assert row == ratio_and_budget(1.0, row["d"], 0.1, 1e-6)._asdict()
+    for row, report in zip(rows, ratio_and_budget(1.0, [5, 7, 9, 11], 0.1, 1e-6)):
+        assert row == report._asdict()
 
 
 def test_output_determinism(tmp_path, capsys):

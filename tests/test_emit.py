@@ -1,11 +1,11 @@
 """Report bytes of the report commands, and one parser reused across calls.
 
-`cli._emit` splices the JSON row framing around one C-encoded dump; its
-oracle is the plain `json.dumps(payload, indent=2)` that it replaces.  It
-formats each CSV row with one str.format template per row type; its
-oracle joins the rows value by value through `cli._fmt`, as it once did.
-`main` builds its parser once per process, so a call must leave nothing
-behind that the next one reads.
+`cli._row_format` formats each row with one str.format template per row
+type and output format, and `cli._emit` frames the rows under the meta
+header.  The oracle of JSON is the plain `json.dumps(payload, indent=2)`
+of the row dicts; the oracle of CSV joins the rows value by value through
+`cli._fmt`, as the CLI once did.  `main` builds its parser once per
+process, so a call must leave nothing behind that the next one reads.
 """
 
 import argparse
@@ -48,11 +48,13 @@ def lines(text):
 
 
 def emitted(args, rows, capsys, tmp_path):
-    """What _emit writes for `rows`, to stdout and through --out; both must agree."""
-    cli._emit(argparse.Namespace(**{**vars(args), "out": None}), rows)
+    """What _emit writes for `rows` as _row_format formats them, to stdout and through --out; both must agree."""
+    row_type = type(rows[0])
+    text = [cli._row_format(row_type, args.format)(*row) for row in rows]
+    cli._emit(argparse.Namespace(**{**vars(args), "row_type": row_type, "out": None}), text)
     out = capsys.readouterr().out
     path = tmp_path / "rows.json"
-    cli._emit(argparse.Namespace(**{**vars(args), "out": str(path)}), rows)
+    cli._emit(argparse.Namespace(**{**vars(args), "row_type": row_type, "out": str(path)}), text)
     assert capsys.readouterr().out == ""
     assert lines(path.read_text()) == lines(out)
     return out
@@ -74,7 +76,7 @@ def emitted_and_printed(capsys, tmp_path, argv):
     """The rows of `argv`, and its report as _emit writes it and as main prints it; both must agree."""
     args = cli._build_parser().parse_args(argv)
     model = cli._load_model()
-    rows = [args.row(args, d, model) for d in cli._d_values(args)]
+    rows = args.report(args, cli._d_values(args), model, args.row_type)
     out = emitted(args, rows, capsys, tmp_path)
     assert cli.main(argv) == 0
     assert lines(capsys.readouterr().out) == lines(out)
@@ -96,7 +98,8 @@ def test_csv_equals_the_fmt_joined_rows(capsys, tmp_path, argv):
 
 
 def extreme_reports(fmt):
-    """(args, rows) of each report type, with extreme floats and ints in float columns."""
+    """(args, rows) of each report type, with extreme floats, ints in float columns, and
+    floats whose repr has an exponent or a trailing .0 (1e-07, 1e+16, 1234.0)."""
     scan = argparse.Namespace(
         command="scan-ratio", format=fmt, phi_max=1e300, eps_sim=1e-300, t=0.0, k=2,
         prime_only=False,
@@ -114,9 +117,13 @@ def extreme_reports(fmt):
             ResourceReport(5, 3, 0.0, -0.0, 1.0, 2.0, 3, 4.0, 5.0, 6.0, 7.0, -0.0, -123.456),
             ResourceReport(7, 3, math.inf, -math.inf, math.nan, 1e-310, 2.5e-8, 123456789.5,
                            0.30000000000000004, 1e16, 9.99999999e-5, 1234567890.0, 5e-324),
+            ResourceReport(9, 4, 1e-07, 1e16, 1234.0, 0.1, 412.0, -1234.5, 1.7976931348623157e308,
+                           2.5e-300, -0.0, 1e-07, 1234.0),
         ]),
-        (lcu, [LcuRow(3, 1e-300, 1e300), LcuRow(100000000000031, 2.0174617e-13, 0.681767037)]),
-        (pf, [PfRow(3, 1e300, 1e-300, True), PfRow(7, 0.841840228, 0.841840228, False)]),
+        (lcu, [LcuRow(3, 1e-300, 1e300), LcuRow(100000000000031, 2.0174617e-13, 0.681767037),
+               LcuRow(5, 1e-07, 1234.0)]),
+        (pf, [PfRow(3, 1e300, 1e-300, True), PfRow(7, 0.841840228, 0.841840228, False),
+              PfRow(5, 1e16, 1234.0, True)]),
     ]
 
 
@@ -131,11 +138,9 @@ def test_csv_of_extreme_values_equals_the_fmt_joined_rows(capsys, tmp_path):
 
 
 def test_csv_rejects_a_float_in_an_int_column():
-    args = argparse.Namespace(
-        command="lcu-table", format="csv", phi_max=1.0, eps_sim=1e-6, t=0.1, prime_only=True, out=None,
-    )
     with pytest.raises(ValueError, match="format code 'd'"):
-        cli._emit(args, [LcuRow(3.0, 1.0, 2.0)])
+        cli._row_format(LcuRow, "csv")(*LcuRow(3.0, 1.0, 2.0))
+
 
 
 def fresh_process_stdout(*argv):

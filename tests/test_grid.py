@@ -3,13 +3,7 @@ import math
 import pytest
 from oracles import levels, squared_mean
 
-from quditcost.costmodel import (
-    clock_one_norm,
-    lcu_fixed_encoding_thresholds,
-    pf_thresholds,
-    qubit_normalization,
-    ratio_and_budget,
-)
+from quditcost.costmodel import clock_one_norm, lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
 from quditcost.grid import FieldGrid, make_grid, register_width
 from quditcost.lcu import select_nontrivial_count
 
@@ -57,8 +51,9 @@ def test_nonfinite_phi_max_rejected(bad_phi):
 # d = 2^m + 1 brings the qubit normalization closest to its bound
 @pytest.mark.parametrize("d", [3, 5, 513, 4097])
 def test_largest_phi_max_has_finite_normalizations(d):
-    grid = make_grid(PHI_MAX_LIMIT, d)
-    assert math.isfinite(qubit_normalization(grid))
+    # at t = 0 no normalization enters a product that could overflow
+    (row,) = ratio_and_budget(PHI_MAX_LIMIT, [d], 0.0, 1e-6)
+    assert math.isfinite(row.alpha_qb) and row.alpha_qb > 1e307
     assert math.isfinite(clock_one_norm(PHI_MAX_LIMIT, d))
     with pytest.raises(ValueError, match="phi_max=.* is too large"):
         make_grid(math.nextafter(PHI_MAX_LIMIT, math.inf), d)
@@ -107,10 +102,10 @@ def test_register_width_values():
     [
         register_width,
         lambda d: make_grid(1.0, d),
-        lambda d: pf_thresholds(d, 1e-6),
-        lambda d: ratio_and_budget(1.0, d, 0.1, 1e-6),
+        lambda d: pf_thresholds([d], 1e-6),
+        lambda d: ratio_and_budget(1.0, [d], 0.1, 1e-6),
         select_nontrivial_count,
-        lambda d: lcu_fixed_encoding_thresholds(1.0, d, 0.1, 1e-6),
+        lambda d: lcu_fixed_encoding_thresholds(1.0, [d], 0.1, 1e-6),
     ],
     # the hybrid call cost and the fixed-encoding rotation bound are checked
     # through the rows that price them

@@ -3,20 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from oracles import dclock_angles, dclock_realized_phases, projector_pair_sum
-
-from quditcost.costmodel import (
-    SynthesisModel,
-    clock_one_norm,
-    lcu_fixed_encoding_thresholds,
+from oracles import (
+    dclock_angles,
+    dclock_realized_phases,
     precision_parameter,
+    projector_pair_sum,
     qubit_blockencoding_cost,
-    qubit_normalization,
-    query_count,
-    ratio_and_budget,
-    total_cost_qubit,
-    total_cost_qudit_hybrid,
 )
+
+from quditcost.costmodel import SynthesisModel, lcu_fixed_encoding_thresholds, ratio_and_budget
 from quditcost.grid import FieldGrid, make_grid
 from quditcost.lcu import (
     fixed_encoding_select_schedule,
@@ -122,7 +117,7 @@ def test_qubit_blockencoding_cost_d5():
 
 
 def test_qubit_normalization_d3():
-    assert qubit_normalization(make_grid(1.0, 3)) == 1.0
+    assert ratio_and_budget(1.0, [3], 0.1, 1e-6)[0].alpha_qb == 1.0
 
 
 def test_qubit_cost_breakdown_consistent():
@@ -136,20 +131,23 @@ def test_qubit_cost_breakdown_consistent():
             cost = qubit_blockencoding_cost(g, eps)
             assert type(cost) is int
             assert cost == recombined == 32 * b_r + 24 * n_b - 116
+            # the printed count is the breakdown at the row's budget eps / Q
+            (row,) = ratio_and_budget(1.0, [d], 0.1, eps)
+            assert type(row.per_call_qb) is float
+            assert row.per_call_qb == qubit_blockencoding_cost(g, eps / row.q_qb)
 
 
 # ------------------------------------------------------ hybrid call costs
 
 
 def hybrid_call_counts(d):
-    """(synthesized rotations, direct T gates) of one hybrid call, read off its chain.
+    """(synthesized rotations, direct T gates) of one hybrid call, read off its row.
 
     Under a flat synthesis cost c per rotation the per-call cost is
     rotations * c + T gates; c = 1 and c = 2 separate the two counts exactly.
     """
-    grid = make_grid(1.0, d)
     one, two = (
-        total_cost_qudit_hybrid(grid, 0.1, 1e-6, SynthesisModel(rz_slope=0.0, rz_intercept=c)).per_call
+        ratio_and_budget(1.0, [d], 0.1, 1e-6, model=SynthesisModel(rz_slope=0.0, rz_intercept=c))[0].per_call_qd
         for c in (1.0, 2.0)
     )
     return two - one, 2 * one - two
@@ -164,11 +162,11 @@ def test_qudit_hybrid_call_cost(d, t_gates, rz):
 
 
 def test_qudit_hybrid_call_cost_invalid_d():
-    # the scan-ratio row prices the hybrid call and checks d through make_grid
+    # the scan-ratio row prices the hybrid call and checks d through register_width
     with pytest.raises(ValueError):
-        ratio_and_budget(1.0, 4, 0.1, 1e-6)
+        ratio_and_budget(1.0, [4], 0.1, 1e-6)
     with pytest.raises(ValueError):
-        ratio_and_budget(1.0, 1, 0.1, 1e-6)
+        ratio_and_budget(1.0, [1], 0.1, 1e-6)
 
 
 # ------------------------------------------------------------ clock ladder
@@ -283,12 +281,12 @@ def test_fixed_encoding_call_rotations():
     # synthesis cost of 1, a_max / a_rz = qubit total / (queries * rotations)
     flat = SynthesisModel(rz_slope=0.0, rz_intercept=1.0)
     for d, rotations in ((3, 6), (19, 54)):
-        row = lcu_fixed_encoding_thresholds(1.0, d, 0.1, 1e-6, flat)
-        total = total_cost_qubit(make_grid(1.0, d), 0.1, 1e-6).total
-        queries = query_count(clock_one_norm(1.0, d), 0.1, 1e-6)
+        (row,) = lcu_fixed_encoding_thresholds(1.0, [d], 0.1, 1e-6, flat)
+        (scan,) = ratio_and_budget(1.0, [d], 0.1, 1e-6)
+        total, queries = scan.t_tot_qb, scan.q_qd
         assert total * row.a_rz_lcu / (queries * row.a_max_lcu) == pytest.approx(rotations, rel=1e-12)
     with pytest.raises(ValueError):
-        lcu_fixed_encoding_thresholds(1.0, 2, 0.1, 1e-6)
+        lcu_fixed_encoding_thresholds(1.0, [2], 0.1, 1e-6)
 
 
 # ------------------------------------------------------------ preparation

@@ -148,6 +148,22 @@ def test_one_norm_across_the_closed_form_switch_matches_high_precision():
         assert math.isclose(clock_one_norm(1.0, d), expected, rel_tol=1e-15), d
 
 
+@pytest.mark.parametrize(
+    "phi_max,d,bits",
+    [
+        (1.0, 101, "0x1.55a0960401746p-1"),
+        (1.0, 103, "0x1.559f2d3e1f99ap-1"),
+        (0.37, 4001, "0x1.75d630c037fbep-4"),
+        (2.5, 1000001, "0x1.0aaaac3df28a4p+2"),
+        (1.0, 16777217, "0x1.5555557419f1cp-1"),
+        (10.0, 10**15 + 1, "0x1.0aaaaaaaaaaabp+6"),
+    ],
+)
+def test_one_norm_closed_form_keeps_its_bits(phi_max, d, bits):
+    # the printed one-norms; an edit of the closed form that reorders its float operations moves them
+    assert clock_one_norm(phi_max, d).hex() == bits
+
+
 def test_one_norm_half_sum_equals_the_numpy_expression():
     """Below ONE_NORM_CLOSED_FORM_D the stdlib half sum gives the float of the numpy sum.
 

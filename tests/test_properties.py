@@ -45,14 +45,14 @@ BAD = {
 @FIXED
 @given(phi_max=PHI_MAX, d=ODD_D, t=TIME, eps=EPS, k=st.integers(1, 8))
 def test_ratio_saving_and_budget_agree_in_sign(phi_max, d, t, eps, k):
-    report = ratio_and_budget(phi_max, d, t, eps, k)
+    (report,) = ratio_and_budget(phi_max, [d], t, eps, k)
     assert (report.ratio > 1) == (report.delta_tot > 0) == (report.budget_per_switch > 0)
 
 
 @FIXED
 @given(d=ODD_D, eps=EPS)
 def test_pf_favorable_is_a_max_above_a_rz(d, eps):
-    row = pf_thresholds(d, eps)
+    (row,) = pf_thresholds([d], eps)
     assert row.favorable == (row.a_max_pf > row.a_rz_pf)
 
 

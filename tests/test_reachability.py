@@ -52,11 +52,11 @@ def library_functions():
 
 
 def called_code_objects():
-    # main reuses a parser, and the cached one-norm sums and CSV templates,
+    # main reuses a parser, and the cached one-norm sums and row templates,
     # that an earlier test may have built: build them again here
     cli._PARSER = None
     costmodel._HALF_WEIGHT_SUMS.clear()
-    cli._CSV_TEMPLATES.clear()
+    cli._TEMPLATES.clear()
     seen = set()
 
     def hook(frame, event, arg):

@@ -3,9 +3,10 @@
 Runs each report command in-process over the odd d <= 41 under a profiler
 hook, as tests/test_reachability.py does, and counts per printed row the
 calls of the one dimension check, the qudit one-norm and the synthesis
-cost of a rotation.  `verify` builds each closed-form expansion once per
-dimension in each of its two passes, and a process sums the one-norm
-weights of each small d once.
+cost of a rotation.  A report checks its scalar inputs once, whatever its
+row count.  `verify` builds each closed-form expansion once per dimension
+in each of its two passes, and a process sums the one-norm weights of each
+small d once.
 """
 
 import contextlib
@@ -58,6 +59,13 @@ def calls_per_row(argv):
 )
 def test_each_row_checks_d_once_and_prices_each_formula_once(command, expected):
     assert calls_per_row([command, "--all-odd", "--d-max", "41"]) == expected
+
+
+@pytest.mark.parametrize("command", ["scan-ratio", "lcu-table", "pf-thresholds"])
+def test_each_report_checks_phi_max_once(command):
+    code = grid.check_phi_max.__code__
+    for d_max in ("5", "41", "257"):
+        assert calls_of(code, [command, "--all-odd", "--d-max", d_max]) == 1, d_max
 
 
 def calls_of(code, argv):

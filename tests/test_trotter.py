@@ -24,7 +24,7 @@ def test_rz_rotation_count_formula():
     flat = SynthesisModel(rz_slope=0.0, rz_intercept=1.0)
     for d, count in ((3, 3), (5, 6), (9, 10), (17, 15), (31, 15), (513, 55)):
         assert qubit_trotter_terms(make_grid(1.0, d), 1.0).rz_count == count
-        a_max = pf_thresholds(d, 1e-6, flat).a_max_pf
+        a_max = pf_thresholds([d], 1e-6, flat)[0].a_max_pf
         assert a_max * (d - 1) * math.log2((d - 1) / 1e-6) == pytest.approx(count, rel=1e-12)
 
 
