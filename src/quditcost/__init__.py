@@ -3,13 +3,12 @@ implementations of the on-site diagonal evolution exp(-i t phi^2)."""
 
 __version__ = "0.1.0"
 
-from .costmodel import ResourceReport, SynthesisModel, lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
-from .grid import FieldGrid, make_grid, register_width
+from .costmodel import (
+    ResourceReport, SynthesisModel, lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget, register_width,
+)
 
 __all__ = [
     "__version__",
-    "FieldGrid",
-    "make_grid",
     "register_width",
     "SynthesisModel",
     "pf_thresholds",

@@ -15,11 +15,11 @@ from .costmodel import (
     PfRow,
     ResourceReport,
     SynthesisModel,
+    check_phi_max,
     lcu_fixed_encoding_thresholds,
     pf_thresholds,
     ratio_and_budget,
 )
-from .grid import CENSUS_CAP, DIM_CAP, check_phi_max
 
 CONFIG_ENV_VAR = "QUDITCOST_CONFIG"
 MODEL_KEYS = SynthesisModel._fields
@@ -27,6 +27,11 @@ MODEL_KEYS = SynthesisModel._fields
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG_ERROR = 2
+
+# Default caps of `verify`: the largest d of the dense schedule suites, and
+# of the coefficient and census suites.
+DIM_CAP = 64
+CENSUS_CAP = 513
 
 # Options a report header prints, in order, where the command defines them.
 META_KEYS = ("phi_max", "eps", "eps_sim", "t", "k", "prime_only")
@@ -185,10 +190,8 @@ def _emit(args: argparse.Namespace, rows: list[str]) -> None:
     meta = {"tool": "quditcost", "version": __version__, "command": args.command}
     meta.update((key, options[key]) for key in META_KEYS if key in options)
     if args.format == "json":
-        # the bytes of json.dumps({"meta": meta, "rows": dicts}, indent=2)
-        if any("inf" in row or "nan" in row for row in rows):
-            # json prints a non-finite float as Infinity or NaN; no column name holds either text
-            rows = [row.replace("inf", "Infinity").replace("nan", "NaN") for row in rows]
+        # the bytes of json.dumps({"meta": meta, "rows": dicts}, indent=2), as no
+        # row holds json's Infinity or NaN: costmodel raises on a non-finite value
         head = json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "rows": [\n'
         # each row ends in ",\n", but the last one takes no comma
         lines = [head, *rows[:-1], rows[-1][:-2] + "\n  ]\n}\n"]

@@ -11,6 +11,10 @@ dimensions: it checks its scalar inputs once, then each row checks d once,
 through register_width, and evaluates each formula it prints once.  The
 qudit alpha is the clock-power one-norm (clock_one_norm), O(1) in d.
 Like everything the report commands import, the module is stdlib only.
+
+The field grid, d = 2M + 1 levels spaced delta_phi = 2 phi_max / (d - 1) on
+[-phi_max, +phi_max], is fixed by (phi_max, d); register_width and
+check_phi_max are the checks of those two numbers that every module uses.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ import math
 import sys
 from typing import Callable, Iterable, NamedTuple
 
-from .grid import check_phi_max, register_width
+# Largest local dimension: the coefficient scale 2 phi_max^2 / (d - 1)^2
+# needs (d - 1)^2 as a finite float.  It is about 1.3e154.
+MAX_D = math.isqrt(int(sys.float_info.max)) + 1
 
 # Smallest accuracy budget a cost takes log2 of: the step accuracy eps of
 # a product formula or the per-call budget eps_sim / Q of a block
@@ -43,6 +49,35 @@ NINE_PI_SQUARED = 9.0 * math.pi**2
 
 # zeta(2), in the trigamma form of clock_one_norm
 PI_SQUARED_OVER_6 = math.pi**2 / 6
+
+
+def register_width(d: int) -> int:
+    """Qubit register width n_b = ceil(log2 d) covering d levels.
+
+    The one check of the local dimension that every module relies on.
+
+    Raises:
+        ValueError: unless d is odd, at least 3 and at most MAX_D.
+    """
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"symmetric truncation requires odd d >= 3, got {d}")
+    if d > MAX_D:
+        raise ValueError(f"d={d} is too large: (d - 1)^2 overflows a float above d = {MAX_D:.3g}")
+    # exact ceil(log2 d); odd d is never a power of two
+    return (d - 1).bit_length()
+
+
+def check_phi_max(phi_max: float) -> None:
+    """Raise ValueError unless the amplitude bound is positive, finite and not too large.
+
+    Both block-encoding normalizations, and every intermediate of their
+    evaluation, lie at or below 4 phi_max^2, so that bound must be finite.  It
+    is formed by products, which overflow to inf rather than raise.
+    """
+    if not (math.isfinite(phi_max) and phi_max > 0):
+        raise ValueError(f"phi_max must be positive and finite, got {phi_max}")
+    if not math.isfinite(4.0 * phi_max * phi_max):
+        raise ValueError(f"phi_max={phi_max} is too large: the normalization bound 4 phi_max^2 overflows")
 
 
 class _SynthesisFields(NamedTuple):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import FieldGrid, register_width
+from .costmodel import register_width
 from .pauli import PauliExpansion, irreducibility_floor, select_diag_phases
 from .trotter import ZLadder, reduce_angles
 
@@ -37,16 +37,17 @@ def signed_labels(n_b: int) -> np.ndarray:
     return np.concatenate([magnitude, -magnitude])
 
 
-def qubit_projector_diag_oracle(grid: FieldGrid) -> list[float]:
+def qubit_projector_diag_oracle(phi_max: float, d: int) -> list[float]:
     """Diagonal of the bit-pair projector sum on every register string.
 
     Returns delta_phi^2 * sum_{r,s} 2^(r+s) * l_r * l_s per computational
-    string, the sum over the (r, s) projector pairs taken as one integer
+    string, with delta_phi = 2 * phi_max / (d - 1) and n_b = register_width(d),
+    the sum over the (r, s) projector pairs taken as one integer
     quadratic form of the magnitude bits; agreement with
     delta_phi^2 * label^2 (including both zero strings) is what the tests
     certify.  The form is below 4^(n_b - 1), exact in int64 and as a float.
     """
-    n_b = grid.n_b
+    n_b = register_width(d)
     if n_b > MAX_ORACLE_WIDTH:
         raise ValueError(
             f"register of {n_b} qubits too large for dense enumeration"
@@ -54,7 +55,7 @@ def qubit_projector_diag_oracle(grid: FieldGrid) -> list[float]:
     r = np.arange(n_b - 1)
     bits = (np.arange(2**n_b)[:, None] >> r) & 1
     pairs = np.int64(1) << (r[:, None] + r)
-    return (grid.delta_phi**2 * ((bits @ pairs) * bits).sum(axis=1)).tolist()
+    return ((2.0 * phi_max / (d - 1)) ** 2 * ((bits @ pairs) * bits).sum(axis=1)).tolist()
 
 
 def fixed_encoding_select_schedule(expansion: PauliExpansion) -> ZLadder:

@@ -15,15 +15,15 @@ needs no coefficient list: with x_r = pi r/d,
     sum_{r>=1} |beta_r| = phi_max^2 * 2 / (d - 1)^2 * sum_{r=1}^{d-1} |cos x_r| / sin^2 x_r,
 
 which costmodel.clock_one_norm evaluates in O(1) without numpy, for the
-report commands.  This module is the verify side: it builds the d grid
-levels as one array (level_array; the tests keep a tuple-of-floats
-reference in tests/oracles.py) and the coefficient arrays with numpy: the
-closed form, which forms the real c_r first and beta_r from them, and an
-independent discrete-Fourier-transform oracle, a numpy FFT of the squared
-levels in O(d log d) that recovers c_r by taking the phase off (the tests
-certify the FFT against the direct O(d^2) sum).  It also assembles the
-selection-oracle phase list from the coefficient signs, and holds the
-irreducibility floor, half the smallest exact |c_r|.
+report commands.  This module is the verify side: from (phi_max, d) it
+builds the d levels as one array (level_array; the tests keep a
+tuple-of-floats reference in tests/oracles.py) and the coefficient arrays
+with numpy: the closed form, which forms the real c_r first and beta_r
+from them, and an independent discrete-Fourier-transform oracle, a numpy
+FFT of the squared levels in O(d log d) that recovers c_r by taking the
+phase off (the tests certify the FFT against the direct O(d^2) sum).  It
+also assembles the selection-oracle phase list from the coefficient
+signs, and holds the irreducibility floor, half the smallest exact |c_r|.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .costmodel import clock_one_norm
-from .grid import FieldGrid
 
 
 class PauliExpansion(NamedTuple):
@@ -60,32 +59,32 @@ class PauliExpansion(NamedTuple):
     lambda_norm: float
 
 
-def level_array(grid: FieldGrid) -> np.ndarray:
+def level_array(phi_max: float, d: int) -> np.ndarray:
     """The d field eigenvalues -phi_max + n * delta_phi, n = 0 .. d-1.
 
-    numpy forms each by the same IEEE operations as that scalar expression,
-    so they equal it bit for bit.
+    delta_phi = 2 * phi_max / (d - 1).  numpy forms each eigenvalue by the
+    same IEEE operations as that scalar expression, so they equal it bit
+    for bit.
     """
-    return -grid.phi_max + np.arange(grid.d) * grid.delta_phi
+    return -phi_max + np.arange(d) * (2.0 * phi_max / (d - 1))
 
 
-def beta_closed_form(grid: FieldGrid) -> PauliExpansion:
+def beta_closed_form(phi_max: float, d: int) -> PauliExpansion:
     """Expansion coefficients from the closed-form trigonometric expressions.
 
     The real amplitudes c_r come first and beta_r = c_r * e^(i pi r/d)
     from them, so c_amps needs no round trip through the complex phase.
     """
-    d = grid.d
-    p2 = grid.phi_max**2
+    p2 = phi_max**2
     x = np.pi * np.arange(1, d) / d
     c_amps = 2.0 * p2 / (d - 1) ** 2 * np.cos(x) / np.sin(x) ** 2
     betas = np.empty(d, dtype=complex)
     betas[0] = p2 * (d + 1) / (3.0 * (d - 1))
     betas[1:] = c_amps * np.exp(1j * x)
-    return PauliExpansion(d, grid.phi_max, betas, c_amps, clock_one_norm(grid.phi_max, d))
+    return PauliExpansion(d, phi_max, betas, c_amps, clock_one_norm(phi_max, d))
 
 
-def beta_dft_oracle(grid: FieldGrid) -> PauliExpansion:
+def beta_dft_oracle(phi_max: float, d: int) -> PauliExpansion:
     """Expansion coefficients by a numerical Fourier transform of the eigenvalues.
 
     Computes beta_r = (1/d) * sum_n lambda_n^2 * omega^(-r n) as the FFT of
@@ -95,10 +94,9 @@ def beta_dft_oracle(grid: FieldGrid) -> PauliExpansion:
     no formula with the closed form.  np.fft is reached here, at call time,
     because numpy loads it lazily and the report commands never need it.
     """
-    d = grid.d
-    betas = np.fft.fft(level_array(grid) ** 2) / d
+    betas = np.fft.fft(level_array(phi_max, d) ** 2) / d
     c_amps = (betas[1:] * np.exp(-1j * np.pi * np.arange(1, d) / d)).real
-    return PauliExpansion(d, grid.phi_max, betas, c_amps, float(np.abs(betas[1:]).sum()))
+    return PauliExpansion(d, phi_max, betas, c_amps, float(np.abs(betas[1:]).sum()))
 
 
 def irreducibility_floor(phi_max: float, d: int) -> float:

@@ -15,12 +15,14 @@ The six suites that `quditcost verify` runs check every schedule and
 coefficient construction against this oracle, the FFT coefficient oracle
 or exact integer arithmetic, for all odd d up to a cap, and each returns
 its own SuiteResult.  They run in one pass per cap: the dense pass builds
-each grid and closed-form expansion once per d and checks the three
+the levels and closed-form expansion once per d and checks the three
 schedules, the census pass builds each closed form and FFT oracle once
 per d and checks the coefficients and the census; the projector suite
-runs between them.  The census pass compares whole numpy arrays per d,
-O(d log d) and O(d) work, so its cap can reach the thousands.  A NaN
-error anywhere is the worst error of its suite and fails it.
+runs between them.  run_suites checks phi_max and the caps once, before
+any builder runs; the builders take the two numbers (phi_max, d).  The
+census pass compares whole numpy arrays per d, O(d log d) and O(d) work,
+so its cap can reach the thousands.  A NaN error anywhere is the worst
+error of its suite and fails it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import CENSUS_CAP, DIM_CAP, check_phi_max, make_grid, register_width
+from .costmodel import check_phi_max, register_width
 from .lcu import (
     fixed_encoding_select_schedule,
     prep_ry_schedule,
@@ -135,7 +137,7 @@ def _result(
 
 
 def dense_pass(phi_max: float, dense_cap: int, inject: float = 0.0) -> Iterator[SuiteResult]:
-    """The trotter, select and prep suites, from one grid and closed form per d.
+    """The trotter, select and prep suites, from one level array and closed form per d.
 
     trotter-schedule: native step schedules realize diag(e^(-i t lambda_n^2))
     at three times.  select-schedule: selection schedules realize the
@@ -145,9 +147,8 @@ def dense_pass(phi_max: float, dense_cap: int, inject: float = 0.0) -> Iterator[
     dims = _odd_dimensions(dense_cap)
     errors = np.empty((len(dims), 3))
     for i, d in enumerate(dims):
-        grid = make_grid(phi_max, d)
-        lam_sq = level_array(grid) ** 2
-        expansion = beta_closed_form(grid)
+        lam_sq = level_array(phi_max, d) ** 2
+        expansion = beta_closed_form(phi_max, d)
         ladder = fixed_encoding_select_schedule(expansion)
         ladder.angles[0] += inject
         target = np.zeros(d)
@@ -155,7 +156,7 @@ def dense_pass(phi_max: float, dense_cap: int, inject: float = 0.0) -> Iterator[
         errors[i] = (
             np.max([
                 equal_up_to_global_phase(
-                    ladder_diagonal(qudit_trotter_angles(grid, t)), -t * lam_sq
+                    ladder_diagonal(qudit_trotter_angles(phi_max, d, t)), -t * lam_sq
                 )[1]
                 for t in (0.1, 1.0, 3.7)
             ]),
@@ -173,9 +174,9 @@ def suite_projector(phi_max: float) -> SuiteResult:
     dims = [d for n_b in range(2, 9) for d in (2 ** (n_b - 1) + 1, 2**n_b - 1)]
     errors = []
     for d in dims:
-        grid = make_grid(phi_max, d)
-        oracle = np.array(qubit_projector_diag_oracle(grid))
-        errors.append(np.max(np.abs(oracle - grid.delta_phi**2 * signed_labels(grid.n_b) ** 2)))
+        oracle = np.array(qubit_projector_diag_oracle(phi_max, d))
+        scale = (2.0 * phi_max / (d - 1)) ** 2
+        errors.append(np.max(np.abs(oracle - scale * signed_labels(register_width(d)) ** 2)))
     return _result("projector-diag", dims, errors, 0.0)
 
 
@@ -230,9 +231,8 @@ def census_pass(phi_max: float, census_cap: int) -> Iterator[SuiteResult]:
     offsets = set()
     mismatch = ""
     for i, d in enumerate(dims):
-        grid = make_grid(phi_max, d)
-        closed = beta_closed_form(grid)
-        oracle = beta_dft_oracle(grid)
+        closed = beta_closed_form(phi_max, d)
+        oracle = beta_dft_oracle(phi_max, d)
         r = np.arange(1, d)
         dft_errors[i] = (
             np.max(np.abs(closed.betas - oracle.betas)) / scale,
@@ -264,8 +264,8 @@ def census_pass(phi_max: float, census_cap: int) -> Iterator[SuiteResult]:
 
 def run_suites(
     phi_max: float,
-    dense_cap: int = DIM_CAP,
-    census_cap: int = CENSUS_CAP,
+    dense_cap: int,
+    census_cap: int,
     inject: float = 0.0,
 ) -> Iterator[SuiteResult]:
     """Run the six suites in order, yielding each result as it completes.

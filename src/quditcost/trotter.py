@@ -25,8 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import FieldGrid
-
 # Two-level rotations are 4*pi periodic.
 ANGLE_PERIOD = 4.0 * np.pi
 
@@ -54,11 +52,12 @@ def reduce_angles(angles: np.ndarray) -> np.ndarray:
     return np.where(r > half, r - ANGLE_PERIOD, np.where(r <= -half, r + ANGLE_PERIOD, r))
 
 
-def qudit_trotter_angles(grid: FieldGrid, t: float) -> ZLadder:
+def qudit_trotter_angles(phi_max: float, d: int, t: float) -> ZLadder:
     """Adjacent-pair Z ladder for one native d-level step.
 
-    With m = (d - 1) / 2 and lambda_n = delta_phi * (n - m), the centered
-    partial sums are sum_{n<=k} (lambda_n^2 - mu) = (delta_phi^2 / 3) * N_k,
+    With delta_phi = 2 * phi_max / (d - 1), m = (d - 1) / 2 and
+    lambda_n = delta_phi * (n - m), the centered partial sums are
+    sum_{n<=k} (lambda_n^2 - mu) = (delta_phi^2 / 3) * N_k,
     N_k = (k + 1)(2k - d + 2)(k - d + 1) / 2 an exact integer, and
     mu = (delta_phi^2 / 3) * m(m + 1).  The angles theta_k = 2 t (delta_phi^2 / 3) N_k
     are reduced to (-2*pi, 2*pi]; the global phase is -t * mu, so that
@@ -69,9 +68,8 @@ def qudit_trotter_angles(grid: FieldGrid, t: float) -> ZLadder:
         ValueError: if an unreduced angle or the global phase is not
             finite, which names phi_max and t.
     """
-    d = grid.d
     m = (d - 1) // 2
-    third = grid.delta_phi**2 / 3.0
+    third = (2.0 * phi_max / (d - 1)) ** 2 / 3.0
     k = np.arange(d - 1.0)
     # three exact integer factors; their product is even
     numerator = (k + 1.0) * (2.0 * k - (d - 2)) * (k - (d - 1)) / 2.0
@@ -80,7 +78,7 @@ def qudit_trotter_angles(grid: FieldGrid, t: float) -> ZLadder:
     global_phase = -t * third * (m * (m + 1))
     if not (np.isfinite(angles).all() and math.isfinite(global_phase)):
         raise ValueError(
-            f"phi_max={grid.phi_max} with t={t} is too large: "
+            f"phi_max={phi_max} with t={t} is too large: "
             "the step angles 2 t sum(lambda^2 - mu) or the phase -t mu overflow"
         )
     return ZLadder(reduce_angles(angles), global_phase)

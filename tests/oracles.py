@@ -4,6 +4,9 @@ No command builds these circuits; the tests build them and check them
 against dense or direct evaluation, which certifies the rotation counts
 that the library uses as closed forms:
 
+* a grid record (`FieldGrid`, built by `make_grid`) that carries the
+  spacing and register width of (phi_max, d) for the references below;
+  the library passes the two numbers alone;
 * the binary-register product-formula step, whose Z / ZZ term count is
   the n_b (n_b + 1) / 2 of `pf_thresholds`;
 * the grid levels as a tuple of Python floats (`levels`), and their mean
@@ -47,17 +50,41 @@ from quditcost.costmodel import (
     SynthesisModel,
     break_even,
     check_finite,
+    check_phi_max,
     clock_one_norm,
+    register_width,
     rotation_budget,
     rz_cost,
 )
-from quditcost.grid import FieldGrid, make_grid, register_width
 from quditcost.pauli import level_array
+
+
+class FieldGrid(NamedTuple):
+    """Symmetric amplitude truncation with d = 2M + 1 levels.
+
+    Attributes:
+        phi_max: largest field amplitude on the grid (grid endpoint).
+        d: local dimension, i.e. number of grid points (odd).
+        delta_phi: grid spacing, 2 * phi_max / (d - 1).
+        n_b: qubit register width covering d levels, ceil(log2(d)).
+    """
+
+    phi_max: float
+    d: int
+    delta_phi: float
+    n_b: int
+
+
+def make_grid(phi_max: float, d: int) -> FieldGrid:
+    """The grid of (phi_max, d), checked by check_phi_max and then register_width."""
+    check_phi_max(phi_max)
+    n_b = register_width(d)
+    return FieldGrid(float(phi_max), d, 2.0 * phi_max / (d - 1), n_b)
 
 
 def levels(grid: FieldGrid) -> tuple[float, ...]:
     """The d field eigenvalues of pauli.level_array, as Python floats."""
-    return tuple(level_array(grid).tolist())
+    return tuple(level_array(grid.phi_max, grid.d).tolist())
 
 
 def squared_mean(grid: FieldGrid) -> float:
@@ -180,7 +207,7 @@ def direct_dft_coefficients(grid: FieldGrid) -> np.ndarray:
     d = grid.d
     indices = np.arange(d)
     kernel = np.exp(-2j * np.pi * (np.outer(indices, indices) % d) / d)
-    return kernel @ (level_array(grid) ** 2) / d
+    return kernel @ (level_array(grid.phi_max, d) ** 2) / d
 
 
 def is_prime_trial_division(n: int) -> bool:

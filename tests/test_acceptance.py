@@ -7,10 +7,16 @@ pass/fail lines.
 import math
 
 import numpy as np
-from oracles import centered_partial_sum, levels, precision_parameter, qubit_blockencoding_cost, squared_mean
+from oracles import (
+    centered_partial_sum,
+    levels,
+    make_grid,
+    precision_parameter,
+    qubit_blockencoding_cost,
+    squared_mean,
+)
 
 from quditcost.costmodel import lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
-from quditcost.grid import make_grid
 from quditcost.lcu import (
     fixed_encoding_select_schedule,
     prep_ry_schedule,
@@ -115,11 +121,11 @@ def test_criterion_8_decomposition_oracles():
     worst = 0.0
     for d in range(3, 65, 2):
         grid = make_grid(1.0, d)
-        expansion = beta_closed_form(grid)
+        expansion = beta_closed_form(1.0, d)
 
         # (a) native step schedule reproduces diag(e^(-i t (lambda^2 - mu)))
         for t in (0.1, 1.0, 3.7):
-            realized = ladder_diagonal(qudit_trotter_angles(grid, t))
+            realized = ladder_diagonal(qudit_trotter_angles(1.0, d, t))
             target = tuple(-t * lam**2 for lam in levels(grid))
             good, err = equal_up_to_global_phase(realized, target, tol=1e-10)
             ok, worst = ok and good, max(worst, err)
@@ -144,7 +150,7 @@ def test_criterion_8_decomposition_oracles():
         for d in (2 ** (n_b - 1) + 1, 2**n_b - 1):
             grid = make_grid(1.0, d)
             labels = signed_labels(grid.n_b)
-            oracle = qubit_projector_diag_oracle(grid)
+            oracle = qubit_projector_diag_oracle(1.0, d)
             scale = grid.delta_phi**2
             ok = ok and len(oracle) == len(labels) == 2**n_b
             ok = ok and all(value == scale * label**2 for value, label in zip(oracle, labels))
@@ -156,9 +162,8 @@ def test_criterion_9_coefficient_oracles():
     worst = 0.0
     offsets = set()
     for d in range(3, 514, 2):
-        grid = make_grid(1.0, d)
-        closed = beta_closed_form(grid)
-        oracle = beta_dft_oracle(grid)
+        closed = beta_closed_form(1.0, d)
+        oracle = beta_dft_oracle(1.0, d)
         err = max(abs(a - b) for a, b in zip(closed.betas, oracle.betas))
         ok, worst = ok and err < 1e-10, max(worst, err)
         for r in range(1, d):

@@ -10,8 +10,7 @@ from oracles import is_prime_trial_division
 
 import quditcost
 from quditcost.cli import CONFIG_ENV_VAR, PRIME_TEST_BOUND, is_prime, main
-from quditcost.costmodel import ratio_and_budget
-from quditcost.grid import MAX_D
+from quditcost.costmodel import MAX_D, ratio_and_budget
 
 
 def run_cli(capsys, *argv):
@@ -545,7 +544,7 @@ def test_report_commands_load_neither_numpy_nor_the_verify_suites(tmp_path):
 
 
 def test_every_exported_name_resolves():
-    assert len(quditcost.__all__) == 11
+    assert len(quditcost.__all__) == 9
     for name in quditcost.__all__:
         assert getattr(quditcost, name) is not None, name
     assert quditcost.run_suites.__module__ == "quditcost.simverify"

@@ -99,7 +99,11 @@ def test_csv_equals_the_fmt_joined_rows(capsys, tmp_path, argv):
 
 def extreme_reports(fmt):
     """(args, rows) of each report type, with extreme floats, ints in float columns, and
-    floats whose repr has an exponent or a trailing .0 (1e-07, 1e+16, 1234.0)."""
+    floats whose repr has an exponent or a trailing .0 (1e-07, 1e+16, 1234.0).
+
+    Only the CSV rows hold inf, -inf and nan: no command prints a non-finite
+    value, and the JSON rows print floats by repr, not as json's Infinity or NaN."""
+    nonfinite = (math.inf, -math.inf, math.nan) if fmt == "csv" else (2.0, -2.0, 0.5)
     scan = argparse.Namespace(
         command="scan-ratio", format=fmt, phi_max=1e300, eps_sim=1e-300, t=0.0, k=2,
         prime_only=False,
@@ -115,7 +119,7 @@ def extreme_reports(fmt):
             ResourceReport(3, 2, 1e-300, 1e300, 5e-324, 1.7976931348623157e308, 108, 116.5,
                            1e300, 1e-300, 0.1, -2.5e-300, -1e300),
             ResourceReport(5, 3, 0.0, -0.0, 1.0, 2.0, 3, 4.0, 5.0, 6.0, 7.0, -0.0, -123.456),
-            ResourceReport(7, 3, math.inf, -math.inf, math.nan, 1e-310, 2.5e-8, 123456789.5,
+            ResourceReport(7, 3, *nonfinite, 1e-310, 2.5e-8, 123456789.5,
                            0.30000000000000004, 1e16, 9.99999999e-5, 1234567890.0, 5e-324),
             ResourceReport(9, 4, 1e-07, 1e16, 1234.0, 0.1, 412.0, -1234.5, 1.7976931348623157e308,
                            2.5e-300, -0.0, 1e-07, 1234.0),

@@ -10,10 +10,9 @@ import tracemalloc
 
 import pytest
 
-from oracles import precision_parameter, total_cost_qubit, total_cost_qudit_hybrid
+from oracles import make_grid, precision_parameter, total_cost_qubit, total_cost_qudit_hybrid
 
 from quditcost.costmodel import MIN_CALL_BUDGET, lcu_fixed_encoding_thresholds, ratio_and_budget
-from quditcost.grid import make_grid
 
 PRIMES_TO_19 = [3, 5, 7, 11, 13, 17, 19]
 

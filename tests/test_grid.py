@@ -1,51 +1,56 @@
+"""The grid (phi_max, d): the checks of both numbers, and the levels of pauli.level_array."""
+
 import math
 
 import pytest
-from oracles import levels, squared_mean
+from oracles import FieldGrid, levels, make_grid, squared_mean
 
-from quditcost.costmodel import clock_one_norm, lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
-from quditcost.grid import FieldGrid, make_grid, register_width
-from quditcost.lcu import select_nontrivial_count
+from quditcost.costmodel import (
+    check_phi_max,
+    clock_one_norm,
+    lcu_fixed_encoding_thresholds,
+    pf_thresholds,
+    ratio_and_budget,
+    register_width,
+)
+from quditcost.lcu import qubit_projector_diag_oracle, select_nontrivial_count
+from quditcost.pauli import level_array
 
 # the largest phi_max whose bound 4 phi_max^2 on the normalizations is finite
 PHI_MAX_LIMIT = 6.703903964971298e153
 
 
 def test_make_grid_d3():
-    g = make_grid(1.0, 3)
-    assert levels(g) == (-1.0, 0.0, 1.0)
-    assert g.delta_phi == 1.0
-    assert g.n_b == 2
+    assert level_array(1.0, 3).tolist() == [-1.0, 0.0, 1.0]
+    assert register_width(3) == 2
 
 
 def test_make_grid_d5():
-    g = make_grid(1.0, 5)
-    assert levels(g) == (-1.0, -0.5, 0.0, 0.5, 1.0)
-    assert g.delta_phi == 0.5
-    assert g.n_b == 3
+    assert level_array(1.0, 5).tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert register_width(5) == 3
 
 
 def test_even_d_rejected():
     with pytest.raises(ValueError, match="requires odd d"):
-        make_grid(1.0, 4)
+        register_width(4)
 
 
 @pytest.mark.parametrize("bad_d", [1, 2, 0, -3])
 def test_too_small_d_rejected(bad_d):
     with pytest.raises(ValueError):
-        make_grid(1.0, bad_d)
+        register_width(bad_d)
 
 
 @pytest.mark.parametrize("bad_phi", [0.0, -1.0])
 def test_nonpositive_phi_max_rejected(bad_phi):
     with pytest.raises(ValueError):
-        make_grid(bad_phi, 5)
+        check_phi_max(bad_phi)
 
 
 @pytest.mark.parametrize("bad_phi", [math.nan, math.inf, -math.inf])
 def test_nonfinite_phi_max_rejected(bad_phi):
     with pytest.raises(ValueError, match="phi_max"):
-        make_grid(bad_phi, 5)
+        check_phi_max(bad_phi)
 
 
 # d = 2^m + 1 brings the qubit normalization closest to its bound
@@ -56,15 +61,16 @@ def test_largest_phi_max_has_finite_normalizations(d):
     assert math.isfinite(row.alpha_qb) and row.alpha_qb > 1e307
     assert math.isfinite(clock_one_norm(PHI_MAX_LIMIT, d))
     with pytest.raises(ValueError, match="phi_max=.* is too large"):
-        make_grid(math.nextafter(PHI_MAX_LIMIT, math.inf), d)
+        check_phi_max(math.nextafter(PHI_MAX_LIMIT, math.inf))
 
 
 @pytest.mark.parametrize("phi_max", [1.0, 2.5, 0.3, 7.123])
 def test_levels_bit_identical_to_scalar_expression(phi_max):
     for d in range(3, 514, 2):
-        g = make_grid(phi_max, d)
-        assert levels(g) == tuple(-phi_max + n * g.delta_phi for n in range(d)), d
-        assert all(type(lam) is float for lam in levels(g))
+        lams = level_array(phi_max, d).tolist()
+        delta_phi = 2.0 * phi_max / (d - 1)
+        assert lams == [-phi_max + n * delta_phi for n in range(d)], d
+        assert all(type(lam) is float for lam in lams)
 
 
 def test_spacing_relation():
@@ -76,21 +82,19 @@ def test_spacing_relation():
 
 def test_eigenvalues_increasing_and_symmetric():
     for d in (3, 9, 51, 513):
-        g = make_grid(1.5, d)
-        assert all(a < b for a, b in zip(levels(g), levels(g)[1:]))
-        assert levels(g)[0] == -g.phi_max
-        assert levels(g)[-1] == pytest.approx(g.phi_max, abs=1e-14)
-        assert levels(g)[(d - 1) // 2] == pytest.approx(0.0, abs=1e-14)
+        lams = level_array(1.5, d).tolist()
+        assert all(a < b for a, b in zip(lams, lams[1:]))
+        assert lams[0] == -1.5
+        assert lams[-1] == pytest.approx(1.5, abs=1e-14)
+        assert lams[(d - 1) // 2] == pytest.approx(0.0, abs=1e-14)
         for n in range(d):
-            assert levels(g)[n] ** 2 == pytest.approx(
-                levels(g)[d - 1 - n] ** 2, abs=1e-13
-            )
+            assert lams[n] ** 2 == pytest.approx(lams[d - 1 - n] ** 2, abs=1e-13)
 
 
 def test_register_width_covers_dimension():
     for d in (3, 5, 9, 15, 17, 255, 257, 511, 513):
-        g = make_grid(1.0, d)
-        assert 2 ** (g.n_b - 1) < d <= 2**g.n_b
+        n_b = register_width(d)
+        assert 2 ** (n_b - 1) < d <= 2**n_b
 
 
 def test_register_width_values():
@@ -101,7 +105,7 @@ def test_register_width_values():
     "use_d",
     [
         register_width,
-        lambda d: make_grid(1.0, d),
+        lambda d: qubit_projector_diag_oracle(1.0, d),
         lambda d: pf_thresholds([d], 1e-6),
         lambda d: ratio_and_budget(1.0, [d], 0.1, 1e-6),
         select_nontrivial_count,
@@ -111,7 +115,7 @@ def test_register_width_values():
     # through the rows that price them
     ids=[
         "register_width",
-        "make_grid",
+        "qubit_projector_diag_oracle",
         "pf_thresholds",
         "qudit_hybrid_call_cost",
         "select_nontrivial_count",
@@ -131,7 +135,7 @@ def test_squared_mean_small_cases():
 
 def test_squared_mean_zero_field():
     # degenerate zero-field value, constructed directly since make_grid
-    # rejects phi_max = 0 by contract
+    # rejects phi_max = 0, as check_phi_max does
     g = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, n_b=3)
     assert squared_mean(g) == 0.0
 

@@ -6,13 +6,13 @@ import pytest
 from oracles import (
     dclock_angles,
     dclock_realized_phases,
+    make_grid,
     precision_parameter,
     projector_pair_sum,
     qubit_blockencoding_cost,
 )
 
-from quditcost.costmodel import SynthesisModel, lcu_fixed_encoding_thresholds, ratio_and_budget
-from quditcost.grid import FieldGrid, make_grid
+from quditcost.costmodel import SynthesisModel, lcu_fixed_encoding_thresholds, ratio_and_budget, register_width
 from quditcost.lcu import (
     fixed_encoding_select_schedule,
     prep_ry_schedule,
@@ -59,24 +59,22 @@ def test_signed_register_sign_is_the_top_bit():
 
 
 def test_projector_diag_d3():
-    g = make_grid(1.0, 3)
-    assert qubit_projector_diag_oracle(g) == [0.0, 1.0, 0.0, 1.0]
+    assert qubit_projector_diag_oracle(1.0, 3) == [0.0, 1.0, 0.0, 1.0]
 
 
 def test_projector_diag_negative_zero_invariance():
     for d in (3, 9):
-        g = make_grid(1.0, d)
-        values = qubit_projector_diag_oracle(g)
+        values = qubit_projector_diag_oracle(1.0, d)
         # both all-magnitude-zero strings sit at exactly zero
         assert values[0] == 0.0
-        assert values[2 ** (g.n_b - 1)] == 0.0
+        assert values[2 ** (register_width(d) - 1)] == 0.0
 
 
 @pytest.mark.parametrize("d", [3, 5, 9, 17, 33, 63])
 def test_projector_diag_equals_squared_label(d):
     g = make_grid(1.0, d)
     labels = signed_labels(g.n_b)
-    values = qubit_projector_diag_oracle(g)
+    values = qubit_projector_diag_oracle(1.0, d)
     assert len(values) == len(labels)
     scale = g.delta_phi**2
     for value, label in zip(values, labels.tolist()):
@@ -88,16 +86,15 @@ def test_projector_diag_equals_the_pair_by_pair_sum(phi_max):
     # every dimension of the projector-diag verify suite, and a 13-qubit register
     dims = [d for n_b in range(2, 9) for d in (2 ** (n_b - 1) + 1, 2**n_b - 1)]
     for d in (*dims, 4097):
-        g = make_grid(phi_max, d)
-        values = qubit_projector_diag_oracle(g)
-        assert values == projector_pair_sum(g), d
+        values = qubit_projector_diag_oracle(phi_max, d)
+        assert values == projector_pair_sum(make_grid(phi_max, d)), d
         assert all(type(value) is float for value in values)
 
 
 def test_projector_diag_rejects_huge_register():
-    fake = FieldGrid(phi_max=1.0, d=3, delta_phi=1.0, n_b=21)
-    with pytest.raises(ValueError, match="too large"):
-        qubit_projector_diag_oracle(fake)
+    # n_b = 21; the width check comes before any array is built
+    with pytest.raises(ValueError, match="register of 21 qubits too large"):
+        qubit_projector_diag_oracle(1.0, 2**20 + 1)
 
 
 # ------------------------------------------------------- qubit call costs
@@ -195,7 +192,7 @@ def test_dclock_realizes_clock_phases(d):
 
 def negative_flags(d):
     """1 where the coefficient c_r is negative, for r = 1 .. d - 1."""
-    return [int(c < 0) for c in beta_closed_form(make_grid(1.0, d)).c_amps]
+    return [int(c < 0) for c in beta_closed_form(1.0, d).c_amps]
 
 
 def test_dsign_spec_d5():
@@ -212,7 +209,7 @@ def test_dsign_spec_d3():
 def test_phase_assembly_matches_sign_times_clock():
     # sgn(c_r) * e^(i pi r/d) equals the selection phase for every level
     for d in range(3, 514, 2):
-        e = beta_closed_form(make_grid(1.0, d))
+        e = beta_closed_form(1.0, d)
         phases = select_diag_phases(e)
         for r in range(1, d):
             sign = -1.0 if e.c_amps[r - 1] < 0 else 1.0
@@ -253,7 +250,7 @@ def test_select_census_membership_and_bound():
 
 def test_select_schedule_closed_form_agreement():
     for d in range(3, 514, 2):
-        sched = fixed_encoding_select_schedule(beta_closed_form(make_grid(1.0, d)))
+        sched = fixed_encoding_select_schedule(beta_closed_form(1.0, d))
         for k, angle in enumerate(sched.angles):
             gap = math.remainder(
                 angle - select_vartheta_closed_form(d, k), 4 * math.pi
@@ -263,13 +260,13 @@ def test_select_schedule_closed_form_agreement():
 
 def test_select_schedule_census_agreement():
     for d in range(3, 130, 2):
-        sched = fixed_encoding_select_schedule(beta_closed_form(make_grid(1.0, d)))
+        sched = fixed_encoding_select_schedule(beta_closed_form(1.0, d))
         assert nontrivial_count(sched.angles) == select_nontrivial_count(d)
 
 
 @pytest.mark.parametrize("d", list(range(3, 65, 2)))
 def test_select_schedule_reproduces_diagonal(d):
-    e = beta_closed_form(make_grid(1.0, d))
+    e = beta_closed_form(1.0, d)
     realized = ladder_diagonal(fixed_encoding_select_schedule(e))
     target = select_diag_phases(e)
     ok, err = equal_up_to_global_phase(realized, target, tol=1e-10)
@@ -293,14 +290,14 @@ def test_fixed_encoding_call_rotations():
 
 
 def test_prep_angles_d3():
-    angles = prep_ry_schedule(beta_closed_form(make_grid(1.0, 3)))
+    angles = prep_ry_schedule(beta_closed_form(1.0, 3))
     assert angles == pytest.approx([math.pi / 2, math.pi])
     # the final rotation is an exact half-turn
     assert angles[-1] == math.pi
 
 
 def test_prep_prepares_amplitudes_d5():
-    e = beta_closed_form(make_grid(1.0, 5))
+    e = beta_closed_form(1.0, 5)
     state = fan_state(prep_ry_schedule(e))
     target = [0.0] + [math.sqrt(abs(b) / e.lambda_norm) for b in e.betas[1:]]
     assert np.allclose(state, target, atol=1e-12)
@@ -308,7 +305,7 @@ def test_prep_prepares_amplitudes_d5():
 
 @pytest.mark.parametrize("d", list(range(3, 65, 2)))
 def test_prep_l2_error(d):
-    e = beta_closed_form(make_grid(1.0, d))
+    e = beta_closed_form(1.0, d)
     state = fan_state(prep_ry_schedule(e))
     target = np.zeros(d)
     target[1:] = [math.sqrt(abs(b) / e.lambda_norm) for b in e.betas[1:]]
@@ -319,7 +316,7 @@ def test_prep_residual_vanishes_everywhere():
     # completeness forces the leftover amplitude on level 0 to zero; the
     # cosine product over the schedule angles tracks it without dense states
     for d in range(3, 514, 2):
-        angles = prep_ry_schedule(beta_closed_form(make_grid(1.0, d)))
+        angles = prep_ry_schedule(beta_closed_form(1.0, d))
         residual = 1.0
         for angle in angles:
             residual *= math.cos(angle / 2.0)
@@ -328,19 +325,18 @@ def test_prep_residual_vanishes_everywhere():
 
 def test_prep_uses_exactly_d_minus_1_rotations():
     for d in (3, 7, 21):
-        angles = prep_ry_schedule(beta_closed_form(make_grid(1.0, d)))
+        angles = prep_ry_schedule(beta_closed_form(1.0, d))
         assert len(angles) == d - 1
         assert nontrivial_count(angles) == d - 1
 
 
 def test_prep_rejects_broken_normalization():
-    e = beta_closed_form(make_grid(1.0, 5))
+    e = beta_closed_form(1.0, 5)
     broken = e._replace(lambda_norm=e.lambda_norm / 2.0)
     with pytest.raises(ValueError, match="ratio"):
         prep_ry_schedule(broken)
 
 
 def test_prep_rejects_vanishing_amplitude():
-    g = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, n_b=3)
     with pytest.raises(ValueError, match="vanishes"):
-        prep_ry_schedule(beta_closed_form(g))
+        prep_ry_schedule(beta_closed_form(0.0, 5))

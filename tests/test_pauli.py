@@ -4,10 +4,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from oracles import direct_dft_coefficients, levels
+from oracles import direct_dft_coefficients, levels, make_grid
 
 from quditcost.costmodel import ONE_NORM_CLOSED_FORM_D, clock_one_norm
-from quditcost.grid import FieldGrid, make_grid
 from quditcost.lcu import prep_ry_schedule
 from quditcost.pauli import (
     beta_closed_form,
@@ -37,7 +36,7 @@ def mp_one_norm(phi_max, d):
 
 
 def test_closed_form_d3():
-    e = beta_closed_form(make_grid(1.0, 3))
+    e = beta_closed_form(1.0, 3)
     assert e.betas[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert e.betas[1] == pytest.approx((1.0 / 3.0) * cmath.exp(1j * math.pi / 3), abs=1e-15)
     assert e.betas[2] == pytest.approx((1.0 / 3.0) * cmath.exp(-1j * math.pi / 3), abs=1e-15)
@@ -46,22 +45,21 @@ def test_closed_form_d3():
 
 
 def test_closed_form_d5_moduli():
-    e = beta_closed_form(make_grid(1.0, 5))
+    e = beta_closed_form(1.0, 5)
     assert abs(e.betas[1]) == pytest.approx(0.292705, abs=1e-6)
     assert abs(e.betas[2]) == pytest.approx(0.0427051, abs=1e-6)
     assert e.lambda_norm == pytest.approx(0.670820, abs=1e-6)
 
 
 def test_zero_field_coefficients_vanish():
-    g = FieldGrid(phi_max=0.0, d=7, delta_phi=0.0, n_b=3)
-    e = beta_closed_form(g)
+    e = beta_closed_form(0.0, 7)
     assert all(abs(b) == 0.0 for b in e.betas)
 
 
 def test_dft_oracle_agrees_small():
     for d in (3, 5, 7, 101):
-        closed = beta_closed_form(make_grid(1.0, d))
-        oracle = beta_dft_oracle(make_grid(1.0, d))
+        closed = beta_closed_form(1.0, d)
+        oracle = beta_dft_oracle(1.0, d)
         worst = max(abs(a - b) for a, b in zip(closed.betas, oracle.betas))
         tol = 1e-12 if d <= 7 else 1e-10
         assert worst < tol, (d, worst)
@@ -72,16 +70,15 @@ def test_fft_oracle_matches_direct_sum(phi_max):
     # the direct sum certifies the FFT, within tolerances tighter than the
     # dft-oracle suite's bounds (1e-10 on coefficients and on the one-norm)
     for d in [*range(3, 258, 2), 513]:
-        grid = make_grid(phi_max, d)
-        fft = beta_dft_oracle(grid)
-        direct = direct_dft_coefficients(grid)
+        fft = beta_dft_oracle(phi_max, d)
+        direct = direct_dft_coefficients(make_grid(phi_max, d))
         assert np.max(np.abs(fft.betas - direct)) <= 1e-12 * phi_max**2, d
         assert math.isclose(fft.lambda_norm, np.abs(direct[1:]).sum(), rel_tol=1e-11), d
 
 
 def test_dft_inversion_identity_d7():
     g = make_grid(1.0, 7)
-    e = beta_dft_oracle(g)
+    e = beta_dft_oracle(1.0, 7)
     omega = cmath.exp(2j * math.pi / 7)
     for n in range(7):
         recon = sum(e.betas[r] * omega ** (r * n) for r in range(7))
@@ -90,14 +87,14 @@ def test_dft_inversion_identity_d7():
 
 def test_hermiticity():
     for d in (3, 9, 33, 129):
-        e = beta_closed_form(make_grid(1.3, d))
+        e = beta_closed_form(1.3, d)
         for r in range(1, d):
             assert abs(e.betas[d - r] - e.betas[r].conjugate()) < 1e-12
 
 
 def test_sign_pattern_and_antisymmetry():
     for d in (3, 5, 21, 101):
-        e = beta_closed_form(make_grid(1.0, d))
+        e = beta_closed_form(1.0, d)
         mid = (d - 1) // 2
         for r in range(1, d):
             c = e.c_amps[r - 1]
@@ -107,9 +104,8 @@ def test_sign_pattern_and_antisymmetry():
 
 def test_lambda_norm_closed_vs_oracle():
     for d in (3, 17, 101, 513):
-        g = make_grid(1.0, d)
-        closed = beta_closed_form(g).lambda_norm
-        oracle = beta_dft_oracle(g).lambda_norm
+        closed = beta_closed_form(1.0, d).lambda_norm
+        oracle = beta_dft_oracle(1.0, d).lambda_norm
         assert math.isclose(closed, oracle, rel_tol=1e-10)
 
 
@@ -180,19 +176,18 @@ def test_one_norm_half_sum_equals_the_numpy_expression():
 
 def test_closed_form_expansion_carries_the_shared_one_norm():
     for d in (3, 9, 101):
-        g = make_grid(2.5, d)
-        assert beta_closed_form(g).lambda_norm == clock_one_norm(2.5, d)
+        assert beta_closed_form(2.5, d).lambda_norm == clock_one_norm(2.5, d)
 
 
 def test_select_diag_phases_d3():
-    phases = select_diag_phases(beta_closed_form(make_grid(1.0, 3)))
+    phases = select_diag_phases(beta_closed_form(1.0, 3))
     assert phases[0] == 0.0
     assert phases[1] == pytest.approx(math.pi / 3, rel=1e-15)
     assert phases[2] == pytest.approx(2 * math.pi / 3 + math.pi, rel=1e-15)
 
 
 def test_select_diag_phases_d5():
-    phases = select_diag_phases(beta_closed_form(make_grid(1.0, 5)))
+    phases = select_diag_phases(beta_closed_form(1.0, 5))
     expected = [0.0, math.pi / 5, 2 * math.pi / 5,
                 3 * math.pi / 5 + math.pi, 4 * math.pi / 5 + math.pi]
     assert phases == pytest.approx(expected, rel=1e-14)
@@ -200,7 +195,7 @@ def test_select_diag_phases_d5():
 
 def test_select_diag_phases_range_and_unit():
     for d in (7, 65):
-        e = beta_closed_form(make_grid(1.0, d))
+        e = beta_closed_form(1.0, d)
         phases = select_diag_phases(e)
         assert len(phases) == d
         for r in range(1, d):
@@ -213,22 +208,21 @@ def test_select_diag_phases_range_and_unit():
 def test_sign_threshold_equivalence_full_range():
     # the negative-sign region is exactly {r >= (d+1)/2}, for every odd d
     for d in range(3, 514, 2):
-        e = beta_closed_form(make_grid(1.0, d))
+        e = beta_closed_form(1.0, d)
         for r in range(1, d):
             assert (e.c_amps[r - 1] < 0) == (r >= (d + 1) // 2), (d, r)
 
 
 def test_irreducibility_guard():
-    g = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, n_b=3)
     with pytest.raises(ValueError, match="not irreducible"):
-        select_diag_phases(beta_closed_form(g))
+        select_diag_phases(beta_closed_form(0.0, 5))
 
 
 @pytest.mark.parametrize("d", [14647, 20001])
 def test_smallest_coefficients_pass_the_irreducibility_guard(d):
     # the smallest |c_r|, about pi phi_max^2 / d^3 at r = (d - 1) / 2, lies
     # below 1e-12 phi_max^2 here; the guard scales with it
-    e = beta_closed_form(make_grid(1.0, d))
+    e = beta_closed_form(1.0, d)
     assert min(abs(c) for c in e.c_amps) < 1e-12
     assert len(select_diag_phases(e)) == d
     assert len(prep_ry_schedule(e)) == d - 1
@@ -239,7 +233,7 @@ def test_oracle_matches_direct_summation_not_closed_form():
     # cannot secretly depend on the squared-field closed form
     d = 9
     g = make_grid(2.0, d)
-    e = beta_dft_oracle(g)
+    e = beta_dft_oracle(2.0, d)
     lam_sq = np.array([lam**2 for lam in levels(g)])
     manual = [
         sum(lam_sq[n] * cmath.exp(-2j * math.pi * r * n / d) for n in range(d)) / d

@@ -12,8 +12,7 @@ import math
 import oracles
 import pytest
 
-from quditcost.costmodel import SynthesisModel, lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
-from quditcost.grid import MAX_D
+from quditcost.costmodel import MAX_D, SynthesisModel, lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
 
 PHI_MAX = [1e-200, 0.37, 1.0, 2.5, 10.0]
 TIMES = [0.0, 0.1, 17.3, 3000.0]

@@ -4,9 +4,9 @@ Runs each report command in-process over the odd d <= 41 under a profiler
 hook, as tests/test_reachability.py does, and counts per printed row the
 calls of the one dimension check, the qudit one-norm and the synthesis
 cost of a rotation.  A report checks its scalar inputs once, whatever its
-row count.  `verify` builds each closed-form expansion once per dimension
-in each of its two passes, and a process sums the one-norm weights of each
-small d once.
+row count, and so does `verify`.  `verify` builds each closed-form
+expansion once per dimension in each of its two passes, and a process sums
+the one-norm weights of each small d once.
 """
 
 import contextlib
@@ -15,10 +15,10 @@ import sys
 
 import pytest
 
-from quditcost import cli, costmodel, grid, pauli
+from quditcost import cli, costmodel, pauli
 
 COUNTED = {
-    "register_width": grid.register_width,
+    "register_width": costmodel.register_width,
     "clock_one_norm": costmodel.clock_one_norm,
     "rz_cost": costmodel.rz_cost,
 }
@@ -61,11 +61,16 @@ def test_each_row_checks_d_once_and_prices_each_formula_once(command, expected):
     assert calls_per_row([command, "--all-odd", "--d-max", "41"]) == expected
 
 
-@pytest.mark.parametrize("command", ["scan-ratio", "lcu-table", "pf-thresholds"])
+@pytest.mark.parametrize("command", ["scan-ratio", "lcu-table", "pf-thresholds", "verify"])
 def test_each_report_checks_phi_max_once(command):
-    code = grid.check_phi_max.__code__
-    for d_max in ("5", "41", "257"):
-        assert calls_of(code, [command, "--all-odd", "--d-max", d_max]) == 1, d_max
+    code = costmodel.check_phi_max.__code__
+    if command == "verify":
+        # run_suites checks it; the suites' builders take phi_max unchecked
+        runs = [["verify", "--d-max", "9", "--census-max", "15"]]
+    else:
+        runs = [[command, "--all-odd", "--d-max", d_max] for d_max in ("5", "41", "257")]
+    for argv in runs:
+        assert calls_of(code, argv) == 1, argv
 
 
 def calls_of(code, argv):

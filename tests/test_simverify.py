@@ -182,18 +182,18 @@ def test_run_suites_rejects_caps(dense_cap, census_cap):
 
 
 def closed_form_with(monkeypatch, change):
-    """Make the suites see the closed-form expansion as change(grid, expansion) returns it."""
+    """Make the suites see the closed-form expansion as change(expansion) returns it."""
     closed = simverify.beta_closed_form
     monkeypatch.setattr(
-        simverify, "beta_closed_form", lambda grid: change(grid, closed(grid))
+        simverify, "beta_closed_form", lambda phi_max, d: change(closed(phi_max, d))
     )
 
 
 def with_beta(r, value, only_d=None):
     """A change that moves beta_r by value (at every d, or only at only_d)."""
 
-    def change(grid, expansion):
-        if only_d not in (None, grid.d):
+    def change(expansion):
+        if only_d not in (None, expansion.d):
             return expansion
         betas = expansion.betas.copy()
         betas[r] += value
@@ -235,7 +235,7 @@ def test_dft_suite_fails_on_a_nan_coefficient(monkeypatch):
 
 
 def test_dft_suite_detects_a_flipped_sign(monkeypatch):
-    def flip(grid, expansion):
+    def flip(expansion):
         c_amps = expansion.c_amps.copy()
         c_amps[0] = -c_amps[0]
         return expansion._replace(c_amps=c_amps)
@@ -249,8 +249,8 @@ def test_dft_suite_detects_a_flipped_sign(monkeypatch):
 
 
 def test_census_reads_the_closed_form_that_the_dft_check_reads(monkeypatch):
-    def flip_at_7(grid, expansion):
-        if grid.d != 7:
+    def flip_at_7(expansion):
+        if expansion.d != 7:
             return expansion
         c_amps = expansion.c_amps.copy()
         c_amps[0] = -c_amps[0]

@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import centered_partial_sum, levels, qubit_trotter_terms, squared_mean
+from oracles import FieldGrid, centered_partial_sum, levels, make_grid, qubit_trotter_terms, squared_mean
 
 from quditcost.costmodel import SynthesisModel, pf_thresholds
-from quditcost.grid import FieldGrid, make_grid
 from quditcost.simverify import equal_up_to_global_phase, ladder_diagonal, nontrivial_count
 from quditcost.trotter import ZLadder, qudit_trotter_angles, reduce_angles
 
@@ -117,27 +116,27 @@ def test_qubit_t_zero_is_identity():
 
 
 def test_qudit_angles_d3():
-    sched = qudit_trotter_angles(make_grid(1.0, 3), 1.0)
+    sched = qudit_trotter_angles(1.0, 3, 1.0)
     assert sched.angles == pytest.approx([2 / 3, -2 / 3])
     assert sched.global_phase == pytest.approx(-2 / 3)
 
 
 def test_qudit_angles_t_zero():
-    sched = qudit_trotter_angles(make_grid(1.0, 9), 0.0)
+    sched = qudit_trotter_angles(1.0, 9, 0.0)
     assert nontrivial_count(sched.angles) == 0
 
 
 def test_qudit_schedule_adjacent_and_generically_nontrivial():
     # one angle per adjacent pair (k, k+1), none of them the identity
     for d in (3, 7, 33):
-        sched = qudit_trotter_angles(make_grid(1.0, d), 0.37)
+        sched = qudit_trotter_angles(1.0, d, 0.37)
         assert len(sched.angles) == d - 1
         assert nontrivial_count(sched.angles) == d - 1
 
 
 def test_qudit_angles_reject_an_overflowing_phase():
     with pytest.raises(ValueError, match="phi_max=6e\\+153 with t=3.7"):
-        qudit_trotter_angles(make_grid(6e153, 9), 3.7)
+        qudit_trotter_angles(6e153, 9, 3.7)
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 3.7])
@@ -145,7 +144,7 @@ def test_qudit_schedule_matches_target_diagonal(t):
     # 6145 and 16385 failed while the angles were a running float sum
     for d in [*range(3, 65, 2), 6145, 16385]:
         g = make_grid(1.0, d)
-        realized = ladder_diagonal(qudit_trotter_angles(g, t))
+        realized = ladder_diagonal(qudit_trotter_angles(1.0, d, t))
         target = tuple(-t * lam**2 for lam in levels(g))
         ok, err = equal_up_to_global_phase(realized, target, tol=1e-10)
         assert ok, (d, t, err)
@@ -153,10 +152,10 @@ def test_qudit_schedule_matches_target_diagonal(t):
 
 def test_ladder_global_phase_is_minus_t_times_the_direct_mean():
     # the closed form -t (delta_phi^2 / 3) m (m + 1) against the direct sum
-    assert qudit_trotter_angles(make_grid(1.0, 3), 1.0).global_phase == pytest.approx(
+    assert qudit_trotter_angles(1.0, 3, 1.0).global_phase == pytest.approx(
         -2.0 / 3.0, rel=1e-15
     )
-    assert qudit_trotter_angles(make_grid(1.0, 5), 1.0).global_phase == pytest.approx(
+    assert qudit_trotter_angles(1.0, 5, 1.0).global_phase == pytest.approx(
         -0.5, rel=1e-15
     )
     for phi_max in (0.5, 1.0, 2.0):
@@ -165,19 +164,18 @@ def test_ladder_global_phase_is_minus_t_times_the_direct_mean():
             mu = squared_mean(g)
             assert math.isclose(mu, phi_max**2 * (d + 1) / (3 * (d - 1)), rel_tol=1e-12)
             for t in (0.1, 3.7):
-                phase = qudit_trotter_angles(g, t).global_phase
+                phase = qudit_trotter_angles(phi_max, d, t).global_phase
                 assert math.isclose(phase, -t * mu, rel_tol=1e-12), (phi_max, d, t)
     # degenerate zero field, built directly since make_grid rejects phi_max = 0
     zero = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, n_b=3)
     assert squared_mean(zero) == 0.0
-    assert qudit_trotter_angles(zero, 1.0).global_phase == 0.0
+    assert qudit_trotter_angles(0.0, 5, 1.0).global_phase == 0.0
 
 
 def test_angle_uniqueness_mod_4pi():
     # re-solving the angles from the realized per-level phases reproduces
     # the schedule up to multiples of 4*pi
-    g = make_grid(1.0, 11)
-    sched = qudit_trotter_angles(g, 0.37)
+    sched = qudit_trotter_angles(1.0, 11, 0.37)
     realized = ladder_diagonal(ZLadder(sched.angles, 0.0))  # drop global phase
     acc = 0.0
     for k, angle in enumerate(sched.angles):
