@@ -76,16 +76,27 @@ def _load_model() -> SynthesisModel:
     """Synthesis model defaults, optionally overridden by a JSON config file.
 
     The only environment hook is CONFIG_ENV_VAR naming the config path.
-    The file must hold a JSON object whose keys are among MODEL_KEYS and
-    whose values are numbers that SynthesisModel accepts.
+    The file must hold UTF-8 JSON: one object whose keys are among
+    MODEL_KEYS, none repeated, and whose values are numbers that
+    SynthesisModel accepts.
     """
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return SynthesisModel()
+
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"config file {path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
+    # ValueError covers both malformed JSON and bytes that are not UTF-8
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh, object_pairs_hook=unique_keys)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

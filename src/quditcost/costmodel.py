@@ -433,7 +433,7 @@ def lcu_fixed_encoding_thresholds(
     splits the per-call budget eps_sim / Q_qd uniformly over 3d - 3
     rotations: one selection bound of d - 1 plus two preparations of
     d - 1 each.  The bound holds even where the realized selection count,
-    lcu.select_nontrivial_count(d), is smaller.  No hybrid call is priced.
+    lcu.select_nontrivial_count(lcu.select_numerators(d)), is smaller.  No hybrid call is priced.
     Each row is row(d, a_max_lcu, a_rz_lcu).
     """
     log_term = _log_term(phi_max, t, eps_sim)

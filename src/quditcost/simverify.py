@@ -3,23 +3,24 @@
 Diagonal unitaries are represented by their per-level phase exponents: a
 sequence of phases p_n stands for diag(e^(i p_n)), so composition is
 additive and equality up to a global phase reduces to comparing phase
-differences anchored at level 0.  In both, the dimension is the length.
-A Z ladder's angle on the pair (k, k+1) shifts p_k by -angle/2 and
-p_(k+1) by +angle/2, and its global phase is added uniformly
-(ladder_diagonal).  A preparation applied to |0> leaves sin(theta_r/2)
-times the running cosine product on level r, one np.cumprod (fan_state).
+differences anchored at level 0 (phase_error).  In both, the dimension is
+the length.  A Z ladder's angle on the pair (k, k+1) shifts p_k by
+-angle/2 and p_(k+1) by +angle/2 (ladder_diagonal).  A preparation
+applied to |0> leaves sin(theta_r/2) times the running cosine product on
+level r, one np.cumprod (fan_state).
 Both are O(dim) numpy per schedule; no dim x dim matrices are formed and
 no Python loop runs per level.
 
 The six suites that `quditcost verify` runs check every schedule and
 coefficient construction against this oracle, the FFT coefficient oracle
 or exact integer arithmetic, for all odd d up to a cap, and each returns
-its own SuiteResult.  They run in one pass per cap: the dense pass builds
-the levels and closed-form expansion once per d and checks the three
-schedules, the census pass builds each closed form and FFT oracle once
-per d and checks the coefficients and the census; the projector suite
-runs between them.  run_suites checks phi_max and the caps once, before
-any builder runs; the builders take the two numbers (phi_max, d).  The
+its own SuiteResult.  They run in one pass per cap, and each pass builds
+each array once per d: the dense pass builds the levels, the closed form
+and the selection phases and checks the three schedules, the census pass
+builds the closed form, the FFT oracle and the exact numerators N_k and
+checks the coefficients and the census; the projector suite runs
+between them.  run_suites checks phi_max and the caps once, before any
+builder runs; the builders take (phi_max, d) or arrays.  The
 census pass compares whole numpy arrays per d, O(d log d) and O(d) work,
 so its cap can reach the thousands.  A NaN error anywhere is the worst
 error of its suite and fails it.
@@ -33,13 +34,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costmodel import check_phi_max, register_width
+from .costmodel import check_phi_max, clock_one_norm, register_width
 from .lcu import (
     fixed_encoding_select_schedule,
     prep_ry_schedule,
     qubit_projector_diag_oracle,
     select_nontrivial_count,
-    select_vartheta_closed_form,
+    select_numerators,
     signed_labels,
 )
 from .pauli import (
@@ -49,23 +50,20 @@ from .pauli import (
     level_array,
     select_diag_phases,
 )
-from .trotter import ZLadder, qudit_trotter_angles, reduce_angles
+from .trotter import qudit_trotter_angles, reduce_angles
 
 # A rotation is the identity when its angle lies in 4*pi*Z within this tolerance.
 TRIVIAL_ANGLE_TOL = 1e-10
 
 
-def ladder_diagonal(ladder: ZLadder) -> np.ndarray:
-    """Per-level phases of the diagonal a Z ladder realizes.
+def ladder_diagonal(angles: np.ndarray) -> np.ndarray:
+    """Per-level phases of the diagonal that a Z ladder's angles realize.
 
-    angles[k] shifts level k by -angles[k]/2 and level k + 1 by
-    +angles[k]/2; the global phase is added to every level.
+    angles[k], the rotation on the pair (k, k+1), shifts level k by
+    -angles[k]/2 and level k + 1 by +angles[k]/2.
     """
-    half = 0.5 * ladder.angles
-    phases = np.zeros(len(half) + 1)
-    phases[:-1] -= half
-    phases[1:] += half
-    return phases + ladder.global_phase
+    half = 0.5 * angles
+    return np.append(0.0, half) - np.append(half, 0.0)
 
 
 def fan_state(angles: Sequence[float]) -> np.ndarray:
@@ -83,24 +81,19 @@ def fan_state(angles: Sequence[float]) -> np.ndarray:
 
 
 def nontrivial_count(angles: np.ndarray) -> int:
-    """Number of rotations whose angle is off 4*pi*Z by more than TRIVIAL_ANGLE_TOL."""
-    return len(angles) - int(np.count_nonzero(np.abs(reduce_angles(angles)) <= TRIVIAL_ANGLE_TOL))
+    """Number of reduced angles (not reduced again) off 0 by more than TRIVIAL_ANGLE_TOL; NaN counts."""
+    return len(angles) - int(np.count_nonzero(np.abs(angles) <= TRIVIAL_ANGLE_TOL))
 
 
-def equal_up_to_global_phase(
-    a: Sequence[float], b: Sequence[float], tol: float = 1e-10
-) -> tuple[bool, float]:
-    """Compare two diagonals modulo one overall phase.
+def phase_error(a: Sequence[float], b: Sequence[float]) -> float:
+    """Distance of two diagonals modulo one overall phase.
 
-    Aligns by the phase difference at level 0 and returns (verdict, worst),
-    where worst is the largest modulus of e^(i residual) - 1 over levels,
-    NaN if any residual is NaN.
+    With delta_n the phase difference at level n minus that at level 0,
+    returns max_n 2 |sin(delta_n / 2)|, which equals |e^(i delta_n) - 1|
+    in real arithmetic; NaN if any delta_n is NaN.
     """
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     diff = np.subtract(a, b)
-    worst = float(np.max(np.abs(np.exp(1j * (diff - diff[0])) - 1.0)))
-    return worst <= tol, worst
+    return float(np.max(np.abs(2.0 * np.sin(0.5 * (diff - diff[0])))))
 
 
 class SuiteResult(NamedTuple):
@@ -137,31 +130,31 @@ def _result(
 
 
 def dense_pass(phi_max: float, dense_cap: int, inject: float = 0.0) -> Iterator[SuiteResult]:
-    """The trotter, select and prep suites, from one level array and closed form per d.
+    """The trotter, select and prep suites, from one level array, closed form and phase list per d.
 
     trotter-schedule: native step schedules realize diag(e^(-i t lambda_n^2))
     at three times.  select-schedule: selection schedules realize the
     selection phases; inject bends one angle.  prep-schedule: preparation
-    schedules load the amplitudes sqrt(|beta_r| / Lambda) from |0>.
+    schedules load the amplitudes sqrt(|beta_r| / Lambda) from |0>.  A
+    vanishing coefficient raises in select_diag_phases, before any schedule
+    is built.
     """
     dims = _odd_dimensions(dense_cap)
     errors = np.empty((len(dims), 3))
     for i, d in enumerate(dims):
         lam_sq = level_array(phi_max, d) ** 2
-        expansion = beta_closed_form(phi_max, d)
-        ladder = fixed_encoding_select_schedule(expansion)
-        ladder.angles[0] += inject
-        target = np.zeros(d)
-        target[1:] = np.sqrt(np.abs(expansion.betas[1:]) / expansion.lambda_norm)
+        betas, c_amps = beta_closed_form(phi_max, d)
+        thetas = select_diag_phases(phi_max, c_amps)
+        angles = fixed_encoding_select_schedule(thetas)
+        angles[0] += inject
+        amps = np.sqrt(np.abs(betas[1:]) / clock_one_norm(phi_max, d))
         errors[i] = (
             np.max([
-                equal_up_to_global_phase(
-                    ladder_diagonal(qudit_trotter_angles(phi_max, d, t)), -t * lam_sq
-                )[1]
+                phase_error(ladder_diagonal(qudit_trotter_angles(phi_max, d, t)), -t * lam_sq)
                 for t in (0.1, 1.0, 3.7)
             ]),
-            equal_up_to_global_phase(ladder_diagonal(ladder), select_diag_phases(expansion))[1],
-            np.linalg.norm(fan_state(prep_ry_schedule(expansion)) - target),
+            phase_error(ladder_diagonal(angles), thetas),
+            np.linalg.norm(fan_state(prep_ry_schedule(amps)) - np.append(0.0, amps)),
         )
     yield _result("trotter-schedule", dims, errors[:, 0], 1e-10)
     yield _result("select-schedule", dims, errors[:, 1], 1e-10)
@@ -204,9 +197,12 @@ def census_pass(phi_max: float, census_cap: int) -> Iterator[SuiteResult]:
 
     select-census counts the trivial selection rotations: the exact count,
     the float schedule built from the same closed form, and the closed-form
-    angles agree.  With m = (d - 1) / 2 and j = k + 1, the angle on pair k
-    is (pi/d) N_j, N_j = 2dj - j(j+1) - 2d e_j with e_j = max(0, j - 1 - m),
-    and the rotation is trivial when 4d divides N_j.  That needs d | j(j+1).
+    angles agree.  One array of the exact N_k feeds the count and the
+    closed-form angles; the float schedule never reads it, or the check
+    would be vacuous.  With m = (d - 1) / 2 and j = k + 1, the angle on
+    pair k is (pi/d) N_j, N_j = 2dj - j(j+1) - 2d e_j with
+    e_j = max(0, j - 1 - m), and the rotation is trivial when 4d divides
+    N_j.  That needs d | j(j+1).
     As j and j + 1 are coprime, each prime power of d divides one of them,
     so by the Chinese remainder theorem j(j+1) = 0 mod d has 2^omega(d)
     roots mod d.  In 1 <= j <= d - 1 that leaves j = d - 1 and
@@ -231,27 +227,28 @@ def census_pass(phi_max: float, census_cap: int) -> Iterator[SuiteResult]:
     offsets = set()
     mismatch = ""
     for i, d in enumerate(dims):
-        closed = beta_closed_form(phi_max, d)
+        closed, c_amps = beta_closed_form(phi_max, d)
         oracle = beta_dft_oracle(phi_max, d)
+        one_norm = np.abs(oracle[1:]).sum()
         r = np.arange(1, d)
         dft_errors[i] = (
-            np.max(np.abs(closed.betas - oracle.betas)) / scale,
-            np.max(np.abs(closed.betas[d - r] - closed.betas[r].conj())) / scale,
-            abs(closed.lambda_norm - oracle.lambda_norm) / oracle.lambda_norm,
+            np.max(np.abs(closed - oracle)) / scale,
+            np.max(np.abs(closed[d - r] - closed[r].conj())) / scale,
+            abs(clock_one_norm(phi_max, d) - one_norm) / one_norm,
         )
-        signs_ok = signs_ok and np.array_equal(closed.c_amps < 0, r >= (d + 1) // 2)
+        signs_ok = signs_ok and np.array_equal(c_amps < 0, r >= (d + 1) // 2)
 
-        count = select_nontrivial_count(d)
+        numerators = select_numerators(d)
+        count = select_nontrivial_count(numerators)
         offsets.add(d - 1 - count)
         if d - 1 - count != 2 ** (_distinct_prime_count(d) - 1) - 1:
             census_ok = False
-        angles = fixed_encoding_select_schedule(closed).angles
+        angles = fixed_encoding_select_schedule(select_diag_phases(phi_max, c_amps))
         floats = nontrivial_count(angles)
         if floats != count:
             census_ok = False
             mismatch = mismatch or f"count mismatch at d={d} (float {floats}, exact {count})  "
-        closed_angles = select_vartheta_closed_form(d, np.arange(d - 1))
-        census_errors[i] = np.max(np.abs(reduce_angles(angles - closed_angles)))
+        census_errors[i] = np.max(np.abs(reduce_angles(angles - (np.pi / d) * numerators)))
 
     bounds_ok = bool(np.all(dft_errors.max(axis=0) <= (1e-10, 1e-12, 1e-10)))
     detail = "" if signs_ok else "sign-threshold equivalence violated"

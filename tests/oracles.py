@@ -14,7 +14,8 @@ that the library uses as closed forms:
   `pauli.level_array` and for the integer closed form of
   `trotter.qudit_trotter_angles`;
 * the centered partial sums behind the native step angles, nonzero for
-  every admissible k;
+  every admissible k, and the global phase -t mu that the step's ladder
+  leaves out (`ladder_global_phase`);
 * the clock-phase ladder of the d-level selection oracle, the n_b
   rotations inside the hybrid per-call count;
 * the direct O(d^2) Fourier sum of the squared grid levels, which
@@ -173,6 +174,16 @@ def centered_partial_sum(grid: FieldGrid, k: int) -> float:
         * (k - (d - 2) / 2.0)
         * (k - (d - 1))
     )
+
+
+def ladder_global_phase(grid: FieldGrid, t: float) -> float:
+    """Global phase -t * mu by which the native step ladder misses diag(e^(-i t lambda_n^2)).
+
+    The closed form -t (delta_phi^2 / 3) m (m + 1), m = (d - 1) / 2; its
+    test compares it with the direct mean squared_mean.
+    """
+    m = (grid.d - 1) // 2
+    return -t * (grid.delta_phi**2 / 3.0) * (m * (m + 1))
 
 
 def dclock_angles(d: int) -> list[tuple[int, float]]:
@@ -412,7 +423,8 @@ def lcu_row(
     splits the per-call budget eps_sim / Q_qd uniformly over 3d - 3
     rotations: one selection bound of d - 1 plus two preparations of
     d - 1 each.  The bound holds even where the realized selection count,
-    lcu.select_nontrivial_count(d), is smaller.  No hybrid call is priced.
+    lcu.select_nontrivial_count(lcu.select_numerators(d)), is smaller.  No
+    hybrid call is priced.
     """
     grid = make_grid(phi_max, d)
     qb = total_cost_qubit(grid, t, eps_sim)

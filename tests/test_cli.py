@@ -381,6 +381,26 @@ def test_bad_config_is_config_error(tmp_path, capsys, monkeypatch, content, name
         assert named in err
 
 
+def test_config_file_that_is_not_utf8_is_named(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "model.json"
+    config.write_bytes(b'{"rz_slope": 1.0\xff}')
+    monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
+    code, out, err = run_cli(capsys, "scan-ratio", "--d-max", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read config file {config}: 'utf-8' codec can't decode")
+
+
+def test_config_file_with_a_duplicate_key_is_rejected(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "model.json"
+    config.write_text('{"rz_slope": 1, "rz_slope": 2}')
+    monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
+    code, out, err = run_cli(capsys, "scan-ratio", "--d-max", "5")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: config file {config}: duplicate key 'rz_slope'"
+
+
 OVERFLOWING_ROW = ["--t", "1.2e299", "--eps", "0.5", "--d-min", "8388609", "--d-max", "8388609", "--all-odd"]
 OVERFLOW_NAMED = "d=8388609, t=1.2e+299 and eps_sim=0.5 "
 

@@ -13,7 +13,7 @@ from quditcost.costmodel import (
     ratio_and_budget,
     register_width,
 )
-from quditcost.lcu import qubit_projector_diag_oracle, select_nontrivial_count
+from quditcost.lcu import qubit_projector_diag_oracle, select_nontrivial_count, select_numerators
 from quditcost.pauli import level_array
 
 # the largest phi_max whose bound 4 phi_max^2 on the normalizations is finite
@@ -108,7 +108,7 @@ def test_register_width_values():
         lambda d: qubit_projector_diag_oracle(1.0, d),
         lambda d: pf_thresholds([d], 1e-6),
         lambda d: ratio_and_budget(1.0, [d], 0.1, 1e-6),
-        select_nontrivial_count,
+        lambda d: select_nontrivial_count(select_numerators(d)),
         lambda d: lcu_fixed_encoding_thresholds(1.0, [d], 0.1, 1e-6),
     ],
     # the hybrid call cost and the fixed-encoding rotation bound are checked

@@ -12,21 +12,28 @@ from oracles import (
     qubit_blockencoding_cost,
 )
 
-from quditcost.costmodel import SynthesisModel, lcu_fixed_encoding_thresholds, ratio_and_budget, register_width
+from quditcost.costmodel import (
+    SynthesisModel,
+    clock_one_norm,
+    lcu_fixed_encoding_thresholds,
+    ratio_and_budget,
+    register_width,
+)
 from quditcost.lcu import (
     fixed_encoding_select_schedule,
     prep_ry_schedule,
     qubit_projector_diag_oracle,
     select_nontrivial_count,
-    select_vartheta_closed_form,
+    select_numerators,
     signed_labels,
 )
 from quditcost.pauli import beta_closed_form, select_diag_phases
 from quditcost.simverify import (
-    equal_up_to_global_phase,
+    dense_pass,
     fan_state,
     ladder_diagonal,
     nontrivial_count,
+    phase_error,
 )
 
 
@@ -192,7 +199,7 @@ def test_dclock_realizes_clock_phases(d):
 
 def negative_flags(d):
     """1 where the coefficient c_r is negative, for r = 1 .. d - 1."""
-    return [int(c < 0) for c in beta_closed_form(1.0, d).c_amps]
+    return [int(c < 0) for c in beta_closed_form(1.0, d)[1]]
 
 
 def test_dsign_spec_d5():
@@ -209,10 +216,10 @@ def test_dsign_spec_d3():
 def test_phase_assembly_matches_sign_times_clock():
     # sgn(c_r) * e^(i pi r/d) equals the selection phase for every level
     for d in range(3, 514, 2):
-        e = beta_closed_form(1.0, d)
-        phases = select_diag_phases(e)
+        _, c_amps = beta_closed_form(1.0, d)
+        phases = select_diag_phases(1.0, c_amps)
         for r in range(1, d):
-            sign = -1.0 if e.c_amps[r - 1] < 0 else 1.0
+            sign = -1.0 if c_amps[r - 1] < 0 else 1.0
             assembled = sign * cmath.exp(1j * math.pi * r / d)
             assert abs(assembled - cmath.exp(1j * phases[r])) < 1e-12
 
@@ -220,57 +227,62 @@ def test_phase_assembly_matches_sign_times_clock():
 # ------------------------------------------------------ selection schedule
 
 
+def select_schedule(d):
+    """The float selection schedule of the closed form at phi_max = 1."""
+    return fixed_encoding_select_schedule(select_diag_phases(1.0, beta_closed_form(1.0, d)[1]))
+
+
+def exact_count(d):
+    """The exact nontrivial selection count s(d)."""
+    return select_nontrivial_count(select_numerators(d))
+
+
 def test_select_vartheta_closed_form_d3():
-    assert select_vartheta_closed_form(3, 0) == pytest.approx(4 * math.pi / 3)
-    # k = m carries no winding correction, so the angle is a half-turn
-    # pair (2*pi), which is nontrivial mod 4*pi
-    assert select_vartheta_closed_form(3, 1) == pytest.approx(2 * math.pi)
-    with pytest.raises(ValueError):
-        select_vartheta_closed_form(3, 2)
+    # the closed-form angles (pi/d) N_k: 4*pi/3 on k = 0; k = m carries no
+    # winding correction, so its angle is a half-turn pair (2*pi), which is
+    # nontrivial mod 4*pi
+    assert select_numerators(3).tolist() == [4, 6]
+    assert (math.pi / 3) * select_numerators(3) == pytest.approx([4 * math.pi / 3, 2 * math.pi])
 
 
 def test_select_census_small_values():
-    assert select_nontrivial_count(3) == 2
-    assert select_nontrivial_count(5) == 4
-    assert select_nontrivial_count(15) == 13
+    assert exact_count(3) == 2
+    assert exact_count(5) == 4
+    assert exact_count(15) == 13
 
 
 def test_select_census_offset_pins():
     # d - 1 - s(d) = 2^(omega(d) - 1) - 1; 1155 = 3 5 7 11, 15015 = 3 5 7 11 13
-    assert 1155 - 1 - select_nontrivial_count(1155) == 7
-    assert 15015 - 1 - select_nontrivial_count(15015) == 15
+    assert 1155 - 1 - exact_count(1155) == 7
+    assert 15015 - 1 - exact_count(15015) == 15
 
 
 def test_select_census_membership_and_bound():
     for d in range(3, 514, 2):
-        s = select_nontrivial_count(d)
+        s = exact_count(d)
         assert (d - 1) - s in (0, 1, 3), d
         assert 3 * d - 3 >= s + 2 * (d - 1)
 
 
 def test_select_schedule_closed_form_agreement():
     for d in range(3, 514, 2):
-        sched = fixed_encoding_select_schedule(beta_closed_form(1.0, d))
-        for k, angle in enumerate(sched.angles):
-            gap = math.remainder(
-                angle - select_vartheta_closed_form(d, k), 4 * math.pi
-            )
+        closed = (math.pi / d) * select_numerators(d)
+        for k, angle in enumerate(select_schedule(d)):
+            gap = math.remainder(angle - closed[k], 4 * math.pi)
             assert abs(gap) < 1e-9, (d, k)
 
 
 def test_select_schedule_census_agreement():
     for d in range(3, 130, 2):
-        sched = fixed_encoding_select_schedule(beta_closed_form(1.0, d))
-        assert nontrivial_count(sched.angles) == select_nontrivial_count(d)
+        assert nontrivial_count(select_schedule(d)) == exact_count(d)
 
 
 @pytest.mark.parametrize("d", list(range(3, 65, 2)))
 def test_select_schedule_reproduces_diagonal(d):
-    e = beta_closed_form(1.0, d)
-    realized = ladder_diagonal(fixed_encoding_select_schedule(e))
-    target = select_diag_phases(e)
-    ok, err = equal_up_to_global_phase(realized, target, tol=1e-10)
-    assert ok, (d, err)
+    target = select_diag_phases(1.0, beta_closed_form(1.0, d)[1])
+    realized = ladder_diagonal(fixed_encoding_select_schedule(target))
+    err = phase_error(realized, target)
+    assert err <= 1e-10, (d, err)
 
 
 def test_fixed_encoding_call_rotations():
@@ -289,34 +301,37 @@ def test_fixed_encoding_call_rotations():
 # ------------------------------------------------------------ preparation
 
 
+def prep_amplitudes(d):
+    """sqrt(|beta_r| / Lambda), r = 1 .. d - 1, of the closed form at phi_max = 1, one by one."""
+    betas, _ = beta_closed_form(1.0, d)
+    return np.array([math.sqrt(abs(b) / clock_one_norm(1.0, d)) for b in betas[1:]])
+
+
 def test_prep_angles_d3():
-    angles = prep_ry_schedule(beta_closed_form(1.0, 3))
+    angles = prep_ry_schedule(prep_amplitudes(3))
     assert angles == pytest.approx([math.pi / 2, math.pi])
     # the final rotation is an exact half-turn
     assert angles[-1] == math.pi
 
 
 def test_prep_prepares_amplitudes_d5():
-    e = beta_closed_form(1.0, 5)
-    state = fan_state(prep_ry_schedule(e))
-    target = [0.0] + [math.sqrt(abs(b) / e.lambda_norm) for b in e.betas[1:]]
-    assert np.allclose(state, target, atol=1e-12)
+    amps = prep_amplitudes(5)
+    state = fan_state(prep_ry_schedule(amps))
+    assert np.allclose(state, [0.0, *amps], atol=1e-12)
 
 
 @pytest.mark.parametrize("d", list(range(3, 65, 2)))
 def test_prep_l2_error(d):
-    e = beta_closed_form(1.0, d)
-    state = fan_state(prep_ry_schedule(e))
-    target = np.zeros(d)
-    target[1:] = [math.sqrt(abs(b) / e.lambda_norm) for b in e.betas[1:]]
-    assert np.linalg.norm(state - target) < 1e-10
+    amps = prep_amplitudes(d)
+    state = fan_state(prep_ry_schedule(amps))
+    assert np.linalg.norm(state - np.append(0.0, amps)) < 1e-10
 
 
 def test_prep_residual_vanishes_everywhere():
     # completeness forces the leftover amplitude on level 0 to zero; the
     # cosine product over the schedule angles tracks it without dense states
     for d in range(3, 514, 2):
-        angles = prep_ry_schedule(beta_closed_form(1.0, d))
+        angles = prep_ry_schedule(prep_amplitudes(d))
         residual = 1.0
         for angle in angles:
             residual *= math.cos(angle / 2.0)
@@ -325,18 +340,19 @@ def test_prep_residual_vanishes_everywhere():
 
 def test_prep_uses_exactly_d_minus_1_rotations():
     for d in (3, 7, 21):
-        angles = prep_ry_schedule(beta_closed_form(1.0, d))
+        angles = prep_ry_schedule(prep_amplitudes(d))
         assert len(angles) == d - 1
         assert nontrivial_count(angles) == d - 1
 
 
 def test_prep_rejects_broken_normalization():
-    e = beta_closed_form(1.0, 5)
-    broken = e._replace(lambda_norm=e.lambda_norm / 2.0)
+    # amplitudes normalized by half the one-norm
     with pytest.raises(ValueError, match="ratio"):
-        prep_ry_schedule(broken)
+        prep_ry_schedule(prep_amplitudes(5) * math.sqrt(2.0))
 
 
 def test_prep_rejects_vanishing_amplitude():
-    with pytest.raises(ValueError, match="vanishes"):
-        prep_ry_schedule(beta_closed_form(0.0, 5))
+    # the pass that builds the preparation raises on the closed form's
+    # vanishing coefficients in select_diag_phases, before the preparation
+    with pytest.raises(ValueError, match="c_1 vanishes"):
+        next(dense_pass(0.0, 5))

@@ -36,31 +36,31 @@ def mp_one_norm(phi_max, d):
 
 
 def test_closed_form_d3():
-    e = beta_closed_form(1.0, 3)
-    assert e.betas[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert e.betas[1] == pytest.approx((1.0 / 3.0) * cmath.exp(1j * math.pi / 3), abs=1e-15)
-    assert e.betas[2] == pytest.approx((1.0 / 3.0) * cmath.exp(-1j * math.pi / 3), abs=1e-15)
-    assert e.lambda_norm == pytest.approx(2.0 / 3.0, rel=1e-13)
-    assert [c < 0 for c in e.c_amps] == [False, True]  # negative from (d + 1) / 2 = 2
+    betas, c_amps = beta_closed_form(1.0, 3)
+    assert betas[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert betas[1] == pytest.approx((1.0 / 3.0) * cmath.exp(1j * math.pi / 3), abs=1e-15)
+    assert betas[2] == pytest.approx((1.0 / 3.0) * cmath.exp(-1j * math.pi / 3), abs=1e-15)
+    assert np.abs(betas[1:]).sum() == pytest.approx(2.0 / 3.0, rel=1e-13)
+    assert [c < 0 for c in c_amps] == [False, True]  # negative from (d + 1) / 2 = 2
 
 
 def test_closed_form_d5_moduli():
-    e = beta_closed_form(1.0, 5)
-    assert abs(e.betas[1]) == pytest.approx(0.292705, abs=1e-6)
-    assert abs(e.betas[2]) == pytest.approx(0.0427051, abs=1e-6)
-    assert e.lambda_norm == pytest.approx(0.670820, abs=1e-6)
+    betas, _ = beta_closed_form(1.0, 5)
+    assert abs(betas[1]) == pytest.approx(0.292705, abs=1e-6)
+    assert abs(betas[2]) == pytest.approx(0.0427051, abs=1e-6)
+    assert np.abs(betas[1:]).sum() == pytest.approx(0.670820, abs=1e-6)
 
 
 def test_zero_field_coefficients_vanish():
-    e = beta_closed_form(0.0, 7)
-    assert all(abs(b) == 0.0 for b in e.betas)
+    betas, _ = beta_closed_form(0.0, 7)
+    assert all(abs(b) == 0.0 for b in betas)
 
 
 def test_dft_oracle_agrees_small():
     for d in (3, 5, 7, 101):
-        closed = beta_closed_form(1.0, d)
+        closed, _ = beta_closed_form(1.0, d)
         oracle = beta_dft_oracle(1.0, d)
-        worst = max(abs(a - b) for a, b in zip(closed.betas, oracle.betas))
+        worst = max(abs(a - b) for a, b in zip(closed, oracle))
         tol = 1e-12 if d <= 7 else 1e-10
         assert worst < tol, (d, worst)
 
@@ -72,41 +72,40 @@ def test_fft_oracle_matches_direct_sum(phi_max):
     for d in [*range(3, 258, 2), 513]:
         fft = beta_dft_oracle(phi_max, d)
         direct = direct_dft_coefficients(make_grid(phi_max, d))
-        assert np.max(np.abs(fft.betas - direct)) <= 1e-12 * phi_max**2, d
-        assert math.isclose(fft.lambda_norm, np.abs(direct[1:]).sum(), rel_tol=1e-11), d
+        assert np.max(np.abs(fft - direct)) <= 1e-12 * phi_max**2, d
+        assert math.isclose(np.abs(fft[1:]).sum(), np.abs(direct[1:]).sum(), rel_tol=1e-11), d
 
 
 def test_dft_inversion_identity_d7():
     g = make_grid(1.0, 7)
-    e = beta_dft_oracle(1.0, 7)
+    betas = beta_dft_oracle(1.0, 7)
     omega = cmath.exp(2j * math.pi / 7)
     for n in range(7):
-        recon = sum(e.betas[r] * omega ** (r * n) for r in range(7))
+        recon = sum(betas[r] * omega ** (r * n) for r in range(7))
         assert recon == pytest.approx(levels(g)[n] ** 2, abs=1e-12)
 
 
 def test_hermiticity():
     for d in (3, 9, 33, 129):
-        e = beta_closed_form(1.3, d)
+        betas, _ = beta_closed_form(1.3, d)
         for r in range(1, d):
-            assert abs(e.betas[d - r] - e.betas[r].conjugate()) < 1e-12
+            assert abs(betas[d - r] - betas[r].conjugate()) < 1e-12
 
 
 def test_sign_pattern_and_antisymmetry():
     for d in (3, 5, 21, 101):
-        e = beta_closed_form(1.0, d)
+        _, c_amps = beta_closed_form(1.0, d)
         mid = (d - 1) // 2
         for r in range(1, d):
-            c = e.c_amps[r - 1]
+            c = c_amps[r - 1]
             assert (c > 0) == (r <= mid)
-            assert c == pytest.approx(-e.c_amps[d - r - 1], rel=1e-12)
+            assert c == pytest.approx(-c_amps[d - r - 1], rel=1e-12)
 
 
 def test_lambda_norm_closed_vs_oracle():
     for d in (3, 17, 101, 513):
-        closed = beta_closed_form(1.0, d).lambda_norm
-        oracle = beta_dft_oracle(1.0, d).lambda_norm
-        assert math.isclose(closed, oracle, rel_tol=1e-10)
+        oracle = np.abs(beta_dft_oracle(1.0, d)[1:]).sum()
+        assert math.isclose(clock_one_norm(1.0, d), oracle, rel_tol=1e-10)
 
 
 @pytest.mark.parametrize("phi_max", [1.0, 2.5])
@@ -174,20 +173,20 @@ def test_one_norm_half_sum_equals_the_numpy_expression():
         assert clock_one_norm(1.7, d) == 1.7**2 * 4.0 / (d - 1) ** 2 * weights, d
 
 
-def test_closed_form_expansion_carries_the_shared_one_norm():
-    for d in (3, 9, 101):
-        assert beta_closed_form(2.5, d).lambda_norm == clock_one_norm(2.5, d)
+def closed_phases(d):
+    """The selection phases of the closed form at phi_max = 1."""
+    return select_diag_phases(1.0, beta_closed_form(1.0, d)[1])
 
 
 def test_select_diag_phases_d3():
-    phases = select_diag_phases(beta_closed_form(1.0, 3))
+    phases = closed_phases(3)
     assert phases[0] == 0.0
     assert phases[1] == pytest.approx(math.pi / 3, rel=1e-15)
     assert phases[2] == pytest.approx(2 * math.pi / 3 + math.pi, rel=1e-15)
 
 
 def test_select_diag_phases_d5():
-    phases = select_diag_phases(beta_closed_form(1.0, 5))
+    phases = closed_phases(5)
     expected = [0.0, math.pi / 5, 2 * math.pi / 5,
                 3 * math.pi / 5 + math.pi, 4 * math.pi / 5 + math.pi]
     assert phases == pytest.approx(expected, rel=1e-14)
@@ -195,37 +194,36 @@ def test_select_diag_phases_d5():
 
 def test_select_diag_phases_range_and_unit():
     for d in (7, 65):
-        e = beta_closed_form(1.0, d)
-        phases = select_diag_phases(e)
+        betas, c_amps = beta_closed_form(1.0, d)
+        phases = select_diag_phases(1.0, c_amps)
         assert len(phases) == d
         for r in range(1, d):
             assert 0.0 <= phases[r] < 2 * math.pi
-            assert cmath.exp(1j * phases[r]) == pytest.approx(
-                e.betas[r] / abs(e.betas[r]), abs=1e-12
-            )
+            assert cmath.exp(1j * phases[r]) == pytest.approx(betas[r] / abs(betas[r]), abs=1e-12)
 
 
 def test_sign_threshold_equivalence_full_range():
     # the negative-sign region is exactly {r >= (d+1)/2}, for every odd d
     for d in range(3, 514, 2):
-        e = beta_closed_form(1.0, d)
+        _, c_amps = beta_closed_form(1.0, d)
         for r in range(1, d):
-            assert (e.c_amps[r - 1] < 0) == (r >= (d + 1) // 2), (d, r)
+            assert (c_amps[r - 1] < 0) == (r >= (d + 1) // 2), (d, r)
 
 
 def test_irreducibility_guard():
     with pytest.raises(ValueError, match="not irreducible"):
-        select_diag_phases(beta_closed_form(0.0, 5))
+        select_diag_phases(0.0, beta_closed_form(0.0, 5)[1])
 
 
 @pytest.mark.parametrize("d", [14647, 20001])
 def test_smallest_coefficients_pass_the_irreducibility_guard(d):
     # the smallest |c_r|, about pi phi_max^2 / d^3 at r = (d - 1) / 2, lies
     # below 1e-12 phi_max^2 here; the guard scales with it
-    e = beta_closed_form(1.0, d)
-    assert min(abs(c) for c in e.c_amps) < 1e-12
-    assert len(select_diag_phases(e)) == d
-    assert len(prep_ry_schedule(e)) == d - 1
+    betas, c_amps = beta_closed_form(1.0, d)
+    assert min(abs(c) for c in c_amps) < 1e-12
+    assert len(select_diag_phases(1.0, c_amps)) == d
+    # and the preparation's normalization guard passes on their amplitudes
+    assert len(prep_ry_schedule(np.sqrt(np.abs(betas[1:]) / clock_one_norm(1.0, d)))) == d - 1
 
 
 def test_oracle_matches_direct_summation_not_closed_form():
@@ -233,10 +231,10 @@ def test_oracle_matches_direct_summation_not_closed_form():
     # cannot secretly depend on the squared-field closed form
     d = 9
     g = make_grid(2.0, d)
-    e = beta_dft_oracle(2.0, d)
+    betas = beta_dft_oracle(2.0, d)
     lam_sq = np.array([lam**2 for lam in levels(g)])
     manual = [
         sum(lam_sq[n] * cmath.exp(-2j * math.pi * r * n / d) for n in range(d)) / d
         for r in range(d)
     ]
-    assert np.allclose(e.betas, manual, atol=1e-13)
+    assert np.allclose(betas, manual, atol=1e-13)

@@ -4,9 +4,10 @@ Runs each report command in-process over the odd d <= 41 under a profiler
 hook, as tests/test_reachability.py does, and counts per printed row the
 calls of the one dimension check, the qudit one-norm and the synthesis
 cost of a rotation.  A report checks its scalar inputs once, whatever its
-row count, and so does `verify`.  `verify` builds each closed-form
-expansion once per dimension in each of its two passes, and a process sums
-the one-norm weights of each small d once.
+row count, and so does `verify`.  `verify` builds each closed form, each
+selection phase list and each exact numerator array once per dimension in
+the passes that read them, and a process sums the one-norm weights of
+each small d once.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ import sys
 
 import pytest
 
-from quditcost import cli, costmodel, pauli
+from quditcost import cli, costmodel, lcu, pauli
 
 COUNTED = {
     "register_width": costmodel.register_width,
@@ -97,6 +98,21 @@ def test_verify_builds_each_closed_form_once_per_dimension_per_pass():
     calls = calls_of(pauli.beta_closed_form.__code__, ["verify", "--d-max", "9", "--census-max", "15"])
     # the dense pass over d = 3 .. 9, the census pass over d = 3 .. 15
     assert calls == 4 + 7
+
+
+@pytest.mark.parametrize(
+    "function,calls",
+    [
+        # the dense pass's target and schedule share one phase list per d; the
+        # census pass builds one per d for its float schedule
+        (pauli.select_diag_phases, 4 + 7),
+        # one exact N_k array per census d feeds the count and the closed-form angles
+        (lcu.select_numerators, 7),
+    ],
+    ids=["select_diag_phases", "select_numerators"],
+)
+def test_verify_builds_each_array_once_per_dimension(function, calls):
+    assert calls_of(function.__code__, ["verify", "--d-max", "9", "--census-max", "15"]) == calls
 
 
 def test_a_process_sums_the_one_norm_weights_once_per_dimension(monkeypatch):

@@ -7,12 +7,11 @@ from quditcost import simverify
 from quditcost.simverify import (
     census_pass,
     dense_pass,
-    equal_up_to_global_phase,
     fan_state,
     ladder_diagonal,
+    phase_error,
     run_suites,
 )
-from quditcost.trotter import ZLadder
 
 
 def named(name, results):
@@ -45,7 +44,7 @@ def test_y_equal_split_on_nonadjacent_pair():
 
 def test_z_phases_on_state():
     # the Z rotation on the pair (1, 2) by 0.8, applied to |1>
-    state = np.exp(1j * ladder_diagonal(ZLadder(np.array([0.0, 0.8]), 0.0))) * [0, 1, 0]
+    state = np.exp(1j * ladder_diagonal(np.array([0.0, 0.8]))) * [0, 1, 0]
     assert state[1] == pytest.approx(np.exp(-0.4j))
 
 
@@ -57,26 +56,21 @@ def test_norm_preserved_under_random_rotations():
 
 
 def test_ladder_diagonal_empty():
-    assert ladder_diagonal(ZLadder(np.zeros(0), 0.0)).tolist() == [0.0]
-    assert ladder_diagonal(ZLadder(np.zeros(3), 0.0)).tolist() == [0.0] * 4
+    assert ladder_diagonal(np.zeros(0)).tolist() == [0.0]
+    assert ladder_diagonal(np.zeros(3)).tolist() == [0.0] * 4
 
 
 def test_ladder_diagonal_single_rotation():
-    diagonal = ladder_diagonal(ZLadder(np.array([math.pi, 0.0]), 0.0))
+    diagonal = ladder_diagonal(np.array([math.pi, 0.0]))
     assert diagonal == pytest.approx([-math.pi / 2, math.pi / 2, 0.0])
 
 
 def test_schedule_composition_is_additive():
-    first = ZLadder(np.array([0.4, 0.0]), 0.2)
-    second = ZLadder(np.array([0.0, -0.9]), -0.5)
-    merged = ZLadder(first.angles + second.angles, first.global_phase + second.global_phase)
-    assert ladder_diagonal(merged) == pytest.approx(
+    first = np.array([0.4, 0.0])
+    second = np.array([0.0, -0.9])
+    assert ladder_diagonal(first + second) == pytest.approx(
         combine(ladder_diagonal(first), ladder_diagonal(second))
     )
-
-
-def test_ladder_diagonal_includes_global_phase():
-    assert ladder_diagonal(ZLadder(np.zeros(1), 0.7)).tolist() == [0.7, 0.7]
 
 
 def embedded(dim, pair, block):
@@ -96,45 +90,50 @@ def test_fan_state_matches_the_dense_rotation_product():
 
 
 def test_ladder_diagonal_matches_the_dense_rotation_product():
-    ladder = ZLadder(np.random.default_rng(12).uniform(-7, 7, size=6), 0.3)
-    unitary = np.exp(0.3j) * np.eye(7)
-    for k, angle in enumerate(ladder.angles):
+    angles = np.random.default_rng(12).uniform(-7, 7, size=6)
+    unitary = np.eye(7, dtype=complex)
+    for k, angle in enumerate(angles):
         phases = np.diag(np.exp([-0.5j * angle, 0.5j * angle]))
         unitary = embedded(7, [k, k + 1], phases) @ unitary
-    expected = np.diag(np.exp(1j * ladder_diagonal(ladder)))
+    expected = np.diag(np.exp(1j * ladder_diagonal(angles)))
     assert np.allclose(unitary, expected, rtol=0, atol=1e-14)
 
 
 def test_equal_up_to_global_phase_reflexive():
     a = (0.1, -0.4, 2.0)
-    ok, err = equal_up_to_global_phase(a, a)
-    assert ok and err == 0.0
+    assert phase_error(a, a) == 0.0
 
 
 def test_equal_up_to_global_phase_uniform_offset():
     a = (0.1, -0.4, 2.0)
     b = (0.8, 0.3, 2.7)  # uniform +0.7
-    ok, err = equal_up_to_global_phase(a, b)
-    assert ok and err < 1e-12
+    assert phase_error(a, b) < 1e-12
 
 
 def test_equal_up_to_global_phase_single_level_offset():
     a = (0.1, -0.4, 2.0)
     b = (0.1, 0.3, 2.0)  # +0.7 on one level only
-    ok, err = equal_up_to_global_phase(a, b, tol=1e-6)
-    assert not ok
-    assert err == pytest.approx(abs(np.exp(0.7j) - 1.0))
+    assert phase_error(a, b) == pytest.approx(abs(np.exp(0.7j) - 1.0), rel=1e-15)
+
+
+def test_phase_error_is_the_modulus_of_the_aligned_phase_factor_minus_one():
+    # 2 |sin(delta / 2)| = |e^(i delta) - 1| for every delta, whatever its winding
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        a, b = rng.uniform(-50, 50, size=(2, 9))
+        delta = (a - b) - (a[0] - b[0])
+        expected = np.max(np.abs(np.exp(1j * delta) - 1.0))
+        assert phase_error(a, b) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
 def test_equal_up_to_global_phase_propagates_nan():
-    ok, err = equal_up_to_global_phase((0.1, math.nan, 2.0), (0.1, -0.4, 2.0))
-    assert not ok
-    assert math.isnan(err)
+    assert math.isnan(phase_error((0.1, math.nan, 2.0), (0.1, -0.4, 2.0)))
 
 
 def test_equal_up_to_global_phase_dim_mismatch():
+    # phase_error checks no lengths: numpy refuses to broadcast 2 levels against 3
     with pytest.raises(ValueError):
-        equal_up_to_global_phase((0.0, 0.0), (0.0,) * 3)
+        phase_error((0.0, 0.0), (0.0,) * 3)
 
 
 def test_census_suite_passes_above_1155():
@@ -182,22 +181,35 @@ def test_run_suites_rejects_caps(dense_cap, census_cap):
 
 
 def closed_form_with(monkeypatch, change):
-    """Make the suites see the closed-form expansion as change(expansion) returns it."""
+    """Make the suites see the closed form (betas, c_amps) as change(betas, c_amps) returns it."""
     closed = simverify.beta_closed_form
     monkeypatch.setattr(
-        simverify, "beta_closed_form", lambda phi_max, d: change(closed(phi_max, d))
+        simverify, "beta_closed_form", lambda phi_max, d: change(*closed(phi_max, d))
     )
 
 
 def with_beta(r, value, only_d=None):
     """A change that moves beta_r by value (at every d, or only at only_d)."""
 
-    def change(expansion):
-        if only_d not in (None, expansion.d):
-            return expansion
-        betas = expansion.betas.copy()
+    def change(betas, c_amps):
+        if only_d not in (None, len(betas)):
+            return betas, c_amps
+        betas = betas.copy()
         betas[r] += value
-        return expansion._replace(betas=betas)
+        return betas, c_amps
+
+    return change
+
+
+def flip_first_sign(only_d=None):
+    """A change that flips the sign of c_1 (at every d, or only at only_d)."""
+
+    def change(betas, c_amps):
+        if only_d not in (None, len(betas)):
+            return betas, c_amps
+        c_amps = c_amps.copy()
+        c_amps[0] = -c_amps[0]
+        return betas, c_amps
 
     return change
 
@@ -235,12 +247,7 @@ def test_dft_suite_fails_on_a_nan_coefficient(monkeypatch):
 
 
 def test_dft_suite_detects_a_flipped_sign(monkeypatch):
-    def flip(expansion):
-        c_amps = expansion.c_amps.copy()
-        c_amps[0] = -c_amps[0]
-        return expansion._replace(c_amps=c_amps)
-
-    closed_form_with(monkeypatch, flip)
+    closed_form_with(monkeypatch, flip_first_sign())
     result = named("dft-oracle", census_pass(1.0, 15))
     assert not result.ok
     assert result.detail == "sign-threshold equivalence violated"
@@ -249,14 +256,7 @@ def test_dft_suite_detects_a_flipped_sign(monkeypatch):
 
 
 def test_census_reads_the_closed_form_that_the_dft_check_reads(monkeypatch):
-    def flip_at_7(expansion):
-        if expansion.d != 7:
-            return expansion
-        c_amps = expansion.c_amps.copy()
-        c_amps[0] = -c_amps[0]
-        return expansion._replace(c_amps=c_amps)
-
-    closed_form_with(monkeypatch, flip_at_7)
+    closed_form_with(monkeypatch, flip_first_sign(only_d=7))
     dft, census = census_pass(1.0, 15)
     assert not dft.ok and dft.detail == "sign-threshold equivalence violated"
     # the flipped sign bends the float selection ladder at d = 7 only
@@ -266,11 +266,31 @@ def test_census_reads_the_closed_form_that_the_dft_check_reads(monkeypatch):
 
 def test_census_suite_fails_on_an_off_by_one_count(monkeypatch):
     count = simverify.select_nontrivial_count
-    monkeypatch.setattr(simverify, "select_nontrivial_count", lambda d: count(d) + 1)
+    monkeypatch.setattr(
+        simverify, "select_nontrivial_count", lambda numerators: count(numerators) + 1
+    )
     result = named("select-census", census_pass(1.0, 15))
     assert not result.ok
     # the first d where the float schedule and the exact count disagree
     assert result.detail.startswith("count mismatch at d=3 (float 2, exact 3)")
+
+
+def test_census_suite_fails_on_a_corrupted_exact_numerator(monkeypatch):
+    # one N_k array feeds the exact count and the closed-form angles; the
+    # float schedule never reads it, so bending it shows as an angle gap
+    numerators = simverify.select_numerators
+
+    def bent(d):
+        n = numerators(d)
+        n[-1] += 1
+        return n
+
+    monkeypatch.setattr(simverify, "select_numerators", bent)
+    result = named("select-census", census_pass(1.0, 15))
+    assert not result.ok
+    # the gap is pi/d, largest at d = 3
+    assert result.worst == pytest.approx(math.pi / 3, rel=1e-12)
+    assert result.worst_d == 3
 
 
 def test_census_suite_passes_up_to_5733():
@@ -291,8 +311,8 @@ def test_select_suite_fails_on_a_nan_angle():
 def test_prep_suite_fails_on_a_nan_angle(monkeypatch):
     prep = simverify.prep_ry_schedule
 
-    def bent(expansion):
-        angles = prep(expansion)
+    def bent(amps):
+        angles = prep(amps)
         angles[0] = math.nan
         return angles
 

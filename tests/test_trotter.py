@@ -2,11 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from oracles import FieldGrid, centered_partial_sum, levels, make_grid, qubit_trotter_terms, squared_mean
+from oracles import (
+    FieldGrid,
+    centered_partial_sum,
+    ladder_global_phase,
+    levels,
+    make_grid,
+    qubit_trotter_terms,
+    squared_mean,
+)
 
 from quditcost.costmodel import SynthesisModel, pf_thresholds
-from quditcost.simverify import equal_up_to_global_phase, ladder_diagonal, nontrivial_count
-from quditcost.trotter import ZLadder, qudit_trotter_angles, reduce_angles
+from quditcost.pauli import level_array
+from quditcost.simverify import ladder_diagonal, nontrivial_count, phase_error
+from quditcost.trotter import qudit_trotter_angles, reduce_angles
 
 
 def phi_eigenvalue(exp, index):
@@ -31,11 +40,13 @@ def test_angle_helpers():
     assert reduce_angles(np.array([5 * math.pi])) == pytest.approx([math.pi])
     assert reduce_angles(np.array([-2 * math.pi])) == pytest.approx([2 * math.pi])
     assert -2 * math.pi < reduce_angles(np.array([123.456]))[0] <= 2 * math.pi
-    assert nontrivial_count(np.array([0.0])) == 0
-    assert nontrivial_count(np.array([4 * math.pi])) == 0
-    assert nontrivial_count(np.array([-8 * math.pi + 1e-12])) == 0
-    assert nontrivial_count(np.array([2 * math.pi])) == 1  # a half-turn pair is not the identity
-    assert nontrivial_count(np.array([1e-6])) == 1
+    # nontrivial_count reads reduced angles
+    assert nontrivial_count(reduce_angles(np.array([0.0]))) == 0
+    assert nontrivial_count(reduce_angles(np.array([4 * math.pi]))) == 0
+    assert nontrivial_count(reduce_angles(np.array([-8 * math.pi + 1e-12]))) == 0
+    # a half-turn pair is not the identity
+    assert nontrivial_count(reduce_angles(np.array([2 * math.pi]))) == 1
+    assert nontrivial_count(reduce_angles(np.array([1e-6]))) == 1
 
 
 def remainder_fold(angle):
@@ -56,7 +67,10 @@ def test_reduce_angles_equals_the_remainder_fold_bit_for_bit():
 
 def test_nontrivial_count():
     angles = np.array([0.0, 4 * math.pi, 2 * math.pi, 0.3])
-    assert nontrivial_count(angles) == 2
+    assert nontrivial_count(reduce_angles(angles)) == 2
+    # it does not reduce them again: an unreduced full turn counts as a rotation
+    assert nontrivial_count(angles) == 3
+    assert nontrivial_count(np.array([math.nan])) == 1
 
 
 def test_qubit_terms_d3():
@@ -116,22 +130,19 @@ def test_qubit_t_zero_is_identity():
 
 
 def test_qudit_angles_d3():
-    sched = qudit_trotter_angles(1.0, 3, 1.0)
-    assert sched.angles == pytest.approx([2 / 3, -2 / 3])
-    assert sched.global_phase == pytest.approx(-2 / 3)
+    assert qudit_trotter_angles(1.0, 3, 1.0) == pytest.approx([2 / 3, -2 / 3])
 
 
 def test_qudit_angles_t_zero():
-    sched = qudit_trotter_angles(1.0, 9, 0.0)
-    assert nontrivial_count(sched.angles) == 0
+    assert nontrivial_count(qudit_trotter_angles(1.0, 9, 0.0)) == 0
 
 
 def test_qudit_schedule_adjacent_and_generically_nontrivial():
     # one angle per adjacent pair (k, k+1), none of them the identity
     for d in (3, 7, 33):
-        sched = qudit_trotter_angles(1.0, d, 0.37)
-        assert len(sched.angles) == d - 1
-        assert nontrivial_count(sched.angles) == d - 1
+        angles = qudit_trotter_angles(1.0, d, 0.37)
+        assert len(angles) == d - 1
+        assert nontrivial_count(angles) == d - 1
 
 
 def test_qudit_angles_reject_an_overflowing_phase():
@@ -146,39 +157,40 @@ def test_qudit_schedule_matches_target_diagonal(t):
         g = make_grid(1.0, d)
         realized = ladder_diagonal(qudit_trotter_angles(1.0, d, t))
         target = tuple(-t * lam**2 for lam in levels(g))
-        ok, err = equal_up_to_global_phase(realized, target, tol=1e-10)
-        assert ok, (d, t, err)
+        err = phase_error(realized, target)
+        assert err <= 1e-10, (d, t, err)
 
 
 def test_ladder_global_phase_is_minus_t_times_the_direct_mean():
     # the closed form -t (delta_phi^2 / 3) m (m + 1) against the direct sum
-    assert qudit_trotter_angles(1.0, 3, 1.0).global_phase == pytest.approx(
-        -2.0 / 3.0, rel=1e-15
-    )
-    assert qudit_trotter_angles(1.0, 5, 1.0).global_phase == pytest.approx(
-        -0.5, rel=1e-15
-    )
+    assert ladder_global_phase(make_grid(1.0, 3), 1.0) == pytest.approx(-2.0 / 3.0, rel=1e-15)
+    assert ladder_global_phase(make_grid(1.0, 5), 1.0) == pytest.approx(-0.5, rel=1e-15)
     for phi_max in (0.5, 1.0, 2.0):
         for d in range(3, 1002, 2):
             g = make_grid(phi_max, d)
             mu = squared_mean(g)
             assert math.isclose(mu, phi_max**2 * (d + 1) / (3 * (d - 1)), rel_tol=1e-12)
             for t in (0.1, 3.7):
-                phase = qudit_trotter_angles(phi_max, d, t).global_phase
+                phase = ladder_global_phase(g, t)
                 assert math.isclose(phase, -t * mu, rel_tol=1e-12), (phi_max, d, t)
+                # the ladder plus that phase is diag(e^(-i t lambda_n^2)) level by
+                # level, with no alignment: 2 |sin(gap / 2)| = |e^(i gap) - 1|
+                gap = ladder_diagonal(qudit_trotter_angles(phi_max, d, t)) + phase
+                gap -= -t * level_array(phi_max, d) ** 2
+                assert np.max(np.abs(2.0 * np.sin(0.5 * gap))) <= 1e-10, (phi_max, d, t)
     # degenerate zero field, built directly since make_grid rejects phi_max = 0
     zero = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, n_b=3)
     assert squared_mean(zero) == 0.0
-    assert qudit_trotter_angles(0.0, 5, 1.0).global_phase == 0.0
+    assert ladder_global_phase(zero, 1.0) == 0.0
 
 
 def test_angle_uniqueness_mod_4pi():
     # re-solving the angles from the realized per-level phases reproduces
     # the schedule up to multiples of 4*pi
-    sched = qudit_trotter_angles(1.0, 11, 0.37)
-    realized = ladder_diagonal(ZLadder(sched.angles, 0.0))  # drop global phase
+    angles = qudit_trotter_angles(1.0, 11, 0.37)
+    realized = ladder_diagonal(angles)
     acc = 0.0
-    for k, angle in enumerate(sched.angles):
+    for k, angle in enumerate(angles):
         acc += realized[k]
         resolved = -2.0 * acc
         assert abs(math.remainder(resolved - angle, 4 * math.pi)) < 1e-10
