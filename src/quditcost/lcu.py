@@ -17,6 +17,8 @@ d - 1 Y angles on the pairs (0, r).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .costmodel import register_width
@@ -70,12 +72,16 @@ def fixed_encoding_select_schedule(thetas: np.ndarray) -> np.ndarray:
     return reduce_angles(-2.0 * np.cumsum(thetas[:-1] - thetas.mean()))
 
 
+# Largest d whose selection numerators, below 4 d^2, are exact in int64.
+MAX_NUMERATOR_D = math.isqrt((2**63 - 1) // 4)
+
+
 def select_numerators(d: int) -> np.ndarray:
     """Integers N_k of the selection-schedule angles (pi/d) * N_k on the pairs (k, k+1).
 
     With m = (d - 1) / 2: N_k = (k+1)(4m - k), minus 2d (k - m) once k
     exceeds m, for k = 0 .. d - 2.  The values stay below 4 d^2, exact in
-    int64 up to d = 1.5e9.
+    int64 up to d = MAX_NUMERATOR_D.
     """
     register_width(d)
     k = np.arange(d - 1, dtype=np.int64)

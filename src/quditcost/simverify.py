@@ -14,14 +14,14 @@ no Python loop runs per level.
 The six suites that `quditcost verify` runs check every schedule and
 coefficient construction against this oracle, the FFT coefficient oracle
 or exact integer arithmetic, for all odd d up to a cap, and each returns
-its own SuiteResult.  They run in one pass per cap, and each pass builds
-each array once per d: the dense pass builds the levels, the closed form
-and the selection phases and checks the three schedules, the census pass
-builds the closed form, the FFT oracle and the exact numerators N_k and
-checks the coefficients and the census; the projector suite runs
-between them.  run_suites checks phi_max and the caps once, before any
-builder runs; the builders take (phi_max, d) or arrays.  The
-census pass compares whole numpy arrays per d, O(d log d) and O(d) work,
+its own SuiteResult.  Five of them read the closed form, so one pass
+(verify_pass) builds the closed form, the selection phases, the float
+selection schedule and the one-norm once per odd d up to the larger cap:
+it checks the three schedules where d is within the dense cap, and the
+coefficients and the census where d is within the census cap.  The
+projector suite runs on its own.  run_suites checks phi_max and the caps
+once, before any builder runs; the builders take (phi_max, d) or arrays.
+The census compares whole numpy arrays per d, O(d log d) and O(d) work,
 so its cap can reach the thousands.  A NaN error anywhere is the worst
 error of its suite and fails it.
 """
@@ -36,6 +36,7 @@ import numpy as np
 
 from .costmodel import check_phi_max, clock_one_norm, register_width
 from .lcu import (
+    MAX_NUMERATOR_D,
     fixed_encoding_select_schedule,
     prep_ry_schedule,
     qubit_projector_diag_oracle,
@@ -111,10 +112,6 @@ class SuiteResult(NamedTuple):
     detail: str = ""
 
 
-def _odd_dimensions(cap: int) -> range:
-    return range(3, cap + 1, 2)
-
-
 def _result(
     name: str, dims: Sequence[int], errors: Sequence[float], bound: float,
     ok: bool = True, detail: str = "",
@@ -127,38 +124,6 @@ def _result(
     i = int(np.argmax(errors))
     worst = float(errors[i])
     return SuiteResult(name, ok and worst <= bound, worst, len(dims), dims[i], detail)
-
-
-def dense_pass(phi_max: float, dense_cap: int, inject: float = 0.0) -> Iterator[SuiteResult]:
-    """The trotter, select and prep suites, from one level array, closed form and phase list per d.
-
-    trotter-schedule: native step schedules realize diag(e^(-i t lambda_n^2))
-    at three times.  select-schedule: selection schedules realize the
-    selection phases; inject bends one angle.  prep-schedule: preparation
-    schedules load the amplitudes sqrt(|beta_r| / Lambda) from |0>.  A
-    vanishing coefficient raises in select_diag_phases, before any schedule
-    is built.
-    """
-    dims = _odd_dimensions(dense_cap)
-    errors = np.empty((len(dims), 3))
-    for i, d in enumerate(dims):
-        lam_sq = level_array(phi_max, d) ** 2
-        betas, c_amps = beta_closed_form(phi_max, d)
-        thetas = select_diag_phases(phi_max, c_amps)
-        angles = fixed_encoding_select_schedule(thetas)
-        angles[0] += inject
-        amps = np.sqrt(np.abs(betas[1:]) / clock_one_norm(phi_max, d))
-        errors[i] = (
-            np.max([
-                phase_error(ladder_diagonal(qudit_trotter_angles(phi_max, d, t)), -t * lam_sq)
-                for t in (0.1, 1.0, 3.7)
-            ]),
-            phase_error(ladder_diagonal(angles), thetas),
-            np.linalg.norm(fan_state(prep_ry_schedule(amps)) - np.append(0.0, amps)),
-        )
-    yield _result("trotter-schedule", dims, errors[:, 0], 1e-10)
-    yield _result("select-schedule", dims, errors[:, 1], 1e-10)
-    yield _result("prep-schedule", dims, errors[:, 2], 1e-10)
 
 
 def suite_projector(phi_max: float) -> SuiteResult:
@@ -185,21 +150,31 @@ def _distinct_prime_count(n: int) -> int:
     return count + (n > 1)
 
 
-def census_pass(phi_max: float, census_cap: int) -> Iterator[SuiteResult]:
-    """The dft-oracle and select-census suites, from one closed form and FFT oracle per d.
+def verify_pass(
+    phi_max: float, dense_cap: int, census_cap: int, inject: float = 0.0
+) -> list[SuiteResult]:
+    """The five per-d suites, from one closed form, phase list, ladder and one-norm per d.
 
-    dft-oracle compares the closed-form coefficients with the FFT oracle:
-    values, Hermiticity, one-norm and signs.  Per d, as arrays: max
-    |closed - oracle| (bound 1e-10), max |beta_(d-r) - conj beta_r| of the
-    closed form (1e-12), both relative to phi_max^2, the scale of every
-    coefficient; the relative one-norm error (1e-10); and c_r < 0 exactly
-    for r >= (d + 1) / 2.
+    Over the odd d <= dense_cap: trotter-schedule, native step schedules
+    realize diag(e^(-i t lambda_n^2)) at three times; select-schedule, the
+    selection schedule realizes the selection phases, and inject bends one
+    angle of a copy that only this check reads; prep-schedule, the
+    preparation loads the amplitudes sqrt(|beta_r| / Lambda) from |0>.  A
+    vanishing coefficient raises in select_diag_phases, before any schedule
+    is built.
+
+    Over the odd d <= census_cap: dft-oracle compares the closed-form
+    coefficients with the FFT oracle: values, Hermiticity, one-norm and
+    signs.  Per d, as arrays: max |closed - oracle| (bound 1e-10), max
+    |beta_(d-r) - conj beta_r| of the closed form (1e-12), both relative to
+    phi_max^2, the scale of every coefficient; the relative one-norm error
+    (1e-10); and c_r < 0 exactly for r >= (d + 1) / 2.
 
     select-census counts the trivial selection rotations: the exact count,
-    the float schedule built from the same closed form, and the closed-form
-    angles agree.  One array of the exact N_k feeds the count and the
-    closed-form angles; the float schedule never reads it, or the check
-    would be vacuous.  With m = (d - 1) / 2 and j = k + 1, the angle on
+    the float schedule that select-schedule checks (without inject), and
+    the closed-form angles agree.  One array of the exact N_k feeds the
+    count and the closed-form angles; the float schedule never reads it,
+    or the check would be vacuous.  With m = (d - 1) / 2 and j = k + 1, the angle on
     pair k is (pi/d) N_j, N_j = 2dj - j(j+1) - 2d e_j with
     e_j = max(0, j - 1 - m), and the rotation is trivial when 4d divides
     N_j.  That needs d | j(j+1).
@@ -218,77 +193,97 @@ def census_pass(phi_max: float, census_cap: int) -> Iterator[SuiteResult]:
     reduce_angles, which is exact, so it equals |math.remainder(gap, 4*pi)|.
     The detail names the first d where the float and exact counts differ,
     and lists the offsets that occurred.
+
+    Returns the results of trotter, select, prep, dft and census, in order.
     """
-    dims = _odd_dimensions(census_cap)
-    dft_errors = np.empty((len(dims), 3))
-    census_errors = np.empty(len(dims))
+    dense_dims, census_dims = range(3, dense_cap + 1, 2), range(3, census_cap + 1, 2)
+    dense_errors = np.empty((len(dense_dims), 3))
+    dft_errors = np.empty((len(census_dims), 3))
+    census_errors = np.empty(len(census_dims))
     scale = phi_max * phi_max
     signs_ok = census_ok = True
     offsets = set()
     mismatch = ""
-    for i, d in enumerate(dims):
-        closed, c_amps = beta_closed_form(phi_max, d)
-        oracle = beta_dft_oracle(phi_max, d)
-        one_norm = np.abs(oracle[1:]).sum()
-        r = np.arange(1, d)
-        dft_errors[i] = (
-            np.max(np.abs(closed - oracle)) / scale,
-            np.max(np.abs(closed[d - r] - closed[r].conj())) / scale,
-            abs(clock_one_norm(phi_max, d) - one_norm) / one_norm,
-        )
-        signs_ok = signs_ok and np.array_equal(c_amps < 0, r >= (d + 1) // 2)
+    for i, d in enumerate(range(3, max(dense_cap, census_cap) + 1, 2)):
+        betas, c_amps = beta_closed_form(phi_max, d)
+        thetas = select_diag_phases(phi_max, c_amps)
+        angles = fixed_encoding_select_schedule(thetas)
+        lambda_norm = clock_one_norm(phi_max, d)
+        if d <= dense_cap:
+            lam_sq = level_array(phi_max, d) ** 2
+            amps = np.sqrt(np.abs(betas[1:]) / lambda_norm)
+            dense_errors[i] = (
+                np.max([
+                    phase_error(ladder_diagonal(qudit_trotter_angles(phi_max, d, t)), -t * lam_sq)
+                    for t in (0.1, 1.0, 3.7)
+                ]),
+                phase_error(ladder_diagonal(np.append(angles[0] + inject, angles[1:])), thetas),
+                np.linalg.norm(fan_state(prep_ry_schedule(amps)) - np.append(0.0, amps)),
+            )
+        if d <= census_cap:
+            oracle = beta_dft_oracle(phi_max, d)
+            one_norm = np.abs(oracle[1:]).sum()
+            r = np.arange(1, d)
+            dft_errors[i] = (
+                np.max(np.abs(betas - oracle)) / scale,
+                np.max(np.abs(betas[d - r] - betas[r].conj())) / scale,
+                abs(lambda_norm - one_norm) / one_norm,
+            )
+            signs_ok = signs_ok and np.array_equal(c_amps < 0, r >= (d + 1) // 2)
 
-        numerators = select_numerators(d)
-        count = select_nontrivial_count(numerators)
-        offsets.add(d - 1 - count)
-        if d - 1 - count != 2 ** (_distinct_prime_count(d) - 1) - 1:
-            census_ok = False
-        angles = fixed_encoding_select_schedule(select_diag_phases(phi_max, c_amps))
-        floats = nontrivial_count(angles)
-        if floats != count:
-            census_ok = False
-            mismatch = mismatch or f"count mismatch at d={d} (float {floats}, exact {count})  "
-        census_errors[i] = np.max(np.abs(reduce_angles(angles - (np.pi / d) * numerators)))
+            numerators = select_numerators(d)
+            count = select_nontrivial_count(numerators)
+            offsets.add(d - 1 - count)
+            if d - 1 - count != 2 ** (_distinct_prime_count(d) - 1) - 1:
+                census_ok = False
+            floats = nontrivial_count(angles)
+            if floats != count:
+                census_ok = False
+                mismatch = mismatch or f"count mismatch at d={d} (float {floats}, exact {count})  "
+            census_errors[i] = np.max(np.abs(reduce_angles(angles - (np.pi / d) * numerators)))
 
-    bounds_ok = bool(np.all(dft_errors.max(axis=0) <= (1e-10, 1e-12, 1e-10)))
+    dft_ok = signs_ok and bool(np.all(dft_errors.max(axis=0) <= (1e-10, 1e-12, 1e-10)))
     detail = "" if signs_ok else "sign-threshold equivalence violated"
-    yield _result(
-        "dft-oracle", dims, dft_errors.max(axis=1), 1e-10, signs_ok and bounds_ok, detail
-    )
-    detail = mismatch + "offsets d-1-s(d): {" + ", ".join(str(o) for o in sorted(offsets)) + "}"
-    yield _result("select-census", dims, census_errors, 1e-9, census_ok, detail)
+    offsets_seen = "offsets d-1-s(d): {" + ", ".join(str(o) for o in sorted(offsets)) + "}"
+    return [
+        _result("trotter-schedule", dense_dims, dense_errors[:, 0], 1e-10),
+        _result("select-schedule", dense_dims, dense_errors[:, 1], 1e-10),
+        _result("prep-schedule", dense_dims, dense_errors[:, 2], 1e-10),
+        _result("dft-oracle", census_dims, dft_errors.max(axis=1), 1e-10, dft_ok, detail),
+        _result("select-census", census_dims, census_errors, 1e-9, census_ok, mismatch + offsets_seen),
+    ]
 
 
 def run_suites(
-    phi_max: float,
-    dense_cap: int,
-    census_cap: int,
-    inject: float = 0.0,
+    phi_max: float, dense_cap: int, census_cap: int, inject: float = 0.0
 ) -> Iterator[SuiteResult]:
-    """Run the six suites in order, yielding each result as it completes.
+    """Run the six suites and yield their results in order, once verify_pass has run.
 
-    dense_cap bounds the dense pass (trotter, select and prep suites),
-    census_cap the census pass (dft and census suites); inject perturbs one
-    selection angle to show that the select suite detects it.
+    dense_cap bounds the trotter, select and prep suites, census_cap the
+    dft and census suites; inject perturbs one selection angle to show that
+    the select suite detects it.
 
     Raises:
-        ValueError: for a cap below 3, or a phi_max whose smallest exact
-            coefficient at the largest d checked, twice the irreducibility
-            floor, is below the smallest normal float: there the
-            coefficients lose precision and no verdict would hold.
+        ValueError: for a cap below 3 or above MAX_NUMERATOR_D, or a phi_max
+            whose smallest exact coefficient at the largest d checked, twice
+            the irreducibility floor, is below the smallest normal float:
+            there the coefficients lose precision and no verdict would hold.
     """
     for flag, value in (("--d-max", dense_cap), ("--census-max", census_cap)):
         if value < 3:
             raise ValueError(f"empty scan range: {flag}={value} is below the smallest odd d, 3")
+        if value > MAX_NUMERATOR_D:
+            raise ValueError(
+                f"{flag}={value} is too large: the selection numerators are exact in int64 "
+                f"only up to d = {MAX_NUMERATOR_D}"
+            )
     check_phi_max(phi_max)
     cap = max(dense_cap, census_cap)
     d = cap - 1 + cap % 2
-    register_width(d)
     if 2.0 * irreducibility_floor(phi_max, d) < sys.float_info.min:
         raise ValueError(
             f"phi_max={phi_max} is too small for the cap {cap}: the smallest coefficient "
             f"at d={d} is below the smallest normal float {sys.float_info.min:.3g}"
         )
-    yield from dense_pass(phi_max, dense_cap, inject)
-    yield suite_projector(phi_max)
-    yield from census_pass(phi_max, census_cap)
+    *dense, dft, census = verify_pass(phi_max, dense_cap, census_cap, inject)
+    yield from (*dense, suite_projector(phi_max), dft, census)

@@ -206,6 +206,26 @@ def test_verify_detects_injected_angle_error(capsys):
     assert any("select-schedule" in ln and "FAIL" in ln for ln in out.splitlines())
 
 
+def test_verify_injected_angle_error_moves_only_the_select_schedule_line(capsys):
+    argv = ["verify", "--d-max", "9", "--census-max", "15"]
+    _, clean, _ = run_cli(capsys, *argv)
+    code, bent, _ = run_cli(capsys, *argv, "--inject-angle-error", "1e-3")
+    assert code == 1
+    clean, bent = clean.splitlines(), bent.splitlines()
+    assert bent[1].split()[:2] == ["select-schedule", "FAIL"]
+    assert bent[:1] + bent[2:] == clean[:1] + clean[2:]
+
+
+@pytest.mark.parametrize("flag", ["--d-max", "--census-max"])
+def test_verify_rejects_a_cap_beyond_the_exact_numerators(capsys, flag):
+    # 4 d^2 must fit in int64; no array is allocated before the check
+    code, out, err = run_cli(capsys, "verify", flag, "10000000000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}=10000000000000 is too large")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_verify_rejects_a_nonfinite_injected_error(capsys, bad):
     code, out, err = run_cli(

@@ -29,11 +29,11 @@ from quditcost.lcu import (
 )
 from quditcost.pauli import beta_closed_form, select_diag_phases
 from quditcost.simverify import (
-    dense_pass,
     fan_state,
     ladder_diagonal,
     nontrivial_count,
     phase_error,
+    verify_pass,
 )
 
 
@@ -355,4 +355,4 @@ def test_prep_rejects_vanishing_amplitude():
     # the pass that builds the preparation raises on the closed form's
     # vanishing coefficients in select_diag_phases, before the preparation
     with pytest.raises(ValueError, match="c_1 vanishes"):
-        next(dense_pass(0.0, 5))
+        verify_pass(0.0, 5, 3)

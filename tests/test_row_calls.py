@@ -5,9 +5,9 @@ hook, as tests/test_reachability.py does, and counts per printed row the
 calls of the one dimension check, the qudit one-norm and the synthesis
 cost of a rotation.  A report checks its scalar inputs once, whatever its
 row count, and so does `verify`.  `verify` builds each closed form, each
-selection phase list and each exact numerator array once per dimension in
-the passes that read them, and a process sums the one-norm weights of
-each small d once.
+selection phase list and schedule, each one-norm and each exact numerator
+array once per dimension, in one pass for all its per-d suites, and a
+process sums the one-norm weights of each small d once.
 """
 
 import contextlib
@@ -94,25 +94,24 @@ def calls_of(code, argv):
     return calls
 
 
-def test_verify_builds_each_closed_form_once_per_dimension_per_pass():
-    calls = calls_of(pauli.beta_closed_form.__code__, ["verify", "--d-max", "9", "--census-max", "15"])
-    # the dense pass over d = 3 .. 9, the census pass over d = 3 .. 15
-    assert calls == 4 + 7
-
-
 @pytest.mark.parametrize(
-    "function,calls",
+    "function",
     [
-        # the dense pass's target and schedule share one phase list per d; the
-        # census pass builds one per d for its float schedule
-        (pauli.select_diag_phases, 4 + 7),
+        pauli.beta_closed_form,
+        # the select-schedule target and the schedules share one phase list per d
+        pauli.select_diag_phases,
+        # the select-schedule check and the census read one float schedule per d
+        lcu.fixed_encoding_select_schedule,
+        # the preparation amplitudes and the one-norm check share it
+        costmodel.clock_one_norm,
         # one exact N_k array per census d feeds the count and the closed-form angles
-        (lcu.select_numerators, 7),
+        lcu.select_numerators,
     ],
-    ids=["select_diag_phases", "select_numerators"],
+    ids=lambda function: function.__name__,
 )
-def test_verify_builds_each_array_once_per_dimension(function, calls):
-    assert calls_of(function.__code__, ["verify", "--d-max", "9", "--census-max", "15"]) == calls
+def test_verify_builds_each_array_once_per_dimension(function):
+    # one pass over d = 3 .. 15: the dense suites read d <= 9, the census suites all seven
+    assert calls_of(function.__code__, ["verify", "--d-max", "9", "--census-max", "15"]) == 7
 
 
 def test_a_process_sums_the_one_norm_weights_once_per_dimension(monkeypatch):

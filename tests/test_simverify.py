@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from quditcost import simverify
+from quditcost.lcu import MAX_NUMERATOR_D
 from quditcost.simverify import (
-    census_pass,
-    dense_pass,
     fan_state,
     ladder_diagonal,
     phase_error,
     run_suites,
+    verify_pass,
 )
 
 
 def named(name, results):
-    """The result of the suite called name among a pass's results."""
+    """The result of the suite called name among the results."""
     return {result.name: result for result in results}[name]
 
 
@@ -138,13 +138,14 @@ def test_equal_up_to_global_phase_dim_mismatch():
 
 def test_census_suite_passes_above_1155():
     # 1155 = 3 5 7 11 is the first odd d with four distinct primes, offset 7
-    result = named("select-census", census_pass(1.0, 1155))
+    result = named("select-census", verify_pass(1.0, 3, 1155))
     assert result.ok
     assert result.detail == "offsets d-1-s(d): {0, 1, 3, 7}"
 
 
-def test_run_suites_yields_six_named_results():
-    results = list(run_suites(1.0, 9, 15))
+@pytest.mark.parametrize("dense_cap,census_cap", [(9, 15), (15, 9), (15, 15)])
+def test_run_suites_yields_six_named_results(dense_cap, census_cap):
+    results = list(run_suites(1.0, dense_cap, census_cap))
     assert [r.name for r in results] == [
         "trotter-schedule",
         "select-schedule",
@@ -154,6 +155,11 @@ def test_run_suites_yields_six_named_results():
         "select-census",
     ]
     assert all(r.ok for r in results)
+    # each suite counts the odd d up to its own cap
+    dense, projector, census = results[:3], results[3], results[4:]
+    assert [(r.cases, r.worst_d <= dense_cap) for r in dense] == [((dense_cap - 1) // 2, True)] * 3
+    assert [(r.cases, r.worst_d <= census_cap) for r in census] == [((census_cap - 1) // 2, True)] * 2
+    assert projector.cases == 14
 
 
 @pytest.mark.parametrize(
@@ -174,9 +180,21 @@ def test_run_suites_rejects_a_phi_max_with_subnormal_coefficients(
         next(run_suites(phi_max, dense_cap, census_cap))
 
 
-@pytest.mark.parametrize("dense_cap,census_cap", [(2, 15), (9, 1)])
+@pytest.mark.parametrize(
+    "dense_cap,census_cap",
+    [
+        (2, 15),
+        (9, 1),
+        # above MAX_NUMERATOR_D the exact numerators 4 d^2 overflow int64
+        (10**13, 15),
+        (9, 10**13),
+        (MAX_NUMERATOR_D + 2, 15),
+        (9, MAX_NUMERATOR_D + 2),
+    ],
+)
 def test_run_suites_rejects_caps(dense_cap, census_cap):
-    with pytest.raises(ValueError):
+    flag = "--d-max" if not 3 <= dense_cap <= MAX_NUMERATOR_D else "--census-max"
+    with pytest.raises(ValueError, match=f"{flag}="):
         next(run_suites(1.0, dense_cap, census_cap))
 
 
@@ -217,7 +235,7 @@ def flip_first_sign(only_d=None):
 def test_dft_suite_fails_on_a_perturbed_coefficient(monkeypatch):
     phi_max = 2.5
     closed_form_with(monkeypatch, with_beta(1, 1e-9 * phi_max**2))
-    result = named("dft-oracle", census_pass(phi_max, 15))
+    result = named("dft-oracle", verify_pass(phi_max, 3, 15))
     assert not result.ok
     # the coefficient errors are relative to phi_max^2
     assert result.worst >= 1e-9
@@ -226,21 +244,21 @@ def test_dft_suite_fails_on_a_perturbed_coefficient(monkeypatch):
 @pytest.mark.parametrize("phi_max", [0.1, 1e4])
 def test_dft_suite_errors_are_relative_to_phi_max_squared(phi_max):
     # at phi_max = 1 the worst error up to d = 65 is about 3e-15
-    result = named("dft-oracle", census_pass(phi_max, 65))
+    result = named("dft-oracle", verify_pass(phi_max, 3, 65))
     assert result.ok
     assert result.worst < 1e-13
 
 
 def test_dft_suite_names_the_dimension_of_its_worst_error(monkeypatch):
     closed_form_with(monkeypatch, with_beta(2, 1e-9, only_d=7))
-    result = named("dft-oracle", census_pass(1.0, 15))
+    result = named("dft-oracle", verify_pass(1.0, 3, 15))
     assert not result.ok
     assert (result.cases, result.worst_d) == (7, 7)
 
 
 def test_dft_suite_fails_on_a_nan_coefficient(monkeypatch):
     closed_form_with(monkeypatch, with_beta(1, math.nan))
-    result = named("dft-oracle", census_pass(1.0, 15))
+    result = named("dft-oracle", verify_pass(1.0, 3, 15))
     assert not result.ok
     assert math.isnan(result.worst)
     assert result.worst_d == 3
@@ -248,7 +266,7 @@ def test_dft_suite_fails_on_a_nan_coefficient(monkeypatch):
 
 def test_dft_suite_detects_a_flipped_sign(monkeypatch):
     closed_form_with(monkeypatch, flip_first_sign())
-    result = named("dft-oracle", census_pass(1.0, 15))
+    result = named("dft-oracle", verify_pass(1.0, 3, 15))
     assert not result.ok
     assert result.detail == "sign-threshold equivalence violated"
     # the coefficients themselves still agree with the oracle
@@ -257,7 +275,7 @@ def test_dft_suite_detects_a_flipped_sign(monkeypatch):
 
 def test_census_reads_the_closed_form_that_the_dft_check_reads(monkeypatch):
     closed_form_with(monkeypatch, flip_first_sign(only_d=7))
-    dft, census = census_pass(1.0, 15)
+    *_, dft, census = verify_pass(1.0, 3, 15)
     assert not dft.ok and dft.detail == "sign-threshold equivalence violated"
     # the flipped sign bends the float selection ladder at d = 7 only
     assert not census.ok
@@ -269,7 +287,7 @@ def test_census_suite_fails_on_an_off_by_one_count(monkeypatch):
     monkeypatch.setattr(
         simverify, "select_nontrivial_count", lambda numerators: count(numerators) + 1
     )
-    result = named("select-census", census_pass(1.0, 15))
+    result = named("select-census", verify_pass(1.0, 3, 15))
     assert not result.ok
     # the first d where the float schedule and the exact count disagree
     assert result.detail.startswith("count mismatch at d=3 (float 2, exact 3)")
@@ -286,7 +304,7 @@ def test_census_suite_fails_on_a_corrupted_exact_numerator(monkeypatch):
         return n
 
     monkeypatch.setattr(simverify, "select_numerators", bent)
-    result = named("select-census", census_pass(1.0, 15))
+    result = named("select-census", verify_pass(1.0, 3, 15))
     assert not result.ok
     # the gap is pi/d, largest at d = 3
     assert result.worst == pytest.approx(math.pi / 3, rel=1e-12)
@@ -297,7 +315,7 @@ def test_census_suite_passes_up_to_5733():
     # the float count first departs from the exact one at d = 5735, where an
     # exactly trivial angle lands 1.06e-10 from 0 mod 4 pi, past the 1e-10
     # triviality tolerance
-    result = named("select-census", census_pass(1.0, 5733))
+    result = named("select-census", verify_pass(1.0, 3, 5733))
     assert result.ok, result
     assert result.worst <= 1e-9
 
@@ -317,6 +335,6 @@ def test_prep_suite_fails_on_a_nan_angle(monkeypatch):
         return angles
 
     monkeypatch.setattr(simverify, "prep_ry_schedule", bent)
-    result = named("prep-schedule", dense_pass(1.0, 9))
+    result = named("prep-schedule", verify_pass(1.0, 9, 3))
     assert not result.ok
     assert math.isnan(result.worst)
