@@ -15,19 +15,4 @@ __all__ = [
     "ResourceReport",
     "ratio_and_budget",
     "lcu_fixed_encoding_thresholds",
-    "SuiteResult",
-    "run_suites",
 ]
-
-
-def __getattr__(name: str):
-    """SuiteResult and run_suites, from simverify and numpy, loaded on first use.
-
-    The report commands import only the stdlib; the verify side loads when
-    it is used.
-    """
-    if name in ("SuiteResult", "run_suites"):
-        from . import simverify
-
-        return getattr(simverify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

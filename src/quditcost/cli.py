@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import typing
@@ -27,6 +26,8 @@ MODEL_KEYS = SynthesisModel._fields
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG_ERROR = 2
+# 128 + SIGPIPE: stdout was closed before the output was written
+EXIT_BROKEN_PIPE = 141
 
 # Default caps of `verify`: the largest d of the dense schedule suites, and
 # of the coefficient and census suites.
@@ -152,6 +153,14 @@ def _fmt(value) -> str:
     return format(value, ".9g")
 
 
+def _header_text(value) -> str:
+    """A CSV header value: as in a row, unless a float needs more than 9 digits to read back."""
+    if isinstance(value, str):
+        return value
+    text = _fmt(value)
+    return repr(value) if isinstance(value, float) and float(text) != value else text
+
+
 # str.format conversion and spec of an int and of a float column, per output
 # format: the bytes of _fmt in CSV ({:d} raises on a float, where %d would
 # truncate it), and of json in JSON, whose float is float.__repr__
@@ -207,7 +216,7 @@ def _emit(args: argparse.Namespace, rows: list[str]) -> None:
         # each row ends in ",\n", but the last one takes no comma
         lines = [head, *rows[:-1], rows[-1][:-2] + "\n  ]\n}\n"]
     else:
-        lines = [f"# {key}={_fmt(val) if not isinstance(val, str) else val}\n" for key, val in meta.items()]
+        lines = [f"# {key}={_header_text(val)}\n" for key, val in meta.items()]
         lines.append(",".join(args.row_type._fields) + "\n")
         lines += rows
     # line by line, so that the text of the rows is not held a second time, joined
@@ -232,14 +241,11 @@ def _pf_report(args: argparse.Namespace, ds: typing.Sequence[int], model: Synthe
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not math.isfinite(args.inject_angle_error):
-        raise ConfigError(f"--inject-angle-error must be finite, got {args.inject_angle_error}")
     # the verify side needs numpy; the report commands never load it
     from .simverify import run_suites
 
-    all_ok = True
-    for result in run_suites(args.phi_max, args.d_max, args.census_max, args.inject_angle_error):
-        all_ok = all_ok and result.ok
+    results = run_suites(args.phi_max, args.d_max, args.census_max, args.inject_angle_error)
+    for result in results:
         line = (
             f"{result.name:<17} {'pass' if result.ok else 'FAIL'}  max_error={result.worst:.3e}"
             f"  cases={result.cases} worst_d={result.worst_d}"
@@ -247,7 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if result.detail:
             line += f"  {result.detail}"
         print(line)
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY_FAILED
 
 
 def _add_report_flags(
@@ -342,7 +348,17 @@ def main(argv: list[str] | None = None) -> int:
         _PARSER = _build_parser()
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed stdout shows here, not in the interpreter's exit flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # as `| head` does: the exit flush then writes to the null device, and
+        # the code is the one a shell reports for a process that SIGPIPE ended
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -119,23 +119,14 @@ class SynthesisModel(_SynthesisFields):
 DEFAULT_MODEL = SynthesisModel()
 
 
-def rz_cost(delta: float, model: SynthesisModel = DEFAULT_MODEL) -> float:
-    """Synthesis cost of one qubit Z rotation to accuracy delta."""
-    if not MIN_ROTATION_BUDGET <= delta < 1.0:
-        raise ValueError(
-            f"synthesis accuracy must lie in [{MIN_ROTATION_BUDGET:.3g}, 1), got {delta}"
-        )
-    return model.rz_slope * math.log2(1.0 / delta) + model.rz_intercept
+def rz_cost(budget: float, rotations: int, d: int, model: SynthesisModel = DEFAULT_MODEL) -> float:
+    """Synthesis cost of each of the qubit Z rotations that split an accuracy budget uniformly.
 
-
-def rotation_budget(budget: float, rotations: int, d: int) -> float:
-    """Share budget / rotations of each of the rotations that split a budget uniformly.
-
-    d is the local dimension the rotation count belongs to; the error
-    names it.
+    Each rotation is synthesized to accuracy budget / rotations.  d is the
+    local dimension the rotation count belongs to; the error names it.
 
     Raises:
-        ValueError: if the share is below MIN_ROTATION_BUDGET.
+        ValueError: if the share is below MIN_ROTATION_BUDGET, or not below 1.
     """
     delta = budget / rotations
     if delta < MIN_ROTATION_BUDGET:
@@ -144,7 +135,11 @@ def rotation_budget(budget: float, rotations: int, d: int) -> float:
             f"{rotations} rotations it leaves {delta!r} per rotation, below the "
             f"smallest normal float {MIN_ROTATION_BUDGET!r}"
         )
-    return delta
+    if not delta < 1.0:
+        raise ValueError(
+            f"synthesis accuracy must lie in [{MIN_ROTATION_BUDGET:.3g}, 1), got {delta}"
+        )
+    return model.rz_slope * math.log2(1.0 / delta) + model.rz_intercept
 
 
 def check_finite(d: int, t: float | None, eps: float, *values: float) -> None:
@@ -180,10 +175,9 @@ def break_even(
     The rotations belong to dimension d; t and eps are the row's evolution
     time and accuracy, which an overflow error names with d.
     """
-    delta = rotation_budget(budget, rotations, d)
+    rz = rz_cost(budget, rotations, d, model)
     log_term = math.log2(rotations / budget)
     denominator = queries * rotations * log_term
-    rz = rz_cost(delta, model)
     check_finite(d, t, eps, qubit_cost, denominator, rz)
     return qubit_cost / denominator, rz / log_term
 
@@ -215,7 +209,7 @@ def pf_thresholds(
     for d in ds:
         n_b = register_width(d)
         l_qb = n_b * (n_b + 1) // 2
-        qubit_cost = l_qb * rz_cost(rotation_budget(eps, l_qb, d), model)
+        qubit_cost = l_qb * rz_cost(eps, l_qb, d, model)
         a_max, a_rz = break_even(qubit_cost, 1, d - 1, eps, d, None, eps, model)
         rows.append(row(d, a_max, a_rz, a_max > a_rz))
     return rows
@@ -395,7 +389,7 @@ def ratio_and_budget(
     for d in ds:
         n_b, alpha_qb, q_qb, per_call_qb, total_qb, alpha_qd, q_qd = _query_counts(phi_max, d, t, eps_sim, log_term)
         rotations = 2 * (2**n_b - 1) + n_b
-        per_call_qd = rotations * rz_cost(rotation_budget(eps_sim / q_qd, rotations, d), model) + 4 * n_b
+        per_call_qd = rotations * rz_cost(eps_sim / q_qd, rotations, d, model) + 4 * n_b
         total_qd = q_qd * per_call_qd
         delta = total_qb - total_qd
         switches = q_qd * k

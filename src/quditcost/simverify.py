@@ -14,22 +14,22 @@ no Python loop runs per level.
 The six suites that `quditcost verify` runs check every schedule and
 coefficient construction against this oracle, the FFT coefficient oracle
 or exact integer arithmetic, for all odd d up to a cap, and each returns
-its own SuiteResult.  Five of them read the closed form, so one pass
-(verify_pass) builds the closed form, the selection phases, the float
-selection schedule and the one-norm once per odd d up to the larger cap:
-it checks the three schedules where d is within the dense cap, and the
-coefficients and the census where d is within the census cap.  The
-projector suite runs on its own.  run_suites checks phi_max and the caps
-once, before any builder runs; the builders take (phi_max, d) or arrays.
-The census compares whole numpy arrays per d, O(d log d) and O(d) work,
-so its cap can reach the thousands.  A NaN error anywhere is the worst
-error of its suite and fails it.
+its own SuiteResult.  run_suites is the one entry: it checks its four
+inputs, then one pass builds the closed form, the selection phases, the
+float selection schedule and the one-norm once per odd d up to the larger
+cap, checks the three schedules where d is within the dense cap and the
+coefficients and the census where d is within the census cap; the
+projector suite runs on its own.  The builders take (phi_max, d) or
+arrays.  The census compares whole numpy arrays per d,
+O(d log d) and O(d) work, so its cap can reach the thousands.  A NaN
+error anywhere is the worst error of its suite and fails it.
 """
 
 from __future__ import annotations
 
+import math
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -150,18 +150,20 @@ def _distinct_prime_count(n: int) -> int:
     return count + (n > 1)
 
 
-def verify_pass(
+def run_suites(
     phi_max: float, dense_cap: int, census_cap: int, inject: float = 0.0
 ) -> list[SuiteResult]:
-    """The five per-d suites, from one closed form, phase list, ladder and one-norm per d.
+    """The six suites, from one closed form, phase list, ladder and one-norm per d.
+
+    All four inputs are checked before any suite runs.
 
     Over the odd d <= dense_cap: trotter-schedule, native step schedules
     realize diag(e^(-i t lambda_n^2)) at three times; select-schedule, the
     selection schedule realizes the selection phases, and inject bends one
-    angle of a copy that only this check reads; prep-schedule, the
-    preparation loads the amplitudes sqrt(|beta_r| / Lambda) from |0>.  A
-    vanishing coefficient raises in select_diag_phases, before any schedule
-    is built.
+    angle of a copy that only this check reads, to show that the check
+    detects it; prep-schedule, the preparation loads the amplitudes
+    sqrt(|beta_r| / Lambda) from |0>.  A vanishing coefficient raises in
+    select_diag_phases, before any schedule is built.
 
     Over the odd d <= census_cap: dft-oracle compares the closed-form
     coefficients with the FFT oracle: values, Hermiticity, one-norm and
@@ -194,8 +196,34 @@ def verify_pass(
     The detail names the first d where the float and exact counts differ,
     and lists the offsets that occurred.
 
-    Returns the results of trotter, select, prep, dft and census, in order.
+    Returns the results of trotter, select, prep, projector-diag
+    (suite_projector), dft and census, in print order.
+
+    Raises:
+        ValueError: for a non-finite inject, a cap below 3 or above
+            MAX_NUMERATOR_D, or a phi_max whose smallest exact coefficient at
+            the largest d checked, twice the irreducibility floor, is below
+            the smallest normal float: there the coefficients lose precision
+            and no verdict would hold.
     """
+    if not math.isfinite(inject):
+        raise ValueError(f"--inject-angle-error must be finite, got {inject}")
+    for flag, value in (("--d-max", dense_cap), ("--census-max", census_cap)):
+        if value < 3:
+            raise ValueError(f"empty scan range: {flag}={value} is below the smallest odd d, 3")
+        if value > MAX_NUMERATOR_D:
+            raise ValueError(
+                f"{flag}={value} is too large: the selection numerators are exact in int64 "
+                f"only up to d = {MAX_NUMERATOR_D}"
+            )
+    check_phi_max(phi_max)
+    cap = max(dense_cap, census_cap)
+    d = cap - 1 + cap % 2
+    if 2.0 * irreducibility_floor(phi_max, d) < sys.float_info.min:
+        raise ValueError(
+            f"phi_max={phi_max} is too small for the cap {cap}: the smallest coefficient "
+            f"at d={d} is below the smallest normal float {sys.float_info.min:.3g}"
+        )
     dense_dims, census_dims = range(3, dense_cap + 1, 2), range(3, census_cap + 1, 2)
     dense_errors = np.empty((len(dense_dims), 3))
     dft_errors = np.empty((len(census_dims), 3))
@@ -204,7 +232,7 @@ def verify_pass(
     signs_ok = census_ok = True
     offsets = set()
     mismatch = ""
-    for i, d in enumerate(range(3, max(dense_cap, census_cap) + 1, 2)):
+    for i, d in enumerate(range(3, cap + 1, 2)):
         betas, c_amps = beta_closed_form(phi_max, d)
         thetas = select_diag_phases(phi_max, c_amps)
         angles = fixed_encoding_select_schedule(thetas)
@@ -249,41 +277,7 @@ def verify_pass(
         _result("trotter-schedule", dense_dims, dense_errors[:, 0], 1e-10),
         _result("select-schedule", dense_dims, dense_errors[:, 1], 1e-10),
         _result("prep-schedule", dense_dims, dense_errors[:, 2], 1e-10),
+        suite_projector(phi_max),
         _result("dft-oracle", census_dims, dft_errors.max(axis=1), 1e-10, dft_ok, detail),
         _result("select-census", census_dims, census_errors, 1e-9, census_ok, mismatch + offsets_seen),
     ]
-
-
-def run_suites(
-    phi_max: float, dense_cap: int, census_cap: int, inject: float = 0.0
-) -> Iterator[SuiteResult]:
-    """Run the six suites and yield their results in order, once verify_pass has run.
-
-    dense_cap bounds the trotter, select and prep suites, census_cap the
-    dft and census suites; inject perturbs one selection angle to show that
-    the select suite detects it.
-
-    Raises:
-        ValueError: for a cap below 3 or above MAX_NUMERATOR_D, or a phi_max
-            whose smallest exact coefficient at the largest d checked, twice
-            the irreducibility floor, is below the smallest normal float:
-            there the coefficients lose precision and no verdict would hold.
-    """
-    for flag, value in (("--d-max", dense_cap), ("--census-max", census_cap)):
-        if value < 3:
-            raise ValueError(f"empty scan range: {flag}={value} is below the smallest odd d, 3")
-        if value > MAX_NUMERATOR_D:
-            raise ValueError(
-                f"{flag}={value} is too large: the selection numerators are exact in int64 "
-                f"only up to d = {MAX_NUMERATOR_D}"
-            )
-    check_phi_max(phi_max)
-    cap = max(dense_cap, census_cap)
-    d = cap - 1 + cap % 2
-    if 2.0 * irreducibility_floor(phi_max, d) < sys.float_info.min:
-        raise ValueError(
-            f"phi_max={phi_max} is too small for the cap {cap}: the smallest coefficient "
-            f"at d={d} is below the smallest normal float {sys.float_info.min:.3g}"
-        )
-    *dense, dft, census = verify_pass(phi_max, dense_cap, census_cap, inject)
-    yield from (*dense, suite_projector(phi_max), dft, census)

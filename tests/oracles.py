@@ -54,7 +54,6 @@ from quditcost.costmodel import (
     check_phi_max,
     clock_one_norm,
     register_width,
-    rotation_budget,
     rz_cost,
 )
 from quditcost.pauli import level_array
@@ -270,7 +269,7 @@ def pf_row(d: int, eps: float, model: SynthesisModel = DEFAULT_MODEL) -> PfRow:
     if eps < MIN_CALL_BUDGET:
         raise ValueError(f"target accuracy eps={eps} is below {MIN_CALL_BUDGET:g}")
     l_qb = n_b * (n_b + 1) // 2
-    qubit_cost = l_qb * rz_cost(rotation_budget(eps, l_qb, d), model)
+    qubit_cost = l_qb * rz_cost(eps, l_qb, d, model)
     a_max, a_rz = break_even(qubit_cost, 1, d - 1, eps, d, None, eps, model)
     return PfRow(d, a_max, a_rz, a_max > a_rz)
 
@@ -362,7 +361,7 @@ def total_cost_qudit_hybrid(
     eps_be = eps_sim / q
     n_b = grid.n_b
     rotations = 2 * (2**n_b - 1) + n_b
-    per_call = rotations * rz_cost(rotation_budget(eps_be, rotations, grid.d), model) + 4 * n_b
+    per_call = rotations * rz_cost(eps_be, rotations, grid.d, model) + 4 * n_b
     return CostChain(alpha, q, eps_be, per_call, q * per_call)
 
 

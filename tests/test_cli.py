@@ -188,6 +188,46 @@ def test_lcu_table_json_meta(capsys):
     assert isinstance(a_max, float)
 
 
+@pytest.mark.parametrize(
+    "command,options",
+    [
+        ("scan-ratio", {"--phi-max": "1.00000000001", "--eps-sim": "1.234567891234e-07", "--t": "0.1234567891234"}),
+        ("lcu-table", {"--phi-max": "2.718281828459045", "--eps-sim": "9.87654321012e-05", "--t": "3000.0000001"}),
+        ("pf-thresholds", {"--phi-max": "1.00000000001", "--eps": "1.234567891234e-07"}),
+    ],
+)
+def test_csv_header_floats_read_back_as_passed(capsys, command, options):
+    # each value needs more than 9 significant digits, which a row would round to
+    argv = [command, "--d-max", "5", *(item for pair in options.items() for item in pair)]
+    code, csv_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    meta = json.loads(json_out)["meta"]
+    header = dict(line[2:].split("=", 1) for line in csv_out.splitlines() if line.startswith("# "))
+    for flag, text in options.items():
+        key = flag[2:].replace("-", "_")
+        assert float(header[key]) == float(text) == meta[key], key
+
+
+def test_closed_stdout_exits_141_and_prints_nothing():
+    # stdout is a pipe whose reader is gone, as in `quditcost ... | head -0`;
+    # with and without buffering the error surfaces inside main
+    env = {key: value for key, value in os.environ.items() if key != CONFIG_ENV_VAR}
+    env["PYTHONPATH"] = str(Path(quditcost.__file__).resolve().parents[1])
+    for argv in (["scan-ratio", "--d-max", "5"], ["verify", "--d-max", "5", "--census-max", "5"]):
+        for unbuffered in ("1", ""):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "quditcost.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+                    env={**env, "PYTHONUNBUFFERED": unbuffered}, timeout=60,
+                )
+            finally:
+                os.close(write)
+            assert (proc.returncode, proc.stderr) == (141, b""), (argv, unbuffered)
+
+
 def test_verify_passes_quickly(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--d-max", "9", "--census-max", "15"
@@ -584,9 +624,8 @@ def test_report_commands_load_neither_numpy_nor_the_verify_suites(tmp_path):
 
 
 def test_every_exported_name_resolves():
-    assert len(quditcost.__all__) == 9
+    assert len(quditcost.__all__) == 7
     for name in quditcost.__all__:
         assert getattr(quditcost, name) is not None, name
-    assert quditcost.run_suites.__module__ == "quditcost.simverify"
     with pytest.raises(AttributeError, match="no attribute 'levels'"):
         quditcost.levels

@@ -15,23 +15,23 @@ PRIMES_TO_19 = [3, 5, 7, 11, 13, 17, 19]
 
 
 def test_rz_cost_values():
-    assert rz_cost(0.5) == pytest.approx(9.40, abs=1e-12)
-    assert rz_cost(1e-6) == pytest.approx(20.191, abs=1e-3)
+    assert rz_cost(0.5, 1, 3) == pytest.approx(9.40, abs=1e-12)
+    assert rz_cost(1e-6, 1, 3) == pytest.approx(20.191, abs=1e-3)
 
 
 def test_rz_cost_monotone():
-    assert rz_cost(1e-8) > rz_cost(1e-6)
+    assert rz_cost(1e-8, 1, 3) > rz_cost(1e-6, 1, 3)
 
 
 def test_rz_cost_domain():
     with pytest.raises(ValueError):
-        rz_cost(0.0)
+        rz_cost(0.0, 1, 3)
     with pytest.raises(ValueError):
-        rz_cost(1.0)
+        rz_cost(1.0, 1, 3)
     # subnormal accuracies lose precision and their reciprocals can overflow
     with pytest.raises(ValueError):
-        rz_cost(MIN_ROTATION_BUDGET / 2)
-    assert math.isfinite(rz_cost(MIN_ROTATION_BUDGET))
+        rz_cost(MIN_ROTATION_BUDGET / 2, 1, 3)
+    assert math.isfinite(rz_cost(MIN_ROTATION_BUDGET, 1, 3))
 
 
 def test_model_defaults_and_validation():
@@ -97,7 +97,7 @@ def test_make_checks_the_model_as_the_constructor_does(values, named):
 
 def test_model_override_changes_cost():
     flat = SynthesisModel(rz_slope=0.0, rz_intercept=1.0)
-    assert rz_cost(1e-6, flat) == 1.0
+    assert rz_cost(1e-6, 1, 3, flat) == 1.0
 
 
 def test_pf_threshold_reference_values():

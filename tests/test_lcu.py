@@ -33,7 +33,6 @@ from quditcost.simverify import (
     ladder_diagonal,
     nontrivial_count,
     phase_error,
-    verify_pass,
 )
 
 
@@ -352,7 +351,7 @@ def test_prep_rejects_broken_normalization():
 
 
 def test_prep_rejects_vanishing_amplitude():
-    # the pass that builds the preparation raises on the closed form's
-    # vanishing coefficients in select_diag_phases, before the preparation
+    # the verify pass raises on the closed form's vanishing coefficients in
+    # select_diag_phases, before it builds the preparation
     with pytest.raises(ValueError, match="c_1 vanishes"):
-        verify_pass(0.0, 5, 3)
+        select_diag_phases(0.0, beta_closed_form(0.0, 5)[1])

@@ -10,7 +10,6 @@ from quditcost.simverify import (
     ladder_diagonal,
     phase_error,
     run_suites,
-    verify_pass,
 )
 
 
@@ -138,14 +137,15 @@ def test_equal_up_to_global_phase_dim_mismatch():
 
 def test_census_suite_passes_above_1155():
     # 1155 = 3 5 7 11 is the first odd d with four distinct primes, offset 7
-    result = named("select-census", verify_pass(1.0, 3, 1155))
+    result = named("select-census", run_suites(1.0, 3, 1155))
     assert result.ok
     assert result.detail == "offsets d-1-s(d): {0, 1, 3, 7}"
 
 
 @pytest.mark.parametrize("dense_cap,census_cap", [(9, 15), (15, 9), (15, 15)])
 def test_run_suites_yields_six_named_results(dense_cap, census_cap):
-    results = list(run_suites(1.0, dense_cap, census_cap))
+    results = run_suites(1.0, dense_cap, census_cap)
+    assert isinstance(results, list)
     assert [r.name for r in results] == [
         "trotter-schedule",
         "select-schedule",
@@ -177,7 +177,7 @@ def test_run_suites_rejects_a_phi_max_with_subnormal_coefficients(
     phi_max, dense_cap, census_cap, cap
 ):
     with pytest.raises(ValueError, match=rf"phi_max={phi_max} .* cap {cap}"):
-        next(run_suites(phi_max, dense_cap, census_cap))
+        run_suites(phi_max, dense_cap, census_cap)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +195,15 @@ def test_run_suites_rejects_a_phi_max_with_subnormal_coefficients(
 def test_run_suites_rejects_caps(dense_cap, census_cap):
     flag = "--d-max" if not 3 <= dense_cap <= MAX_NUMERATOR_D else "--census-max"
     with pytest.raises(ValueError, match=f"{flag}="):
-        next(run_suites(1.0, dense_cap, census_cap))
+        run_suites(1.0, dense_cap, census_cap)
+
+
+@pytest.mark.parametrize("inject", [math.nan, math.inf, -math.inf])
+def test_run_suites_rejects_a_nonfinite_inject(inject, monkeypatch):
+    # checked before any suite runs, so no closed form is built
+    monkeypatch.setattr(simverify, "beta_closed_form", None)
+    with pytest.raises(ValueError, match="--inject-angle-error must be finite"):
+        run_suites(1.0, 9, 15, inject)
 
 
 def closed_form_with(monkeypatch, change):
@@ -235,7 +243,7 @@ def flip_first_sign(only_d=None):
 def test_dft_suite_fails_on_a_perturbed_coefficient(monkeypatch):
     phi_max = 2.5
     closed_form_with(monkeypatch, with_beta(1, 1e-9 * phi_max**2))
-    result = named("dft-oracle", verify_pass(phi_max, 3, 15))
+    result = named("dft-oracle", run_suites(phi_max, 3, 15))
     assert not result.ok
     # the coefficient errors are relative to phi_max^2
     assert result.worst >= 1e-9
@@ -244,21 +252,21 @@ def test_dft_suite_fails_on_a_perturbed_coefficient(monkeypatch):
 @pytest.mark.parametrize("phi_max", [0.1, 1e4])
 def test_dft_suite_errors_are_relative_to_phi_max_squared(phi_max):
     # at phi_max = 1 the worst error up to d = 65 is about 3e-15
-    result = named("dft-oracle", verify_pass(phi_max, 3, 65))
+    result = named("dft-oracle", run_suites(phi_max, 3, 65))
     assert result.ok
     assert result.worst < 1e-13
 
 
 def test_dft_suite_names_the_dimension_of_its_worst_error(monkeypatch):
     closed_form_with(monkeypatch, with_beta(2, 1e-9, only_d=7))
-    result = named("dft-oracle", verify_pass(1.0, 3, 15))
+    result = named("dft-oracle", run_suites(1.0, 3, 15))
     assert not result.ok
     assert (result.cases, result.worst_d) == (7, 7)
 
 
 def test_dft_suite_fails_on_a_nan_coefficient(monkeypatch):
     closed_form_with(monkeypatch, with_beta(1, math.nan))
-    result = named("dft-oracle", verify_pass(1.0, 3, 15))
+    result = named("dft-oracle", run_suites(1.0, 3, 15))
     assert not result.ok
     assert math.isnan(result.worst)
     assert result.worst_d == 3
@@ -266,7 +274,7 @@ def test_dft_suite_fails_on_a_nan_coefficient(monkeypatch):
 
 def test_dft_suite_detects_a_flipped_sign(monkeypatch):
     closed_form_with(monkeypatch, flip_first_sign())
-    result = named("dft-oracle", verify_pass(1.0, 3, 15))
+    result = named("dft-oracle", run_suites(1.0, 3, 15))
     assert not result.ok
     assert result.detail == "sign-threshold equivalence violated"
     # the coefficients themselves still agree with the oracle
@@ -275,7 +283,7 @@ def test_dft_suite_detects_a_flipped_sign(monkeypatch):
 
 def test_census_reads_the_closed_form_that_the_dft_check_reads(monkeypatch):
     closed_form_with(monkeypatch, flip_first_sign(only_d=7))
-    *_, dft, census = verify_pass(1.0, 3, 15)
+    *_, dft, census = run_suites(1.0, 3, 15)
     assert not dft.ok and dft.detail == "sign-threshold equivalence violated"
     # the flipped sign bends the float selection ladder at d = 7 only
     assert not census.ok
@@ -287,7 +295,7 @@ def test_census_suite_fails_on_an_off_by_one_count(monkeypatch):
     monkeypatch.setattr(
         simverify, "select_nontrivial_count", lambda numerators: count(numerators) + 1
     )
-    result = named("select-census", verify_pass(1.0, 3, 15))
+    result = named("select-census", run_suites(1.0, 3, 15))
     assert not result.ok
     # the first d where the float schedule and the exact count disagree
     assert result.detail.startswith("count mismatch at d=3 (float 2, exact 3)")
@@ -304,7 +312,7 @@ def test_census_suite_fails_on_a_corrupted_exact_numerator(monkeypatch):
         return n
 
     monkeypatch.setattr(simverify, "select_numerators", bent)
-    result = named("select-census", verify_pass(1.0, 3, 15))
+    result = named("select-census", run_suites(1.0, 3, 15))
     assert not result.ok
     # the gap is pi/d, largest at d = 3
     assert result.worst == pytest.approx(math.pi / 3, rel=1e-12)
@@ -315,13 +323,21 @@ def test_census_suite_passes_up_to_5733():
     # the float count first departs from the exact one at d = 5735, where an
     # exactly trivial angle lands 1.06e-10 from 0 mod 4 pi, past the 1e-10
     # triviality tolerance
-    result = named("select-census", verify_pass(1.0, 3, 5733))
+    result = named("select-census", run_suites(1.0, 3, 5733))
     assert result.ok, result
     assert result.worst <= 1e-9
 
 
-def test_select_suite_fails_on_a_nan_angle():
-    select = next(r for r in run_suites(1.0, 9, 15, math.nan) if r.name == "select-schedule")
+def test_select_suite_fails_on_a_nan_angle(monkeypatch):
+    schedule = simverify.fixed_encoding_select_schedule
+
+    def bent(thetas):
+        angles = schedule(thetas)
+        angles[0] = math.nan
+        return angles
+
+    monkeypatch.setattr(simverify, "fixed_encoding_select_schedule", bent)
+    select = named("select-schedule", run_suites(1.0, 9, 15))
     assert not select.ok
     assert math.isnan(select.worst)
 
@@ -335,6 +351,6 @@ def test_prep_suite_fails_on_a_nan_angle(monkeypatch):
         return angles
 
     monkeypatch.setattr(simverify, "prep_ry_schedule", bent)
-    result = named("prep-schedule", verify_pass(1.0, 9, 3))
+    result = named("prep-schedule", run_suites(1.0, 9, 3))
     assert not result.ok
     assert math.isnan(result.worst)
