@@ -220,7 +220,7 @@ def _emit(args: argparse.Namespace, rows: list[str]) -> None:
         lines.append(",".join(args.row_type._fields) + "\n")
         lines += rows
     # line by line, so that the text of the rows is not held a second time, joined
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.writelines(lines)
     else:

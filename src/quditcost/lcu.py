@@ -10,9 +10,10 @@ the index register and a comparator-driven sign flip; the preparation
 oracle loads the coefficient amplitudes with d - 1 embedded two-level Y
 rotations.  The tests build the clock ladder (tests/oracles.py); the sign
 flip marks r >= (d + 1) / 2, the coefficient sign rule the dft-oracle
-suite checks.  Both schedules are plain angle arrays: the selection the
-d - 1 Z angles on the adjacent pairs (k, k + 1), the preparation the
-d - 1 Y angles on the pairs (0, r).
+suite checks.  Every builder returns a plain numpy array: the projector
+diagonal one float per string, the selection schedule the d - 1 Z angles
+on the adjacent pairs (k, k + 1), the preparation the d - 1 Y angles on
+the pairs (0, r).  None checks what a verify suite checks.
 """
 
 from __future__ import annotations
@@ -39,15 +40,15 @@ def signed_labels(n_b: int) -> np.ndarray:
     return np.concatenate([magnitude, -magnitude])
 
 
-def qubit_projector_diag_oracle(phi_max: float, d: int) -> list[float]:
+def qubit_projector_diag_oracle(phi_max: float, d: int) -> np.ndarray:
     """Diagonal of the bit-pair projector sum on every register string.
 
-    Returns delta_phi^2 * sum_{r,s} 2^(r+s) * l_r * l_s per computational
-    string, with delta_phi = 2 * phi_max / (d - 1) and n_b = register_width(d),
-    the sum over the (r, s) projector pairs taken as one integer
-    quadratic form of the magnitude bits; agreement with
-    delta_phi^2 * label^2 (including both zero strings) is what the tests
-    certify.  The form is below 4^(n_b - 1), exact in int64 and as a float.
+    Returns the float array of delta_phi^2 * sum_{r,s} 2^(r+s) * l_r * l_s,
+    one per computational string, with delta_phi = 2 * phi_max / (d - 1)
+    and n_b = register_width(d), the sum over the (r, s) projector pairs
+    taken as one integer quadratic form of the magnitude bits; agreement
+    with delta_phi^2 * label^2 (including both zero strings) is what the
+    tests certify.  The form is below 4^(n_b - 1), exact in int64 and as a float.
     """
     n_b = register_width(d)
     if n_b > MAX_ORACLE_WIDTH:
@@ -57,7 +58,7 @@ def qubit_projector_diag_oracle(phi_max: float, d: int) -> list[float]:
     r = np.arange(n_b - 1)
     bits = (np.arange(2**n_b)[:, None] >> r) & 1
     pairs = np.int64(1) << (r[:, None] + r)
-    return ((2.0 * phi_max / (d - 1)) ** 2 * ((bits @ pairs) * bits).sum(axis=1)).tolist()
+    return (2.0 * phi_max / (d - 1)) ** 2 * ((bits @ pairs) * bits).sum(axis=1)
 
 
 def fixed_encoding_select_schedule(thetas: np.ndarray) -> np.ndarray:
@@ -110,23 +111,9 @@ def prep_ry_schedule(amps: np.ndarray) -> np.ndarray:
     mass, so each angle is assembled from its sine and cosine legs via
     atan2 on the exact tail sums; this keeps the final rotation an exact
     half-turn and the leftover amplitude on level 0 at roundoff level.
-
-    Raises:
-        ValueError: on a recursion ratio exceeding 1 + 1e-9, which signals
-            broken normalization upstream.
+    A wrong Lambda still gives angles; verify's prep and dft suites fail it.
     """
     # tail[i] = sum of squared amplitudes from position i on; the final
     # entry is the exact empty sum, so the last angle is an exact half-turn.
     tail = np.append(np.cumsum(np.square(amps[::-1]))[::-1], 0.0)
-    angles = 2.0 * np.arctan2(amps, np.sqrt(tail[1:]))
-
-    # a_r over the literal recursion denominator prod_{k<r} cos(theta_k / 2)
-    ratios = amps / np.cumprod(np.append(1.0, np.cos(angles[:-1] / 2.0)))
-    broken = np.flatnonzero(ratios > 1.0 + 1e-9)
-    if broken.size:
-        i = broken[0]
-        raise ValueError(
-            f"preparation ratio {ratios[i]} exceeds 1 at level {i + 1}; "
-            "amplitude normalization is inconsistent"
-        )
-    return angles
+    return 2.0 * np.arctan2(amps, np.sqrt(tail[1:]))

@@ -21,8 +21,8 @@ builds plain numpy arrays, the d levels (level_array; the tests keep a
 tuple-of-floats reference in tests/oracles.py) and the coefficients: the
 closed form, which forms the real c_r first and beta_r from them, and an
 independent discrete-Fourier-transform oracle, a numpy FFT of the squared
-levels in O(d log d) (the tests certify the FFT against the direct O(d^2)
-sum).  It also assembles the selection-oracle phase list from the c_r
+level array in O(d log d) (the tests certify the FFT against the direct
+O(d^2) sum).  It also assembles the selection-oracle phase list from the c_r
 signs, and holds the irreducibility floor, half the smallest exact |c_r|.
 """
 
@@ -60,16 +60,16 @@ def beta_closed_form(phi_max: float, d: int) -> tuple[np.ndarray, np.ndarray]:
     return betas, c_amps
 
 
-def beta_dft_oracle(phi_max: float, d: int) -> np.ndarray:
-    """Expansion coefficients by a numerical Fourier transform of the eigenvalues.
+def beta_dft_oracle(lam_sq: np.ndarray) -> np.ndarray:
+    """Expansion coefficients by a numerical Fourier transform of the squared levels.
 
     Computes beta_r = (1/d) * sum_n lambda_n^2 * omega^(-r n) as the FFT of
-    the squared grid levels, O(d log d).  Verification oracle only: it
-    shares no formula with the closed form.  np.fft is reached here, at
-    call time, because numpy loads it lazily and the report commands never
-    need it.
+    lam_sq = level_array(phi_max, d) ** 2, O(d log d).  Verification oracle
+    only: it shares no formula with the closed form.  np.fft is reached
+    here, at call time, because numpy loads it lazily and the report
+    commands never need it.
     """
-    return np.fft.fft(level_array(phi_max, d) ** 2) / d
+    return np.fft.fft(lam_sq) / len(lam_sq)
 
 
 def irreducibility_floor(phi_max: float, d: int) -> float:

@@ -16,13 +16,14 @@ coefficient construction against this oracle, the FFT coefficient oracle
 or exact integer arithmetic, for all odd d up to a cap, and each returns
 its own SuiteResult.  run_suites is the one entry: it checks its four
 inputs, then one pass builds the closed form, the selection phases, the
-float selection schedule and the one-norm once per odd d up to the larger
-cap, checks the three schedules where d is within the dense cap and the
-coefficients and the census where d is within the census cap; the
-projector suite runs on its own.  The builders take (phi_max, d) or
-arrays.  The census compares whole numpy arrays per d,
-O(d log d) and O(d) work, so its cap can reach the thousands.  A NaN
-error anywhere is the worst error of its suite and fails it.
+float selection schedule, the one-norm and the squared levels once per
+odd d up to the larger cap, checks the three schedules where d is within
+the dense cap and the coefficients and the census where d is within the
+census cap; the projector suite runs on its own.  The builders take
+(phi_max, d) or arrays, return arrays and leave every fault to the suites.
+The census compares whole numpy arrays per d, O(d log d) and O(d) work,
+so its cap can reach the thousands.  A NaN error anywhere is the worst
+error of its suite and fails it.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def suite_projector(phi_max: float) -> SuiteResult:
     dims = [d for n_b in range(2, 9) for d in (2 ** (n_b - 1) + 1, 2**n_b - 1)]
     errors = []
     for d in dims:
-        oracle = np.array(qubit_projector_diag_oracle(phi_max, d))
+        oracle = qubit_projector_diag_oracle(phi_max, d)
         scale = (2.0 * phi_max / (d - 1)) ** 2
         errors.append(np.max(np.abs(oracle - scale * signed_labels(register_width(d)) ** 2)))
     return _result("projector-diag", dims, errors, 0.0)
@@ -153,7 +154,7 @@ def _distinct_prime_count(n: int) -> int:
 def run_suites(
     phi_max: float, dense_cap: int, census_cap: int, inject: float = 0.0
 ) -> list[SuiteResult]:
-    """The six suites, from one closed form, phase list, ladder and one-norm per d.
+    """The six suites, from one closed form, phase list, ladder, one-norm and level array per d.
 
     All four inputs are checked before any suite runs.
 
@@ -237,8 +238,8 @@ def run_suites(
         thetas = select_diag_phases(phi_max, c_amps)
         angles = fixed_encoding_select_schedule(thetas)
         lambda_norm = clock_one_norm(phi_max, d)
+        lam_sq = level_array(phi_max, d) ** 2
         if d <= dense_cap:
-            lam_sq = level_array(phi_max, d) ** 2
             amps = np.sqrt(np.abs(betas[1:]) / lambda_norm)
             dense_errors[i] = (
                 np.max([
@@ -249,7 +250,7 @@ def run_suites(
                 np.linalg.norm(fan_state(prep_ry_schedule(amps)) - np.append(0.0, amps)),
             )
         if d <= census_cap:
-            oracle = beta_dft_oracle(phi_max, d)
+            oracle = beta_dft_oracle(lam_sq)
             one_norm = np.abs(oracle[1:]).sum()
             r = np.arange(1, d)
             dft_errors[i] = (

@@ -18,6 +18,9 @@ that the library uses as closed forms:
   leaves out (`ladder_global_phase`);
 * the clock-phase ladder of the d-level selection oracle, the n_b
   rotations inside the hybrid per-call count;
+* the binary-register preparation of the hybrid call, a Grover-Rudolph
+  tree of uniformly controlled Y rotations (quant-ph/0208112), the
+  2^n_b - 1 rotations per direction inside the same count;
 * the direct O(d^2) Fourier sum of the squared grid levels, which
   certifies the FFT coefficient oracle `pauli.beta_dft_oracle`;
 * trial division, which certifies the Miller-Rabin test `cli.is_prime`
@@ -206,6 +209,40 @@ def dclock_realized_phases(d: int) -> list[float]:
     for r in range(2 ** len(angles)):
         out.append(sum(a * (1 - 2 * ((r >> m) & 1)) for m, a in angles))
     return out
+
+
+def binary_prep_angles(amps: np.ndarray) -> list[np.ndarray]:
+    """Grover-Rudolph tree of uniformly controlled Y angles that loads amps from |0...0>.
+
+    amps holds 2^n nonnegative amplitudes of unit norm, index r in binary,
+    qubit 0 its most significant bit.  Level k = 0 .. n - 1 holds 2^k
+    angles, one R_y on qubit k per value j of qubits 0 .. k - 1: it splits
+    the squared mass of the indices with prefix j between the two halves,
+    theta = 2 atan2(sqrt(upper), sqrt(lower)), and a block without mass
+    takes theta = 0.  2^n - 1 angles in all.
+    """
+    mass = np.square(amps)
+    levels = []
+    for k in range(len(amps).bit_length() - 1):
+        halves = mass.reshape(2 ** (k + 1), -1).sum(axis=1)
+        levels.append(2.0 * np.arctan2(np.sqrt(halves[1::2]), np.sqrt(halves[0::2])))
+    return levels
+
+
+def binary_prep_state(levels: list[np.ndarray]) -> np.ndarray:
+    """State that the tree's levels reach from |0...0>, one uniformly controlled R_y at a time.
+
+    The R_y(theta) = exp(-i theta Y / 2) of level k acts on qubit k of every
+    block whose qubits 0 .. k - 1 read j, with the angle levels[k][j].
+    """
+    state = np.zeros(2 ** len(levels))
+    state[0] = 1.0
+    for k, angles in enumerate(levels):
+        blocks = state.reshape(2**k, 2, -1)
+        cos, sin = np.cos(angles / 2.0)[:, None], np.sin(angles / 2.0)[:, None]
+        lower, upper = blocks[:, 0], blocks[:, 1]
+        state = np.stack([cos * lower - sin * upper, sin * lower + cos * upper], axis=1).ravel()
+    return state
 
 
 def direct_dft_coefficients(grid: FieldGrid) -> np.ndarray:

@@ -30,7 +30,7 @@ from quditcost.lcu import (
     select_numerators,
     signed_labels,
 )
-from quditcost.pauli import beta_closed_form, beta_dft_oracle, select_diag_phases
+from quditcost.pauli import beta_closed_form, beta_dft_oracle, level_array, select_diag_phases
 from quditcost.simverify import fan_state, ladder_diagonal, phase_error
 from quditcost.trotter import qudit_trotter_angles
 
@@ -167,7 +167,7 @@ def test_criterion_9_coefficient_oracles():
     offsets = set()
     for d in range(3, 514, 2):
         closed, c_amps = beta_closed_form(1.0, d)
-        oracle = beta_dft_oracle(1.0, d)
+        oracle = beta_dft_oracle(level_array(1.0, d) ** 2)
         err = max(abs(a - b) for a, b in zip(closed, oracle))
         ok, worst = ok and err < 1e-10, max(worst, err)
         for r in range(1, d):

@@ -166,6 +166,17 @@ def test_output_determinism(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["scan-ratio", "lcu-table", "pf-thresholds"])
+def test_an_empty_out_path_is_config_error(capsys, command, fmt):
+    # an empty path names no file; the report goes nowhere, not to stdout
+    code, out, err = run_cli(capsys, command, "--d-max", "3", "--format", fmt, "--out", "")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 def test_lcu_table_t3000_values(capsys):
     code, out, _ = run_cli(capsys, "lcu-table", "--t", "3000", "--d-max", "23")
     assert code == 0

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from oracles import (
+    binary_prep_angles,
+    binary_prep_state,
     dclock_angles,
     dclock_realized_phases,
     make_grid,
@@ -12,6 +14,8 @@ from oracles import (
     qubit_blockencoding_cost,
 )
 
+from quditcost import simverify
+from quditcost.cli import main
 from quditcost.costmodel import (
     SynthesisModel,
     clock_one_norm,
@@ -65,7 +69,7 @@ def test_signed_register_sign_is_the_top_bit():
 
 
 def test_projector_diag_d3():
-    assert qubit_projector_diag_oracle(1.0, 3) == [0.0, 1.0, 0.0, 1.0]
+    assert qubit_projector_diag_oracle(1.0, 3).tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
 def test_projector_diag_negative_zero_invariance():
@@ -93,8 +97,8 @@ def test_projector_diag_equals_the_pair_by_pair_sum(phi_max):
     dims = [d for n_b in range(2, 9) for d in (2 ** (n_b - 1) + 1, 2**n_b - 1)]
     for d in (*dims, 4097):
         values = qubit_projector_diag_oracle(phi_max, d)
-        assert values == projector_pair_sum(make_grid(phi_max, d)), d
-        assert all(type(value) is float for value in values)
+        assert values.tolist() == projector_pair_sum(make_grid(phi_max, d)), d
+        assert values.dtype == np.float64
 
 
 def test_projector_diag_rejects_huge_register():
@@ -191,6 +195,36 @@ def test_dclock_realizes_clock_phases(d):
     for r, p in enumerate(phases):
         realized = cmath.exp(1j * (p - phases[0]))
         assert abs(realized - cmath.exp(1j * math.pi * r / d)) < 1e-12
+
+
+# ------------------------------------------------ binary-register preparation
+
+
+def binary_prep_amplitudes(d):
+    """sqrt(|beta_r| / Lambda) at index r = 1 .. d - 1 of the 2^n_b index strings, phi_max = 1."""
+    amps = np.zeros(2 ** register_width(d))
+    betas, _ = beta_closed_form(1.0, d)
+    amps[1:d] = np.sqrt(np.abs(betas[1:]) / clock_one_norm(1.0, d))
+    return amps
+
+
+def test_binary_prep_loads_the_amplitudes_with_the_priced_rotation_count():
+    # the hybrid call prices 2^n_b - 1 rotations per preparation direction
+    for d in range(3, 514, 2):
+        amps = binary_prep_amplitudes(d)
+        levels = binary_prep_angles(amps)
+        assert sum(len(angles) for angles in levels) == 2 ** register_width(d) - 1, d
+        assert np.linalg.norm(binary_prep_state(levels) - amps) <= 1e-12, d
+
+
+@pytest.mark.parametrize("n_b", range(2, 11))
+def test_binary_prep_trivial_angles_just_above_a_power_of_two(n_b):
+    # at d = 2^(n_b - 1) + 1 the upper half of the strings holds one nonzero
+    # amplitude, at its lowest index, so every angle below the first split
+    # there is 0: 2^(n_b - 1) - 1 of the 2^n_b - 1 are trivial
+    d = 2 ** (n_b - 1) + 1
+    angles = np.concatenate(binary_prep_angles(binary_prep_amplitudes(d)))
+    assert len(angles) - nontrivial_count(angles) == 2 ** (n_b - 1) - 1
 
 
 # -------------------------------------------------------------- sign flip
@@ -344,10 +378,18 @@ def test_prep_uses_exactly_d_minus_1_rotations():
         assert nontrivial_count(angles) == d - 1
 
 
-def test_prep_rejects_broken_normalization():
-    # amplitudes normalized by half the one-norm
-    with pytest.raises(ValueError, match="ratio"):
-        prep_ry_schedule(prep_amplitudes(5) * math.sqrt(2.0))
+@pytest.mark.parametrize("factor", [0.5, 2.0, 1 + 1e-8, 1 - 1e-8])
+def test_a_wrong_one_norm_fails_prep_and_dft(monkeypatch, capsys, factor):
+    # the preparation builds angles from amplitudes of any norm; the state
+    # it loads misses them, and the one-norm misses the FFT oracle's
+    one_norm = simverify.clock_one_norm
+    monkeypatch.setattr(simverify, "clock_one_norm", lambda phi_max, d: factor * one_norm(phi_max, d))
+    assert main(["verify", "--d-max", "9", "--census-max", "9"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 6
+    assert [line.split()[0] for line in lines if "FAIL" in line] == ["prep-schedule", "dft-oracle"]
+    assert captured.err == ""
 
 
 def test_prep_rejects_vanishing_amplitude():

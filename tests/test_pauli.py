@@ -11,6 +11,7 @@ from quditcost.lcu import prep_ry_schedule
 from quditcost.pauli import (
     beta_closed_form,
     beta_dft_oracle,
+    level_array,
     select_diag_phases,
 )
 
@@ -59,7 +60,7 @@ def test_zero_field_coefficients_vanish():
 def test_dft_oracle_agrees_small():
     for d in (3, 5, 7, 101):
         closed, _ = beta_closed_form(1.0, d)
-        oracle = beta_dft_oracle(1.0, d)
+        oracle = beta_dft_oracle(level_array(1.0, d) ** 2)
         worst = max(abs(a - b) for a, b in zip(closed, oracle))
         tol = 1e-12 if d <= 7 else 1e-10
         assert worst < tol, (d, worst)
@@ -70,7 +71,7 @@ def test_fft_oracle_matches_direct_sum(phi_max):
     # the direct sum certifies the FFT, within tolerances tighter than the
     # dft-oracle suite's bounds (1e-10 on coefficients and on the one-norm)
     for d in [*range(3, 258, 2), 513]:
-        fft = beta_dft_oracle(phi_max, d)
+        fft = beta_dft_oracle(level_array(phi_max, d) ** 2)
         direct = direct_dft_coefficients(make_grid(phi_max, d))
         assert np.max(np.abs(fft - direct)) <= 1e-12 * phi_max**2, d
         assert math.isclose(np.abs(fft[1:]).sum(), np.abs(direct[1:]).sum(), rel_tol=1e-11), d
@@ -78,7 +79,7 @@ def test_fft_oracle_matches_direct_sum(phi_max):
 
 def test_dft_inversion_identity_d7():
     g = make_grid(1.0, 7)
-    betas = beta_dft_oracle(1.0, 7)
+    betas = beta_dft_oracle(level_array(1.0, 7) ** 2)
     omega = cmath.exp(2j * math.pi / 7)
     for n in range(7):
         recon = sum(betas[r] * omega ** (r * n) for r in range(7))
@@ -104,7 +105,7 @@ def test_sign_pattern_and_antisymmetry():
 
 def test_lambda_norm_closed_vs_oracle():
     for d in (3, 17, 101, 513):
-        oracle = np.abs(beta_dft_oracle(1.0, d)[1:]).sum()
+        oracle = np.abs(beta_dft_oracle(level_array(1.0, d) ** 2)[1:]).sum()
         assert math.isclose(clock_one_norm(1.0, d), oracle, rel_tol=1e-10)
 
 
@@ -222,7 +223,7 @@ def test_smallest_coefficients_pass_the_irreducibility_guard(d):
     betas, c_amps = beta_closed_form(1.0, d)
     assert min(abs(c) for c in c_amps) < 1e-12
     assert len(select_diag_phases(1.0, c_amps)) == d
-    # and the preparation's normalization guard passes on their amplitudes
+    # and the preparation gives one angle per amplitude
     assert len(prep_ry_schedule(np.sqrt(np.abs(betas[1:]) / clock_one_norm(1.0, d)))) == d - 1
 
 
@@ -231,7 +232,7 @@ def test_oracle_matches_direct_summation_not_closed_form():
     # cannot secretly depend on the squared-field closed form
     d = 9
     g = make_grid(2.0, d)
-    betas = beta_dft_oracle(2.0, d)
+    betas = beta_dft_oracle(level_array(2.0, d) ** 2)
     lam_sq = np.array([lam**2 for lam in levels(g)])
     manual = [
         sum(lam_sq[n] * cmath.exp(-2j * math.pi * r * n / d) for n in range(d)) / d

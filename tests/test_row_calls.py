@@ -5,9 +5,9 @@ hook, as tests/test_reachability.py does, and counts per printed row the
 calls of the one dimension check, the qudit one-norm and the synthesis
 cost of a rotation.  A report checks its scalar inputs once, whatever its
 row count, and so does `verify`.  `verify` builds each closed form, each
-selection phase list and schedule, each one-norm and each exact numerator
-array once per dimension, in one pass for all its per-d suites, and a
-process sums the one-norm weights of each small d once.
+selection phase list and schedule, each one-norm, each level array and
+each exact numerator array once per dimension, in one pass for all its
+per-d suites, and a process sums the one-norm weights of each small d once.
 """
 
 import contextlib
@@ -106,6 +106,8 @@ def calls_of(code, argv):
         costmodel.clock_one_norm,
         # one exact N_k array per census d feeds the count and the closed-form angles
         lcu.select_numerators,
+        # the step-schedule target and the FFT oracle share one squared level array
+        pauli.level_array,
     ],
     ids=lambda function: function.__name__,
 )
