@@ -114,23 +114,22 @@ def _load_model() -> SynthesisModel:
         raise ConfigError(f"config file {path}: {exc}") from exc
 
 
-def _d_values(args: argparse.Namespace) -> typing.Sequence[int]:
-    lo = max(args.d_min, 3)
+def _d_values(d_min: int, d_max: int, prime_only: bool, flags: str) -> typing.Sequence[int]:
+    """The odd d >= 3 from d_min to d_max, primes only if prime_only; flags names the bounds in an error."""
+    lo = max(d_min, 3)
     if lo % 2 == 0:
         lo += 1
-    if args.prime_only and args.d_max >= PRIME_TEST_BOUND:
+    if prime_only and d_max >= PRIME_TEST_BOUND:
         raise ConfigError(
-            f"--d-max={args.d_max} is too large for --primes: the prime test is exact "
+            f"--d-max={d_max} is too large for --primes: the prime test is exact "
             f"only below {PRIME_TEST_BOUND}"
         )
-    values = range(lo, args.d_max + 1, 2)
-    if args.prime_only:
+    values = range(lo, d_max + 1, 2)
+    if prime_only:
         values = [d for d in values if is_prime(d)]
     if not values:
-        kind = "odd prime" if args.prime_only else "odd"
-        raise ConfigError(
-            f"empty scan range: --d-min={args.d_min} and --d-max={args.d_max} hold no {kind} d >= 3"
-        )
+        kind = "odd prime" if prime_only else "odd"
+        raise ConfigError(f"empty scan range: {flags} hold no {kind} d >= 3")
     return values
 
 
@@ -229,7 +228,8 @@ def _emit(args: argparse.Namespace, rows: list[str]) -> None:
 
 def cmd_report(args: argparse.Namespace) -> int:
     model = _load_model()
-    rows = args.report(args, _d_values(args), model, _row_format(args.row_type, args.format))
+    ds = _d_values(args.d_min, args.d_max, args.prime_only, f"--d-min={args.d_min} and --d-max={args.d_max}")
+    rows = args.report(args, ds, model, _row_format(args.row_type, args.format))
     _emit(args, rows)
     return EXIT_OK
 
@@ -242,9 +242,18 @@ def _pf_report(args: argparse.Namespace, ds: typing.Sequence[int], model: Synthe
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # the verify side needs numpy; the report commands never load it
+    from .lcu import MAX_NUMERATOR_D
     from .simverify import run_suites
 
-    results = run_suites(args.phi_max, args.d_max, args.census_max, args.inject_angle_error)
+    ranges = []
+    for flag, cap in (("--d-max", args.d_max), ("--census-max", args.census_max)):
+        if cap > MAX_NUMERATOR_D:
+            raise ConfigError(
+                f"{flag}={cap} is too large: the selection numerators are exact in int64 "
+                f"only up to d = {MAX_NUMERATOR_D}"
+            )
+        ranges.append(_d_values(3, cap, False, f"{flag}={cap}"))
+    results = run_suites(args.phi_max, *ranges, args.inject_angle_error)
     for result in results:
         line = (
             f"{result.name:<17} {'pass' if result.ok else 'FAIL'}  max_error={result.worst:.3e}"

@@ -13,17 +13,17 @@ no Python loop runs per level.
 
 The six suites that `quditcost verify` runs check every schedule and
 coefficient construction against this oracle, the FFT coefficient oracle
-or exact integer arithmetic, for all odd d up to a cap, and each returns
-its own SuiteResult.  run_suites is the one entry: it checks its four
-inputs, then one pass builds the closed form, the selection phases, the
-float selection schedule, the one-norm and the squared levels once per
-odd d up to the larger cap, checks the three schedules where d is within
-the dense cap and the coefficients and the census where d is within the
-census cap; the projector suite runs on its own.  The builders take
-(phi_max, d) or arrays, return arrays and leave every fault to the suites.
-The census compares whole numpy arrays per d, O(d log d) and O(d) work,
-so its cap can reach the thousands.  A NaN error anywhere is the worst
-error of its suite and fails it.
+or exact integer arithmetic, for the odd d it is given, and each returns
+its own SuiteResult.  run_suites is the one entry: it takes two sequences
+of d, checks inject and phi_max, then one pass builds the closed form,
+the selection phases, the float selection schedule, the one-norm and the
+squared levels once per d of either sequence, checks the three schedules
+where d is in the dense sequence and the coefficients and the census
+where d is in the census sequence; the projector suite runs on its own.
+The builders take (phi_max, d) or arrays, return arrays and leave every
+fault to the suites.  The census compares whole numpy arrays per d,
+O(d log d) and O(d) work, so its d can reach the thousands.  A NaN error
+anywhere is the worst error of its suite and fails it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 
 from .costmodel import check_phi_max, clock_one_norm, register_width
 from .lcu import (
-    MAX_NUMERATOR_D,
     fixed_encoding_select_schedule,
     prep_ry_schedule,
     qubit_projector_diag_oracle,
@@ -152,13 +151,16 @@ def _distinct_prime_count(n: int) -> int:
 
 
 def run_suites(
-    phi_max: float, dense_cap: int, census_cap: int, inject: float = 0.0
+    phi_max: float, dense_ds: Sequence[int], census_ds: Sequence[int], inject: float = 0.0
 ) -> list[SuiteResult]:
     """The six suites, from one closed form, phase list, ladder, one-norm and level array per d.
 
-    All four inputs are checked before any suite runs.
+    dense_ds and census_ds are nonempty, sorted sequences of odd d >= 3, up
+    to lcu.MAX_NUMERATOR_D, where the exact numerators still fit int64; the
+    caller checks that, and membership in a range is O(1).  inject and
+    phi_max are checked before any suite runs.
 
-    Over the odd d <= dense_cap: trotter-schedule, native step schedules
+    Over the d of dense_ds: trotter-schedule, native step schedules
     realize diag(e^(-i t lambda_n^2)) at three times; select-schedule, the
     selection schedule realizes the selection phases, and inject bends one
     angle of a copy that only this check reads, to show that the check
@@ -166,7 +168,7 @@ def run_suites(
     sqrt(|beta_r| / Lambda) from |0>.  A vanishing coefficient raises in
     select_diag_phases, before any schedule is built.
 
-    Over the odd d <= census_cap: dft-oracle compares the closed-form
+    Over the d of census_ds: dft-oracle compares the closed-form
     coefficients with the FFT oracle: values, Hermiticity, one-norm and
     signs.  Per d, as arrays: max |closed - oracle| (bound 1e-10), max
     |beta_(d-r) - conj beta_r| of the closed form (1e-12), both relative to
@@ -189,8 +191,8 @@ def run_suites(
     j = d - 1 this is 1, so that rotation is nontrivial; within a pair
     the two values sum to an odd number (j = m is never a root, as
     4m(m+1) = d^2 - 1), so exactly one member is trivial.
-    Hence d - 1 - s(d) = 2^(omega(d)-1) - 1, checked for every odd d up
-    to the cap.  The float schedule must count the same nontrivial
+    Hence d - 1 - s(d) = 2^(omega(d)-1) - 1, checked for every d of
+    census_ds.  The float schedule must count the same nontrivial
     rotations (|angle| mod 4*pi above TRIVIAL_ANGLE_TOL).  The error is
     the schedule's angle gap to the closed form mod 4*pi, folded by
     reduce_angles, which is exact, so it equals |math.remainder(gap, 4*pi)|.
@@ -201,63 +203,50 @@ def run_suites(
     (suite_projector), dft and census, in print order.
 
     Raises:
-        ValueError: for a non-finite inject, a cap below 3 or above
-            MAX_NUMERATOR_D, or a phi_max whose smallest exact coefficient at
-            the largest d checked, twice the irreducibility floor, is below
-            the smallest normal float: there the coefficients lose precision
-            and no verdict would hold.
+        ValueError: for a non-finite inject, or a phi_max whose smallest
+            exact coefficient at the largest d checked, twice the
+            irreducibility floor, is below the smallest normal float: there
+            the coefficients lose precision and no verdict would hold.
     """
     if not math.isfinite(inject):
         raise ValueError(f"--inject-angle-error must be finite, got {inject}")
-    for flag, value in (("--d-max", dense_cap), ("--census-max", census_cap)):
-        if value < 3:
-            raise ValueError(f"empty scan range: {flag}={value} is below the smallest odd d, 3")
-        if value > MAX_NUMERATOR_D:
-            raise ValueError(
-                f"{flag}={value} is too large: the selection numerators are exact in int64 "
-                f"only up to d = {MAX_NUMERATOR_D}"
-            )
     check_phi_max(phi_max)
-    cap = max(dense_cap, census_cap)
-    d = cap - 1 + cap % 2
+    d = max(dense_ds[-1], census_ds[-1])
     if 2.0 * irreducibility_floor(phi_max, d) < sys.float_info.min:
         raise ValueError(
-            f"phi_max={phi_max} is too small for the cap {cap}: the smallest coefficient "
-            f"at d={d} is below the smallest normal float {sys.float_info.min:.3g}"
+            f"phi_max={phi_max} is too small for d={d}: its smallest coefficient "
+            f"is below the smallest normal float {sys.float_info.min:.3g}"
         )
-    dense_dims, census_dims = range(3, dense_cap + 1, 2), range(3, census_cap + 1, 2)
-    dense_errors = np.empty((len(dense_dims), 3))
-    dft_errors = np.empty((len(census_dims), 3))
-    census_errors = np.empty(len(census_dims))
+    dense_errors, dft_errors, census_errors = [], [], []
     scale = phi_max * phi_max
     signs_ok = census_ok = True
     offsets = set()
     mismatch = ""
-    for i, d in enumerate(range(3, cap + 1, 2)):
+    for d in sorted({*dense_ds, *census_ds}):
         betas, c_amps = beta_closed_form(phi_max, d)
         thetas = select_diag_phases(phi_max, c_amps)
         angles = fixed_encoding_select_schedule(thetas)
         lambda_norm = clock_one_norm(phi_max, d)
         lam_sq = level_array(phi_max, d) ** 2
-        if d <= dense_cap:
+        if d in dense_ds:
             amps = np.sqrt(np.abs(betas[1:]) / lambda_norm)
-            dense_errors[i] = (
+            dense_errors.append((
                 np.max([
                     phase_error(ladder_diagonal(qudit_trotter_angles(phi_max, d, t)), -t * lam_sq)
                     for t in (0.1, 1.0, 3.7)
                 ]),
                 phase_error(ladder_diagonal(np.append(angles[0] + inject, angles[1:])), thetas),
                 np.linalg.norm(fan_state(prep_ry_schedule(amps)) - np.append(0.0, amps)),
-            )
-        if d <= census_cap:
+            ))
+        if d in census_ds:
             oracle = beta_dft_oracle(lam_sq)
             one_norm = np.abs(oracle[1:]).sum()
             r = np.arange(1, d)
-            dft_errors[i] = (
+            dft_errors.append((
                 np.max(np.abs(betas - oracle)) / scale,
                 np.max(np.abs(betas[d - r] - betas[r].conj())) / scale,
                 abs(lambda_norm - one_norm) / one_norm,
-            )
+            ))
             signs_ok = signs_ok and np.array_equal(c_amps < 0, r >= (d + 1) // 2)
 
             numerators = select_numerators(d)
@@ -269,16 +258,17 @@ def run_suites(
             if floats != count:
                 census_ok = False
                 mismatch = mismatch or f"count mismatch at d={d} (float {floats}, exact {count})  "
-            census_errors[i] = np.max(np.abs(reduce_angles(angles - (np.pi / d) * numerators)))
+            census_errors.append(np.max(np.abs(reduce_angles(angles - (np.pi / d) * numerators))))
 
+    dense_errors, dft_errors = np.array(dense_errors), np.array(dft_errors)
     dft_ok = signs_ok and bool(np.all(dft_errors.max(axis=0) <= (1e-10, 1e-12, 1e-10)))
     detail = "" if signs_ok else "sign-threshold equivalence violated"
     offsets_seen = "offsets d-1-s(d): {" + ", ".join(str(o) for o in sorted(offsets)) + "}"
     return [
-        _result("trotter-schedule", dense_dims, dense_errors[:, 0], 1e-10),
-        _result("select-schedule", dense_dims, dense_errors[:, 1], 1e-10),
-        _result("prep-schedule", dense_dims, dense_errors[:, 2], 1e-10),
+        _result("trotter-schedule", dense_ds, dense_errors[:, 0], 1e-10),
+        _result("select-schedule", dense_ds, dense_errors[:, 1], 1e-10),
+        _result("prep-schedule", dense_ds, dense_errors[:, 2], 1e-10),
         suite_projector(phi_max),
-        _result("dft-oracle", census_dims, dft_errors.max(axis=1), 1e-10, dft_ok, detail),
-        _result("select-census", census_dims, census_errors, 1e-9, census_ok, mismatch + offsets_seen),
+        _result("dft-oracle", census_ds, dft_errors.max(axis=1), 1e-10, dft_ok, detail),
+        _result("select-census", census_ds, census_errors, 1e-9, census_ok, mismatch + offsets_seen),
     ]

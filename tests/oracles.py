@@ -27,7 +27,8 @@ that the library uses as closed forms:
   that `--primes` scans use;
 * the bit-pair projector sum over every (r, s) pair, one register string
   at a time, which certifies the quadratic form of
-  `lcu.qubit_projector_diag_oracle`;
+  `lcu.qubit_projector_diag_oracle`, and the one-norm of those pair
+  coefficients, which certifies the qubit normalization `alpha_qb`;
 * the per-d cost chain that the report passes of `costmodel` replaced,
   kept as it was: a grid, the query count, the qubit precision parameter
   and T count by their Toffoli breakdown, the qubit and hybrid chains, and
@@ -284,6 +285,19 @@ def projector_pair_sum(grid: FieldGrid) -> list[float]:
                 acc += (1 << (r + s)) * bits[r] * bits[s]
         values.append(dphi2 * acc)
     return values
+
+
+def projector_one_norm(grid: FieldGrid) -> float:
+    """delta_phi^2 * sum_{r,s} |2^(r+s)|, the one-norm of the bit-pair projector coefficients.
+
+    The (n_b - 1)^2 coefficients are added one pair at a time as an exact
+    integer, which is scaled once.
+    """
+    acc = 0
+    for r in range(grid.n_b - 1):
+        for s in range(grid.n_b - 1):
+            acc += 1 << (r + s)
+    return grid.delta_phi**2 * acc
 
 
 # ------------------------------------------------- the per-d cost chain

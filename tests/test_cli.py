@@ -11,6 +11,7 @@ from oracles import is_prime_trial_division
 import quditcost
 from quditcost.cli import CONFIG_ENV_VAR, PRIME_TEST_BOUND, is_prime, main
 from quditcost.costmodel import MAX_D, ratio_and_budget
+from quditcost.lcu import MAX_NUMERATOR_D
 
 
 def run_cli(capsys, *argv):
@@ -274,6 +275,20 @@ def test_verify_rejects_a_cap_beyond_the_exact_numerators(capsys, flag):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag}=10000000000000 is too large")
+    assert len(err.splitlines()) == 1
+
+
+# below 3 no odd d is left; above MAX_NUMERATOR_D the exact numerators 4 d^2 overflow int64
+@pytest.mark.parametrize("cap", [1, 2, 10**13, MAX_NUMERATOR_D + 2])
+@pytest.mark.parametrize("flag", ["--d-max", "--census-max"])
+def test_verify_rejects_a_cap_outside_the_odd_d_it_can_check(capsys, flag, cap):
+    # the other cap is valid, so only the cap at fault can be named
+    other = "--census-max" if flag == "--d-max" else "--d-max"
+    code, out, err = run_cli(capsys, "verify", other, "9", flag, str(cap))
+    assert code == 2
+    assert out == ""
+    named = f"empty scan range: {flag}={cap} " if cap < 3 else f"{flag}={cap} is too large"
+    assert err.startswith(f"error: {named}")
     assert len(err.splitlines()) == 1
 
 

@@ -76,7 +76,8 @@ def emitted_and_printed(capsys, tmp_path, argv):
     """The rows of `argv`, and its report as _emit writes it and as main prints it; both must agree."""
     args = cli._build_parser().parse_args(argv)
     model = cli._load_model()
-    rows = args.report(args, cli._d_values(args), model, args.row_type)
+    ds = cli._d_values(args.d_min, args.d_max, args.prime_only, "")
+    rows = args.report(args, ds, model, args.row_type)
     out = emitted(args, rows, capsys, tmp_path)
     assert cli.main(argv) == 0
     assert lines(capsys.readouterr().out) == lines(out)

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from oracles import (
     dclock_realized_phases,
     make_grid,
     precision_parameter,
+    projector_one_norm,
     projector_pair_sum,
     qubit_blockencoding_cost,
 )
@@ -22,6 +24,7 @@ from quditcost.costmodel import (
     lcu_fixed_encoding_thresholds,
     ratio_and_budget,
     register_width,
+    rz_cost,
 )
 from quditcost.lcu import (
     fixed_encoding_select_schedule,
@@ -99,6 +102,22 @@ def test_projector_diag_equals_the_pair_by_pair_sum(phi_max):
         values = qubit_projector_diag_oracle(phi_max, d)
         assert values.tolist() == projector_pair_sum(make_grid(phi_max, d)), d
         assert values.dtype == np.float64
+
+
+def printed_rows(capsys, *argv):
+    """The rows that main prints for argv in JSON, whose floats read back exactly."""
+    assert main([*argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
+
+
+@pytest.mark.parametrize("phi_max", [1.0, 2.5, 0.37])
+def test_printed_alpha_qb_is_the_projector_one_norm(capsys, phi_max):
+    # both extreme odd d of every register width the projector oracle accepts
+    for n_b in range(2, 21):
+        for d in (2 ** (n_b - 1) + 1, 2**n_b - 1):
+            argv = ["scan-ratio", "--phi-max", str(phi_max), "--d-min", str(d), "--d-max", str(d)]
+            (row,) = printed_rows(capsys, *argv)
+            assert row["alpha_qb"] == projector_one_norm(make_grid(phi_max, d)), (n_b, d)
 
 
 def test_projector_diag_rejects_huge_register():
@@ -329,6 +348,25 @@ def test_fixed_encoding_call_rotations():
         assert total * row.a_rz_lcu / (queries * row.a_max_lcu) == pytest.approx(rotations, rel=1e-12)
     with pytest.raises(ValueError):
         lcu_fixed_encoding_thresholds(1.0, [2], 0.1, 1e-6)
+
+
+@pytest.mark.parametrize("t,eps_sim", [(0.1, 1e-6), (3000.0, 1e-12)])
+def test_lcu_table_prices_the_built_selection_and_preparations(capsys, t, eps_sim):
+    # the 3d - 3 rotations of a call are the built selection schedule and
+    # the preparation, paid in both directions; a_rz_lcu splits the per-call
+    # budget eps_sim / Q_qd of the matching scan-ratio row over them
+    flags = ["--all-odd", "--d-max", "513", "--t", str(t), "--eps-sim", str(eps_sim)]
+    lcu_rows = printed_rows(capsys, "lcu-table", *flags)
+    scan_rows = printed_rows(capsys, "scan-ratio", *flags)
+    for lcu, scan in zip(lcu_rows, scan_rows, strict=True):
+        d = lcu["d"]
+        betas, c_amps = beta_closed_form(1.0, d)
+        amps = np.sqrt(np.abs(betas[1:]) / clock_one_norm(1.0, d))
+        built = len(fixed_encoding_select_schedule(select_diag_phases(1.0, c_amps)))
+        built += 2 * len(prep_ry_schedule(amps))
+        assert (scan["d"], built) == (d, 3 * d - 3)
+        budget = eps_sim / scan["q_qd"]
+        assert lcu["a_rz_lcu"] == rz_cost(budget, built, d) / math.log2(built / budget), d
 
 
 # ------------------------------------------------------------ preparation

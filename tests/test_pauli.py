@@ -127,21 +127,21 @@ def test_one_norm_matches_high_precision(phi_max, d):
     assert math.isclose(clock_one_norm(phi_max, d), mp_one_norm(phi_max, d), rel_tol=1e-13)
 
 
-def mp_half_sum_one_norm(phi_max, d):
-    """The one-norm at 40 significant digits, from the doubled half-range sum."""
-    with mpmath.workdps(40):
-        weights = mpmath.fsum(
-            mpmath.cos(x) / mpmath.sin(x) ** 2
-            for x in (mpmath.pi * r / d for r in range(1, (d + 1) // 2))
-        )
-        return float(mpmath.mpf(phi_max) ** 2 * 4 / (d - 1) ** 2 * weights)
-
-
 def test_one_norm_across_the_closed_form_switch_matches_high_precision():
+    # the whole half sum below ONE_NORM_CLOSED_FORM_D, whose worst is about
+    # 5e-16 at d = 3 and phi_max = 2.5, and the closed form past it
     d0 = ONE_NORM_CLOSED_FORM_D
-    for d in [*range(d0 - 20, d0 + 201, 2), 1025, 4097, 14647, 20001]:
-        expected = mp_half_sum_one_norm(1.0, d)
-        assert math.isclose(clock_one_norm(1.0, d), expected, rel_tol=1e-15), d
+    for d in [*range(3, d0 + 201, 2), 1025, 4097, 14647, 20001]:
+        with mpmath.workdps(40):
+            # the doubled half-range sum at 40 significant digits
+            weights = mpmath.fsum(
+                mpmath.cos(x) / mpmath.sin(x) ** 2
+                for x in (mpmath.pi * r / d for r in range(1, (d + 1) // 2))
+            )
+            norms = {phi_max: float(mpmath.mpf(phi_max) ** 2 * 4 / (d - 1) ** 2 * weights)
+                     for phi_max in (1.0, 2.5, 0.37)}
+        for phi_max, expected in norms.items():
+            assert math.isclose(clock_one_norm(phi_max, d), expected, rel_tol=1e-15), (phi_max, d)
 
 
 @pytest.mark.parametrize(
