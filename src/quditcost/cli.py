@@ -114,8 +114,8 @@ def _load_model() -> SynthesisModel:
         raise ConfigError(f"config file {path}: {exc}") from exc
 
 
-def _d_values(d_min: int, d_max: int, prime_only: bool, flags: str) -> typing.Sequence[int]:
-    """The odd d >= 3 from d_min to d_max, primes only if prime_only; flags names the bounds in an error."""
+def _d_values(d_min: int, d_max: int, prime_only: bool, *flags: str) -> typing.Sequence[int]:
+    """The odd d >= 3 from d_min to d_max, primes only if prime_only; flags name the bounds in an error."""
     lo = max(d_min, 3)
     if lo % 2 == 0:
         lo += 1
@@ -129,7 +129,8 @@ def _d_values(d_min: int, d_max: int, prime_only: bool, flags: str) -> typing.Se
         values = [d for d in values if is_prime(d)]
     if not values:
         kind = "odd prime" if prime_only else "odd"
-        raise ConfigError(f"empty scan range: {flags} hold no {kind} d >= 3")
+        verb = "holds" if len(flags) == 1 else "hold"
+        raise ConfigError(f"empty scan range: {' and '.join(flags)} {verb} no {kind} d >= 3")
     return values
 
 
@@ -228,7 +229,7 @@ def _emit(args: argparse.Namespace, rows: list[str]) -> None:
 
 def cmd_report(args: argparse.Namespace) -> int:
     model = _load_model()
-    ds = _d_values(args.d_min, args.d_max, args.prime_only, f"--d-min={args.d_min} and --d-max={args.d_max}")
+    ds = _d_values(args.d_min, args.d_max, args.prime_only, f"--d-min={args.d_min}", f"--d-max={args.d_max}")
     rows = args.report(args, ds, model, _row_format(args.row_type, args.format))
     _emit(args, rows)
     return EXIT_OK

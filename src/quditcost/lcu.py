@@ -19,6 +19,7 @@ the pairs (0, r).  None checks what a verify suite checks.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -61,44 +62,55 @@ def qubit_projector_diag_oracle(phi_max: float, d: int) -> np.ndarray:
     return (2.0 * phi_max / (d - 1)) ** 2 * ((bits @ pairs) * bits).sum(axis=1)
 
 
-def fixed_encoding_select_schedule(thetas: np.ndarray) -> np.ndarray:
+def fixed_encoding_select_schedule(thetas: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """Adjacent-pair Z angles implementing the selection diagonal natively.
 
-    Built by the direct prefix-sum construction from the per-level phases
-    thetas: with gamma their mean, the angle on pair (k, k+1) is
+    thetas holds the per-level phases of each d in sizes, d of them per d,
+    back to back; the result holds the d - 1 angles of each d in the same
+    order.  Built by the direct prefix-sum construction: with gamma the
+    mean of one d's phases, the angle on pair (k, k+1) is
     -2 * sum_{n<=k} (theta_n - gamma), reduced to (-2*pi, 2*pi], up to the
-    global phase gamma.  The closed form (pi/d) * N_k (select_numerators)
-    must agree mod 4*pi, and is never read here.
+    global phase gamma.  The mean and the running sum are taken per d,
+    because their float bits depend on the summation order; the rest is
+    elementwise.  The closed form (pi/d) * N_k (select_numerators) must
+    agree mod 4*pi, and is never read here.
     """
-    return reduce_angles(-2.0 * np.cumsum(thetas[:-1] - thetas.mean()))
+    sums = np.empty(len(thetas) - len(sizes))
+    lo = 0
+    for i, d in enumerate(sizes):
+        phases = thetas[lo:lo + d]
+        np.cumsum(phases[:-1] - np.add.reduce(phases) / d, out=sums[lo - i:lo - i + d - 1])
+        lo += d
+    return reduce_angles(-2.0 * sums)
 
 
 # Largest d whose selection numerators, below 4 d^2, are exact in int64.
 MAX_NUMERATOR_D = math.isqrt((2**63 - 1) // 4)
 
 
-def select_numerators(d: int) -> np.ndarray:
-    """Integers N_k of the selection-schedule angles (pi/d) * N_k on the pairs (k, k+1).
+def select_numerators(d, r) -> np.ndarray:
+    """Integers N_r of the selection-schedule angles (pi/d) * N_r, elementwise over d and r.
 
-    With m = (d - 1) / 2: N_k = (k+1)(4m - k), minus 2d (k - m) once k
-    exceeds m, for k = 0 .. d - 2.  The values stay below 4 d^2, exact in
-    int64 up to d = MAX_NUMERATOR_D.
+    r = k + 1 = 1 .. d-1 for the angle on the pair (k, k+1); d and r
+    broadcast, so one call covers the pairs of one d or of several back to
+    back.  With m = (d - 1) / 2: N_r = r (4m - r + 1), minus 2d (r - 1 - m)
+    once r - 1 exceeds m.  The values stay below 4 d^2, exact in int64 up
+    to d = MAX_NUMERATOR_D.
     """
-    register_width(d)
-    k = np.arange(d - 1, dtype=np.int64)
     m = (d - 1) // 2
-    return (k + 1) * (4 * m - k) - 2 * d * np.maximum(k - m, 0)
+    return r * (4 * m - r + 1) - 2 * d * np.maximum(r - 1 - m, 0)
 
 
-def select_nontrivial_count(numerators: np.ndarray) -> int:
-    """Number of nontrivial selection angles (pi/d) * N_k, d = len(numerators) + 1.
+def select_nontrivial_count(d, numerators: np.ndarray, starts) -> np.ndarray:
+    """Number of nontrivial selection angles (pi/d) * N_r in each run of numerators.
 
-    A rotation is trivial when its angle is 0 mod 4*pi, that is when 4d
-    divides N_k, which is evaluated in exact integer arithmetic over all
-    pairs at once; dense states are never needed here, which keeps census
-    scans over large d cheap.
+    The runs begin at the indices starts, one per d; d broadcasts against
+    numerators.  A rotation is trivial when its angle is 0 mod 4*pi, that
+    is when 4d divides N_r, which is evaluated in exact integer arithmetic
+    over all pairs at once; dense states are never needed here, which keeps
+    census scans over large d cheap.
     """
-    return int(np.count_nonzero(numerators % (4 * (len(numerators) + 1))))
+    return np.add.reduceat(numerators % (4 * d) != 0, starts)
 
 
 def prep_ry_schedule(amps: np.ndarray) -> np.ndarray:

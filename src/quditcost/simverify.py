@@ -15,19 +15,33 @@ The six suites that `quditcost verify` runs check every schedule and
 coefficient construction against this oracle, the FFT coefficient oracle
 or exact integer arithmetic, for the odd d it is given, and each returns
 its own SuiteResult.  run_suites is the one entry: it takes two sequences
-of d, checks inject and phi_max, then one pass builds the closed form,
-the selection phases, the float selection schedule, the one-norm and the
-squared levels once per d of either sequence, checks the three schedules
-where d is in the dense sequence and the coefficients and the census
-where d is in the census sequence; the projector suite runs on its own.
-The builders take (phi_max, d) or arrays, return arrays and leave every
-fault to the suites.  The census compares whole numpy arrays per d,
-O(d log d) and O(d) work, so its d can reach the thousands.  A NaN error
-anywhere is the worst error of its suite and fails it.
+of d, checks inject, phi_max and each d, then walks their sorted union in
+blocks of consecutive d whose levels sum to at most BLOCK_LEVELS (a
+larger d forms a block of its own and stays a scalar).  The builders are
+elementwise formulas over broadcastable (d, n) arrays, so one numpy call
+per formula covers a whole block, the levels n = 0 .. d-1 or the pairs
+r = 1 .. d-1 of each d back to back: the closed form, the selection
+phases and their irreducibility check, the squared levels, the exact
+N_r, the nontrivial counts and the census gap.  Maxima and counts per d
+are np.maximum.reduceat and np.add.reduceat over the runs, which do not
+depend on order.  What stays per d, on slices of the block's arrays: the
+mean and running sum of the selection schedule and the one-norm sum,
+whose float bits depend on the summation order; the FFT with its
+distance to the closed form, and the Hermiticity and sign checks, which
+read views of one d's coefficients; and the dense suites, whose
+preparation sums and multiplies in order and whose step angles square
+the spacing as a Python float.  So each d is built once, and every error
+equals, bit for bit, the one that a loop building each d on its own gets
+(tests/oracles.py keeps that loop).  With a few hundred levels per d,
+numpy's per-call overhead, not the arithmetic, set the cost of that
+loop; the bound keeps a block's arrays small.  The builders leave every
+fault to the suites.  A NaN error anywhere is the worst error of its
+suite and fails it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from collections.abc import Sequence
@@ -56,6 +70,12 @@ from .trotter import qudit_trotter_angles, reduce_angles
 # A rotation is the identity when its angle lies in 4*pi*Z within this tolerance.
 TRIVIAL_ANGLE_TOL = 1e-10
 
+# Most levels, the sum of d, that one block of dimensions of run_suites holds.
+BLOCK_LEVELS = 2048
+
+# The times of the native step schedules that trotter-schedule checks.
+STEP_TIMES = (0.1, 1.0, 3.7)
+
 
 def ladder_diagonal(angles: np.ndarray) -> np.ndarray:
     """Per-level phases of the diagonal that a Z ladder's angles realize.
@@ -63,8 +83,11 @@ def ladder_diagonal(angles: np.ndarray) -> np.ndarray:
     angles[k], the rotation on the pair (k, k+1), shifts level k by
     -angles[k]/2 and level k + 1 by +angles[k]/2.
     """
-    half = 0.5 * angles
-    return np.append(0.0, half) - np.append(half, 0.0)
+    half = 0.5 * np.asarray(angles)
+    phases = np.zeros(len(half) + 1)
+    phases[1:] = half
+    phases[:-1] -= half
+    return phases
 
 
 def fan_state(angles: Sequence[float]) -> np.ndarray:
@@ -81,9 +104,12 @@ def fan_state(angles: Sequence[float]) -> np.ndarray:
     return np.append(prefix[-1], np.sin(half) * prefix[:-1])
 
 
-def nontrivial_count(angles: np.ndarray) -> int:
-    """Number of reduced angles (not reduced again) off 0 by more than TRIVIAL_ANGLE_TOL; NaN counts."""
-    return len(angles) - int(np.count_nonzero(np.abs(angles) <= TRIVIAL_ANGLE_TOL))
+def nontrivial_count(angles: np.ndarray, starts) -> np.ndarray:
+    """Reduced angles (not reduced again) off 0 by more than TRIVIAL_ANGLE_TOL, per run; NaN counts.
+
+    One count for each run of angles, the runs beginning at the indices starts.
+    """
+    return np.add.reduceat(~(np.abs(angles) <= TRIVIAL_ANGLE_TOL), starts)
 
 
 def phase_error(a: Sequence[float], b: Sequence[float]) -> float:
@@ -150,6 +176,38 @@ def _distinct_prime_count(n: int) -> int:
     return count + (n > 1)
 
 
+def _blocks(ds: Sequence[int]) -> list[list[int]]:
+    """Runs of consecutive ds whose levels, the sum of their d, stay within BLOCK_LEVELS.
+
+    A d above BLOCK_LEVELS forms a block of its own.
+    """
+    blocks, levels = [[]], 0
+    for d in ds:
+        if blocks[-1] and levels + d > BLOCK_LEVELS:
+            blocks.append([])
+            levels = 0
+        blocks[-1].append(d)
+        levels += d
+    return blocks
+
+
+def _block_index(ds: list[int]) -> tuple:
+    """(d, n, d_pair, r) for the dimensions ds, back to back.
+
+    d and n = 0 .. d-1 index the levels of each d in turn; d_pair and
+    r = 1 .. d-1 index its pairs (k, k + 1), r = k + 1, the levels n > 0.
+    A block of one d keeps d a scalar.
+    """
+    if len(ds) == 1:
+        n = np.arange(ds[0])
+        return ds[0], n, ds[0], n[1:]
+    sizes = np.array(ds)
+    d = np.repeat(sizes, sizes)
+    n = np.arange(len(d)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pairs = n > 0
+    return d, n, d[pairs], n[pairs]
+
+
 def run_suites(
     phi_max: float, dense_ds: Sequence[int], census_ds: Sequence[int], inject: float = 0.0
 ) -> list[SuiteResult]:
@@ -157,8 +215,10 @@ def run_suites(
 
     dense_ds and census_ds are nonempty, sorted sequences of odd d >= 3, up
     to lcu.MAX_NUMERATOR_D, where the exact numerators still fit int64; the
-    caller checks that, and membership in a range is O(1).  inject and
-    phi_max are checked before any suite runs.
+    caller keeps d within that bound, and membership in a range is O(1).
+    inject, phi_max and each d (costmodel.register_width) are checked
+    before any suite runs.  The d of both sequences run in blocks
+    (_blocks), and each block's arrays are built once.
 
     Over the d of dense_ds: trotter-schedule, native step schedules
     realize diag(e^(-i t lambda_n^2)) at three times; select-schedule, the
@@ -203,72 +263,97 @@ def run_suites(
     (suite_projector), dft and census, in print order.
 
     Raises:
-        ValueError: for a non-finite inject, or a phi_max whose smallest
-            exact coefficient at the largest d checked, twice the
-            irreducibility floor, is below the smallest normal float: there
-            the coefficients lose precision and no verdict would hold.
+        ValueError: for a non-finite inject, a d that register_width
+            rejects, or a phi_max whose smallest exact coefficient at the
+            largest d checked, twice the irreducibility floor, is below the
+            smallest normal float: there the coefficients lose precision
+            and no verdict would hold.
     """
     if not math.isfinite(inject):
         raise ValueError(f"--inject-angle-error must be finite, got {inject}")
     check_phi_max(phi_max)
-    d = max(dense_ds[-1], census_ds[-1])
+    dims = sorted({*dense_ds, *census_ds})
+    for d in dims:
+        register_width(d)
+    d = dims[-1]
     if 2.0 * irreducibility_floor(phi_max, d) < sys.float_info.min:
         raise ValueError(
             f"phi_max={phi_max} is too small for d={d}: its smallest coefficient "
             f"is below the smallest normal float {sys.float_info.min:.3g}"
         )
-    dense_errors, dft_errors, census_errors = [], [], []
     scale = phi_max * phi_max
-    signs_ok = census_ok = True
-    offsets = set()
-    mismatch = ""
-    for d in sorted({*dense_ds, *census_ds}):
-        betas, c_amps = beta_closed_form(phi_max, d)
-        thetas = select_diag_phases(phi_max, c_amps)
-        angles = fixed_encoding_select_schedule(thetas)
-        lambda_norm = clock_one_norm(phi_max, d)
-        lam_sq = level_array(phi_max, d) ** 2
-        if d in dense_ds:
-            amps = np.sqrt(np.abs(betas[1:]) / lambda_norm)
-            dense_errors.append((
-                np.max([
-                    phase_error(ladder_diagonal(qudit_trotter_angles(phi_max, d, t)), -t * lam_sq)
-                    for t in (0.1, 1.0, 3.7)
-                ]),
-                phase_error(ladder_diagonal(np.append(angles[0] + inject, angles[1:])), thetas),
+    dense_rows, census_rows = [], []
+    # Each block's arrays stay bound until the next block's replace them.
+    # Freed all at once, a large d's pages would go back to the system and
+    # fault in again at the next d, which costs more than its census.
+    for block in _blocks(dims):
+        d, n, d_pair, r = _block_index(block)
+        level_starts = list(itertools.accumulate(block, initial=0))
+        pair_starts = [lo - i for i, lo in enumerate(level_starts)]
+        betas, c_amps = beta_closed_form(phi_max, d, n)
+        thetas = select_diag_phases(phi_max, d, n, c_amps)
+        angles = fixed_encoding_select_schedule(thetas, block)
+        norms = [clock_one_norm(phi_max, dim) for dim in block]
+        lam_sq = level_array(phi_max, d, n) ** 2
+        for i, dim in enumerate(block):
+            if dim not in dense_ds:
+                continue
+            levels = slice(level_starts[i], level_starts[i + 1])
+            pair_run = slice(pair_starts[i], pair_starts[i + 1])
+            steps = zip(STEP_TIMES, qudit_trotter_angles(phi_max, dim, r[pair_run], STEP_TIMES))
+            schedule = angles[pair_run]
+            amps = np.sqrt(np.abs(betas[levels][1:]) / norms[i])
+            dense_rows.append((
+                np.max([phase_error(ladder_diagonal(row), -t * lam_sq[levels]) for t, row in steps]),
+                phase_error(ladder_diagonal(np.append(schedule[0] + inject, schedule[1:])), thetas[levels]),
                 np.linalg.norm(fan_state(prep_ry_schedule(amps)) - np.append(0.0, amps)),
             ))
-        if d in census_ds:
-            oracle = beta_dft_oracle(lam_sq)
-            one_norm = np.abs(oracle[1:]).sum()
-            r = np.arange(1, d)
-            dft_errors.append((
-                np.max(np.abs(betas - oracle)) / scale,
-                np.max(np.abs(betas[d - r] - betas[r].conj())) / scale,
-                abs(lambda_norm - one_norm) / one_norm,
+        census = [i for i, dim in enumerate(block) if dim in census_ds]
+        if not census:
+            continue
+        coefficient_rows = []
+        for i in census:
+            lo, hi = level_starts[i], level_starts[i + 1]
+            oracle = beta_dft_oracle(lam_sq[lo:hi])
+            one_norm = np.add.reduce(np.abs(oracle[1:]))
+            b_r, mid = betas[lo + 1:hi], lo + (hi - lo + 1) // 2
+            coefficient_rows.append((
+                np.max(np.abs(betas[lo:hi] - oracle)) / scale,
+                # beta_(d-r) against conj(beta_r), r = 1 .. d-1
+                np.max(np.abs(b_r[::-1] - b_r.conj())) / scale,
+                abs(norms[i] - one_norm) / one_norm,
+                # c_r < 0 exactly for r >= (d + 1) / 2
+                not (c_amps[lo + 1:mid] < 0).any() and bool((c_amps[mid:hi] < 0).all()),
             ))
-            signs_ok = signs_ok and np.array_equal(c_amps < 0, r >= (d + 1) // 2)
-
-            numerators = select_numerators(d)
-            count = select_nontrivial_count(numerators)
-            offsets.add(d - 1 - count)
-            if d - 1 - count != 2 ** (_distinct_prime_count(d) - 1) - 1:
-                census_ok = False
-            floats = nontrivial_count(angles)
-            if floats != count:
-                census_ok = False
-                mismatch = mismatch or f"count mismatch at d={d} (float {floats}, exact {count})  "
-            census_errors.append(np.max(np.abs(reduce_angles(angles - (np.pi / d) * numerators))))
-
-    dense_errors, dft_errors = np.array(dense_errors), np.array(dft_errors)
+        starts = pair_starts[:-1]
+        numerators = select_numerators(d_pair, r)
+        gaps = np.abs(reduce_angles(angles - (np.pi / d_pair) * numerators))
+        counts = zip(
+            select_nontrivial_count(d_pair, numerators, starts)[census].tolist(),
+            nontrivial_count(angles, starts)[census].tolist(),
+            np.maximum.reduceat(gaps, starts)[census].tolist(),
+        )
+        census_rows += [row + count for row, count in zip(coefficient_rows, counts)]
+    dense_errors = np.array(dense_rows)
+    dft_errors = np.array([row[:3] for row in census_rows])
+    _, _, _, signs, exact, floats, gaps = zip(*census_rows)
+    signs_ok = all(signs)
     dft_ok = signs_ok and bool(np.all(dft_errors.max(axis=0) <= (1e-10, 1e-12, 1e-10)))
     detail = "" if signs_ok else "sign-threshold equivalence violated"
-    offsets_seen = "offsets d-1-s(d): {" + ", ".join(str(o) for o in sorted(offsets)) + "}"
+    offsets = [d - 1 - count for d, count in zip(census_ds, exact)]
+    census_ok = offsets == [2 ** (_distinct_prime_count(d) - 1) - 1 for d in census_ds]
+    mismatch = ""
+    for d, count, float_count in zip(census_ds, exact, floats):
+        if float_count != count:
+            census_ok = False
+            mismatch = f"count mismatch at d={d} (float {float_count}, exact {count})  "
+            break
+    offsets_seen = "offsets d-1-s(d): {" + ", ".join(str(o) for o in sorted(set(offsets))) + "}"
     return [
         _result("trotter-schedule", dense_ds, dense_errors[:, 0], 1e-10),
         _result("select-schedule", dense_ds, dense_errors[:, 1], 1e-10),
         _result("prep-schedule", dense_ds, dense_errors[:, 2], 1e-10),
         suite_projector(phi_max),
         _result("dft-oracle", census_ds, dft_errors.max(axis=1), 1e-10, dft_ok, detail),
-        _result("select-census", census_ds, census_errors, 1e-9, census_ok, mismatch + offsets_seen),
+        _result("select-census", census_ds, gaps, 1e-9, census_ok, mismatch + offsets_seen),
     ]

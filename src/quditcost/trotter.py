@@ -39,32 +39,39 @@ def reduce_angles(angles: np.ndarray) -> np.ndarray:
     return np.where(r > half, r - ANGLE_PERIOD, np.where(r <= -half, r + ANGLE_PERIOD, r))
 
 
-def qudit_trotter_angles(phi_max: float, d: int, t: float) -> np.ndarray:
-    """Adjacent-pair Z ladder angles for one native d-level step.
+def qudit_trotter_angles(phi_max: float, d, r, times) -> list[np.ndarray]:
+    """Adjacent-pair Z ladder angles for one native d-level step at each of the times.
 
-    With delta_phi = 2 * phi_max / (d - 1), m = (d - 1) / 2 and
+    Returns one row per time, the angles on the pairs (k, k+1), k = r - 1,
+    elementwise over broadcastable d and r (r = 1 .. d-1 for one d).  With
+    delta_phi = 2 * phi_max / (d - 1), m = (d - 1) / 2 and
     lambda_n = delta_phi * (n - m), the centered partial sums are
     sum_{n<=k} (lambda_n^2 - mu) = (delta_phi^2 / 3) * N_k,
     N_k = (k + 1)(2k - d + 2)(k - d + 1) / 2 an exact integer, and
-    mu = (delta_phi^2 / 3) * m(m + 1).  The angles theta_k = 2 t (delta_phi^2 / 3) N_k
-    are reduced to (-2*pi, 2*pi]; the ladder equals diag(e^(-i t lambda_n^2))
-    up to the global phase -t * mu.  Each value is a few roundings of
-    exact factors, so its error is a few ulp at every d.
+    mu = (delta_phi^2 / 3) * m(m + 1).  N_k is built once for all times;
+    the angles theta_k = 2 t (delta_phi^2 / 3) N_k are reduced to
+    (-2*pi, 2*pi], each row on its own, which keeps a large d's
+    temporaries small.  The ladder equals diag(e^(-i t lambda_n^2)) up to
+    the global phase -t * mu.  Each value is a few roundings of exact
+    factors, so its error is a few ulp at every d.
 
     Raises:
         ValueError: if an unreduced angle is not finite, which names
-            phi_max and t.  max |2 N_k| >= m(m + 1), so the angles
-            overflow no later than the global phase would.
+            phi_max and the first such t.  max |2 N_k| >= m(m + 1), so the
+            angles overflow no later than the global phase would.
     """
     third = (2.0 * phi_max / (d - 1)) ** 2 / 3.0
-    k = np.arange(d - 1.0)
+    k = r - 1.0
     # three exact integer factors; their product is even
     numerator = (k + 1.0) * (2.0 * k - (d - 2)) * (k - (d - 1)) / 2.0
+    rows = []
     with np.errstate(over="ignore", invalid="ignore"):
-        angles = (2.0 * t * third) * numerator
-    if not np.isfinite(angles).all():
-        raise ValueError(
-            f"phi_max={phi_max} with t={t} is too large: "
-            "the step angles 2 t sum(lambda^2 - mu) overflow"
-        )
-    return reduce_angles(angles)
+        for t in times:
+            angles = (2.0 * t * third) * numerator
+            if not np.isfinite(angles).all():
+                raise ValueError(
+                    f"phi_max={phi_max} with t={t} is too large: "
+                    "the step angles 2 t sum(lambda^2 - mu) overflow"
+                )
+            rows.append(reduce_angles(angles))
+    return rows

@@ -29,6 +29,10 @@ that the library uses as closed forms:
   at a time, which certifies the quadratic form of
   `lcu.qubit_projector_diag_oracle`, and the one-norm of those pair
   coefficients, which certifies the qubit normalization `alpha_qb`;
+* the per-d verify loop that the block pass of `simverify.run_suites`
+  replaced, kept as it was with the per-d builders it called
+  (`per_dimension_run_suites`).  The block pass returns the same results,
+  every error bit for bit;
 * the per-d cost chain that the report passes of `costmodel` replaced,
   kept as it was: a grid, the query count, the qubit precision parameter
   and T count by their Toffoli breakdown, the qubit and hybrid chains, and
@@ -41,6 +45,7 @@ Angle convention as in `quditcost.trotter`: R_z(theta) = exp(-i theta Z / 2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,7 +65,17 @@ from quditcost.costmodel import (
     register_width,
     rz_cost,
 )
-from quditcost.pauli import level_array
+from quditcost.lcu import prep_ry_schedule
+from quditcost.pauli import beta_dft_oracle
+from quditcost.simverify import (
+    TRIVIAL_ANGLE_TOL,
+    SuiteResult,
+    _distinct_prime_count,
+    _result,
+    fan_state,
+    suite_projector,
+)
+from quditcost.trotter import reduce_angles
 
 
 class FieldGrid(NamedTuple):
@@ -480,3 +495,157 @@ def lcu_row(
     qb = total_cost_qubit(grid, t, eps_sim)
     q_qd = query_count(clock_one_norm(grid.phi_max, d), t, eps_sim)
     return LcuRow(d, *break_even(qb.total, q_qd, 3 * d - 3, eps_sim / q_qd, d, t, eps_sim, model))
+
+
+# The verify builders as they were before simverify ran blocks of d: each
+# takes one d and builds its arrays, and the loop below calls them per d.
+
+
+def level_array(phi_max: float, d: int) -> np.ndarray:
+    """The d field eigenvalues -phi_max + n * delta_phi, n = 0 .. d-1."""
+    return -phi_max + np.arange(d) * (2.0 * phi_max / (d - 1))
+
+
+def beta_closed_form(phi_max: float, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(betas, c_amps): all d beta_r, and the c_r of r = 1 .. d-1 (c_amps[r - 1])."""
+    p2 = phi_max**2
+    x = np.pi * np.arange(1, d) / d
+    c_amps = 2.0 * p2 / (d - 1) ** 2 * np.cos(x) / np.sin(x) ** 2
+    betas = np.empty(d, dtype=complex)
+    betas[0] = p2 * (d + 1) / (3.0 * (d - 1))
+    betas[1:] = c_amps * np.exp(1j * x)
+    return betas, c_amps
+
+
+def irreducibility_floor(phi_max: float, d: int) -> float:
+    """Half the smallest exact |c_r|, in scalar math."""
+    y = math.pi / (2 * d)
+    return phi_max**2 / (d - 1) ** 2 * math.sin(y) / math.cos(y) ** 2
+
+
+def select_diag_phases(phi_max: float, c_amps: np.ndarray) -> np.ndarray:
+    """The d selection phases, d = len(c_amps) + 1; raises on a vanishing c_r."""
+    d = len(c_amps) + 1
+    vanishing = np.flatnonzero(np.abs(c_amps) <= irreducibility_floor(phi_max, d))
+    if vanishing.size:
+        raise ValueError(
+            f"coefficient c_{vanishing[0] + 1} vanishes; the expansion is not irreducible"
+        )
+    thetas = np.zeros(d)
+    thetas[1:] = np.pi * np.arange(1, d) / d + np.where(c_amps < 0, np.pi, 0.0)
+    return thetas % (2.0 * np.pi)
+
+
+def fixed_encoding_select_schedule(thetas: np.ndarray) -> np.ndarray:
+    """The d - 1 reduced selection angles of one d's phases."""
+    return reduce_angles(-2.0 * np.cumsum(thetas[:-1] - thetas.mean()))
+
+
+def select_numerators(d: int) -> np.ndarray:
+    """N_k, k = 0 .. d - 2, of one d."""
+    register_width(d)
+    k = np.arange(d - 1, dtype=np.int64)
+    m = (d - 1) // 2
+    return (k + 1) * (4 * m - k) - 2 * d * np.maximum(k - m, 0)
+
+
+def select_nontrivial_count(numerators: np.ndarray) -> int:
+    """Pairs of one d whose N_k 4d does not divide."""
+    return int(np.count_nonzero(numerators % (4 * (len(numerators) + 1))))
+
+
+def qudit_trotter_angles(phi_max: float, d: int, t: float) -> np.ndarray:
+    """The d - 1 reduced step angles of one d at one time."""
+    third = (2.0 * phi_max / (d - 1)) ** 2 / 3.0
+    k = np.arange(d - 1.0)
+    numerator = (k + 1.0) * (2.0 * k - (d - 2)) * (k - (d - 1)) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = (2.0 * t * third) * numerator
+    if not np.isfinite(angles).all():
+        raise ValueError(
+            f"phi_max={phi_max} with t={t} is too large: "
+            "the step angles 2 t sum(lambda^2 - mu) overflow"
+        )
+    return reduce_angles(angles)
+
+
+def ladder_diagonal(angles: np.ndarray) -> np.ndarray:
+    half = 0.5 * angles
+    return np.append(0.0, half) - np.append(half, 0.0)
+
+
+def nontrivial_count(angles: np.ndarray) -> int:
+    return len(angles) - int(np.count_nonzero(np.abs(angles) <= TRIVIAL_ANGLE_TOL))
+
+
+def phase_error(a, b) -> float:
+    diff = np.subtract(a, b)
+    return float(np.max(np.abs(2.0 * np.sin(0.5 * (diff - diff[0])))))
+
+
+def per_dimension_run_suites(phi_max, dense_ds, census_ds, inject=0.0) -> list[SuiteResult]:
+    """simverify.run_suites as one loop over d that builds each d's arrays on its own."""
+    if not math.isfinite(inject):
+        raise ValueError(f"--inject-angle-error must be finite, got {inject}")
+    check_phi_max(phi_max)
+    d = max(dense_ds[-1], census_ds[-1])
+    if 2.0 * irreducibility_floor(phi_max, d) < sys.float_info.min:
+        raise ValueError(
+            f"phi_max={phi_max} is too small for d={d}: its smallest coefficient "
+            f"is below the smallest normal float {sys.float_info.min:.3g}"
+        )
+    dense_errors, dft_errors, census_errors = [], [], []
+    scale = phi_max * phi_max
+    signs_ok = census_ok = True
+    offsets = set()
+    mismatch = ""
+    for d in sorted({*dense_ds, *census_ds}):
+        betas, c_amps = beta_closed_form(phi_max, d)
+        thetas = select_diag_phases(phi_max, c_amps)
+        angles = fixed_encoding_select_schedule(thetas)
+        lambda_norm = clock_one_norm(phi_max, d)
+        lam_sq = level_array(phi_max, d) ** 2
+        if d in dense_ds:
+            amps = np.sqrt(np.abs(betas[1:]) / lambda_norm)
+            dense_errors.append((
+                np.max([
+                    phase_error(ladder_diagonal(qudit_trotter_angles(phi_max, d, t)), -t * lam_sq)
+                    for t in (0.1, 1.0, 3.7)
+                ]),
+                phase_error(ladder_diagonal(np.append(angles[0] + inject, angles[1:])), thetas),
+                np.linalg.norm(fan_state(prep_ry_schedule(amps)) - np.append(0.0, amps)),
+            ))
+        if d in census_ds:
+            oracle = beta_dft_oracle(lam_sq)
+            one_norm = np.abs(oracle[1:]).sum()
+            r = np.arange(1, d)
+            dft_errors.append((
+                np.max(np.abs(betas - oracle)) / scale,
+                np.max(np.abs(betas[d - r] - betas[r].conj())) / scale,
+                abs(lambda_norm - one_norm) / one_norm,
+            ))
+            signs_ok = signs_ok and np.array_equal(c_amps < 0, r >= (d + 1) // 2)
+
+            numerators = select_numerators(d)
+            count = select_nontrivial_count(numerators)
+            offsets.add(d - 1 - count)
+            if d - 1 - count != 2 ** (_distinct_prime_count(d) - 1) - 1:
+                census_ok = False
+            floats = nontrivial_count(angles)
+            if floats != count:
+                census_ok = False
+                mismatch = mismatch or f"count mismatch at d={d} (float {floats}, exact {count})  "
+            census_errors.append(np.max(np.abs(reduce_angles(angles - (np.pi / d) * numerators))))
+
+    dense_errors, dft_errors = np.array(dense_errors), np.array(dft_errors)
+    dft_ok = signs_ok and bool(np.all(dft_errors.max(axis=0) <= (1e-10, 1e-12, 1e-10)))
+    detail = "" if signs_ok else "sign-threshold equivalence violated"
+    offsets_seen = "offsets d-1-s(d): {" + ", ".join(str(o) for o in sorted(offsets)) + "}"
+    return [
+        _result("trotter-schedule", dense_ds, dense_errors[:, 0], 1e-10),
+        _result("select-schedule", dense_ds, dense_errors[:, 1], 1e-10),
+        _result("prep-schedule", dense_ds, dense_errors[:, 2], 1e-10),
+        suite_projector(phi_max),
+        _result("dft-oracle", census_ds, dft_errors.max(axis=1), 1e-10, dft_ok, detail),
+        _result("select-census", census_ds, census_errors, 1e-9, census_ok, mismatch + offsets_seen),
+    ]

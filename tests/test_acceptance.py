@@ -127,18 +127,20 @@ def test_criterion_8_decomposition_oracles():
     worst = 0.0
     for d in range(3, 65, 2):
         grid = make_grid(1.0, d)
-        betas, c_amps = beta_closed_form(1.0, d)
+        n = np.arange(d)
+        betas, c_amps = beta_closed_form(1.0, d, n)
 
         # (a) native step schedule reproduces diag(e^(-i t (lambda^2 - mu)))
         for t in (0.1, 1.0, 3.7):
-            realized = ladder_diagonal(qudit_trotter_angles(1.0, d, t))
+            (angles,) = qudit_trotter_angles(1.0, d, n[1:], [t])
+            realized = ladder_diagonal(angles)
             target = tuple(-t * lam**2 for lam in levels(grid))
             err = phase_error(realized, target)
             ok, worst = ok and err <= 1e-10, max(worst, err)
 
         # (b) selection schedule reproduces the phase diagonal
-        target = select_diag_phases(1.0, c_amps)
-        realized = ladder_diagonal(fixed_encoding_select_schedule(target))
+        target = select_diag_phases(1.0, d, n, c_amps)
+        realized = ladder_diagonal(fixed_encoding_select_schedule(target, [d]))
         err = phase_error(realized, target)
         ok, worst = ok and err <= 1e-10, max(worst, err)
 
@@ -166,14 +168,15 @@ def test_criterion_9_coefficient_oracles():
     worst = 0.0
     offsets = set()
     for d in range(3, 514, 2):
-        closed, c_amps = beta_closed_form(1.0, d)
-        oracle = beta_dft_oracle(level_array(1.0, d) ** 2)
+        n = np.arange(d)
+        closed, c_amps = beta_closed_form(1.0, d, n)
+        oracle = beta_dft_oracle(level_array(1.0, d, n) ** 2)
         err = max(abs(a - b) for a, b in zip(closed, oracle))
         ok, worst = ok and err < 1e-10, max(worst, err)
         for r in range(1, d):
             ok = ok and abs(closed[d - r] - closed[r].conjugate()) < 1e-12
-            ok = ok and (c_amps[r - 1] < 0) == (r >= (d + 1) // 2)
-        offsets.add(d - 1 - select_nontrivial_count(select_numerators(d)))
+            ok = ok and (c_amps[r] < 0) == (r >= (d + 1) // 2)
+        offsets.add(d - 1 - select_nontrivial_count(d, select_numerators(d, n[1:]), [0])[0])
     ok = ok and offsets <= {0, 1, 3}
     report(
         9,

@@ -117,6 +117,18 @@ def test_empty_scan_range_names_the_input_at_fault(capsys, argv, named):
     assert f"error: empty scan range: {named}" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--d-max", "2"], "--d-max=2 holds no odd d >= 3"),
+        (["verify", "--census-max", "1"], "--census-max=1 holds no odd d >= 3"),
+        (["scan-ratio", "--d-min", "10", "--d-max", "9"], "--d-min=10 and --d-max=9 hold no odd d >= 3"),
+    ],
+)
+def test_empty_scan_range_reads_right_for_one_flag_or_two(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: empty scan range: {message}\n")
+
+
 def test_scan_ratio_golden_row(capsys):
     code, out, _ = run_cli(capsys, "scan-ratio", "--t", "0.1", "--d-min", "3", "--d-max", "7")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from oracles import FieldGrid, levels, make_grid, squared_mean
 
@@ -13,20 +14,21 @@ from quditcost.costmodel import (
     ratio_and_budget,
     register_width,
 )
-from quditcost.lcu import qubit_projector_diag_oracle, select_nontrivial_count, select_numerators
+from quditcost.lcu import qubit_projector_diag_oracle
 from quditcost.pauli import level_array
+from quditcost.simverify import run_suites
 
 # the largest phi_max whose bound 4 phi_max^2 on the normalizations is finite
 PHI_MAX_LIMIT = 6.703903964971298e153
 
 
 def test_make_grid_d3():
-    assert level_array(1.0, 3).tolist() == [-1.0, 0.0, 1.0]
+    assert level_array(1.0, 3, np.arange(3)).tolist() == [-1.0, 0.0, 1.0]
     assert register_width(3) == 2
 
 
 def test_make_grid_d5():
-    assert level_array(1.0, 5).tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert level_array(1.0, 5, np.arange(5)).tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
     assert register_width(5) == 3
 
 
@@ -67,7 +69,7 @@ def test_largest_phi_max_has_finite_normalizations(d):
 @pytest.mark.parametrize("phi_max", [1.0, 2.5, 0.3, 7.123])
 def test_levels_bit_identical_to_scalar_expression(phi_max):
     for d in range(3, 514, 2):
-        lams = level_array(phi_max, d).tolist()
+        lams = level_array(phi_max, d, np.arange(d)).tolist()
         delta_phi = 2.0 * phi_max / (d - 1)
         assert lams == [-phi_max + n * delta_phi for n in range(d)], d
         assert all(type(lam) is float for lam in lams)
@@ -82,7 +84,7 @@ def test_spacing_relation():
 
 def test_eigenvalues_increasing_and_symmetric():
     for d in (3, 9, 51, 513):
-        lams = level_array(1.5, d).tolist()
+        lams = level_array(1.5, d, np.arange(d)).tolist()
         assert all(a < b for a, b in zip(lams, lams[1:]))
         assert lams[0] == -1.5
         assert lams[-1] == pytest.approx(1.5, abs=1e-14)
@@ -108,7 +110,8 @@ def test_register_width_values():
         lambda d: qubit_projector_diag_oracle(1.0, d),
         lambda d: pf_thresholds([d], 1e-6),
         lambda d: ratio_and_budget(1.0, [d], 0.1, 1e-6),
-        lambda d: select_nontrivial_count(select_numerators(d)),
+        # verify's census counts only d that run_suites has checked
+        lambda d: run_suites(1.0, [d], [d]),
         lambda d: lcu_fixed_encoding_thresholds(1.0, [d], 0.1, 1e-6),
     ],
     # the hybrid call cost and the fixed-encoding rotation bound are checked

@@ -222,7 +222,7 @@ def test_dclock_realizes_clock_phases(d):
 def binary_prep_amplitudes(d):
     """sqrt(|beta_r| / Lambda) at index r = 1 .. d - 1 of the 2^n_b index strings, phi_max = 1."""
     amps = np.zeros(2 ** register_width(d))
-    betas, _ = beta_closed_form(1.0, d)
+    betas, _ = beta_closed_form(1.0, d, np.arange(d))
     amps[1:d] = np.sqrt(np.abs(betas[1:]) / clock_one_norm(1.0, d))
     return amps
 
@@ -243,7 +243,7 @@ def test_binary_prep_trivial_angles_just_above_a_power_of_two(n_b):
     # there is 0: 2^(n_b - 1) - 1 of the 2^n_b - 1 are trivial
     d = 2 ** (n_b - 1) + 1
     angles = np.concatenate(binary_prep_angles(binary_prep_amplitudes(d)))
-    assert len(angles) - nontrivial_count(angles) == 2 ** (n_b - 1) - 1
+    assert len(angles) - nontrivial_count(angles, [0])[0] == 2 ** (n_b - 1) - 1
 
 
 # -------------------------------------------------------------- sign flip
@@ -251,7 +251,7 @@ def test_binary_prep_trivial_angles_just_above_a_power_of_two(n_b):
 
 def negative_flags(d):
     """1 where the coefficient c_r is negative, for r = 1 .. d - 1."""
-    return [int(c < 0) for c in beta_closed_form(1.0, d)[1]]
+    return [int(c < 0) for c in beta_closed_form(1.0, d, np.arange(1, d))[1]]
 
 
 def test_dsign_spec_d5():
@@ -268,10 +268,11 @@ def test_dsign_spec_d3():
 def test_phase_assembly_matches_sign_times_clock():
     # sgn(c_r) * e^(i pi r/d) equals the selection phase for every level
     for d in range(3, 514, 2):
-        _, c_amps = beta_closed_form(1.0, d)
-        phases = select_diag_phases(1.0, c_amps)
+        n = np.arange(d)
+        _, c_amps = beta_closed_form(1.0, d, n)
+        phases = select_diag_phases(1.0, d, n, c_amps)
         for r in range(1, d):
-            sign = -1.0 if c_amps[r - 1] < 0 else 1.0
+            sign = -1.0 if c_amps[r] < 0 else 1.0
             assembled = sign * cmath.exp(1j * math.pi * r / d)
             assert abs(assembled - cmath.exp(1j * phases[r])) < 1e-12
 
@@ -279,22 +280,33 @@ def test_phase_assembly_matches_sign_times_clock():
 # ------------------------------------------------------ selection schedule
 
 
+def closed_phases(d):
+    """The d selection phases of the closed form at phi_max = 1."""
+    n = np.arange(d)
+    return select_diag_phases(1.0, d, n, beta_closed_form(1.0, d, n)[1])
+
+
 def select_schedule(d):
     """The float selection schedule of the closed form at phi_max = 1."""
-    return fixed_encoding_select_schedule(select_diag_phases(1.0, beta_closed_form(1.0, d)[1]))
+    return fixed_encoding_select_schedule(closed_phases(d), [d])
+
+
+def numerators(d):
+    """The exact N_r, r = 1 .. d - 1, of one d."""
+    return select_numerators(d, np.arange(1, d))
 
 
 def exact_count(d):
     """The exact nontrivial selection count s(d)."""
-    return select_nontrivial_count(select_numerators(d))
+    return select_nontrivial_count(d, numerators(d), [0])[0]
 
 
 def test_select_vartheta_closed_form_d3():
     # the closed-form angles (pi/d) N_k: 4*pi/3 on k = 0; k = m carries no
     # winding correction, so its angle is a half-turn pair (2*pi), which is
     # nontrivial mod 4*pi
-    assert select_numerators(3).tolist() == [4, 6]
-    assert (math.pi / 3) * select_numerators(3) == pytest.approx([4 * math.pi / 3, 2 * math.pi])
+    assert numerators(3).tolist() == [4, 6]
+    assert (math.pi / 3) * numerators(3) == pytest.approx([4 * math.pi / 3, 2 * math.pi])
 
 
 def test_select_census_small_values():
@@ -318,7 +330,7 @@ def test_select_census_membership_and_bound():
 
 def test_select_schedule_closed_form_agreement():
     for d in range(3, 514, 2):
-        closed = (math.pi / d) * select_numerators(d)
+        closed = (math.pi / d) * numerators(d)
         for k, angle in enumerate(select_schedule(d)):
             gap = math.remainder(angle - closed[k], 4 * math.pi)
             assert abs(gap) < 1e-9, (d, k)
@@ -326,13 +338,13 @@ def test_select_schedule_closed_form_agreement():
 
 def test_select_schedule_census_agreement():
     for d in range(3, 130, 2):
-        assert nontrivial_count(select_schedule(d)) == exact_count(d)
+        assert nontrivial_count(select_schedule(d), [0])[0] == exact_count(d)
 
 
 @pytest.mark.parametrize("d", list(range(3, 65, 2)))
 def test_select_schedule_reproduces_diagonal(d):
-    target = select_diag_phases(1.0, beta_closed_form(1.0, d)[1])
-    realized = ladder_diagonal(fixed_encoding_select_schedule(target))
+    target = closed_phases(d)
+    realized = ladder_diagonal(fixed_encoding_select_schedule(target, [d]))
     err = phase_error(realized, target)
     assert err <= 1e-10, (d, err)
 
@@ -360,9 +372,9 @@ def test_lcu_table_prices_the_built_selection_and_preparations(capsys, t, eps_si
     scan_rows = printed_rows(capsys, "scan-ratio", *flags)
     for lcu, scan in zip(lcu_rows, scan_rows, strict=True):
         d = lcu["d"]
-        betas, c_amps = beta_closed_form(1.0, d)
-        amps = np.sqrt(np.abs(betas[1:]) / clock_one_norm(1.0, d))
-        built = len(fixed_encoding_select_schedule(select_diag_phases(1.0, c_amps)))
+        betas, _ = beta_closed_form(1.0, d, np.arange(1, d))
+        amps = np.sqrt(np.abs(betas) / clock_one_norm(1.0, d))
+        built = len(select_schedule(d))
         built += 2 * len(prep_ry_schedule(amps))
         assert (scan["d"], built) == (d, 3 * d - 3)
         budget = eps_sim / scan["q_qd"]
@@ -374,8 +386,8 @@ def test_lcu_table_prices_the_built_selection_and_preparations(capsys, t, eps_si
 
 def prep_amplitudes(d):
     """sqrt(|beta_r| / Lambda), r = 1 .. d - 1, of the closed form at phi_max = 1, one by one."""
-    betas, _ = beta_closed_form(1.0, d)
-    return np.array([math.sqrt(abs(b) / clock_one_norm(1.0, d)) for b in betas[1:]])
+    betas, _ = beta_closed_form(1.0, d, np.arange(1, d))
+    return np.array([math.sqrt(abs(b) / clock_one_norm(1.0, d)) for b in betas])
 
 
 def test_prep_angles_d3():
@@ -413,7 +425,7 @@ def test_prep_uses_exactly_d_minus_1_rotations():
     for d in (3, 7, 21):
         angles = prep_ry_schedule(prep_amplitudes(d))
         assert len(angles) == d - 1
-        assert nontrivial_count(angles) == d - 1
+        assert nontrivial_count(angles, [0])[0] == d - 1
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0, 1 + 1e-8, 1 - 1e-8])
@@ -434,4 +446,5 @@ def test_prep_rejects_vanishing_amplitude():
     # the verify pass raises on the closed form's vanishing coefficients in
     # select_diag_phases, before it builds the preparation
     with pytest.raises(ValueError, match="c_1 vanishes"):
-        select_diag_phases(0.0, beta_closed_form(0.0, 5)[1])
+        n = np.arange(5)
+        select_diag_phases(0.0, 5, n, beta_closed_form(0.0, 5, n)[1])

@@ -37,30 +37,44 @@ def mp_one_norm(phi_max, d):
 
 
 def test_closed_form_d3():
-    betas, c_amps = beta_closed_form(1.0, 3)
+    betas, c_amps = beta_closed_form(1.0, 3, np.arange(3))
     assert betas[0] == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert betas[1] == pytest.approx((1.0 / 3.0) * cmath.exp(1j * math.pi / 3), abs=1e-15)
     assert betas[2] == pytest.approx((1.0 / 3.0) * cmath.exp(-1j * math.pi / 3), abs=1e-15)
     assert np.abs(betas[1:]).sum() == pytest.approx(2.0 / 3.0, rel=1e-13)
-    assert [c < 0 for c in c_amps] == [False, True]  # negative from (d + 1) / 2 = 2
+    # c_0 = beta_0; negative from (d + 1) / 2 = 2
+    assert [c < 0 for c in c_amps] == [False, False, True]
 
 
 def test_closed_form_d5_moduli():
-    betas, _ = beta_closed_form(1.0, 5)
+    betas, _ = beta_closed_form(1.0, 5, np.arange(5))
     assert abs(betas[1]) == pytest.approx(0.292705, abs=1e-6)
     assert abs(betas[2]) == pytest.approx(0.0427051, abs=1e-6)
     assert np.abs(betas[1:]).sum() == pytest.approx(0.670820, abs=1e-6)
 
 
 def test_zero_field_coefficients_vanish():
-    betas, _ = beta_closed_form(0.0, 7)
+    betas, _ = beta_closed_form(0.0, 7, np.arange(7))
     assert all(abs(b) == 0.0 for b in betas)
+
+
+def test_closed_form_phases_are_the_complex_exponential_bit_for_bit():
+    # beta_closed_form builds c_n e^(i pi n/d) from the cosine and sine it
+    # already has; that equals c_n * np.exp(1j * x), the per-d form, only
+    # while numpy's complex exp returns exactly that cosine and sine
+    for d in [*range(3, 2050, 2), 4097, 20001]:
+        x = np.pi * np.arange(d) / d
+        phase = np.exp(1j * x)
+        assert phase.real.tobytes() == np.cos(x).tobytes(), d
+        assert phase.imag.tobytes() == np.sin(x).tobytes(), d
+        betas, c_amps = beta_closed_form(1.3, d, np.arange(d))
+        assert betas[1:].tobytes() == (c_amps[1:] * phase[1:]).tobytes(), d
 
 
 def test_dft_oracle_agrees_small():
     for d in (3, 5, 7, 101):
-        closed, _ = beta_closed_form(1.0, d)
-        oracle = beta_dft_oracle(level_array(1.0, d) ** 2)
+        closed, _ = beta_closed_form(1.0, d, np.arange(d))
+        oracle = beta_dft_oracle(level_array(1.0, d, np.arange(d)) ** 2)
         worst = max(abs(a - b) for a, b in zip(closed, oracle))
         tol = 1e-12 if d <= 7 else 1e-10
         assert worst < tol, (d, worst)
@@ -71,7 +85,7 @@ def test_fft_oracle_matches_direct_sum(phi_max):
     # the direct sum certifies the FFT, within tolerances tighter than the
     # dft-oracle suite's bounds (1e-10 on coefficients and on the one-norm)
     for d in [*range(3, 258, 2), 513]:
-        fft = beta_dft_oracle(level_array(phi_max, d) ** 2)
+        fft = beta_dft_oracle(level_array(phi_max, d, np.arange(d)) ** 2)
         direct = direct_dft_coefficients(make_grid(phi_max, d))
         assert np.max(np.abs(fft - direct)) <= 1e-12 * phi_max**2, d
         assert math.isclose(np.abs(fft[1:]).sum(), np.abs(direct[1:]).sum(), rel_tol=1e-11), d
@@ -79,7 +93,7 @@ def test_fft_oracle_matches_direct_sum(phi_max):
 
 def test_dft_inversion_identity_d7():
     g = make_grid(1.0, 7)
-    betas = beta_dft_oracle(level_array(1.0, 7) ** 2)
+    betas = beta_dft_oracle(level_array(1.0, 7, np.arange(7)) ** 2)
     omega = cmath.exp(2j * math.pi / 7)
     for n in range(7):
         recon = sum(betas[r] * omega ** (r * n) for r in range(7))
@@ -88,14 +102,14 @@ def test_dft_inversion_identity_d7():
 
 def test_hermiticity():
     for d in (3, 9, 33, 129):
-        betas, _ = beta_closed_form(1.3, d)
+        betas, _ = beta_closed_form(1.3, d, np.arange(d))
         for r in range(1, d):
             assert abs(betas[d - r] - betas[r].conjugate()) < 1e-12
 
 
 def test_sign_pattern_and_antisymmetry():
     for d in (3, 5, 21, 101):
-        _, c_amps = beta_closed_form(1.0, d)
+        _, c_amps = beta_closed_form(1.0, d, np.arange(1, d))
         mid = (d - 1) // 2
         for r in range(1, d):
             c = c_amps[r - 1]
@@ -105,7 +119,7 @@ def test_sign_pattern_and_antisymmetry():
 
 def test_lambda_norm_closed_vs_oracle():
     for d in (3, 17, 101, 513):
-        oracle = np.abs(beta_dft_oracle(level_array(1.0, d) ** 2)[1:]).sum()
+        oracle = np.abs(beta_dft_oracle(level_array(1.0, d, np.arange(d)) ** 2)[1:]).sum()
         assert math.isclose(clock_one_norm(1.0, d), oracle, rel_tol=1e-10)
 
 
@@ -176,7 +190,8 @@ def test_one_norm_half_sum_equals_the_numpy_expression():
 
 def closed_phases(d):
     """The selection phases of the closed form at phi_max = 1."""
-    return select_diag_phases(1.0, beta_closed_form(1.0, d)[1])
+    n = np.arange(d)
+    return select_diag_phases(1.0, d, n, beta_closed_form(1.0, d, n)[1])
 
 
 def test_select_diag_phases_d3():
@@ -195,8 +210,9 @@ def test_select_diag_phases_d5():
 
 def test_select_diag_phases_range_and_unit():
     for d in (7, 65):
-        betas, c_amps = beta_closed_form(1.0, d)
-        phases = select_diag_phases(1.0, c_amps)
+        n = np.arange(d)
+        betas, c_amps = beta_closed_form(1.0, d, n)
+        phases = select_diag_phases(1.0, d, n, c_amps)
         assert len(phases) == d
         for r in range(1, d):
             assert 0.0 <= phases[r] < 2 * math.pi
@@ -206,23 +222,25 @@ def test_select_diag_phases_range_and_unit():
 def test_sign_threshold_equivalence_full_range():
     # the negative-sign region is exactly {r >= (d+1)/2}, for every odd d
     for d in range(3, 514, 2):
-        _, c_amps = beta_closed_form(1.0, d)
+        _, c_amps = beta_closed_form(1.0, d, np.arange(1, d))
         for r in range(1, d):
             assert (c_amps[r - 1] < 0) == (r >= (d + 1) // 2), (d, r)
 
 
 def test_irreducibility_guard():
     with pytest.raises(ValueError, match="not irreducible"):
-        select_diag_phases(0.0, beta_closed_form(0.0, 5)[1])
+        n = np.arange(5)
+        select_diag_phases(0.0, 5, n, beta_closed_form(0.0, 5, n)[1])
 
 
 @pytest.mark.parametrize("d", [14647, 20001])
 def test_smallest_coefficients_pass_the_irreducibility_guard(d):
     # the smallest |c_r|, about pi phi_max^2 / d^3 at r = (d - 1) / 2, lies
     # below 1e-12 phi_max^2 here; the guard scales with it
-    betas, c_amps = beta_closed_form(1.0, d)
+    n = np.arange(d)
+    betas, c_amps = beta_closed_form(1.0, d, n)
     assert min(abs(c) for c in c_amps) < 1e-12
-    assert len(select_diag_phases(1.0, c_amps)) == d
+    assert len(select_diag_phases(1.0, d, n, c_amps)) == d
     # and the preparation gives one angle per amplitude
     assert len(prep_ry_schedule(np.sqrt(np.abs(betas[1:]) / clock_one_norm(1.0, d)))) == d - 1
 
@@ -232,7 +250,7 @@ def test_oracle_matches_direct_summation_not_closed_form():
     # cannot secretly depend on the squared-field closed form
     d = 9
     g = make_grid(2.0, d)
-    betas = beta_dft_oracle(level_array(2.0, d) ** 2)
+    betas = beta_dft_oracle(level_array(2.0, d, np.arange(d)) ** 2)
     lam_sq = np.array([lam**2 for lam in levels(g)])
     manual = [
         sum(lam_sq[n] * cmath.exp(-2j * math.pi * r * n / d) for n in range(d)) / d

@@ -7,13 +7,15 @@ cost of a rotation.  A report checks its scalar inputs once, whatever its
 row count, and so does `verify`.  `verify` builds each closed form, each
 selection phase list and schedule, each one-norm, each level array and
 each exact numerator array once per dimension, in one pass for all its
-per-d suites, and a process sums the one-norm weights of each small d once.
+per-d suites: its block calls cover each d exactly once.  A process sums
+the one-norm weights of each small d once.
 """
 
 import contextlib
 import io
 import sys
 
+import numpy as np
 import pytest
 
 from quditcost import cli, costmodel, lcu, pauli
@@ -94,6 +96,31 @@ def calls_of(code, argv):
     return calls
 
 
+def dimensions_built(code, argv):
+    """The d each call of the function whose code object is `code` builds, call after call.
+
+    A call covers the d of its `d` argument, one d or one per level, or
+    the dimensions `sizes` it is handed.
+    """
+    built = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            local = frame.f_locals
+            dims = local["sizes"] if "sizes" in local else np.unique(local["d"])
+            built.extend(int(d) for d in dims)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            exit_code = cli.main(argv)
+    finally:
+        sys.setprofile(previous)
+    assert exit_code == 0
+    return built
+
+
 @pytest.mark.parametrize(
     "function",
     [
@@ -112,8 +139,10 @@ def calls_of(code, argv):
     ids=lambda function: function.__name__,
 )
 def test_verify_builds_each_array_once_per_dimension(function):
-    # one pass over d = 3 .. 15: the dense suites read d <= 9, the census suites all seven
-    assert calls_of(function.__code__, ["verify", "--d-max", "9", "--census-max", "15"]) == 7
+    # one pass over d = 3 .. 129 in blocks: the dense suites read d <= 9,
+    # the census suites all of them
+    argv = ["verify", "--d-max", "9", "--census-max", "129"]
+    assert dimensions_built(function.__code__, argv) == list(range(3, 130, 2))
 
 
 def test_a_process_sums_the_one_norm_weights_once_per_dimension(monkeypatch):

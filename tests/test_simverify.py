@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import per_dimension_run_suites
 
 from quditcost import simverify
 from quditcost.simverify import (
@@ -206,21 +207,24 @@ def test_run_suites_rejects_a_nonfinite_inject(inject, monkeypatch):
 
 
 def closed_form_with(monkeypatch, change):
-    """Make the suites see the closed form (betas, c_amps) as change(betas, c_amps) returns it."""
+    """Make the suites see the closed form at (d, n) as change(d, n, betas, c_amps) returns it."""
     closed = simverify.beta_closed_form
     monkeypatch.setattr(
-        simverify, "beta_closed_form", lambda phi_max, d: change(*closed(phi_max, d))
+        simverify, "beta_closed_form", lambda phi_max, d, n: change(d, n, *closed(phi_max, d, n))
     )
+
+
+def at_index(d, n, index, only_d):
+    """The entries of level index `index`, at every d or only at only_d."""
+    return (n == index) if only_d is None else (n == index) & (d == only_d)
 
 
 def with_beta(r, value, only_d=None):
     """A change that moves beta_r by value (at every d, or only at only_d)."""
 
-    def change(betas, c_amps):
-        if only_d not in (None, len(betas)):
-            return betas, c_amps
+    def change(d, n, betas, c_amps):
         betas = betas.copy()
-        betas[r] += value
+        betas[at_index(d, n, r, only_d)] += value
         return betas, c_amps
 
     return change
@@ -229,11 +233,10 @@ def with_beta(r, value, only_d=None):
 def flip_first_sign(only_d=None):
     """A change that flips the sign of c_1 (at every d, or only at only_d)."""
 
-    def change(betas, c_amps):
-        if only_d not in (None, len(betas)):
-            return betas, c_amps
+    def change(d, n, betas, c_amps):
         c_amps = c_amps.copy()
-        c_amps[0] = -c_amps[0]
+        first = at_index(d, n, 1, only_d)
+        c_amps[first] = -c_amps[first]
         return betas, c_amps
 
     return change
@@ -292,7 +295,9 @@ def test_census_reads_the_closed_form_that_the_dft_check_reads(monkeypatch):
 def test_census_suite_fails_on_an_off_by_one_count(monkeypatch):
     count = simverify.select_nontrivial_count
     monkeypatch.setattr(
-        simverify, "select_nontrivial_count", lambda numerators: count(numerators) + 1
+        simverify,
+        "select_nontrivial_count",
+        lambda d, numerators, starts: count(d, numerators, starts) + 1,
     )
     result = named("select-census", run_suites(1.0, odd(3), odd(15)))
     assert not result.ok
@@ -305,9 +310,9 @@ def test_census_suite_fails_on_a_corrupted_exact_numerator(monkeypatch):
     # float schedule never reads it, so bending it shows as an angle gap
     numerators = simverify.select_numerators
 
-    def bent(d):
-        n = numerators(d)
-        n[-1] += 1
+    def bent(d, r):
+        n = numerators(d, r)
+        n[r == d - 1] += 1
         return n
 
     monkeypatch.setattr(simverify, "select_numerators", bent)
@@ -330,8 +335,8 @@ def test_census_suite_passes_up_to_5733():
 def test_select_suite_fails_on_a_nan_angle(monkeypatch):
     schedule = simverify.fixed_encoding_select_schedule
 
-    def bent(thetas):
-        angles = schedule(thetas)
+    def bent(thetas, sizes):
+        angles = schedule(thetas, sizes)
         angles[0] = math.nan
         return angles
 
@@ -353,3 +358,35 @@ def test_prep_suite_fails_on_a_nan_angle(monkeypatch):
     result = named("prep-schedule", run_suites(1.0, odd(9), odd(3)))
     assert not result.ok
     assert math.isnan(result.worst)
+
+
+def same_results(got, want):
+    """Every field equal, the worst errors bit for bit."""
+    assert [r.name for r in got] == [r.name for r in want]
+    for g, w in zip(got, want):
+        assert (g.ok, g.cases, g.worst_d, g.detail) == (w.ok, w.cases, w.worst_d, w.detail), g.name
+        assert float(g.worst).hex() == float(w.worst).hex(), g.name
+
+
+@pytest.mark.parametrize(
+    "phi_max,dense_ds,census_ds,inject",
+    [
+        # the shipped caps: many blocks, dense and census d in the first ones
+        (1.0, odd(64), odd(513), 0.0),
+        (2.5, odd(64), odd(513), 0.0),
+        (0.37, odd(33), odd(1155), 0.0),
+        (1.0, odd(64), odd(513), 1e-6),
+        # sequences that are not prefixes of the odd d
+        (1.0, [9, 33], [15, 1155], 0.0),
+        # dense-only blocks, then census blocks of a few d each
+        (1.0, odd(99), range(1001, 1301, 2), 0.0),
+        # d above BLOCK_LEVELS run one at a time
+        (1.0, [9, 2049], [15, 2051, 4097], 0.0),
+        # the first count mismatch, named in the detail
+        (1.0, [3], [5735], 0.0),
+    ],
+)
+def test_run_suites_equals_the_per_dimension_loop(phi_max, dense_ds, census_ds, inject):
+    assert 2049 > simverify.BLOCK_LEVELS >= 99
+    got = run_suites(phi_max, dense_ds, census_ds, inject)
+    same_results(got, per_dimension_run_suites(phi_max, dense_ds, census_ds, inject))

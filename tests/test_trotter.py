@@ -11,11 +11,18 @@ from oracles import (
     qubit_trotter_terms,
     squared_mean,
 )
+from oracles import qudit_trotter_angles as single_time_angles
 
 from quditcost.costmodel import SynthesisModel, pf_thresholds
 from quditcost.pauli import level_array
 from quditcost.simverify import ladder_diagonal, nontrivial_count, phase_error
 from quditcost.trotter import qudit_trotter_angles, reduce_angles
+
+
+def step_angles(phi_max, d, t):
+    """The native step angles of one d at one time."""
+    (angles,) = qudit_trotter_angles(phi_max, d, np.arange(1, d), [t])
+    return angles
 
 
 def phi_eigenvalue(exp, index):
@@ -41,12 +48,12 @@ def test_angle_helpers():
     assert reduce_angles(np.array([-2 * math.pi])) == pytest.approx([2 * math.pi])
     assert -2 * math.pi < reduce_angles(np.array([123.456]))[0] <= 2 * math.pi
     # nontrivial_count reads reduced angles
-    assert nontrivial_count(reduce_angles(np.array([0.0]))) == 0
-    assert nontrivial_count(reduce_angles(np.array([4 * math.pi]))) == 0
-    assert nontrivial_count(reduce_angles(np.array([-8 * math.pi + 1e-12]))) == 0
+    assert nontrivial_count(reduce_angles(np.array([0.0])), [0])[0] == 0
+    assert nontrivial_count(reduce_angles(np.array([4 * math.pi])), [0])[0] == 0
+    assert nontrivial_count(reduce_angles(np.array([-8 * math.pi + 1e-12])), [0])[0] == 0
     # a half-turn pair is not the identity
-    assert nontrivial_count(reduce_angles(np.array([2 * math.pi]))) == 1
-    assert nontrivial_count(reduce_angles(np.array([1e-6]))) == 1
+    assert nontrivial_count(reduce_angles(np.array([2 * math.pi])), [0])[0] == 1
+    assert nontrivial_count(reduce_angles(np.array([1e-6])), [0])[0] == 1
 
 
 def remainder_fold(angle):
@@ -67,10 +74,10 @@ def test_reduce_angles_equals_the_remainder_fold_bit_for_bit():
 
 def test_nontrivial_count():
     angles = np.array([0.0, 4 * math.pi, 2 * math.pi, 0.3])
-    assert nontrivial_count(reduce_angles(angles)) == 2
+    assert nontrivial_count(reduce_angles(angles), [0])[0] == 2
     # it does not reduce them again: an unreduced full turn counts as a rotation
-    assert nontrivial_count(angles) == 3
-    assert nontrivial_count(np.array([math.nan])) == 1
+    assert nontrivial_count(angles, [0])[0] == 3
+    assert nontrivial_count(np.array([math.nan]), [0])[0] == 1
 
 
 def test_qubit_terms_d3():
@@ -130,24 +137,41 @@ def test_qubit_t_zero_is_identity():
 
 
 def test_qudit_angles_d3():
-    assert qudit_trotter_angles(1.0, 3, 1.0) == pytest.approx([2 / 3, -2 / 3])
+    assert step_angles(1.0, 3, 1.0) == pytest.approx([2 / 3, -2 / 3])
 
 
 def test_qudit_angles_t_zero():
-    assert nontrivial_count(qudit_trotter_angles(1.0, 9, 0.0)) == 0
+    assert nontrivial_count(step_angles(1.0, 9, 0.0), [0])[0] == 0
 
 
 def test_qudit_schedule_adjacent_and_generically_nontrivial():
     # one angle per adjacent pair (k, k+1), none of them the identity
     for d in (3, 7, 33):
-        angles = qudit_trotter_angles(1.0, d, 0.37)
+        angles = step_angles(1.0, d, 0.37)
         assert len(angles) == d - 1
-        assert nontrivial_count(angles) == d - 1
+        assert nontrivial_count(angles, [0])[0] == d - 1
+
+
+def test_qudit_angles_build_one_row_per_time_bit_for_bit():
+    # N_k is built once; each row equals the per-time builder that verify
+    # called before, bit for bit, at every d and time
+    times = [0.1, 1.0, 3.7]
+    for phi_max in (1.0, 2.5, 150.0):
+        for d in (3, 5, 65, 513, 6145):
+            rows = qudit_trotter_angles(phi_max, d, np.arange(1, d), times)
+            assert len(rows) == len(times)
+            for row, t in zip(rows, times):
+                assert row.tobytes() == single_time_angles(phi_max, d, t).tobytes(), (phi_max, d, t)
+
+
+def test_qudit_angles_name_the_first_overflowing_time():
+    with pytest.raises(ValueError, match="phi_max=6e\\+153 with t=3.7"):
+        qudit_trotter_angles(6e153, 9, np.arange(1, 9), [0.1, 3.7, 5.0])
 
 
 def test_qudit_angles_reject_an_overflowing_phase():
     with pytest.raises(ValueError, match="phi_max=6e\\+153 with t=3.7"):
-        qudit_trotter_angles(6e153, 9, 3.7)
+        step_angles(6e153, 9, 3.7)
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 3.7])
@@ -155,7 +179,7 @@ def test_qudit_schedule_matches_target_diagonal(t):
     # 6145 and 16385 failed while the angles were a running float sum
     for d in [*range(3, 65, 2), 6145, 16385]:
         g = make_grid(1.0, d)
-        realized = ladder_diagonal(qudit_trotter_angles(1.0, d, t))
+        realized = ladder_diagonal(step_angles(1.0, d, t))
         target = tuple(-t * lam**2 for lam in levels(g))
         err = phase_error(realized, target)
         assert err <= 1e-10, (d, t, err)
@@ -175,8 +199,8 @@ def test_ladder_global_phase_is_minus_t_times_the_direct_mean():
                 assert math.isclose(phase, -t * mu, rel_tol=1e-12), (phi_max, d, t)
                 # the ladder plus that phase is diag(e^(-i t lambda_n^2)) level by
                 # level, with no alignment: 2 |sin(gap / 2)| = |e^(i gap) - 1|
-                gap = ladder_diagonal(qudit_trotter_angles(phi_max, d, t)) + phase
-                gap -= -t * level_array(phi_max, d) ** 2
+                gap = ladder_diagonal(step_angles(phi_max, d, t)) + phase
+                gap -= -t * level_array(phi_max, d, np.arange(d)) ** 2
                 assert np.max(np.abs(2.0 * np.sin(0.5 * gap))) <= 1e-10, (phi_max, d, t)
     # degenerate zero field, built directly since make_grid rejects phi_max = 0
     zero = FieldGrid(phi_max=0.0, d=5, delta_phi=0.0, n_b=3)
@@ -187,7 +211,7 @@ def test_ladder_global_phase_is_minus_t_times_the_direct_mean():
 def test_angle_uniqueness_mod_4pi():
     # re-solving the angles from the realized per-level phases reproduces
     # the schedule up to multiples of 4*pi
-    angles = qudit_trotter_angles(1.0, 11, 0.37)
+    angles = step_angles(1.0, 11, 0.37)
     realized = ladder_diagonal(angles)
     acc = 0.0
     for k, angle in enumerate(angles):
