@@ -104,11 +104,14 @@ def select_diag_phases(phi_max: float, d, n, c_amps: np.ndarray) -> np.ndarray:
 
     Raises:
         ValueError: if any c_n with n > 0 sits at or below the
-            irreducibility floor of its d; the first such n is named.
+            irreducibility floor of its d; the first such n is named,
+            with its d.
     """
     vanishing = np.flatnonzero((np.abs(c_amps) <= irreducibility_floor(phi_max, d)) & (n > 0))
     if vanishing.size:
+        j = vanishing[0]
         raise ValueError(
-            f"coefficient c_{n[vanishing[0]]} vanishes; the expansion is not irreducible"
+            f"coefficient c_{n[j]} vanishes at d={np.broadcast_to(d, np.shape(n))[j]}; "
+            "the expansion is not irreducible"
         )
     return np.pi * n / d + np.where(c_amps < 0, np.pi, 0.0)

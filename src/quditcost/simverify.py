@@ -17,21 +17,23 @@ or exact integer arithmetic, for the odd d it is given, and each returns
 its own SuiteResult.  run_suites is the one entry: it takes two sequences
 of d, checks inject, phi_max and each d, then walks their sorted union in
 blocks of consecutive d whose levels sum to at most BLOCK_LEVELS (a
-larger d forms a block of its own and stays a scalar).  The builders are
-elementwise formulas over broadcastable (d, n) arrays, so one numpy call
-per formula covers a whole block, the levels n = 0 .. d-1 or the pairs
-r = 1 .. d-1 of each d back to back: the closed form, the selection
-phases and their irreducibility check, the squared levels, the exact
-N_r, the nontrivial counts and the census gap.  Maxima and counts per d
-are np.maximum.reduceat and np.add.reduceat over the runs, which do not
-depend on order.  What stays per d, on slices of the block's arrays: the
-mean and running sum of the selection schedule and the one-norm sum,
-whose float bits depend on the summation order; the FFT with its
-distance to the closed form, and the Hermiticity and sign checks, which
-read views of one d's coefficients; and the dense suites, whose
-preparation sums and multiplies in order and whose step angles square
-the spacing as a Python float.  So each d is built once, and every error
-equals, bit for bit, the one that a loop building each d on its own gets
+larger d forms a block of its own and stays a scalar).  _block_index
+lays a block out once: the levels n = 0 .. d-1 and the pairs
+r = 1 .. d-1 of each d back to back, and the offsets of each d's runs.
+The builders are elementwise formulas over broadcastable (d, n) arrays,
+so one numpy call per formula covers a whole block: the closed form, the
+selection phases and their irreducibility check, the squared levels, the
+exact N_r, the nontrivial counts and the census gap.  Maxima and counts
+per d are np.maximum.reduceat and np.add.reduceat over the runs, which
+do not depend on order; the selection schedule takes its mean and
+running sum per d, whose float bits do.  One loop then visits each d of
+the block, on slices at its offsets: the one-norm; the dense suites,
+whose preparation sums and multiplies in order and whose step angles
+square the spacing as a Python float; and the FFT with its distance to
+the closed form, the one-norm sum, and the Hermiticity and sign checks,
+which read views of one d's coefficients.  Each check keeps one array
+over the d it covers.  So each d is built once, and every error equals,
+bit for bit, the one that a loop building each d on its own gets
 (tests/oracles.py keeps that loop).  With a few hundred levels per d,
 numpy's per-call overhead, not the arithmetic, set the cost of that
 loop; the bound keeps a block's arrays small.  The builders leave every
@@ -41,7 +43,6 @@ suite and fails it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from collections.abc import Sequence
@@ -192,20 +193,23 @@ def _blocks(ds: Sequence[int]) -> list[list[int]]:
 
 
 def _block_index(ds: list[int]) -> tuple:
-    """(d, n, d_pair, r) for the dimensions ds, back to back.
+    """(d, n, d_pair, r, levels, pairs) for the dimensions ds, back to back.
 
     d and n = 0 .. d-1 index the levels of each d in turn; d_pair and
     r = 1 .. d-1 index its pairs (k, k + 1), r = k + 1, the levels n > 0.
-    A block of one d keeps d a scalar.
+    The levels of ds[i] are levels[i]:levels[i + 1] and its pairs
+    pairs[i]:pairs[i + 1].  A block of one d keeps d a scalar.
     """
+    levels = np.cumsum([0, *ds])
+    pairs = levels - np.arange(len(levels))
     if len(ds) == 1:
         n = np.arange(ds[0])
-        return ds[0], n, ds[0], n[1:]
+        return ds[0], n, ds[0], n[1:], levels, pairs
     sizes = np.array(ds)
     d = np.repeat(sizes, sizes)
-    n = np.arange(len(d)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    pairs = n > 0
-    return d, n, d[pairs], n[pairs]
+    n = np.arange(len(d)) - np.repeat(levels[:-1], sizes)
+    nonzero = n > 0
+    return d, n, d[nonzero], n[nonzero], levels, pairs
 
 
 def run_suites(
@@ -218,7 +222,8 @@ def run_suites(
     caller keeps d within that bound, and membership in a range is O(1).
     inject, phi_max and each d (costmodel.register_width) are checked
     before any suite runs.  The d of both sequences run in blocks
-    (_blocks), and each block's arrays are built once.
+    (_blocks) laid out by _block_index; each block's arrays are built
+    once, and one loop over its d does the per-d work of both sequences.
 
     Over the d of dense_ds: trotter-schedule, native step schedules
     realize diag(e^(-i t lambda_n^2)) at three times; select-schedule, the
@@ -282,78 +287,65 @@ def run_suites(
             f"is below the smallest normal float {sys.float_info.min:.3g}"
         )
     scale = phi_max * phi_max
-    dense_rows, census_rows = [], []
+    dense_errors, dft_errors, signs, exact, floats, gaps = [], [], [], [], [], []
     # Each block's arrays stay bound until the next block's replace them.
     # Freed all at once, a large d's pages would go back to the system and
     # fault in again at the next d, which costs more than its census.
     for block in _blocks(dims):
-        d, n, d_pair, r = _block_index(block)
-        level_starts = list(itertools.accumulate(block, initial=0))
-        pair_starts = [lo - i for i, lo in enumerate(level_starts)]
+        d, n, d_pair, r, levels, pairs = _block_index(block)
         betas, c_amps = beta_closed_form(phi_max, d, n)
         thetas = select_diag_phases(phi_max, d, n, c_amps)
         angles = fixed_encoding_select_schedule(thetas, block)
-        norms = [clock_one_norm(phi_max, dim) for dim in block]
         lam_sq = level_array(phi_max, d, n) ** 2
         for i, dim in enumerate(block):
-            if dim not in dense_ds:
-                continue
-            levels = slice(level_starts[i], level_starts[i + 1])
-            pair_run = slice(pair_starts[i], pair_starts[i + 1])
-            steps = zip(STEP_TIMES, qudit_trotter_angles(phi_max, dim, r[pair_run], STEP_TIMES))
-            schedule = angles[pair_run]
-            amps = np.sqrt(np.abs(betas[levels][1:]) / norms[i])
-            dense_rows.append((
-                np.max([phase_error(ladder_diagonal(row), -t * lam_sq[levels]) for t, row in steps]),
-                phase_error(ladder_diagonal(np.append(schedule[0] + inject, schedule[1:])), thetas[levels]),
-                np.linalg.norm(fan_state(prep_ry_schedule(amps)) - np.append(0.0, amps)),
-            ))
-        census = [i for i, dim in enumerate(block) if dim in census_ds]
-        if not census:
-            continue
-        coefficient_rows = []
-        for i in census:
-            lo, hi = level_starts[i], level_starts[i + 1]
-            oracle = beta_dft_oracle(lam_sq[lo:hi])
-            one_norm = np.add.reduce(np.abs(oracle[1:]))
-            b_r, mid = betas[lo + 1:hi], lo + (hi - lo + 1) // 2
-            coefficient_rows.append((
-                np.max(np.abs(betas[lo:hi] - oracle)) / scale,
-                # beta_(d-r) against conj(beta_r), r = 1 .. d-1
-                np.max(np.abs(b_r[::-1] - b_r.conj())) / scale,
-                abs(norms[i] - one_norm) / one_norm,
+            lo, hi = levels[i], levels[i + 1]
+            norm = clock_one_norm(phi_max, dim)
+            if dim in dense_ds:
+                pair_run = slice(pairs[i], pairs[i + 1])
+                steps = zip(STEP_TIMES, qudit_trotter_angles(phi_max, dim, r[pair_run], STEP_TIMES))
+                schedule = angles[pair_run]
+                amps = np.sqrt(np.abs(betas[lo + 1:hi]) / norm)
+                dense_errors.append((
+                    np.max([phase_error(ladder_diagonal(row), -t * lam_sq[lo:hi]) for t, row in steps]),
+                    phase_error(ladder_diagonal(np.append(schedule[0] + inject, schedule[1:])), thetas[lo:hi]),
+                    np.linalg.norm(fan_state(prep_ry_schedule(amps)) - np.append(0.0, amps)),
+                ))
+            if dim in census_ds:
+                oracle = beta_dft_oracle(lam_sq[lo:hi])
+                one_norm = np.add.reduce(np.abs(oracle[1:]))
+                b_r, mid = betas[lo + 1:hi], lo + (hi - lo + 1) // 2
+                dft_errors.append((
+                    np.max(np.abs(betas[lo:hi] - oracle)) / scale,
+                    # beta_(d-r) against conj(beta_r), r = 1 .. d-1
+                    np.max(np.abs(b_r[::-1] - b_r.conj())) / scale,
+                    abs(norm - one_norm) / one_norm,
+                ))
                 # c_r < 0 exactly for r >= (d + 1) / 2
-                not (c_amps[lo + 1:mid] < 0).any() and bool((c_amps[mid:hi] < 0).all()),
-            ))
-        starts = pair_starts[:-1]
-        numerators = select_numerators(d_pair, r)
-        gaps = np.abs(reduce_angles(angles - (np.pi / d_pair) * numerators))
-        counts = zip(
-            select_nontrivial_count(d_pair, numerators, starts)[census].tolist(),
-            nontrivial_count(angles, starts)[census].tolist(),
-            np.maximum.reduceat(gaps, starts)[census].tolist(),
-        )
-        census_rows += [row + count for row, count in zip(coefficient_rows, counts)]
-    dense_errors = np.array(dense_rows)
-    dft_errors = np.array([row[:3] for row in census_rows])
-    _, _, _, signs, exact, floats, gaps = zip(*census_rows)
+                signs.append(not (c_amps[lo + 1:mid] < 0).any() and bool((c_amps[mid:hi] < 0).all()))
+        census = [i for i, dim in enumerate(block) if dim in census_ds]
+        if census:
+            starts = pairs[:-1]
+            numerators = select_numerators(d_pair, r)
+            gap = np.abs(reduce_angles(angles - (np.pi / d_pair) * numerators))
+            exact.append(select_nontrivial_count(d_pair, numerators, starts)[census])
+            floats.append(nontrivial_count(angles, starts)[census])
+            gaps.append(np.maximum.reduceat(gap, starts)[census])
+    dense_errors, dft_errors = np.array(dense_errors), np.array(dft_errors)
+    exact, floats, gaps = map(np.concatenate, (exact, floats, gaps))
     signs_ok = all(signs)
     dft_ok = signs_ok and bool(np.all(dft_errors.max(axis=0) <= (1e-10, 1e-12, 1e-10)))
     detail = "" if signs_ok else "sign-threshold equivalence violated"
-    offsets = [d - 1 - count for d, count in zip(census_ds, exact)]
-    census_ok = offsets == [2 ** (_distinct_prime_count(d) - 1) - 1 for d in census_ds]
-    mismatch = ""
-    for d, count, float_count in zip(census_ds, exact, floats):
-        if float_count != count:
-            census_ok = False
-            mismatch = f"count mismatch at d={d} (float {float_count}, exact {count})  "
-            break
-    offsets_seen = "offsets d-1-s(d): {" + ", ".join(str(o) for o in sorted(set(offsets))) + "}"
+    offsets = (np.subtract(census_ds, 1) - exact).tolist()
+    expected = [2 ** (_distinct_prime_count(d) - 1) - 1 for d in census_ds]
+    mismatch = np.flatnonzero(floats != exact)[:1]
+    census_ok = not mismatch.size and offsets == expected
+    notes = [f"count mismatch at d={census_ds[j]} (float {floats[j]}, exact {exact[j]})  " for j in mismatch]
+    offsets_seen = "offsets d-1-s(d): {" + ", ".join(map(str, sorted(set(offsets)))) + "}"
     return [
         _result("trotter-schedule", dense_ds, dense_errors[:, 0], 1e-10),
         _result("select-schedule", dense_ds, dense_errors[:, 1], 1e-10),
         _result("prep-schedule", dense_ds, dense_errors[:, 2], 1e-10),
         suite_projector(phi_max),
         _result("dft-oracle", census_ds, dft_errors.max(axis=1), 1e-10, dft_ok, detail),
-        _result("select-census", census_ds, gaps, 1e-9, census_ok, mismatch + offsets_seen),
+        _result("select-census", census_ds, gaps, 1e-9, census_ok, "".join(notes) + offsets_seen),
     ]

@@ -233,6 +233,17 @@ def test_irreducibility_guard():
         select_diag_phases(0.0, 5, n, beta_closed_form(0.0, 5, n)[1])
 
 
+def test_irreducibility_guard_names_the_dimension_within_a_block():
+    # the levels of d = 3, 5 and 7 back to back, with c_2 of d = 7 zeroed
+    sizes = np.array([3, 5, 7])
+    d = np.repeat(sizes, sizes)
+    n = np.concatenate([np.arange(size) for size in sizes])
+    c_amps = beta_closed_form(1.0, d, n)[1]
+    c_amps[3 + 5 + 2] = 0.0
+    with pytest.raises(ValueError, match=r"^coefficient c_2 vanishes at d=7; the expansion is not irreducible$"):
+        select_diag_phases(1.0, d, n, c_amps)
+
+
 @pytest.mark.parametrize("d", [14647, 20001])
 def test_smallest_coefficients_pass_the_irreducibility_guard(d):
     # the smallest |c_r|, about pi phi_max^2 / d^3 at r = (d - 1) / 2, lies

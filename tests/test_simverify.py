@@ -384,6 +384,11 @@ def same_results(got, want):
         (1.0, [9, 2049], [15, 2051, 4097], 0.0),
         # the first count mismatch, named in the detail
         (1.0, [3], [5735], 0.0),
+        # two mismatching d, float 5732 and 13452 against exact 5731 and 13451;
+        # the detail names the first
+        (1.0, [3], [5735, 13453], 0.0),
+        # dense-only, census-only and shared d in one block
+        (1.0, [5, 9, 13], [3, 7, 11, 13], 0.0),
     ],
 )
 def test_run_suites_equals_the_per_dimension_loop(phi_max, dense_ds, census_ds, inject):
