@@ -11,9 +11,9 @@ oracle loads the coefficient amplitudes with d - 1 embedded two-level Y
 rotations.  The tests build the clock ladder (tests/oracles.py); the sign
 flip marks r >= (d + 1) / 2, the coefficient sign rule the dft-oracle
 suite checks.  Every builder returns a plain numpy array: the projector
-diagonal one float per string, the selection schedule the d - 1 Z angles
-on the adjacent pairs (k, k + 1), the preparation the d - 1 Y angles on
-the pairs (0, r).  None checks what a verify suite checks.
+diagonal one float per string, the selection schedule one Z angle per
+level r, that of the pair (r - 1, r) (0.0 at r = 0), the preparation the
+d - 1 Y angles on the pairs (0, r).  None checks what a verify suite checks.
 """
 
 from __future__ import annotations
@@ -66,20 +66,20 @@ def fixed_encoding_select_schedule(thetas: np.ndarray, sizes: Sequence[int]) -> 
     """Adjacent-pair Z angles implementing the selection diagonal natively.
 
     thetas holds the per-level phases of each d in sizes, d of them per d,
-    back to back; the result holds the d - 1 angles of each d in the same
-    order.  Built by the direct prefix-sum construction: with gamma the
-    mean of one d's phases, the angle on pair (k, k+1) is
-    -2 * sum_{n<=k} (theta_n - gamma), reduced to (-2*pi, 2*pi], up to the
-    global phase gamma.  The mean and the running sum are taken per d,
-    because their float bits depend on the summation order; the rest is
-    elementwise.  The closed form (pi/d) * N_k (select_numerators) must
-    agree mod 4*pi, and is never read here.
+    back to back, and the result is laid out alike: at level r the angle on
+    the pair (r - 1, r), at level 0 the empty slot 0.0.  Built by the direct
+    prefix-sum construction: with gamma the mean of one d's phases, the
+    angle on pair (r - 1, r) is -2 * sum_{n<r} (theta_n - gamma), reduced to
+    (-2*pi, 2*pi], up to the global phase gamma.  The mean and the running
+    sum are taken per d, because their float bits depend on the summation
+    order; the rest is elementwise.  The closed form (pi/d) * N_r
+    (select_numerators) must agree mod 4*pi, and is never read here.
     """
-    sums = np.empty(len(thetas) - len(sizes))
+    sums = np.zeros(len(thetas))
     lo = 0
-    for i, d in enumerate(sizes):
+    for d in sizes:
         phases = thetas[lo:lo + d]
-        np.cumsum(phases[:-1] - np.add.reduce(phases) / d, out=sums[lo - i:lo - i + d - 1])
+        np.cumsum(phases[:-1] - np.add.reduce(phases) / d, out=sums[lo + 1:lo + d])
         lo += d
     return reduce_angles(-2.0 * sums)
 
@@ -91,11 +91,11 @@ MAX_NUMERATOR_D = math.isqrt((2**63 - 1) // 4)
 def select_numerators(d, r) -> np.ndarray:
     """Integers N_r of the selection-schedule angles (pi/d) * N_r, elementwise over d and r.
 
-    r = k + 1 = 1 .. d-1 for the angle on the pair (k, k+1); d and r
-    broadcast, so one call covers the pairs of one d or of several back to
-    back.  With m = (d - 1) / 2: N_r = r (4m - r + 1), minus 2d (r - 1 - m)
-    once r - 1 exceeds m.  The values stay below 4 d^2, exact in int64 up
-    to d = MAX_NUMERATOR_D.
+    r = 0 .. d-1: N_r for the angle on the pair (r - 1, r), and N_0 = 0 for
+    the empty slot; d and r broadcast, so one call covers the levels of one
+    d or of several back to back.  With m = (d - 1) / 2:
+    N_r = r (4m - r + 1), minus 2d (r - 1 - m) once r - 1 exceeds m.  The
+    values stay below 4 d^2, exact in int64 up to d = MAX_NUMERATOR_D.
     """
     m = (d - 1) // 2
     return r * (4 * m - r + 1) - 2 * d * np.maximum(r - 1 - m, 0)
@@ -106,9 +106,9 @@ def select_nontrivial_count(d, numerators: np.ndarray, starts) -> np.ndarray:
 
     The runs begin at the indices starts, one per d; d broadcasts against
     numerators.  A rotation is trivial when its angle is 0 mod 4*pi, that
-    is when 4d divides N_r, which is evaluated in exact integer arithmetic
-    over all pairs at once; dense states are never needed here, which keeps
-    census scans over large d cheap.
+    is when 4d divides N_r (N_0 = 0 is), which is evaluated in exact
+    integer arithmetic over all levels at once; dense states are never
+    needed here, which keeps census scans over large d cheap.
     """
     return np.add.reduceat(numerators % (4 * d) != 0, starts)
 

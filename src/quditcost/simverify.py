@@ -15,25 +15,26 @@ The six suites that `quditcost verify` runs check every schedule and
 coefficient construction against this oracle, the FFT coefficient oracle
 or exact integer arithmetic, for the odd d it is given, and each returns
 its own SuiteResult.  run_suites is the one entry: it takes two sequences
-of d, checks inject, phi_max and each d, then walks their sorted union in
-blocks of consecutive d whose levels sum to at most BLOCK_LEVELS (a
-larger d forms a block of its own and stays a scalar).  _block_index
-lays a block out once: the levels n = 0 .. d-1 and the pairs
-r = 1 .. d-1 of each d back to back, and the offsets of each d's runs.
-The builders are elementwise formulas over broadcastable (d, n) arrays,
-so one numpy call per formula covers a whole block: the closed form, the
-selection phases and their irreducibility check, the squared levels, the
-exact N_r, the nontrivial counts and the census gap.  Maxima and counts
-per d are np.maximum.reduceat and np.add.reduceat over the runs, which
-do not depend on order; the selection schedule takes its mean and
-running sum per d, whose float bits do.  One loop then visits each d of
-the block, on slices at its offsets: the one-norm; the dense suites,
-whose preparation sums and multiplies in order and whose step angles
-square the spacing as a Python float; and the FFT with its distance to
-the closed form, the one-norm sum, and the Hermiticity and sign checks,
-which read views of one d's coefficients.  Each check keeps one array
-over the d it covers.  So each d is built once, and every error equals,
-bit for bit, the one that a loop building each d on its own gets
+of d, checks inject, phi_max and each d, then walks their sorted union
+in blocks of consecutive d whose levels sum to at most BLOCK_LEVELS (a
+larger d forms a block of its own and stays a scalar).  _block_index lays
+a block out once: the levels n = 0 .. d-1 of each d back to back, and
+the offset of each d's run.  Every array is indexed by level: the
+selection angle and N_n of the pair (n - 1, n) sit at level n, and level
+0 holds an empty slot, which is trivial.  The builders are elementwise
+formulas over broadcastable (d, n) arrays, so one numpy call per formula
+covers a whole block: the closed form, the selection phases and their
+irreducibility check, the squared levels, the exact N_n, the nontrivial
+counts, the census gap and the sign check.  Maxima, counts and sign
+violations per d are reduceat calls over the runs, which do not depend
+on order; the selection schedule takes its mean and running sum per d,
+whose float bits do.  One loop then visits each d of the block, on slices
+at its offsets: the one-norm; the dense suites, whose preparation sums
+and multiplies in order and whose step angles square the spacing as a
+Python float; and the FFT with its distance to the closed form, the
+one-norm sum and the Hermiticity check.  Each check keeps one array over
+the d it covers.  So each d is built once, and every error equals, bit
+for bit, the one that a loop building each d on its own gets
 (tests/oracles.py keeps that loop).  With a few hundred levels per d,
 numpy's per-call overhead, not the arithmetic, set the cost of that
 loop; the bound keeps a block's arrays small.  The builders leave every
@@ -193,23 +194,20 @@ def _blocks(ds: Sequence[int]) -> list[list[int]]:
 
 
 def _block_index(ds: list[int]) -> tuple:
-    """(d, n, d_pair, r, levels, pairs) for the dimensions ds, back to back.
+    """(d, n, levels) for the dimensions ds, back to back.
 
-    d and n = 0 .. d-1 index the levels of each d in turn; d_pair and
-    r = 1 .. d-1 index its pairs (k, k + 1), r = k + 1, the levels n > 0.
-    The levels of ds[i] are levels[i]:levels[i + 1] and its pairs
-    pairs[i]:pairs[i + 1].  A block of one d keeps d a scalar.
+    d and n = 0 .. d-1 index the levels of each d in turn; the levels of
+    ds[i] are levels[i]:levels[i + 1].  A block of one d keeps d a scalar:
+    then each factor that depends only on d (the irreducibility floor's
+    sine and cosine, the closed form's scale, pi/d) is one float, not one
+    value per level.
     """
     levels = np.cumsum([0, *ds])
-    pairs = levels - np.arange(len(levels))
     if len(ds) == 1:
-        n = np.arange(ds[0])
-        return ds[0], n, ds[0], n[1:], levels, pairs
+        return ds[0], np.arange(ds[0]), levels
     sizes = np.array(ds)
     d = np.repeat(sizes, sizes)
-    n = np.arange(len(d)) - np.repeat(levels[:-1], sizes)
-    nonzero = n > 0
-    return d, n, d[nonzero], n[nonzero], levels, pairs
+    return d, np.arange(len(d)) - np.repeat(levels[:-1], sizes), levels
 
 
 def run_suites(
@@ -238,16 +236,16 @@ def run_suites(
     signs.  Per d, as arrays: max |closed - oracle| (bound 1e-10), max
     |beta_(d-r) - conj beta_r| of the closed form (1e-12), both relative to
     phi_max^2, the scale of every coefficient; the relative one-norm error
-    (1e-10); and c_r < 0 exactly for r >= (d + 1) / 2.
+    (1e-10); and c_r < 0 exactly for 2r > d, one block formula.
 
     select-census counts the trivial selection rotations: the exact count,
     the float schedule that select-schedule checks (without inject), and
-    the closed-form angles agree.  One array of the exact N_k feeds the
+    the closed-form angles agree.  One array of the exact N_j feeds the
     count and the closed-form angles; the float schedule never reads it,
-    or the check would be vacuous.  With m = (d - 1) / 2 and j = k + 1, the angle on
-    pair k is (pi/d) N_j, N_j = 2dj - j(j+1) - 2d e_j with
+    or the check would be vacuous.  With m = (d - 1) / 2, the angle on
+    the pair (j - 1, j) is (pi/d) N_j, N_j = 2dj - j(j+1) - 2d e_j with
     e_j = max(0, j - 1 - m), and the rotation is trivial when 4d divides
-    N_j.  That needs d | j(j+1).
+    N_j (N_0 = 0 fills the empty slot).  That needs d | j(j+1).
     As j and j + 1 are coprime, each prime power of d divides one of them,
     so by the Chinese remainder theorem j(j+1) = 0 mod d has 2^omega(d)
     roots mod d.  In 1 <= j <= d - 1 that leaves j = d - 1 and
@@ -287,12 +285,12 @@ def run_suites(
             f"is below the smallest normal float {sys.float_info.min:.3g}"
         )
     scale = phi_max * phi_max
-    dense_errors, dft_errors, signs, exact, floats, gaps = [], [], [], [], [], []
+    dense_errors, dft_errors, flips, exact, floats, gaps = [], [], [], [], [], []
     # Each block's arrays stay bound until the next block's replace them.
     # Freed all at once, a large d's pages would go back to the system and
     # fault in again at the next d, which costs more than its census.
     for block in _blocks(dims):
-        d, n, d_pair, r, levels, pairs = _block_index(block)
+        d, n, levels = _block_index(block)
         betas, c_amps = beta_closed_form(phi_max, d, n)
         thetas = select_diag_phases(phi_max, d, n, c_amps)
         angles = fixed_encoding_select_schedule(thetas, block)
@@ -301,9 +299,8 @@ def run_suites(
             lo, hi = levels[i], levels[i + 1]
             norm = clock_one_norm(phi_max, dim)
             if dim in dense_ds:
-                pair_run = slice(pairs[i], pairs[i + 1])
-                steps = zip(STEP_TIMES, qudit_trotter_angles(phi_max, dim, r[pair_run], STEP_TIMES))
-                schedule = angles[pair_run]
+                steps = zip(STEP_TIMES, qudit_trotter_angles(phi_max, dim, n[lo + 1:hi], STEP_TIMES))
+                schedule = angles[lo + 1:hi]
                 amps = np.sqrt(np.abs(betas[lo + 1:hi]) / norm)
                 dense_errors.append((
                     np.max([phase_error(ladder_diagonal(row), -t * lam_sq[lo:hi]) for t, row in steps]),
@@ -313,26 +310,26 @@ def run_suites(
             if dim in census_ds:
                 oracle = beta_dft_oracle(lam_sq[lo:hi])
                 one_norm = np.add.reduce(np.abs(oracle[1:]))
-                b_r, mid = betas[lo + 1:hi], lo + (hi - lo + 1) // 2
+                b_r = betas[lo + 1:hi]
                 dft_errors.append((
                     np.max(np.abs(betas[lo:hi] - oracle)) / scale,
                     # beta_(d-r) against conj(beta_r), r = 1 .. d-1
                     np.max(np.abs(b_r[::-1] - b_r.conj())) / scale,
                     abs(norm - one_norm) / one_norm,
                 ))
-                # c_r < 0 exactly for r >= (d + 1) / 2
-                signs.append(not (c_amps[lo + 1:mid] < 0).any() and bool((c_amps[mid:hi] < 0).all()))
         census = [i for i, dim in enumerate(block) if dim in census_ds]
         if census:
-            starts = pairs[:-1]
-            numerators = select_numerators(d_pair, r)
-            gap = np.abs(reduce_angles(angles - (np.pi / d_pair) * numerators))
-            exact.append(select_nontrivial_count(d_pair, numerators, starts)[census])
+            starts = levels[:-1]
+            numerators = select_numerators(d, n)
+            gap = np.abs(reduce_angles(angles - (np.pi / d) * numerators))
+            exact.append(select_nontrivial_count(d, numerators, starts)[census])
             floats.append(nontrivial_count(angles, starts)[census])
             gaps.append(np.maximum.reduceat(gap, starts)[census])
+            # c_n < 0 exactly for n >= (d + 1) / 2
+            flips.append(np.logical_or.reduceat((c_amps < 0) != (2 * n > d), starts)[census])
     dense_errors, dft_errors = np.array(dense_errors), np.array(dft_errors)
-    exact, floats, gaps = map(np.concatenate, (exact, floats, gaps))
-    signs_ok = all(signs)
+    exact, floats, gaps, flips = map(np.concatenate, (exact, floats, gaps, flips))
+    signs_ok = not flips.any()
     dft_ok = signs_ok and bool(np.all(dft_errors.max(axis=0) <= (1e-10, 1e-12, 1e-10)))
     detail = "" if signs_ok else "sign-threshold equivalence violated"
     offsets = (np.subtract(census_ds, 1) - exact).tolist()

@@ -140,7 +140,7 @@ def test_criterion_8_decomposition_oracles():
 
         # (b) selection schedule reproduces the phase diagonal
         target = select_diag_phases(1.0, d, n, c_amps)
-        realized = ladder_diagonal(fixed_encoding_select_schedule(target, [d]))
+        realized = ladder_diagonal(fixed_encoding_select_schedule(target, [d])[1:])
         err = phase_error(realized, target)
         ok, worst = ok and err <= 1e-10, max(worst, err)
 

@@ -27,6 +27,7 @@ from quditcost.costmodel import (
     rz_cost,
 )
 from quditcost.lcu import (
+    MAX_NUMERATOR_D,
     fixed_encoding_select_schedule,
     prep_ry_schedule,
     qubit_projector_diag_oracle,
@@ -287,8 +288,8 @@ def closed_phases(d):
 
 
 def select_schedule(d):
-    """The float selection schedule of the closed form at phi_max = 1."""
-    return fixed_encoding_select_schedule(closed_phases(d), [d])
+    """The float selection angles on the pairs (r - 1, r), r = 1 .. d - 1, at phi_max = 1."""
+    return fixed_encoding_select_schedule(closed_phases(d), [d])[1:]
 
 
 def numerators(d):
@@ -307,6 +308,18 @@ def test_select_vartheta_closed_form_d3():
     # nontrivial mod 4*pi
     assert numerators(3).tolist() == [4, 6]
     assert (math.pi / 3) * numerators(3) == pytest.approx([4 * math.pi / 3, 2 * math.pi])
+
+
+def test_select_schedule_holds_an_empty_slot_at_level_0():
+    # each d's angles sit at the upper level of their pair, in a block as alone
+    sizes = [3, 5, 7]
+    block = fixed_encoding_select_schedule(np.concatenate([closed_phases(d) for d in sizes]), sizes)
+    levels = np.cumsum([0, *sizes])
+    for d, lo, hi in zip(sizes, levels, levels[1:]):
+        assert block[lo] == 0.0, d
+        assert block[lo + 1:hi].tobytes() == select_schedule(d).tobytes(), d
+    for d in (3, 5, 15, 1155, MAX_NUMERATOR_D):
+        assert select_numerators(d, 0) == 0, d
 
 
 def test_select_census_small_values():
@@ -344,7 +357,7 @@ def test_select_schedule_census_agreement():
 @pytest.mark.parametrize("d", list(range(3, 65, 2)))
 def test_select_schedule_reproduces_diagonal(d):
     target = closed_phases(d)
-    realized = ladder_diagonal(fixed_encoding_select_schedule(target, [d]))
+    realized = ladder_diagonal(fixed_encoding_select_schedule(target, [d])[1:])
     err = phase_error(realized, target)
     assert err <= 1e-10, (d, err)
 

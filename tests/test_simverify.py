@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -230,16 +231,21 @@ def with_beta(r, value, only_d=None):
     return change
 
 
-def flip_first_sign(only_d=None):
-    """A change that flips the sign of c_1 (at every d, or only at only_d)."""
+def flip_sign(level, only_d=None):
+    """A change that flips the sign of c_n at n = level(d) (at every d, or only at only_d)."""
 
     def change(d, n, betas, c_amps):
         c_amps = c_amps.copy()
-        first = at_index(d, n, 1, only_d)
-        c_amps[first] = -c_amps[first]
+        flipped = at_index(d, n, level(d), only_d)
+        c_amps[flipped] = -c_amps[flipped]
         return betas, c_amps
 
     return change
+
+
+# c_n < 0 exactly for 2n > d: the first level on each side of that
+# threshold, and the last level
+FLIPPED_LEVELS = {"1": lambda d: 1, "(d+1)/2": lambda d: (d + 1) // 2, "d-1": lambda d: d - 1}
 
 
 def test_dft_suite_fails_on_a_perturbed_coefficient(monkeypatch):
@@ -275,21 +281,26 @@ def test_dft_suite_fails_on_a_nan_coefficient(monkeypatch):
 
 
 def test_dft_suite_detects_a_flipped_sign(monkeypatch):
-    closed_form_with(monkeypatch, flip_first_sign())
-    result = named("dft-oracle", run_suites(1.0, odd(3), odd(15)))
-    assert not result.ok
-    assert result.detail == "sign-threshold equivalence violated"
-    # the coefficients themselves still agree with the oracle
-    assert result.worst <= 1e-10
+    for (name, level), only_d in itertools.product(FLIPPED_LEVELS.items(), (None, 7)):
+        with monkeypatch.context() as patch:
+            closed_form_with(patch, flip_sign(level, only_d))
+            result = named("dft-oracle", run_suites(1.0, odd(3), odd(15)))
+        assert not result.ok, (name, only_d)
+        assert result.detail == "sign-threshold equivalence violated"
+        # the coefficients themselves still agree with the oracle
+        assert result.worst <= 1e-10
 
 
 def test_census_reads_the_closed_form_that_the_dft_check_reads(monkeypatch):
-    closed_form_with(monkeypatch, flip_first_sign(only_d=7))
-    *_, dft, census = run_suites(1.0, odd(3), odd(15))
-    assert not dft.ok and dft.detail == "sign-threshold equivalence violated"
-    # the flipped sign bends the float selection ladder at d = 7 only
-    assert not census.ok
-    assert census.worst_d == 7
+    for (name, level), only_d in itertools.product(FLIPPED_LEVELS.items(), (None, 7)):
+        with monkeypatch.context() as patch:
+            closed_form_with(patch, flip_sign(level, only_d))
+            *_, dft, census = run_suites(1.0, odd(3), odd(15))
+        assert not dft.ok and dft.detail == "sign-threshold equivalence violated"
+        # the flipped sign bends the float selection ladder, at d = 7 only
+        # when only d = 7 flips
+        assert not census.ok, (name, only_d)
+        assert census.worst_d == only_d or only_d is None, (name, census.worst_d)
 
 
 def test_census_suite_fails_on_an_off_by_one_count(monkeypatch):
@@ -337,7 +348,8 @@ def test_select_suite_fails_on_a_nan_angle(monkeypatch):
 
     def bent(thetas, sizes):
         angles = schedule(thetas, sizes)
-        angles[0] = math.nan
+        # index 0 is the empty slot of level 0; index 1 the first rotation
+        angles[1] = math.nan
         return angles
 
     monkeypatch.setattr(simverify, "fixed_encoding_select_schedule", bent)
