@@ -94,20 +94,20 @@ def irreducibility_floor(phi_max: float, d):
     return phi_max**2 / (d - 1) ** 2 * np.sin(y) / np.cos(y) ** 2
 
 
-def select_diag_phases(phi_max: float, d, n, c_amps: np.ndarray) -> np.ndarray:
-    """Phases of the selection-oracle diagonal at the levels n, elementwise over d, n and c_amps.
+def select_diag_phases(floor, d, n, c_amps: np.ndarray) -> np.ndarray:
+    """Phases of the selection-oracle diagonal at the levels n, elementwise over floor, d, n and c_amps.
 
     Level 0 carries phase 0; level n carries pi*n/d, shifted by pi wherever
     the real amplitude c_n (beta_closed_form) is negative, so that
     e^(i theta_n) equals beta_n / |beta_n|.  As pi*n/d < pi for n < d, every
-    value lies in [0, 2*pi) without a reduction.
+    value lies in [0, 2*pi) without a reduction.  floor is the
+    irreducibility floor of each level's d, which depends on d alone.
 
     Raises:
-        ValueError: if any c_n with n > 0 sits at or below the
-            irreducibility floor of its d; the first such n is named,
-            with its d.
+        ValueError: if any c_n with n > 0 sits at or below its floor; the
+            first such n is named, with its d.
     """
-    vanishing = np.flatnonzero((np.abs(c_amps) <= irreducibility_floor(phi_max, d)) & (n > 0))
+    vanishing = np.flatnonzero((np.abs(c_amps) <= floor) & (n > 0))
     if vanishing.size:
         j = vanishing[0]
         raise ValueError(

@@ -3,43 +3,30 @@
 Diagonal unitaries are represented by their per-level phase exponents: a
 sequence of phases p_n stands for diag(e^(i p_n)), so composition is
 additive and equality up to a global phase reduces to comparing phase
-differences anchored at level 0 (phase_error).  In both, the dimension is
-the length.  A Z ladder's angle on the pair (k, k+1) shifts p_k by
--angle/2 and p_(k+1) by +angle/2 (ladder_diagonal).  A preparation
-applied to |0> leaves sin(theta_r/2) times the running cosine product on
-level r, one np.cumprod (fan_state).
-Both are O(dim) numpy per schedule; no dim x dim matrices are formed and
-no Python loop runs per level.
+differences anchored at level 0 (phase_error).  A Z ladder's angle on
+the pair (k - 1, k) shifts p_k by +angle/2 and p_(k-1) by -angle/2
+(ladder_diagonal).  A preparation applied to |0> leaves sin(theta_r/2)
+times the running cosine product on level r, one np.cumprod (fan_state).
+All three are O(dim) numpy; no dim x dim matrix is formed.
 
-The six suites that `quditcost verify` runs check every schedule and
-coefficient construction against this oracle, the FFT coefficient oracle
-or exact integer arithmetic, for the odd d it is given, and each returns
-its own SuiteResult.  run_suites is the one entry: it takes two sequences
-of d, checks inject, phi_max and each d, then walks their sorted union
-in blocks of consecutive d whose levels sum to at most BLOCK_LEVELS (a
-larger d forms a block of its own and stays a scalar).  _block_index lays
-a block out once: the levels n = 0 .. d-1 of each d back to back, and
-the offset of each d's run.  Every array is indexed by level: the
-selection angle and N_n of the pair (n - 1, n) sit at level n, and level
-0 holds an empty slot, which is trivial.  The builders are elementwise
-formulas over broadcastable (d, n) arrays, so one numpy call per formula
-covers a whole block: the closed form, the selection phases and their
-irreducibility check, the squared levels, the exact N_n, the nontrivial
-counts, the census gap and the sign check.  Maxima, counts and sign
-violations per d are reduceat calls over the runs, which do not depend
-on order; the selection schedule takes its mean and running sum per d,
-whose float bits do.  One loop then visits each d of the block, on slices
-at its offsets: the one-norm; the dense suites, whose preparation sums
-and multiplies in order and whose step angles square the spacing as a
-Python float; and the FFT with its distance to the closed form, the
-one-norm sum and the Hermiticity check.  Each check keeps one array over
-the d it covers.  So each d is built once, and every error equals, bit
-for bit, the one that a loop building each d on its own gets
-(tests/oracles.py keeps that loop).  With a few hundred levels per d,
-numpy's per-call overhead, not the arithmetic, set the cost of that
-loop; the bound keeps a block's arrays small.  The builders leave every
-fault to the suites.  A NaN error anywhere is the worst error of its
-suite and fails it.
+run_suites takes consecutive d in blocks of at most BLOCK_LEVELS levels
+(a larger d alone), laid out by level: the levels n = 0 .. d-1 of each d
+back to back, the angles and N_n of the pair (n - 1, n) at level n, and
+at level 0 an empty slot, which is trivial and stops a ladder at the
+edge of its run.  The builders and the checks are elementwise formulas,
+one numpy call per block: phases are anchored at each run's level 0,
+Hermiticity gathers n -> d - n within each run, and the maxima, counts
+and sign violations per d are reduceat calls, which do not depend on
+order.  A loop over the d of a block keeps what one d fixes: the
+one-norm; the step angles, whose spacing is squared as a Python float,
+which numpy's square does not always match; the preparation check and
+the oracle's one-norm, ordered sums that np.add.reduceat would round
+differently (lcu takes the selection schedule's mean and running sum per
+d for that reason); and the FFT, one length per call.  So every error
+equals, bit for bit, the one that building each d on its own gives
+(tests/oracles.py keeps that loop), and numpy's per-call overhead, which
+set the cost of that loop, is paid per block.  The builders leave every
+fault to the suites; a NaN error is its suite's worst and fails it.
 """
 
 from __future__ import annotations
@@ -80,15 +67,15 @@ STEP_TIMES = (0.1, 1.0, 3.7)
 
 
 def ladder_diagonal(angles: np.ndarray) -> np.ndarray:
-    """Per-level phases of the diagonal that a Z ladder's angles realize.
+    """Per-level phases of the diagonals that Z ladders' angles realize, along the last axis.
 
-    angles[k], the rotation on the pair (k, k+1), shifts level k by
-    -angles[k]/2 and level k + 1 by +angles[k]/2.
+    angles[k], the rotation on the pair (k - 1, k), shifts level k by
+    +angles[k]/2 and level k - 1 by -angles[k]/2.  Each d's level 0 holds
+    the empty slot 0, so one call covers the ladders of several d.
     """
     half = 0.5 * np.asarray(angles)
-    phases = np.zeros(len(half) + 1)
-    phases[1:] = half
-    phases[:-1] -= half
+    phases = half.copy()
+    phases[..., :-1] -= half[..., 1:]
     return phases
 
 
@@ -114,15 +101,18 @@ def nontrivial_count(angles: np.ndarray, starts) -> np.ndarray:
     return np.add.reduceat(~(np.abs(angles) <= TRIVIAL_ANGLE_TOL), starts)
 
 
-def phase_error(a: Sequence[float], b: Sequence[float]) -> float:
-    """Distance of two diagonals modulo one overall phase.
+def phase_error(a: np.ndarray, b: np.ndarray, levels: Sequence[int]) -> np.ndarray:
+    """Distance of two diagonals modulo one overall phase, per run of levels.
 
-    With delta_n the phase difference at level n minus that at level 0,
-    returns max_n 2 |sin(delta_n / 2)|, which equals |e^(i delta_n) - 1|
-    in real arithmetic; NaN if any delta_n is NaN.
+    The runs are the levels levels[i]:levels[i + 1] along the last axis.
+    With delta_n the phase difference at level n minus that at its run's
+    level 0, returns max_n 2 |sin(delta_n / 2)| per run, which equals
+    |e^(i delta_n) - 1| in real arithmetic; NaN if any delta_n is NaN.
     """
     diff = np.subtract(a, b)
-    return float(np.max(np.abs(2.0 * np.sin(0.5 * (diff - diff[0])))))
+    starts = levels[:-1]
+    delta = diff - np.repeat(diff[..., starts], np.diff(levels), axis=-1)
+    return np.maximum.reduceat(np.abs(2.0 * np.sin(0.5 * delta)), starts, axis=-1)
 
 
 class SuiteResult(NamedTuple):
@@ -193,21 +183,19 @@ def _blocks(ds: Sequence[int]) -> list[list[int]]:
     return blocks
 
 
+def _spread(values, ds: list[int]):
+    """values, one per d of ds, over the levels of each d; one d keeps its value, so factors of d stay one float."""
+    return values[0] if len(ds) == 1 else np.repeat(values, ds)
+
+
 def _block_index(ds: list[int]) -> tuple:
     """(d, n, levels) for the dimensions ds, back to back.
 
     d and n = 0 .. d-1 index the levels of each d in turn; the levels of
-    ds[i] are levels[i]:levels[i + 1].  A block of one d keeps d a scalar:
-    then each factor that depends only on d (the irreducibility floor's
-    sine and cosine, the closed form's scale, pi/d) is one float, not one
-    value per level.
+    ds[i] are levels[i]:levels[i + 1].
     """
     levels = np.cumsum([0, *ds])
-    if len(ds) == 1:
-        return ds[0], np.arange(ds[0]), levels
-    sizes = np.array(ds)
-    d = np.repeat(sizes, sizes)
-    return d, np.arange(len(d)) - np.repeat(levels[:-1], sizes), levels
+    return _spread(ds, ds), np.arange(levels[-1]) - _spread(levels[:-1], ds), levels
 
 
 def run_suites(
@@ -220,8 +208,8 @@ def run_suites(
     caller keeps d within that bound, and membership in a range is O(1).
     inject, phi_max and each d (costmodel.register_width) are checked
     before any suite runs.  The d of both sequences run in blocks
-    (_blocks) laid out by _block_index; each block's arrays are built
-    once, and one loop over its d does the per-d work of both sequences.
+    (_blocks) laid out by _block_index; each block's arrays and checks are
+    built once, and one loop over its d does what one d fixes (see above).
 
     Over the d of dense_ds: trotter-schedule, native step schedules
     realize diag(e^(-i t lambda_n^2)) at three times; select-schedule, the
@@ -233,10 +221,10 @@ def run_suites(
 
     Over the d of census_ds: dft-oracle compares the closed-form
     coefficients with the FFT oracle: values, Hermiticity, one-norm and
-    signs.  Per d, as arrays: max |closed - oracle| (bound 1e-10), max
-    |beta_(d-r) - conj beta_r| of the closed form (1e-12), both relative to
-    phi_max^2, the scale of every coefficient; the relative one-norm error
-    (1e-10); and c_r < 0 exactly for 2r > d, one block formula.
+    signs.  Per d, each a block formula: max |closed - oracle| (bound
+    1e-10), max |beta_(d-r) - conj beta_r| of the closed form (1e-12), both
+    relative to phi_max^2, the scale of every coefficient; the relative
+    one-norm error (1e-10); and c_r < 0 exactly for 2r > d.
 
     select-census counts the trivial selection rotations: the exact count,
     the float schedule that select-schedule checks (without inject), and
@@ -267,10 +255,11 @@ def run_suites(
 
     Raises:
         ValueError: for a non-finite inject, a d that register_width
-            rejects, or a phi_max whose smallest exact coefficient at the
-            largest d checked, twice the irreducibility floor, is below the
-            smallest normal float: there the coefficients lose precision
-            and no verdict would hold.
+            rejects, or a phi_max that puts a coefficient at the largest d
+            checked outside the normal floats, where no verdict would hold:
+            the smallest exact one, twice the irreducibility floor, below
+            the smallest normal float, or beta_0's numerator
+            phi_max^2 (d + 1) above the largest.
     """
     if not math.isfinite(inject):
         raise ValueError(f"--inject-angle-error must be finite, got {inject}")
@@ -284,53 +273,64 @@ def run_suites(
             f"phi_max={phi_max} is too small for d={d}: its smallest coefficient "
             f"is below the smallest normal float {sys.float_info.min:.3g}"
         )
+    if math.isinf(phi_max**2 * (d + 1)):
+        raise ValueError(f"phi_max={phi_max} is too large for d={d}: beta_0's numerator phi_max^2 (d + 1) overflows")
     scale = phi_max * phi_max
-    dense_errors, dft_errors, flips, exact, floats, gaps = [], [], [], [], [], []
+    dense_errors, preps, census_errors, norms, counts, flips = [], [], [], [], [], []
     # Each block's arrays stay bound until the next block's replace them.
     # Freed all at once, a large d's pages would go back to the system and
     # fault in again at the next d, which costs more than its census.
     for block in _blocks(dims):
         d, n, levels = _block_index(block)
+        starts = levels[:-1]
         betas, c_amps = beta_closed_form(phi_max, d, n)
-        thetas = select_diag_phases(phi_max, d, n, c_amps)
+        floor = _spread(irreducibility_floor(phi_max, np.array(block)), block)
+        thetas = select_diag_phases(floor, d, n, c_amps)
         angles = fixed_encoding_select_schedule(thetas, block)
         lam_sq = level_array(phi_max, d, n) ** 2
+        dense = [i for i, dim in enumerate(block) if dim in dense_ds]
+        census = [i for i, dim in enumerate(block) if dim in census_ds]
+        steps = np.zeros((len(STEP_TIMES), len(n))) if dense else None
+        oracle = np.zeros(len(n), complex) if census else None
         for i, dim in enumerate(block):
             lo, hi = levels[i], levels[i + 1]
             norm = clock_one_norm(phi_max, dim)
             if dim in dense_ds:
-                steps = zip(STEP_TIMES, qudit_trotter_angles(phi_max, dim, n[lo + 1:hi], STEP_TIMES))
-                schedule = angles[lo + 1:hi]
+                steps[:, lo + 1:hi] = qudit_trotter_angles(phi_max, dim, n[lo + 1:hi], STEP_TIMES)
                 amps = np.sqrt(np.abs(betas[lo + 1:hi]) / norm)
-                dense_errors.append((
-                    np.max([phase_error(ladder_diagonal(row), -t * lam_sq[lo:hi]) for t, row in steps]),
-                    phase_error(ladder_diagonal(np.append(schedule[0] + inject, schedule[1:])), thetas[lo:hi]),
-                    np.linalg.norm(fan_state(prep_ry_schedule(amps)) - np.append(0.0, amps)),
-                ))
+                preps.append(np.linalg.norm(fan_state(prep_ry_schedule(amps)) - np.append(0.0, amps)))
             if dim in census_ds:
-                oracle = beta_dft_oracle(lam_sq[lo:hi])
-                one_norm = np.add.reduce(np.abs(oracle[1:]))
-                b_r = betas[lo + 1:hi]
-                dft_errors.append((
-                    np.max(np.abs(betas[lo:hi] - oracle)) / scale,
-                    # beta_(d-r) against conj(beta_r), r = 1 .. d-1
-                    np.max(np.abs(b_r[::-1] - b_r.conj())) / scale,
-                    abs(norm - one_norm) / one_norm,
-                ))
-        census = [i for i, dim in enumerate(block) if dim in census_ds]
+                oracle[lo:hi] = beta_dft_oracle(lam_sq[lo:hi])
+                norms.append((norm, np.add.reduce(np.abs(oracle[lo + 1:hi]))))
+        if dense:
+            bent = np.where(n == 1, angles + inject, angles)
+            dense_errors.append(np.stack([
+                phase_error(ladder_diagonal(steps), -np.outer(STEP_TIMES, lam_sq), levels).max(axis=0),
+                phase_error(ladder_diagonal(bent), thetas, levels),
+            ])[:, dense])
         if census:
-            starts = levels[:-1]
+            # level n of each d mirrors to level d - n, level 0 to itself
+            mirror = _spread(levels[1:], block) - n
+            mirror[starts] = starts
             numerators = select_numerators(d, n)
             gap = np.abs(reduce_angles(angles - (np.pi / d) * numerators))
-            exact.append(select_nontrivial_count(d, numerators, starts)[census])
-            floats.append(nontrivial_count(angles, starts)[census])
-            gaps.append(np.maximum.reduceat(gap, starts)[census])
+            census_errors.append(np.stack([
+                np.maximum.reduceat(np.abs(betas - oracle), starts) / scale,
+                np.maximum.reduceat(np.abs(betas[mirror] - betas.conj()), starts) / scale,
+                np.maximum.reduceat(gap, starts),
+            ])[:, census])
+            counts.append(np.stack([
+                select_nontrivial_count(d, numerators, starts), nontrivial_count(angles, starts),
+            ])[:, census])
             # c_n < 0 exactly for n >= (d + 1) / 2
             flips.append(np.logical_or.reduceat((c_amps < 0) != (2 * n > d), starts)[census])
-    dense_errors, dft_errors = np.array(dense_errors), np.array(dft_errors)
-    exact, floats, gaps, flips = map(np.concatenate, (exact, floats, gaps, flips))
-    signs_ok = not flips.any()
-    dft_ok = signs_ok and bool(np.all(dft_errors.max(axis=0) <= (1e-10, 1e-12, 1e-10)))
+    trotter, select = np.concatenate(dense_errors, axis=1)
+    value, mirrored, gaps = np.concatenate(census_errors, axis=1)
+    norm, one_norm = np.transpose(norms)
+    dft_errors = np.stack([value, mirrored, np.abs(norm - one_norm) / one_norm])
+    exact, floats = np.concatenate(counts, axis=1)
+    signs_ok = not np.concatenate(flips).any()
+    dft_ok = signs_ok and bool(np.all(dft_errors.max(axis=1) <= (1e-10, 1e-12, 1e-10)))
     detail = "" if signs_ok else "sign-threshold equivalence violated"
     offsets = (np.subtract(census_ds, 1) - exact).tolist()
     expected = [2 ** (_distinct_prime_count(d) - 1) - 1 for d in census_ds]
@@ -339,10 +339,10 @@ def run_suites(
     notes = [f"count mismatch at d={census_ds[j]} (float {floats[j]}, exact {exact[j]})  " for j in mismatch]
     offsets_seen = "offsets d-1-s(d): {" + ", ".join(map(str, sorted(set(offsets)))) + "}"
     return [
-        _result("trotter-schedule", dense_ds, dense_errors[:, 0], 1e-10),
-        _result("select-schedule", dense_ds, dense_errors[:, 1], 1e-10),
-        _result("prep-schedule", dense_ds, dense_errors[:, 2], 1e-10),
+        _result("trotter-schedule", dense_ds, trotter, 1e-10),
+        _result("select-schedule", dense_ds, select, 1e-10),
+        _result("prep-schedule", dense_ds, preps, 1e-10),
         suite_projector(phi_max),
-        _result("dft-oracle", census_ds, dft_errors.max(axis=1), 1e-10, dft_ok, detail),
+        _result("dft-oracle", census_ds, dft_errors.max(axis=0), 1e-10, dft_ok, detail),
         _result("select-census", census_ds, gaps, 1e-9, census_ok, "".join(notes) + offsets_seen),
     ]

@@ -32,7 +32,8 @@ that the library uses as closed forms:
 * the per-d verify loop that the block pass of `simverify.run_suites`
   replaced, kept as it was with the per-d builders it called
   (`per_dimension_run_suites`).  The block pass returns the same results,
-  every error bit for bit;
+  every error bit for bit, and the loop's one-d `ladder_diagonal` and
+  `phase_error` are what the schedule tests read a single ladder with;
 * the per-d cost chain that the report passes of `costmodel` replaced,
   kept as it was: a grid, the query count, the qubit precision parameter
   and T count by their Toffoli breakdown, the qubit and hybrid chains, and

@@ -9,8 +9,10 @@ import math
 import numpy as np
 from oracles import (
     centered_partial_sum,
+    ladder_diagonal,
     levels,
     make_grid,
+    phase_error,
     precision_parameter,
     qubit_blockencoding_cost,
     squared_mean,
@@ -30,8 +32,14 @@ from quditcost.lcu import (
     select_numerators,
     signed_labels,
 )
-from quditcost.pauli import beta_closed_form, beta_dft_oracle, level_array, select_diag_phases
-from quditcost.simverify import fan_state, ladder_diagonal, phase_error
+from quditcost.pauli import (
+    beta_closed_form,
+    beta_dft_oracle,
+    irreducibility_floor,
+    level_array,
+    select_diag_phases,
+)
+from quditcost.simverify import fan_state
 from quditcost.trotter import qudit_trotter_angles
 
 PRIMES_TO_19 = [3, 5, 7, 11, 13, 17, 19]
@@ -139,7 +147,7 @@ def test_criterion_8_decomposition_oracles():
             ok, worst = ok and err <= 1e-10, max(worst, err)
 
         # (b) selection schedule reproduces the phase diagonal
-        target = select_diag_phases(1.0, d, n, c_amps)
+        target = select_diag_phases(irreducibility_floor(1.0, d), d, n, c_amps)
         realized = ladder_diagonal(fixed_encoding_select_schedule(target, [d])[1:])
         err = phase_error(realized, target)
         ok, worst = ok and err <= 1e-10, max(worst, err)

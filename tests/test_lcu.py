@@ -9,7 +9,9 @@ from oracles import (
     binary_prep_state,
     dclock_angles,
     dclock_realized_phases,
+    ladder_diagonal,
     make_grid,
+    phase_error,
     precision_parameter,
     projector_one_norm,
     projector_pair_sum,
@@ -35,13 +37,8 @@ from quditcost.lcu import (
     select_numerators,
     signed_labels,
 )
-from quditcost.pauli import beta_closed_form, select_diag_phases
-from quditcost.simverify import (
-    fan_state,
-    ladder_diagonal,
-    nontrivial_count,
-    phase_error,
-)
+from quditcost.pauli import beta_closed_form, irreducibility_floor, select_diag_phases
+from quditcost.simverify import fan_state, nontrivial_count
 
 
 # ---------------------------------------------------------------- register
@@ -271,7 +268,7 @@ def test_phase_assembly_matches_sign_times_clock():
     for d in range(3, 514, 2):
         n = np.arange(d)
         _, c_amps = beta_closed_form(1.0, d, n)
-        phases = select_diag_phases(1.0, d, n, c_amps)
+        phases = select_diag_phases(irreducibility_floor(1.0, d), d, n, c_amps)
         for r in range(1, d):
             sign = -1.0 if c_amps[r] < 0 else 1.0
             assembled = sign * cmath.exp(1j * math.pi * r / d)
@@ -284,7 +281,7 @@ def test_phase_assembly_matches_sign_times_clock():
 def closed_phases(d):
     """The d selection phases of the closed form at phi_max = 1."""
     n = np.arange(d)
-    return select_diag_phases(1.0, d, n, beta_closed_form(1.0, d, n)[1])
+    return select_diag_phases(irreducibility_floor(1.0, d), d, n, beta_closed_form(1.0, d, n)[1])
 
 
 def select_schedule(d):
@@ -460,4 +457,4 @@ def test_prep_rejects_vanishing_amplitude():
     # select_diag_phases, before it builds the preparation
     with pytest.raises(ValueError, match="c_1 vanishes"):
         n = np.arange(5)
-        select_diag_phases(0.0, 5, n, beta_closed_form(0.0, 5, n)[1])
+        select_diag_phases(irreducibility_floor(0.0, 5), 5, n, beta_closed_form(0.0, 5, n)[1])

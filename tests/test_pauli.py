@@ -11,6 +11,7 @@ from quditcost.lcu import prep_ry_schedule
 from quditcost.pauli import (
     beta_closed_form,
     beta_dft_oracle,
+    irreducibility_floor,
     level_array,
     select_diag_phases,
 )
@@ -191,7 +192,7 @@ def test_one_norm_half_sum_equals_the_numpy_expression():
 def closed_phases(d):
     """The selection phases of the closed form at phi_max = 1."""
     n = np.arange(d)
-    return select_diag_phases(1.0, d, n, beta_closed_form(1.0, d, n)[1])
+    return select_diag_phases(irreducibility_floor(1.0, d), d, n, beta_closed_form(1.0, d, n)[1])
 
 
 def test_select_diag_phases_d3():
@@ -212,7 +213,7 @@ def test_select_diag_phases_range_and_unit():
     for d in (7, 65):
         n = np.arange(d)
         betas, c_amps = beta_closed_form(1.0, d, n)
-        phases = select_diag_phases(1.0, d, n, c_amps)
+        phases = select_diag_phases(irreducibility_floor(1.0, d), d, n, c_amps)
         assert len(phases) == d
         for r in range(1, d):
             assert 0.0 <= phases[r] < 2 * math.pi
@@ -230,7 +231,7 @@ def test_sign_threshold_equivalence_full_range():
 def test_irreducibility_guard():
     with pytest.raises(ValueError, match="not irreducible"):
         n = np.arange(5)
-        select_diag_phases(0.0, 5, n, beta_closed_form(0.0, 5, n)[1])
+        select_diag_phases(irreducibility_floor(0.0, 5), 5, n, beta_closed_form(0.0, 5, n)[1])
 
 
 def test_irreducibility_guard_names_the_dimension_within_a_block():
@@ -241,7 +242,7 @@ def test_irreducibility_guard_names_the_dimension_within_a_block():
     c_amps = beta_closed_form(1.0, d, n)[1]
     c_amps[3 + 5 + 2] = 0.0
     with pytest.raises(ValueError, match=r"^coefficient c_2 vanishes at d=7; the expansion is not irreducible$"):
-        select_diag_phases(1.0, d, n, c_amps)
+        select_diag_phases(irreducibility_floor(1.0, d), d, n, c_amps)
 
 
 @pytest.mark.parametrize("d", [14647, 20001])
@@ -251,7 +252,7 @@ def test_smallest_coefficients_pass_the_irreducibility_guard(d):
     n = np.arange(d)
     betas, c_amps = beta_closed_form(1.0, d, n)
     assert min(abs(c) for c in c_amps) < 1e-12
-    assert len(select_diag_phases(1.0, d, n, c_amps)) == d
+    assert len(select_diag_phases(irreducibility_floor(1.0, d), d, n, c_amps)) == d
     # and the preparation gives one angle per amplitude
     assert len(prep_ry_schedule(np.sqrt(np.abs(betas[1:]) / clock_one_norm(1.0, d)))) == d - 1
 

@@ -145,6 +145,28 @@ def test_verify_builds_each_array_once_per_dimension(function):
     assert dimensions_built(function.__code__, argv) == list(range(3, 130, 2))
 
 
+def test_verify_evaluates_the_irreducibility_floor_once_per_dimension():
+    # the floor depends on d alone: one value per d of each block, not one per
+    # level, and one more at the largest d, where run_suites checks phi_max
+    code = pauli.irreducibility_floor.__code__
+    sizes = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            sizes.append(np.size(frame.f_locals["d"]))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            exit_code = cli.main(["verify"])
+    finally:
+        sys.setprofile(previous)
+    assert exit_code == 0
+    # the default caps: the 256 odd d <= 513, in 66,048 levels
+    assert sizes[0] == 1 and sum(sizes) == 256 + 1
+
+
 def test_a_process_sums_the_one_norm_weights_once_per_dimension(monkeypatch):
     monkeypatch.setattr(costmodel, "_HALF_WEIGHT_SUMS", {})
     argv = ["scan-ratio", "--d-max", "41"]

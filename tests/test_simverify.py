@@ -1,7 +1,9 @@
 import itertools
 import math
+import re
 
 import numpy as np
+import oracles
 import pytest
 from oracles import per_dimension_run_suites
 
@@ -22,6 +24,16 @@ def odd(cap):
 def named(name, results):
     """The result of the suite called name among the results."""
     return {result.name: result for result in results}[name]
+
+
+def ladder(angles):
+    """ladder_diagonal of one d's angles on the pairs (k, k+1), on a one-run layout."""
+    return ladder_diagonal(np.append(0.0, angles))
+
+
+def distance(a, b):
+    """phase_error of two diagonals of one d, on a one-run layout."""
+    return phase_error(a, b, [0, len(a)])[0]
 
 
 def combine(a, b):
@@ -49,7 +61,7 @@ def test_y_equal_split_on_nonadjacent_pair():
 
 def test_z_phases_on_state():
     # the Z rotation on the pair (1, 2) by 0.8, applied to |1>
-    state = np.exp(1j * ladder_diagonal(np.array([0.0, 0.8]))) * [0, 1, 0]
+    state = np.exp(1j * ladder(np.array([0.0, 0.8]))) * [0, 1, 0]
     assert state[1] == pytest.approx(np.exp(-0.4j))
 
 
@@ -61,20 +73,20 @@ def test_norm_preserved_under_random_rotations():
 
 
 def test_ladder_diagonal_empty():
-    assert ladder_diagonal(np.zeros(0)).tolist() == [0.0]
-    assert ladder_diagonal(np.zeros(3)).tolist() == [0.0] * 4
+    assert ladder(np.zeros(0)).tolist() == [0.0]
+    assert ladder(np.zeros(3)).tolist() == [0.0] * 4
 
 
 def test_ladder_diagonal_single_rotation():
-    diagonal = ladder_diagonal(np.array([math.pi, 0.0]))
+    diagonal = ladder(np.array([math.pi, 0.0]))
     assert diagonal == pytest.approx([-math.pi / 2, math.pi / 2, 0.0])
 
 
 def test_schedule_composition_is_additive():
     first = np.array([0.4, 0.0])
     second = np.array([0.0, -0.9])
-    assert ladder_diagonal(first + second) == pytest.approx(
-        combine(ladder_diagonal(first), ladder_diagonal(second))
+    assert ladder(first + second) == pytest.approx(
+        combine(ladder(first), ladder(second))
     )
 
 
@@ -100,25 +112,25 @@ def test_ladder_diagonal_matches_the_dense_rotation_product():
     for k, angle in enumerate(angles):
         phases = np.diag(np.exp([-0.5j * angle, 0.5j * angle]))
         unitary = embedded(7, [k, k + 1], phases) @ unitary
-    expected = np.diag(np.exp(1j * ladder_diagonal(angles)))
+    expected = np.diag(np.exp(1j * ladder(angles)))
     assert np.allclose(unitary, expected, rtol=0, atol=1e-14)
 
 
 def test_equal_up_to_global_phase_reflexive():
     a = (0.1, -0.4, 2.0)
-    assert phase_error(a, a) == 0.0
+    assert distance(a, a) == 0.0
 
 
 def test_equal_up_to_global_phase_uniform_offset():
     a = (0.1, -0.4, 2.0)
     b = (0.8, 0.3, 2.7)  # uniform +0.7
-    assert phase_error(a, b) < 1e-12
+    assert distance(a, b) < 1e-12
 
 
 def test_equal_up_to_global_phase_single_level_offset():
     a = (0.1, -0.4, 2.0)
     b = (0.1, 0.3, 2.0)  # +0.7 on one level only
-    assert phase_error(a, b) == pytest.approx(abs(np.exp(0.7j) - 1.0), rel=1e-15)
+    assert distance(a, b) == pytest.approx(abs(np.exp(0.7j) - 1.0), rel=1e-15)
 
 
 def test_phase_error_is_the_modulus_of_the_aligned_phase_factor_minus_one():
@@ -128,17 +140,31 @@ def test_phase_error_is_the_modulus_of_the_aligned_phase_factor_minus_one():
         a, b = rng.uniform(-50, 50, size=(2, 9))
         delta = (a - b) - (a[0] - b[0])
         expected = np.max(np.abs(np.exp(1j * delta) - 1.0))
-        assert phase_error(a, b) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        assert distance(a, b) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
 def test_equal_up_to_global_phase_propagates_nan():
-    assert math.isnan(phase_error((0.1, math.nan, 2.0), (0.1, -0.4, 2.0)))
+    assert math.isnan(distance((0.1, math.nan, 2.0), (0.1, -0.4, 2.0)))
 
 
 def test_equal_up_to_global_phase_dim_mismatch():
     # phase_error checks no lengths: numpy refuses to broadcast 2 levels against 3
     with pytest.raises(ValueError):
-        phase_error((0.0, 0.0), (0.0,) * 3)
+        distance((0.0, 0.0), (0.0,) * 3)
+
+
+def test_ladder_and_phase_error_over_runs_equal_each_run_on_its_own():
+    # three runs back to back, each with its empty slot at level 0: no rotation
+    # reaches the run before, and each run is anchored at its own level 0
+    levels = np.cumsum([0, 3, 7, 5])
+    angles, targets = np.random.default_rng(5).uniform(-7, 7, size=(2, levels[-1]))
+    angles[levels[:-1]] = 0.0
+    joined = ladder_diagonal(angles)
+    errors = phase_error(joined, targets, levels)
+    for i, (lo, hi) in enumerate(zip(levels, levels[1:])):
+        alone = oracles.ladder_diagonal(angles[lo + 1:hi])
+        assert joined[lo:hi].tolist() == alone.tolist()
+        assert errors[i] == oracles.phase_error(alone, targets[lo:hi])
 
 
 def test_census_suite_passes_above_1155():
@@ -248,6 +274,20 @@ def flip_sign(level, only_d=None):
 FLIPPED_LEVELS = {"1": lambda d: 1, "(d+1)/2": lambda d: (d + 1) // 2, "d-1": lambda d: d - 1}
 
 
+@pytest.mark.parametrize("phi_max,cap", [(1e153, 179), (5e153, 513)])
+def test_run_suites_rejects_a_phi_max_whose_identity_coefficient_overflows(phi_max, cap):
+    # check_phi_max bounds 4 phi_max^2 alone; beta_0's numerator phi_max^2 (d + 1)
+    # passes the largest float from d = 179 at phi_max = 1e153
+    with pytest.raises(ValueError, match=re.escape(f"phi_max={phi_max} is too large for d={cap}:")):
+        run_suites(phi_max, [3], odd(cap))
+
+
+def test_run_suites_accepts_a_phi_max_just_inside_the_overflow_bound():
+    dft = named("dft-oracle", run_suites(1e153, [3], odd(177)))
+    assert dft.cases == 88
+    assert math.isfinite(dft.worst)
+
+
 def test_dft_suite_fails_on_a_perturbed_coefficient(monkeypatch):
     phi_max = 2.5
     closed_form_with(monkeypatch, with_beta(1, 1e-9 * phi_max**2))
@@ -301,6 +341,65 @@ def test_census_reads_the_closed_form_that_the_dft_check_reads(monkeypatch):
         # when only d = 7 flips
         assert not census.ok, (name, only_d)
         assert census.worst_d == only_d or only_d is None, (name, census.worst_d)
+
+
+# The shipped caps' first block holds d = 3 .. 89; a fault at d = 31 alone,
+# in its middle, must be reported there, which the per-run anchoring of the
+# phase distances and the per-run mirror of the Hermiticity check ensure.
+BENT_D = 31
+
+
+def at_shipped_caps(name):
+    """The result of the suite called name at the default caps of `verify`."""
+    return named(name, run_suites(1.0, odd(64), odd(513)))
+
+
+def test_a_bent_coefficient_fails_dft_at_its_dimension(monkeypatch):
+    # beta_0 is real and its own mirror: only the distance to the FFT oracle sees it
+    closed_form_with(monkeypatch, with_beta(0, 1e-9, only_d=BENT_D))
+    result = at_shipped_caps("dft-oracle")
+    assert (result.ok, result.worst_d) == (False, BENT_D)
+    assert result.worst == pytest.approx(1e-9, rel=1e-4)
+
+
+def test_a_broken_mirror_fails_dft_at_its_dimension(monkeypatch):
+    # inside the oracle distance's 1e-10 bound, outside Hermiticity's 1e-12
+    closed_form_with(monkeypatch, with_beta(7, 1e-11j, only_d=BENT_D))
+    result = at_shipped_caps("dft-oracle")
+    assert (result.ok, result.worst_d) == (False, BENT_D)
+    assert result.worst == pytest.approx(1e-11, rel=1e-2)
+
+
+def test_a_bent_step_angle_fails_trotter_at_its_dimension(monkeypatch):
+    step_angles = simverify.qudit_trotter_angles
+
+    def bent(phi_max, d, r, times):
+        rows = step_angles(phi_max, d, r, times)
+        if d == BENT_D:
+            # the last pair of the last time, at the edge of the run
+            rows[-1][-1] += 1e-6
+        return rows
+
+    monkeypatch.setattr(simverify, "qudit_trotter_angles", bent)
+    result = at_shipped_caps("trotter-schedule")
+    assert (result.ok, result.worst_d) == (False, BENT_D)
+    assert result.worst == pytest.approx(5e-7, rel=1e-4)
+
+
+def test_a_bent_selection_angle_fails_select_at_its_dimension(monkeypatch):
+    schedule = simverify.fixed_encoding_select_schedule
+
+    def bent(thetas, sizes):
+        angles = schedule(thetas, sizes)
+        if BENT_D in sizes:
+            # the pair (14, 15), in the middle of the run
+            angles[sum(sizes[:sizes.index(BENT_D)]) + 15] += 1e-6
+        return angles
+
+    monkeypatch.setattr(simverify, "fixed_encoding_select_schedule", bent)
+    result = at_shipped_caps("select-schedule")
+    assert (result.ok, result.worst_d) == (False, BENT_D)
+    assert result.worst == pytest.approx(5e-7, rel=1e-4)
 
 
 def test_census_suite_fails_on_an_off_by_one_count(monkeypatch):

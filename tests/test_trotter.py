@@ -5,9 +5,11 @@ import pytest
 from oracles import (
     FieldGrid,
     centered_partial_sum,
+    ladder_diagonal,
     ladder_global_phase,
     levels,
     make_grid,
+    phase_error,
     qubit_trotter_terms,
     squared_mean,
 )
@@ -15,7 +17,7 @@ from oracles import qudit_trotter_angles as single_time_angles
 
 from quditcost.costmodel import SynthesisModel, pf_thresholds
 from quditcost.pauli import level_array
-from quditcost.simverify import ladder_diagonal, nontrivial_count, phase_error
+from quditcost.simverify import nontrivial_count
 from quditcost.trotter import qudit_trotter_angles, reduce_angles
 
 
