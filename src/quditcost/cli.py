@@ -243,8 +243,7 @@ def _pf_report(args: argparse.Namespace, ds: typing.Sequence[int], model: Synthe
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # the verify side needs numpy; the report commands never load it
-    from .lcu import MAX_NUMERATOR_D
-    from .simverify import run_suites
+    from .simverify import MAX_NUMERATOR_D, run_suites
 
     ranges = []
     for flag, cap in (("--d-max", args.d_max), ("--census-max", args.census_max)):

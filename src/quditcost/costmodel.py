@@ -251,7 +251,7 @@ def _half_weight_sum(d: int) -> float:
 def clock_one_norm(phi_max: float, d: int) -> float:
     """One-norm sum_{r>=1} |beta_r| of the clock-power coefficients, O(1) in d.
 
-    The nonzero-r coefficients (pauli.beta_closed_form) have moduli
+    The nonzero-r coefficients (simverify.beta_closed_form) have moduli
     2 phi_max^2 / (d - 1)^2 |cos x_r| / sin^2 x_r with x_r = pi r/d.  These
     weights are symmetric under r -> d - r, so the sum runs over the half
     x_r <= pi/2 and is doubled; above pi/2 the rounding of x_r near pi
@@ -426,9 +426,9 @@ def lcu_fixed_encoding_thresholds(
     The qubit total against Q_qd queries of the fixed encoding, which
     splits the per-call budget eps_sim / Q_qd uniformly over 3d - 3
     rotations: one selection bound of d - 1 plus two preparations of
-    d - 1 each.  The bound holds even where the realized selection count,
-    lcu.select_nontrivial_count(lcu.select_numerators(d)), is smaller.  No hybrid call is priced.
-    Each row is row(d, a_max_lcu, a_rz_lcu).
+    d - 1 each.  The bound holds even where the realized selection count
+    (simverify.select_nontrivial_count of simverify.select_numerators) is
+    smaller.  No hybrid call is priced.  Each row is row(d, a_max_lcu, a_rz_lcu).
     """
     log_term = _log_term(phi_max, t, eps_sim)
     rows = []

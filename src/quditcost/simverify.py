@@ -1,32 +1,82 @@
-"""Simulation oracles for the angle schedules, and the verify suites.
+"""The verify side: the constructions that `verify` checks, their oracles, and the suites.
 
-Diagonal unitaries are represented by their per-level phase exponents: a
-sequence of phases p_n stands for diag(e^(i p_n)), so composition is
-additive and equality up to a global phase reduces to comparing phase
-differences anchored at level 0 (phase_error).  A Z ladder's angle on
-the pair (k - 1, k) shifts p_k by +angle/2 and p_(k-1) by -angle/2
-(ladder_diagonal).  A preparation applied to |0> leaves sin(theta_r/2)
-times the running cosine product on level r, one np.cumprod (fan_state).
-All three are O(dim) numpy; no dim x dim matrix is formed.
+The constructions are the clock-power expansion of phi^2, the native
+Trotter ladder, and the LCU selection and preparation schedules.
+costmodel prices them without numpy, and only `verify` loads this module.
 
-run_suites takes consecutive d in blocks of at most BLOCK_LEVELS levels
-(a larger d alone), laid out by level: the levels n = 0 .. d-1 of each d
-back to back, the angles and N_n of the pair (n - 1, n) at level n, and
-at level 0 an empty slot, which is trivial and stops a ladder at the
-edge of its run.  The builders and the checks are elementwise formulas,
-one numpy call per block: phases are anchored at each run's level 0,
-Hermiticity gathers n -> d - n within each run, and the maxima, counts
-and sign violations per d are reduceat calls, which do not depend on
-order.  A loop over the d of a block keeps what one d fixes: the
+Expansion.  Any diagonal operator on d levels expands uniquely over the
+diagonal unitaries diag(omega^(r*j)) with omega = exp(2*pi*i/d).  For the
+squared field on the symmetric grid the coefficients have the closed form
+
+    beta_0 = phi_max^2 * (d + 1) / (3 * (d - 1))
+    beta_r = (2 * phi_max^2 / (d - 1)^2) * e^(i pi r/d) * cos(pi r/d) / sin^2(pi r/d)
+
+for r = 1 .. d-1.  Each nonzero-r coefficient factors as c_r * e^(i pi r/d)
+with real c_r, positive for r below the midpoint (d + 1) / 2 and negative
+from the midpoint upward, antisymmetric under r -> d - r.  The one-norm
+leaves out the identity term beta_0, which only shifts the evolution by a
+global phase, and needs no coefficient list: with x_r = pi r/d,
+
+    sum_{r>=1} |beta_r| = phi_max^2 * 2 / (d - 1)^2 * sum_{r=1}^{d-1} |cos x_r| / sin^2 x_r,
+
+which costmodel.clock_one_norm evaluates in O(1) without numpy.
+
+Angles.  R_z(theta) = exp(-i theta Z / 2), so theta = 2 * coefficient * t,
+and two-level rotations are 4*pi periodic (ANGLE_PERIOD).  The convention
+is validated against the simulation oracles below rather than by
+convention agreement.  A schedule is an array of angles whose level pairs
+its builder fixes: a Z ladder holds Z rotations on adjacent pairs, the
+preparation Y rotations on the pairs (0, r).  No schedule carries a global
+phase: it is no rotation, and every check compares diagonals up to one.
+
+Routes.  Qubit route: on a sign-magnitude register (signed_labels) the
+squared operator is a weighted sum of bit-pair projectors
+(qubit_projector_diag_oracle), and a binary-register Trotter step needs
+n_b * (n_b + 1) / 2 synthesized Z / ZZ rotations.  Native d-level route:
+the step's diagonal factors into d - 1 rotations on adjacent level pairs,
+with angles twice the centered partial sums of the squared eigenvalues.
+On the symmetric grid those sums are delta_phi^2 / 3 times an exact
+integer cubic in the pair index, so the angles come from that closed form,
+not from a running float sum (qudit_trotter_angles).  In the LCU the
+entangling part of the selection oracle is free, leaving a diagonal phase
+operator that splits into a clock-phase ladder on the index register and a
+comparator-driven sign flip, which marks r >= (d + 1) / 2, the coefficient
+sign rule the dft-oracle suite checks; the preparation oracle loads the
+coefficient amplitudes with d - 1 embedded two-level Y rotations.
+tests/oracles.py builds the binary step, the clock ladder and the direct
+partial sums, which certify the counts and the cubic.
+
+Level layout.  Every array of one d is indexed by level, n = 0 .. d-1,
+and the levels of several d lie back to back, so one numpy call covers a
+block of d.  The builders are elementwise formulas over broadcastable d
+and n: d is one value, or the d of each level.  A pair's angle (and its
+N_n) sits at the pair's upper level, the rotation on (n - 1, n) at level
+n; level 0 holds an empty slot, 0, which is trivial and stops a ladder at
+the edge of its run.  The preparation's d - 1 angles on the pairs (0, r)
+are built for one d at a time.
+
+Diagonals.  A sequence of phases p_n stands for diag(e^(i p_n)), so
+composition is additive and equality up to a global phase reduces to
+comparing phase differences anchored at level 0 (phase_error).  The
+diagonal of a Z ladder (ladder_diagonal) and the state a preparation
+reaches from |0> (fan_state) are O(dim) numpy; no dim x dim matrix is formed.
+
+Blocks.  run_suites takes consecutive d in blocks of at most BLOCK_LEVELS
+levels (a larger d alone), in the layout above.  The builders and the
+checks are one numpy call per block: phases are anchored at each run's
+level 0, Hermiticity gathers n -> d - n within each run, and the maxima,
+counts and sign violations per d are reduceat calls, which do not depend
+on order.  A loop over the d of a block keeps what one d fixes: the
 one-norm; the step angles, whose spacing is squared as a Python float,
-which numpy's square does not always match; the preparation check and
-the oracle's one-norm, ordered sums that np.add.reduceat would round
-differently (lcu takes the selection schedule's mean and running sum per
-d for that reason); and the FFT, one length per call.  So every error
-equals, bit for bit, the one that building each d on its own gives
-(tests/oracles.py keeps that loop), and numpy's per-call overhead, which
-set the cost of that loop, is paid per block.  The builders leave every
-fault to the suites; a NaN error is its suite's worst and fails it.
+which numpy's square does not always match; the preparation check and the
+oracle's one-norm, ordered sums that np.add.reduceat would round
+differently (fixed_encoding_select_schedule takes the selection
+schedule's mean and running sum per d for that reason); and the FFT, one
+length per call.  So every error equals, bit for bit, the one that
+building each d on its own gives (tests/oracles.py keeps that loop), and
+numpy's per-call overhead, which set the cost of that loop, is paid per
+block.  No builder checks what a suite checks: the builders leave every
+fault to the suites, and a NaN error is its suite's worst and fails it.
 """
 
 from __future__ import annotations
@@ -39,22 +89,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .costmodel import check_phi_max, clock_one_norm, register_width
-from .lcu import (
-    fixed_encoding_select_schedule,
-    prep_ry_schedule,
-    qubit_projector_diag_oracle,
-    select_nontrivial_count,
-    select_numerators,
-    signed_labels,
-)
-from .pauli import (
-    beta_closed_form,
-    beta_dft_oracle,
-    irreducibility_floor,
-    level_array,
-    select_diag_phases,
-)
-from .trotter import qudit_trotter_angles, reduce_angles
+
+ANGLE_PERIOD = 4.0 * np.pi
 
 # A rotation is the identity when its angle lies in 4*pi*Z within this tolerance.
 TRIVIAL_ANGLE_TOL = 1e-10
@@ -65,13 +101,246 @@ BLOCK_LEVELS = 2048
 # The times of the native step schedules that trotter-schedule checks.
 STEP_TIMES = (0.1, 1.0, 3.7)
 
+# Largest register accepted by the dense projector-diagonal enumeration.
+MAX_ORACLE_WIDTH = 20
+
+# Largest d whose selection numerators, below 4 d^2, are exact in int64.
+MAX_NUMERATOR_D = math.isqrt((2**63 - 1) // 4)
+
+
+def level_array(phi_max: float, d, n) -> np.ndarray:
+    """The field eigenvalues -phi_max + n * delta_phi at the levels n.
+
+    delta_phi = 2 * phi_max / (d - 1).  numpy forms each eigenvalue by the
+    same IEEE operations as that scalar expression, so they equal it bit for
+    bit; the tests keep a tuple-of-floats reference in tests/oracles.py.
+    """
+    return -phi_max + n * (2.0 * phi_max / (d - 1))
+
+
+def beta_closed_form(phi_max: float, d, n) -> tuple[np.ndarray, np.ndarray]:
+    """Expansion coefficients from the closed-form trigonometric expressions.
+
+    Returns (betas, c_amps) at the levels n: the complex beta_n and the real
+    amplitudes c_n with beta_n = c_n * e^(i pi n/d).  The c_n come first and
+    beta_n from them, so c_amps needs no round trip through the complex
+    phase.  At n = 0 both are beta_0, which is real.
+    """
+    p2 = phi_max**2
+    x = np.pi * n / d
+    nonzero = n > 0
+    # as for a Python float, an overflowing beta_0 is inf without a warning
+    with np.errstate(over="ignore"):
+        c_amps = np.full(np.shape(n), p2 * (d + 1) / (3.0 * (d - 1)))
+    cos, sin = np.cos(x), np.sin(x)
+    np.divide(2.0 * p2 / (d - 1) ** 2 * cos, sin**2, out=c_amps, where=nonzero)
+    # c_n e^(i x) from the same cosine and sine: numpy's complex exp gives
+    # them bit for bit, and the real factor needs no complex product
+    betas = c_amps.astype(complex)
+    np.multiply(c_amps, cos, out=betas.real, where=nonzero)
+    np.multiply(c_amps, sin, out=betas.imag, where=nonzero)
+    return betas, c_amps
+
+
+def beta_dft_oracle(lam_sq: np.ndarray) -> np.ndarray:
+    """Expansion coefficients by a numerical Fourier transform of the squared levels.
+
+    Computes beta_r = (1/d) * sum_n lambda_n^2 * omega^(-r n) as the FFT of
+    the d squared levels lam_sq of one d, O(d log d).  Verification oracle
+    only: it shares no formula with the closed form.  np.fft is reached
+    here, at call time, because numpy loads it lazily and the report
+    commands never need it.  The tests certify the FFT against the direct
+    O(d^2) sum.
+    """
+    return np.fft.fft(lam_sq) / len(lam_sq)
+
+
+def irreducibility_floor(phi_max: float, d):
+    """Amplitude at or below which a coefficient counts as vanishing, elementwise over d.
+
+    Half the smallest exact |c_r|, which sits at r = (d - 1) / 2:
+    2 phi_max^2 / (d - 1)^2 * sin(y) / cos^2(y) with y = pi / (2d), about
+    pi phi_max^2 / d^3.  The computed c_r near that r carry a relative
+    rounding error of order d * 1e-16, far below one half, so correct
+    coefficients pass at every d, while a zero field (floor 0) fails.
+    """
+    y = np.pi / (2 * d)
+    return phi_max**2 / (d - 1) ** 2 * np.sin(y) / np.cos(y) ** 2
+
+
+def select_diag_phases(floor, d, n, c_amps: np.ndarray) -> np.ndarray:
+    """Phases of the selection-oracle diagonal at the levels n.
+
+    Level 0 carries phase 0; level n carries pi*n/d, shifted by pi wherever
+    the real amplitude c_n (beta_closed_form) is negative, so that
+    e^(i theta_n) equals beta_n / |beta_n|.  As pi*n/d < pi for n < d, every
+    value lies in [0, 2*pi) without a reduction.  floor is the
+    irreducibility floor of each level's d, which depends on d alone.
+
+    Raises:
+        ValueError: if any c_n with n > 0 sits at or below its floor; the
+            first such n is named, with its d.
+    """
+    vanishing = np.flatnonzero((np.abs(c_amps) <= floor) & (n > 0))
+    if vanishing.size:
+        j = vanishing[0]
+        raise ValueError(
+            f"coefficient c_{n[j]} vanishes at d={np.broadcast_to(d, np.shape(n))[j]}; "
+            "the expansion is not irreducible"
+        )
+    return np.pi * n / d + np.where(c_amps < 0, np.pi, 0.0)
+
+
+def reduce_angles(angles: np.ndarray) -> np.ndarray:
+    """Canonical mod-4*pi representatives in (-2*pi, 2*pi].
+
+    fmod is exact, and so is each shift by 4*pi past +-2*pi (Sterbenz), so
+    every value equals math.remainder(angle, 4*pi) with -2*pi moved to
+    2*pi, bit for bit.  One np.where picks the shifted or unshifted value.
+    """
+    r = np.fmod(angles, ANGLE_PERIOD)
+    half = 0.5 * ANGLE_PERIOD
+    return np.where(r > half, r - ANGLE_PERIOD, np.where(r <= -half, r + ANGLE_PERIOD, r))
+
+
+def qudit_trotter_angles(phi_max: float, d, r, times) -> list[np.ndarray]:
+    """Adjacent-pair Z ladder angles for one native d-level step at each of the times.
+
+    Returns one row per time, the angles at the levels r (r = 1 .. d-1 for
+    one d), on the pairs (k, k+1), k = r - 1.  With
+    delta_phi = 2 * phi_max / (d - 1), m = (d - 1) / 2 and
+    lambda_n = delta_phi * (n - m), the centered partial sums are
+    sum_{n<=k} (lambda_n^2 - mu) = (delta_phi^2 / 3) * N_k,
+    N_k = (k + 1)(2k - d + 2)(k - d + 1) / 2 an exact integer, and
+    mu = (delta_phi^2 / 3) * m(m + 1).  N_k is built once for all times;
+    the angles theta_k = 2 t (delta_phi^2 / 3) N_k are reduced to
+    (-2*pi, 2*pi], each row on its own, which keeps a large d's
+    temporaries small.  The ladder equals diag(e^(-i t lambda_n^2)) up to
+    the global phase -t * mu.  Each value is a few roundings of exact
+    factors, so its error is a few ulp at every d.
+
+    Raises:
+        ValueError: if an unreduced angle is not finite, which names
+            phi_max and the first such t.  max |2 N_k| >= m(m + 1), so the
+            angles overflow no later than the global phase would.
+    """
+    third = (2.0 * phi_max / (d - 1)) ** 2 / 3.0
+    k = r - 1.0
+    # three exact integer factors; their product is even
+    numerator = (k + 1.0) * (2.0 * k - (d - 2)) * (k - (d - 1)) / 2.0
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in times:
+            angles = (2.0 * t * third) * numerator
+            if not np.isfinite(angles).all():
+                raise ValueError(
+                    f"phi_max={phi_max} with t={t} is too large: "
+                    "the step angles 2 t sum(lambda^2 - mu) overflow"
+                )
+            rows.append(reduce_angles(angles))
+    return rows
+
+
+def signed_labels(n_b: int) -> np.ndarray:
+    """Sign-magnitude label of every string of an n_b-qubit register, in string order.
+
+    The top bit is the sign; the remaining n_b - 1 bits are the magnitude.
+    Labels cover {-(2^(n_b-1) - 1), ..., 2^(n_b-1) - 1}, with zero realized
+    by two strings (both sign values on zero magnitude).
+    """
+    magnitude = np.arange(2 ** (n_b - 1))
+    return np.concatenate([magnitude, -magnitude])
+
+
+def qubit_projector_diag_oracle(phi_max: float, d: int) -> np.ndarray:
+    """Diagonal of the bit-pair projector sum on every register string.
+
+    Returns the float array of delta_phi^2 * sum_{r,s} 2^(r+s) * l_r * l_s,
+    one per computational string, with delta_phi = 2 * phi_max / (d - 1)
+    and n_b = register_width(d), the sum over the (r, s) projector pairs
+    taken as one integer quadratic form of the magnitude bits; agreement
+    with delta_phi^2 * label^2 (including both zero strings) is what the
+    tests certify.  The form is below 4^(n_b - 1), exact in int64 and as a float.
+    """
+    n_b = register_width(d)
+    if n_b > MAX_ORACLE_WIDTH:
+        raise ValueError(
+            f"register of {n_b} qubits too large for dense enumeration"
+        )
+    r = np.arange(n_b - 1)
+    bits = (np.arange(2**n_b)[:, None] >> r) & 1
+    pairs = np.int64(1) << (r[:, None] + r)
+    return (2.0 * phi_max / (d - 1)) ** 2 * ((bits @ pairs) * bits).sum(axis=1)
+
+
+def fixed_encoding_select_schedule(thetas: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Adjacent-pair Z angles implementing the selection diagonal natively.
+
+    thetas holds the per-level phases of each d in sizes, and the result
+    has the same levels.  Built by the direct prefix-sum construction: with
+    gamma the mean of one d's phases, the angle on pair (r - 1, r) is
+    -2 * sum_{n<r} (theta_n - gamma), reduced to (-2*pi, 2*pi], up to the
+    global phase gamma.  The mean and the running sum are taken per d,
+    because their float bits depend on the summation order; the rest is
+    elementwise.  The closed form (pi/d) * N_r (select_numerators) must
+    agree mod 4*pi, and is never read here.
+    """
+    sums = np.zeros(len(thetas))
+    lo = 0
+    for d in sizes:
+        phases = thetas[lo:lo + d]
+        np.cumsum(phases[:-1] - np.add.reduce(phases) / d, out=sums[lo + 1:lo + d])
+        lo += d
+    return reduce_angles(-2.0 * sums)
+
+
+def select_numerators(d, r) -> np.ndarray:
+    """Integers N_r of the selection-schedule angles (pi/d) * N_r at the levels r.
+
+    With m = (d - 1) / 2: N_r = r (4m - r + 1), minus 2d (r - 1 - m) once
+    r - 1 exceeds m, and N_0 = 0 for the empty slot.  The values stay below
+    4 d^2, exact in int64 up to d = MAX_NUMERATOR_D.
+    """
+    m = (d - 1) // 2
+    return r * (4 * m - r + 1) - 2 * d * np.maximum(r - 1 - m, 0)
+
+
+def select_nontrivial_count(d, numerators: np.ndarray, starts) -> np.ndarray:
+    """Number of nontrivial selection angles (pi/d) * N_r in each run of numerators.
+
+    The runs begin at the indices starts, one per d.  A rotation is trivial
+    when its angle is 0 mod 4*pi, that is when 4d divides N_r (N_0 = 0
+    is), which is evaluated in exact integer arithmetic over all levels at
+    once; dense states are never needed here, which keeps census scans over
+    large d cheap.
+    """
+    return np.add.reduceat(numerators % (4 * d) != 0, starts)
+
+
+def prep_ry_schedule(amps: np.ndarray) -> np.ndarray:
+    """Two-level Y angles preparing the amplitudes amps from |0>.
+
+    amps holds a_r = sqrt(|beta_r| / Lambda), r = 1 .. d-1.  The d - 1
+    angles are applied in order, rotation r on levels (0, r), and satisfy
+    sin(theta_r / 2) = a_r / prod_{k<r} cos(theta_k / 2).  The
+    running cosine product equals the square root of the remaining tail
+    mass, so each angle is assembled from its sine and cosine legs via
+    atan2 on the exact tail sums; this keeps the final rotation an exact
+    half-turn and the leftover amplitude on level 0 at roundoff level.
+    A wrong Lambda still gives angles; verify's prep and dft suites fail it.
+    """
+    # tail[i] = sum of squared amplitudes from position i on; the final
+    # entry is the exact empty sum, so the last angle is an exact half-turn.
+    tail = np.append(np.cumsum(np.square(amps[::-1]))[::-1], 0.0)
+    return 2.0 * np.arctan2(amps, np.sqrt(tail[1:]))
+
 
 def ladder_diagonal(angles: np.ndarray) -> np.ndarray:
     """Per-level phases of the diagonals that Z ladders' angles realize, along the last axis.
 
     angles[k], the rotation on the pair (k - 1, k), shifts level k by
-    +angles[k]/2 and level k - 1 by -angles[k]/2.  Each d's level 0 holds
-    the empty slot 0, so one call covers the ladders of several d.
+    +angles[k]/2 and level k - 1 by -angles[k]/2.  Each d's empty level-0
+    slot stops its ladder, so one call covers the ladders of several d.
     """
     half = 0.5 * np.asarray(angles)
     phases = half.copy()
@@ -169,10 +438,7 @@ def _distinct_prime_count(n: int) -> int:
 
 
 def _blocks(ds: Sequence[int]) -> list[list[int]]:
-    """Runs of consecutive ds whose levels, the sum of their d, stay within BLOCK_LEVELS.
-
-    A d above BLOCK_LEVELS forms a block of its own.
-    """
+    """Runs of consecutive ds whose levels, the sum of their d, stay within BLOCK_LEVELS; a larger d stands alone."""
     blocks, levels = [[]], 0
     for d in ds:
         if blocks[-1] and levels + d > BLOCK_LEVELS:
@@ -189,11 +455,7 @@ def _spread(values, ds: list[int]):
 
 
 def _block_index(ds: list[int]) -> tuple:
-    """(d, n, levels) for the dimensions ds, back to back.
-
-    d and n = 0 .. d-1 index the levels of each d in turn; the levels of
-    ds[i] are levels[i]:levels[i + 1].
-    """
+    """(d, n, levels) of the level layout of ds; the levels of ds[i] are levels[i]:levels[i + 1]."""
     levels = np.cumsum([0, *ds])
     return _spread(ds, ds), np.arange(levels[-1]) - _spread(levels[:-1], ds), levels
 
@@ -204,12 +466,11 @@ def run_suites(
     """The six suites, from one closed form, phase list, ladder, one-norm and level array per d.
 
     dense_ds and census_ds are nonempty, sorted sequences of odd d >= 3, up
-    to lcu.MAX_NUMERATOR_D, where the exact numerators still fit int64; the
+    to MAX_NUMERATOR_D, where the exact numerators still fit int64; the
     caller keeps d within that bound, and membership in a range is O(1).
     inject, phi_max and each d (costmodel.register_width) are checked
-    before any suite runs.  The d of both sequences run in blocks
-    (_blocks) laid out by _block_index; each block's arrays and checks are
-    built once, and one loop over its d does what one d fixes (see above).
+    before any suite runs.  The d of both sequences run in blocks (see
+    Blocks above).
 
     Over the d of dense_ds: trotter-schedule, native step schedules
     realize diag(e^(-i t lambda_n^2)) at three times; select-schedule, the

@@ -11,8 +11,8 @@ that the library uses as closed forms:
   the n_b (n_b + 1) / 2 of `pf_thresholds`;
 * the grid levels as a tuple of Python floats (`levels`), and their mean
   square by direct summation (`squared_mean`), the references for
-  `pauli.level_array` and for the integer closed form of
-  `trotter.qudit_trotter_angles`;
+  `simverify.level_array` and for the integer closed form of
+  `simverify.qudit_trotter_angles`;
 * the centered partial sums behind the native step angles, nonzero for
   every admissible k, and the global phase -t mu that the step's ladder
   leaves out (`ladder_global_phase`);
@@ -22,12 +22,12 @@ that the library uses as closed forms:
   tree of uniformly controlled Y rotations (quant-ph/0208112), the
   2^n_b - 1 rotations per direction inside the same count;
 * the direct O(d^2) Fourier sum of the squared grid levels, which
-  certifies the FFT coefficient oracle `pauli.beta_dft_oracle`;
+  certifies the FFT coefficient oracle `simverify.beta_dft_oracle`;
 * trial division, which certifies the Miller-Rabin test `cli.is_prime`
   that `--primes` scans use;
 * the bit-pair projector sum over every (r, s) pair, one register string
   at a time, which certifies the quadratic form of
-  `lcu.qubit_projector_diag_oracle`, and the one-norm of those pair
+  `simverify.qubit_projector_diag_oracle`, and the one-norm of those pair
   coefficients, which certifies the qubit normalization `alpha_qb`;
 * the per-d verify loop that the block pass of `simverify.run_suites`
   replaced, kept as it was with the per-d builders it called
@@ -40,7 +40,7 @@ that the library uses as closed forms:
   one row function per report (`pf_row`, `scan_row`, `lcu_row`).  The
   passes print the same rows bit for bit and raise the same errors.
 
-Angle convention as in `quditcost.trotter`: R_z(theta) = exp(-i theta Z / 2).
+Angle convention as in `quditcost.simverify`: R_z(theta) = exp(-i theta Z / 2).
 """
 
 from __future__ import annotations
@@ -66,17 +66,17 @@ from quditcost.costmodel import (
     register_width,
     rz_cost,
 )
-from quditcost.lcu import prep_ry_schedule
-from quditcost.pauli import beta_dft_oracle
 from quditcost.simverify import (
     TRIVIAL_ANGLE_TOL,
     SuiteResult,
     _distinct_prime_count,
     _result,
+    beta_dft_oracle,
     fan_state,
+    prep_ry_schedule,
+    reduce_angles,
     suite_projector,
 )
-from quditcost.trotter import reduce_angles
 
 
 class FieldGrid(NamedTuple):
@@ -103,7 +103,7 @@ def make_grid(phi_max: float, d: int) -> FieldGrid:
 
 
 def levels(grid: FieldGrid) -> tuple[float, ...]:
-    """The d field eigenvalues of pauli.level_array, as Python floats."""
+    """The d field eigenvalues of simverify.level_array, as Python floats."""
     return tuple(level_array(grid.phi_max, grid.d).tolist())
 
 
@@ -488,9 +488,9 @@ def lcu_row(
     The qubit total against Q_qd queries of the fixed encoding, which
     splits the per-call budget eps_sim / Q_qd uniformly over 3d - 3
     rotations: one selection bound of d - 1 plus two preparations of
-    d - 1 each.  The bound holds even where the realized selection count,
-    lcu.select_nontrivial_count(lcu.select_numerators(d)), is smaller.  No
-    hybrid call is priced.
+    d - 1 each.  The bound holds even where the realized selection count
+    (simverify.select_nontrivial_count of simverify.select_numerators) is
+    smaller.  No hybrid call is priced.
     """
     grid = make_grid(phi_max, d)
     qb = total_cost_qubit(grid, t, eps_sim)

@@ -24,23 +24,21 @@ from quditcost.costmodel import (
     pf_thresholds,
     ratio_and_budget,
 )
-from quditcost.lcu import (
+from quditcost.simverify import (
+    beta_closed_form,
+    beta_dft_oracle,
+    fan_state,
     fixed_encoding_select_schedule,
+    irreducibility_floor,
+    level_array,
     prep_ry_schedule,
     qubit_projector_diag_oracle,
+    qudit_trotter_angles,
+    select_diag_phases,
     select_nontrivial_count,
     select_numerators,
     signed_labels,
 )
-from quditcost.pauli import (
-    beta_closed_form,
-    beta_dft_oracle,
-    irreducibility_floor,
-    level_array,
-    select_diag_phases,
-)
-from quditcost.simverify import fan_state
-from quditcost.trotter import qudit_trotter_angles
 
 PRIMES_TO_19 = [3, 5, 7, 11, 13, 17, 19]
 

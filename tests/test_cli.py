@@ -11,7 +11,7 @@ from oracles import is_prime_trial_division
 import quditcost
 from quditcost.cli import CONFIG_ENV_VAR, PRIME_TEST_BOUND, is_prime, main
 from quditcost.costmodel import MAX_D, ratio_and_budget
-from quditcost.lcu import MAX_NUMERATOR_D
+from quditcost.simverify import MAX_NUMERATOR_D
 
 
 def run_cli(capsys, *argv):
@@ -656,9 +656,23 @@ def fresh_process_stdout(script, *args):
     return proc.stdout
 
 
+# The quditcost modules a process has loaded: the report commands load the
+# report path alone, and verify adds the verify module and nothing else.
+PACKAGE_LOADED = 'print(sorted(name for name in sys.modules if name.split(".")[0] == "quditcost"))'
+REPORT_PATH = ["quditcost", "quditcost.cli", "quditcost.costmodel"]
+VERIFY_IN_A_FRESH_PROCESS = """
+import sys
+from quditcost.cli import main
+assert main(["verify", "--d-max", "5", "--census-max", "5"]) == 0
+""" + PACKAGE_LOADED
+
+
 def test_report_commands_load_neither_numpy_nor_the_verify_suites(tmp_path):
     bare = fresh_process_stdout("import sys; " + LOADED)
-    assert fresh_process_stdout(REPORTS_IN_A_FRESH_PROCESS, str(tmp_path)) == "[]\n" + bare
+    reports = fresh_process_stdout(REPORTS_IN_A_FRESH_PROCESS + "\n" + PACKAGE_LOADED, str(tmp_path))
+    assert reports == "[]\n" + bare + f"{REPORT_PATH}\n"
+    verify = fresh_process_stdout(VERIFY_IN_A_FRESH_PROCESS).splitlines()
+    assert verify[-1] == str([*REPORT_PATH, "quditcost.simverify"])
 
 
 def test_every_exported_name_resolves():

@@ -1,4 +1,4 @@
-"""The grid (phi_max, d): the checks of both numbers, and the levels of pauli.level_array."""
+"""The grid (phi_max, d): the checks of both numbers, and the levels of simverify.level_array."""
 
 import math
 
@@ -14,9 +14,7 @@ from quditcost.costmodel import (
     ratio_and_budget,
     register_width,
 )
-from quditcost.lcu import qubit_projector_diag_oracle
-from quditcost.pauli import level_array
-from quditcost.simverify import run_suites
+from quditcost.simverify import level_array, qubit_projector_diag_oracle, run_suites
 
 # the largest phi_max whose bound 4 phi_max^2 on the normalizations is finite
 PHI_MAX_LIMIT = 6.703903964971298e153

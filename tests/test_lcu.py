@@ -28,17 +28,20 @@ from quditcost.costmodel import (
     register_width,
     rz_cost,
 )
-from quditcost.lcu import (
+from quditcost.simverify import (
     MAX_NUMERATOR_D,
+    beta_closed_form,
+    fan_state,
     fixed_encoding_select_schedule,
+    irreducibility_floor,
+    nontrivial_count,
     prep_ry_schedule,
     qubit_projector_diag_oracle,
+    select_diag_phases,
     select_nontrivial_count,
     select_numerators,
     signed_labels,
 )
-from quditcost.pauli import beta_closed_form, irreducibility_floor, select_diag_phases
-from quditcost.simverify import fan_state, nontrivial_count
 
 
 # ---------------------------------------------------------------- register

@@ -7,12 +7,12 @@ import pytest
 from oracles import direct_dft_coefficients, levels, make_grid
 
 from quditcost.costmodel import ONE_NORM_CLOSED_FORM_D, clock_one_norm
-from quditcost.lcu import prep_ry_schedule
-from quditcost.pauli import (
+from quditcost.simverify import (
     beta_closed_form,
     beta_dft_oracle,
     irreducibility_floor,
     level_array,
+    prep_ry_schedule,
     select_diag_phases,
 )
 

@@ -6,6 +6,7 @@ same cases.
 
 import contextlib
 import io
+import itertools
 import math
 
 import pytest
@@ -13,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditcost.cli import main
-from quditcost.costmodel import MIN_CALL_BUDGET, pf_thresholds, ratio_and_budget
+from quditcost.costmodel import (
+    MAX_D,
+    MIN_CALL_BUDGET,
+    SynthesisModel,
+    pf_thresholds,
+    ratio_and_budget,
+    register_width,
+)
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -75,3 +83,27 @@ def test_bad_value_exits_2_with_one_stderr_line(command, flag, data):
     assert code == 2
     assert out.getvalue() == ""
     assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+# Every odd d from 7 to 2001 but 9, then d = 10^k + 1 up to MAX_D, and
+# MAX_D itself when it is odd.  At d = 3, 5 and 9 the binary step's
+# n_b (n_b + 1) / 2 rotations outnumber the native step's d - 1.
+PF_BOUND_DS = [
+    *(d for d in range(7, 2002, 2) if d != 9),
+    *itertools.takewhile(lambda d: d <= MAX_D, (10**k + 1 for k in itertools.count(4))),
+    *([MAX_D] if MAX_D % 2 else []),
+]
+
+
+@pytest.mark.parametrize("eps", [0.5, 1e-3, 1e-6, 1e-12, 1e-100])
+def test_product_formulas_need_an_exponentially_stronger_per_primitive_advantage(eps):
+    # With l_qb = n_b (n_b + 1) / 2 and g = log2((d - 1) / eps), a row holds
+    # a_max_pf = l_qb rz(eps / l_qb) / ((d - 1) g) and a_rz_pf = rz(eps / (d - 1)) / g.
+    # rz(eps / L) increases in L, so where l_qb <= d - 1 the advantage a
+    # native rotation needs, a_rz_pf / a_max_pf, is at least (d - 1) / l_qb,
+    # which grows as 2^n_b / n_b^2.  4 ulp cover the chain's roundings;
+    # the ties at d = 7 and 11 land within 1.
+    for model in (SynthesisModel(0.57, 8.83), SynthesisModel(1, 0), SynthesisModel(0, 5), SynthesisModel(3, 100)):
+        for d, a_max, a_rz, _ in pf_thresholds(PF_BOUND_DS, eps, model):
+            n_b = register_width(d)
+            assert a_max * (d - 1) <= a_rz * (n_b * (n_b + 1) // 2) * (1 + 4 * 2**-52), (d, model)

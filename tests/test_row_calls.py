@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from quditcost import cli, costmodel, lcu, pauli
+from quditcost import cli, costmodel, simverify
 
 COUNTED = {
     "register_width": costmodel.register_width,
@@ -124,17 +124,17 @@ def dimensions_built(code, argv):
 @pytest.mark.parametrize(
     "function",
     [
-        pauli.beta_closed_form,
+        simverify.beta_closed_form,
         # the select-schedule target and the schedules share one phase list per d
-        pauli.select_diag_phases,
+        simverify.select_diag_phases,
         # the select-schedule check and the census read one float schedule per d
-        lcu.fixed_encoding_select_schedule,
+        simverify.fixed_encoding_select_schedule,
         # the preparation amplitudes and the one-norm check share it
         costmodel.clock_one_norm,
         # one exact N_k array per census d feeds the count and the closed-form angles
-        lcu.select_numerators,
+        simverify.select_numerators,
         # the step-schedule target and the FFT oracle share one squared level array
-        pauli.level_array,
+        simverify.level_array,
     ],
     ids=lambda function: function.__name__,
 )
@@ -148,7 +148,7 @@ def test_verify_builds_each_array_once_per_dimension(function):
 def test_verify_evaluates_the_irreducibility_floor_once_per_dimension():
     # the floor depends on d alone: one value per d of each block, not one per
     # level, and one more at the largest d, where run_suites checks phi_max
-    code = pauli.irreducibility_floor.__code__
+    code = simverify.irreducibility_floor.__code__
     sizes = []
 
     def hook(frame, event, arg):

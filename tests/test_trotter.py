@@ -16,9 +16,7 @@ from oracles import (
 from oracles import qudit_trotter_angles as single_time_angles
 
 from quditcost.costmodel import SynthesisModel, pf_thresholds
-from quditcost.pauli import level_array
-from quditcost.simverify import nontrivial_count
-from quditcost.trotter import qudit_trotter_angles, reduce_angles
+from quditcost.simverify import level_array, nontrivial_count, qudit_trotter_angles, reduce_angles
 
 
 def step_angles(phi_max, d, t):
