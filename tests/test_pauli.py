@@ -10,6 +10,7 @@ from quditcost.costmodel import ONE_NORM_CLOSED_FORM_D, clock_one_norm
 from quditcost.simverify import (
     beta_closed_form,
     beta_dft_oracle,
+    fan_state,
     irreducibility_floor,
     level_array,
     prep_ry_schedule,
@@ -59,17 +60,29 @@ def test_zero_field_coefficients_vanish():
     assert all(abs(b) == 0.0 for b in betas)
 
 
-def test_closed_form_phases_are_the_complex_exponential_bit_for_bit():
-    # beta_closed_form builds c_n e^(i pi n/d) from the cosine and sine it
-    # already has; that equals c_n * np.exp(1j * x), the per-d form, only
-    # while numpy's complex exp returns exactly that cosine and sine
-    for d in [*range(3, 2050, 2), 4097, 20001]:
-        x = np.pi * np.arange(d) / d
-        phase = np.exp(1j * x)
-        assert phase.real.tobytes() == np.cos(x).tobytes(), d
-        assert phase.imag.tobytes() == np.sin(x).tobytes(), d
-        betas, c_amps = beta_closed_form(1.3, d, np.arange(d))
-        assert betas[1:].tobytes() == (c_amps[1:] * phase[1:]).tobytes(), d
+def test_closed_form_is_hermitian_and_sign_split_bit_for_bit():
+    # cosine and sine are taken at pi * min(n, d - n) / d, so n and d - n
+    # share them and differ by exact negations alone
+    for d in [*range(3, 2050, 2), 4097, 20001, 1048577]:
+        n = np.arange(d)
+        betas, c_amps = beta_closed_form(1.3, d, n)
+        assert betas[d - n[1:]].tobytes() == betas[1:].conj().tobytes(), d
+        assert c_amps[d - n[1:]].tobytes() == (-c_amps[1:]).tobytes(), d
+        assert np.array_equal(c_amps < 0, 2 * n > d), d
+
+
+# 2^k - 1 and 2^k + 1 for k = 2 .. 16, and 15015 = 3 5 7 11 13
+LARGE_SAMPLES = sorted({2**k + s for k in range(2, 17) for s in (-1, 1)} | {15015})
+
+
+@pytest.mark.parametrize("d", LARGE_SAMPLES)
+def test_closed_form_and_preparation_hold_at_large_samples(d):
+    n = np.arange(d)
+    betas, _ = beta_closed_form(1.0, d, n)
+    oracle = beta_dft_oracle(level_array(1.0, d, n) ** 2)
+    assert np.max(np.abs(betas - oracle)) <= 1e-12
+    amps = np.sqrt(np.abs(betas[1:]) / clock_one_norm(1.0, d))
+    assert np.linalg.norm(fan_state(prep_ry_schedule(amps)) - np.append(0.0, amps)) <= 1e-10
 
 
 def test_dft_oracle_agrees_small():
@@ -105,7 +118,7 @@ def test_hermiticity():
     for d in (3, 9, 33, 129):
         betas, _ = beta_closed_form(1.3, d, np.arange(d))
         for r in range(1, d):
-            assert abs(betas[d - r] - betas[r].conjugate()) < 1e-12
+            assert betas[d - r] == betas[r].conjugate()
 
 
 def test_sign_pattern_and_antisymmetry():

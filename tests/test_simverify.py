@@ -305,6 +305,12 @@ def test_dft_suite_errors_are_relative_to_phi_max_squared(phi_max):
     assert result.worst < 1e-13
 
 
+def test_dft_suite_passes_where_the_unfolded_closed_form_failed():
+    # cosine and sine taken at pi n/d up to pi put the closed form's
+    # Hermiticity 1.05e-12 and 1.29e-12 off here, past 1e-12
+    assert named("dft-oracle", run_suites(1.0, [3], [13787, 19105])).ok
+
+
 def test_dft_suite_names_the_dimension_of_its_worst_error(monkeypatch):
     closed_form_with(monkeypatch, with_beta(2, 1e-9, only_d=7))
     result = named("dft-oracle", run_suites(1.0, odd(3), odd(15)))
@@ -345,7 +351,7 @@ def test_census_reads_the_closed_form_that_the_dft_check_reads(monkeypatch):
 
 # The shipped caps' first block holds d = 3 .. 89; a fault at d = 31 alone,
 # in its middle, must be reported there, which the per-run anchoring of the
-# phase distances and the per-run mirror of the Hermiticity check ensure.
+# phase distances and the per-run maxima of the oracle distance ensure.
 BENT_D = 31
 
 
@@ -355,7 +361,7 @@ def at_shipped_caps(name):
 
 
 def test_a_bent_coefficient_fails_dft_at_its_dimension(monkeypatch):
-    # beta_0 is real and its own mirror: only the distance to the FFT oracle sees it
+    # beta_0 is real and its own mirror; the distance to the FFT oracle sees it
     closed_form_with(monkeypatch, with_beta(0, 1e-9, only_d=BENT_D))
     result = at_shipped_caps("dft-oracle")
     assert (result.ok, result.worst_d) == (False, BENT_D)
@@ -363,7 +369,8 @@ def test_a_bent_coefficient_fails_dft_at_its_dimension(monkeypatch):
 
 
 def test_a_broken_mirror_fails_dft_at_its_dimension(monkeypatch):
-    # inside the oracle distance's 1e-10 bound, outside Hermiticity's 1e-12
+    # beta_7 no longer the conjugate of beta_(d-7): 1e-11 off the FFT oracle,
+    # past the distance's 1e-12 bound
     closed_form_with(monkeypatch, with_beta(7, 1e-11j, only_d=BENT_D))
     result = at_shipped_caps("dft-oracle")
     assert (result.ok, result.worst_d) == (False, BENT_D)
