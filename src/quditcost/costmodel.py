@@ -9,7 +9,10 @@ saving divided by (qudit queries * switches per query) bounds the
 affordable per-switch conversion overhead.  A report is one pass over its
 dimensions: it checks its scalar inputs once, then each row checks d once,
 through register_width, and evaluates each formula it prints once.  The
-qudit alpha is the clock-power one-norm (clock_one_norm), O(1) in d.
+qudit alpha is the clock-power one-norm (clock_one_norm), O(1) in d.  A
+block-encoding pass over a (phi_max, ds) that the process priced twice
+before reads each d's n_b and both normalizations from a per-process memo
+(_pass_terms), one list per repeated key.
 Like everything the report commands import, the module is stdlib only.
 
 The field grid, d = 2M + 1 levels spaced delta_phi = 2 phi_max / (d - 1) on
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple
 
 # Largest local dimension: the coefficient scale 2 phi_max^2 / (d - 1)^2
@@ -307,10 +311,39 @@ def _log_term(phi_max: float, t: float, eps_sim: float) -> float:
     return math.log2(1.0 / eps_sim)
 
 
-def _query_counts(phi_max: float, d: int, t: float, eps_sim: float, log_term: float) -> tuple:
+# The (n_b, alpha_qb, alpha_qd) of each d of a key (phi_max, ds) that a
+# block-encoding pass priced twice, and None for a key priced once.  A pass
+# records its key only once it returns, so a one-shot scan keeps its key and
+# no values.  A dict, not functools.cache, as for _HALF_WEIGHT_SUMS.
+_DIMENSION_TERMS: dict[tuple, list[tuple[int, float, float]] | None] = {}
+
+
+def _pass_terms(phi_max: float, ds: Iterable[int]) -> tuple:
+    """(key, ds, terms, fresh) of a block-encoding pass, after _log_term.
+
+    ds becomes a range or a tuple, made once, and key is (phi_max, ds).
+    terms yields, per d, what _query_counts takes from (phi_max, d) alone:
+    the stored (n_b, alpha_qb, alpha_qd) of a key priced twice before, else
+    None, so that each d is checked and priced as the pass reaches it.
+    fresh is the list that _query_counts fills for a key priced once
+    before, the stored list of a hit, and None for a first pricing; the
+    pass stores it under key once it returns.
+    """
+    if not isinstance(ds, range):
+        ds = tuple(ds)
+    key = (phi_max, ds)
+    stored = _DIMENSION_TERMS.get(key)
+    if stored is not None:
+        return key, ds, stored, stored
+    return key, ds, repeat(None), [] if key in _DIMENSION_TERMS else None
+
+
+def _query_counts(phi_max: float, d: int, terms, fresh, t: float, eps_sim: float, log_term: float) -> tuple:
     """Both block-encoding chains at d up to their query counts, after _log_term.
 
-    Returns (n_b, alpha_qb, q_qb, per_call_qb, t_tot_qb, alpha_qd, q_qd).
+    terms is d's stored (n_b, alpha_qb, alpha_qd), or None to evaluate
+    them here and append them to fresh, if a list (_pass_terms).  Returns
+    (n_b, alpha_qb, q_qb, per_call_qb, t_tot_qb, alpha_qd, q_qd).
     The normalizations are delta_phi^2 (2^(n_b-1) - 1)^2 for the qubit
     route and clock_one_norm for the qudit route, with
     delta_phi = 2 phi_max / (d - 1).  Q = alpha t + log2(1 / eps_sim) is a
@@ -320,9 +353,14 @@ def _query_counts(phi_max: float, d: int, t: float, eps_sim: float, log_term: fl
     preparation direction (paid twice) 4 b_r + 2 n_b - 16 Toffolis, the
     selector 2 (n_b - 1) Toffolis, 4 T per Toffoli, plus 20 direct T gates.
     """
-    n_b = register_width(d)
-    alpha_qb = (2.0 * phi_max / (d - 1)) ** 2 * (2 ** (n_b - 1) - 1) ** 2
-    alpha_qd = clock_one_norm(phi_max, d)
+    if terms is None:
+        n_b = register_width(d)
+        alpha_qb = (2.0 * phi_max / (d - 1)) ** 2 * (2 ** (n_b - 1) - 1) ** 2
+        alpha_qd = clock_one_norm(phi_max, d)
+        if fresh is not None:
+            fresh.append((n_b, alpha_qb, alpha_qd))
+    else:
+        n_b, alpha_qb, alpha_qd = terms
     q_qb = alpha_qb * t + log_term
     q_qd = alpha_qd * t + log_term
     for q in (q_qb, q_qd):
@@ -385,9 +423,11 @@ def ratio_and_budget(
     if k < 1:
         raise ValueError(f"switch count must be at least 1, got {k}")
     log_term = _log_term(phi_max, t, eps_sim)
+    key, ds, terms, fresh = _pass_terms(phi_max, ds)
     rows = []
-    for d in ds:
-        n_b, alpha_qb, q_qb, per_call_qb, total_qb, alpha_qd, q_qd = _query_counts(phi_max, d, t, eps_sim, log_term)
+    for d, known in zip(ds, terms):
+        n_b, alpha_qb, q_qb, per_call_qb, total_qb, alpha_qd, q_qd = _query_counts(
+            phi_max, d, known, fresh, t, eps_sim, log_term)
         rotations = 2 * (2**n_b - 1) + n_b
         per_call_qd = rotations * rz_cost(eps_sim / q_qd, rotations, d, model) + 4 * n_b
         total_qd = q_qd * per_call_qd
@@ -402,6 +442,7 @@ def ratio_and_budget(
             d, n_b, alpha_qb, alpha_qd, q_qb, q_qd, per_call_qb, per_call_qd,
             total_qb, total_qd, total_qb / total_qd, delta, budget,
         ))
+    _DIMENSION_TERMS[key] = fresh
     return rows
 
 
@@ -431,8 +472,10 @@ def lcu_fixed_encoding_thresholds(
     smaller.  No hybrid call is priced.  Each row is row(d, a_max_lcu, a_rz_lcu).
     """
     log_term = _log_term(phi_max, t, eps_sim)
+    key, ds, terms, fresh = _pass_terms(phi_max, ds)
     rows = []
-    for d in ds:
-        _, _, _, _, total_qb, _, q_qd = _query_counts(phi_max, d, t, eps_sim, log_term)
+    for d, known in zip(ds, terms):
+        _, _, _, _, total_qb, _, q_qd = _query_counts(phi_max, d, known, fresh, t, eps_sim, log_term)
         rows.append(row(d, *break_even(total_qb, q_qd, 3 * d - 3, eps_sim / q_qd, d, t, eps_sim, model)))
+    _DIMENSION_TERMS[key] = fresh
     return rows

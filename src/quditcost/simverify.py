@@ -222,9 +222,11 @@ def qudit_trotter_angles(phi_max: float, d, r, times) -> list[np.ndarray]:
     factors, so its error is a few ulp at every d.
 
     Raises:
-        ValueError: if an unreduced angle is not finite, which names
-            phi_max and the first such t.  max |2 N_k| >= m(m + 1), so the
-            angles overflow no later than the global phase would.
+        ValueError: if an unreduced angle is not finite, or so large that
+            the float spacing there, math.ulp, reaches the 4*pi period and
+            its reduction carries no information; either names phi_max and
+            the first such t.  max |2 N_k| >= m(m + 1), so the angles
+            overflow no later than the global phase would.
     """
     third = (2.0 * phi_max / (d - 1)) ** 2 / 3.0
     k = r - 1.0
@@ -234,10 +236,17 @@ def qudit_trotter_angles(phi_max: float, d, r, times) -> list[np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         for t in times:
             angles = (2.0 * t * third) * numerator
-            if not np.isfinite(angles).all():
+            peak = float(np.abs(angles).max())
+            if not math.isfinite(peak):
                 raise ValueError(
                     f"phi_max={phi_max} with t={t} is too large: "
                     "the step angles 2 t sum(lambda^2 - mu) overflow"
+                )
+            if math.ulp(peak) >= ANGLE_PERIOD:
+                raise ValueError(
+                    f"phi_max={phi_max} with t={t} is too large: the step angles "
+                    f"2 t sum(lambda^2 - mu) reach {peak:.3g}, where the float spacing "
+                    "is at least their 4 pi period"
                 )
             rows.append(reduce_angles(angles))
     return rows
@@ -523,7 +532,8 @@ def run_suites(
             checked outside the normal floats, where no verdict would hold:
             the smallest exact one, twice the irreducibility floor, below
             the smallest normal float, or beta_0's numerator
-            phi_max^2 (d + 1) above the largest.
+            phi_max^2 (d + 1) above the largest; and, from the pass, for
+            step angles that qudit_trotter_angles rejects.
     """
     if not math.isfinite(inject):
         raise ValueError(f"--inject-angle-error must be finite, got {inject}")

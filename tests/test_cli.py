@@ -373,6 +373,18 @@ def test_verify_rejects_an_overflowing_step_phase(capsys):
     assert "phi_max" in err
 
 
+def test_verify_rejects_step_angles_past_the_float_spacing_limit(capsys):
+    # beta_0 is finite here, but every step angle at t = 0.1 is about 1.7e304,
+    # where a reduced angle is rounding noise and the step check would read
+    # its maximum 2 whatever the schedule
+    code, out, err = run_cli(capsys, "verify", "--phi-max", "5e152")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: phi_max=5e+152 with t=0.1 is too large: the step angles 2 t sum(lambda^2 - mu) "
+        "reach 1.67e+304, where the float spacing is at least their 4 pi period"
+    ]
+
+
 @pytest.mark.parametrize("tiny_phi", ["1e-155", "1e-200"])
 def test_verify_rejects_a_phi_max_with_subnormal_coefficients(capsys, tiny_phi):
     # phi_max^2 would make the smallest coefficient at d = 513 subnormal

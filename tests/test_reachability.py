@@ -52,10 +52,13 @@ def library_functions():
 
 
 def called_code_objects():
-    # main reuses a parser, and the cached one-norm sums and row templates,
-    # that an earlier test may have built: build them again here
+    # main reuses a parser, and the cached one-norm sums, dimension terms,
+    # prime lists and row templates, that an earlier test may have built:
+    # build them again here
     cli._PARSER = None
     costmodel._HALF_WEIGHT_SUMS.clear()
+    costmodel._DIMENSION_TERMS.clear()
+    cli._PRIMES.clear()
     cli._TEMPLATES.clear()
     seen = set()
 

@@ -8,7 +8,9 @@ row count, and so does `verify`.  `verify` builds each closed form, each
 selection phase list and schedule, each one-norm, each level array and
 each exact numerator array once per dimension, in one pass for all its
 per-d suites: its block calls cover each d exactly once.  A process sums
-the one-norm weights of each small d once.
+the one-norm weights of each small d once.  Every test starts without the
+dimension terms and prime lists that an earlier one may have stored, so
+that each report prices its dimensions itself.
 """
 
 import contextlib
@@ -19,6 +21,13 @@ import numpy as np
 import pytest
 
 from quditcost import cli, costmodel, simverify
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos(monkeypatch):
+    monkeypatch.setattr(costmodel, "_DIMENSION_TERMS", {})
+    monkeypatch.setattr(cli, "_PRIMES", {})
+
 
 COUNTED = {
     "register_width": costmodel.register_width,

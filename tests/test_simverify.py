@@ -283,9 +283,17 @@ def test_run_suites_rejects_a_phi_max_whose_identity_coefficient_overflows(phi_m
 
 
 def test_run_suites_accepts_a_phi_max_just_inside_the_overflow_bound():
-    dft = named("dft-oracle", run_suites(1e153, [3], odd(177)))
-    assert dft.cases == 88
-    assert math.isfinite(dft.worst)
+    # beta_0's numerator stays finite up to d = 177, so the overflow check
+    # passes; the step angles of any dense d then lie where the float
+    # spacing reaches their period, and the trotter suite stops the run
+    with pytest.raises(ValueError, match=r"phi_max=1e\+153 with t=0.1 is too large: the step angles .* reach"):
+        run_suites(1e153, [3], odd(177))
+    # what dft-oracle compares there stays finite at every census d
+    for d in odd(177):
+        n = np.arange(d)
+        betas, _ = simverify.beta_closed_form(1e153, d, n)
+        oracle = simverify.beta_dft_oracle(simverify.level_array(1e153, d, n) ** 2)
+        assert np.isfinite(np.abs(betas - oracle)).all(), d
 
 
 def test_dft_suite_fails_on_a_perturbed_coefficient(monkeypatch):

@@ -165,8 +165,24 @@ def test_qudit_angles_build_one_row_per_time_bit_for_bit():
 
 
 def test_qudit_angles_name_the_first_overflowing_time():
-    with pytest.raises(ValueError, match="phi_max=6e\\+153 with t=3.7"):
-        qudit_trotter_angles(6e153, 9, np.arange(1, 9), [0.1, 3.7, 5.0])
+    # t = 0 leaves every angle 0; a positive t below 3.7 would already stop
+    # at the float spacing limit, before any angle overflows
+    with pytest.raises(ValueError, match="phi_max=6e\\+153 with t=3.7 is too large: .* overflow"):
+        qudit_trotter_angles(6e153, 9, np.arange(1, 9), [0.0, 3.7, 5.0])
+
+
+@pytest.mark.parametrize("d", [3, 9, 65, 513])
+def test_qudit_angles_stop_where_the_float_spacing_reaches_the_period(d):
+    # the largest unreduced angle at phi_max = 1 and t = 1, and the phi_max
+    # where it reaches 2^56, the first float whose spacing (16) is at least 4 pi
+    k = np.arange(d - 1.0)
+    numerator = (k + 1.0) * (2.0 * k - (d - 2)) * (k - (d - 1)) / 2.0
+    peak = np.abs(2.0 * (2.0 / (d - 1)) ** 2 / 3.0 * numerator).max()
+    limit = math.sqrt(2.0**56 / peak)
+    (angles,) = qudit_trotter_angles(0.99 * limit, d, np.arange(1, d), [1.0])
+    assert np.all(np.abs(angles) <= 2 * np.pi)
+    with pytest.raises(ValueError, match=r"with t=1.0 is too large: the step angles .* reach 7\.\d+e\+16,"):
+        qudit_trotter_angles(1.01 * limit, d, np.arange(1, d), [0.1, 1.0])
 
 
 def test_qudit_angles_reject_an_overflowing_phase():
