@@ -23,6 +23,7 @@ check_phi_max are the checks of those two numbers that every module uses.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple
@@ -61,8 +62,13 @@ def register_width(d: int) -> int:
     The one check of the local dimension that every module relies on.
 
     Raises:
+        TypeError: unless d is an integer (operator.index), such as 3.0.
         ValueError: unless d is odd, at least 3 and at most MAX_D.
     """
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise TypeError(f"d must be an integer, got {d!r}") from None
     if d < 3 or d % 2 == 0:
         raise ValueError(f"symmetric truncation requires odd d >= 3, got {d}")
     if d > MAX_D:
@@ -321,7 +327,7 @@ _DIMENSION_TERMS: dict[tuple, list[tuple[int, float, float]] | None] = {}
 def _pass_terms(phi_max: float, ds: Iterable[int]) -> tuple:
     """(key, ds, terms, fresh) of a block-encoding pass, after _log_term.
 
-    ds becomes a range or a tuple, made once, and key is (phi_max, ds).
+    ds becomes a range or a tuple of ints, made once; key is (phi_max, ds).
     terms yields, per d, what _query_counts takes from (phi_max, d) alone:
     the stored (n_b, alpha_qb, alpha_qd) of a key priced twice before, else
     None, so that each d is checked and priced as the pass reaches it.
@@ -330,7 +336,7 @@ def _pass_terms(phi_max: float, ds: Iterable[int]) -> tuple:
     pass stores it under key once it returns.
     """
     if not isinstance(ds, range):
-        ds = tuple(ds)
+        ds = tuple(map(operator.index, ds))
     key = (phi_max, ds)
     stored = _DIMENSION_TERMS.get(key)
     if stored is not None:

@@ -73,11 +73,13 @@ Python float, which numpy's square does not always match; the preparation
 check and the oracle's one-norm, ordered sums that np.add.reduceat would
 round differently (fixed_encoding_select_schedule takes the selection
 schedule's mean and running sum per d for that reason); and the FFT, one
-length per call.  So every error equals, bit for bit, the one that
-building each d on its own gives (tests/oracles.py keeps that loop), and
-numpy's per-call overhead, which set the cost of that loop, is paid per
-block.  No builder checks what a suite checks: the builders leave every
-fault to the suites, and a NaN error is its suite's worst and fails it.
+length per call, written into the block.  The census gap comes from the
+exact numerators mod 4d, taken once in int64, which also give the count.
+So every error equals, bit for bit, the one that building each d on its
+own gives (tests/oracles.py keeps that loop), and numpy's per-call
+overhead, which set the cost of that loop, is paid per block.  No builder
+checks what a suite checks: the builders leave every fault to the suites,
+and a NaN error is its suite's worst and fails it.
 """
 
 from __future__ import annotations
@@ -144,17 +146,18 @@ def beta_closed_form(phi_max: float, d, n) -> tuple[np.ndarray, np.ndarray]:
     return betas, c_amps
 
 
-def beta_dft_oracle(lam_sq: np.ndarray) -> np.ndarray:
+def beta_dft_oracle(lam_sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Expansion coefficients by a numerical Fourier transform of the squared levels.
 
     Computes beta_r = (1/d) * sum_n lambda_n^2 * omega^(-r n) as the FFT of
-    the d squared levels lam_sq of one d, O(d log d).  Verification oracle
+    the d squared levels lam_sq of one d, O(d log d), into out if given
+    (d's slice of a block), divided by d in place.  Verification oracle
     only: it shares no formula with the closed form.  np.fft is reached
     here, at call time, because numpy loads it lazily and the report
     commands never need it.  The tests certify the FFT against the direct
     O(d^2) sum.
     """
-    return np.fft.fft(lam_sq) / len(lam_sq)
+    return np.divide(np.fft.fft(lam_sq, out=out), len(lam_sq), out=out)
 
 
 def irreducibility_floor(phi_max: float, d):
@@ -196,11 +199,12 @@ def select_diag_phases(floor, d, n, c_amps: np.ndarray) -> np.ndarray:
 def reduce_angles(angles: np.ndarray) -> np.ndarray:
     """Canonical mod-4*pi representatives in (-2*pi, 2*pi].
 
-    fmod is exact, and so is each shift by 4*pi past +-2*pi (Sterbenz), so
-    every value equals math.remainder(angle, 4*pi) with -2*pi moved to
-    2*pi, bit for bit.  One np.where picks the shifted or unshifted value.
+    fmod, odd and exact, is np.remainder of |angle| signed, whose cost,
+    unlike libm's fmod, does not grow with the quotient.  Each shift by 4*pi
+    past +-2*pi is exact (Sterbenz), so every value equals
+    math.remainder(angle, 4*pi) with -2*pi moved to 2*pi, bit for bit.
     """
-    r = np.fmod(angles, ANGLE_PERIOD)
+    r = np.copysign(np.remainder(np.abs(angles), ANGLE_PERIOD), angles)
     half = 0.5 * ANGLE_PERIOD
     return np.where(r > half, r - ANGLE_PERIOD, np.where(r <= -half, r + ANGLE_PERIOD, r))
 
@@ -517,9 +521,9 @@ def run_suites(
     4m(m+1) = d^2 - 1), so exactly one member is trivial.
     Hence d - 1 - s(d) = 2^(omega(d)-1) - 1, checked for every d of
     census_ds.  The float schedule must count the same nontrivial
-    rotations (|angle| mod 4*pi above TRIVIAL_ANGLE_TOL).  The error is
-    the schedule's angle gap to the closed form mod 4*pi, folded by
-    reduce_angles, which is exact, so it equals |math.remainder(gap, 4*pi)|.
+    rotations (|angle| mod 4*pi above TRIVIAL_ANGLE_TOL).  The error is the
+    gap to the closed form (pi/d) (N_j mod 4d) in [0, 4*pi), in (-6*pi, 2*pi]:
+    one exact shift by 4*pi (Sterbenz) folds it into (-2*pi, 2*pi].
     The detail names the first d where the float and exact counts differ,
     and lists the offsets that occurred.
 
@@ -574,7 +578,7 @@ def run_suites(
                 amps = np.sqrt(np.abs(betas[lo + 1:hi]) / norm)
                 preps.append(np.linalg.norm(fan_state(prep_ry_schedule(amps)) - np.append(0.0, amps)))
             if dim in census_ds:
-                oracle[lo:hi] = beta_dft_oracle(lam_sq[lo:hi])
+                beta_dft_oracle(lam_sq[lo:hi], out=oracle[lo:hi])
                 norms.append((norm, np.add.reduce(np.abs(oracle[lo + 1:hi]))))
         if dense:
             bent = np.where(n == 1, angles + inject, angles)
@@ -583,14 +587,15 @@ def run_suites(
                 phase_error(ladder_diagonal(bent), thetas, levels),
             ])[:, dense])
         if census:
-            numerators = select_numerators(d, n)
-            gap = np.abs(reduce_angles(angles - (np.pi / d) * numerators))
+            residues = select_numerators(d, n) % (4 * d)
+            gap = angles - (np.pi / d) * residues
+            gap = np.abs(np.where(gap <= -0.5 * ANGLE_PERIOD, gap + ANGLE_PERIOD, gap))
             census_errors.append(np.stack([
                 np.maximum.reduceat(np.abs(betas - oracle), starts) / scale,
                 np.maximum.reduceat(gap, starts),
             ])[:, census])
             counts.append(np.stack([
-                select_nontrivial_count(d, numerators, starts), nontrivial_count(angles, starts),
+                select_nontrivial_count(d, residues, starts), nontrivial_count(angles, starts),
             ])[:, census])
             # c_n < 0 exactly for n >= (d + 1) / 2
             flips.append(np.logical_or.reduceat((c_amps < 0) != (2 * n > d), starts)[census])

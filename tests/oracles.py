@@ -632,8 +632,9 @@ def per_dimension_run_suites(phi_max, dense_ds, census_ds, inject=0.0) -> list[S
             ))
             signs_ok = signs_ok and np.array_equal(c_amps < 0, r >= (d + 1) // 2)
 
-            numerators = select_numerators(d)
-            count = select_nontrivial_count(numerators)
+            # N_k mod 4d feeds the count and the closed-form angles in [0, 4 pi)
+            residues = select_numerators(d) % (4 * d)
+            count = select_nontrivial_count(residues)
             offsets.add(d - 1 - count)
             if d - 1 - count != 2 ** (_distinct_prime_count(d) - 1) - 1:
                 census_ok = False
@@ -641,7 +642,9 @@ def per_dimension_run_suites(phi_max, dense_ds, census_ds, inject=0.0) -> list[S
             if floats != count:
                 census_ok = False
                 mismatch = mismatch or f"count mismatch at d={d} (float {floats}, exact {count})  "
-            census_errors.append(np.max(np.abs(reduce_angles(angles - (np.pi / d) * numerators))))
+            # the gap lies in (-6 pi, 2 pi]; one exact shift folds it into (-2 pi, 2 pi]
+            gap = angles - (np.pi / d) * residues
+            census_errors.append(np.max(np.abs(np.where(gap <= -2 * np.pi, gap + 4 * np.pi, gap))))
 
     dense_errors, dft_errors = np.array(dense_errors), np.array(dft_errors)
     dft_ok = signs_ok and bool(np.all(dft_errors.max(axis=0) <= (1e-12, 1e-10)))

@@ -1,6 +1,7 @@
 """The grid (phi_max, d): the checks of both numbers, and the levels of simverify.level_array."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,17 @@ def test_make_grid_d5():
 def test_even_d_rejected():
     with pytest.raises(ValueError, match="requires odd d"):
         register_width(4)
+
+
+@pytest.mark.parametrize("use_d", [register_width, lambda d: pf_thresholds([d], 1e-6)])
+@pytest.mark.parametrize("bad_d", [3.0, 5.5, np.float64(7.0), "9"])
+def test_a_non_integer_d_is_rejected_by_name(use_d, bad_d):
+    with pytest.raises(TypeError, match=re.escape(f"d must be an integer, got {bad_d!r}")):
+        use_d(bad_d)
+
+
+def test_a_numpy_integer_d_is_an_integer():
+    assert register_width(np.int64(5)) == register_width(5) == 3
 
 
 @pytest.mark.parametrize("bad_d", [1, 2, 0, -3])

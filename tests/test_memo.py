@@ -11,6 +11,7 @@ import contextlib
 import io
 import sys
 
+import numpy as np
 import oracles
 import pytest
 from test_emit import fresh_process_stdout
@@ -98,6 +99,23 @@ def test_a_generator_is_priced_once_and_gives_the_rows_of_the_list(report):
     assert costmodel._DIMENSION_TERMS == {(2.5, tuple(ds)): None}
     assert report(2.5, ds, 17.3, 1e-9) == rows
     assert list(costmodel._DIMENSION_TERMS) == [(2.5, tuple(ds))]
+
+
+@pytest.mark.parametrize("report", [ratio_and_budget, lcu_fixed_encoding_thresholds])
+def test_a_float_d_raises_the_same_type_error_cold_and_warm(report):
+    def float_pass():
+        with pytest.raises(TypeError) as info:
+            report(1.0, [3.0, 5.0], 0.1, 1e-6)
+        return str(info.value)
+
+    cold = float_pass()
+    # a numpy integer is an index: its rows are those of the ints, and print like them
+    rows = report(1.0, [3, 5], 0.1, 1e-6)
+    assert repr(report(1.0, np.array([3, 5]), 0.1, 1e-6)) == repr(rows)
+    assert costmodel._DIMENSION_TERMS[1.0, (3, 5)] is not None
+    # 3.0 == 3, so (1.0, (3.0, 5.0)) would find the stored key
+    assert float_pass() == cold
+    assert repr(report(1.0, np.array([3, 5]), 0.1, 1e-6)) == repr(rows)
 
 
 def test_phi_max_1_and_2_5_never_share_an_entry():

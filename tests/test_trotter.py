@@ -64,12 +64,28 @@ def remainder_fold(angle):
 
 def test_reduce_angles_equals_the_remainder_fold_bit_for_bit():
     two_pi, four_pi = 2 * math.pi, 4 * math.pi
-    special = [two_pi, -two_pi, 0.0, -0.0]
-    special += [k * two_pi for k in range(-40, 41)] + [k * four_pi for k in range(-40, 41)]
+    k = np.arange(-10**5, 10**5 + 1)
+    # whole turns and half-turn pairs, where the remainder sits on or next to 0 or +-2 pi
+    turns = np.concatenate([k * two_pi, k * four_pi])
     rng = np.random.default_rng(2026)
-    angles = np.concatenate([special, rng.uniform(-1e6, 1e6, 10**5)])
+    # every exponent from the smallest subnormal up to 2^56, where
+    # qudit_trotter_angles starts to reject, with both signs
+    log_uniform = np.exp2(rng.uniform(-1074, 56, 10**5)) * rng.choice([-1.0, 1.0], 10**5)
+    angles = np.concatenate([
+        [two_pi, -two_pi, 0.0, -0.0, 2.0**56, -(2.0**56)],
+        turns, np.nextafter(turns, math.inf), np.nextafter(turns, -math.inf),
+        log_uniform, rng.uniform(-1e6, 1e6, 10**5),
+    ])
     expected = np.array([remainder_fold(a) for a in angles.tolist()])
     assert reduce_angles(angles).tobytes() == expected.tobytes()
+
+
+def test_reduce_angles_keeps_the_sign_of_zero_and_maps_the_non_finite_to_nan():
+    assert np.signbit(reduce_angles(np.array([0.0, -0.0]))).tolist() == [False, True]
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        reduced = reduce_angles(np.array([math.inf, -math.inf]))
+    assert np.isnan(reduced).all()
+    assert np.isnan(reduce_angles(np.array([math.nan, -math.nan]))).all()
 
 
 def test_nontrivial_count():
