@@ -56,19 +56,26 @@ NINE_PI_SQUARED = 9.0 * math.pi**2
 PI_SQUARED_OVER_6 = math.pi**2 / 6
 
 
+def _index(d) -> int:
+    """d as an int (operator.index); a TypeError names any other d, such as 3.0."""
+    try:
+        return operator.index(d)
+    except TypeError:
+        raise TypeError(f"d must be an integer, got {d!r}") from None
+
+
 def register_width(d: int) -> int:
     """Qubit register width n_b = ceil(log2 d) covering d levels.
 
     The one check of the local dimension that every module relies on.
 
     Raises:
-        TypeError: unless d is an integer (operator.index), such as 3.0.
+        TypeError: unless d is an integer (_index), such as 3.0.
         ValueError: unless d is odd, at least 3 and at most MAX_D.
     """
-    try:
-        d = operator.index(d)
-    except TypeError:
-        raise TypeError(f"d must be an integer, got {d!r}") from None
+    # an int skips the call: every report checks each of its d here
+    if d.__class__ is not int:
+        d = _index(d)
     if d < 3 or d % 2 == 0:
         raise ValueError(f"symmetric truncation requires odd d >= 3, got {d}")
     if d > MAX_D:
@@ -336,7 +343,7 @@ def _pass_terms(phi_max: float, ds: Iterable[int]) -> tuple:
     pass stores it under key once it returns.
     """
     if not isinstance(ds, range):
-        ds = tuple(map(operator.index, ds))
+        ds = tuple(map(_index, ds))
     key = (phi_max, ds)
     stored = _DIMENSION_TERMS.get(key)
     if stored is not None:

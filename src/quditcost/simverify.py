@@ -151,11 +151,11 @@ def beta_dft_oracle(lam_sq: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
     Computes beta_r = (1/d) * sum_n lambda_n^2 * omega^(-r n) as the FFT of
     the d squared levels lam_sq of one d, O(d log d), into out if given
-    (d's slice of a block), divided by d in place.  Verification oracle
-    only: it shares no formula with the closed form.  np.fft is reached
-    here, at call time, because numpy loads it lazily and the report
-    commands never need it.  The tests certify the FFT against the direct
-    O(d^2) sum.
+    (d's slice of a block; np.fft takes out from numpy 2.0), divided by d
+    in place.  Verification oracle only: it shares no formula with the
+    closed form.  np.fft is reached here, at call time, because numpy
+    loads it lazily and the report commands never need it.  The tests
+    certify the FFT against the direct O(d^2) sum.
     """
     return np.divide(np.fft.fft(lam_sq, out=out), len(lam_sq), out=out)
 
@@ -320,16 +320,16 @@ def select_numerators(d, r) -> np.ndarray:
     return r * (4 * m - r + 1) - 2 * d * np.maximum(r - 1 - m, 0)
 
 
-def select_nontrivial_count(d, numerators: np.ndarray, starts) -> np.ndarray:
-    """Number of nontrivial selection angles (pi/d) * N_r in each run of numerators.
+def select_nontrivial_count(residues: np.ndarray, starts) -> np.ndarray:
+    """Number of nontrivial selection angles (pi/d) * N_r in each run of residues.
 
-    The runs begin at the indices starts, one per d.  A rotation is trivial
-    when its angle is 0 mod 4*pi, that is when 4d divides N_r (N_0 = 0
-    is), which is evaluated in exact integer arithmetic over all levels at
-    once; dense states are never needed here, which keeps census scans over
-    large d cheap.
+    residues holds N_r mod 4d (select_numerators), in runs that begin at
+    the indices starts, one per d.  A rotation is trivial when its angle
+    is 0 mod 4*pi, that is when its residue is 0 (N_0 = 0 is), which is
+    exact integer arithmetic over all levels at once; dense states are
+    never needed here, which keeps census scans over large d cheap.
     """
-    return np.add.reduceat(numerators % (4 * d) != 0, starts)
+    return np.add.reduceat(residues != 0, starts)
 
 
 def prep_ry_schedule(amps: np.ndarray) -> np.ndarray:
@@ -595,7 +595,7 @@ def run_suites(
                 np.maximum.reduceat(gap, starts),
             ])[:, census])
             counts.append(np.stack([
-                select_nontrivial_count(d, residues, starts), nontrivial_count(angles, starts),
+                select_nontrivial_count(residues, starts), nontrivial_count(angles, starts),
             ])[:, census])
             # c_n < 0 exactly for n >= (d + 1) / 2
             flips.append(np.logical_or.reduceat((c_amps < 0) != (2 * n > d), starts)[census])

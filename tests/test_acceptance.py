@@ -182,7 +182,7 @@ def test_criterion_9_coefficient_oracles():
         for r in range(1, d):
             ok = ok and abs(closed[d - r] - closed[r].conjugate()) < 1e-12
             ok = ok and (c_amps[r] < 0) == (r >= (d + 1) // 2)
-        offsets.add(d - 1 - select_nontrivial_count(d, select_numerators(d, n[1:]), [0])[0])
+        offsets.add(d - 1 - select_nontrivial_count(select_numerators(d, n[1:]) % (4 * d), [0])[0])
     ok = ok and offsets <= {0, 1, 3}
     report(
         9,

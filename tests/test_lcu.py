@@ -299,7 +299,7 @@ def numerators(d):
 
 def exact_count(d):
     """The exact nontrivial selection count s(d)."""
-    return select_nontrivial_count(d, numerators(d), [0])[0]
+    return select_nontrivial_count(numerators(d) % (4 * d), [0])[0]
 
 
 def test_select_vartheta_closed_form_d3():

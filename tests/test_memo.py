@@ -9,6 +9,7 @@ that raises stores nothing.
 
 import contextlib
 import io
+import re
 import sys
 
 import numpy as np
@@ -104,7 +105,7 @@ def test_a_generator_is_priced_once_and_gives_the_rows_of_the_list(report):
 @pytest.mark.parametrize("report", [ratio_and_budget, lcu_fixed_encoding_thresholds])
 def test_a_float_d_raises_the_same_type_error_cold_and_warm(report):
     def float_pass():
-        with pytest.raises(TypeError) as info:
+        with pytest.raises(TypeError, match=re.escape("d must be an integer, got 3.0")) as info:
             report(1.0, [3.0, 5.0], 0.1, 1e-6)
         return str(info.value)
 

@@ -422,7 +422,7 @@ def test_census_suite_fails_on_an_off_by_one_count(monkeypatch):
     monkeypatch.setattr(
         simverify,
         "select_nontrivial_count",
-        lambda d, numerators, starts: count(d, numerators, starts) + 1,
+        lambda residues, starts: count(residues, starts) + 1,
     )
     result = named("select-census", run_suites(1.0, odd(3), odd(15)))
     assert not result.ok
