@@ -1,9 +1,6 @@
 """Command-line front end: threshold tables, cost-ratio scans, the verify report."""
 
-from __future__ import annotations
-
 import argparse
-import json
 import os
 import sys
 import typing
@@ -84,6 +81,8 @@ def _load_model() -> SynthesisModel:
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return SynthesisModel()
+    # a config file and JSON output load json; a CSV report never does
+    import json
 
     def unique_keys(pairs: list) -> dict:
         obj = {}
@@ -227,6 +226,9 @@ def _emit(args: argparse.Namespace, rows: list[str]) -> None:
     meta = {"tool": "quditcost", "version": __version__, "command": args.command}
     meta.update((key, options[key]) for key in META_KEYS if key in options)
     if args.format == "json":
+        # JSON output and a config file load json; a CSV report never does
+        import json
+
         # the bytes of json.dumps({"meta": meta, "rows": dicts}, indent=2), as no
         # row holds json's Infinity or NaN: costmodel raises on a non-finite value
         head = json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "rows": [\n'

@@ -20,8 +20,6 @@ The field grid, d = 2M + 1 levels spaced delta_phi = 2 phi_max / (d - 1) on
 check_phi_max are the checks of those two numbers that every module uses.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import sys
@@ -116,11 +114,11 @@ class SynthesisModel(_SynthesisFields):
     __slots__ = ()
 
     # a NamedTuple class may not define __new__, so the fields sit on a base
-    def __new__(cls, rz_slope: float = 0.57, rz_intercept: float = 8.83) -> SynthesisModel:
+    def __new__(cls, rz_slope: float = 0.57, rz_intercept: float = 8.83) -> "SynthesisModel":
         return cls._make((rz_slope, rz_intercept))
 
     @classmethod
-    def _make(cls, iterable: Iterable[float]) -> SynthesisModel:
+    def _make(cls, iterable: Iterable[float]) -> "SynthesisModel":
         self = super()._make(iterable)
         for name, value in zip(self._fields, self):
             if not math.isfinite(value):
@@ -216,12 +214,15 @@ def pf_thresholds(
     One step of each route is one query: the d - 1 rotation native step
     against the n_b (n_b + 1) / 2 rotation binary-register step, both
     under uniform per-rotation error allocation.  favorable is
-    a_max_pf > a_rz_pf.  Each row is row(d, a_max_pf, a_rz_pf, favorable).
+    a_max_pf > a_rz_pf.  Each row is row(d, a_max_pf, a_rz_pf, favorable),
+    with d an int, as in _pass_terms.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"target accuracy must lie in (0, 1), got {eps}")
     if eps < MIN_CALL_BUDGET:
         raise ValueError(f"target accuracy eps={eps} is below {MIN_CALL_BUDGET:g}")
+    if not isinstance(ds, range):
+        ds = tuple(map(_index, ds))
     rows = []
     for d in ds:
         n_b = register_width(d)

@@ -82,8 +82,6 @@ checks what a suite checks: the builders leave every fault to the suites,
 and a NaN error is its suite's worst and fails it.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections.abc import Sequence
@@ -99,7 +97,7 @@ ANGLE_PERIOD = 4.0 * np.pi
 TRIVIAL_ANGLE_TOL = 1e-10
 
 # Most levels, the sum of d, that one block of dimensions of run_suites holds.
-BLOCK_LEVELS = 2048
+BLOCK_LEVELS = 4096
 
 # The times of the native step schedules that trotter-schedule checks.
 STEP_TIMES = (0.1, 1.0, 3.7)

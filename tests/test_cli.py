@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from oracles import is_prime_trial_division
 
 import quditcost
 from quditcost.cli import CONFIG_ENV_VAR, PRIME_TEST_BOUND, is_prime, main
-from quditcost.costmodel import MAX_D, ratio_and_budget
+from quditcost.costmodel import MAX_D, SynthesisModel, ratio_and_budget
 from quditcost.simverify import MAX_NUMERATOR_D
 
 
@@ -659,9 +660,11 @@ print(sorted(name for name in ("numpy", "quditcost.simverify") if name in sys.mo
 """ + LOADED
 
 
-def fresh_process_stdout(script, *args):
+def fresh_process_stdout(script, *args, config=None):
     env = {key: value for key, value in os.environ.items() if key != CONFIG_ENV_VAR}
     env["PYTHONPATH"] = str(Path(quditcost.__file__).resolve().parents[1])
+    if config is not None:
+        env[CONFIG_ENV_VAR] = config
     proc = subprocess.run([sys.executable, "-c", script, *args],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -685,6 +688,40 @@ def test_report_commands_load_neither_numpy_nor_the_verify_suites(tmp_path):
     assert reports == "[]\n" + bare + f"{REPORT_PATH}\n"
     verify = fresh_process_stdout(VERIFY_IN_A_FRESH_PROCESS).splitlines()
     assert verify[-1] == str([*REPORT_PATH, "quditcost.simverify"])
+
+
+# json loads only where a run reads it, for JSON output or a config file,
+# and __future__ never: each line is which of the two the process has loaded,
+# after the import, after CSV reports and verify, and after a JSON report.
+STARTUP_LOADED = 'print(sorted(name for name in ("json", "__future__") if name in sys.modules))'
+CSV_THEN_JSON_IN_A_FRESH_PROCESS = """
+import contextlib, io, sys
+from quditcost.cli import main
+""" + STARTUP_LOADED + """
+for command in ("scan-ratio", "lcu-table", "pf-thresholds"):
+    assert main([command, "--d-max", "11", "--out", f"{sys.argv[1]}/{command}.csv"]) == 0
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "--d-max", "5", "--census-max", "5"]) == 0
+""" + STARTUP_LOADED + """
+assert main(["pf-thresholds", "--format", "json", "--out", f"{sys.argv[1]}/pf-thresholds.json"]) == 0
+""" + STARTUP_LOADED
+CONFIG_IN_A_FRESH_PROCESS = """
+import sys
+from quditcost.cli import main
+assert main(["scan-ratio", "--d-max", "11", "--out", sys.argv[1]]) == 0
+""" + STARTUP_LOADED
+
+
+def test_json_loads_only_for_json_output_or_a_config_file(tmp_path):
+    bare = fresh_process_stdout("import sys; " + STARTUP_LOADED)
+    with_json = str(sorted({*ast.literal_eval(bare), "json"})) + "\n"
+    runs = fresh_process_stdout(CSV_THEN_JSON_IN_A_FRESH_PROCESS, str(tmp_path))
+    assert runs == bare + bare + with_json
+    config = tmp_path / "default-model.json"
+    config.write_text(json.dumps(SynthesisModel()._asdict()))
+    out = tmp_path / "with-config.csv"
+    assert fresh_process_stdout(CONFIG_IN_A_FRESH_PROCESS, str(out), config=str(config)) == with_json
+    assert out.read_text() == (tmp_path / "scan-ratio.csv").read_text()
 
 
 def test_every_exported_name_resolves():

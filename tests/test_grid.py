@@ -45,6 +45,14 @@ def test_a_non_integer_d_is_rejected_by_name(use_d, bad_d):
 
 def test_a_numpy_integer_d_is_an_integer():
     assert register_width(np.int64(5)) == register_width(5) == 3
+    # every report row holds d as an int, whatever integer type it was given
+    for rows in (
+        pf_thresholds([np.int64(3)], 1e-6),
+        ratio_and_budget(1.0, [np.int64(3)], 0.1, 1e-6, 2),
+        lcu_fixed_encoding_thresholds(1.0, [np.int64(3)], 0.1, 1e-6),
+    ):
+        (row,) = rows
+        assert type(row.d) is int and row.d == 3
 
 
 @pytest.mark.parametrize("bad_d", [1, 2, 0, -3])

@@ -506,7 +506,8 @@ def same_results(got, want):
         (1.0, [9, 33], [15, 1155], 0.0),
         # dense-only blocks, then census blocks of a few d each
         (1.0, odd(99), range(1001, 1301, 2), 0.0),
-        # d above BLOCK_LEVELS run one at a time
+        # 2051 would overfill the block of 9, 15 and 2049, so it starts the
+        # next; a d above BLOCK_LEVELS (4097) runs alone
         (1.0, [9, 2049], [15, 2051, 4097], 0.0),
         # the first count mismatch, named in the detail
         (1.0, [3], [5735], 0.0),
@@ -518,6 +519,6 @@ def same_results(got, want):
     ],
 )
 def test_run_suites_equals_the_per_dimension_loop(phi_max, dense_ds, census_ds, inject):
-    assert 2049 > simverify.BLOCK_LEVELS >= 99
+    assert 4097 > simverify.BLOCK_LEVELS >= 99
     got = run_suites(phi_max, dense_ds, census_ds, inject)
     same_results(got, per_dimension_run_suites(phi_max, dense_ds, census_ds, inject))
