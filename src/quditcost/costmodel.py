@@ -42,16 +42,22 @@ MIN_CALL_BUDGET = 1e-300
 # break_even take log2 of stay finite, for every L.
 MIN_ROTATION_BUDGET = sys.float_info.min
 
-# Smallest d at which clock_one_norm takes its closed form.  Below it the
-# truncated trigamma series and Euler-Maclaurin tail lose digits (2.6e-14
-# relative at d = 41), and the direct sum is cheap anyway.
+# Smallest d at which clock_one_norm takes its series in 1/d.  Below it the
+# first omitted term grows fast (2.5e-16 relative at d = 41), and the
+# direct sum is cheap anyway.
 ONE_NORM_CLOSED_FORM_D = 101
 
 # 9 pi^2 / 2, over the per-call budget, in the qubit precision parameter b_r
 NINE_PI_SQUARED = 9.0 * math.pi**2
 
-# zeta(2), in the trigamma form of clock_one_norm
-PI_SQUARED_OVER_6 = math.pi**2 / 6
+# g_10 .. g_0 of g(u) = sum_k g_k u^k, the one-norm weight 4 W / (d - 1)^2
+# at u = 1/d (clock_one_norm), highest power first for Horner's rule.  Each
+# is the double nearest the 40-digit coefficient; tests/oracles.py derives them.
+ONE_NORM_SERIES = (
+    -20.613750380679466, -8.77757618696035, 3.0585980067587673, 1.1698198066132062,
+    -0.7189583935323552, -0.21569284397153743, 0.28757270558928033, 0.03721347472614415,
+    -0.21314575613699205, 0.06009378859817065, 2 / 3,
+)
 
 
 def _index(d) -> int:
@@ -274,45 +280,36 @@ def clock_one_norm(phi_max: float, d: int) -> float:
     weights are symmetric under r -> d - r, so the sum runs over the half
     x_r <= pi/2 and is doubled; above pi/2 the rounding of x_r near pi
     would cost sin x_r up to d * 1e-16 of relative accuracy.  Below
-    ONE_NORM_CLOSED_FORM_D the half sum is at most 49 terms
-    (_half_weight_sum).  From there on, with h = pi/d, X = (d - 1) h / 2,
-    s = sin X and c = cos X, the weight cos x / sin^2 x splits into 1/x^2
-    and an even smooth part f:
+    ONE_NORM_CLOSED_FORM_D the half sum W is at most 49 terms
+    (_half_weight_sum).  From there on the one-norm is phi_max^2 g(1/d),
+    with g(u) = 4 W / (d - 1)^2 = sum_{k=0}^{10} g_k u^k (ONE_NORM_SERIES)
+    by Horner's rule.  g is the asymptotic expansion of W, re-expanded in
+    u = 1/d: with h = pi/d and X = (d - 1) h / 2, the weight cos x / sin^2 x
+    splits into 1/x^2 and an even smooth part f, f(0) = -1/6, and
 
     * sum_{r<=(d-1)/2} 1/x_r^2 = (d/pi)^2 (pi^2/6 - psi'((d + 1)/2)), with
-      the trigamma psi' from its asymptotic series (z >= 51);
-    * f sums by Euler-Maclaurin to (1/X - 1/s)/h + (f(X) + 1/6)/2
-      + (h/12) f1 - (h^3/720) f3 + (h^5/30240) f5, where fk is the k-th
-      derivative of f at X; the odd derivatives vanish at 0, and
-      f(0) = -1/6.
+      the trigamma psi'(z) = 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k+1);
+    * f sums by Euler-Maclaurin to (1/X - 1/sin X)/h + (f(X) + 1/6)/2
+      + sum_k B_2k / (2k)! h^(2k-1) f^(2k-1)(X), as odd derivatives vanish at 0.
 
-    Both forms lie within 5e-16 of a 40-digit sum.
+    The Bernoulli term k first enters at u^(2k+1), so B_2 .. B_8 fix
+    g_0 .. g_10.  The first omitted term, g_11 = 93.06 at u^11, is 1.3e-20
+    relative at d = 101 and falls with d.  No intermediate lies below
+    phi_max^2, so no scale (d - 1)^-2 underflows near MAX_D.  Below 101 the
+    omitted term grows fast (2.5e-16 relative at d = 41), and the half sum
+    keeps the bits the outputs were first computed with.  The series lies
+    within 2.4e-16 of a 40-digit sum, the half sum within 5e-16.
     """
     if d < ONE_NORM_CLOSED_FORM_D:
         weights = _HALF_WEIGHT_SUMS.get(d)
         if weights is None:
             weights = _HALF_WEIGHT_SUMS[d] = _half_weight_sum(d)
-    else:
-        z = (d + 1) / 2
-        w = 1.0 / (z * z)
-        trigamma = 1 / z + w / 2 + w / z * (1 / 6 + w * (-1 / 30 + w * (1 / 42 - w / 30)))
-        h = math.pi / d
-        X = (d - 1) * h / 2
-        s, c = math.sin(X), math.cos(X)
-        # each power and reciprocal once; -1 / s is exactly -(1 / s)
-        inv_s, s3, s5 = 1 / s, s**3, s**5
-        f = c / s**2 - 1 / X**2
-        f1 = inv_s - 2 / s3 + 2 / X**3
-        f3 = -inv_s + 20 / s3 - 24 / s5 + 24 / X**5
-        f5 = -719 / s + 1978 / s3 - 1320 / s5 - 720 * c**6 / s**7 + 720 / X**7
-        weights = (d / math.pi) ** 2 * (PI_SQUARED_OVER_6 - trigamma) + (
-            (1 / X - inv_s) / h
-            + (f + 1 / 6) / 2
-            + h / 12 * f1
-            - h**3 / 720 * f3
-            + h**5 / 30240 * f5
-        )
-    return phi_max**2 * 4.0 / (d - 1) ** 2 * weights
+        return phi_max**2 * 4.0 / (d - 1) ** 2 * weights
+    u = 1 / d
+    g = 0.0
+    for coefficient in ONE_NORM_SERIES:
+        g = g * u + coefficient
+    return phi_max**2 * g
 
 
 def _log_term(phi_max: float, t: float, eps_sim: float) -> float:

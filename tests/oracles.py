@@ -21,8 +21,16 @@ that the library uses as closed forms:
 * the binary-register preparation of the hybrid call, a Grover-Rudolph
   tree of uniformly controlled Y rotations (quant-ph/0208112), the
   2^n_b - 1 rotations per direction inside the same count;
+* the comparator of the selection's sign flip, a gate list of X, CNOT
+  and temporary logical-AND gates (arXiv:1709.06648), with the bit-array
+  simulator that runs it on every input, whose T gates the 4 n_b direct
+  T gates of the same count bound;
 * the direct O(d^2) Fourier sum of the squared grid levels, which
   certifies the FFT coefficient oracle `simverify.beta_dft_oracle`;
+* the series in 1/d of the qudit one-norm, derived at 40 digits by
+  power-series arithmetic in mpmath, which certifies the coefficients of
+  `costmodel.ONE_NORM_SERIES`, and the same expansion evaluated at one d
+  with mpmath's trigamma, which checks the one-norm up to MAX_D;
 * trial division, which certifies the Miller-Rabin test `cli.is_prime`
   that `--primes` scans use;
 * the bit-pair projector sum over every (r, s) pair, one register string
@@ -50,6 +58,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from quditcost.costmodel import (
@@ -260,6 +269,67 @@ def binary_prep_state(levels: list[np.ndarray]) -> np.ndarray:
         lower, upper = blocks[:, 0], blocks[:, 1]
         state = np.stack([cos * lower - sin * upper, sin * lower + cos * upper], axis=1).ravel()
     return state
+
+
+def sign_comparator_gates(d: int) -> list[tuple]:
+    """Gate list that writes [x >= (d + 1)/2] of the n_b-bit index x to a flag wire.
+
+    The comparison behind the sign flip of the hybrid selection: c_r < 0
+    exactly for r >= (d + 1)/2.  Wires 0 .. n_b - 1 hold x, least
+    significant bit first; then one carry wire per temporary logical-AND;
+    the flag wire is last.  x >= c exactly when x + (2^n_b - c) carries out
+    of n_b bits, and the carries of a constant addend k need no Toffoli:
+    c_(i+1) = x_i AND c_i where bit i of k is 0, x_i OR c_i (an AND between
+    X gates) where it is 1.  Below the lowest set bit of k the carry is 0,
+    and just above it the carry is x at that bit, so n_b - 1 - j ANDs
+    compute the chain, j the lowest set bit of c (and of k).  A CNOT copies
+    the last carry to the flag, and the chain is uncomputed in reverse.
+    Gates: ("x", w), ("cx", control, target), ("and", a, b, target) into a
+    fresh wire, 4 T, and ("unand", a, b, target), its uncomputation by
+    measurement and a Clifford correction, 0 T (Gidney, arXiv:1709.06648).
+    """
+    n_b = register_width(d)
+    k = 2**n_b - (d + 1) // 2
+    j = (k & -k).bit_length() - 1
+    carry, wire, compute = j, n_b, []
+    for i in range(j + 1, n_b):
+        if (k >> i) & 1:
+            # x_i OR c_i = NOT (NOT x_i AND NOT c_i)
+            flips = [("x", i), ("x", carry)]
+            compute += [*flips, ("and", i, carry, wire), *flips, ("x", wire)]
+        else:
+            compute.append(("and", i, carry, wire))
+        carry, wire = wire, wire + 1
+    uncompute = [("unand", *gate[1:]) if gate[0] == "and" else gate for gate in reversed(compute)]
+    return [*compute, ("cx", carry, wire), *uncompute]
+
+
+def run_bit_circuit(gates: list[tuple], n_inputs: int) -> np.ndarray:
+    """Every basis input of an X / CNOT / logical-AND circuit at once, as bit arrays.
+
+    Column x of the returned (wires, 2^n_inputs) bool array is the basis
+    state that input x, on wires 0 .. n_inputs - 1, ends in; the other wires
+    start at 0.  Such circuits permute basis states, so this is their whole
+    action.  An "and" must find its target at 0 and an "unand" must find
+    it holding the AND it clears, on every input.
+    """
+    wires = 1 + max(max(gate[1:]) for gate in gates)
+    bits = np.zeros((max(wires, n_inputs), 2**n_inputs), dtype=bool)
+    inputs = np.arange(2**n_inputs)
+    for w in range(n_inputs):
+        bits[w] = (inputs >> w) & 1
+    for name, *w in gates:
+        if name == "x":
+            bits[w[0]] ^= True
+        elif name == "cx":
+            bits[w[1]] ^= bits[w[0]]
+        else:
+            product = bits[w[0]] & bits[w[1]]
+            expected = np.zeros_like(product) if name == "and" else product
+            if not np.array_equal(bits[w[2]], expected):
+                raise ValueError(f"{name} on wire {w[2]} does not find the state it needs")
+            bits[w[2]] = product if name == "and" else False
+    return bits
 
 
 def direct_dft_coefficients(grid: FieldGrid) -> np.ndarray:
@@ -496,6 +566,116 @@ def lcu_row(
     qb = total_cost_qubit(grid, t, eps_sim)
     q_qd = query_count(clock_one_norm(grid.phi_max, d), t, eps_sim)
     return LcuRow(d, *break_even(qb.total, q_qd, 3 * d - 3, eps_sim / q_qd, d, t, eps_sim, model))
+
+
+# ------------------------------------------------- the qudit one-norm at 40 digits
+
+
+def _series_product(a: list, b: list) -> list:
+    """Product of two power series truncated to len(a) coefficients."""
+    return [mpmath.fsum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _series_reciprocal(a: list) -> list:
+    """1 / a(u) as a power series truncated to len(a) coefficients; a[0] != 0."""
+    out = [1 / a[0]]
+    for k in range(1, len(a)):
+        out.append(-mpmath.fsum(a[i] * out[k - i] for i in range(1, k + 1)) / a[0])
+    return out
+
+
+def one_norm_series(terms: int) -> list:
+    """g_0 .. g_(terms - 1) of g(u) = 4 W / (d - 1)^2 at u = 1/d, at the working precision.
+
+    W = sum_{r<=(d-1)/2} cos x_r / sin^2 x_r, x_r = pi r/d, from the
+    expansion that costmodel.clock_one_norm states.  With h = pi u,
+    X = (d - 1) h / 2 = (pi/2)(1 - u) and z = (d + 1)/2:
+
+        W = (d/pi)^2 (pi^2/6 - psi'(z)) + (1/X - 1/sin X)/h + (f(X) + 1/6)/2
+            + sum_k B_2k / (2k)! h^(2k-1) f^(2k-1)(X),
+
+    psi'(z) = 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k+1) with 1/z = 2u / (1 + u),
+    f = cos x / sin^2 x - 1/x^2, and for odd j f^(j)(X) = -csc^(j+1)(X)
+    + (j + 1)! / X^(j+2).  As X = pi/2 - y with y = pi u / 2, sin X = cos y,
+    cos X = sin y and csc^(j+1)(X) = sec^(j+1)(y).  Each piece of
+    4 u^2 W is so a power series in u, here a truncated list of mpf, and
+    g is their sum over (1 - u)^2.  The Bernoulli term k first enters at
+    u^(2k+1), so the sums over k stop at 2k + 1 = terms - 1.
+    """
+    n = terms + 8  # the eighth derivative of sec, the highest taken, loses 8 coefficients
+    pi = mpmath.pi
+    bernoulli = range(1, (terms - 2) // 2 + 1)
+
+    def series(*head):
+        return [mpmath.mpf(c) for c in head] + [mpmath.mpf(0)] * (n - len(head))
+
+    def scaled(a, c, shift=0):
+        """c u^shift a(u)."""
+        return [mpmath.mpf(0)] * shift + [c * x for x in a[: n - shift]]
+
+    def power(a, p):
+        out = series(1)
+        for _ in range(p):
+            out = _series_product(out, a)
+        return out
+
+    def at_y(a):
+        """a(y) at y = pi u / 2."""
+        return [c * (pi / 2) ** k for k, c in enumerate(a)]
+
+    def derivative(a, times):
+        for _ in range(times):
+            a = [k * a[k] for k in range(1, n)] + [mpmath.mpf(0)]
+        return a
+
+    def minus(a, b):
+        return [x - y for x, y in zip(a, b)]
+
+    sin_y = [(-1) ** (k // 2) / mpmath.factorial(k) if k % 2 else 0 for k in range(n)]
+    sec_y = _series_reciprocal([(-1) ** (k // 2) / mpmath.factorial(k) if k % 2 == 0 else 0 for k in range(n)])
+    inv_x = scaled(_series_reciprocal(series(1, -1)), 2 / pi)
+    inv_z = scaled(_series_reciprocal(series(1, 1)), 2, 1)
+    trigamma = [inv_z, scaled(power(inv_z, 2), mpmath.mpf(1) / 2)]
+    trigamma += [scaled(power(inv_z, 2 * k + 1), mpmath.bernoulli(2 * k)) for k in bernoulli]
+    f_x = minus(_series_product(at_y(sin_y), power(at_y(sec_y), 2)), power(inv_x, 2))
+    parts = [
+        series(mpmath.mpf(2) / 3),  # 4 / pi^2 times zeta(2) = pi^2 / 6
+        *(scaled(term, -4 / pi**2) for term in trigamma),
+        scaled(minus(inv_x, at_y(sec_y)), 4 / pi, 1),
+        scaled(f_x, 2, 2),
+        scaled(series(mpmath.mpf(1) / 6), 2, 2),
+    ]
+    for k in bernoulli:
+        j = 2 * k - 1
+        f_j = minus(scaled(power(inv_x, j + 2), mpmath.factorial(j + 1)), at_y(derivative(sec_y, j + 1)))
+        parts.append(scaled(f_j, 4 * mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * pi**j, j + 2))
+    scaled_weights = [mpmath.fsum(column) for column in zip(*parts)]
+    return _series_product(scaled_weights, _series_reciprocal(power(series(1, -1), 2)))[:terms]
+
+
+def one_norm_weight(d: int) -> mpmath.mpf:
+    """4 W / (d - 1)^2 at 40 digits for d >= 101, by mpmath.psi(1, .) and Euler-Maclaurin.
+
+    The one-norm is phi_max^2 times this.  The expansion of
+    one_norm_series, evaluated at d rather than expanded in 1/d: the
+    trigamma exact, the Euler-Maclaurin terms through B_8 with the
+    derivatives of f by mpmath.diff.  It lies within 8e-21 relative of the
+    40-digit half sum at d = 101.  O(1) in d, so it reaches MAX_D.
+    """
+    with mpmath.workdps(40):
+        pi = mpmath.pi
+        h = pi / d
+        x = (d - 1) * h / 2
+
+        def f(x):
+            return mpmath.cos(x) / mpmath.sin(x) ** 2 - 1 / x**2
+
+        weights = (d / pi) ** 2 * (pi**2 / 6 - mpmath.psi(1, mpmath.mpf(d + 1) / 2))
+        weights += (1 / x - 1 / mpmath.sin(x)) / h + (f(x) + mpmath.mpf(1) / 6) / 2
+        for k in range(1, 5):
+            j = 2 * k - 1
+            weights += mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * h**j * mpmath.diff(f, x, j)
+        return 4 * weights / (d - 1) ** 2
 
 
 # The verify builders as they were before simverify ran blocks of d: each

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from oracles import (
+    TOFFOLI_T_COST,
     binary_prep_angles,
     binary_prep_state,
     dclock_angles,
@@ -16,6 +17,8 @@ from oracles import (
     projector_one_norm,
     projector_pair_sum,
     qubit_blockencoding_cost,
+    run_bit_circuit,
+    sign_comparator_gates,
 )
 
 from quditcost import simverify
@@ -264,6 +267,24 @@ def test_dsign_spec_d5():
 
 def test_dsign_spec_d3():
     assert negative_flags(3) == [0, 1]
+
+
+def test_sign_comparator_flags_the_negative_half_within_the_priced_t_gates():
+    # built from temporary logical-ANDs and run on every n_b-bit index, the
+    # comparator flags exactly the r with c_r < 0, restores the index and
+    # clears its carries.  It needs at most 4 (n_b - 1) T gates, below the
+    # 4 n_b that the hybrid call prices
+    for d in range(3, 1024, 2):
+        n_b = register_width(d)
+        gates = sign_comparator_gates(d)
+        bits = run_bit_circuit(gates, n_b)
+        x = np.arange(2**n_b)
+        assert np.array_equal(bits[-1], x >= (d + 1) // 2), d
+        assert bits[-1][1:d].tolist() == [bool(flag) for flag in negative_flags(d)], d
+        assert np.array_equal(bits[:n_b], (x >> np.arange(n_b)[:, None]) & 1), d
+        assert not bits[n_b:-1].any(), d
+        t_gates = TOFFOLI_T_COST * sum(gate[0] == "and" for gate in gates)
+        assert t_gates <= 4 * (n_b - 1) < hybrid_call_counts(d)[1], d
 
 
 def test_phase_assembly_matches_sign_times_clock():

@@ -4,9 +4,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from oracles import direct_dft_coefficients, levels, make_grid
+from oracles import direct_dft_coefficients, levels, make_grid, one_norm_series, one_norm_weight
 
-from quditcost.costmodel import ONE_NORM_CLOSED_FORM_D, clock_one_norm
+from quditcost.costmodel import (
+    MAX_D,
+    ONE_NORM_CLOSED_FORM_D,
+    ONE_NORM_SERIES,
+    clock_one_norm,
+    ratio_and_budget,
+)
 from quditcost.simverify import (
     beta_closed_form,
     beta_dft_oracle,
@@ -157,7 +163,8 @@ def test_one_norm_matches_high_precision(phi_max, d):
 
 def test_one_norm_across_the_closed_form_switch_matches_high_precision():
     # the whole half sum below ONE_NORM_CLOSED_FORM_D, whose worst is about
-    # 5e-16 at d = 3 and phi_max = 2.5, and the closed form past it
+    # 5e-16 at d = 3 and phi_max = 2.5, and the series past it, whose worst
+    # is 2.4e-16 at d = 107 and phi_max = 2.5
     d0 = ONE_NORM_CLOSED_FORM_D
     for d in [*range(3, d0 + 201, 2), 1025, 4097, 14647, 20001]:
         with mpmath.workdps(40):
@@ -168,23 +175,61 @@ def test_one_norm_across_the_closed_form_switch_matches_high_precision():
             )
             norms = {phi_max: float(mpmath.mpf(phi_max) ** 2 * 4 / (d - 1) ** 2 * weights)
                      for phi_max in (1.0, 2.5, 0.37)}
+        tol = 1e-15 if d < d0 else 3e-16
         for phi_max, expected in norms.items():
-            assert math.isclose(clock_one_norm(phi_max, d), expected, rel_tol=1e-15), (phi_max, d)
+            assert math.isclose(clock_one_norm(phi_max, d), expected, rel_tol=tol), (phi_max, d)
+
+
+def test_one_norm_series_literals_are_the_nearest_doubles():
+    # g_0 .. g_11 rederived at 40 digits from the expansion, not read from costmodel
+    with mpmath.workdps(40):
+        coefficients = one_norm_series(12)
+        assert len(ONE_NORM_SERIES) == 11
+        for literal, exact in zip(ONE_NORM_SERIES, reversed(coefficients[:11])):
+            error = abs(literal - exact)
+            assert error <= abs(math.nextafter(literal, math.inf) - exact), literal
+            assert error <= abs(math.nextafter(literal, -math.inf) - exact), literal
+        # the first omitted term, relative at the switch, where it is largest
+        assert abs(coefficients[11]) / ONE_NORM_CLOSED_FORM_D**11 / coefficients[0] < 2e-20
+
+
+def test_one_norm_series_matches_trigamma_and_euler_maclaurin_up_to_max_d():
+    # d = 10^k + 1 up to MAX_D, at phi_max down to 1e-6, where the scale
+    # 4 phi_max^2 / (d - 1)^2 that the form once took is subnormal
+    for d in [10**k + 1 for k in range(2, 154)]:
+        assert d <= MAX_D
+        weight = one_norm_weight(d)
+        with mpmath.workdps(40):
+            for phi_max in (1e-6, 0.37, 1.0, 2.5):
+                expected = mpmath.mpf(phi_max) ** 2 * weight
+                assert abs(clock_one_norm(phi_max, d) - expected) <= 3e-16 * expected, (phi_max, d)
+
+
+@pytest.mark.parametrize("phi_max,printed", [(1e-6, "6.66666667e-13"), (1e-3, "6.66666667e-07")])
+def test_alpha_qd_keeps_its_digits_at_the_largest_d(phi_max, printed):
+    # 4 phi_max^2 / (d - 1)^2 underflowed to a subnormal here, and the
+    # printed alpha_qd read 6.66725934e-13 at phi_max = 1e-6
+    d = MAX_D - 1 + MAX_D % 2
+    (row,) = ratio_and_budget(phi_max, [d], 10.0, 1e-6)
+    assert f"{row.alpha_qd:.9g}" == printed
+    with mpmath.workdps(40):
+        expected = mpmath.mpf(phi_max) ** 2 * one_norm_weight(d)
+        assert abs(row.alpha_qd - expected) <= 3e-16 * expected
 
 
 @pytest.mark.parametrize(
     "phi_max,d,bits",
     [
-        (1.0, 101, "0x1.55a0960401746p-1"),
+        (1.0, 101, "0x1.55a0960401745p-1"),
         (1.0, 103, "0x1.559f2d3e1f99ap-1"),
-        (0.37, 4001, "0x1.75d630c037fbep-4"),
+        (0.37, 4001, "0x1.75d630c037fbfp-4"),
         (2.5, 1000001, "0x1.0aaaac3df28a4p+2"),
-        (1.0, 16777217, "0x1.5555557419f1cp-1"),
+        (1.0, 16777217, "0x1.5555557419f1bp-1"),
         (10.0, 10**15 + 1, "0x1.0aaaaaaaaaaabp+6"),
     ],
 )
 def test_one_norm_closed_form_keeps_its_bits(phi_max, d, bits):
-    # the printed one-norms; an edit of the closed form that reorders its float operations moves them
+    # the printed one-norms; an edit of the series that reorders its float operations moves them
     assert clock_one_norm(phi_max, d).hex() == bits
 
 
