@@ -7,6 +7,7 @@ import typing
 
 from . import __version__
 from .costmodel import (
+    MAX_D,
     LcuRow,
     PfRow,
     ResourceReport,
@@ -15,6 +16,7 @@ from .costmodel import (
     lcu_fixed_encoding_thresholds,
     pf_thresholds,
     ratio_and_budget,
+    register_width,
 )
 
 CONFIG_ENV_VAR = "QUDITCOST_CONFIG"
@@ -31,8 +33,10 @@ EXIT_BROKEN_PIPE = 141
 DIM_CAP = 64
 CENSUS_CAP = 513
 
-# Options a report header prints, in order, where the command defines them.
+# Options a report header prints, in order, where the command defines them,
+# and the options that the header of verify prints.
 META_KEYS = ("phi_max", "eps", "eps_sim", "t", "k", "prime_only")
+VERIFY_META_KEYS = ("phi_max", "d_max", "census_max", "inject_angle_error")
 
 
 class ConfigError(Exception):
@@ -131,6 +135,9 @@ def _d_values(d_min: int, d_max: int, prime_only: bool, *flags: str) -> typing.S
             f"only below {PRIME_TEST_BOUND}"
         )
     values = range(lo, d_max + 1, 2)
+    if values and values[-1] > MAX_D:
+        # the one dimension check raises here, before a scan prices every d up to MAX_D
+        register_width(values[-1])
     if prime_only:
         if (lo, d_max) not in _PRIMES:
             _PRIMES[lo, d_max] = tuple(filter(is_prime, values))
@@ -169,22 +176,21 @@ def _header_text(value) -> str:
     return repr(value) if isinstance(value, float) and float(text) != value else text
 
 
-# The field of an int and of a float column i, per output format: in CSV a
-# str.format field that names column i, with the spec of _fmt's bytes ({:d}
-# raises on a float, where %d would truncate it); in JSON the % conversion
-# of json's bytes, whose float is float.__repr__, which takes the next value
-_FIELD_SPECS = {"csv": {int: "{{{}:d}}", float: "{{{}:.9g}}"}, "json": {int: "%s", float: "%r"}}
+# The % conversion of an int and of a float column, per output format: in
+# CSV _fmt's bytes, in JSON json's, whose float is float.__repr__.  An int
+# column takes %s, str of the value, which prints any int in full, where %d
+# would truncate a float; the report passes hold an int in each int column
+_FIELD_SPECS = {"csv": {int: "%s", float: "%.9g"}, "json": {int: "%s", float: "%r"}}
 
 
 def _row_templates(row_type: type, fmt: str) -> tuple[int | None, tuple[str, str]]:
     """The position of the bool column of a report row type, and its row templates in fmt.
 
-    Built from the declared column types.  A CSV row is its fields joined
-    by commas, a str.format template of the columns by position; a JSON
-    row is an object of indent 2 inside the rows list, and a comma, a %
-    template of the columns other than the bool one: its 11 %r fields of
-    a scan row format in about 85 % of the time of str.format's {!r}.
-    Each ends in a newline.  A bool column prints true or
+    Built from the declared column types.  Each is a % template of the
+    columns other than the bool one, which takes them in order: a CSV row
+    is its fields joined by commas, a JSON row an object of indent 2 inside
+    the rows list, and a comma.  Neither ends in its newline, which the
+    row callable of _row_format appends.  A bool column prints true or
     false, so it is literal text, false in the first template and true in
     the second; a row type has at most one.  Without one the position is
     None and the two templates are equal.
@@ -193,12 +199,12 @@ def _row_templates(row_type: type, fmt: str) -> tuple[int | None, tuple[str, str
     kinds = list(hints.values())
     templates = []
     for text in ("false", "true"):
-        fields = [text if kind is bool else _FIELD_SPECS[fmt][kind].format(i) for i, kind in enumerate(kinds)]
+        fields = [text if kind is bool else _FIELD_SPECS[fmt][kind] for kind in kinds]
         if fmt == "csv":
-            templates.append(",".join(fields) + "\n")
+            templates.append(",".join(fields))
         else:
             pairs = ",\n      ".join(f'"{name}": {field}' for name, field in zip(hints, fields))
-            templates.append(f"    {{\n      {pairs}\n    }},\n")
+            templates.append(f"    {{\n      {pairs}\n    }},")
     return (kinds.index(bool) if bool in kinds else None), tuple(templates)
 
 
@@ -207,24 +213,35 @@ _TEMPLATES: dict[tuple[type, str], tuple[int | None, tuple[str, str]]] = {}
 
 
 def _row_format(row_type: type, fmt: str) -> typing.Callable[..., str]:
-    """The text of one report row in fmt ("csv" or "json") from its columns."""
+    """The text of one report row in fmt ("csv" or "json") from its columns, with its newline.
+
+    The appended newline copies the % result into a str of its exact size;
+    a held % result keeps the spare bytes of its writer.
+    """
     if (row_type, fmt) not in _TEMPLATES:
         _TEMPLATES[row_type, fmt] = _row_templates(row_type, fmt)
     flag, (false, true) = _TEMPLATES[row_type, fmt]
-    if fmt == "csv":
-        if flag is None:
-            return false.format
-        return lambda *columns: (true if columns[flag] else false).format(*columns)
     if flag is None:
-        return lambda *columns: false % columns
-    return lambda *columns: (true if columns[flag] else false) % (columns[:flag] + columns[flag + 1:])
+        return lambda *columns: false % columns + "\n"
+    return lambda *columns: (true if columns[flag] else false) % (columns[:flag] + columns[flag + 1:]) + "\n"
+
+
+def _meta(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
+    """The meta header of a run: the tool, its version, the command and each option in keys it defines."""
+    options = vars(args)
+    meta = {"tool": "quditcost", "version": __version__, "command": args.command}
+    meta.update((key, options[key]) for key in keys if key in options)
+    return meta
+
+
+def _meta_lines(meta: dict) -> list[str]:
+    """The meta header as the "# key=value" lines of a CSV report."""
+    return [f"# {key}={_header_text(val)}\n" for key, val in meta.items()]
 
 
 def _emit(args: argparse.Namespace, rows: list[str]) -> None:
     """Print report rows, formatted by _row_format for args.row_type, under a meta header."""
-    options = vars(args)
-    meta = {"tool": "quditcost", "version": __version__, "command": args.command}
-    meta.update((key, options[key]) for key in META_KEYS if key in options)
+    meta = _meta(args, META_KEYS)
     if args.format == "json":
         # JSON output and a config file load json; a CSV report never does
         import json
@@ -235,7 +252,7 @@ def _emit(args: argparse.Namespace, rows: list[str]) -> None:
         # each row ends in ",\n", but the last one takes no comma
         lines = [head, *rows[:-1], rows[-1][:-2] + "\n  ]\n}\n"]
     else:
-        lines = [f"# {key}={_header_text(val)}\n" for key, val in meta.items()]
+        lines = _meta_lines(meta)
         lines.append(",".join(args.row_type._fields) + "\n")
         lines += rows
     # line by line, so that the text of the rows is not held a second time, joined
@@ -273,6 +290,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         ranges.append(_d_values(3, cap, False, f"{flag}={cap}"))
     results = run_suites(args.phi_max, *ranges, args.inject_angle_error)
+    # the header follows the suites, so that an error leaves stdout empty
+    sys.stdout.writelines(_meta_lines(_meta(args, VERIFY_META_KEYS)))
     for result in results:
         line = (
             f"{result.name:<17} {'pass' if result.ok else 'FAIL'}  max_error={result.worst:.3e}"

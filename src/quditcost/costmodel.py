@@ -306,10 +306,9 @@ def clock_one_norm(phi_max: float, d: int) -> float:
             weights = _HALF_WEIGHT_SUMS[d] = _half_weight_sum(d)
         return phi_max**2 * 4.0 / (d - 1) ** 2 * weights
     u = 1 / d
-    g = 0.0
-    for coefficient in ONE_NORM_SERIES:
-        g = g * u + coefficient
-    return phi_max**2 * g
+    g10, g9, g8, g7, g6, g5, g4, g3, g2, g1, g0 = ONE_NORM_SERIES
+    g = ((((g10 * u + g9) * u + g8) * u + g7) * u + g6) * u + g5
+    return phi_max**2 * (((((g * u + g4) * u + g3) * u + g2) * u + g1) * u + g0)
 
 
 def _log_term(phi_max: float, t: float, eps_sim: float) -> float:
@@ -448,7 +447,8 @@ def ratio_and_budget(
             raise ValueError(f"k={k:.6g} is too large: the {q_qd:.6g} queries at d={d} make {switches} switches")
         budget = delta / switches
         # finite only if both totals are: an infinite total makes delta infinite or nan
-        check_finite(d, t, eps_sim, budget)
+        if not math.isfinite(budget):
+            check_finite(d, t, eps_sim, budget)
         rows.append(row(
             d, n_b, alpha_qb, alpha_qd, q_qb, q_qd, per_call_qb, per_call_qd,
             total_qb, total_qd, total_qb / total_qd, delta, budget,

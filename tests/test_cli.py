@@ -10,7 +10,7 @@ import pytest
 from oracles import is_prime_trial_division
 
 import quditcost
-from quditcost.cli import CONFIG_ENV_VAR, PRIME_TEST_BOUND, is_prime, main
+from quditcost.cli import CENSUS_CAP, CONFIG_ENV_VAR, DIM_CAP, PRIME_TEST_BOUND, is_prime, main
 from quditcost.costmodel import MAX_D, SynthesisModel, ratio_and_budget
 from quditcost.simverify import MAX_NUMERATOR_D
 
@@ -19,6 +19,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def suite_lines(out):
+    """The six suite lines of verify's stdout, below the seven "# key=value" lines of its meta header."""
+    lines = out.splitlines()
+    keys = ["tool", "version", "command", "phi_max", "d_max", "census_max", "inject_angle_error"]
+    assert [line.split("=", 1)[0] for line in lines[:7]] == [f"# {key}" for key in keys]
+    assert len(lines) == 13
+    return lines[7:]
 
 
 def parse_csv(text):
@@ -253,6 +262,30 @@ def test_closed_stdout_exits_141_and_prints_nothing():
             assert (proc.returncode, proc.stderr) == (141, b""), (argv, unbuffered)
 
 
+def test_verify_prints_the_meta_header_of_the_reports(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--phi-max", "2.5", "--d-max", "9", "--census-max", "15",
+        "--inject-angle-error", "0.1",
+    )
+    assert code == 1
+    assert out.splitlines()[:7] == [
+        "# tool=quditcost",
+        f"# version={quditcost.__version__}",
+        "# command=verify",
+        "# phi_max=2.5",
+        "# d_max=9",
+        "# census_max=15",
+        "# inject_angle_error=0.1",
+    ]
+    assert len(suite_lines(out)) == 6
+    # at the default caps; a value that 9 digits do not read back prints in full, as in a report
+    code, out, _ = run_cli(capsys, "verify", "--phi-max", "0.30000000000000004")
+    assert code == 0
+    assert out.splitlines()[3:7] == [
+        "# phi_max=0.30000000000000004", f"# d_max={DIM_CAP}", f"# census_max={CENSUS_CAP}", "# inject_angle_error=0",
+    ]
+
+
 def test_verify_passes_quickly(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--d-max", "9", "--census-max", "15"
@@ -276,7 +309,10 @@ def test_verify_injected_angle_error_moves_only_the_select_schedule_line(capsys)
     _, clean, _ = run_cli(capsys, *argv)
     code, bent, _ = run_cli(capsys, *argv, "--inject-angle-error", "1e-3")
     assert code == 1
-    clean, bent = clean.splitlines(), bent.splitlines()
+    # the header differs in the injected error alone
+    assert bent.splitlines()[:6] == clean.splitlines()[:6]
+    assert (clean.splitlines()[6], bent.splitlines()[6]) == ("# inject_angle_error=0", "# inject_angle_error=0.001")
+    clean, bent = suite_lines(clean), suite_lines(bent)
     assert bent[1].split()[:2] == ["select-schedule", "FAIL"]
     assert bent[:1] + bent[2:] == clean[:1] + clean[2:]
 
@@ -319,7 +355,7 @@ def test_verify_rejects_a_nonfinite_injected_error(capsys, bad):
 def test_verify_lines_say_how_many_cases_and_where_the_worst_error_sits(capsys):
     code, out, _ = run_cli(capsys, "verify", "--d-max", "5", "--census-max", "5")
     assert code == 0
-    lines = [line.split() for line in out.splitlines()]
+    lines = [line.split() for line in suite_lines(out)]
     # the name, the verdict and max_error keep their columns
     assert [fields[:2] for fields in lines] == [
         ["trotter-schedule", "pass"],
@@ -341,9 +377,7 @@ def test_verify_lines_say_how_many_cases_and_where_the_worst_error_sits(capsys):
 def test_verify_passes_at_census_cap_2049(capsys):
     code, out, _ = run_cli(capsys, "verify", "--census-max", "2049")
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 6
-    assert all(line.split()[1] == "pass" for line in lines)
+    assert [line.split()[1] for line in suite_lines(out)] == ["pass"] * 6
 
 
 def test_verify_passes_at_phi_max_10(capsys):
@@ -351,9 +385,7 @@ def test_verify_passes_at_phi_max_10(capsys):
     # form passes at any amplitude scale
     code, out, _ = run_cli(capsys, "verify", "--phi-max", "10")
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 6
-    assert all(line.split()[1] == "pass" for line in lines)
+    assert [line.split()[1] for line in suite_lines(out)] == ["pass"] * 6
 
 
 def test_verify_passes_at_phi_max_100(capsys):
@@ -361,7 +393,7 @@ def test_verify_passes_at_phi_max_100(capsys):
     # stays a few ulp of t phi_max^2 d at the default dense cap
     code, out, _ = run_cli(capsys, "verify", "--phi-max", "100")
     assert code == 0
-    assert [line.split()[1] for line in out.splitlines()] == ["pass"] * 6
+    assert [line.split()[1] for line in suite_lines(out)] == ["pass"] * 6
 
 
 def test_verify_rejects_an_overflowing_step_phase(capsys):
@@ -400,7 +432,7 @@ def test_verify_passes_at_phi_max_1e_150(capsys):
     # just above the subnormal threshold, about 9.8e-151 at the default caps
     code, out, _ = run_cli(capsys, "verify", "--phi-max", "1e-150")
     assert code == 0
-    assert [line.split()[1] for line in out.splitlines()] == ["pass"] * 6
+    assert [line.split()[1] for line in suite_lines(out)] == ["pass"] * 6
 
 
 @pytest.mark.parametrize("bad_phi", ["nan", "inf"])
@@ -416,7 +448,7 @@ def test_verify_passes_with_dense_cap_above_64(capsys):
     # the dense suites are O(d) per schedule and have no ceiling
     code, out, _ = run_cli(capsys, "verify", "--d-max", "129", "--census-max", "129")
     assert code == 0
-    lines = out.splitlines()
+    lines = suite_lines(out)
     assert [line.split()[1] for line in lines] == ["pass"] * 6
     assert [line.split()[3] for line in lines[:3]] == ["cases=64"] * 3
 
@@ -597,6 +629,25 @@ def test_every_dimension_prints_finite_rows_or_is_named(capsys, command):
     code, out, err = run_cli(capsys, command, "--all-odd", "--d-min", str(MAX_D + 1), "--d-max", str(MAX_D + 1))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and f"d={MAX_D + 1} " in err
+
+
+@pytest.mark.parametrize("command", ["pf-thresholds", "lcu-table", "scan-ratio"])
+def test_a_range_past_max_d_fails_before_its_first_row(command):
+    # the range holds about 10^154 dimensions up to MAX_D, so a run that
+    # priced them before it reached the first d above MAX_D would not end;
+    # in a subprocess, the timeout fails the test instead of hanging it, and
+    # ends such a run while its growing row list is still small
+    d_max = 10**200
+    env = {key: value for key, value in os.environ.items() if key != CONFIG_ENV_VAR}
+    env["PYTHONPATH"] = str(Path(quditcost.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "quditcost.cli", command, "--all-odd", "--d-max", str(d_max)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        f"error: d={d_max - 1} is too large: (d - 1)^2 overflows a float above d = {MAX_D:.3g}"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """Report bytes of the report commands, and one parser reused across calls.
 
-`cli._row_format` formats each row with one str.format template per row
-type and output format, and `cli._emit` frames the rows under the meta
-header.  The oracle of JSON is the plain `json.dumps(payload, indent=2)`
-of the row dicts; the oracle of CSV joins the rows value by value through
-`cli._fmt`, as the CLI once did.  `main` builds its parser once per
-process, so a call must leave nothing behind that the next one reads.
+`cli._row_format` formats each row with one % template per row type and
+output format, and `cli._emit` frames the rows under the meta header.  The
+oracle of JSON is the plain `json.dumps(payload, indent=2)` of the row
+dicts; the oracle of CSV joins the rows value by value through `cli._fmt`,
+as the CLI once did.  An int column prints by %s, which would print a
+float there as it is, so the report passes are checked to hold an int in
+each such column.  `main` builds its parser once per process, so a call
+must leave nothing behind that the next one reads.
 """
 
 import argparse
@@ -14,13 +16,22 @@ import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quditcost
-from quditcost import __version__, cli
-from quditcost.costmodel import LcuRow, PfRow, ResourceReport
+from quditcost import __version__, cli, costmodel
+from quditcost.costmodel import (
+    LcuRow,
+    PfRow,
+    ResourceReport,
+    lcu_fixed_encoding_thresholds,
+    pf_thresholds,
+    ratio_and_budget,
+)
 
 
 def header(args):
@@ -142,9 +153,34 @@ def test_csv_of_extreme_values_equals_the_fmt_joined_rows(capsys, tmp_path):
         assert emitted(args, rows, capsys, tmp_path) == fmt_joined_csv(args, rows)
 
 
-def test_csv_rejects_a_float_in_an_int_column():
-    with pytest.raises(ValueError, match="format code 'd'"):
-        cli._row_format(LcuRow, "csv")(*LcuRow(3.0, 1.0, 2.0))
+PASSES = {
+    PfRow: lambda ds: pf_thresholds(ds, 1e-9),
+    LcuRow: lambda ds: lcu_fixed_encoding_thresholds(2.5, ds, 3000.0, 1e-6),
+    ResourceReport: lambda ds: ratio_and_budget(2.5, ds, 3000.0, 1e-6),
+}
+# odd d across costmodel.ONE_NORM_CLOSED_FORM_D and a change of n_b
+DIMENSIONS = range(95, 133, 2)
+
+
+@pytest.mark.parametrize("given", ["range", "tuple", "np.int64"])
+@pytest.mark.parametrize("row_type", list(PASSES), ids=lambda row_type: row_type.__name__)
+def test_every_int_column_holds_an_int_at_the_source(monkeypatch, row_type, given):
+    monkeypatch.setattr(costmodel, "_DIMENSION_TERMS", {})
+    ds = {"range": DIMENSIONS, "tuple": tuple(DIMENSIONS), "np.int64": tuple(map(np.int64, DIMENSIONS))}[given]
+    hints = typing.get_type_hints(row_type)
+    ints = [i for i, kind in enumerate(hints.values()) if kind is int]
+    names = [name for name, kind in hints.items() if kind is int]
+    # a pass prices a range once cold, once recording its terms, and then from the record
+    for _ in range(3):
+        rows = PASSES[row_type](ds)
+        assert [row.d for row in rows] == list(DIMENSIONS)
+        assert all(type(row[i]) is int for row in rows for i in ints)
+        # d and n_b print as integers, with no "." that a float there would print
+        csv, as_json = cli._row_format(row_type, "csv"), cli._row_format(row_type, "json")
+        for row in rows:
+            assert all(csv(*row).split(",")[i].isdigit() for i in ints)
+            printed = json.loads(as_json(*row).rstrip().rstrip(","))
+            assert all(type(printed[name]) is int for name in names)
 
 
 

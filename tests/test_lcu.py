@@ -470,7 +470,8 @@ def test_a_wrong_one_norm_fails_prep_and_dft(monkeypatch, capsys, factor):
     monkeypatch.setattr(simverify, "clock_one_norm", lambda phi_max, d: factor * one_norm(phi_max, d))
     assert main(["verify", "--d-max", "9", "--census-max", "9"]) == 1
     captured = capsys.readouterr()
-    lines = captured.out.splitlines()
+    # the suite lines follow the meta header's "# key=value" lines
+    lines = [line for line in captured.out.splitlines() if not line.startswith("# ")]
     assert len(lines) == 6
     assert [line.split()[0] for line in lines if "FAIL" in line] == ["prep-schedule", "dft-oracle"]
     assert captured.err == ""
