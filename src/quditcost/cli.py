@@ -7,7 +7,6 @@ import typing
 
 from . import __version__
 from .costmodel import (
-    MAX_D,
     LcuRow,
     PfRow,
     ResourceReport,
@@ -16,7 +15,6 @@ from .costmodel import (
     lcu_fixed_encoding_thresholds,
     pf_thresholds,
     ratio_and_budget,
-    register_width,
 )
 
 CONFIG_ENV_VAR = "QUDITCOST_CONFIG"
@@ -126,18 +124,13 @@ def _d_values(d_min: int, d_max: int, prime_only: bool, *flags: str) -> typing.S
 
     A range, or the tuple of its primes, tested once per range and process.
     """
-    lo = max(d_min, 3)
-    if lo % 2 == 0:
-        lo += 1
+    lo = max(d_min, 3) | 1
     if prime_only and d_max >= PRIME_TEST_BOUND:
         raise ConfigError(
             f"--d-max={d_max} is too large for --primes: the prime test is exact "
             f"only below {PRIME_TEST_BOUND}"
         )
     values = range(lo, d_max + 1, 2)
-    if values and values[-1] > MAX_D:
-        # the one dimension check raises here, before a scan prices every d up to MAX_D
-        register_width(values[-1])
     if prime_only:
         if (lo, d_max) not in _PRIMES:
             _PRIMES[lo, d_max] = tuple(filter(is_prime, values))

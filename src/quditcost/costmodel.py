@@ -7,12 +7,12 @@ evaluated at that budget, times Q, gives the total.  The ratio of the two
 totals exceeds one exactly when the d-level route is cheaper, and the
 saving divided by (qudit queries * switches per query) bounds the
 affordable per-switch conversion overhead.  A report is one pass over its
-dimensions: it checks its scalar inputs once, then each row checks d once,
-through register_width, and evaluates each formula it prints once.  The
-qudit alpha is the clock-power one-norm (clock_one_norm), O(1) in d.  A
-block-encoding pass over a (phi_max, ds) that the process priced twice
-before reads each d's n_b and both normalizations from a per-process memo
-(_pass_terms), one list per repeated key.
+dimensions: it checks ds first (_dimensions), then its scalar inputs once,
+then each row checks d once, through register_width, and evaluates each
+formula it prints once.  The qudit alpha is the clock-power one-norm
+(clock_one_norm), O(1) in d.  A block-encoding pass over a (phi_max, ds)
+that the process priced twice before reads each d's n_b and both
+normalizations from a per-process memo (_pass_terms), one list per key.
 Like everything the report commands import, the module is stdlib only.
 
 The field grid, d = 2M + 1 levels spaced delta_phi = 2 phi_max / (d - 1) on
@@ -45,7 +45,7 @@ MIN_ROTATION_BUDGET = sys.float_info.min
 # Smallest d at which clock_one_norm takes its series in 1/d.  Below it the
 # first omitted term grows fast (2.5e-16 relative at d = 41), and the
 # direct sum is cheap anyway.
-ONE_NORM_CLOSED_FORM_D = 101
+ONE_NORM_SERIES_D = 101
 
 # 9 pi^2 / 2, over the per-call budget, in the qubit precision parameter b_r
 NINE_PI_SQUARED = 9.0 * math.pi**2
@@ -66,6 +66,15 @@ def _index(d) -> int:
         return operator.index(d)
     except TypeError:
         raise TypeError(f"d must be an integer, got {d!r}") from None
+
+
+def _dimensions(ds: Iterable[int]) -> range | tuple[int, ...]:
+    """A pass's ds: a range, whose last d past MAX_D raises before any row, or else a tuple of _index(d)."""
+    if not isinstance(ds, range):
+        return tuple(map(_index, ds))
+    if ds and ds[-1] > MAX_D:
+        register_width(ds[-1])
+    return ds
 
 
 def register_width(d: int) -> int:
@@ -221,14 +230,13 @@ def pf_thresholds(
     against the n_b (n_b + 1) / 2 rotation binary-register step, both
     under uniform per-rotation error allocation.  favorable is
     a_max_pf > a_rz_pf.  Each row is row(d, a_max_pf, a_rz_pf, favorable),
-    with d an int, as in _pass_terms.
+    with d an int.  It checks ds first (_dimensions), then eps.
     """
+    ds = _dimensions(ds)
     if not 0.0 < eps < 1.0:
         raise ValueError(f"target accuracy must lie in (0, 1), got {eps}")
     if eps < MIN_CALL_BUDGET:
         raise ValueError(f"target accuracy eps={eps} is below {MIN_CALL_BUDGET:g}")
-    if not isinstance(ds, range):
-        ds = tuple(map(_index, ds))
     rows = []
     for d in ds:
         n_b = register_width(d)
@@ -240,7 +248,7 @@ def pf_thresholds(
 
 
 # _half_weight_sum of each d, computed once per process.  Only the odd
-# d < ONE_NORM_CLOSED_FORM_D reach it, so this holds at most 49 floats.  A
+# d < ONE_NORM_SERIES_D reach it, so this holds at most 49 floats.  A
 # dict and not functools.cache: the benchmark's tracer times plain functions.
 _HALF_WEIGHT_SUMS: dict[int, float] = {}
 
@@ -280,7 +288,7 @@ def clock_one_norm(phi_max: float, d: int) -> float:
     weights are symmetric under r -> d - r, so the sum runs over the half
     x_r <= pi/2 and is doubled; above pi/2 the rounding of x_r near pi
     would cost sin x_r up to d * 1e-16 of relative accuracy.  Below
-    ONE_NORM_CLOSED_FORM_D the half sum W is at most 49 terms
+    ONE_NORM_SERIES_D the half sum W is at most 49 terms
     (_half_weight_sum).  From there on the one-norm is phi_max^2 g(1/d),
     with g(u) = 4 W / (d - 1)^2 = sum_{k=0}^{10} g_k u^k (ONE_NORM_SERIES)
     by Horner's rule.  g is the asymptotic expansion of W, re-expanded in
@@ -300,7 +308,7 @@ def clock_one_norm(phi_max: float, d: int) -> float:
     keeps the bits the outputs were first computed with.  The series lies
     within 2.4e-16 of a 40-digit sum, the half sum within 5e-16.
     """
-    if d < ONE_NORM_CLOSED_FORM_D:
+    if d < ONE_NORM_SERIES_D:
         weights = _HALF_WEIGHT_SUMS.get(d)
         if weights is None:
             weights = _HALF_WEIGHT_SUMS[d] = _half_weight_sum(d)
@@ -328,24 +336,20 @@ def _log_term(phi_max: float, t: float, eps_sim: float) -> float:
 _DIMENSION_TERMS: dict[tuple, list[tuple[int, float, float]] | None] = {}
 
 
-def _pass_terms(phi_max: float, ds: Iterable[int]) -> tuple:
-    """(key, ds, terms, fresh) of a block-encoding pass, after _log_term.
+def _pass_terms(phi_max: float, ds: range | tuple[int, ...]) -> tuple:
+    """(key, terms, fresh) of a block-encoding pass over the ds of _dimensions, after _log_term.
 
-    ds becomes a range or a tuple of ints, made once; key is (phi_max, ds).
-    terms yields, per d, what _query_counts takes from (phi_max, d) alone:
-    the stored (n_b, alpha_qb, alpha_qd) of a key priced twice before, else
-    None, so that each d is checked and priced as the pass reaches it.
-    fresh is the list that _query_counts fills for a key priced once
+    key is (phi_max, ds).  terms yields per d the stored (n_b, alpha_qb,
+    alpha_qd) of a key priced twice before, else None: _query_counts then
+    checks and prices d.  fresh is the list it fills for a key priced once
     before, the stored list of a hit, and None for a first pricing; the
     pass stores it under key once it returns.
     """
-    if not isinstance(ds, range):
-        ds = tuple(map(_index, ds))
     key = (phi_max, ds)
     stored = _DIMENSION_TERMS.get(key)
     if stored is not None:
-        return key, ds, stored, stored
-    return key, ds, repeat(None), [] if key in _DIMENSION_TERMS else None
+        return key, stored, stored
+    return key, repeat(None), [] if key in _DIMENSION_TERMS else None
 
 
 def _query_counts(phi_max: float, d: int, terms, fresh, t: float, eps_sim: float, log_term: float) -> tuple:
@@ -426,14 +430,16 @@ def ratio_and_budget(
     clock-phase ladder.  k is the number of directional encoding switches
     per query (two for the hybrid round trip).  The switch count Q_qd * k
     must be a finite float, or the budget would read 0; the budget, like
-    the totals, must be finite.  ratio > 1, delta_tot > 0, and a positive
-    budget are all equivalent statements that the d-level route is
-    cheaper.  Each row is row(*columns), in the order of ResourceReport.
+    the totals, must be finite.  ratio > 1, delta_tot > 0 and a positive
+    budget each say that the d-level route is cheaper.  Each row is
+    row(*columns), in the order of ResourceReport.  It checks ds first
+    (_dimensions), then k, then phi_max, t and eps_sim.
     """
+    ds = _dimensions(ds)
     if k < 1:
         raise ValueError(f"switch count must be at least 1, got {k}")
     log_term = _log_term(phi_max, t, eps_sim)
-    key, ds, terms, fresh = _pass_terms(phi_max, ds)
+    key, terms, fresh = _pass_terms(phi_max, ds)
     rows = []
     for d, known in zip(ds, terms):
         n_b, alpha_qb, q_qb, per_call_qb, total_qb, alpha_qd, q_qd = _query_counts(
@@ -479,11 +485,12 @@ def lcu_fixed_encoding_thresholds(
     splits the per-call budget eps_sim / Q_qd uniformly over 3d - 3
     rotations: one selection bound of d - 1 plus two preparations of
     d - 1 each.  The bound holds even where the realized selection count
-    (simverify.select_nontrivial_count of simverify.select_numerators) is
-    smaller.  No hybrid call is priced.  Each row is row(d, a_max_lcu, a_rz_lcu).
+    (simverify.select_nontrivial_count) is smaller; no hybrid call is priced.
+    Each row is row(d, a_max_lcu, a_rz_lcu).  It checks ds first (_dimensions).
     """
+    ds = _dimensions(ds)
     log_term = _log_term(phi_max, t, eps_sim)
-    key, ds, terms, fresh = _pass_terms(phi_max, ds)
+    key, terms, fresh = _pass_terms(phi_max, ds)
     rows = []
     for d, known in zip(ds, terms):
         _, _, _, _, total_qb, _, q_qd = _query_counts(phi_max, d, known, fresh, t, eps_sim, log_term)

@@ -4,9 +4,9 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from helpers import fresh_env, fresh_process, fresh_process_stdout
 from oracles import is_prime_trial_division
 
 import quditcost
@@ -246,8 +246,7 @@ def test_csv_header_floats_read_back_as_passed(capsys, command, options):
 def test_closed_stdout_exits_141_and_prints_nothing():
     # stdout is a pipe whose reader is gone, as in `quditcost ... | head -0`;
     # with and without buffering the error surfaces inside main
-    env = {key: value for key, value in os.environ.items() if key != CONFIG_ENV_VAR}
-    env["PYTHONPATH"] = str(Path(quditcost.__file__).resolve().parents[1])
+    env = fresh_env()
     for argv in (["scan-ratio", "--d-max", "5"], ["verify", "--d-max", "5", "--census-max", "5"]):
         for unbuffered in ("1", ""):
             read, write = os.pipe()
@@ -638,12 +637,7 @@ def test_a_range_past_max_d_fails_before_its_first_row(command):
     # in a subprocess, the timeout fails the test instead of hanging it, and
     # ends such a run while its growing row list is still small
     d_max = 10**200
-    env = {key: value for key, value in os.environ.items() if key != CONFIG_ENV_VAR}
-    env["PYTHONPATH"] = str(Path(quditcost.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "quditcost.cli", command, "--all-odd", "--d-max", str(d_max)],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
+    proc = fresh_process("-m", "quditcost.cli", command, "--all-odd", "--d-max", str(d_max), timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines() == [
         f"error: d={d_max - 1} is too large: (d - 1)^2 overflows a float above d = {MAX_D:.3g}"
@@ -711,17 +705,6 @@ print(sorted(name for name in ("numpy", "quditcost.simverify") if name in sys.mo
 """ + LOADED
 
 
-def fresh_process_stdout(script, *args, config=None):
-    env = {key: value for key, value in os.environ.items() if key != CONFIG_ENV_VAR}
-    env["PYTHONPATH"] = str(Path(quditcost.__file__).resolve().parents[1])
-    if config is not None:
-        env[CONFIG_ENV_VAR] = config
-    proc = subprocess.run([sys.executable, "-c", script, *args],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 # The quditcost modules a process has loaded: the report commands load the
 # report path alone, and verify adds the verify module and nothing else.
 PACKAGE_LOADED = 'print(sorted(name for name in sys.modules if name.split(".")[0] == "quditcost"))'
@@ -734,10 +717,10 @@ assert main(["verify", "--d-max", "5", "--census-max", "5"]) == 0
 
 
 def test_report_commands_load_neither_numpy_nor_the_verify_suites(tmp_path):
-    bare = fresh_process_stdout("import sys; " + LOADED)
-    reports = fresh_process_stdout(REPORTS_IN_A_FRESH_PROCESS + "\n" + PACKAGE_LOADED, str(tmp_path))
+    bare = fresh_process_stdout("-c", "import sys; " + LOADED)
+    reports = fresh_process_stdout("-c", REPORTS_IN_A_FRESH_PROCESS + "\n" + PACKAGE_LOADED, str(tmp_path))
     assert reports == "[]\n" + bare + f"{REPORT_PATH}\n"
-    verify = fresh_process_stdout(VERIFY_IN_A_FRESH_PROCESS).splitlines()
+    verify = fresh_process_stdout("-c", VERIFY_IN_A_FRESH_PROCESS).splitlines()
     assert verify[-1] == str([*REPORT_PATH, "quditcost.simverify"])
 
 
@@ -764,14 +747,14 @@ assert main(["scan-ratio", "--d-max", "11", "--out", sys.argv[1]]) == 0
 
 
 def test_json_loads_only_for_json_output_or_a_config_file(tmp_path):
-    bare = fresh_process_stdout("import sys; " + STARTUP_LOADED)
+    bare = fresh_process_stdout("-c", "import sys; " + STARTUP_LOADED)
     with_json = str(sorted({*ast.literal_eval(bare), "json"})) + "\n"
-    runs = fresh_process_stdout(CSV_THEN_JSON_IN_A_FRESH_PROCESS, str(tmp_path))
+    runs = fresh_process_stdout("-c", CSV_THEN_JSON_IN_A_FRESH_PROCESS, str(tmp_path))
     assert runs == bare + bare + with_json
     config = tmp_path / "default-model.json"
     config.write_text(json.dumps(SynthesisModel()._asdict()))
     out = tmp_path / "with-config.csv"
-    assert fresh_process_stdout(CONFIG_IN_A_FRESH_PROCESS, str(out), config=str(config)) == with_json
+    assert fresh_process_stdout("-c", CONFIG_IN_A_FRESH_PROCESS, str(out), config=str(config)) == with_json
     assert out.read_text() == (tmp_path / "scan-ratio.csv").read_text()
 
 

@@ -13,17 +13,13 @@ must leave nothing behind that the next one reads.
 import argparse
 import json
 import math
-import os
-import subprocess
-import sys
 import typing
-from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import fresh_process_stdout
 
-import quditcost
-from quditcost import __version__, cli, costmodel
+from quditcost import __version__, cli
 from quditcost.costmodel import (
     LcuRow,
     PfRow,
@@ -158,14 +154,14 @@ PASSES = {
     LcuRow: lambda ds: lcu_fixed_encoding_thresholds(2.5, ds, 3000.0, 1e-6),
     ResourceReport: lambda ds: ratio_and_budget(2.5, ds, 3000.0, 1e-6),
 }
-# odd d across costmodel.ONE_NORM_CLOSED_FORM_D and a change of n_b
+# odd d across costmodel.ONE_NORM_SERIES_D and a change of n_b
 DIMENSIONS = range(95, 133, 2)
 
 
+@pytest.mark.usefixtures("fresh_caches")
 @pytest.mark.parametrize("given", ["range", "tuple", "np.int64"])
 @pytest.mark.parametrize("row_type", list(PASSES), ids=lambda row_type: row_type.__name__)
-def test_every_int_column_holds_an_int_at_the_source(monkeypatch, row_type, given):
-    monkeypatch.setattr(costmodel, "_DIMENSION_TERMS", {})
+def test_every_int_column_holds_an_int_at_the_source(row_type, given):
     ds = {"range": DIMENSIONS, "tuple": tuple(DIMENSIONS), "np.int64": tuple(map(np.int64, DIMENSIONS))}[given]
     hints = typing.get_type_hints(row_type)
     ints = [i for i, kind in enumerate(hints.values()) if kind is int]
@@ -183,17 +179,7 @@ def test_every_int_column_holds_an_int_at_the_source(monkeypatch, row_type, give
             assert all(type(printed[name]) is int for name in names)
 
 
-
-def fresh_process_stdout(*argv):
-    env = {**os.environ, "PYTHONPATH": str(Path(quditcost.__file__).parents[1])}
-    env.pop(cli.CONFIG_ENV_VAR, None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "quditcost.cli", *argv],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return proc.stdout
-
-
+@pytest.mark.usefixtures("fresh_caches")
 def test_main_builds_one_parser_per_process(capsys, monkeypatch):
     built = []
     build = cli._build_parser
@@ -202,7 +188,6 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
         built.append(build())
         return built[-1]
 
-    monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "_build_parser", counted_build)
     assert cli.main(["pf-thresholds", "--d-max", "7"]) == 0
     assert cli.main(["scan-ratio", "--d-max", "7"]) == 0
@@ -217,7 +202,7 @@ def test_reused_parser_carries_no_state_between_calls(capsys, tmp_path):
     assert json.loads(out.read_text())["meta"]["k"] == 3
     assert capsys.readouterr().out == ""
     assert cli.main(["scan-ratio"]) == 0
-    assert lines(capsys.readouterr().out) == lines(fresh_process_stdout("scan-ratio"))
+    assert lines(capsys.readouterr().out) == lines(fresh_process_stdout("-m", "quditcost.cli", "scan-ratio"))
 
 
 def test_a_call_that_argparse_rejects_leaves_the_parser_as_it_was(capsys):
@@ -226,4 +211,4 @@ def test_a_call_that_argparse_rejects_leaves_the_parser_as_it_was(capsys):
     assert exc.value.code == 2
     capsys.readouterr()
     assert cli.main(["scan-ratio"]) == 0
-    assert lines(capsys.readouterr().out) == lines(fresh_process_stdout("scan-ratio"))
+    assert lines(capsys.readouterr().out) == lines(fresh_process_stdout("-m", "quditcost.cli", "scan-ratio"))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import closed_phases
 from oracles import (
     TOFFOLI_T_COST,
     binary_prep_angles,
@@ -300,12 +301,6 @@ def test_phase_assembly_matches_sign_times_clock():
 
 
 # ------------------------------------------------------ selection schedule
-
-
-def closed_phases(d):
-    """The d selection phases of the closed form at phi_max = 1."""
-    n = np.arange(d)
-    return select_diag_phases(irreducibility_floor(1.0, d), d, n, beta_closed_form(1.0, d, n)[1])
 
 
 def select_schedule(d):

@@ -4,47 +4,24 @@ costmodel stores the (n_b, alpha_qb, alpha_qd) of each d of a key
 (phi_max, ds) that a block-encoding pass priced twice, and cli the
 --primes dimensions of each range.  A report served from them must print
 what a fresh process prints and raise what a fresh pass raises; a pass
-that raises stores nothing.
+that raises stores nothing.  Every test starts from empty caches
+(fresh_caches).
 """
 
-import contextlib
-import io
 import re
 import sys
 
 import numpy as np
 import oracles
 import pytest
-from test_emit import fresh_process_stdout
+from helpers import entered, fresh_process_stdout, main_stdout
 
 from quditcost import cli, costmodel
 from quditcost.costmodel import SynthesisModel, lcu_fixed_encoding_thresholds, ratio_and_budget
 
 DS = range(3, 258, 2)
 
-
-@pytest.fixture(autouse=True)
-def fresh_memos(monkeypatch):
-    monkeypatch.setattr(costmodel, "_DIMENSION_TERMS", {})
-    monkeypatch.setattr(cli, "_PRIMES", {})
-
-
-def counting(code, call):
-    """The result of call() and how often it entered the function whose code object is code."""
-    calls = 0
-
-    def hook(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is code:
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        result = call()
-    finally:
-        sys.setprofile(previous)
-    return result, calls
+pytestmark = pytest.mark.usefixtures("fresh_caches")
 
 
 def outcome(call):
@@ -54,23 +31,16 @@ def outcome(call):
         return str(exc)
 
 
-def in_process_stdout(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(argv) == 0
-    return out.getvalue()
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", ["scan-ratio", "lcu-table"])
 def test_a_third_call_prints_the_bytes_of_a_fresh_process(command, fmt):
     argv = [command, "--phi-max", "2.5", "--d-max", "257", "--t", "37.5", "--format", fmt]
-    code = costmodel.clock_one_norm.__code__
+    codes = {costmodel.clock_one_norm.__code__}
     # priced, priced and stored, then read from the memo
-    outputs = [counting(code, lambda: in_process_stdout(argv)) for _ in range(3)]
+    outputs = [entered(lambda: main_stdout(argv), codes) for _ in range(3)]
     rows = 128 if command == "scan-ratio" else 54
-    assert [calls for _, calls in outputs] == [rows, rows, 0]
-    want = fresh_process_stdout(*argv)
+    assert [len(calls) for _, calls in outputs] == [rows, rows, 0]
+    want = fresh_process_stdout("-m", "quditcost.cli", *argv)
     assert [text for text, _ in outputs] == [want] * 3
 
 
@@ -93,9 +63,9 @@ def test_a_pass_that_raises_stores_nothing():
 @pytest.mark.parametrize("report", [ratio_and_budget, lcu_fixed_encoding_thresholds])
 def test_a_generator_is_priced_once_and_gives_the_rows_of_the_list(report):
     ds = [3, 5, 99, 101, 4001]
-    code = costmodel.register_width.__code__
-    rows, calls = counting(code, lambda: report(2.5, (d for d in ds), 17.3, 1e-9))
-    assert calls == len(ds)
+    codes = {costmodel.register_width.__code__}
+    rows, calls = entered(lambda: report(2.5, (d for d in ds), 17.3, 1e-9), codes)
+    assert len(calls) == len(ds)
     # the generator's tuple and the list are one key, priced once before
     assert costmodel._DIMENSION_TERMS == {(2.5, tuple(ds)): None}
     assert report(2.5, ds, 17.3, 1e-9) == rows
@@ -130,12 +100,12 @@ def test_phi_max_1_and_2_5_never_share_an_entry():
 
 
 def test_primes_are_tested_once_per_range():
-    code = cli.is_prime.__code__
+    codes = {cli.is_prime.__code__}
     argv = ["lcu-table", "--d-min", "5", "--d-max", "257"]
-    assert [counting(code, lambda: in_process_stdout(argv))[1] for _ in range(2)] == [127, 0]
+    assert [len(entered(lambda: main_stdout(argv), codes)[1]) for _ in range(2)] == [127, 0]
     # --d-min 4 starts at the same odd d: the same range
     argv[2] = "4"
-    assert counting(code, lambda: in_process_stdout(argv))[1] == 0
+    assert entered(lambda: main_stdout(argv), codes)[1] == []
     assert list(cli._PRIMES) == [(5, 257)]
     # another bound is another range
     assert cli._d_values(7, 257, True, "")[0] == 7 and cli._d_values(5, 101, True, "")[-1] == 101

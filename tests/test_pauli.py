@@ -4,12 +4,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from helpers import closed_phases
 from oracles import direct_dft_coefficients, levels, make_grid, one_norm_series, one_norm_weight
 
 from quditcost.costmodel import (
     MAX_D,
-    ONE_NORM_CLOSED_FORM_D,
     ONE_NORM_SERIES,
+    ONE_NORM_SERIES_D,
     clock_one_norm,
     ratio_and_budget,
 )
@@ -162,10 +163,10 @@ def test_one_norm_matches_high_precision(phi_max, d):
 
 
 def test_one_norm_across_the_closed_form_switch_matches_high_precision():
-    # the whole half sum below ONE_NORM_CLOSED_FORM_D, whose worst is about
+    # the whole half sum below ONE_NORM_SERIES_D, whose worst is about
     # 5e-16 at d = 3 and phi_max = 2.5, and the series past it, whose worst
     # is 2.4e-16 at d = 107 and phi_max = 2.5
-    d0 = ONE_NORM_CLOSED_FORM_D
+    d0 = ONE_NORM_SERIES_D
     for d in [*range(3, d0 + 201, 2), 1025, 4097, 14647, 20001]:
         with mpmath.workdps(40):
             # the doubled half-range sum at 40 significant digits
@@ -190,7 +191,7 @@ def test_one_norm_series_literals_are_the_nearest_doubles():
             assert error <= abs(math.nextafter(literal, math.inf) - exact), literal
             assert error <= abs(math.nextafter(literal, -math.inf) - exact), literal
         # the first omitted term, relative at the switch, where it is largest
-        assert abs(coefficients[11]) / ONE_NORM_CLOSED_FORM_D**11 / coefficients[0] < 2e-20
+        assert abs(coefficients[11]) / ONE_NORM_SERIES_D**11 / coefficients[0] < 2e-20
 
 
 def test_one_norm_series_matches_trigamma_and_euler_maclaurin_up_to_max_d():
@@ -234,23 +235,17 @@ def test_one_norm_closed_form_keeps_its_bits(phi_max, d, bits):
 
 
 def test_one_norm_half_sum_equals_the_numpy_expression():
-    """Below ONE_NORM_CLOSED_FORM_D the stdlib half sum gives the float of the numpy sum.
+    """Below ONE_NORM_SERIES_D the stdlib half sum gives the float of the numpy sum.
 
     The one-norm was first the numpy expression below; the report outputs
     keep its value bit for bit.  Equality depends on the machine: numpy's
     SIMD sin and cos may round differently from the C library's elsewhere,
     and then this test fails while both one-norms stay within 5e-16.
     """
-    for d in range(3, ONE_NORM_CLOSED_FORM_D, 2):
+    for d in range(3, ONE_NORM_SERIES_D, 2):
         x = np.pi * np.arange(1, (d + 1) // 2) / d
         weights = float((np.cos(x) / np.sin(x) ** 2).sum())
         assert clock_one_norm(1.7, d) == 1.7**2 * 4.0 / (d - 1) ** 2 * weights, d
-
-
-def closed_phases(d):
-    """The selection phases of the closed form at phi_max = 1."""
-    n = np.arange(d)
-    return select_diag_phases(irreducibility_floor(1.0, d), d, n, beta_closed_form(1.0, d, n)[1])
 
 
 def test_select_diag_phases_d3():

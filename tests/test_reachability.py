@@ -3,25 +3,25 @@
 Runs the four commands in-process at small caps under a profiler hook and
 checks that each function whose code lives in a quditcost module was
 called.  Functions are matched by code-object identity, which works on
-every supported Python (co_qualname needs 3.11).
+every supported Python (co_qualname needs 3.11).  The commands start from
+empty per-process caches (fresh_caches), so that each cache is built again
+by the function that fills it.
 """
 
-import contextlib
-import io
 import pkgutil
-import sys
 import types
 from importlib import import_module
 
+import pytest
+from helpers import entered, main_stdout
+
 import quditcost
-from quditcost import cli, costmodel
-from quditcost.cli import main
 
 COMMANDS = [
     ["pf-thresholds", "--d-max", "7"],
     ["lcu-table", "--d-max", "7", "--format", "json"],
     ["scan-ratio", "--d-max", "7", "--k", "3"],
-    # crosses costmodel.ONE_NORM_CLOSED_FORM_D, where the one-norm switches to its closed form
+    # crosses costmodel.ONE_NORM_SERIES_D, where the one-norm switches to its series in 1/d
     ["scan-ratio", "--d-min", "99", "--d-max", "103"],
     ["verify", "--d-max", "5", "--census-max", "5"],
 ]
@@ -51,40 +51,16 @@ def library_functions():
     return found
 
 
-def called_code_objects():
-    # main reuses a parser, and the cached one-norm sums, dimension terms,
-    # prime lists and row templates, that an earlier test may have built:
-    # build them again here
-    cli._PARSER = None
-    costmodel._HALF_WEIGHT_SUMS.clear()
-    costmodel._DIMENSION_TERMS.clear()
-    cli._PRIMES.clear()
-    cli._TEMPLATES.clear()
-    seen = set()
-
-    def hook(frame, event, arg):
-        if event == "call":
-            seen.add(frame.f_code)
-
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes = [main(argv) for argv in COMMANDS]
-    finally:
-        sys.setprofile(previous)
-    assert codes == [0] * len(COMMANDS)
-    return seen
-
-
 def test_library_functions_are_found():
     # one of each kind: module function, method
     names = set(library_functions().values())
     assert {"cli.main", "costmodel.SynthesisModel.__new__"} <= names
 
 
+@pytest.mark.usefixtures("fresh_caches")
 def test_every_library_function_serves_a_command():
     functions = library_functions()
-    seen = called_code_objects()
+    _, calls = entered(lambda: [main_stdout(argv) for argv in COMMANDS])
+    seen = {code for code, _ in calls}
     uncalled = sorted(name for code, name in functions.items() if code not in seen)
     assert uncalled == []

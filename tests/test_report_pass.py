@@ -11,6 +11,7 @@ import math
 
 import oracles
 import pytest
+from helpers import fresh_process_stdout
 
 from quditcost.costmodel import MAX_D, SynthesisModel, lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
 
@@ -18,7 +19,7 @@ PHI_MAX = [1e-200, 0.37, 1.0, 2.5, 10.0]
 TIMES = [0.0, 0.1, 17.3, 3000.0]
 EPS = [0.5, 1e-6, 1e-12, 1e-297]
 KS = [1, 2, 3]
-# both sides of costmodel.ONE_NORM_CLOSED_FORM_D, and dimensions up to the per-rotation floor
+# both sides of costmodel.ONE_NORM_SERIES_D, and dimensions up to the per-rotation floor
 DS = [3, 5, 7, 33, 99, 101, 103, 4001, 1000001, 16777217]
 
 
@@ -121,3 +122,43 @@ def test_an_error_at_a_later_d_is_the_error_of_that_d():
     assert want[0] is ValueError and "d=20000001 " in want[1]
     assert ratio_and_budget(1.0, ds[:2], 0.01, 1e-297) == [oracles.scan_row(1.0, d, 0.01, 1e-297) for d in ds[:2]]
     assert outcome(lambda: ratio_and_budget(1.0, ds, 0.01, 1e-297)) == want
+
+
+# Each call, in a new process, prints the ValueError it raises.  DS holds
+# about 10^154 dimensions up to MAX_D: a pass that priced them before it
+# reached its last d would not end, and the timeout fails the test instead.
+# A first row fails it at once.
+PAST_MAX_D = """
+import sys
+from quditcost.costmodel import lcu_fixed_encoding_thresholds, pf_thresholds, ratio_and_budget
+
+def row(*columns):
+    raise AssertionError(f"a row was priced: {columns}")
+
+DS = range(3, 10**200, 2)
+for call in sys.argv[1:]:
+    try:
+        eval(call)
+    except ValueError as exc:
+        print(exc)
+"""
+# each pass, with valid scalars and with each scalar fault: the range fails first
+CALLS_PAST_MAX_D = {
+    "pf_thresholds": ["pf_thresholds(DS, 1e-6, row=row)", "pf_thresholds(DS, 2.0, row=row)"],
+    "lcu_fixed_encoding_thresholds": [
+        f"lcu_fixed_encoding_thresholds({phi_max}, DS, {t}, {eps}, row=row)"
+        for phi_max, t, eps in [(1.0, 0.1, 1e-6), (-1.0, 0.1, 1e-6), (1.0, -1.0, 1e-6), (1.0, 0.1, 2.0)]
+    ],
+    "ratio_and_budget": [
+        f"ratio_and_budget({phi_max}, DS, {t}, {eps}, {k}, row=row)"
+        for phi_max, t, eps, k in [(1.0, 0.1, 1e-6, 2), (1.0, 0.1, 1e-6, 0), (-1.0, -1.0, 2.0, 2)]
+    ],
+}
+
+
+@pytest.mark.parametrize("report", sorted(CALLS_PAST_MAX_D))
+def test_a_library_pass_over_a_range_past_max_d_fails_before_its_first_row(report):
+    calls = CALLS_PAST_MAX_D[report]
+    out = fresh_process_stdout("-c", PAST_MAX_D, *calls, timeout=10)
+    message = f"d={10**200 - 1} is too large: (d - 1)^2 overflows a float above d = {MAX_D:.3g}"
+    assert out.splitlines() == [message] * len(calls)
