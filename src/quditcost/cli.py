@@ -7,6 +7,7 @@ import typing
 
 from . import __version__
 from .costmodel import (
+    MAX_D,
     LcuRow,
     PfRow,
     ResourceReport,
@@ -30,6 +31,9 @@ EXIT_BROKEN_PIPE = 141
 # of the coefficient and census suites.
 DIM_CAP = 64
 CENSUS_CAP = 513
+# Most odd d in the range of one run, ten times the largest documented scan:
+# a report holds every row until it prints the last
+MAX_RANGE_D = 10**7
 
 # Options a report header prints, in order, where the command defines them,
 # and the options that the header of verify prints.
@@ -115,14 +119,11 @@ def _load_model() -> SynthesisModel:
         raise ConfigError(f"config file {path}: {exc}") from exc
 
 
-# The --primes dimensions of each (lo, d_max), tested once per process
-_PRIMES: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
 def _d_values(d_min: int, d_max: int, prime_only: bool, *flags: str) -> typing.Sequence[int]:
     """The odd d >= 3 from d_min to d_max, primes only if prime_only; flags name the bounds in an error.
 
-    A range, or the tuple of its primes, tested once per range and process.
+    A range, or the tuple of its primes.  More than MAX_RANGE_D odd d raise
+    before any prime test, unless the last d is past MAX_D, which the pass names.
     """
     lo = max(d_min, 3) | 1
     if prime_only and d_max >= PRIME_TEST_BOUND:
@@ -130,15 +131,15 @@ def _d_values(d_min: int, d_max: int, prime_only: bool, *flags: str) -> typing.S
             f"--d-max={d_max} is too large for --primes: the prime test is exact "
             f"only below {PRIME_TEST_BOUND}"
         )
+    bounds = " and ".join(flags) + (" holds" if len(flags) == 1 else " hold")
     values = range(lo, d_max + 1, 2)
+    # (d_max - lo) // 2 + 1 odd d, where len(values) overflows past sys.maxsize
+    if (d_max - lo) // 2 >= MAX_RANGE_D and values[-1] <= MAX_D:
+        raise ConfigError(f"too many dimensions: {bounds} more than {MAX_RANGE_D} odd d")
     if prime_only:
-        if (lo, d_max) not in _PRIMES:
-            _PRIMES[lo, d_max] = tuple(filter(is_prime, values))
-        values = _PRIMES[lo, d_max]
+        values = tuple(filter(is_prime, values))
     if not values:
-        kind = "odd prime" if prime_only else "odd"
-        verb = "holds" if len(flags) == 1 else "hold"
-        raise ConfigError(f"empty scan range: {' and '.join(flags)} {verb} no {kind} d >= 3")
+        raise ConfigError(f"empty scan range: {bounds} no {'odd prime' if prime_only else 'odd'} d >= 3")
     return values
 
 
@@ -153,24 +154,18 @@ def _switch_count(text: str) -> int:
     return k
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".9g")
-
-
 def _header_text(value) -> str:
     """A CSV header value: as in a row, unless a float needs more than 9 digits to read back."""
-    if isinstance(value, str):
-        return value
-    text = _fmt(value)
-    return repr(value) if isinstance(value, float) and float(text) != value else text
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if not isinstance(value, float):
+        return str(value)
+    text = format(value, ".9g")
+    return repr(value) if float(text) != value else text
 
 
 # The % conversion of an int and of a float column, per output format: in
-# CSV _fmt's bytes, in JSON json's, whose float is float.__repr__.  An int
+# CSV str and 9 significant digits, in JSON json's, float.__repr__.  An int
 # column takes %s, str of the value, which prints any int in full, where %d
 # would truncate a float; the report passes hold an int in each int column
 _FIELD_SPECS = {"csv": {int: "%s", float: "%.9g"}, "json": {int: "%s", float: "%r"}}

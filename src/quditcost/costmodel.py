@@ -10,9 +10,8 @@ affordable per-switch conversion overhead.  A report is one pass over its
 dimensions: it checks ds first (_dimensions), then its scalar inputs once,
 then each row checks d once, through register_width, and evaluates each
 formula it prints once.  The qudit alpha is the clock-power one-norm
-(clock_one_norm), O(1) in d.  A block-encoding pass over a (phi_max, ds)
-that the process priced twice before reads each d's n_b and both
-normalizations from a per-process memo (_pass_terms), one list per key.
+(clock_one_norm), O(1) in d.  Every pass prices each of its d from
+scratch; a process keeps only the one-norm half sums of the small d.
 Like everything the report commands import, the module is stdlib only.
 
 The field grid, d = 2M + 1 levels spaced delta_phi = 2 phi_max / (d - 1) on
@@ -23,7 +22,6 @@ check_phi_max are the checks of those two numbers that every module uses.
 import math
 import operator
 import sys
-from itertools import repeat
 from typing import Callable, Iterable, NamedTuple
 
 # Largest local dimension: the coefficient scale 2 phi_max^2 / (d - 1)^2
@@ -208,7 +206,9 @@ def break_even(
     rz = rz_cost(budget, rotations, d, model)
     log_term = math.log2(rotations / budget)
     denominator = queries * rotations * log_term
-    check_finite(d, t, eps, qubit_cost, denominator, rz)
+    # the sum is finite if all three are; check_finite lets three finite terms whose sum overflows pass
+    if not math.isfinite(qubit_cost + denominator + rz):
+        check_finite(d, t, eps, qubit_cost, denominator, rz)
     return qubit_cost / denominator, rz / log_term
 
 
@@ -329,35 +329,10 @@ def _log_term(phi_max: float, t: float, eps_sim: float) -> float:
     return math.log2(1.0 / eps_sim)
 
 
-# The (n_b, alpha_qb, alpha_qd) of each d of a key (phi_max, ds) that a
-# block-encoding pass priced twice, and None for a key priced once.  A pass
-# records its key only once it returns, so a one-shot scan keeps its key and
-# no values.  A dict, not functools.cache, as for _HALF_WEIGHT_SUMS.
-_DIMENSION_TERMS: dict[tuple, list[tuple[int, float, float]] | None] = {}
-
-
-def _pass_terms(phi_max: float, ds: range | tuple[int, ...]) -> tuple:
-    """(key, terms, fresh) of a block-encoding pass over the ds of _dimensions, after _log_term.
-
-    key is (phi_max, ds).  terms yields per d the stored (n_b, alpha_qb,
-    alpha_qd) of a key priced twice before, else None: _query_counts then
-    checks and prices d.  fresh is the list it fills for a key priced once
-    before, the stored list of a hit, and None for a first pricing; the
-    pass stores it under key once it returns.
-    """
-    key = (phi_max, ds)
-    stored = _DIMENSION_TERMS.get(key)
-    if stored is not None:
-        return key, stored, stored
-    return key, repeat(None), [] if key in _DIMENSION_TERMS else None
-
-
-def _query_counts(phi_max: float, d: int, terms, fresh, t: float, eps_sim: float, log_term: float) -> tuple:
+def _query_counts(phi_max: float, d: int, t: float, eps_sim: float, log_term: float) -> tuple:
     """Both block-encoding chains at d up to their query counts, after _log_term.
 
-    terms is d's stored (n_b, alpha_qb, alpha_qd), or None to evaluate
-    them here and append them to fresh, if a list (_pass_terms).  Returns
-    (n_b, alpha_qb, q_qb, per_call_qb, t_tot_qb, alpha_qd, q_qd).
+    Returns (n_b, alpha_qb, q_qb, per_call_qb, t_tot_qb, alpha_qd, q_qd).
     The normalizations are delta_phi^2 (2^(n_b-1) - 1)^2 for the qubit
     route and clock_one_norm for the qudit route, with
     delta_phi = 2 phi_max / (d - 1).  Q = alpha t + log2(1 / eps_sim) is a
@@ -367,14 +342,9 @@ def _query_counts(phi_max: float, d: int, terms, fresh, t: float, eps_sim: float
     preparation direction (paid twice) 4 b_r + 2 n_b - 16 Toffolis, the
     selector 2 (n_b - 1) Toffolis, 4 T per Toffoli, plus 20 direct T gates.
     """
-    if terms is None:
-        n_b = register_width(d)
-        alpha_qb = (2.0 * phi_max / (d - 1)) ** 2 * (2 ** (n_b - 1) - 1) ** 2
-        alpha_qd = clock_one_norm(phi_max, d)
-        if fresh is not None:
-            fresh.append((n_b, alpha_qb, alpha_qd))
-    else:
-        n_b, alpha_qb, alpha_qd = terms
+    n_b = register_width(d)
+    alpha_qb = (2.0 * phi_max / (d - 1)) ** 2 * (2 ** (n_b - 1) - 1) ** 2
+    alpha_qd = clock_one_norm(phi_max, d)
     q_qb = alpha_qb * t + log_term
     q_qd = alpha_qd * t + log_term
     for q in (q_qb, q_qd):
@@ -439,11 +409,9 @@ def ratio_and_budget(
     if k < 1:
         raise ValueError(f"switch count must be at least 1, got {k}")
     log_term = _log_term(phi_max, t, eps_sim)
-    key, terms, fresh = _pass_terms(phi_max, ds)
     rows = []
-    for d, known in zip(ds, terms):
-        n_b, alpha_qb, q_qb, per_call_qb, total_qb, alpha_qd, q_qd = _query_counts(
-            phi_max, d, known, fresh, t, eps_sim, log_term)
+    for d in ds:
+        n_b, alpha_qb, q_qb, per_call_qb, total_qb, alpha_qd, q_qd = _query_counts(phi_max, d, t, eps_sim, log_term)
         rotations = 2 * (2**n_b - 1) + n_b
         per_call_qd = rotations * rz_cost(eps_sim / q_qd, rotations, d, model) + 4 * n_b
         total_qd = q_qd * per_call_qd
@@ -459,7 +427,6 @@ def ratio_and_budget(
             d, n_b, alpha_qb, alpha_qd, q_qb, q_qd, per_call_qb, per_call_qd,
             total_qb, total_qd, total_qb / total_qd, delta, budget,
         ))
-    _DIMENSION_TERMS[key] = fresh
     return rows
 
 
@@ -490,10 +457,8 @@ def lcu_fixed_encoding_thresholds(
     """
     ds = _dimensions(ds)
     log_term = _log_term(phi_max, t, eps_sim)
-    key, terms, fresh = _pass_terms(phi_max, ds)
     rows = []
-    for d, known in zip(ds, terms):
-        _, _, _, _, total_qb, _, q_qd = _query_counts(phi_max, d, known, fresh, t, eps_sim, log_term)
+    for d in ds:
+        _, _, _, _, total_qb, _, q_qd = _query_counts(phi_max, d, t, eps_sim, log_term)
         rows.append(row(d, *break_even(total_qb, q_qd, 3 * d - 3, eps_sim / q_qd, d, t, eps_sim, model)))
-    _DIMENSION_TERMS[key] = fresh
     return rows

@@ -10,7 +10,17 @@ from helpers import fresh_env, fresh_process, fresh_process_stdout
 from oracles import is_prime_trial_division
 
 import quditcost
-from quditcost.cli import CENSUS_CAP, CONFIG_ENV_VAR, DIM_CAP, PRIME_TEST_BOUND, is_prime, main
+from quditcost.cli import (
+    CENSUS_CAP,
+    CONFIG_ENV_VAR,
+    DIM_CAP,
+    MAX_RANGE_D,
+    PRIME_TEST_BOUND,
+    ConfigError,
+    _d_values,
+    is_prime,
+    main,
+)
 from quditcost.costmodel import MAX_D, SynthesisModel, ratio_and_budget
 from quditcost.simverify import MAX_NUMERATOR_D
 
@@ -170,6 +180,12 @@ def test_scan_ratio_rows_reproducible_from_library(capsys):
         (report,) = ratio_and_budget(1.0, [int(row["d"])], 3000.0, 1e-6, k=2)
         for column in ("ratio", "t_tot_qb", "t_tot_qd", "budget_per_switch"):
             assert float(row[column]) == pytest.approx(getattr(report, column), rel=1e-8)
+
+
+def test_an_even_d_min_starts_at_the_next_odd_d(capsys):
+    _, out, _ = run_cli(capsys, "lcu-table", "--d-min", "5", "--d-max", "257")
+    assert parse_csv(out)[0]["d"] == "5"
+    assert run_cli(capsys, "lcu-table", "--d-min", "4", "--d-max", "257") == (0, out, "")
 
 
 def test_scan_ratio_rows_keyed_by_dimension(capsys):
@@ -642,6 +658,35 @@ def test_a_range_past_max_d_fails_before_its_first_row(command):
     assert proc.stderr.splitlines() == [
         f"error: d={d_max - 1} is too large: (d - 1)^2 overflows a float above d = {MAX_D:.3g}"
     ]
+
+
+def test_a_range_of_max_range_d_odd_d_is_taken_and_one_more_is_refused():
+    d_max = 5 + 2 * (MAX_RANGE_D - 1)
+    assert len(_d_values(5, d_max, False, "--d-min=5", f"--d-max={d_max}")) == MAX_RANGE_D
+    message = f"too many dimensions: --d-min=4 and --d-max={d_max + 2} hold more than {MAX_RANGE_D} odd d"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        _d_values(4, d_max + 2, False, "--d-min=4", f"--d-max={d_max + 2}")
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["scan-ratio", "--d-max", str(10**100)], f"--d-min=3 and --d-max={10**100} hold"),
+        (["pf-thresholds", "--all-odd", "--d-min", "5", "--d-max", str(5 + 2 * MAX_RANGE_D)], "--d-min=5 and"),
+        # before any prime test, which would take the range one d at a time
+        (["lcu-table", "--primes", "--d-max", str(10**20)], f"--d-min=3 and --d-max={10**20} hold"),
+        # verify's caps share the limit, below the int64 bound of its numerators
+        (["verify", "--census-max", str(3 + 2 * MAX_RANGE_D)], f"--census-max={3 + 2 * MAX_RANGE_D} holds"),
+    ],
+    ids=["scan-ratio", "pf-thresholds", "lcu-table-primes", "verify"],
+)
+def test_a_range_of_more_than_max_range_d_odd_d_is_refused_before_any_row(argv, named):
+    # every row is held until the last, so such a run would grow until it
+    # was killed; in a subprocess, the timeout fails the test instead
+    proc = fresh_process("-m", "quditcost.cli", *argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: too many dimensions: {named} ")
+    assert proc.stderr.endswith(f" more than {MAX_RANGE_D} odd d\n")
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,8 @@
 `cli._row_format` formats each row with one % template per row type and
 output format, and `cli._emit` frames the rows under the meta header.  The
 oracle of JSON is the plain `json.dumps(payload, indent=2)` of the row
-dicts; the oracle of CSV joins the rows value by value through `cli._fmt`,
-as the CLI once did.  An int column prints by %s, which would print a
+dicts; the oracle of CSV joins the rows value by value through `fmt`, as
+the CLI once did.  An int column prints by %s, which would print a
 float there as it is, so the report passes are checked to hold an int in
 each such column.  `main` builds its parser once per process, so a call
 must leave nothing behind that the next one reads.
@@ -17,7 +17,7 @@ import typing
 
 import numpy as np
 import pytest
-from helpers import fresh_process_stdout
+from helpers import fresh_process_stdout, main_stdout
 
 from quditcost import __version__, cli
 from quditcost.costmodel import (
@@ -41,10 +41,17 @@ def indent_2_dump(args, rows):
     return json.dumps({"meta": header(args), "rows": [row._asdict() for row in rows]}, indent=2) + "\n"
 
 
+def fmt(value):
+    """A CSV value as the CLI once printed it: true or false, str of an int, 9 significant digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value) if isinstance(value, int) else format(value, ".9g")
+
+
 def fmt_joined_csv(args, rows):
-    lines = [f"# {key}={val if isinstance(val, str) else cli._fmt(val)}" for key, val in header(args).items()]
+    lines = [f"# {key}={val if isinstance(val, str) else fmt(val)}" for key, val in header(args).items()]
     lines.append(",".join(type(rows[0])._fields))
-    lines += [",".join(cli._fmt(value) for value in row) for row in rows]
+    lines += [",".join(fmt(value) for value in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -158,7 +165,6 @@ PASSES = {
 DIMENSIONS = range(95, 133, 2)
 
 
-@pytest.mark.usefixtures("fresh_caches")
 @pytest.mark.parametrize("given", ["range", "tuple", "np.int64"])
 @pytest.mark.parametrize("row_type", list(PASSES), ids=lambda row_type: row_type.__name__)
 def test_every_int_column_holds_an_int_at_the_source(row_type, given):
@@ -166,17 +172,15 @@ def test_every_int_column_holds_an_int_at_the_source(row_type, given):
     hints = typing.get_type_hints(row_type)
     ints = [i for i, kind in enumerate(hints.values()) if kind is int]
     names = [name for name, kind in hints.items() if kind is int]
-    # a pass prices a range once cold, once recording its terms, and then from the record
-    for _ in range(3):
-        rows = PASSES[row_type](ds)
-        assert [row.d for row in rows] == list(DIMENSIONS)
-        assert all(type(row[i]) is int for row in rows for i in ints)
-        # d and n_b print as integers, with no "." that a float there would print
-        csv, as_json = cli._row_format(row_type, "csv"), cli._row_format(row_type, "json")
-        for row in rows:
-            assert all(csv(*row).split(",")[i].isdigit() for i in ints)
-            printed = json.loads(as_json(*row).rstrip().rstrip(","))
-            assert all(type(printed[name]) is int for name in names)
+    rows = PASSES[row_type](ds)
+    assert [row.d for row in rows] == list(DIMENSIONS)
+    assert all(type(row[i]) is int for row in rows for i in ints)
+    # d and n_b print as integers, with no "." that a float there would print
+    csv, as_json = cli._row_format(row_type, "csv"), cli._row_format(row_type, "json")
+    for row in rows:
+        assert all(csv(*row).split(",")[i].isdigit() for i in ints)
+        printed = json.loads(as_json(*row).rstrip().rstrip(","))
+        assert all(type(printed[name]) is int for name in names)
 
 
 @pytest.mark.usefixtures("fresh_caches")
@@ -193,6 +197,15 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
     assert cli.main(["scan-ratio", "--d-max", "7"]) == 0
     capsys.readouterr()
     assert len(built) == 1 and cli._PARSER is built[0]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["scan-ratio", "lcu-table"])
+def test_a_third_call_prints_the_bytes_of_a_fresh_process(command, fmt):
+    # the parser and the row templates are reused; every row is priced again
+    argv = [command, "--phi-max", "2.5", "--d-max", "257", "--t", "37.5", "--format", fmt]
+    want = fresh_process_stdout("-m", "quditcost.cli", *argv)
+    assert [main_stdout(argv) for _ in range(3)] == [want] * 3
 
 
 def test_reused_parser_carries_no_state_between_calls(capsys, tmp_path):

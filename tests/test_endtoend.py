@@ -140,6 +140,24 @@ def test_report_row_is_constant_size_in_d():
     assert peak < 100_000
 
 
+def test_pricing_one_range_three_times_holds_nothing_once_its_rows_are_dropped():
+    # less than a byte per d: no per-range cache fits.  The untraced calls over
+    # the small d fill the one-norm half sums and the free lists of the interpreter
+    ds = range(3, 40003, 2)
+    reports = [ratio_and_budget, lcu_fixed_encoding_thresholds] * 3
+    for report in reports[:2]:
+        report(1.5, ds[:500], 0.1, 1e-6)
+    tracemalloc.start()
+    try:
+        for report in reports:
+            rows = report(1.5, ds, 0.1, 1e-6)
+            del rows
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < len(ds)
+
+
 def test_per_rotation_budget_floor_names_d():
     # eps_be is about 1e-300; at this d each row splits it over at least
     # 6e7 rotations, which leaves less than the smallest normal float each

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import FieldGrid, levels, make_grid, squared_mean
+from oracles import FieldGrid, make_grid, squared_mean
 
 from quditcost.costmodel import (
     check_phi_max,
@@ -41,6 +41,15 @@ def test_even_d_rejected():
 def test_a_non_integer_d_is_rejected_by_name(use_d, bad_d):
     with pytest.raises(TypeError, match=re.escape(f"d must be an integer, got {bad_d!r}")):
         use_d(bad_d)
+
+
+@pytest.mark.parametrize("report", [ratio_and_budget, lcu_fixed_encoding_thresholds], ids=lambda f: f.__name__)
+def test_a_float_d_is_named_by_each_pass(report):
+    # before any row, and before the scalar checks: t = -1 is named second
+    with pytest.raises(TypeError, match=re.escape("d must be an integer, got 3.0")):
+        report(1.0, [3.0, 5.0], -1.0, 1e-6)
+    # a numpy integer d gives the rows of the int d, repr for repr
+    assert repr(report(1.0, np.array([3, 5]), 0.1, 1e-6)) == repr(report(1.0, [3, 5], 0.1, 1e-6))
 
 
 def test_a_numpy_integer_d_is_an_integer():

@@ -1,9 +1,10 @@
 """Every function and method in src/quditcost serves a command.
 
-Runs the four commands in-process at small caps under a profiler hook and
-checks that each function whose code lives in a quditcost module was
-called.  Functions are matched by code-object identity, which works on
-every supported Python (co_qualname needs 3.11).  The commands start from
+Runs the four commands in-process at small caps, and one report whose
+total overflows, under a profiler hook and checks that each function whose
+code lives in a quditcost module was called.  Functions are matched by
+code-object identity, which works on every supported Python (co_qualname
+needs 3.11).  The commands start from
 empty per-process caches (fresh_caches), so that each cache is built again
 by the function that fills it.
 """
@@ -16,6 +17,7 @@ import pytest
 from helpers import entered, main_stdout
 
 import quditcost
+from quditcost import cli
 
 COMMANDS = [
     ["pf-thresholds", "--d-max", "7"],
@@ -25,6 +27,8 @@ COMMANDS = [
     ["scan-ratio", "--d-min", "99", "--d-max", "103"],
     ["verify", "--d-max", "5", "--census-max", "5"],
 ]
+# an error path, exit 2: a report checks its costs (check_finite) only once one overflows
+OVERFLOWING = ["lcu-table", "--all-odd", "--t", "1.2e299", "--eps", "0.5", "--d-min", "8388609", "--d-max", "8388609"]
 
 
 def _functions(namespace, module):
@@ -60,7 +64,14 @@ def test_library_functions_are_found():
 @pytest.mark.usefixtures("fresh_caches")
 def test_every_library_function_serves_a_command():
     functions = library_functions()
-    _, calls = entered(lambda: [main_stdout(argv) for argv in COMMANDS])
+
+    def run_commands():
+        for argv in COMMANDS:
+            main_stdout(argv)
+        return cli.main(OVERFLOWING)
+
+    code, calls = entered(run_commands)
+    assert code == 2
     seen = {code for code, _ in calls}
     uncalled = sorted(name for code, name in functions.items() if code not in seen)
     assert uncalled == []

@@ -10,7 +10,7 @@ each exact numerator array once per dimension, in one pass for all its
 per-d suites: its block calls cover each d exactly once.  A process sums
 the one-norm weights of each small d once.  Every test starts from empty
 per-process caches (fresh_caches), so that each report builds its parser
-and templates and prices its dimensions itself.
+and templates and sums its one-norm weights itself.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ import pytest
 from helpers import entered, main_stdout
 
 from quditcost import costmodel, simverify
+from quditcost.costmodel import lcu_fixed_encoding_thresholds, ratio_and_budget
 
 pytestmark = pytest.mark.usefixtures("fresh_caches")
 
@@ -42,6 +43,14 @@ def test_each_row_checks_d_once_and_prices_each_formula_once(command, expected):
     assert len(rows) == 20  # d = 3, 5, ..., 41
     names = [code.co_name for code, _ in calls]
     assert {func.__name__: names.count(func.__name__) / len(rows) for func in COUNTED} == expected
+
+
+@pytest.mark.parametrize("report", [ratio_and_budget, lcu_fixed_encoding_thresholds], ids=lambda f: f.__name__)
+def test_a_generator_of_d_is_priced_once(report):
+    ds = [3, 5, 99, 101, 4001]
+    rows, calls = entered(lambda: report(2.5, (d for d in ds), 17.3, 1e-9), {costmodel.register_width.__code__})
+    assert [args["d"] for _, args in calls] == ds
+    assert rows == report(2.5, ds, 17.3, 1e-9)
 
 
 @pytest.mark.parametrize("command", ["scan-ratio", "lcu-table", "pf-thresholds", "verify"])
