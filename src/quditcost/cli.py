@@ -7,7 +7,6 @@ import typing
 
 from . import __version__
 from .costmodel import (
-    MAX_D,
     LcuRow,
     PfRow,
     ResourceReport,
@@ -123,7 +122,7 @@ def _d_values(d_min: int, d_max: int, prime_only: bool, *flags: str) -> typing.S
     """The odd d >= 3 from d_min to d_max, primes only if prime_only; flags name the bounds in an error.
 
     A range, or the tuple of its primes.  More than MAX_RANGE_D odd d raise
-    before any prime test, unless the last d is past MAX_D, which the pass names.
+    before any prime test.
     """
     lo = max(d_min, 3) | 1
     if prime_only and d_max >= PRIME_TEST_BOUND:
@@ -134,7 +133,7 @@ def _d_values(d_min: int, d_max: int, prime_only: bool, *flags: str) -> typing.S
     bounds = " and ".join(flags) + (" holds" if len(flags) == 1 else " hold")
     values = range(lo, d_max + 1, 2)
     # (d_max - lo) // 2 + 1 odd d, where len(values) overflows past sys.maxsize
-    if (d_max - lo) // 2 >= MAX_RANGE_D and values[-1] <= MAX_D:
+    if (d_max - lo) // 2 >= MAX_RANGE_D:
         raise ConfigError(f"too many dimensions: {bounds} more than {MAX_RANGE_D} odd d")
     if prime_only:
         values = tuple(filter(is_prime, values))
@@ -267,16 +266,10 @@ def _pf_report(args: argparse.Namespace, ds: typing.Sequence[int], model: Synthe
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # the verify side needs numpy; the report commands never load it
-    from .simverify import MAX_NUMERATOR_D, run_suites
+    from .simverify import run_suites
 
-    ranges = []
-    for flag, cap in (("--d-max", args.d_max), ("--census-max", args.census_max)):
-        if cap > MAX_NUMERATOR_D:
-            raise ConfigError(
-                f"{flag}={cap} is too large: the selection numerators are exact in int64 "
-                f"only up to d = {MAX_NUMERATOR_D}"
-            )
-        ranges.append(_d_values(3, cap, False, f"{flag}={cap}"))
+    caps = (("--d-max", args.d_max), ("--census-max", args.census_max))
+    ranges = [_d_values(3, cap, False, f"{flag}={cap}") for flag, cap in caps]
     results = run_suites(args.phi_max, *ranges, args.inject_angle_error)
     # the header follows the suites, so that an error leaves stdout empty
     sys.stdout.writelines(_meta_lines(_meta(args, VERIFY_META_KEYS)))

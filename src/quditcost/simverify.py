@@ -479,10 +479,10 @@ def run_suites(
     """The six suites, from one closed form, phase list, ladder, one-norm and level array per d.
 
     dense_ds and census_ds are nonempty, sorted sequences of odd d >= 3, up
-    to MAX_NUMERATOR_D, where the exact numerators still fit int64; the
-    caller keeps d within that bound, and membership in a range is O(1).
-    inject, phi_max and each d (costmodel.register_width) are checked
-    before any suite runs.  The d of both sequences run in blocks (see
+    to MAX_NUMERATOR_D, where the exact numerators still fit int64;
+    membership in a range is O(1).  inject, phi_max and each d
+    (costmodel.register_width, then that bound) are checked before any
+    suite runs.  The d of both sequences run in blocks (see
     Blocks above).
 
     Over the d of dense_ds: trotter-schedule, native step schedules
@@ -530,12 +530,13 @@ def run_suites(
 
     Raises:
         ValueError: for a non-finite inject, a d that register_width
-            rejects, or a phi_max that puts a coefficient at the largest d
-            checked outside the normal floats, where no verdict would hold:
-            the smallest exact one, twice the irreducibility floor, below
-            the smallest normal float, or beta_0's numerator
-            phi_max^2 (d + 1) above the largest; and, from the pass, for
-            step angles that qudit_trotter_angles rejects.
+            rejects or that is above MAX_NUMERATOR_D, or a phi_max that
+            puts a coefficient at the largest d checked outside the normal
+            floats, where no verdict would hold: the smallest exact one,
+            twice the irreducibility floor, below the smallest normal
+            float, or beta_0's numerator phi_max^2 (d + 1) above the
+            largest; and, from the pass, for step angles that
+            qudit_trotter_angles rejects.
     """
     if not math.isfinite(inject):
         raise ValueError(f"--inject-angle-error must be finite, got {inject}")
@@ -544,6 +545,8 @@ def run_suites(
     for d in dims:
         register_width(d)
     d = dims[-1]
+    if d > MAX_NUMERATOR_D:
+        raise ValueError(f"d={d} is too large: the selection numerators 4 d^2 overflow int64 above d = {MAX_NUMERATOR_D}")
     if 2.0 * irreducibility_floor(phi_max, d) < sys.float_info.min:
         raise ValueError(
             f"phi_max={phi_max} is too small for d={d}: its smallest coefficient "

@@ -333,16 +333,17 @@ def test_verify_injected_angle_error_moves_only_the_select_schedule_line(capsys)
 
 
 @pytest.mark.parametrize("flag", ["--d-max", "--census-max"])
-def test_verify_rejects_a_cap_beyond_the_exact_numerators(capsys, flag):
-    # 4 d^2 must fit in int64; no array is allocated before the check
+def test_verify_refuses_a_cap_past_the_range_limit_before_any_array(capsys, flag):
+    # 5e12 odd d, where the exact numerators 4 d^2 overflow int64 too; the
+    # range limit of every command names the cap, before any array
     code, out, err = run_cli(capsys, "verify", flag, "10000000000000")
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {flag}=10000000000000 is too large")
-    assert len(err.splitlines()) == 1
+    assert err == f"error: too many dimensions: {flag}=10000000000000 holds more than {MAX_RANGE_D} odd d\n"
 
 
-# below 3 no odd d is left; above MAX_NUMERATOR_D the exact numerators 4 d^2 overflow int64
+# below 3 no odd d is left; every cap above MAX_NUMERATOR_D, where the exact
+# numerators 4 d^2 overflow int64, holds more than MAX_RANGE_D odd d
 @pytest.mark.parametrize("cap", [1, 2, 10**13, MAX_NUMERATOR_D + 2])
 @pytest.mark.parametrize("flag", ["--d-max", "--census-max"])
 def test_verify_rejects_a_cap_outside_the_odd_d_it_can_check(capsys, flag, cap):
@@ -351,7 +352,7 @@ def test_verify_rejects_a_cap_outside_the_odd_d_it_can_check(capsys, flag, cap):
     code, out, err = run_cli(capsys, "verify", other, "9", flag, str(cap))
     assert code == 2
     assert out == ""
-    named = f"empty scan range: {flag}={cap} " if cap < 3 else f"{flag}={cap} is too large"
+    named = f"empty scan range: {flag}={cap} " if cap < 3 else f"too many dimensions: {flag}={cap} holds "
     assert err.startswith(f"error: {named}")
     assert len(err.splitlines()) == 1
 
@@ -649,14 +650,28 @@ def test_every_dimension_prints_finite_rows_or_is_named(capsys, command):
 @pytest.mark.parametrize("command", ["pf-thresholds", "lcu-table", "scan-ratio"])
 def test_a_range_past_max_d_fails_before_its_first_row(command):
     # the range holds about 10^154 dimensions up to MAX_D, so a run that
-    # priced them before it reached the first d above MAX_D would not end;
-    # in a subprocess, the timeout fails the test instead of hanging it, and
-    # ends such a run while its growing row list is still small
+    # priced them would not end: the range limit names the flags first, as
+    # for a range below MAX_D.  In a subprocess, the timeout fails the test
+    # instead of hanging it, and ends such a run while its row list is small
     d_max = 10**200
     proc = fresh_process("-m", "quditcost.cli", command, "--all-odd", "--d-max", str(d_max), timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines() == [
-        f"error: d={d_max - 1} is too large: (d - 1)^2 overflows a float above d = {MAX_D:.3g}"
+        f"error: too many dimensions: --d-min=3 and --d-max={d_max} hold more than {MAX_RANGE_D} odd d"
+    ]
+
+
+@pytest.mark.parametrize("command", ["pf-thresholds", "lcu-table", "scan-ratio"])
+def test_a_narrow_range_past_max_d_is_named_by_the_pass_before_its_first_row(command):
+    # about 10^6 odd d, within the range limit, whose last d is above MAX_D:
+    # the pass names that d before it prices the first of the 10^6 rows
+    d_min, d_max = MAX_D - 2 * 10**6, MAX_D + 10
+    argv = [command, "--all-odd", "--d-min", str(d_min), "--d-max", str(d_max)]
+    proc = fresh_process("-m", "quditcost.cli", *argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    # (d_max - 1) | 1, the last odd d of the range
+    assert proc.stderr.splitlines() == [
+        f"error: d={(d_max - 1) | 1} is too large: (d - 1)^2 overflows a float above d = {MAX_D:.3g}"
     ]
 
 
@@ -675,7 +690,7 @@ def test_a_range_of_max_range_d_odd_d_is_taken_and_one_more_is_refused():
         (["pf-thresholds", "--all-odd", "--d-min", "5", "--d-max", str(5 + 2 * MAX_RANGE_D)], "--d-min=5 and"),
         # before any prime test, which would take the range one d at a time
         (["lcu-table", "--primes", "--d-max", str(10**20)], f"--d-min=3 and --d-max={10**20} hold"),
-        # verify's caps share the limit, below the int64 bound of its numerators
+        # verify's caps share the limit
         (["verify", "--census-max", str(3 + 2 * MAX_RANGE_D)], f"--census-max={3 + 2 * MAX_RANGE_D} holds"),
     ],
     ids=["scan-ratio", "pf-thresholds", "lcu-table-primes", "verify"],

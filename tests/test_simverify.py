@@ -233,6 +233,22 @@ def test_run_suites_rejects_a_nonfinite_inject(inject, monkeypatch):
         run_suites(1.0, odd(9), odd(15), inject)
 
 
+def test_run_suites_checks_the_int64_bound_of_the_numerators_before_any_block(monkeypatch):
+    # a block at such a d would hold about 1.5e9 levels, over 12 GB, so the
+    # stand-in for _blocks raises instead
+    def blocks(ds):
+        raise RuntimeError(f"a block was built for {ds}")
+
+    monkeypatch.setattr(simverify, "_blocks", blocks)
+    d = simverify.MAX_NUMERATOR_D + 2
+    message = f"d={d} is too large: the selection numerators 4 d^2 overflow int64 above d = {d - 2}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suites(1.0, [3], [d])
+    # the bound is sharp: the largest odd d within it reaches its first block
+    with pytest.raises(RuntimeError, match="a block was built"):
+        run_suites(1.0, [3], [d - 2])
+
+
 def closed_form_with(monkeypatch, change):
     """Make the suites see the closed form at (d, n) as change(d, n, betas, c_amps) returns it."""
     closed = simverify.beta_closed_form
