@@ -170,44 +170,29 @@ def _header_text(value) -> str:
 _FIELD_SPECS = {"csv": {int: "%s", float: "%.9g"}, "json": {int: "%s", float: "%r"}}
 
 
-def _row_templates(row_type: type, fmt: str) -> tuple[int | None, tuple[str, str]]:
-    """The position of the bool column of a report row type, and its row templates in fmt.
+def _row_format(row_type: type, fmt: str) -> typing.Callable[..., str]:
+    """The text of one report row in fmt ("csv" or "json") from its columns, with its newline.
 
-    Built from the declared column types.  Each is a % template of the
-    columns other than the bool one, which takes them in order: a CSV row
-    is its fields joined by commas, a JSON row an object of indent 2 inside
-    the rows list, and a comma.  Neither ends in its newline, which the
-    row callable of _row_format appends.  A bool column prints true or
-    false, so it is literal text, false in the first template and true in
-    the second; a row type has at most one.  Without one the position is
-    None and the two templates are equal.
+    Each call builds two % templates from the declared column types, each
+    of the columns other than the bool one, which it takes in order: a CSV
+    row is its fields joined by commas, a JSON row an object of indent 2
+    inside the rows list, and a comma.  A bool column prints true or false,
+    so it is literal text, false in the first template and true in the
+    second; a row type has at most one, and without one the two are equal.
+    The appended newline copies the % result into a str of its exact size;
+    a held % result keeps the spare bytes of its writer.
     """
-    hints = typing.get_type_hints(row_type)
-    kinds = list(hints.values())
+    kinds = list(row_type.__annotations__.values())
     templates = []
     for text in ("false", "true"):
         fields = [text if kind is bool else _FIELD_SPECS[fmt][kind] for kind in kinds]
         if fmt == "csv":
             templates.append(",".join(fields))
         else:
-            pairs = ",\n      ".join(f'"{name}": {field}' for name, field in zip(hints, fields))
+            pairs = ",\n      ".join(f'"{name}": {field}' for name, field in zip(row_type._fields, fields))
             templates.append(f"    {{\n      {pairs}\n    }},")
-    return (kinds.index(bool) if bool in kinds else None), tuple(templates)
-
-
-# _row_templates of each row type and format, built on first use in a process
-_TEMPLATES: dict[tuple[type, str], tuple[int | None, tuple[str, str]]] = {}
-
-
-def _row_format(row_type: type, fmt: str) -> typing.Callable[..., str]:
-    """The text of one report row in fmt ("csv" or "json") from its columns, with its newline.
-
-    The appended newline copies the % result into a str of its exact size;
-    a held % result keeps the spare bytes of its writer.
-    """
-    if (row_type, fmt) not in _TEMPLATES:
-        _TEMPLATES[row_type, fmt] = _row_templates(row_type, fmt)
-    flag, (false, true) = _TEMPLATES[row_type, fmt]
+    false, true = templates
+    flag = kinds.index(bool) if bool in kinds else None
     if flag is None:
         return lambda *columns: false % columns + "\n"
     return lambda *columns: (true if columns[flag] else false) % (columns[:flag] + columns[flag + 1:]) + "\n"
@@ -366,7 +351,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main's parser, built on its first call and reused by every later one
+# main's parser, built on its first call and reused by every later one.  It
+# serves only repeated calls in one process, which the benchmark's sweep-small
+# makes and a CLI run never does; it goes with ROADMAP item 19 once item 1
+# step 3 reworks that workload
 _PARSER: argparse.ArgumentParser | None = None
 
 

@@ -248,8 +248,11 @@ def pf_thresholds(
 
 
 # _half_weight_sum of each d, computed once per process.  Only the odd
-# d < ONE_NORM_SERIES_D reach it, so this holds at most 49 floats.  A
-# dict and not functools.cache: the benchmark's tracer times plain functions.
+# d < ONE_NORM_SERIES_D reach it, so this holds at most 49 floats.  It serves
+# only repeated reports in one process, which the benchmark's sweep-small
+# makes and a CLI run never does; it goes with ROADMAP item 19 once item 1
+# step 3 reworks that workload.  A dict and not functools.cache: the
+# benchmark's tracer times plain functions.
 _HALF_WEIGHT_SUMS: dict[int, float] = {}
 
 

@@ -202,7 +202,7 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", ["scan-ratio", "lcu-table"])
 def test_a_third_call_prints_the_bytes_of_a_fresh_process(command, fmt):
-    # the parser and the row templates are reused; every row is priced again
+    # the parser is reused; every row is priced again and formatted from fresh templates
     argv = [command, "--phi-max", "2.5", "--d-max", "257", "--t", "37.5", "--format", fmt]
     want = fresh_process_stdout("-m", "quditcost.cli", *argv)
     assert [main_stdout(argv) for _ in range(3)] == [want] * 3

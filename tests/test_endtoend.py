@@ -140,9 +140,10 @@ def test_report_row_is_constant_size_in_d():
     assert peak < 100_000
 
 
-def test_pricing_one_range_three_times_holds_nothing_once_its_rows_are_dropped():
-    # less than a byte per d: no per-range cache fits.  The untraced calls over
-    # the small d fill the one-norm half sums and the free lists of the interpreter
+def test_pricing_one_range_three_times_into_a_no_op_row_holds_nothing():
+    # less than a byte per d: no per-range cache fits.  The row builds nothing,
+    # so all that a pass could hold is its own.  The untraced calls over the
+    # small d fill the one-norm half sums and the free lists of the interpreter
     ds = range(3, 40003, 2)
     reports = [ratio_and_budget, lcu_fixed_encoding_thresholds] * 3
     for report in reports[:2]:
@@ -150,7 +151,7 @@ def test_pricing_one_range_three_times_holds_nothing_once_its_rows_are_dropped()
     tracemalloc.start()
     try:
         for report in reports:
-            rows = report(1.5, ds, 0.1, 1e-6)
+            rows = report(1.5, ds, 0.1, 1e-6, row=lambda *columns: None)
             del rows
         held, _ = tracemalloc.get_traced_memory()
     finally:

@@ -10,14 +10,17 @@ each exact numerator array once per dimension, in one pass for all its
 per-d suites: its block calls cover each d exactly once.  A process sums
 the one-norm weights of each small d once.  Every test starts from empty
 per-process caches (fresh_caches), so that each report builds its parser
-and templates and sums its one-norm weights itself.
+and sums its one-norm weights itself, and those two caches are the only
+globals of cli, costmodel and simverify that a run of each command changes.
 """
+
+import copy
 
 import numpy as np
 import pytest
 from helpers import entered, main_stdout
 
-from quditcost import costmodel, simverify
+from quditcost import cli, costmodel, simverify
 from quditcost.costmodel import lcu_fixed_encoding_thresholds, ratio_and_budget
 
 pytestmark = pytest.mark.usefixtures("fresh_caches")
@@ -109,3 +112,35 @@ def test_a_process_sums_the_one_norm_weights_once_per_dimension():
     for d in range(3, costmodel.ONE_NORM_SERIES_D, 2):
         weights = costmodel._half_weight_sum(d)
         assert costmodel.clock_one_norm(1.7, d) == 1.7**2 * 4.0 / (d - 1) ** 2 * weights, d
+
+
+def test_the_report_path_keeps_only_the_parser_and_the_half_sums_between_calls():
+    # every global of the three modules, with a shallow copy of each dict, list
+    # or set, before and after one run of each command: only the two caches
+    # that serve repeated calls in one process may change
+    modules = (cli, costmodel, simverify)
+
+    def state():
+        return {
+            (module.__name__, name): (value, copy.copy(value) if isinstance(value, (dict, list, set)) else None)
+            for module in modules
+            for name, value in vars(module).items()
+        }
+
+    before = state()
+    for argv in (
+        ["scan-ratio", "--format", "json"],
+        ["lcu-table"],
+        ["pf-thresholds", "--all-odd"],
+        ["verify", "--d-max", "5", "--census-max", "7"],
+    ):
+        main_stdout(argv)
+    after = state()
+    # the names of the globals bound, rebound, deleted or changed in contents
+    changed = {
+        name for module, name in before.keys() | after.keys()
+        if (module, name) not in before or (module, name) not in after
+        or before[module, name][0] is not after[module, name][0]
+        or before[module, name][1] != after[module, name][1]
+    }
+    assert changed == {"_PARSER", "_HALF_WEIGHT_SUMS"}
