@@ -11,7 +11,7 @@ dimensions: it checks ds first (_dimensions), then its scalar inputs once,
 then each row checks d once, through register_width, and evaluates each
 formula it prints once.  The qudit alpha is the clock-power one-norm
 (clock_one_norm), O(1) in d.  Every pass prices each of its d from
-scratch; a process keeps only the one-norm half sums of the small d.
+scratch, and the module keeps no state between passes.
 Like everything the report commands import, the module is stdlib only.
 
 The field grid, d = 2M + 1 levels spaced delta_phi = 2 phi_max / (d - 1) on
@@ -55,6 +55,26 @@ ONE_NORM_SERIES = (
     -20.613750380679466, -8.77757618696035, 3.0585980067587673, 1.1698198066132062,
     -0.7189583935323552, -0.21569284397153743, 0.28757270558928033, 0.03721347472614415,
     -0.21314575613699205, 0.06009378859817065, 2 / 3,
+)
+
+# W(3), W(5), .., W(99): the half sum W(d) = sum_{r=1}^{(d-1)/2} cos x_r / sin^2 x_r,
+# x_r = pi r/d, of each odd d below ONE_NORM_SERIES_D (clock_one_norm), at
+# index d // 2 - 1.  Each is the float of the numpy sum the outputs were first
+# computed with; tests/test_pauli.py derives and checks them.
+ONE_NORM_HALF_SUMS = (
+    0.666666666666667, 2.683281572999748, 6.040013498471556, 10.732839803366966,
+    16.76035322091247, 24.121956489396062, 32.8173566309718, 42.846393981434666,
+    54.208974389386086, 66.90503884274385, 80.93454851571632, 96.29747683584692,
+    112.99380501250815, 131.02351938712897, 150.38660979557253, 171.08306851917976,
+    193.11288959184105, 216.47606832980597, 241.17260100502386, 267.20248461341527,
+    294.56571670739964, 323.26229527282334, 353.2922186371464, 384.6554854000046,
+    417.35209438003926, 451.3820445737157, 486.7453351230932, 523.4419652903567,
+    561.4719344375125, 600.8352420100643, 641.5318875237922, 683.561870553964,
+    726.9251907264755, 771.6218477105276, 817.6518412125374, 865.0151709710497,
+    913.7118367524604, 963.7418383474042, 1015.1051755676929, 1067.8018482437021,
+    1121.8318562221389, 1177.1951993641235, 1233.8918775435336, 1291.9218906455728,
+    1351.2852385655276, 1411.981921207685, 1474.0119384843838, 1537.375290315189,
+    1602.071976626158,
 )
 
 
@@ -247,42 +267,6 @@ def pf_thresholds(
     return rows
 
 
-# _half_weight_sum of each d, computed once per process.  Only the odd
-# d < ONE_NORM_SERIES_D reach it, so this holds at most 49 floats.  It serves
-# only repeated reports in one process, which the benchmark's sweep-small
-# makes and a CLI run never does; it goes with ROADMAP item 19 once item 1
-# step 3 reworks that workload.  A dict and not functools.cache: the
-# benchmark's tracer times plain functions.
-_HALF_WEIGHT_SUMS: dict[int, float] = {}
-
-
-def _half_weight_sum(d: int) -> float:
-    """sum_{r=1}^{(d-1)/2} cos x_r / sin^2 x_r with x_r = pi r/d, added in numpy's order.
-
-    That order, for fewer than numpy's block of 128 terms: 8 running
-    partials (term i to partial i mod 8), combined pairwise, then the tail
-    of fewer than 8 terms in turn.  So the float equals the numpy sum that
-    the outputs were first computed with; math.fsum would round otherwise.
-    """
-    n = (d - 1) // 2
-    weights = []
-    for r in range(1, n + 1):
-        x = math.pi * r / d
-        s = math.sin(x)
-        weights.append(math.cos(x) / (s * s))
-    total = 0.0
-    if n >= 8:
-        blocked = n - n % 8
-        p = weights[:8]
-        for i in range(8, blocked):
-            p[i % 8] += weights[i]
-        total = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
-        weights = weights[blocked:]
-    for w in weights:
-        total += w
-    return total
-
-
 def clock_one_norm(phi_max: float, d: int) -> float:
     """One-norm sum_{r>=1} |beta_r| of the clock-power coefficients, O(1) in d.
 
@@ -291,8 +275,9 @@ def clock_one_norm(phi_max: float, d: int) -> float:
     weights are symmetric under r -> d - r, so the sum runs over the half
     x_r <= pi/2 and is doubled; above pi/2 the rounding of x_r near pi
     would cost sin x_r up to d * 1e-16 of relative accuracy.  Below
-    ONE_NORM_SERIES_D the half sum W is at most 49 terms
-    (_half_weight_sum).  From there on the one-norm is phi_max^2 g(1/d),
+    ONE_NORM_SERIES_D the half sum W of an odd d (register_width) is the
+    literal ONE_NORM_HALF_SUMS[d // 2 - 1], so no platform sin or cos runs.
+    From there on the one-norm is phi_max^2 g(1/d),
     with g(u) = 4 W / (d - 1)^2 = sum_{k=0}^{10} g_k u^k (ONE_NORM_SERIES)
     by Horner's rule.  g is the asymptotic expansion of W, re-expanded in
     u = 1/d: with h = pi/d and X = (d - 1) h / 2, the weight cos x / sin^2 x
@@ -307,15 +292,12 @@ def clock_one_norm(phi_max: float, d: int) -> float:
     g_0 .. g_10.  The first omitted term, g_11 = 93.06 at u^11, is 1.3e-20
     relative at d = 101 and falls with d.  No intermediate lies below
     phi_max^2, so no scale (d - 1)^-2 underflows near MAX_D.  Below 101 the
-    omitted term grows fast (2.5e-16 relative at d = 41), and the half sum
-    keeps the bits the outputs were first computed with.  The series lies
-    within 2.4e-16 of a 40-digit sum, the half sum within 5e-16.
+    omitted term grows fast (2.5e-16 relative at d = 41), and the half sums
+    keep the bits the outputs were first computed with.  The series lies
+    within 2.4e-16 of a 40-digit sum, the half sums within 5e-16.
     """
     if d < ONE_NORM_SERIES_D:
-        weights = _HALF_WEIGHT_SUMS.get(d)
-        if weights is None:
-            weights = _HALF_WEIGHT_SUMS[d] = _half_weight_sum(d)
-        return phi_max**2 * 4.0 / (d - 1) ** 2 * weights
+        return phi_max**2 * 4.0 / (d - 1) ** 2 * ONE_NORM_HALF_SUMS[d // 2 - 1]
     u = 1 / d
     g10, g9, g8, g7, g6, g5, g4, g3, g2, g1, g0 = ONE_NORM_SERIES
     g = ((((g10 * u + g9) * u + g8) * u + g7) * u + g6) * u + g5
@@ -401,14 +383,22 @@ def ratio_and_budget(
     with L = 2 (2^n_b - 1) + n_b synthesized rotations: both preparation
     directions (2^n_b - 1 each) plus the n_b rotations of the selection's
     clock-phase ladder.  k is the number of directional encoding switches
-    per query (two for the hybrid round trip).  The switch count Q_qd * k
-    must be a finite float, or the budget would read 0; the budget, like
-    the totals, must be finite.  ratio > 1, delta_tot > 0 and a positive
-    budget each say that the d-level route is cheaper.  Each row is
+    per query (two for the hybrid round trip), an integer from 1 to the
+    largest float.  The switch count Q_qd * k must be a finite float, or
+    the budget would read 0; the budget, like the totals, must be finite.
+    ratio > 1, delta_tot > 0 and a positive budget each say that the
+    d-level route is cheaper.  Each row is
     row(*columns), in the order of ResourceReport.  It checks ds first
     (_dimensions), then k, then phi_max, t and eps_sim.
     """
     ds = _dimensions(ds)
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"switch count k must be an integer, got {k!r}") from None
+    # past the float range k converts to no float, and its digits may be too many to print
+    if abs(k) > sys.float_info.max:
+        raise ValueError(f"switch count k has {k.bit_length()} bits, past the largest float {sys.float_info.max:.6g}")
     if k < 1:
         raise ValueError(f"switch count must be at least 1, got {k}")
     log_term = _log_term(phi_max, t, eps_sim)

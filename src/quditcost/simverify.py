@@ -83,6 +83,7 @@ and a NaN error is its suite's worst and fails it.
 """
 
 import math
+import operator
 import sys
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -478,11 +479,11 @@ def run_suites(
 ) -> list[SuiteResult]:
     """The six suites, from one closed form, phase list, ladder, one-norm and level array per d.
 
-    dense_ds and census_ds are nonempty, sorted sequences of odd d >= 3, up
-    to MAX_NUMERATOR_D, where the exact numerators still fit int64;
-    membership in a range is O(1).  inject, phi_max and each d
-    (costmodel.register_width, then that bound) are checked before any
-    suite runs.  The d of both sequences run in blocks (see
+    dense_ds and census_ds are nonempty, strictly increasing sequences of
+    odd d >= 3, up to MAX_NUMERATOR_D, where the exact numerators still fit
+    int64; membership in a range is O(1).  inject, phi_max, both
+    sequences and each d (costmodel.register_width, then that bound) are
+    checked before any suite runs.  The d of both sequences run in blocks (see
     Blocks above).
 
     Over the d of dense_ds: trotter-schedule, native step schedules
@@ -529,7 +530,8 @@ def run_suites(
     (suite_projector), dft and census, in print order.
 
     Raises:
-        ValueError: for a non-finite inject, a d that register_width
+        ValueError: for a non-finite inject, a dense_ds or census_ds that
+            is empty or not strictly increasing, a d that register_width
             rejects or that is above MAX_NUMERATOR_D, or a phi_max that
             puts a coefficient at the largest d checked outside the normal
             floats, where no verdict would hold: the smallest exact one,
@@ -541,6 +543,10 @@ def run_suites(
     if not math.isfinite(inject):
         raise ValueError(f"--inject-angle-error must be finite, got {inject}")
     check_phi_max(phi_max)
+    for name, ds in (("dense_ds", dense_ds), ("census_ds", census_ds)):
+        # each suite's worst_d, cases and census offsets read ds in order, one entry per d
+        if not len(ds) or not all(map(operator.lt, ds, ds[1:])):
+            raise ValueError(f"{name} must be a nonempty, strictly increasing sequence of d")
     dims = sorted({*dense_ds, *census_ds})
     for d in dims:
         register_width(d)

@@ -1,15 +1,12 @@
 import pytest
 
-from quditcost import cli, costmodel
+from quditcost import cli
 
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Every per-process cache of the report path empty, as in a new process, and restored afterwards.
+    """The one per-process cache of the report path, main's parser, empty as in a new process, and restored afterwards.
 
-    main's parser and the one-norm half sums of the d below
-    costmodel.ONE_NORM_SERIES_D: a test that counts calls then sees each
-    built as a first run does.
+    A test that counts calls then sees the parser built as a first run does.
     """
     monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(costmodel, "_HALF_WEIGHT_SUMS", {})

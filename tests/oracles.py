@@ -54,6 +54,7 @@ Angle convention as in `quditcost.simverify`: R_z(theta) = exp(-i theta Z / 2).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -516,8 +517,14 @@ def scan_row(
     hybrid round trip).  The switch count Q_qd * k must be a finite float,
     or the budget would read 0; the budget, like the totals, must be
     finite.  ratio > 1, delta_tot > 0, and a positive budget are all
-    equivalent statements that the d-level route is cheaper.
+    equivalent statements that the d-level route is cheaper.  k is an
+    integer from 1 to the largest float.
     """
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"switch count k must be an integer, got {k!r}")
+    k = int(k)
+    if not -sys.float_info.max <= k <= sys.float_info.max:
+        raise ValueError(f"switch count k has {k.bit_length()} bits, past the largest float {sys.float_info.max:.6g}")
     if k < 1:
         raise ValueError(f"switch count must be at least 1, got {k}")
     grid = make_grid(phi_max, d)

@@ -143,7 +143,7 @@ def test_report_row_is_constant_size_in_d():
 def test_pricing_one_range_three_times_into_a_no_op_row_holds_nothing():
     # less than a byte per d: no per-range cache fits.  The row builds nothing,
     # so all that a pass could hold is its own.  The untraced calls over the
-    # small d fill the one-norm half sums and the free lists of the interpreter
+    # small d fill the free lists of the interpreter
     ds = range(3, 40003, 2)
     reports = [ratio_and_budget, lcu_fixed_encoding_thresholds] * 3
     for report in reports[:2]:

@@ -9,6 +9,7 @@ from oracles import direct_dft_coefficients, levels, make_grid, one_norm_series,
 
 from quditcost.costmodel import (
     MAX_D,
+    ONE_NORM_HALF_SUMS,
     ONE_NORM_SERIES,
     ONE_NORM_SERIES_D,
     clock_one_norm,
@@ -235,17 +236,25 @@ def test_one_norm_closed_form_keeps_its_bits(phi_max, d, bits):
 
 
 def test_one_norm_half_sum_equals_the_numpy_expression():
-    """Below ONE_NORM_SERIES_D the stdlib half sum gives the float of the numpy sum.
+    """Below ONE_NORM_SERIES_D the literal half sums are the floats of the numpy sum.
 
-    The one-norm was first the numpy expression below; the report outputs
-    keep its value bit for bit.  Equality depends on the machine: numpy's
-    SIMD sin and cos may round differently from the C library's elsewhere,
-    and then this test fails while both one-norms stay within 5e-16.
+    The one-norm was first the numpy expression below; the literals of
+    ONE_NORM_HALF_SUMS keep its value bit for bit, on every machine.  This
+    check of them depends on the machine: numpy's SIMD sin and cos may round
+    differently elsewhere, and then it fails while the literals and the
+    one-norms they give stay within 5e-16 of a 40-digit sum.
     """
     for d in range(3, ONE_NORM_SERIES_D, 2):
         x = np.pi * np.arange(1, (d + 1) // 2) / d
         weights = float((np.cos(x) / np.sin(x) ** 2).sum())
+        assert ONE_NORM_HALF_SUMS[d // 2 - 1] == weights, d
         assert clock_one_norm(1.7, d) == 1.7**2 * 4.0 / (d - 1) ** 2 * weights, d
+
+
+def test_one_norm_half_sums_cover_each_odd_d_below_the_series():
+    # one literal per odd d from 3 to ONE_NORM_SERIES_D - 2: a switch moved up
+    # would index past the table, and one moved down would leave literals unread
+    assert len(ONE_NORM_HALF_SUMS) == (ONE_NORM_SERIES_D - 3) // 2
 
 
 def test_select_diag_phases_d3():

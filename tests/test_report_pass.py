@@ -91,6 +91,13 @@ INVALID = {
     "per-rotation floor": dict(d=20000001, t=0.01, eps=1e-297),
     "total overflows": dict(d=8388609, t=1.2e299, eps=0.5),
     "switch count overflows": dict(k=10**308),
+    "k nan": dict(k=math.nan),
+    "k not an integer": dict(k=2.5),
+    "k an integral float": dict(k=2.0),
+    "k past the largest float": dict(k=10**400),
+    # str() of an int past 4,300 digits raises its own ValueError
+    "k of 5,000 digits": dict(k=10**5000),
+    "k below minus the largest float": dict(k=-(10**5000)),
     "synthesis cost overflows": dict(model=SynthesisModel(rz_slope=1e308)),
     "even d": dict(d=4),
     "d below 3": dict(d=1),
@@ -114,6 +121,26 @@ def test_each_invalid_input_raises_the_chain_error(case):
     if not {"phi_max", "t", "k"} & set(case):
         want = per_d(lambda d: oracles.pf_row(d, eps, model), [d])
         assert outcome(lambda: pf_thresholds([d], eps, model)) == want
+
+
+@pytest.mark.parametrize(
+    "k,message",
+    [
+        # once "k=nan is too large", which blamed the size of a value that has none
+        (math.nan, "switch count k must be an integer, got nan"),
+        # once priced, as 2.5 switches per query
+        (2.5, "switch count k must be an integer, got 2.5"),
+        # once an OverflowError from formatting k as a float
+        (10**400, "switch count k has 1329 bits, past the largest float 1.79769e+308"),
+        # its str() would pass 4,300 digits, which raises a ValueError of its own
+        (-(10**5000), "switch count k has 16610 bits, past the largest float 1.79769e+308"),
+    ],
+    ids=["nan", "2.5", "10**400", "-10**5000"],
+)
+def test_a_switch_count_that_is_no_float_sized_integer_is_named(k, message):
+    with pytest.raises(ValueError) as excinfo:
+        ratio_and_budget(1.0, [3], 0.1, 1e-6, k)
+    assert str(excinfo.value) == message
 
 
 def test_an_error_at_a_later_d_is_the_error_of_that_d():

@@ -7,11 +7,10 @@ cost of a rotation.  A report checks its scalar inputs once, whatever its
 row count, and so does `verify`.  `verify` builds each closed form, each
 selection phase list and schedule, each one-norm, each level array and
 each exact numerator array once per dimension, in one pass for all its
-per-d suites: its block calls cover each d exactly once.  A process sums
-the one-norm weights of each small d once.  Every test starts from empty
-per-process caches (fresh_caches), so that each report builds its parser
-and sums its one-norm weights itself, and those two caches are the only
-globals of cli, costmodel and simverify that a run of each command changes.
+per-d suites: its block calls cover each d exactly once.  Every test
+starts from an empty parser cache (fresh_caches), so that each report
+builds its parser itself, and that cache is the only global of cli,
+costmodel and simverify that a run of each command changes.
 """
 
 import copy
@@ -104,20 +103,10 @@ def test_verify_evaluates_the_irreducibility_floor_once_per_dimension():
     assert sizes[0] == 1 and sum(sizes) == 256 + 1
 
 
-def test_a_process_sums_the_one_norm_weights_once_per_dimension():
-    argv = ["scan-ratio", "--d-max", "41"]
-    codes = {costmodel._half_weight_sum.__code__}
-    # d = 3, 5, ..., 41, then none again
-    assert [len(entered(lambda: main_stdout(argv), codes)[1]) for _ in range(2)] == [20, 0]
-    for d in range(3, costmodel.ONE_NORM_SERIES_D, 2):
-        weights = costmodel._half_weight_sum(d)
-        assert costmodel.clock_one_norm(1.7, d) == 1.7**2 * 4.0 / (d - 1) ** 2 * weights, d
-
-
-def test_the_report_path_keeps_only_the_parser_and_the_half_sums_between_calls():
+def test_the_report_path_keeps_only_the_parser_between_calls():
     # every global of the three modules, with a shallow copy of each dict, list
-    # or set, before and after one run of each command: only the two caches
-    # that serve repeated calls in one process may change
+    # or set, before and after one run of each command: only the parser cache,
+    # which serves repeated calls in one process, may change
     modules = (cli, costmodel, simverify)
 
     def state():
@@ -143,4 +132,4 @@ def test_the_report_path_keeps_only_the_parser_and_the_half_sums_between_calls()
         or before[module, name][0] is not after[module, name][0]
         or before[module, name][1] != after[module, name][1]
     }
-    assert changed == {"_PARSER", "_HALF_WEIGHT_SUMS"}
+    assert changed == {"_PARSER"}

@@ -233,6 +233,29 @@ def test_run_suites_rejects_a_nonfinite_inject(inject, monkeypatch):
         run_suites(1.0, odd(9), odd(15), inject)
 
 
+@pytest.mark.parametrize(
+    "dense_ds,census_ds,name",
+    [
+        # reversed, the worst_d of four suites read 9 for 33, and select-census failed
+        ([33, 9], [15, 1155], "dense_ds"),
+        ([9, 33], [1155, 15], "census_ds"),
+        # repeated, a d counted twice in cases
+        ([9, 9], [15], "dense_ds"),
+        ([9], [15, 15], "census_ds"),
+        ([], [15], "dense_ds"),
+        ([9], range(3, 3, 2), "census_ds"),
+    ],
+)
+def test_run_suites_rejects_a_sequence_that_is_empty_or_not_strictly_increasing(
+    dense_ds, census_ds, name, monkeypatch
+):
+    # checked before any suite runs, so no closed form is built
+    monkeypatch.setattr(simverify, "beta_closed_form", None)
+    message = f"{name} must be a nonempty, strictly increasing sequence of d"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suites(1.0, dense_ds, census_ds)
+
+
 def test_run_suites_checks_the_int64_bound_of_the_numerators_before_any_block(monkeypatch):
     # a block at such a d would hold about 1.5e9 levels, over 12 GB, so the
     # stand-in for _blocks raises instead
