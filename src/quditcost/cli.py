@@ -142,17 +142,6 @@ def _d_values(d_min: int, d_max: int, prime_only: bool, *flags: str) -> typing.S
     return values
 
 
-def _switch_count(text: str) -> int:
-    """Type of --k: an integer that converts to a finite float, as the switch budget divides by it."""
-    try:
-        k = int(text)
-        float(k)
-    except (ValueError, OverflowError):
-        shown = text if len(text) <= 24 else f"{text[:12]}...({len(text)} characters)"
-        raise argparse.ArgumentTypeError(f"{shown} is not an integer with a finite float value") from None
-    return k
-
-
 def _header_text(value) -> str:
     """A CSV header value: as in a row, unless a float needs more than 9 digits to read back."""
     if isinstance(value, bool):
@@ -298,7 +287,7 @@ def _add_report_flags(
     )
     parser.set_defaults(prime_only=prime_only)
     if k:
-        parser.add_argument("--k", type=_switch_count, default=2, help="directional switches per query")
+        parser.add_argument("--k", type=int, default=2, help="directional switches per query")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 

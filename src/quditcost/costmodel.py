@@ -295,7 +295,13 @@ def clock_one_norm(phi_max: float, d: int) -> float:
     omitted term grows fast (2.5e-16 relative at d = 41), and the half sums
     keep the bits the outputs were first computed with.  The series lies
     within 2.4e-16 of a 40-digit sum, the half sums within 5e-16.
+
+    Raises:
+        TypeError, ValueError: as register_width(d), for any d it refuses.
     """
+    # a checked int skips the call: each report row checks its d once, in _query_counts
+    if not (d.__class__ is int and d % 2 and 3 <= d <= MAX_D):
+        register_width(d)
     if d < ONE_NORM_SERIES_D:
         return phi_max**2 * 4.0 / (d - 1) ** 2 * ONE_NORM_HALF_SUMS[d // 2 - 1]
     u = 1 / d

@@ -132,9 +132,7 @@ def beta_closed_form(phi_max: float, d, n) -> tuple[np.ndarray, np.ndarray]:
     """
     p2 = phi_max**2
     nonzero = n > 0
-    # as for a Python float, an overflowing beta_0 is inf without a warning
-    with np.errstate(over="ignore"):
-        c_amps = np.full(np.shape(n), p2 * (d + 1) / (3.0 * (d - 1)))
+    c_amps = np.full(np.shape(n), p2 * (d + 1) / (3.0 * (d - 1)))
     x = np.pi * np.minimum(n, d - n) / d
     cos, sin = np.cos(x), np.sin(x)
     np.negative(cos, out=cos, where=2 * n > d)

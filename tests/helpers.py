@@ -6,8 +6,8 @@
   a new process;
 * `closed_phases`, the selection phases of the closed form at phi_max = 1.
 
-The fixture `fresh_caches`, which empties the per-process caches, is in
-conftest.py.
+The fixture `fresh_caches`, which empties main's parser cache `cli._PARSER`,
+the one per-process cache, is in conftest.py.
 """
 
 import contextlib

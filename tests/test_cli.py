@@ -735,14 +735,29 @@ def test_verify_ignores_the_synthesis_model_config(tmp_path, capsys, monkeypatch
     assert str(config) in err
 
 
-def test_k_without_a_finite_float_value_is_rejected(capsys):
-    # without a float value of k, no switch count Q_qd * k can be formed
-    with pytest.raises(SystemExit) as exc:
-        main(["scan-ratio", "--d-max", "3", "--k", str(10**309)])
-    assert exc.value.code == 2
+@pytest.mark.parametrize(
+    "k,error",
+    [
+        # argparse's int refuses what is no integer literal
+        ("2.5", "argument --k: invalid int value: '2.5'"),
+        ("nan", "argument --k: invalid int value: 'nan'"),
+        ("1e3", "argument --k: invalid int value: '1e3'"),
+        # ratio_and_budget alone judges the range of an int
+        ("0", "error: switch count must be at least 1, got 0"),
+        ("-5", "error: switch count must be at least 1, got -5"),
+        (str(10**309), "error: switch count k has 1027 bits, past the largest float 1.79769e+308"),
+        (str(10**400), "error: switch count k has 1329 bits, past the largest float 1.79769e+308"),
+    ],
+    ids=["2.5", "nan", "1e3", "0", "-5", "10**309", "10**400"],
+)
+def test_a_k_that_is_no_switch_count_exits_2_naming_it(capsys, k, error):
+    try:
+        code = main(["scan-ratio", "--d-max", "3", "--k", k])
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --k: " in captured.err and "finite float" in captured.err
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1].endswith(error)
 
 
 # The report commands import the stdlib only; numpy and the verify suites

@@ -70,6 +70,21 @@ def test_too_small_d_rejected(bad_d):
         register_width(bad_d)
 
 
+def refusal(call):
+    """The (type, message) of the exception that call() raises."""
+    with pytest.raises((TypeError, ValueError)) as excinfo:
+        call()
+    return excinfo.type, str(excinfo.value)
+
+
+# once a wrapped index into the half sums (0, -1), a half sum of the wrong d
+# (2, 4), a series value (102), or a ZeroDivisionError, IndexError or
+# tuple-index TypeError (1, 100, 3.0)
+@pytest.mark.parametrize("bad_d", [0, -1, 2, 4, 102, 1, 100, 3.0])
+def test_clock_one_norm_refuses_a_d_as_register_width_does(bad_d):
+    assert refusal(lambda: clock_one_norm(1.0, bad_d)) == refusal(lambda: register_width(bad_d))
+
+
 @pytest.mark.parametrize("bad_phi", [0.0, -1.0])
 def test_nonpositive_phi_max_rejected(bad_phi):
     with pytest.raises(ValueError):

@@ -4,9 +4,9 @@ Runs the four commands in-process at small caps, and one report whose
 total overflows, under a profiler hook and checks that each function whose
 code lives in a quditcost module was called.  Functions are matched by
 code-object identity, which works on every supported Python (co_qualname
-needs 3.11).  The commands start from
-empty per-process caches (fresh_caches), so that each cache is built again
-by the function that fills it.
+needs 3.11).  The commands start from an empty parser cache `cli._PARSER`
+(fresh_caches), the one per-process cache, so that `cli._build_parser`
+builds the parser again.
 """
 
 import pkgutil
