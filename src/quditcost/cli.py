@@ -1,6 +1,7 @@
 """Command-line front end: threshold tables, cost-ratio scans, the verify report."""
 
 import argparse
+import functools
 import os
 import sys
 import typing
@@ -258,6 +259,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY_FAILED
 
 
+def _int(text: str) -> int:
+    """int(text), the type of an int option; a refused text of more than 20 characters is named by its length."""
+    try:
+        return int(text)
+    except ValueError:
+        value = f": {text!r}" if len(text) <= 20 else f" of {len(text)} characters"
+        raise argparse.ArgumentTypeError("invalid int value" + value) from None
+
+
 def _add_report_flags(
     parser: argparse.ArgumentParser, *, t: bool, k: bool, prime_only: bool
 ) -> None:
@@ -267,17 +277,11 @@ def _add_report_flags(
     """
     parser.add_argument("--phi-max", type=float, default=1.0, help="field amplitude bound")
     # the accuracy of a time evolution (commands with --t) is eps_sim
-    dest = "eps_sim" if t else "eps"
-    accuracy = parser.add_mutually_exclusive_group()
-    accuracy.add_argument("--eps", type=float, default=1e-6, dest=dest, help="target accuracy")
-    accuracy.add_argument(
-        "--eps-sim", type=float, default=1e-6, dest=dest,
-        help="simulation accuracy (synonym of --eps)",
-    )
+    parser.add_argument("--eps", type=float, default=1e-6, dest="eps_sim" if t else "eps", help="target accuracy")
     if t:
         parser.add_argument("--t", type=float, default=0.1, help="evolution time")
-    parser.add_argument("--d-min", type=int, default=3, help="smallest local dimension")
-    parser.add_argument("--d-max", type=int, default=19, help="largest local dimension")
+    parser.add_argument("--d-min", type=_int, default=3, help="smallest local dimension")
+    parser.add_argument("--d-max", type=_int, default=19, help="largest local dimension")
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--all-odd", action="store_false", dest="prime_only", help="scan every odd dimension"
@@ -287,26 +291,28 @@ def _add_report_flags(
     )
     parser.set_defaults(prime_only=prime_only)
     if k:
-        parser.add_argument("--k", type=int, default=2, help="directional switches per query")
+        parser.add_argument("--k", type=_int, default=2, help="directional switches per query")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="quditcost",
+        prog="quditcost", allow_abbrev=False,
         description=(
             "Non-Clifford cost comparison of d-level vs binary-register "
             "implementations of the diagonal evolution exp(-i t phi^2)"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every parser takes a flag only in full, so that each value has one spelling
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("pf-thresholds", help="product-formula break-even prefactors (primes by default)")
+    p = command("pf-thresholds", help="product-formula break-even prefactors (primes by default)")
     _add_report_flags(p, t=False, k=False, prime_only=True)
     p.set_defaults(func=cmd_report, row_type=PfRow, report=_pf_report)
 
-    p = sub.add_parser("lcu-table", help="fixed-encoding block-encoding thresholds (primes by default)")
+    p = command("lcu-table", help="fixed-encoding block-encoding thresholds (primes by default)")
     _add_report_flags(p, t=True, k=False, prime_only=True)
     p.set_defaults(
         func=cmd_report,
@@ -314,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
         report=lambda a, ds, model, row: lcu_fixed_encoding_thresholds(a.phi_max, ds, a.t, a.eps_sim, model, row),
     )
 
-    p = sub.add_parser("scan-ratio", help="end-to-end totals, ratio, and switch budget (all odd d by default)")
+    p = command("scan-ratio", help="end-to-end totals, ratio, and switch budget (all odd d by default)")
     _add_report_flags(p, t=True, k=True, prime_only=False)
     p.set_defaults(
         func=cmd_report,
@@ -322,14 +328,14 @@ def _build_parser() -> argparse.ArgumentParser:
         report=lambda a, ds, model, row: ratio_and_budget(a.phi_max, ds, a.t, a.eps_sim, a.k, model, row),
     )
 
-    p = sub.add_parser("verify", help="run the decomposition and coefficient oracle suites")
+    p = command("verify", help="run the decomposition and coefficient oracle suites")
     p.add_argument("--phi-max", type=float, default=1.0, help="field amplitude bound")
     p.add_argument(
-        "--d-max", type=int, default=DIM_CAP,
+        "--d-max", type=_int, default=DIM_CAP,
         help="largest dimension for the dense schedule suites",
     )
     p.add_argument(
-        "--census-max", type=int, default=CENSUS_CAP,
+        "--census-max", type=_int, default=CENSUS_CAP,
         help="largest dimension for the coefficient and census suites",
     )
     p.add_argument(

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -17,6 +18,7 @@ from quditcost.cli import (
     MAX_RANGE_D,
     PRIME_TEST_BOUND,
     ConfigError,
+    _build_parser,
     _d_values,
     is_prime,
     main,
@@ -241,8 +243,8 @@ def test_lcu_table_json_meta(capsys):
 @pytest.mark.parametrize(
     "command,options",
     [
-        ("scan-ratio", {"--phi-max": "1.00000000001", "--eps-sim": "1.234567891234e-07", "--t": "0.1234567891234"}),
-        ("lcu-table", {"--phi-max": "2.718281828459045", "--eps-sim": "9.87654321012e-05", "--t": "3000.0000001"}),
+        ("scan-ratio", {"--phi-max": "1.00000000001", "--eps": "1.234567891234e-07", "--t": "0.1234567891234"}),
+        ("lcu-table", {"--phi-max": "2.718281828459045", "--eps": "9.87654321012e-05", "--t": "3000.0000001"}),
         ("pf-thresholds", {"--phi-max": "1.00000000001", "--eps": "1.234567891234e-07"}),
     ],
 )
@@ -255,7 +257,8 @@ def test_csv_header_floats_read_back_as_passed(capsys, command, options):
     meta = json.loads(json_out)["meta"]
     header = dict(line[2:].split("=", 1) for line in csv_out.splitlines() if line.startswith("# "))
     for flag, text in options.items():
-        key = flag[2:].replace("-", "_")
+        # the header names --eps eps_sim where the command has --t
+        key = "eps_sim" if flag == "--eps" and "--t" in options else flag[2:].replace("-", "_")
         assert float(header[key]) == float(text) == meta[key], key
 
 
@@ -469,10 +472,14 @@ def test_verify_passes_with_dense_cap_above_64(capsys):
     assert [line.split()[3] for line in lines[:3]] == ["cases=64"] * 3
 
 
-def test_eps_flag_synonyms(capsys):
-    _, out_a, _ = run_cli(capsys, "pf-thresholds", "--eps", "1e-4", "--d-max", "5")
-    _, out_b, _ = run_cli(capsys, "pf-thresholds", "--eps-sim", "1e-4", "--d-max", "5")
-    assert out_a == out_b
+@pytest.mark.parametrize("command", ["pf-thresholds", "lcu-table", "scan-ratio"])
+def test_eps_is_the_one_spelling_of_the_accuracy(capsys, command):
+    # eps_sim is the header's name of the value of --eps, and no flag
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--eps-sim", "1e-4"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1].endswith("error: unrecognized arguments: --eps-sim 1e-4")
 
 
 def test_config_file_overrides_model(tmp_path, capsys, monkeypatch):
@@ -510,6 +517,42 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def command_parsers():
+    """The leading argv of each parser that main builds, by its name: [] for quditcost, [command] for each command."""
+    parser = _build_parser()
+    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return {"quditcost": ([], parser), **{name: ([name], sub) for name, sub in commands.choices.items()}}
+
+
+PARSERS = command_parsers()
+
+
+@pytest.mark.parametrize("name", PARSERS)
+def test_no_prefix_of_a_flag_is_read_as_the_flag(capsys, tmp_path, name):
+    # every long option of the parser, read from it, so that a new flag is
+    # covered too; each proper prefix that is no option of its own exits 2,
+    # given a value the flag itself would take
+    lead, parser = PARSERS[name]
+    actions = {flag: action for action in parser._actions for flag in action.option_strings if flag.startswith("--")}
+    taken = []
+    for flag, action in actions.items():
+        if action.nargs == 0:
+            value = []
+        elif action.choices:
+            value = [action.choices[-1]]
+        else:
+            value = [str(tmp_path / "out" if action.default is None else action.default)]
+        for prefix in (flag[:end] for end in range(3, len(flag)) if flag[:end] not in actions):
+            try:
+                code = main([*lead, prefix, *value])
+            except SystemExit as exc:
+                code = exc.code
+            if (code, capsys.readouterr().out) != (2, ""):
+                taken.append(prefix)
+    assert taken == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -573,7 +616,7 @@ OVERFLOW_NAMED = "d=8388609, t=1.2e+299 and eps_sim=0.5 "
         (["scan-ratio", "--eps", "0.9"], "eps_sim=0.9"),
         (["pf-thresholds", "--phi-max", "nan"], "phi_max"),
         (["pf-thresholds", "--eps", "2"], "target accuracy"),
-        (["lcu-table", "--eps-sim", "0"], "eps_sim"),
+        (["lcu-table", "--eps", "0"], "eps_sim"),
         (["scan-ratio", "--t", "1e305", "--d-max", "5"], "t=1e+305"),
         (["lcu-table", "--t", "1e305", "--d-max", "5"], "t=1e+305"),
         (["scan-ratio", "--phi-max", "1e200", "--d-max", "5"], "phi_max=1e+200"),
@@ -758,6 +801,34 @@ def test_a_k_that_is_no_switch_count_exits_2_naming_it(capsys, k, error):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.splitlines()[-1].endswith(error)
+
+
+# past Python's 4,300-digit limit of int(str), so that int refuses it
+HUGE_INT_TEXT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "text,refusal",
+    [
+        ("0.500000000000000000", "invalid int value: '0.500000000000000000'"),
+        ("0.5000000000000000000", "invalid int value of 21 characters"),
+        (HUGE_INT_TEXT, "invalid int value of 5001 characters"),
+    ],
+    ids=["20-characters", "21-characters", "5001-digits"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["scan-ratio", "--k"], ["pf-thresholds", "--d-min"], ["lcu-table", "--d-max"], ["verify", "--census-max"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_refused_int_option_past_20_characters_is_named_by_its_length(capsys, argv, text, refusal):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, text])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    last = captured.err.splitlines()[-1]
+    assert len(last) < 200
+    assert last.endswith(f"argument {argv[-1]}: {refusal}")
 
 
 # The report commands import the stdlib only; numpy and the verify suites

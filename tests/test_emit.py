@@ -79,7 +79,7 @@ REPORTS = pytest.mark.parametrize(
     [
         ["scan-ratio", "--d-min", "5", "--d-max", "5"],
         ["scan-ratio", "--t", "3000", "--d-max", "8001"],
-        ["lcu-table", "--phi-max", "2.5", "--d-max", "101", "--eps-sim", "1e-12"],
+        ["lcu-table", "--phi-max", "2.5", "--d-max", "101", "--eps", "1e-12"],
         ["pf-thresholds", "--all-odd", "--d-max", "41", "--eps", "1e-9"],
     ],
     ids=["one-row-scan", "4000-row-scan", "lcu-table", "pf-thresholds"],

@@ -19,7 +19,7 @@ CASES = {
         "pf-thresholds", "--all-odd", "--d-max", "41", "--eps", "1e-9", "--format", "json",
     ],
     "lcu_table.csv": ["lcu-table", "--phi-max", "2.5", "--t", "3000", "--all-odd", "--d-max", "41"],
-    "lcu_table.json": ["lcu-table", "--d-max", "41", "--eps-sim", "1e-8", "--format", "json"],
+    "lcu_table.json": ["lcu-table", "--d-max", "41", "--eps", "1e-8", "--format", "json"],
     "scan_ratio.csv": ["scan-ratio", "--t", "3000", "--d-max", "41"],
     "scan_ratio_primes_k3.json": [
         "scan-ratio", "--primes", "--k", "3", "--t", "37.5", "--d-max", "41", "--format", "json",

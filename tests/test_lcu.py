@@ -396,7 +396,7 @@ def test_lcu_table_prices_the_built_selection_and_preparations(capsys, t, eps_si
     # the 3d - 3 rotations of a call are the built selection schedule and
     # the preparation, paid in both directions; a_rz_lcu splits the per-call
     # budget eps_sim / Q_qd of the matching scan-ratio row over them
-    flags = ["--all-odd", "--d-max", "513", "--t", str(t), "--eps-sim", str(eps_sim)]
+    flags = ["--all-odd", "--d-max", "513", "--t", str(t), "--eps", str(eps_sim)]
     lcu_rows = printed_rows(capsys, "lcu-table", *flags)
     scan_rows = printed_rows(capsys, "scan-ratio", *flags)
     for lcu, scan in zip(lcu_rows, scan_rows, strict=True):
